@@ -156,9 +156,9 @@ func TestSweepAllocsPerConfig(t *testing.T) {
 		t.Errorf("sweep allocates %.1f allocs/config, want < %.1f (standalone Run)", sweepAllocs, runAllocs)
 	}
 	// Absolute regression pin for the batched path (protocol construction
-	// plus report assembly; the engine itself is reused). Generous headroom
-	// over the measured value so only a real regression trips it.
-	const maxPerConfig = 160 // measured ~125 at introduction
+	// plus report assembly; the engine itself is reused), with small headroom
+	// over the measured value.
+	const maxPerConfig = 50 // measured 45.3
 	if sweepAllocs > maxPerConfig {
 		t.Errorf("sweep allocates %.1f allocs/config, want <= %d", sweepAllocs, maxPerConfig)
 	}

@@ -278,9 +278,11 @@ func TestEngineHappyPathAllocs(t *testing.T) {
 	}
 }
 
-// TestE1FailureFreeAllocs guards the ISSUE 1 acceptance criterion at the
-// workload level: the full E1 failure-free run (n=64, protocol allocations
-// included) must stay well under half the seed's 600 allocs/op.
+// TestE1FailureFreeAllocs pins the allocation budget of one full E1
+// failure-free run (n=64, protocol allocations included): the coordinator's
+// round costs a constant number of allocations, not one per destination, so
+// what remains is the process slab, the result and report maps and the
+// engine set-up.
 func TestE1FailureFreeAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
 		rep, err := agree.Run(agree.Config{N: 64})
@@ -291,7 +293,7 @@ func TestE1FailureFreeAllocs(t *testing.T) {
 			t.Fatal(rep.ConsensusErr)
 		}
 	})
-	const maxAllocs = 300 // seed: 600
+	const maxAllocs = 48 // measured 42 (seed: 600)
 	if allocs > maxAllocs {
 		t.Errorf("E1 failure-free run allocates %.1f allocs/run, want <= %d (seed: 600)", allocs, maxAllocs)
 	}

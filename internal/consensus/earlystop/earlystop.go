@@ -49,23 +49,33 @@ type Protocol struct {
 	decided  bool
 	decision sim.Value
 	halted   bool
+
+	data []sim.Outgoing // empty, capacity n-1: the plan backing array every Send refills
 }
 
 // New returns process p_id out of n tolerating t crashes, proposing v with
 // bit width b (<=0 defaults to 64).
 func New(id sim.ProcID, n, t int, proposal sim.Value, b int) *Protocol {
+	p := newProtocol(id, n, t, proposal, b)
+	return &p
+}
+
+func newProtocol(id sim.ProcID, n, t int, proposal sim.Value, b int) Protocol {
 	if b <= 0 {
 		b = 64
 	}
-	return &Protocol{id: id, n: n, t: t, b: b, est: proposal}
+	return Protocol{id: id, n: n, t: t, b: b, est: proposal}
 }
 
 // NewSystem builds the n processes of one instance; proposals[i] belongs to
-// p_{i+1}.
+// p_{i+1}. The processes live in one slab: a system costs one allocation,
+// not one per process.
 func NewSystem(proposals []sim.Value, t, b int) []sim.Process {
+	slab := make([]Protocol, len(proposals))
 	procs := make([]sim.Process, len(proposals))
 	for i, v := range proposals {
-		procs[i] = New(sim.ProcID(i+1), len(proposals), t, v, b)
+		slab[i] = newProtocol(sim.ProcID(i+1), len(proposals), t, v, b)
+		procs[i] = &slab[i]
 	}
 	return procs
 }
@@ -81,15 +91,19 @@ func (p *Protocol) Send(r sim.Round) sim.SendPlan {
 	if r > p.MaxRounds() {
 		return sim.SendPlan{}
 	}
-	payload := EstMsg{Est: p.est, Early: p.early, B: p.b}
-	plan := sim.SendPlan{Data: make([]sim.Outgoing, 0, p.n-1)}
+	// Boxed once: every message of the plan shares the immutable payload.
+	var payload sim.Payload = EstMsg{Est: p.est, Early: p.early, B: p.b}
+	if p.data == nil {
+		p.data = make([]sim.Outgoing, 0, p.n-1)
+	}
+	data := p.data // empty, full capacity: the appends below never reallocate
 	for j := 1; j <= p.n; j++ {
 		if sim.ProcID(j) == p.id {
 			continue
 		}
-		plan.Data = append(plan.Data, sim.Outgoing{To: sim.ProcID(j), Payload: payload})
+		data = append(data, sim.Outgoing{To: sim.ProcID(j), Payload: payload})
 	}
-	return plan
+	return sim.SendPlan{Data: data}
 }
 
 // Receive runs the computation phase of round r: if the early flag was set

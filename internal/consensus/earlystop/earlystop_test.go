@@ -165,3 +165,33 @@ func TestEstMsgPayload(t *testing.T) {
 		t.Error("empty String()")
 	}
 }
+
+// TestSendAllocsIndependentOfN pins the allocation-lean send path: a first
+// Send costs one boxed payload shared by all n-1 messages plus the plan's
+// backing array, and every later Send of the process only the box.
+func TestSendAllocsIndependentOfN(t *testing.T) {
+	const runs = 20
+	sendAllocs := func(n int) (first, later float64) {
+		fresh := make([]*earlystop.Protocol, runs+1) // AllocsPerRun adds a warm-up call
+		for i := range fresh {
+			fresh[i] = earlystop.New(1, n, n/2, 7, 0)
+		}
+		i := 0
+		first = testing.AllocsPerRun(runs, func() {
+			if plan := fresh[i].Send(1); len(plan.Data) != n-1 {
+				t.Fatalf("n=%d: plan has %d data messages", n, len(plan.Data))
+			}
+			i++
+		})
+		later = testing.AllocsPerRun(runs, func() { fresh[0].Send(2) })
+		return first, later
+	}
+	first8, later8 := sendAllocs(8)
+	first64, later64 := sendAllocs(64)
+	if first8 != first64 || first64 > 3 {
+		t.Errorf("first Send allocates %.0f at n=8 and %.0f at n=64, want equal and <= 3", first8, first64)
+	}
+	if later8 != 1 || later64 != 1 {
+		t.Errorf("later Sends allocate %.0f at n=8 and %.0f at n=64, want 1 (the boxed payload)", later8, later64)
+	}
+}

@@ -16,7 +16,7 @@ package floodset
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -48,15 +48,22 @@ type Protocol struct {
 	decided  bool
 	decision sim.Value
 	halted   bool
+
+	data []sim.Outgoing // empty, capacity n-1: the plan backing array every Send refills
 }
 
 // New returns the process p_id out of n tolerating t crashes, proposing v
 // with bit width b (<=0 defaults to 64).
 func New(id sim.ProcID, n, t int, proposal sim.Value, b int) *Protocol {
+	p := newProtocol(id, n, t, proposal, b)
+	return &p
+}
+
+func newProtocol(id sim.ProcID, n, t int, proposal sim.Value, b int) Protocol {
 	if b <= 0 {
 		b = 64
 	}
-	return &Protocol{
+	return Protocol{
 		id:    id,
 		n:     n,
 		t:     t,
@@ -67,11 +74,14 @@ func New(id sim.ProcID, n, t int, proposal sim.Value, b int) *Protocol {
 }
 
 // NewSystem builds the n processes of one instance; proposals[i] belongs to
-// p_{i+1}.
+// p_{i+1}. The processes live in one slab (each still owns its known set and
+// fresh list).
 func NewSystem(proposals []sim.Value, t, b int) []sim.Process {
+	slab := make([]Protocol, len(proposals))
 	procs := make([]sim.Process, len(proposals))
 	for i, v := range proposals {
-		procs[i] = New(sim.ProcID(i+1), len(proposals), t, v, b)
+		slab[i] = newProtocol(sim.ProcID(i+1), len(proposals), t, v, b)
+		procs[i] = &slab[i]
 	}
 	return procs
 }
@@ -88,17 +98,22 @@ func (p *Protocol) Send(r sim.Round) sim.SendPlan {
 	if r > p.Rounds() || len(p.fresh) == 0 {
 		return sim.SendPlan{}
 	}
-	vals := append([]sim.Value(nil), p.fresh...)
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	payload := ValueSet{Values: vals, B: p.b}
-	plan := sim.SendPlan{Data: make([]sim.Outgoing, 0, p.n-1)}
+	// The sorted copy is fresh per Send because delivered messages alias it;
+	// it is boxed once and shared by every message of the plan.
+	vals := slices.Clone(p.fresh)
+	slices.Sort(vals)
+	var payload sim.Payload = ValueSet{Values: vals, B: p.b}
+	if p.data == nil {
+		p.data = make([]sim.Outgoing, 0, p.n-1)
+	}
+	data := p.data // empty, full capacity: the appends below never reallocate
 	for j := 1; j <= p.n; j++ {
 		if sim.ProcID(j) == p.id {
 			continue
 		}
-		plan.Data = append(plan.Data, sim.Outgoing{To: sim.ProcID(j), Payload: payload})
+		data = append(data, sim.Outgoing{To: sim.ProcID(j), Payload: payload})
 	}
-	return plan
+	return sim.SendPlan{Data: data}
 }
 
 // Receive accumulates flooded values; at the end of round t+1 it decides the

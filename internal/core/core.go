@@ -107,11 +107,15 @@ func New(id sim.ProcID, n int, proposal sim.Value, opts Options) *Protocol {
 }
 
 // NewSystem builds the n processes of one consensus instance, with
-// proposals[i] the proposal of p_{i+1}.
+// proposals[i] the proposal of p_{i+1}. The processes live in one slab: a
+// system costs one allocation, not one per process.
 func NewSystem(proposals []sim.Value, opts Options) []sim.Process {
-	procs := make([]sim.Process, len(proposals))
+	n := len(proposals)
+	slab := make([]Protocol, n)
+	procs := make([]sim.Process, n)
 	for i, v := range proposals {
-		procs[i] = New(sim.ProcID(i+1), len(proposals), v, opts)
+		slab[i] = Protocol{id: sim.ProcID(i + 1), n: n, opts: opts, est: v}
+		procs[i] = &slab[i]
 	}
 	return procs
 }
@@ -132,7 +136,8 @@ func (p *Protocol) Send(r sim.Round) sim.SendPlan {
 		return sim.SendPlan{} // only the coordinator of r sends
 	}
 	var plan sim.SendPlan
-	payload := sim.Est{V: p.est, B: p.opts.bits()}
+	// Boxed once: every message of the plan shares the immutable payload.
+	var payload sim.Payload = sim.Est{V: p.est, B: p.opts.bits()}
 	dataCap := p.n - int(p.id)
 	if p.opts.CommitAsData {
 		dataCap *= 2 // the commit messages ride in the data step too

@@ -337,3 +337,22 @@ func TestCommitOrderDests(t *testing.T) {
 		t.Error("non-coordinator sent messages")
 	}
 }
+
+// TestSendAllocsIndependentOfN pins the allocation-lean send path: a
+// coordinator's Send costs one boxed payload shared by all its data
+// messages, the Data slice and the Control slice — never one box per
+// destination.
+func TestSendAllocsIndependentOfN(t *testing.T) {
+	sendAllocs := func(n int) float64 {
+		p := core.New(1, n, 7, core.Options{})
+		return testing.AllocsPerRun(50, func() {
+			if plan := p.Send(1); len(plan.Data) != n-1 || len(plan.Control) != n-1 {
+				t.Fatalf("n=%d: plan %d data / %d control", n, len(plan.Data), len(plan.Control))
+			}
+		})
+	}
+	small, large := sendAllocs(8), sendAllocs(64)
+	if small != large || large > 3 {
+		t.Errorf("Send allocates %.0f at n=8 and %.0f at n=64, want equal and <= 3", small, large)
+	}
+}

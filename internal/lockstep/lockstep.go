@@ -128,8 +128,9 @@ type worker struct {
 	recv  chan struct{}
 	done  chan recvReport
 
-	inbox   []sim.Message // worker-owned drain scratch
-	destCnt []int         // per-destination send count scratch
+	inbox   []sim.Message     // worker-owned drain scratch
+	destCnt []int             // per-destination send count scratch
+	val     sim.PlanValidator // workers validate concurrently: one each
 }
 
 // loop is the persistent worker goroutine: idle between runs, executing one
@@ -280,7 +281,7 @@ func (rt *Runtime) round(w *worker, r sim.Round) {
 		w.sent <- rep
 		return
 	}
-	if err := sim.ValidatePlan(id, n, plan); err != nil {
+	if err := w.val.Validate(id, n, plan); err != nil {
 		rep.err = fmt.Errorf("%v (round %d)", err, r)
 		w.sent <- rep
 		return
@@ -319,14 +320,13 @@ func (rt *Runtime) round(w *worker, r sim.Round) {
 		w.sent <- rep
 		return
 	}
-	if !crash {
-		outcome = sim.FullDelivery(plan)
-	}
 	// Data sending step: the escaped subset goes out in plan order. A
 	// crash truncation and a send omission are accounted differently
-	// (dropped vs omitted), matching the deterministic engine exactly.
+	// (dropped vs omitted), matching the deterministic engine exactly. The
+	// outcome is consulted only for a crashing sender, so a surviving one
+	// needs no all-true mask.
 	for i, o := range plan.Data {
-		if !outcome.DataDelivered[i] {
+		if crash && !outcome.DataDelivered[i] {
 			rep.ctr.DroppedData++
 			continue
 		}
@@ -342,7 +342,7 @@ func (rt *Runtime) round(w *worker, r sim.Round) {
 	// a crash lets exactly a prefix escape, a send omission may suppress
 	// any subset (the sender is alive and executes the whole step).
 	for i, to := range plan.Control {
-		if i >= outcome.CtrlPrefix {
+		if crash && i >= outcome.CtrlPrefix {
 			rep.ctr.DroppedCtrl++
 			continue
 		}

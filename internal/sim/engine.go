@@ -3,7 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
@@ -107,15 +107,15 @@ func (r *Result) MaxDecideRound() Round {
 	return max
 }
 
-// DistinctDecisions returns the sorted set of distinct decided values. It
-// allocates a single slice (no intermediate set): the values are collected,
-// sorted, and deduplicated in place.
+// DistinctDecisions returns the sorted set of distinct decided values. The
+// returned slice is its only allocation (no intermediate set, no sort
+// closure): the values are collected, sorted, and deduplicated in place.
 func (r *Result) DistinctDecisions() []Value {
 	out := make([]Value, 0, len(r.Decisions))
 	for _, v := range r.Decisions {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	w := 0
 	for i, v := range out {
 		if i == 0 || v != out[w-1] {
@@ -139,6 +139,7 @@ type Engine struct {
 	procs          []Process
 	adv            Adversary
 	omit           Omitter // adv's omission extension, nil when absent
+	val            PlanValidator
 
 	alive      []bool
 	halted     []bool
@@ -378,7 +379,7 @@ func (e *Engine) round(r Round) error {
 		if e.cfg.Model == ModelClassic && len(plan.Control) > 0 {
 			return fmt.Errorf("%w (process p%d, round %d)", ErrControlInClassic, id, r)
 		}
-		if err := ValidatePlan(id, len(e.procs), plan); err != nil {
+		if err := e.val.Validate(id, len(e.procs), plan); err != nil {
 			return fmt.Errorf("%v (round %d)", err, r)
 		}
 		crash, outcome := e.adv.Crashes(id, r, plan)

@@ -175,7 +175,11 @@ type Process interface {
 	ID() ProcID
 	// Send returns the process's send plan for round r. It must not mutate
 	// state in a way that depends on messages of round r (per the model, the
-	// send phase precedes the receive phase).
+	// send phase precedes the receive phase). The returned plan is only valid
+	// until the process's next Send: a process may recycle the backing arrays
+	// of Data and Control, so engines, adversaries and wrappers must not
+	// retain it. Payloads are immutable and may be shared by every message of
+	// the plan; delivered messages keep referring to them.
 	Send(r Round) SendPlan
 	// Receive delivers the messages received in round r and runs the local
 	// computation phase. The inbox slice is only valid for the duration of
@@ -303,7 +307,15 @@ type Adversary interface {
 	Crashes(p ProcID, r Round, plan SendPlan) (crash bool, outcome CrashOutcome)
 }
 
-// ValidatePlan checks a send plan: destinations must be existing processes
+// PlanValidator checks send plans on scratch it owns, so validating a plan
+// allocates nothing once the scratch has grown to the system size. The zero
+// value is ready to use. A validator is not safe for concurrent use: every
+// engine — and every lockstep worker, which validate concurrently — owns one.
+type PlanValidator struct {
+	seen []bool // seen[j]: p_{j+1} is a control destination of the current plan
+}
+
+// Validate checks a send plan: destinations must be existing processes
 // other than the sender, and the ordered control sequence must not name a
 // destination twice (a channel carries at most one control message per round
 // — footnote 3 of the paper). Multiple data messages to one destination are
@@ -311,7 +323,7 @@ type Adversary interface {
 // data step; the faithful protocols send at most one data message per channel
 // per round, which the lockstep runtime's capacity-2 channels additionally
 // enforce.
-func ValidatePlan(from ProcID, n int, plan SendPlan) error {
+func (v *PlanValidator) Validate(from ProcID, n int, plan SendPlan) error {
 	for _, o := range plan.Data {
 		if o.To < 1 || int(o.To) > n {
 			return fmt.Errorf("sim: p%d sends data to nonexistent p%d", from, o.To)
@@ -320,7 +332,14 @@ func ValidatePlan(from ProcID, n int, plan SendPlan) error {
 			return fmt.Errorf("sim: p%d sends data to itself", from)
 		}
 	}
-	seenCtrl := make(map[ProcID]bool, len(plan.Control))
+	if len(plan.Control) == 0 {
+		return nil
+	}
+	if cap(v.seen) < n {
+		v.seen = make([]bool, n)
+	}
+	seen := v.seen[:n]
+	clear(seen)
 	for _, to := range plan.Control {
 		if to < 1 || int(to) > n {
 			return fmt.Errorf("sim: p%d sends control to nonexistent p%d", from, to)
@@ -328,10 +347,10 @@ func ValidatePlan(from ProcID, n int, plan SendPlan) error {
 		if to == from {
 			return fmt.Errorf("sim: p%d sends control to itself", from)
 		}
-		if seenCtrl[to] {
+		if seen[to-1] {
 			return fmt.Errorf("sim: p%d sends two control messages to p%d in one round", from, to)
 		}
-		seenCtrl[to] = true
+		seen[to-1] = true
 	}
 	return nil
 }

@@ -74,6 +74,7 @@ type Engine struct {
 	procs []sim.Process
 	adv   sim.Adversary
 	omit  sim.Omitter
+	val   sim.PlanValidator
 	lat   LatencyModel
 
 	d, delta des.Time
@@ -400,7 +401,7 @@ func (e *Engine) roundStart(r sim.Round) {
 			e.fail(fmt.Errorf("%w (process p%d, round %d)", sim.ErrControlInClassic, id, r))
 			return
 		}
-		if err := sim.ValidatePlan(id, len(e.procs), plan); err != nil {
+		if err := e.val.Validate(id, len(e.procs), plan); err != nil {
 			e.fail(fmt.Errorf("%v (round %d)", err, r))
 			return
 		}

@@ -35,7 +35,9 @@ BEGIN { print "{"; printf "  \"date\": \"%s\",\n  \"benchmarks\": [", date; n = 
 /^cpu:/     { sub(/^cpu: /, ""); cpu = $0 }
 /^Benchmark/ {
     if (n++) printf ",";
-    printf "\n    {\"name\": \"%s\", \"iterations\": %s", $1, $2;
+    name = $1
+    sub(/-[0-9]+$/, "", name)   # strip the GOMAXPROCS suffix, as bench_compare.sh does
+    printf "\n    {\"name\": \"%s\", \"iterations\": %s", name, $2;
     for (i = 3; i + 1 <= NF; i += 2)
         printf ", \"%s\": %s", $(i + 1), $i;
     printf "}";
