@@ -57,7 +57,7 @@ const (
 	// EngineDeterministic is the sequential round engine (exact, fast,
 	// exhaustively explorable).
 	EngineDeterministic EngineKind = "deterministic"
-	// EngineLockstep runs one goroutine per process with channel-based
+	// EngineLockstep runs one goroutine per process with mailbox-based
 	// message delivery and barrier-synchronized rounds.
 	EngineLockstep EngineKind = "lockstep"
 	// EngineTimed is the continuous-time discrete-event engine: every

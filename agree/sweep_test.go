@@ -164,6 +164,30 @@ func TestSweepAllocsPerConfig(t *testing.T) {
 	}
 }
 
+// TestSweepAllocsPerConfigLockstep pins the lockstep runtime's reuse across
+// sizes: the list alternates n, as agreeperf's config list does, so a runtime
+// that rebuilt its workers or mailboxes whenever n changes (~2500
+// allocs/config here) fails the pin. Only the first growth to each larger n
+// spawns workers and reallocates the slab.
+func TestSweepAllocsPerConfigLockstep(t *testing.T) {
+	var configs []agree.Config
+	for rep := 0; rep < 4; rep++ {
+		for _, n := range []int{8, 64, 8, 32, 16} {
+			configs = append(configs, agree.Config{N: n, Engine: agree.EngineLockstep,
+				Faults: agree.CoordinatorCrashes(n / 8)})
+		}
+	}
+	perConfig := testing.AllocsPerRun(5, func() {
+		if sr := agree.Sweep(configs, agree.SweepOptions{Workers: 1}); sr.Aggregate.Errored != 0 {
+			t.Fatal("sweep errored")
+		}
+	}) / float64(len(configs))
+	const maxPerConfig = 85 // measured 77.7
+	if perConfig > maxPerConfig {
+		t.Errorf("lockstep sweep allocates %.1f allocs/config, want <= %d", perConfig, maxPerConfig)
+	}
+}
+
 // TestSweepCrossCheck exercises the CrossCheck mode: order-insensitive
 // configurations are validated on every other registered engine, while
 // order-sensitive (random) fault specs are skipped.

@@ -468,7 +468,7 @@ func BenchmarkFuzz(b *testing.B) {
 
 // benchLockstepReuse drives one persistent lockstep runtime through b.N
 // rebuilt workloads (n procs, f coordinator crashes). Engine construction —
-// per-process goroutines and the n×n channel matrix — is paid once before the
+// per-process goroutines and the n×n mailbox slab — is paid once before the
 // timer starts; each iteration pays only process construction, Reset and the
 // run itself, which is how the sweep harness drives the engine now that it is
 // Reusable.

@@ -9,11 +9,11 @@ import (
 
 // lockstepEngine adapts the goroutine-per-process runtime
 // (internal/lockstep) to the harness interface. The runtime's worker
-// goroutines and channel matrix are persistent: the adapter keeps one
+// goroutines and mailbox slab are persistent: the adapter keeps one
 // lockstep.Runtime and rearms it with Reset per job, so it advertises
 // Reusable. It records no transcripts and, because worker goroutines consult
 // the adversary in scheduling order, makes no bit-determinism promise. Close
-// (called by Cache.Close) terminates the goroutine set.
+// (called by Cache.Close) terminates the goroutine set and waits for it.
 type lockstepEngine struct {
 	rt *lockstep.Runtime
 }

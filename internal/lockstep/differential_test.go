@@ -80,6 +80,7 @@ func TestDifferentialEnginesUnderRandomScripts(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		defer rt.Close()
 		got, err := rt.Run()
 		if err != nil {
 			return false

@@ -1,6 +1,6 @@
 // Package lockstep is a concurrent runtime for the synchronous models: one
-// goroutine per process, one buffered Go channel per directed process pair,
-// and a driver that enforces the round structure with barriers.
+// goroutine per process, one two-cell mailbox per directed process pair, and
+// a driver that enforces the round structure with phase handshakes.
 //
 // It executes the same sim.Process state machines as the deterministic engine
 // in internal/sim, under the same sim.Adversary interface, and produces the
@@ -11,22 +11,27 @@
 //
 // The mapping onto Go concurrency mirrors the model closely:
 //
-//   - every ordered pair of processes gets a channel of capacity 2, because a
+//   - every ordered pair of processes gets a mailbox of two cells, because a
 //     channel of the extended model never holds more than one data message
-//     and one control message per round (footnote 3 of the paper);
+//     and one control message per round (footnote 3 of the paper); all
+//     mailboxes live in one flat slab, where a sender writes only its own
+//     column and a receiver drains only its own row;
 //   - the send phase of a round runs concurrently in all process goroutines;
 //     a crashing process performs the escaped prefix of its sends and then
 //     its goroutine goes silent for the rest of the run, exactly like a crash
 //     mid-send-phase;
-//   - the barrier between the send and receive phases is the model's
-//     synchrony assumption (a message sent in round r arrives in round r).
+//   - the driver's phase handshakes (start → sent, then recv → done) are the
+//     barrier between the send and receive phases, i.e. the model's synchrony
+//     assumption (a message sent in round r arrives in round r). They also
+//     order every mailbox access, so the slab needs no lock.
 //
-// Worker goroutines and the channel matrix are persistent: a Runtime built by
-// New survives its Run, and Reset rearms it — new processes, adversary and
-// configuration — without respawning goroutines or reallocating channels.
-// That is what makes the runtime Reusable to the sweep harness: a worker
-// executing a thousand lockstep jobs pays for one goroutine set. Call Close
-// to terminate the goroutines when the runtime is retired.
+// Worker goroutines and the slab are persistent and grow-only: a Runtime
+// built by New survives its Run, and Reset rearms it — new processes,
+// adversary and configuration — spawning workers and reallocating the slab
+// only when the process count exceeds every earlier one. That is what makes
+// the runtime Reusable to the sweep harness: a worker executing a thousand
+// lockstep jobs of any size mix pays for one goroutine set. Call Close to
+// terminate the goroutines when the runtime is retired.
 //
 // Adversary calls are serialized with a mutex, but the order in which
 // concurrent processes consult the adversary is scheduling-dependent: use
@@ -67,35 +72,36 @@ type Runtime struct {
 	omit  sim.Omitter // adv's omission extension, nil when absent
 
 	advMu sync.Mutex
-	// mat[i][j] is the channel from p_{i+1} to p_{j+1}.
-	mat [][]chan sim.Message
+	// The mailbox from p_f to p_t is box[2k : 2k+cnt[k]], k = (t−1)·n + (f−1).
+	box []sim.Message
+	cnt []uint8
 
-	workers []*worker
-	quit    chan struct{} // per-run abort signal, closed when Run returns
+	workers []*worker      // grow-only; workers[:n] run the current job
+	wg      sync.WaitGroup // one count per spawned worker goroutine
 
 	consumed bool
 	closed   bool
 
 	// Driver-side scratch, reused across runs. Indexed by process (id-1).
-	alive      []bool
-	halted     []bool
-	crashedNow []bool
-	omissive   []int
-	started    []*worker
-	receivers  []*worker
-	drainBuf   []sim.Message
+	alive     []bool
+	halted    []bool
+	omissive  []int
+	decVal    []sim.Value
+	decRnd    []sim.Round // 0 = undecided
+	crashRnd  []sim.Round // 0 = not crashed
+	started   []*worker
+	receivers []*worker
+	drainBuf  []sim.Message
 }
 
 // ctlMsg rearms an idle worker for the next run, or shuts it down.
 type ctlMsg struct {
 	proc     sim.Process
-	quit     chan struct{}
 	shutdown bool
 }
 
 // sendReport is a worker's account of its send phase.
 type sendReport struct {
-	id      sim.ProcID
 	crashed bool
 	omitted bool // the adversary injected an omission fault this round
 	err     error
@@ -104,7 +110,6 @@ type sendReport struct {
 
 // recvReport is a worker's account of its receive phase.
 type recvReport struct {
-	id      sim.ProcID
 	decided bool
 	value   sim.Value
 	halted  bool
@@ -113,19 +118,18 @@ type recvReport struct {
 }
 
 // worker is the per-process goroutine state. idx and the channels are fixed
-// at spawn; proc and quit are rearmed through ctl and only ever touched by
-// the worker goroutine itself — the driver identifies a worker by idx alone.
+// at spawn; proc is rearmed through ctl and only ever touched by the worker
+// goroutine itself — the driver identifies a worker by idx alone.
 type worker struct {
 	rt  *Runtime
 	idx int // process index: the worker runs p_{idx+1}
 
 	proc sim.Process
-	quit chan struct{}
 
 	ctl   chan ctlMsg
 	start chan sim.Round
 	sent  chan sendReport
-	recv  chan struct{}
+	recv  chan bool // the barrier: true to receive, false to abort the run
 	done  chan recvReport
 
 	inbox   []sim.Message     // worker-owned drain scratch
@@ -138,13 +142,14 @@ type worker struct {
 // the worker to idle — never exits the goroutine — so the driver simply
 // stops starting it; only a shutdown ctl terminates the loop.
 func (w *worker) loop() {
+	defer w.rt.wg.Done()
 	for {
 		select {
 		case c := <-w.ctl:
 			if c.shutdown {
 				return
 			}
-			w.proc, w.quit = c.proc, c.quit
+			w.proc = c.proc
 		case r := <-w.start:
 			w.rt.round(w, r)
 		}
@@ -162,9 +167,9 @@ func New(cfg Config, procs []sim.Process, adv sim.Adversary) (*Runtime, error) {
 }
 
 // Reset rearms the runtime for a new job, reusing the worker goroutines and
-// the channel matrix (they are rebuilt only when the process count changes).
-// On error the runtime keeps its previous (consumed) arming. Reset must not
-// be called concurrently with Run.
+// the mailbox slab (they grow only when the process count exceeds every
+// earlier one). On error the runtime keeps its previous (consumed) arming.
+// Reset must not be called concurrently with Run.
 func (rt *Runtime) Reset(cfg Config, procs []sim.Process, adv sim.Adversary) error {
 	return rt.init(cfg, procs, adv)
 }
@@ -190,68 +195,51 @@ func (rt *Runtime) init(cfg Config, procs []sim.Process, adv sim.Adversary) erro
 		cfg.Horizon = sim.Round(len(procs) + 2)
 	}
 	n := len(procs)
-	if len(rt.workers) != n {
-		rt.stopWorkers()
-		rt.mat = make([][]chan sim.Message, n)
-		for i := range rt.mat {
-			rt.mat[i] = make([]chan sim.Message, n)
-			for j := range rt.mat[i] {
-				if i != j {
-					// One data + one control message per channel per round.
-					rt.mat[i][j] = make(chan sim.Message, 2)
-				}
-			}
+	for i := len(rt.workers); i < n; i++ {
+		w := &worker{
+			rt:    rt,
+			idx:   i,
+			ctl:   make(chan ctlMsg),
+			start: make(chan sim.Round),
+			sent:  make(chan sendReport, 1),
+			recv:  make(chan bool),
+			done:  make(chan recvReport, 1),
 		}
-		rt.workers = make([]*worker, n)
-		for i := range rt.workers {
-			w := &worker{
-				rt:    rt,
-				idx:   i,
-				ctl:   make(chan ctlMsg),
-				start: make(chan sim.Round),
-				sent:  make(chan sendReport, 1),
-				recv:  make(chan struct{}),
-				done:  make(chan recvReport, 1),
-			}
-			rt.workers[i] = w
-			go w.loop()
-		}
-	} else {
-		// An aborted run can leave messages in flight; sweep them out so the
-		// capacity-2 discipline starts fresh.
-		for i := range rt.procs {
-			rt.drainBuf = rt.drainInto(rt.drainBuf[:0], sim.ProcID(i+1))
-		}
+		rt.workers = append(rt.workers, w)
+		rt.wg.Add(1)
+		go w.loop()
 	}
+	if cap(rt.box) < 2*n*n {
+		rt.box = make([]sim.Message, 2*n*n)
+		rt.cnt = make([]uint8, n*n)
+	}
+	// An aborted run can leave mail behind; every mailbox starts empty.
+	clear(rt.cnt[:n*n])
 	rt.cfg, rt.procs, rt.adv = cfg, procs, adv
 	rt.omit, _ = adv.(sim.Omitter)
-	rt.quit = make(chan struct{})
 	// The ctl handshake both delivers the new job and orders every write
 	// above before the worker's next read of the runtime fields.
-	for i, w := range rt.workers {
-		w.ctl <- ctlMsg{proc: procs[i], quit: rt.quit}
+	for i, w := range rt.workers[:n] {
+		w.ctl <- ctlMsg{proc: procs[i]}
 	}
 	rt.consumed = false
 	return nil
 }
 
-// Close terminates the worker goroutines. The runtime cannot be used
-// afterwards; Close is idempotent and must not run concurrently with Run.
+// Close terminates the worker goroutines and returns once all of them have
+// exited. The runtime cannot be used afterwards; Close is idempotent and must
+// not run concurrently with Run. All workers are idle between runs, so the
+// shutdown sends cannot block indefinitely.
 func (rt *Runtime) Close() {
 	if rt.closed {
 		return
 	}
 	rt.closed = true
-	rt.stopWorkers()
-}
-
-// stopWorkers shuts down the current goroutine set (all workers are idle
-// between runs, so the ctl sends cannot block indefinitely).
-func (rt *Runtime) stopWorkers() {
 	for _, w := range rt.workers {
 		w.ctl <- ctlMsg{shutdown: true}
 	}
 	rt.workers = nil
+	rt.wg.Wait()
 }
 
 // consult serializes adversary access across worker goroutines: the crash
@@ -275,7 +263,7 @@ func (rt *Runtime) round(w *worker, r sim.Round) {
 	id := w.proc.ID()
 	n := len(rt.procs)
 	plan := w.proc.Send(r)
-	rep := sendReport{id: id}
+	var rep sendReport
 	if rt.cfg.Model == sim.ModelClassic && len(plan.Control) > 0 {
 		rep.err = fmt.Errorf("%w (process p%d, round %d)", sim.ErrControlInClassic, id, r)
 		w.sent <- rep
@@ -286,15 +274,10 @@ func (rt *Runtime) round(w *worker, r sim.Round) {
 		w.sent <- rep
 		return
 	}
-	// The capacity-2 channels encode the model's per-round channel
-	// discipline; reject plans that would overflow (and deadlock).
-	if cap(w.destCnt) < n {
-		w.destCnt = make([]int, n)
-	}
-	cnt := w.destCnt[:n]
-	for i := range cnt {
-		cnt[i] = 0
-	}
+	// The two-cell mailboxes encode the model's per-round channel
+	// discipline; reject plans that would overflow them.
+	w.destCnt = resize(w.destCnt, n)
+	cnt := w.destCnt
 	for _, o := range plan.Data {
 		cnt[o.To-1]++
 	}
@@ -335,7 +318,7 @@ func (rt *Runtime) round(w *worker, r sim.Round) {
 			continue
 		}
 		m := sim.Message{From: id, To: o.To, Round: r, Kind: sim.Data, Payload: o.Payload}
-		rt.mat[id-1][o.To-1] <- m
+		rt.put(m)
 		rep.ctr.AddData(m.Bits())
 	}
 	// Control sending step, immediately after, in the prescribed order;
@@ -350,7 +333,7 @@ func (rt *Runtime) round(w *worker, r sim.Round) {
 			rep.ctr.OmittedCtrl++
 			continue
 		}
-		rt.mat[id-1][to-1] <- sim.Message{From: id, To: to, Round: r, Kind: sim.Control}
+		rt.put(sim.Message{From: id, To: to, Round: r, Kind: sim.Control})
 		rep.ctr.AddCtrl()
 	}
 	rep.crashed = crash
@@ -360,14 +343,14 @@ func (rt *Runtime) round(w *worker, r sim.Round) {
 		return // the crash: this worker is silent for the rest of the run
 	}
 
-	select {
-	case <-w.recv: // barrier: all round-r messages are now in the channels
-	case <-w.quit: // the driver aborted the run
+	// Barrier: true means all round-r messages are now in the mailboxes,
+	// false that the driver aborted the run.
+	if !<-w.recv {
 		return
 	}
 	w.inbox = rt.drainInto(w.inbox[:0], id)
 	inbox := w.inbox
-	rrep := recvReport{id: id}
+	var rrep recvReport
 	if om.Recv != nil {
 		// Receive omission: deliveries from masked-out senders vanish
 		// before the process sees its inbox.
@@ -394,48 +377,40 @@ func (rt *Runtime) round(w *worker, r sim.Round) {
 	w.done <- rrep
 }
 
-// drainInto empties every incoming channel of process id into buf
-// (non-blocking: all senders have completed their send phase).
+// put posts m to its mailbox. Only the sender's goroutine writes its column,
+// between its start and sent handshakes. The capacity check in round rejects
+// a third message to one destination first, so a full mailbox is a bug.
+func (rt *Runtime) put(m sim.Message) {
+	k := int(m.To-1)*len(rt.procs) + int(m.From-1)
+	c := rt.cnt[k]
+	if c == 2 {
+		panic(fmt.Sprintf("lockstep: mailbox p%d→p%d overflows in round %d", m.From, m.To, m.Round))
+	}
+	rt.box[2*k+int(c)] = m
+	rt.cnt[k] = c + 1
+}
+
+// drainInto appends the mail addressed to process id to buf in sender order
+// and empties its row. The row belongs to the receiver after its recv
+// handshake, and to the driver once every sender has reported.
 func (rt *Runtime) drainInto(buf []sim.Message, id sim.ProcID) []sim.Message {
-	for i := range rt.procs {
-		ch := rt.mat[i][id-1]
-		if ch == nil {
-			continue
+	n := len(rt.procs)
+	for k := int(id-1) * n; k < int(id)*n; k++ {
+		if c := int(rt.cnt[k]); c > 0 {
+			buf = append(buf, rt.box[2*k:2*k+c]...)
+			rt.cnt[k] = 0
 		}
-		for {
-			select {
-			case m := <-ch:
-				buf = append(buf, m)
-			default:
-				goto next
-			}
-		}
-	next:
 	}
 	return buf
 }
 
-// resizeInts returns s resized to n elements, zeroed, reusing capacity.
-func resizeInts(s []int, n int) []int {
+// resize returns s resized to n zeroed elements, reusing capacity.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// resizeFlags returns s resized to n elements, all false, reusing capacity.
-func resizeFlags(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
+	clear(s)
 	return s
 }
 
@@ -451,19 +426,14 @@ func (rt *Runtime) Run() (*sim.Result, error) {
 	}
 	rt.consumed = true
 	n := len(rt.procs)
-	// Closing quit releases any worker still parked at the barrier of an
-	// aborted run back to its idle loop.
-	defer close(rt.quit)
 
-	res := &sim.Result{
-		Decisions:   map[sim.ProcID]sim.Value{},
-		DecideRound: map[sim.ProcID]sim.Round{},
-		Crashed:     map[sim.ProcID]sim.Round{},
-	}
-	rt.alive = resizeFlags(rt.alive, n)
-	rt.halted = resizeFlags(rt.halted, n)
-	rt.crashedNow = resizeFlags(rt.crashedNow, n)
-	rt.omissive = resizeInts(rt.omissive, n)
+	res := &sim.Result{}
+	rt.alive = resize(rt.alive, n)
+	rt.halted = resize(rt.halted, n)
+	rt.omissive = resize(rt.omissive, n)
+	rt.decVal = resize(rt.decVal, n)
+	rt.decRnd = resize(rt.decRnd, n)
+	rt.crashRnd = resize(rt.crashRnd, n)
 	for i := range rt.alive {
 		rt.alive[i] = true
 	}
@@ -486,7 +456,7 @@ func (rt *Runtime) Run() (*sim.Result, error) {
 			prevCtr, prevLed = res.Counters, res.Ledger
 		}
 		ws := rt.started[:0]
-		for i, w := range rt.workers {
+		for i, w := range rt.workers[:n] {
 			if rt.alive[i] && !rt.halted[i] {
 				ws = append(ws, w)
 			}
@@ -500,58 +470,51 @@ func (rt *Runtime) Run() (*sim.Result, error) {
 		for _, w := range ws {
 			w.start <- r
 		}
-		for i := range rt.crashedNow {
-			rt.crashedNow[i] = false
-		}
+		// Every worker that neither crashed nor failed now waits at the
+		// barrier.
 		var firstErr error
+		recvs := rt.receivers[:0]
 		for _, w := range ws {
 			rep := <-w.sent
 			res.Counters.Merge(rep.ctr)
-			if rep.err != nil && firstErr == nil {
-				firstErr = rep.err
+			switch {
+			case rep.err != nil:
+				if firstErr == nil {
+					firstErr = rep.err
+				}
+			case rep.crashed:
+				rt.alive[w.idx] = false
+				rt.crashRnd[w.idx] = r
+			default:
+				recvs = append(recvs, w)
 			}
 			if rep.omitted {
-				rt.omissive[rep.id-1]++
-			}
-			if rep.crashed {
-				rt.alive[rep.id-1] = false
-				res.Crashed[rep.id] = r
-				rt.crashedNow[rep.id-1] = true
-			}
-		}
-		if firstErr != nil {
-			res.Counters.Rounds = int(r)
-			res.Rounds = r
-			setOmissive(res, rt.omissive)
-			return res, firstErr
-		}
-		// Receive phase (concurrent across surviving workers).
-		recvs := rt.receivers[:0]
-		for _, w := range ws {
-			if rt.alive[w.idx] && !rt.crashedNow[w.idx] {
-				recvs = append(recvs, w)
+				rt.omissive[w.idx]++
 			}
 		}
 		rt.receivers = recvs
+		// Receive phase (concurrent across the waiting workers), or release
+		// them back to their idle loops when the run aborts.
 		for _, w := range recvs {
-			w.recv <- struct{}{}
+			w.recv <- firstErr == nil
+		}
+		if firstErr != nil {
+			rt.finish(res, r)
+			return res, firstErr
 		}
 		for _, w := range recvs {
 			rep := <-w.done
 			res.Counters.Merge(rep.ctr)
 			res.Ledger.Merge(rep.led)
-			if rep.decided {
-				if _, seen := res.Decisions[rep.id]; !seen {
-					res.Decisions[rep.id] = rep.value
-					res.DecideRound[rep.id] = r
-				}
+			if rep.decided && rt.decRnd[w.idx] == 0 {
+				rt.decVal[w.idx], rt.decRnd[w.idx] = rep.value, r
 			}
 			if rep.halted {
 				rt.halted[w.idx] = true
 			}
 		}
-		// Drain channels of processes that died or halted so capacity-2
-		// buffers can never block a future sender. The drained messages were
+		// Drain the mailboxes of processes that died or halted so the next
+		// round's senders find them empty. The drained messages were
 		// transmitted but never consumed; the ledger records their fate by
 		// destination state (crashed vs halted).
 		for i := range rt.alive {
@@ -576,15 +539,11 @@ func (rt *Runtime) Run() (*sim.Result, error) {
 	if r > rt.cfg.Horizon {
 		r = rt.cfg.Horizon
 		if activeCount() != 0 {
-			res.Rounds = r
-			res.Counters.Rounds = int(r)
-			setOmissive(res, rt.omissive)
+			rt.finish(res, r)
 			return res, sim.ErrNoProgress
 		}
 	}
-	res.Rounds = r
-	res.Counters.Rounds = int(r)
-	setOmissive(res, rt.omissive)
+	rt.finish(res, r)
 	if recording {
 		rt.cfg.Telemetry.Span(telemetry.SpanRun, telemetry.TrackEngine, 0, int32(r), 0, float64(r))
 		if r > 0 {
@@ -612,16 +571,37 @@ func (rt *Runtime) recordRound(res *sim.Result, r sim.Round, prevCtr metrics.Cou
 	rec.Sample(telemetry.SeriesLate, t, float64(dc.Late))
 }
 
-// setOmissive attaches the per-process omission counts to a result, leaving
-// Omissive nil for omission-free runs exactly like the deterministic engine.
-func setOmissive(res *sim.Result, omissive []int) {
-	for i, c := range omissive {
-		if c == 0 {
-			continue
+// finish stamps the round count on res and builds its maps from the driver
+// scratch, each once at its final size like sim.Engine.Run; Omissive stays
+// nil for omission-free runs exactly like the deterministic engine.
+func (rt *Runtime) finish(res *sim.Result, r sim.Round) {
+	res.Rounds = r
+	res.Counters.Rounds = int(r)
+	nDec, nCrash := 0, 0
+	for i := range rt.procs {
+		if rt.decRnd[i] != 0 {
+			nDec++
 		}
-		if res.Omissive == nil {
-			res.Omissive = map[sim.ProcID]int{}
+		if rt.crashRnd[i] != 0 {
+			nCrash++
 		}
-		res.Omissive[sim.ProcID(i+1)] = c
+	}
+	res.Decisions = make(map[sim.ProcID]sim.Value, nDec)
+	res.DecideRound = make(map[sim.ProcID]sim.Round, nDec)
+	res.Crashed = make(map[sim.ProcID]sim.Round, nCrash)
+	for i := range rt.procs {
+		id := sim.ProcID(i + 1)
+		if rt.decRnd[i] != 0 {
+			res.Decisions[id], res.DecideRound[id] = rt.decVal[i], rt.decRnd[i]
+		}
+		if rt.crashRnd[i] != 0 {
+			res.Crashed[id] = rt.crashRnd[i]
+		}
+		if c := rt.omissive[i]; c != 0 {
+			if res.Omissive == nil {
+				res.Omissive = map[sim.ProcID]int{}
+			}
+			res.Omissive[id] = c
+		}
 	}
 }

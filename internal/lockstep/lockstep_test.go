@@ -89,6 +89,7 @@ func TestLockstepMatchesDeterministicEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				t.Cleanup(rt.Close)
 				got, err := rt.Run()
 				if err != nil {
 					t.Fatalf("lockstep runtime: %v", err)
@@ -137,6 +138,7 @@ func TestLockstepConsensusUnderManyScriptedFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		t.Cleanup(rt.Close)
 		res, err := rt.Run()
 		if err != nil {
 			t.Fatalf("f=%d: %v", f, err)
@@ -157,6 +159,7 @@ func TestLockstepRejectsControlUnderClassic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(rt.Close)
 	_, err = rt.Run()
 	if !errors.Is(err, sim.ErrControlInClassic) {
 		t.Fatalf("err = %v, want ErrControlInClassic", err)
@@ -183,6 +186,7 @@ func TestLockstepHorizonExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(rt.Close)
 	_, err = rt.Run()
 	if !errors.Is(err, sim.ErrNoProgress) {
 		t.Fatalf("err = %v, want ErrNoProgress", err)
@@ -199,6 +203,7 @@ func TestLockstepManyProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(rt.Close)
 	res, err := rt.Run()
 	if err != nil {
 		t.Fatal(err)

@@ -1,0 +1,180 @@
+package lockstep_test
+
+import (
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/adversary"
+	"repro/internal/core"
+	"repro/internal/lockstep"
+	"repro/internal/sim"
+)
+
+// overflow makes its process send three messages to p_to in round 1 — two
+// data messages and a commit — one more than a mailbox holds.
+type overflow struct {
+	sim.Process
+	to sim.ProcID
+}
+
+func (o overflow) Send(r sim.Round) sim.SendPlan {
+	if r != 1 {
+		return o.Process.Send(r)
+	}
+	est := sim.Est{V: 1, B: 64}
+	return sim.SendPlan{
+		Data:    []sim.Outgoing{{To: o.to, Payload: est}, {To: o.to, Payload: est}},
+		Control: []sim.ProcID{o.to},
+	}
+}
+
+// reuseJob is one arming of a runtime: the protocol, the adversary and, for
+// the aborted run, the process to replace with an overflowing one.
+type reuseJob struct {
+	kind     string
+	n        int
+	adv      func(n int) sim.Adversary
+	overflow bool
+}
+
+// TestRuntimeReuseAcrossSizes drives one runtime through growing and
+// shrinking process counts, with an aborted run in the middle. Every
+// completed run must equal a fresh deterministic-engine run of the same job,
+// so stale mail or a stale worker from an earlier size shows up as a diff.
+// scripts/verify.sh runs this under -race -count=10.
+func TestRuntimeReuseAcrossSizes(t *testing.T) {
+	killer := func(n int) sim.Adversary { return adversary.CoordinatorKiller{F: n / 8, DeliverAllData: true} }
+	none := func(int) sim.Adversary { return adversary.None{} }
+	jobs := []reuseJob{
+		{kind: "crw", n: 8, adv: killer},
+		{kind: "crw", n: 64, adv: killer},
+		{kind: "floodset", n: 8, adv: none},
+		{kind: "earlystop", n: 32, adv: func(int) sim.Adversary {
+			return adversary.NewScript(map[sim.ProcID]adversary.CrashPlan{
+				1: {Round: 1, DataMask: []bool{true, false, true}},
+				2: {Round: 2},
+			})
+		}},
+		// p1 fills every row with its round-1 mail while p2 overflows, so
+		// the next arming starts over a slab the abort left full.
+		{kind: "crw", n: 64, adv: none, overflow: true},
+		{kind: "crw", n: 16, adv: func(n int) sim.Adversary {
+			return adversary.NewOmissionScript(n, map[sim.ProcID][]adversary.OmissionPlan{
+				1: {{Round: 1, SendData: []bool{true, false, true}, SendCtrl: []bool{false, true}}},
+				3: {{Round: 1, DropAllRecv: true}, {Round: 2, Recv: []bool{false, true}}},
+			})
+		}},
+	}
+	var rt *lockstep.Runtime
+	var crashed, omissive bool
+	for i, job := range jobs {
+		procs, model := buildSystem(t, job.kind, props(job.n))
+		if job.overflow {
+			procs[1] = overflow{Process: procs[1], to: 1}
+		}
+		cfg := lockstep.Config{Model: model}
+		var err error
+		if rt == nil {
+			rt, err = lockstep.New(cfg, procs, job.adv(job.n))
+			t.Cleanup(func() { rt.Close() })
+		} else {
+			err = rt.Reset(cfg, procs, job.adv(job.n))
+		}
+		if err != nil {
+			t.Fatalf("job %d (n=%d): arming: %v", i, job.n, err)
+		}
+		got, err := rt.Run()
+		if job.overflow {
+			if err == nil || !strings.Contains(err.Error(), "p2 sends 3 messages to p1 in round 1 (channel capacity 2)") {
+				t.Fatalf("job %d (n=%d): err = %v, want the capacity error", i, job.n, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("job %d (n=%d): %v", i, job.n, err)
+		}
+		fresh, _ := buildSystem(t, job.kind, props(job.n))
+		eng, err := sim.NewEngine(sim.Config{Model: model}, fresh, job.adv(job.n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := eng.Run()
+		if err != nil {
+			t.Fatalf("job %d (n=%d): deterministic engine: %v", i, job.n, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("job %d (%s, n=%d): lockstep %+v\nwant %+v", i, job.kind, job.n, got, want)
+		}
+		crashed = crashed || len(want.Crashed) > 0
+		omissive = omissive || want.Omissive != nil
+	}
+	if !crashed || !omissive {
+		t.Errorf("jobs exercised crashes %v, omissions %v; want both", crashed, omissive)
+	}
+}
+
+// TestRuntimeCloseReleasesGoroutines pins the runtime's lifetime: Close
+// returns only once every worker goroutine — including those spawned for a
+// larger earlier job and idle since — has exited.
+// scripts/verify.sh runs this under -race -count=10.
+func TestRuntimeCloseReleasesGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	cfg := lockstep.Config{Model: sim.ModelExtended}
+	rt, err := lockstep.New(cfg, core.NewSystem(props(32), core.Options{}), adversary.CoordinatorKiller{F: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Reset(cfg, core.NewSystem(props(8), core.Options{}), adversary.None{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := runtime.NumGoroutine(); got < 32 {
+		t.Fatalf("%d goroutines with a 32-worker runtime, want at least 32", got)
+	}
+	rt.Close()
+	rt.Close() // idempotent
+	// Close has waited for every worker to leave its loop, but an exited
+	// goroutine counts until the scheduler frees it (its thread may be
+	// descheduled right after the WaitGroup release), so yield — never sleep
+	// — until it has. A leaked worker never exits and fails the deadline.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Errorf("%d goroutines after Close, want the baseline %d", got, base)
+	}
+	if err := rt.Reset(cfg, core.NewSystem(props(8), core.Options{}), adversary.None{}); err == nil {
+		t.Error("Reset accepted on a closed runtime")
+	}
+}
+
+// TestResetAllocsAtSeenSize pins the grow-only design: rearming at a process
+// count no larger than one already seen spawns nothing and reallocates
+// nothing, and a run abort travels on the recv barrier rather than a per-run
+// channel, so rearming allocates nothing at all.
+func TestResetAllocsAtSeenSize(t *testing.T) {
+	cfg := lockstep.Config{Model: sim.ModelExtended}
+	rt, err := lockstep.New(cfg, core.NewSystem(props(64), core.Options{}), adversary.None{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	procs := core.NewSystem(props(8), core.Options{})
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := rt.Reset(cfg, procs, adversary.None{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("Reset to a seen size allocates %.1f times, want 0", allocs)
+	}
+}

@@ -321,7 +321,7 @@ type PlanValidator struct {
 // — footnote 3 of the paper). Multiple data messages to one destination are
 // tolerated here because the CommitAsData ablation folds the commit into the
 // data step; the faithful protocols send at most one data message per channel
-// per round, which the lockstep runtime's capacity-2 channels additionally
+// per round, which the lockstep runtime's two-cell mailboxes additionally
 // enforce.
 func (v *PlanValidator) Validate(from ProcID, n int, plan SendPlan) error {
 	for _, o := range plan.Data {

@@ -11,11 +11,16 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+# Every go test carries an explicit -timeout (per package binary, below the
+# ten-minute default) so a barrier deadlock fails instead of hanging.
 echo "== go test ./..."
-go test ./...
+go test -timeout 300s ./...
 
 echo "== go test -race (parallel explorer + sweep/cross-check + fuzz-campaign + omission + timed differential + pooled-DES differential + law-audit + telemetry + plan-lifetime tests)"
-go test -race -run 'ExploreParallel|Sweep|CrossCheck|Fuzz|Omission|Timed|Law|Planted|Conservation|Audit|Determinism|Pooled|Handle|Telemetry|Chrome|PlanLifetime' ./internal/check/ ./agree/ ./internal/lockstep/ ./internal/harness/ ./internal/fuzz/ ./internal/sim/ ./internal/timed/ ./internal/des/ ./internal/laws/ ./internal/smr/ ./internal/telemetry/
+go test -race -timeout 300s -run 'ExploreParallel|Sweep|CrossCheck|Fuzz|Omission|Timed|Law|Planted|Conservation|Audit|Determinism|Pooled|Handle|Telemetry|Chrome|PlanLifetime' ./internal/check/ ./agree/ ./internal/lockstep/ ./internal/harness/ ./internal/fuzz/ ./internal/sim/ ./internal/timed/ ./internal/des/ ./internal/laws/ ./internal/smr/ ./internal/telemetry/
+
+echo "== go test -race -count=10 (lockstep runtime reuse across sizes + Close lifetime)"
+go test -race -count=10 -timeout 300s -run 'RuntimeReuse|RuntimeClose' ./internal/lockstep/
 
 echo "== scenario catalog (deterministic engine)"
 go run ./cmd/agreesim -run all -engines deterministic
