@@ -489,26 +489,11 @@ func FuzzReplayScript(cfg FuzzConfig, script string, withTrace bool) (*FuzzRepla
 			fuzz.LawOracle(laws.Budget{Crashes: s.Crashes(), Omissive: s.OmissiveProcs()}))
 	}
 	rep := &FuzzReplayReport{
-		Rounds:      int(res.Rounds),
-		Decisions:   make(map[int]int64, len(res.Decisions)),
-		DecideRound: make(map[int]int, len(res.DecideRound)),
-		Crashed:     make(map[int]int, len(res.Crashed)),
-		Err:         oracle(tgt.Proposals, res, runErr),
+		Rounds: int(res.Rounds),
+		Err:    oracle(tgt.Proposals, res, runErr),
 	}
 	rep.Law = laws.Of(rep.Err)
-	for id, v := range res.Decisions {
-		rep.Decisions[int(id)] = int64(v)
-		rep.DecideRound[int(id)] = int(res.DecideRound[id])
-	}
-	for id, r := range res.Crashed {
-		rep.Crashed[int(id)] = int(r)
-	}
-	for id, c := range res.Omissive {
-		if rep.Omissive == nil {
-			rep.Omissive = make(map[int]int, len(res.Omissive))
-		}
-		rep.Omissive[int(id)] = c
-	}
+	rep.Decisions, rep.DecideRound, rep.Crashed, rep.Omissive = outcomeMaps(res, 1)
 	if log != nil {
 		rep.Transcript = log.String()
 	}
@@ -571,35 +556,12 @@ func diffResults(a, b *sim.Result) string {
 	if a.Rounds != b.Rounds {
 		return fmt.Sprintf("rounds %d vs %d", a.Rounds, b.Rounds)
 	}
-	if len(a.Decisions) != len(b.Decisions) {
-		return fmt.Sprintf("%d vs %d deciders", len(a.Decisions), len(b.Decisions))
+	if len(a.Procs) != len(b.Procs) {
+		return fmt.Sprintf("%d vs %d processes", len(a.Procs), len(b.Procs))
 	}
-	for id, v := range a.Decisions {
-		bv, ok := b.Decisions[id]
-		if !ok {
-			return fmt.Sprintf("p%d decided only on one engine", id)
-		}
-		if v != bv {
-			return fmt.Sprintf("p%d decided %d vs %d", id, int64(v), int64(bv))
-		}
-		if a.DecideRound[id] != b.DecideRound[id] {
-			return fmt.Sprintf("p%d decide round %d vs %d", id, a.DecideRound[id], b.DecideRound[id])
-		}
-	}
-	if len(a.Crashed) != len(b.Crashed) {
-		return fmt.Sprintf("%d vs %d crashes", len(a.Crashed), len(b.Crashed))
-	}
-	for id, r := range a.Crashed {
-		if br, ok := b.Crashed[id]; !ok || r != br {
-			return fmt.Sprintf("p%d crash round %d vs %d", id, r, br)
-		}
-	}
-	if len(a.Omissive) != len(b.Omissive) {
-		return fmt.Sprintf("%d vs %d omission-faulty processes", len(a.Omissive), len(b.Omissive))
-	}
-	for id, c := range a.Omissive {
-		if bc, ok := b.Omissive[id]; !ok || c != bc {
-			return fmt.Sprintf("p%d omissive rounds %d vs %d", id, c, bc)
+	for i, o := range a.Procs {
+		if p := b.Procs[i]; o != p {
+			return fmt.Sprintf("p%d outcome %+v vs %+v", i+1, o, p)
 		}
 	}
 	if a.Counters != b.Counters {

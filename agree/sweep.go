@@ -9,6 +9,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/laws"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 	"repro/internal/simulate"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -216,34 +217,17 @@ func runConfigProf(cfg Config, cache *harness.Cache, prof *telemetry.Profile) (*
 	rep := &Report{
 		Rounds:       int(res.Rounds),
 		MacroRounds:  int(res.Rounds),
-		Decisions:    make(map[int]int64, len(res.Decisions)),
-		DecideRound:  make(map[int]int, len(res.DecideRound)),
-		Crashed:      make(map[int]int, len(res.Crashed)),
 		Counters:     res.Counters,
 		Ledger:       res.Ledger,
 		SimTime:      res.SimTime,
 		ConsensusErr: check.Consensus(proposals, res),
 	}
+	stride := sim.Round(1)
 	if cfg.SimulateOnClassic {
+		stride = sim.Round(simulate.Stride(cfg.N))
 		rep.MacroRounds = int(simulate.MacroRound(res.Rounds, cfg.N))
 	}
-	for id, v := range res.Decisions {
-		rep.Decisions[int(id)] = int64(v)
-		dr := res.DecideRound[id]
-		if cfg.SimulateOnClassic {
-			dr = simulate.MacroRound(dr, cfg.N)
-		}
-		rep.DecideRound[int(id)] = int(dr)
-	}
-	for id, r := range res.Crashed {
-		rep.Crashed[int(id)] = int(r)
-	}
-	for id, c := range res.Omissive {
-		if rep.Omissive == nil {
-			rep.Omissive = make(map[int]int, len(res.Omissive))
-		}
-		rep.Omissive[int(id)] = c
-	}
+	rep.Decisions, rep.DecideRound, rep.Crashed, rep.Omissive = outcomeMaps(res, stride)
 	if log != nil {
 		rep.Transcript = log.String()
 		if cfg.Diagram {
@@ -254,6 +238,46 @@ func runConfigProf(cfg Config, cache *harness.Cache, prof *telemetry.Profile) (*
 		rep.Telemetry = &Telemetry{rec: rec}
 	}
 	return rep, nil
+}
+
+// outcomeMaps translates a run's per-process outcomes into the map-shaped
+// fields of the public reports, building each map once at its exact size.
+// Decision rounds are converted to macro rounds of stride micro rounds each
+// (the Section 2.2 simulation; stride 1 keeps them); crash rounds are not.
+// The omissive map stays nil when nobody omitted.
+func outcomeMaps(res *sim.Result, stride sim.Round) (decisions map[int]int64, decideRound, crashed, omissive map[int]int) {
+	nDec, nCrash, nOmit := 0, 0, 0
+	for _, o := range res.Procs {
+		if o.DecideRound != 0 {
+			nDec++
+		}
+		if o.CrashRound != 0 {
+			nCrash++
+		}
+		if o.OmissiveRounds != 0 {
+			nOmit++
+		}
+	}
+	decisions = make(map[int]int64, nDec)
+	decideRound = make(map[int]int, nDec)
+	crashed = make(map[int]int, nCrash)
+	if nOmit > 0 {
+		omissive = make(map[int]int, nOmit)
+	}
+	for i, o := range res.Procs {
+		id := i + 1
+		if o.DecideRound != 0 {
+			decisions[id] = int64(o.Value)
+			decideRound[id] = int((o.DecideRound-1)/stride + 1)
+		}
+		if o.CrashRound != 0 {
+			crashed[id] = int(o.CrashRound)
+		}
+		if o.OmissiveRounds != 0 {
+			omissive[id] = o.OmissiveRounds
+		}
+	}
+	return decisions, decideRound, crashed, omissive
 }
 
 // crossCheck re-runs cfg on every other registered engine that supports it

@@ -158,7 +158,7 @@ func TestSweepAllocsPerConfig(t *testing.T) {
 	// Absolute regression pin for the batched path (protocol construction
 	// plus report assembly; the engine itself is reused), with small headroom
 	// over the measured value.
-	const maxPerConfig = 50 // measured 45.3
+	const maxPerConfig = 35 // measured 32.3
 	if sweepAllocs > maxPerConfig {
 		t.Errorf("sweep allocates %.1f allocs/config, want <= %d", sweepAllocs, maxPerConfig)
 	}
@@ -182,9 +182,32 @@ func TestSweepAllocsPerConfigLockstep(t *testing.T) {
 			t.Fatal("sweep errored")
 		}
 	}) / float64(len(configs))
-	const maxPerConfig = 85 // measured 77.7
+	const maxPerConfig = 70 // measured 66.2
 	if perConfig > maxPerConfig {
 		t.Errorf("lockstep sweep allocates %.1f allocs/config, want <= %d", perConfig, maxPerConfig)
+	}
+}
+
+// TestSweepAllocsPerConfigFloodSet pins the classic FloodSet baseline in a
+// sweep: its known sets are sorted slices carved from one slab per instance,
+// so nine flooding rounds (n=16, t=8) stay near a hundred allocations per
+// config.
+func TestSweepAllocsPerConfigFloodSet(t *testing.T) {
+	cfg := agree.Config{N: 16, T: 8, Protocol: agree.ProtocolFloodSet}
+	const batch = 64
+	configs := make([]agree.Config, batch)
+	for i := range configs {
+		configs[i] = cfg
+	}
+	perConfig := testing.AllocsPerRun(5, func() {
+		sr := agree.Sweep(configs, agree.SweepOptions{Workers: 1})
+		if sr.Aggregate.Errored != 0 || sr.Aggregate.Violations != 0 {
+			t.Fatal("floodset sweep errored or violated consensus")
+		}
+	}) / batch
+	const maxPerConfig = 101 // measured 96.8
+	if perConfig > maxPerConfig {
+		t.Errorf("floodset sweep allocates %.1f allocs/config, want <= %d", perConfig, maxPerConfig)
 	}
 }
 

@@ -231,9 +231,9 @@ func (p *benchProc) Halted() bool               { return p.decided }
 // TestEngineHappyPathAllocs pins the allocation count of the engine's
 // no-trace hot path: with the engine reset between runs (as the explorer
 // does) and processes that allocate nothing, a two-round broadcast run may
-// only allocate the Result and its three maps. The seed engine spent
-// hundreds of allocations here on map bookkeeping, eager trace strings and
-// delivery masks.
+// only allocate the Result and its per-process outcome slice. The seed
+// engine spent hundreds of allocations here on map bookkeeping, eager trace
+// strings and delivery masks.
 func TestEngineHappyPathAllocs(t *testing.T) {
 	const n = 8
 	procs := make([]sim.Process, n)
@@ -270,9 +270,8 @@ func TestEngineHappyPathAllocs(t *testing.T) {
 	}
 	run() // warm up inbox buffers
 	allocs := testing.AllocsPerRun(200, run)
-	// Result struct + Decisions/DecideRound/Crashed maps; allow a little
-	// headroom for map bucket layout differences across Go versions.
-	const maxAllocs = 12
+	// Result struct + Procs slice: exact, nothing map-shaped is left to vary.
+	const maxAllocs = 2
 	if allocs > maxAllocs {
 		t.Errorf("engine happy path allocates %.1f allocs/run, want <= %d", allocs, maxAllocs)
 	}
@@ -281,7 +280,7 @@ func TestEngineHappyPathAllocs(t *testing.T) {
 // TestE1FailureFreeAllocs pins the allocation budget of one full E1
 // failure-free run (n=64, protocol allocations included): the coordinator's
 // round costs a constant number of allocations, not one per destination, so
-// what remains is the process slab, the result and report maps and the
+// what remains is the process slab, the result, the report maps and the
 // engine set-up.
 func TestE1FailureFreeAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(20, func() {
@@ -293,7 +292,7 @@ func TestE1FailureFreeAllocs(t *testing.T) {
 			t.Fatal(rep.ConsensusErr)
 		}
 	})
-	const maxAllocs = 48 // measured 42 (seed: 600)
+	const maxAllocs = 30 // measured 27 (seed: 600)
 	if allocs > maxAllocs {
 		t.Errorf("E1 failure-free run allocates %.1f allocs/run, want <= %d (seed: 600)", allocs, maxAllocs)
 	}

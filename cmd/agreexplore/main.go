@@ -165,7 +165,7 @@ func run() int {
 		fmt.Printf("  [%d] %v\n", i+1, ce.Err)
 		fmt.Printf("      script %v (re-run with -replay %s for a full trace)\n",
 			ce.Script, check.ScriptString(ce.Script))
-		fmt.Printf("      decisions %v, crashed %v\n", ce.Result.Decisions, ce.Result.Crashed)
+		fmt.Printf("      decisions %s, crashed %s\n", ce.Result.DecisionsString(), ce.Result.CrashedString())
 	}
 	return 2
 }
@@ -185,7 +185,7 @@ func replayScript(factory check.RunFactory, script []int) int {
 	res, runErr := eng.Run()
 	fmt.Print(log.String())
 	fmt.Println()
-	fmt.Printf("decisions %v (rounds %v), crashed %v\n", res.Decisions, res.DecideRound, res.Crashed)
+	fmt.Printf("decisions %s (rounds %s), crashed %s\n", res.DecisionsString(), res.DecideRoundsString(), res.CrashedString())
 	if runErr != nil {
 		fmt.Printf("engine error: %v\n", runErr)
 	}

@@ -18,6 +18,7 @@ package check
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -32,41 +33,44 @@ var (
 
 // Consensus validates the uniform consensus specification against a finished
 // run: every decided value is a proposal; no two processes (correct or
-// faulty) decided differently; every process that did not crash decided.
+// faulty) decided differently; every process that did not crash decided. A
+// violation names the lowest offending process id; a clean run allocates
+// nothing.
 func Consensus(proposals []sim.Value, res *sim.Result) error {
-	prop := make(map[sim.Value]bool, len(proposals))
-	for _, v := range proposals {
-		prop[v] = true
-	}
-	for id, v := range res.Decisions {
-		if !prop[v] {
-			return fmt.Errorf("%w: p%d decided %d, proposals %v", ErrValidity, id, int64(v), proposals)
+	for i, o := range res.Procs {
+		if o.DecideRound != 0 && !slices.Contains(proposals, o.Value) {
+			return fmt.Errorf("%w: p%d decided %d, proposals %v", ErrValidity, i+1, int64(o.Value), proposals)
 		}
 	}
-	if d := res.DistinctDecisions(); len(d) > 1 {
-		return fmt.Errorf("%w: decisions %v by %v", ErrAgreement, d, res.Decisions)
-	}
-	for i := 1; i <= len(proposals); i++ {
-		id := sim.ProcID(i)
-		if _, crashed := res.Crashed[id]; crashed {
+	first, decided := sim.Value(0), false
+	for _, o := range res.Procs {
+		if o.DecideRound == 0 {
 			continue
 		}
-		if _, ok := res.Decisions[id]; !ok {
-			return fmt.Errorf("%w: p%d alive after %d rounds", ErrTermination, id, res.Rounds)
+		if decided && o.Value != first {
+			return fmt.Errorf("%w: decisions %v by %s", ErrAgreement, res.DistinctDecisions(), res.DecisionsString())
+		}
+		first, decided = o.Value, true
+	}
+	for i := range proposals {
+		if i >= len(res.Procs) || res.Procs[i].CrashRound == 0 && res.Procs[i].DecideRound == 0 {
+			return fmt.Errorf("%w: p%d alive after %d rounds", ErrTermination, i+1, res.Rounds)
 		}
 	}
 	return nil
 }
 
 // RoundBound validates that no process decided after bound(f), where f is
-// the number of crashes that occurred in the run. Pass core's f+1 bound as
+// the number of crashes that occurred in the run. A violation names the
+// lowest late process id. Pass core's f+1 bound as
 // func(f int) sim.Round { return sim.Round(f + 1) }.
 func RoundBound(res *sim.Result, bound func(f int) sim.Round) error {
-	limit := bound(res.Faults())
-	for id, r := range res.DecideRound {
-		if r > limit {
+	f := res.Faults()
+	limit := bound(f)
+	for i, o := range res.Procs {
+		if o.DecideRound > limit {
 			return fmt.Errorf("%w: p%d decided at round %d > bound %d (f=%d)",
-				ErrRoundBound, id, r, limit, res.Faults())
+				ErrRoundBound, i+1, o.DecideRound, limit, f)
 		}
 	}
 	return nil

@@ -145,8 +145,8 @@ func TestExhaustiveCRWSmall(t *testing.T) {
 			}
 			if len(stats.Counterexamples) != 0 {
 				ce := stats.Counterexamples[0]
-				t.Fatalf("violation after %d executions: %v (script %v, decisions %v)",
-					stats.Executions, ce.Err, ce.Script, ce.Result.Decisions)
+				t.Fatalf("violation after %d executions: %v (script %v, decisions %s)",
+					stats.Executions, ce.Err, ce.Script, ce.Result.DecisionsString())
 			}
 			if stats.MaxFaults != tc.t {
 				t.Errorf("max faults = %d, want %d", stats.MaxFaults, tc.t)
@@ -260,8 +260,8 @@ func TestExhaustiveEarlyStop(t *testing.T) {
 			}
 			if len(stats.Counterexamples) != 0 {
 				ce := stats.Counterexamples[0]
-				t.Fatalf("violation: %v (script %v, decisions %v, crashed %v)",
-					ce.Err, ce.Script, ce.Result.Decisions, ce.Result.Crashed)
+				t.Fatalf("violation: %v (script %v, decisions %s, crashed %s)",
+					ce.Err, ce.Script, ce.Result.DecisionsString(), ce.Result.CrashedString())
 			}
 			t.Logf("n=%d t=%d: %d executions, max decide round %d",
 				tc.n, tc.t, stats.Executions, stats.MaxDecideRound)
@@ -296,9 +296,9 @@ func TestExhaustiveFloodSet(t *testing.T) {
 					return err
 				}
 				// Every decider decides exactly at round t+1: no early stopping.
-				for id, r := range res.DecideRound {
-					if r != sim.Round(tc.t+1) {
-						return fmt.Errorf("p%d decided at round %d, want %d", id, r, tc.t+1)
+				for i, o := range res.Procs {
+					if o.DecideRound != 0 && o.DecideRound != sim.Round(tc.t+1) {
+						return fmt.Errorf("p%d decided at round %d, want %d", i+1, o.DecideRound, tc.t+1)
 					}
 				}
 				return nil

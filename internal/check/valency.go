@@ -2,7 +2,7 @@ package check
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -39,7 +39,6 @@ func (v Valency) String() string {
 // are reported as errors: valency is only meaningful over a protocol whose
 // every execution terminates.
 func ValencySet(factory RunFactory, opts ExploreOpts) (Valency, error) {
-	seen := map[sim.Value]bool{}
 	bt := NewBacktracker()
 	var er engineRunner
 	var v Valency
@@ -56,19 +55,22 @@ func ValencySet(factory RunFactory, opts ExploreOpts) (Valency, error) {
 		if runErr != nil {
 			return v, fmt.Errorf("check: execution %v failed: %w", bt.Script(), runErr)
 		}
-		if len(res.Decisions) == 0 {
-			return v, fmt.Errorf("check: execution %v decided nothing", bt.Script())
+		decided := false
+		for _, o := range res.Procs {
+			if o.DecideRound == 0 {
+				continue
+			}
+			decided = true
+			if i, found := slices.BinarySearch(v.Values, o.Value); !found {
+				v.Values = slices.Insert(v.Values, i, o.Value)
+			}
 		}
-		for _, d := range res.Decisions {
-			seen[d] = true
+		if !decided {
+			return v, fmt.Errorf("check: execution %v decided nothing", bt.Script())
 		}
 		if !bt.Next() {
 			break
 		}
 	}
-	for d := range seen {
-		v.Values = append(v.Values, d)
-	}
-	sort.Slice(v.Values, func(i, j int) bool { return v.Values[i] < v.Values[j] })
 	return v, nil
 }

@@ -33,7 +33,7 @@ func TestFailureFreeDecidesInTwoRounds(t *testing.T) {
 	if got := res.MaxDecideRound(); got != 2 {
 		t.Errorf("decide round = %d, want 2", got)
 	}
-	for id, v := range res.Decisions {
+	for id, v := range res.Decisions() {
 		if v != 10 {
 			t.Errorf("p%d decided %d, want min 10", id, int64(v))
 		}

@@ -42,7 +42,7 @@ type Protocol struct {
 	t  int
 	b  int
 
-	known map[sim.Value]bool
+	known []sim.Value // every value learned so far, sorted ascending
 	fresh []sim.Value // values learned in the previous round, to flood next
 
 	decided  bool
@@ -55,32 +55,39 @@ type Protocol struct {
 // New returns the process p_id out of n tolerating t crashes, proposing v
 // with bit width b (<=0 defaults to 64).
 func New(id sim.ProcID, n, t int, proposal sim.Value, b int) *Protocol {
-	p := newProtocol(id, n, t, proposal, b)
+	p := newProtocol(id, n, t, proposal, b, make([]sim.Value, 2*n))
 	return &p
 }
 
-func newProtocol(id sim.ProcID, n, t int, proposal sim.Value, b int) Protocol {
+// newProtocol builds one process whose known set and fresh list are carved
+// out of vals, 2n values: an instance floods at most n distinct proposals,
+// so neither list outgrows its half and Receive never allocates. A list that
+// does (values injected from outside the instance) reallocates privately.
+func newProtocol(id sim.ProcID, n, t int, proposal sim.Value, b int, vals []sim.Value) Protocol {
 	if b <= 0 {
 		b = 64
 	}
+	vals[0], vals[n] = proposal, proposal
 	return Protocol{
 		id:    id,
 		n:     n,
 		t:     t,
 		b:     b,
-		known: map[sim.Value]bool{proposal: true},
-		fresh: []sim.Value{proposal},
+		known: vals[0:1:n],
+		fresh: vals[n : n+1 : 2*n],
 	}
 }
 
 // NewSystem builds the n processes of one instance; proposals[i] belongs to
-// p_{i+1}. The processes live in one slab (each still owns its known set and
-// fresh list).
+// p_{i+1}. The processes live in one slab and their value lists in another
+// of 2n² values.
 func NewSystem(proposals []sim.Value, t, b int) []sim.Process {
-	slab := make([]Protocol, len(proposals))
-	procs := make([]sim.Process, len(proposals))
+	n := len(proposals)
+	slab := make([]Protocol, n)
+	vals := make([]sim.Value, 2*n*n)
+	procs := make([]sim.Process, n)
 	for i, v := range proposals {
-		slab[i] = newProtocol(sim.ProcID(i+1), len(proposals), t, v, b)
+		slab[i] = newProtocol(sim.ProcID(i+1), n, t, v, b, vals[2*n*i:2*n*(i+1)])
 		procs[i] = &slab[i]
 	}
 	return procs
@@ -126,28 +133,15 @@ func (p *Protocol) Receive(r sim.Round, inbox []sim.Message) {
 			continue
 		}
 		for _, v := range set.Values {
-			if !p.known[v] {
-				p.known[v] = true
+			if i, found := slices.BinarySearch(p.known, v); !found {
+				p.known = slices.Insert(p.known, i, v)
 				p.fresh = append(p.fresh, v)
 			}
 		}
 	}
 	if r == p.Rounds() {
-		p.decide(p.min())
+		p.decide(p.known[0]) // the smallest known value
 	}
-}
-
-// min returns the smallest known value.
-func (p *Protocol) min() sim.Value {
-	first := true
-	var m sim.Value
-	for v := range p.known {
-		if first || v < m {
-			m = v
-			first = false
-		}
-	}
-	return m
 }
 
 func (p *Protocol) decide(v sim.Value) {

@@ -30,12 +30,12 @@ func TestDecidesMinAfterTPlus1Rounds(t *testing.T) {
 	if res.Rounds != 3 {
 		t.Errorf("rounds = %d, want t+1 = 3", res.Rounds)
 	}
-	for id, v := range res.Decisions {
+	for id, v := range res.Decisions() {
 		if v != 10 {
 			t.Errorf("p%d decided %d, want min 10", id, int64(v))
 		}
-		if res.DecideRound[id] != 3 {
-			t.Errorf("p%d decided at round %d, want 3", id, res.DecideRound[id])
+		if res.Procs[id-1].DecideRound != 3 {
+			t.Errorf("p%d decided at round %d, want 3", id, res.Procs[id-1].DecideRound)
 		}
 	}
 }
@@ -63,7 +63,7 @@ func TestPartialDeliveryStillUniform(t *testing.T) {
 	if err := check.Consensus(props, res); err != nil {
 		t.Fatal(err)
 	}
-	for id, v := range res.Decisions {
+	for id, v := range res.Decisions() {
 		if v != 1 {
 			t.Errorf("p%d decided %d, want 1", id, int64(v))
 		}
@@ -81,7 +81,7 @@ func TestValueHiddenFromEveryoneIsNotDecided(t *testing.T) {
 	if err := check.Consensus(props, res); err != nil {
 		t.Fatal(err)
 	}
-	for id, v := range res.Decisions {
+	for id, v := range res.Decisions() {
 		if v != 50 {
 			t.Errorf("p%d decided %d, want 50", id, int64(v))
 		}

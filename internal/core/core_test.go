@@ -46,13 +46,15 @@ func TestFailureFreeDecidesInOneRound(t *testing.T) {
 		if err := check.Consensus(props, res); err != nil {
 			t.Errorf("n=%d: %v", n, err)
 		}
-		for id, v := range res.Decisions {
+		deciders := 0
+		for id, v := range res.Decisions() {
+			deciders++
 			if v != props[0] {
 				t.Errorf("n=%d: p%d decided %d, want p1's proposal %d", n, id, int64(v), int64(props[0]))
 			}
 		}
-		if len(res.Decisions) != n {
-			t.Errorf("n=%d: %d deciders, want %d", n, len(res.Decisions), n)
+		if deciders != n {
+			t.Errorf("n=%d: %d deciders, want %d", n, deciders, n)
 		}
 	}
 }
@@ -76,7 +78,7 @@ func TestCoordinatorKillerForcesFPlus1Rounds(t *testing.T) {
 		}
 		// With silent crashes the surviving coordinator p_{f+1} imposes its
 		// own proposal.
-		for id, v := range res.Decisions {
+		for id, v := range res.Decisions() {
 			if v != props[f] {
 				t.Errorf("f=%d: p%d decided %d, want %d", f, id, int64(v), int64(props[f]))
 			}
@@ -96,7 +98,7 @@ func TestDataDeliveredKillerLocksFirstValue(t *testing.T) {
 		if err := check.Consensus(props, res); err != nil {
 			t.Fatalf("f=%d: %v", f, err)
 		}
-		for id, v := range res.Decisions {
+		for id, v := range res.Decisions() {
 			if v != props[0] {
 				t.Errorf("f=%d: p%d decided %d, want locked value %d", f, id, int64(v), int64(props[0]))
 			}
@@ -121,16 +123,16 @@ func TestCommitPrefixDecidersAreHighIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, id := range []sim.ProcID{4, 5} {
-		if r := res.DecideRound[id]; r != 1 {
+		if r := res.Procs[id-1].DecideRound; r != 1 {
 			t.Errorf("p%d decided at round %d, want 1", id, r)
 		}
 	}
 	for _, id := range []sim.ProcID{2, 3} {
-		if r := res.DecideRound[id]; r != 2 {
+		if r := res.Procs[id-1].DecideRound; r != 2 {
 			t.Errorf("p%d decided at round %d, want 2", id, r)
 		}
 	}
-	for id, v := range res.Decisions {
+	for id, v := range res.Decisions() {
 		if v != props[0] {
 			t.Errorf("p%d decided %d, want %d", id, int64(v), int64(props[0]))
 		}
@@ -155,7 +157,7 @@ func TestCommitImpliesDataInExtendedModel(t *testing.T) {
 		if err := check.Consensus(props, res); err != nil {
 			t.Errorf("prefix=%d: %v", prefix, err)
 		}
-		for id, v := range res.Decisions {
+		for id, v := range res.Decisions() {
 			if v != props[0] {
 				t.Errorf("prefix=%d: p%d decided %d, want %d", prefix, id, int64(v), int64(props[0]))
 			}
@@ -248,7 +250,7 @@ func TestAscendingCommitOrderViolatesBound(t *testing.T) {
 		t.Fatalf("ascending order unexpectedly met the f+1 bound (max decide round %d, f=%d)",
 			res.MaxDecideRound(), res.Faults())
 	}
-	if r := res.DecideRound[4]; r != 4 {
+	if r := res.Procs[3].DecideRound; r != 4 {
 		t.Errorf("p4 decided at round %d, want 4", r)
 	}
 }
@@ -276,12 +278,12 @@ func TestCommitAsDataViolatesUniformAgreement(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	if err := check.Consensus(props, res); err == nil {
-		t.Fatalf("commit-as-data unexpectedly kept uniform agreement: decisions %v", res.Decisions)
+		t.Fatalf("commit-as-data unexpectedly kept uniform agreement: decisions %s", res.DecisionsString())
 	}
-	if v := res.Decisions[2]; v != props[1] {
+	if v, _ := res.Decision(2); v != props[1] {
 		t.Errorf("p2 decided %d, want its stale proposal %d", int64(v), int64(props[1]))
 	}
-	if v := res.Decisions[3]; v != props[2] {
+	if v, _ := res.Decision(3); v != props[2] {
 		t.Errorf("p3 decided %d, want its own proposal %d", int64(v), int64(props[2]))
 	}
 }
@@ -309,7 +311,7 @@ func TestViolatedNeverSetInFaithfulRuns(t *testing.T) {
 func TestSingleProcessDecidesAlone(t *testing.T) {
 	props := []sim.Value{42}
 	res := run(t, props, core.Options{}, adversary.None{})
-	if v := res.Decisions[1]; v != 42 {
+	if v, _ := res.Decision(1); v != 42 {
 		t.Errorf("decided %d, want 42", int64(v))
 	}
 	if res.Counters.TotalMsgs() != 0 {

@@ -71,8 +71,8 @@ func TestPlantedDoubleCountIsCaughtAndShrunk(t *testing.T) {
 // would legitimately fire first on unrelated seeds.
 func TestPlantedBudgetLeakIsCaughtAndShrunk(t *testing.T) {
 	eng := mutatedEngine{Engine: newEngine(t), mutate: func(res *sim.Result) {
-		if len(res.Omissive) >= 1 {
-			res.Omissive[99] = 1
+		if res.OmissionFaulty() >= 1 {
+			res.Procs = append(res.Procs, sim.Outcome{OmissiveRounds: 1})
 		}
 	}}
 	factory := crwFactory(6, core.Options{})

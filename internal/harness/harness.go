@@ -87,8 +87,9 @@ type Engine interface {
 	// Capabilities returns the engine's capability flags.
 	Capabilities() Capabilities
 	// Run executes one job to completion and returns its result. The result
-	// is freshly allocated and safe to retain; internal buffers may be
-	// recycled by the next Run.
+	// and its per-process Procs slice are freshly allocated and safe to
+	// retain (explorer counterexamples, shrinker and fuzz findings keep
+	// them); the engine's own outcome scratch is recycled by the next Run.
 	Run(Job) (*sim.Result, error)
 }
 

@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -127,7 +128,7 @@ func TestTimedAdapter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Rounds != want.Rounds || len(got.Decisions) != len(want.Decisions) ||
+	if got.Rounds != want.Rounds || !slices.Equal(got.Procs, want.Procs) ||
 		got.Counters != want.Counters {
 		t.Errorf("timed result %+v differs from deterministic %+v", got, want)
 	}
@@ -181,14 +182,9 @@ func TestAdaptersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Rounds != want.Rounds || len(got.Decisions) != len(want.Decisions) ||
+	if got.Rounds != want.Rounds || !slices.Equal(got.Procs, want.Procs) ||
 		got.Counters != want.Counters {
 		t.Errorf("lockstep result %+v differs from deterministic %+v", got, want)
-	}
-	for id, v := range want.Decisions {
-		if got.Decisions[id] != v {
-			t.Errorf("p%d decided %d vs %d", id, got.Decisions[id], v)
-		}
 	}
 }
 
@@ -210,8 +206,12 @@ func TestSimAdapterReuse(t *testing.T) {
 			t.Errorf("run %d (n=%d f=%d): decide round %d, want %d",
 				i, s.n, s.f, res.MaxDecideRound(), s.f+1)
 		}
-		if len(res.Decisions) != s.n-s.f {
-			t.Errorf("run %d: %d deciders, want %d", i, len(res.Decisions), s.n-s.f)
+		deciders := 0
+		for range res.Decisions() {
+			deciders++
+		}
+		if deciders != s.n-s.f {
+			t.Errorf("run %d: %d deciders, want %d", i, deciders, s.n-s.f)
 		}
 	}
 }

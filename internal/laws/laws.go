@@ -142,13 +142,13 @@ func Audit(res *sim.Result) error {
 // omissive processes never exceed the budget the fault specification was
 // allowed to spend. Negative budget fields disable the corresponding law.
 func AuditBudget(res *sim.Result, b Budget) error {
-	if b.Crashes >= 0 && len(res.Crashed) > b.Crashes {
+	if f := res.Faults(); b.Crashes >= 0 && f > b.Crashes {
 		return &Violation{Law: LawCrashBudget,
-			Detail: fmt.Sprintf("%d processes crashed, budget allows %d", len(res.Crashed), b.Crashes)}
+			Detail: fmt.Sprintf("%d processes crashed, budget allows %d", f, b.Crashes)}
 	}
-	if b.Omissive >= 0 && len(res.Omissive) > b.Omissive {
+	if k := res.OmissionFaulty(); b.Omissive >= 0 && k > b.Omissive {
 		return &Violation{Law: LawOmissionBudget,
-			Detail: fmt.Sprintf("%d omissive processes, budget allows %d", len(res.Omissive), b.Omissive)}
+			Detail: fmt.Sprintf("%d omissive processes, budget allows %d", k, b.Omissive)}
 	}
 	return nil
 }

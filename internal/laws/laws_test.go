@@ -15,8 +15,7 @@ import (
 // agreeing with the ledger splits.
 func balanced() *sim.Result {
 	return &sim.Result{
-		Crashed:  map[sim.ProcID]sim.Round{1: 2},
-		Omissive: map[sim.ProcID]int{3: 1},
+		Procs: []sim.Outcome{{CrashRound: 2}, {}, {OmissiveRounds: 1}},
 		Counters: metrics.Counters{
 			DataMsgs:    10,
 			CtrlMsgs:    6,

@@ -43,6 +43,7 @@ package lockstep
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/metrics"
@@ -85,10 +86,7 @@ type Runtime struct {
 	// Driver-side scratch, reused across runs. Indexed by process (id-1).
 	alive     []bool
 	halted    []bool
-	omissive  []int
-	decVal    []sim.Value
-	decRnd    []sim.Round // 0 = undecided
-	crashRnd  []sim.Round // 0 = not crashed
+	out       []sim.Outcome // per-process outcome so far; finish hands out a copy
 	started   []*worker
 	receivers []*worker
 	drainBuf  []sim.Message
@@ -430,10 +428,7 @@ func (rt *Runtime) Run() (*sim.Result, error) {
 	res := &sim.Result{}
 	rt.alive = resize(rt.alive, n)
 	rt.halted = resize(rt.halted, n)
-	rt.omissive = resize(rt.omissive, n)
-	rt.decVal = resize(rt.decVal, n)
-	rt.decRnd = resize(rt.decRnd, n)
-	rt.crashRnd = resize(rt.crashRnd, n)
+	rt.out = resize(rt.out, n)
 	for i := range rt.alive {
 		rt.alive[i] = true
 	}
@@ -484,12 +479,12 @@ func (rt *Runtime) Run() (*sim.Result, error) {
 				}
 			case rep.crashed:
 				rt.alive[w.idx] = false
-				rt.crashRnd[w.idx] = r
+				rt.out[w.idx].CrashRound = r
 			default:
 				recvs = append(recvs, w)
 			}
 			if rep.omitted {
-				rt.omissive[w.idx]++
+				rt.out[w.idx].OmissiveRounds++
 			}
 		}
 		rt.receivers = recvs
@@ -506,8 +501,8 @@ func (rt *Runtime) Run() (*sim.Result, error) {
 			rep := <-w.done
 			res.Counters.Merge(rep.ctr)
 			res.Ledger.Merge(rep.led)
-			if rep.decided && rt.decRnd[w.idx] == 0 {
-				rt.decVal[w.idx], rt.decRnd[w.idx] = rep.value, r
+			if o := &rt.out[w.idx]; rep.decided && o.DecideRound == 0 {
+				o.Value, o.DecideRound = rep.value, r
 			}
 			if rep.halted {
 				rt.halted[w.idx] = true
@@ -571,37 +566,10 @@ func (rt *Runtime) recordRound(res *sim.Result, r sim.Round, prevCtr metrics.Cou
 	rec.Sample(telemetry.SeriesLate, t, float64(dc.Late))
 }
 
-// finish stamps the round count on res and builds its maps from the driver
-// scratch, each once at its final size like sim.Engine.Run; Omissive stays
-// nil for omission-free runs exactly like the deterministic engine.
+// finish stamps the round count on res and hands it a copy of the driver's
+// outcome scratch, like sim.Engine.Run.
 func (rt *Runtime) finish(res *sim.Result, r sim.Round) {
 	res.Rounds = r
 	res.Counters.Rounds = int(r)
-	nDec, nCrash := 0, 0
-	for i := range rt.procs {
-		if rt.decRnd[i] != 0 {
-			nDec++
-		}
-		if rt.crashRnd[i] != 0 {
-			nCrash++
-		}
-	}
-	res.Decisions = make(map[sim.ProcID]sim.Value, nDec)
-	res.DecideRound = make(map[sim.ProcID]sim.Round, nDec)
-	res.Crashed = make(map[sim.ProcID]sim.Round, nCrash)
-	for i := range rt.procs {
-		id := sim.ProcID(i + 1)
-		if rt.decRnd[i] != 0 {
-			res.Decisions[id], res.DecideRound[id] = rt.decVal[i], rt.decRnd[i]
-		}
-		if rt.crashRnd[i] != 0 {
-			res.Crashed[id] = rt.crashRnd[i]
-		}
-		if c := rt.omissive[i]; c != 0 {
-			if res.Omissive == nil {
-				res.Omissive = map[sim.ProcID]int{}
-			}
-			res.Omissive[id] = c
-		}
-	}
+	res.Procs = slices.Clone(rt.out)
 }

@@ -98,21 +98,9 @@ func TestLockstepMatchesDeterministicEngine(t *testing.T) {
 				if got.Rounds != want.Rounds {
 					t.Errorf("rounds: lockstep %d vs engine %d", got.Rounds, want.Rounds)
 				}
-				if len(got.Decisions) != len(want.Decisions) {
-					t.Errorf("deciders: lockstep %v vs engine %v", got.Decisions, want.Decisions)
-				}
-				for id, v := range want.Decisions {
-					if got.Decisions[id] != v {
-						t.Errorf("p%d decision: lockstep %d vs engine %d", id, int64(got.Decisions[id]), int64(v))
-					}
-					if got.DecideRound[id] != want.DecideRound[id] {
-						t.Errorf("p%d decide round: lockstep %d vs engine %d",
-							id, got.DecideRound[id], want.DecideRound[id])
-					}
-				}
-				for id, r := range want.Crashed {
-					if got.Crashed[id] != r {
-						t.Errorf("p%d crash round: lockstep %d vs engine %d", id, got.Crashed[id], r)
+				for i, o := range want.Procs {
+					if got.Procs[i] != o {
+						t.Errorf("p%d outcome: lockstep %+v vs engine %+v", i+1, got.Procs[i], o)
 					}
 				}
 				if got.Counters.DataMsgs != want.Counters.DataMsgs ||

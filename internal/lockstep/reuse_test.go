@@ -108,8 +108,8 @@ func TestRuntimeReuseAcrossSizes(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("job %d (%s, n=%d): lockstep %+v\nwant %+v", i, job.kind, job.n, got, want)
 		}
-		crashed = crashed || len(want.Crashed) > 0
-		omissive = omissive || want.Omissive != nil
+		crashed = crashed || want.Faults() > 0
+		omissive = omissive || want.OmissionFaulty() > 0
 	}
 	if !crashed || !omissive {
 		t.Errorf("jobs exercised crashes %v, omissions %v; want both", crashed, omissive)

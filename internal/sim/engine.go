@@ -3,7 +3,9 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"slices"
+	"strings"
 
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
@@ -48,24 +50,32 @@ type Config struct {
 	Telemetry *telemetry.Recorder
 }
 
+// Outcome is the fate of one process in a finished execution. Rounds are
+// 1-based, so a zero round means "never": DecideRound 0 is a process that
+// never decided (its Value is then 0), CrashRound 0 one that never crashed.
+type Outcome struct {
+	// Value is the decision value; meaningful only when DecideRound != 0.
+	Value Value
+	// DecideRound is the round the process decided in. A process that
+	// crashed after deciding keeps its decision: uniform agreement is a
+	// property of every decided outcome, faulty or not.
+	DecideRound Round
+	// CrashRound is the round the process crashed in.
+	CrashRound Round
+	// OmissiveRounds counts the rounds in which the adversary returned a
+	// non-zero Omission for the process. Omissive processes stay alive and
+	// may decide.
+	OmissiveRounds int
+}
+
 // Result summarizes a finished execution.
 type Result struct {
 	// Rounds is the number of rounds executed until every alive process
 	// halted (or horizon, on error).
 	Rounds Round
-	// Decisions maps every process that decided — including processes that
-	// crashed after deciding — to its decision value. Uniform agreement is a
-	// property of this whole map.
-	Decisions map[ProcID]Value
-	// DecideRound maps each decided process to the round it decided in.
-	DecideRound map[ProcID]Round
-	// Crashed maps each crashed process to the round it crashed in.
-	Crashed map[ProcID]Round
-	// Omissive maps each process that committed at least one omission fault
-	// to its number of omissive rounds (rounds in which the adversary
-	// returned a non-zero Omission for it). Omissive processes stay alive and
-	// may appear in Decisions.
-	Omissive map[ProcID]int
+	// Procs holds every process's outcome, indexed by id−1. The slice is
+	// allocated per run at its exact size and owned by the result.
+	Procs []Outcome
 	// Counters holds the communication cost of the run.
 	Counters metrics.Counters
 	// Ledger records the fate of every transmitted message, per kind, backing
@@ -87,43 +97,103 @@ type Result struct {
 	SimTime float64
 }
 
+// Decision returns the value process id decided, and whether it decided.
+func (r *Result) Decision(id ProcID) (Value, bool) {
+	o := r.Procs[id-1]
+	return o.Value, o.DecideRound != 0
+}
+
+// Decisions yields every process that decided, with its value, in id order.
+func (r *Result) Decisions() iter.Seq2[ProcID, Value] {
+	return func(yield func(ProcID, Value) bool) {
+		for i, o := range r.Procs {
+			if o.DecideRound != 0 && !yield(ProcID(i+1), o.Value) {
+				return
+			}
+		}
+	}
+}
+
 // Faults returns the number of crashes that occurred in the run (the paper's
 // f).
-func (r *Result) Faults() int { return len(r.Crashed) }
+func (r *Result) Faults() int {
+	f := 0
+	for _, o := range r.Procs {
+		if o.CrashRound != 0 {
+			f++
+		}
+	}
+	return f
+}
 
 // OmissionFaulty returns the number of processes that committed at least one
 // omission fault.
-func (r *Result) OmissionFaulty() int { return len(r.Omissive) }
+func (r *Result) OmissionFaulty() int {
+	k := 0
+	for _, o := range r.Procs {
+		if o.OmissiveRounds != 0 {
+			k++
+		}
+	}
+	return k
+}
 
 // MaxDecideRound returns the latest round at which some process decided, or 0
 // if nobody decided.
 func (r *Result) MaxDecideRound() Round {
-	var max Round
-	for _, rd := range r.DecideRound {
-		if rd > max {
-			max = rd
-		}
+	var m Round
+	for _, o := range r.Procs {
+		m = max(m, o.DecideRound)
 	}
-	return max
+	return m
 }
 
 // DistinctDecisions returns the sorted set of distinct decided values. The
-// returned slice is its only allocation (no intermediate set, no sort
-// closure): the values are collected, sorted, and deduplicated in place.
+// returned slice is its only allocation: the values are collected, sorted,
+// and deduplicated in place.
 func (r *Result) DistinctDecisions() []Value {
-	out := make([]Value, 0, len(r.Decisions))
-	for _, v := range r.Decisions {
-		out = append(out, v)
-	}
-	slices.Sort(out)
-	w := 0
-	for i, v := range out {
-		if i == 0 || v != out[w-1] {
-			out[w] = v
-			w++
+	out := make([]Value, 0, len(r.Procs))
+	for _, o := range r.Procs {
+		if o.DecideRound != 0 {
+			out = append(out, o.Value)
 		}
 	}
-	return out[:w]
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// DecisionsString renders the decided processes exactly as fmt renders a
+// map[ProcID]Value ("map[1:100 3:100]"), the form violation texts and the
+// CLIs print.
+func (r *Result) DecisionsString() string {
+	return r.mapString(func(o Outcome) (int64, bool) { return int64(o.Value), o.DecideRound != 0 })
+}
+
+// DecideRoundsString renders the decision rounds as fmt renders a
+// map[ProcID]Round.
+func (r *Result) DecideRoundsString() string {
+	return r.mapString(func(o Outcome) (int64, bool) { return int64(o.DecideRound), o.DecideRound != 0 })
+}
+
+// CrashedString renders the crash rounds as fmt renders a map[ProcID]Round.
+func (r *Result) CrashedString() string {
+	return r.mapString(func(o Outcome) (int64, bool) { return int64(o.CrashRound), o.CrashRound != 0 })
+}
+
+// mapString renders the selected per-process field in fmt's map format:
+// ascending keys, "key:value" pairs separated by spaces.
+func (r *Result) mapString(field func(Outcome) (int64, bool)) string {
+	var b strings.Builder
+	b.WriteString("map[")
+	sep := ""
+	for i, o := range r.Procs {
+		if v, ok := field(o); ok {
+			fmt.Fprintf(&b, "%s%d:%d", sep, i+1, v)
+			sep = " "
+		}
+	}
+	b.WriteString("]")
+	return b.String()
 }
 
 // Engine executes a set of processes under an adversary in lockstep rounds.
@@ -143,18 +213,12 @@ type Engine struct {
 
 	alive      []bool
 	halted     []bool
-	decided    []bool
-	decVal     []Value
-	decRnd     []Round
-	crashRnd   []Round  // 0 = never crashed (rounds are 1-based)
-	crashedNow []bool   // scratch: crashed during the current round
-	omitCnt    []int    // omissive rounds per process
-	recvOmit   [][]bool // scratch: receive-omission mask of the current round
+	out        []Outcome // per-process outcome so far; Run hands out a copy
+	crashedNow []bool    // scratch: crashed during the current round
+	recvOmit   [][]bool  // scratch: receive-omission mask of the current round
 	inbox      [][]Message
 
 	aliveUnhalted int // alive processes that have not halted; allQuiet is ==0
-	nDecided      int
-	nCrashed      int
 	ctr           metrics.Counters
 	led           metrics.Ledger
 
@@ -206,10 +270,7 @@ func (e *Engine) Reset(procs []Process, adv Adversary) error {
 	if cap(e.alive) < n {
 		e.alive = make([]bool, n)
 		e.halted = make([]bool, n)
-		e.decided = make([]bool, n)
-		e.decVal = make([]Value, n)
-		e.decRnd = make([]Round, n)
-		e.crashRnd = make([]Round, n)
+		e.out = make([]Outcome, n)
 		e.crashedNow = make([]bool, n)
 		e.inbox = make([][]Message, n)
 		// Seed every inbox from one flat backing array: a fresh engine pays
@@ -222,43 +283,29 @@ func (e *Engine) Reset(procs []Process, adv Adversary) error {
 	} else {
 		e.alive = e.alive[:n]
 		e.halted = e.halted[:n]
-		e.decided = e.decided[:n]
-		e.decVal = e.decVal[:n]
-		e.decRnd = e.decRnd[:n]
-		e.crashRnd = e.crashRnd[:n]
+		e.out = e.out[:n]
 		e.crashedNow = e.crashedNow[:n]
 		e.inbox = e.inbox[:n]
 	}
-	// The omission scratch exists only for omission-capable adversaries, so
-	// the crash-model hot path (and its allocation count) is untouched by
-	// the omission fault model.
+	// The receive-omission scratch exists only for omission-capable
+	// adversaries, so the crash-model hot path (and its allocation count) is
+	// untouched by the omission fault model.
 	if e.omit == nil {
-		e.omitCnt = e.omitCnt[:0]
 		e.recvOmit = e.recvOmit[:0]
-	} else if cap(e.omitCnt) < n {
-		e.omitCnt = make([]int, n)
+	} else if cap(e.recvOmit) < n {
 		e.recvOmit = make([][]bool, n)
 	} else {
-		e.omitCnt = e.omitCnt[:n]
 		e.recvOmit = e.recvOmit[:n]
 	}
 	for i := 0; i < n; i++ {
 		e.alive[i] = true
 		e.halted[i] = false
-		e.decided[i] = false
-		e.decVal[i] = 0
-		e.decRnd[i] = 0
-		e.crashRnd[i] = 0
+		e.out[i] = Outcome{}
 		e.crashedNow[i] = false
 		e.inbox[i] = e.inbox[i][:0]
 	}
-	for i := range e.omitCnt {
-		e.omitCnt[i] = 0
-		e.recvOmit[i] = nil
-	}
+	clear(e.recvOmit)
 	e.aliveUnhalted = n
-	e.nDecided = 0
-	e.nCrashed = 0
 	e.ctr = metrics.Counters{}
 	e.led = metrics.Ledger{}
 	e.telCtr = metrics.Counters{}
@@ -299,28 +346,10 @@ func (e *Engine) Run() (*Result, error) {
 		}
 	}
 	res := &Result{
-		Rounds:      r,
-		Decisions:   make(map[ProcID]Value, e.nDecided),
-		DecideRound: make(map[ProcID]Round, e.nDecided),
-		Crashed:     make(map[ProcID]Round, e.nCrashed),
-		Counters:    e.ctr,
-		Ledger:      e.led,
-	}
-	for i := range e.procs {
-		id := ProcID(i + 1)
-		if e.decided[i] {
-			res.Decisions[id] = e.decVal[i]
-			res.DecideRound[id] = e.decRnd[i]
-		}
-		if e.crashRnd[i] != 0 {
-			res.Crashed[id] = e.crashRnd[i]
-		}
-		if i < len(e.omitCnt) && e.omitCnt[i] != 0 {
-			if res.Omissive == nil {
-				res.Omissive = make(map[ProcID]int)
-			}
-			res.Omissive[id] = e.omitCnt[i]
-		}
+		Rounds:   r,
+		Procs:    slices.Clone(e.out),
+		Counters: e.ctr,
+		Ledger:   e.led,
 	}
 	res.Counters.Rounds = int(r)
 	if recording && runErr == nil {
@@ -388,10 +417,9 @@ func (e *Engine) round(r Round) error {
 				return fmt.Errorf("%w (process p%d, round %d)", ErrBadOutcome, id, r)
 			}
 			e.alive[i] = false
-			e.crashRnd[i] = r
+			e.out[i].CrashRound = r
 			e.crashedNow[i] = true
 			e.aliveUnhalted--
-			e.nCrashed++
 			if e.cfg.Trace.Enabled() {
 				e.cfg.Trace.Add(trace.Event{Round: int(r), Kind: trace.KindCrash, From: int(id),
 					Detail: fmt.Sprintf("during send (data %s, ctrl prefix %d/%d)",
@@ -405,7 +433,7 @@ func (e *Engine) round(r Round) error {
 				if !om.ValidFor(plan) {
 					return fmt.Errorf("%w (process p%d, round %d)", ErrBadOmission, id, r)
 				}
-				e.omitCnt[i]++
+				e.out[i].OmissiveRounds++
 				e.recvOmit[i] = om.Recv
 				if e.cfg.Trace.Enabled() {
 					e.cfg.Trace.Add(trace.Event{Round: int(r), Kind: trace.KindNote, From: int(id),
@@ -445,20 +473,15 @@ func (e *Engine) round(r Round) error {
 		}
 		SortInbox(in)
 		p.Receive(r, in)
-		if v, ok := p.Decided(); ok {
-			if !e.decided[i] {
-				e.decided[i] = true
-				e.decVal[i] = v
-				e.decRnd[i] = r
-				e.nDecided++
-				if e.cfg.Trace.Enabled() {
-					e.cfg.Trace.Add(trace.Event{Round: int(r), Kind: trace.KindDecide,
-						From: int(id), Detail: fmt.Sprintf("value %d", int64(v))})
-				}
+		if v, ok := p.Decided(); ok && e.out[i].DecideRound == 0 {
+			e.out[i].Value, e.out[i].DecideRound = v, r
+			if e.cfg.Trace.Enabled() {
+				e.cfg.Trace.Add(trace.Event{Round: int(r), Kind: trace.KindDecide,
+					From: int(id), Detail: fmt.Sprintf("value %d", int64(v))})
 			}
 		}
 		if p.Halted() {
-			if !e.decided[i] {
+			if e.out[i].DecideRound == 0 {
 				return fmt.Errorf("%w (process p%d, round %d)", ErrHaltedWithoutDecision, id, r)
 			}
 			if !e.halted[i] {

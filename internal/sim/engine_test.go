@@ -2,6 +2,8 @@ package sim_test
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/adversary"
@@ -85,7 +87,7 @@ func TestEngineFailureFreeBroadcast(t *testing.T) {
 		t.Errorf("rounds = %d, want 1", res.Rounds)
 	}
 	for id := sim.ProcID(1); id <= 4; id++ {
-		if v, ok := res.Decisions[id]; !ok || v != 1 {
+		if v, ok := res.Decision(id); !ok || v != 1 {
 			t.Errorf("p%d decided %d,%t; want 1,true", id, int64(v), ok)
 		}
 	}
@@ -133,19 +135,19 @@ func TestEngineCrashSubsetSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if _, crashed := res.Crashed[1]; !crashed {
+	if res.Procs[0].CrashRound == 0 {
 		t.Fatal("p1 did not crash")
 	}
-	if _, decided := res.Decisions[1]; decided {
+	if _, decided := res.Decision(1); decided {
 		t.Error("crashed p1 decided")
 	}
-	if v := res.Decisions[3]; v != 1 {
+	if v, _ := res.Decision(3); v != 1 {
 		t.Errorf("p3 decided %d, want 1 (received p1's value)", int64(v))
 	}
-	if v := res.Decisions[2]; v != 2 {
+	if v, _ := res.Decision(2); v != 2 {
 		t.Errorf("p2 decided %d, want 2 (p1's message dropped)", int64(v))
 	}
-	if v := res.Decisions[4]; v != 2 {
+	if v, _ := res.Decision(4); v != 2 {
 		t.Errorf("p4 decided %d, want 2 (learned only p2, p3)", int64(v))
 	}
 	if res.Counters.DroppedData == 0 {
@@ -197,10 +199,10 @@ func TestEngineCrashedReceivesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if _, ok := res.Decisions[2]; ok {
+	if _, ok := res.Decision(2); ok {
 		t.Error("p2 decided despite crashing before its receive phase")
 	}
-	if v := res.Decisions[3]; v != 1 {
+	if v, _ := res.Decision(3); v != 1 {
 		t.Errorf("p3 decided %d, want 1", int64(v))
 	}
 }
@@ -271,12 +273,12 @@ func TestEngineDropsMessagesToCrashedProcesses(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if _, ok := res.Decisions[3]; ok {
+	if _, ok := res.Decision(3); ok {
 		t.Error("crashed p3 decided")
 	}
 	// p1 and p2 still learn p3's value 3? No: they learn values 1,2,3 and
 	// decide min = 1 at round 2.
-	if v := res.Decisions[1]; v != 1 {
+	if v, _ := res.Decision(1); v != 1 {
 		t.Errorf("p1 decided %d, want 1", int64(v))
 	}
 }
@@ -296,6 +298,40 @@ func TestResultHelpers(t *testing.T) {
 	}
 	if d := res.DistinctDecisions(); len(d) != 1 || d[0] != 1 {
 		t.Errorf("DistinctDecisions = %v, want [1]", d)
+	}
+}
+
+// TestResultMapStringsMatchFmt pins the map renderings to fmt's own output
+// for the equivalent maps: violation texts and CLI lines printed the maps of
+// the map-shaped result, and their bytes must not move.
+func TestResultMapStringsMatchFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		res := &sim.Result{Procs: make([]sim.Outcome, rng.Intn(12))}
+		dec := map[sim.ProcID]sim.Value{}
+		rnd := map[sim.ProcID]sim.Round{}
+		crash := map[sim.ProcID]sim.Round{}
+		for i := range res.Procs {
+			id := sim.ProcID(i + 1)
+			o := &res.Procs[i]
+			if rng.Intn(3) > 0 {
+				o.Value, o.DecideRound = sim.Value(rng.Intn(2000)-1000), sim.Round(1+rng.Intn(9))
+				dec[id], rnd[id] = o.Value, o.DecideRound
+			}
+			if rng.Intn(3) == 0 {
+				o.CrashRound = sim.Round(1 + rng.Intn(9))
+				crash[id] = o.CrashRound
+			}
+		}
+		for _, c := range []struct{ got, want string }{
+			{res.DecisionsString(), fmt.Sprint(dec)},
+			{res.DecideRoundsString(), fmt.Sprint(rnd)},
+			{res.CrashedString(), fmt.Sprint(crash)},
+		} {
+			if c.got != c.want {
+				t.Fatalf("trial %d: rendered %q, fmt renders %q", trial, c.got, c.want)
+			}
+		}
 	}
 }
 

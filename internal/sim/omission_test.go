@@ -27,7 +27,7 @@ func TestSendOmissionDropsWholePlan(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	// p1's value 1 never escaped: p2 and p3 decide min of {2,3}.
-	if v := res.Decisions[2]; v != 2 {
+	if v, _ := res.Decision(2); v != 2 {
 		t.Errorf("p2 decided %d, want 2", int64(v))
 	}
 	if res.Counters.OmittedData != 2 {
@@ -38,14 +38,14 @@ func TestSendOmissionDropsWholePlan(t *testing.T) {
 	}
 	// p1 itself is alive, decides its own value, and is reported omissive:
 	// omission breaks agreement even in this toy protocol, with zero crashes.
-	if v := res.Decisions[1]; v != 1 {
+	if v, _ := res.Decision(1); v != 1 {
 		t.Errorf("p1 decided %d, want 1", int64(v))
 	}
 	if res.Faults() != 0 {
 		t.Errorf("faults = %d, want 0", res.Faults())
 	}
-	if res.OmissionFaulty() != 1 || res.Omissive[1] != 1 {
-		t.Errorf("omissive = %v, want p1 with 1 omissive round", res.Omissive)
+	if res.OmissionFaulty() != 1 || res.Procs[0].OmissiveRounds != 1 {
+		t.Errorf("outcomes = %+v, want p1 with 1 omissive round", res.Procs)
 	}
 }
 
@@ -74,11 +74,11 @@ func TestSendOmissionBreaksCRWAgreementWithoutCrashes(t *testing.T) {
 	if got := res.DistinctDecisions(); len(got) != 2 {
 		t.Fatalf("distinct decisions = %v, want an agreement violation", got)
 	}
-	if res.Decisions[2] != 11 {
-		t.Errorf("p2 decided %d, want its stale proposal 11", int64(res.Decisions[2]))
+	if res.Procs[1].Value != 11 {
+		t.Errorf("p2 decided %d, want its stale proposal 11", int64(res.Procs[1].Value))
 	}
-	if res.Decisions[3] != 10 {
-		t.Errorf("p3 decided %d, want p1's 10", int64(res.Decisions[3]))
+	if res.Procs[2].Value != 10 {
+		t.Errorf("p3 decided %d, want p1's 10", int64(res.Procs[2].Value))
 	}
 	if res.Counters.OmittedData != 1 {
 		t.Errorf("omitted data = %d, want 1", res.Counters.OmittedData)
@@ -107,16 +107,16 @@ func TestRecvOmissionSuppressesSelectedSenders(t *testing.T) {
 	if res.Faults() != 0 {
 		t.Errorf("faults = %d, want 0", res.Faults())
 	}
-	if res.OmissionFaulty() != 1 || res.Omissive[2] != 1 {
-		t.Errorf("omissive = %v, want p2 with 1 omissive round", res.Omissive)
+	if res.OmissionFaulty() != 1 || res.Procs[1].OmissiveRounds != 1 {
+		t.Errorf("outcomes = %+v, want p2 with 1 omissive round", res.Procs)
 	}
 	// p1 and p3 saw a failure-free round 1 and decide p1's estimate; p2
 	// missed the coordinator entirely and must not have decided 10 in
 	// round 1 with them.
-	if res.Decisions[1] != 10 || res.Decisions[3] != 10 {
-		t.Errorf("p1/p3 decided %v, want both 10", res.Decisions)
+	if res.Procs[0].Value != 10 || res.Procs[2].Value != 10 {
+		t.Errorf("p1/p3 decided %s, want both 10", res.DecisionsString())
 	}
-	if r, ok := res.DecideRound[2]; ok && r == 1 {
+	if res.Procs[1].DecideRound == 1 {
 		t.Errorf("p2 decided in round 1 despite missing the coordinator")
 	}
 }
@@ -134,14 +134,14 @@ func TestNoOmissionsIsReliable(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(res.DistinctDecisions()) != 1 {
-		t.Fatalf("reliable run disagreed: %v", res.Decisions)
+		t.Fatalf("reliable run disagreed: %s", res.DecisionsString())
 	}
 	c := res.Counters
 	if c.OmittedData != 0 || c.OmittedCtrl != 0 || c.OmittedRecv != 0 || c.DroppedData != 0 || c.DroppedCtrl != 0 {
 		t.Errorf("reliable run lost messages: %s", c.String())
 	}
-	if res.Omissive != nil {
-		t.Errorf("omissive = %v, want nil", res.Omissive)
+	if k := res.OmissionFaulty(); k != 0 {
+		t.Errorf("%d omission-faulty processes, want 0", k)
 	}
 }
 

@@ -60,7 +60,7 @@ func TestSimulatedCRWFailureFree(t *testing.T) {
 	if got, want := simulate.MacroRound(res.MaxDecideRound(), n), sim.Round(1); got != want {
 		t.Errorf("macro decide round = %d, want %d (micro %d)", got, want, res.MaxDecideRound())
 	}
-	for id, v := range res.Decisions {
+	for id, v := range res.Decisions() {
 		if v != pr[0] {
 			t.Errorf("p%d decided %d, want %d", id, int64(v), int64(pr[0]))
 		}
@@ -94,16 +94,16 @@ func TestSimulationPreservesPrefixSemantics(t *testing.T) {
 	}
 	// Crash in micro round 3 means control positions 0 (micro 2) escaped but
 	// position 1 (micro 3) did not: only p4 has the commit in macro round 1.
-	if mr := simulate.MacroRound(res.DecideRound[4], n); mr != 1 {
+	if mr := simulate.MacroRound(res.Procs[3].DecideRound, n); mr != 1 {
 		t.Errorf("p4 decided in macro round %d, want 1", mr)
 	}
 	for _, id := range []sim.ProcID{2, 3} {
-		if mr := simulate.MacroRound(res.DecideRound[id], n); mr != 2 {
+		if mr := simulate.MacroRound(res.Procs[id-1].DecideRound, n); mr != 2 {
 			t.Errorf("p%d decided in macro round %d, want 2", id, mr)
 		}
 	}
 	// Everyone decides p1's locked value (the data step completed).
-	for id, v := range res.Decisions {
+	for id, v := range res.Decisions() {
 		if v != pr[0] {
 			t.Errorf("p%d decided %d, want %d", id, int64(v), int64(pr[0]))
 		}
@@ -192,9 +192,9 @@ func TestClassicProtocolRunsUnchangedUnderExtended(t *testing.T) {
 	if a.Rounds != b.Rounds {
 		t.Errorf("rounds differ: classic %d vs extended %d", a.Rounds, b.Rounds)
 	}
-	for id, v := range a.Decisions {
-		if b.Decisions[id] != v {
-			t.Errorf("p%d: decisions differ: %d vs %d", id, int64(v), int64(b.Decisions[id]))
+	for i, o := range a.Procs {
+		if b.Procs[i].Value != o.Value {
+			t.Errorf("p%d: decisions differ: %d vs %d", i+1, int64(o.Value), int64(b.Procs[i].Value))
 		}
 	}
 }

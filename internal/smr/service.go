@@ -568,11 +568,14 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 		res.LastCommit = commit
 		res.Counters.Merge(out.Counters)
 		res.Ledger.Merge(out.Ledger)
-		for id, c := range out.Omissive {
+		for i, o := range out.Procs {
+			if o.OmissiveRounds == 0 {
+				continue
+			}
 			if res.Omissive == nil {
 				res.Omissive = map[sim.ProcID]int{}
 			}
-			res.Omissive[perm[id-1]] += c
+			res.Omissive[perm[i]] += o.OmissiveRounds
 		}
 
 		for _, a := range batch {

@@ -229,7 +229,7 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return res, fmt.Errorf("smr: slot %d: %w", slot, err)
 		}
-		for id := range out.Decisions {
+		for id := range out.Decisions() {
 			res.Logs[perm[id-1]] = append(res.Logs[perm[id-1]], committed)
 		}
 		res.RoundsPerSlot = append(res.RoundsPerSlot, out.Rounds)
@@ -252,12 +252,12 @@ func Run(cfg Config) (*Result, error) {
 func agreedValue(out *sim.Result) (sim.Value, error) {
 	var committed sim.Value
 	first := true
-	for _, v := range out.Decisions {
+	for _, v := range out.Decisions() {
 		if first {
 			committed = v
 			first = false
 		} else if v != committed {
-			return 0, fmt.Errorf("divergent decisions %v", out.Decisions)
+			return 0, fmt.Errorf("divergent decisions %s", out.DecisionsString())
 		}
 	}
 	if first {

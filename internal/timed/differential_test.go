@@ -83,34 +83,13 @@ func diffResults(t *testing.T, label string, got, want *sim.Result) bool {
 		t.Logf("%s: rounds %d vs %d", label, got.Rounds, want.Rounds)
 		ok = false
 	}
-	if len(got.Decisions) != len(want.Decisions) {
-		t.Logf("%s: %d vs %d deciders", label, len(got.Decisions), len(want.Decisions))
-		ok = false
+	if len(got.Procs) != len(want.Procs) {
+		t.Logf("%s: %d vs %d processes", label, len(got.Procs), len(want.Procs))
+		return false
 	}
-	for id, v := range want.Decisions {
-		if got.Decisions[id] != v || got.DecideRound[id] != want.DecideRound[id] {
-			t.Logf("%s: p%d decided %d@r%d vs %d@r%d", label, id,
-				got.Decisions[id], got.DecideRound[id], v, want.DecideRound[id])
-			ok = false
-		}
-	}
-	if len(got.Crashed) != len(want.Crashed) {
-		t.Logf("%s: crash sets %v vs %v", label, got.Crashed, want.Crashed)
-		ok = false
-	}
-	for id, r := range want.Crashed {
-		if got.Crashed[id] != r {
-			t.Logf("%s: p%d crash round %d vs %d", label, id, got.Crashed[id], r)
-			ok = false
-		}
-	}
-	if len(got.Omissive) != len(want.Omissive) {
-		t.Logf("%s: omissive sets %v vs %v", label, got.Omissive, want.Omissive)
-		ok = false
-	}
-	for id, c := range want.Omissive {
-		if got.Omissive[id] != c {
-			t.Logf("%s: p%d omissive rounds %d vs %d", label, id, got.Omissive[id], c)
+	for i, o := range want.Procs {
+		if got.Procs[i] != o {
+			t.Logf("%s: p%d outcome %+v vs %+v", label, i+1, got.Procs[i], o)
 			ok = false
 		}
 	}

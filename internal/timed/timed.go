@@ -39,6 +39,7 @@ package timed
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/metrics"
@@ -82,17 +83,11 @@ type Engine struct {
 
 	alive    []bool
 	halted   []bool
-	decided  []bool
-	decVal   []sim.Value
-	decRnd   []sim.Round
-	crashRnd []sim.Round
-	omitCnt  []int
+	out      []sim.Outcome // per-process outcome so far; Run hands out a copy
 	recvOmit [][]bool
 	inbox    [][]sim.Message
 
 	aliveUnhalted int
-	nDecided      int
-	nCrashed      int
 	ctr           metrics.Counters
 	led           metrics.Ledger
 
@@ -193,12 +188,9 @@ func (e *Engine) init(cfg Config, procs []sim.Process, adv sim.Adversary) error 
 	if cfg.Model == sim.ModelExtended {
 		e.roundDur += e.delta
 	}
-	e.alive = resizeBools(e.alive, n)
-	e.halted = resizeBools(e.halted, n)
-	e.decided = resizeBools(e.decided, n)
-	e.decVal = resizeValues(e.decVal, n)
-	e.decRnd = resizeRounds(e.decRnd, n)
-	e.crashRnd = resizeRounds(e.crashRnd, n)
+	e.alive = resize(e.alive, n)
+	e.halted = resize(e.halted, n)
+	e.out = resize(e.out, n)
 	if cap(e.inbox) < n {
 		e.inbox = make([][]sim.Message, n)
 	} else {
@@ -208,26 +200,14 @@ func (e *Engine) init(cfg Config, procs []sim.Process, adv sim.Adversary) error 
 		}
 	}
 	if e.omit != nil {
-		if cap(e.omitCnt) < n {
-			e.omitCnt = make([]int, n)
-			e.recvOmit = make([][]bool, n)
-		} else {
-			e.omitCnt = e.omitCnt[:n]
-			e.recvOmit = e.recvOmit[:n]
-			for i := range e.omitCnt {
-				e.omitCnt[i] = 0
-				e.recvOmit[i] = nil
-			}
-		}
+		e.recvOmit = resize(e.recvOmit, n)
 	} else {
-		e.omitCnt = e.omitCnt[:0]
 		e.recvOmit = e.recvOmit[:0]
 	}
 	for i := range e.alive {
 		e.alive[i] = true
 	}
 	e.aliveUnhalted = n
-	e.nDecided, e.nCrashed = 0, 0
 	e.ctr = metrics.Counters{}
 	e.led = metrics.Ledger{}
 	e.freeDel = append(e.freeDel[:0], e.allDel...)
@@ -242,36 +222,13 @@ func (e *Engine) init(cfg Config, procs []sim.Process, adv sim.Adversary) error 
 	return nil
 }
 
-func resizeBools(s []bool, n int) []bool {
+// resize returns s resized to n zeroed elements, reusing capacity.
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
-}
-
-func resizeValues(s []sim.Value, n int) []sim.Value {
-	if cap(s) < n {
-		return make([]sim.Value, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeRounds(s []sim.Round, n int) []sim.Round {
-	if cap(s) < n {
-		return make([]sim.Round, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 
@@ -309,32 +266,14 @@ func (e *Engine) Run() (*sim.Result, error) {
 	}
 
 	res := &sim.Result{
-		Rounds:      e.rounds,
-		Decisions:   make(map[sim.ProcID]sim.Value, e.nDecided),
-		DecideRound: make(map[sim.ProcID]sim.Round, e.nDecided),
-		Crashed:     make(map[sim.ProcID]sim.Round, e.nCrashed),
-		Counters:    e.ctr,
-		Ledger:      e.led,
-		SimTime:     float64(e.ds.Now()),
+		Rounds:   e.rounds,
+		Procs:    slices.Clone(e.out),
+		Counters: e.ctr,
+		Ledger:   e.led,
+		SimTime:  float64(e.ds.Now()),
 	}
 	if err := e.ds.Audit(); err != nil {
 		res.ClockViolation = err.Error()
-	}
-	for i := range e.procs {
-		id := sim.ProcID(i + 1)
-		if e.decided[i] {
-			res.Decisions[id] = e.decVal[i]
-			res.DecideRound[id] = e.decRnd[i]
-		}
-		if e.crashRnd[i] != 0 {
-			res.Crashed[id] = e.crashRnd[i]
-		}
-		if i < len(e.omitCnt) && e.omitCnt[i] != 0 {
-			if res.Omissive == nil {
-				res.Omissive = make(map[sim.ProcID]int)
-			}
-			res.Omissive[id] = e.omitCnt[i]
-		}
 	}
 	res.Counters.Rounds = int(e.rounds)
 	if e.cfg.Telemetry.Enabled() && e.err == nil {
@@ -412,9 +351,8 @@ func (e *Engine) roundStart(r sim.Round) {
 				return
 			}
 			e.alive[i] = false
-			e.crashRnd[i] = r
+			e.out[i].CrashRound = r
 			e.aliveUnhalted--
-			e.nCrashed++
 			if e.cfg.Trace.Enabled() {
 				e.cfg.Trace.Add(trace.Event{Round: int(r), Kind: trace.KindCrash, From: int(id),
 					Detail: fmt.Sprintf("t=%g during send (data %s, ctrl prefix %d/%d)",
@@ -429,7 +367,7 @@ func (e *Engine) roundStart(r sim.Round) {
 					e.fail(fmt.Errorf("%w (process p%d, round %d)", sim.ErrBadOmission, id, r))
 					return
 				}
-				e.omitCnt[i]++
+				e.out[i].OmissiveRounds++
 				e.recvOmit[i] = om.Recv
 				e.emitOmitted(id, r, plan, om)
 				continue
@@ -599,18 +537,15 @@ func (e *Engine) receive(p sim.Process, r sim.Round) {
 	}
 	sim.SortInbox(in)
 	p.Receive(r, in)
-	if v, ok := p.Decided(); ok && !e.decided[i] {
-		e.decided[i] = true
-		e.decVal[i] = v
-		e.decRnd[i] = r
-		e.nDecided++
+	if v, ok := p.Decided(); ok && e.out[i].DecideRound == 0 {
+		e.out[i].Value, e.out[i].DecideRound = v, r
 		if e.cfg.Trace.Enabled() {
 			e.cfg.Trace.Add(trace.Event{Round: int(r), Kind: trace.KindDecide,
 				From: int(id), Detail: fmt.Sprintf("value %d t=%g", int64(v), float64(e.ds.Now()))})
 		}
 	}
 	if p.Halted() {
-		if !e.decided[i] {
+		if e.out[i].DecideRound == 0 {
 			e.fail(fmt.Errorf("%w (process p%d, round %d)", sim.ErrHaltedWithoutDecision, id, r))
 			return
 		}

@@ -16,6 +16,11 @@ go vet ./...
 echo "== go test ./..."
 go test -timeout 300s ./...
 
+# Shuffled and repeated: a test that leans on the order of its neighbours, or
+# on state a previous run left behind, fails here instead of by accident.
+echo "== go test -shuffle=on -count=2 (result, check, engine, protocol, service, fuzz and agree packages)"
+go test -shuffle=on -count=2 -timeout 300s ./internal/sim/ ./internal/check/ ./internal/laws/ ./internal/timed/ ./internal/lockstep/ ./internal/consensus/... ./internal/smr/ ./internal/fuzz/ ./agree/
+
 echo "== go test -race (parallel explorer + sweep/cross-check + fuzz-campaign + omission + timed differential + pooled-DES differential + law-audit + telemetry + plan-lifetime tests)"
 go test -race -timeout 300s -run 'ExploreParallel|Sweep|CrossCheck|Fuzz|Omission|Timed|Law|Planted|Conservation|Audit|Determinism|Pooled|Handle|Telemetry|Chrome|PlanLifetime' ./internal/check/ ./agree/ ./internal/lockstep/ ./internal/harness/ ./internal/fuzz/ ./internal/sim/ ./internal/timed/ ./internal/des/ ./internal/laws/ ./internal/smr/ ./internal/telemetry/
 
@@ -30,5 +35,13 @@ go run ./cmd/agreesim -run all -engines deterministic
 # committed baselines in benchmarks/results/ stay untouched.
 echo "== agreeperf smoke"
 bash benchmarks/run.sh -smoke -out .bench_build/smoke-results
+
+# Nothing verify started, and no tool or test binary, may outlive it.
+echo "== leftover processes"
+if left=$(ps -eo comm= | grep -E '^(agreeperf|agree(run|sim|fuzz|serve|bench|xplore)|go|compile|link|vet)$|\.tes'); then
+	echo "verify: processes left running:"
+	echo "$left"
+	exit 1
+fi
 
 echo "verify: OK"
