@@ -227,6 +227,37 @@ func TestFuzzReportIsDeepEqualAcrossRuns(t *testing.T) {
 	}
 }
 
+// TestFuzzAllocsPerExec pins the per-execution allocations of the campaigns
+// agreeperf's fuzz_campaign runs: a faithful batch and a commit-as-data batch
+// that shrinks its findings. A pooled generator re-seeded per seed, a replayer
+// reading the script in place and an agreement violation rendered only when
+// read keep it near a dozen.
+func TestFuzzAllocsPerExec(t *testing.T) {
+	campaigns := []agree.FuzzConfig{
+		{N: 16, T: 5, CrashProb: 0.25, Laws: true, Seeds: 200, Workers: 1},
+		{N: 8, CommitAsData: true, Shrink: true, Laws: true, Seeds: 200, Workers: 1},
+	}
+	execs := 0
+	for _, cfg := range campaigns {
+		rep, err := agree.Fuzz(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		execs += rep.Executions
+	}
+	perExec := testing.AllocsPerRun(5, func() {
+		for _, cfg := range campaigns {
+			if _, err := agree.Fuzz(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}) / float64(execs)
+	const maxPerExec = 15 // measured 13.9; 27.4 with a fresh generator per seed, map replayers and eager texts
+	if perExec > maxPerExec {
+		t.Errorf("fuzz campaigns allocate %.2f allocs/exec over %d executions, want <= %d", perExec, execs, maxPerExec)
+	}
+}
+
 // TestFuzzFindsAscendingOrderBoundViolations pins the ablation oracle: the
 // ascending-commit-order mutation must surface round-bound findings only.
 func TestFuzzFindsAscendingOrderBoundViolations(t *testing.T) {

@@ -34,8 +34,8 @@ var (
 // Consensus validates the uniform consensus specification against a finished
 // run: every decided value is a proposal; no two processes (correct or
 // faulty) decided differently; every process that did not crash decided. A
-// violation names the lowest offending process id; a clean run allocates
-// nothing.
+// violation names the lowest offending process id. Neither a clean run nor
+// an agreement violation allocates: the latter is rendered when read.
 func Consensus(proposals []sim.Value, res *sim.Result) error {
 	for i, o := range res.Procs {
 		if o.DecideRound != 0 && !slices.Contains(proposals, o.Value) {
@@ -48,7 +48,7 @@ func Consensus(proposals []sim.Value, res *sim.Result) error {
 			continue
 		}
 		if decided && o.Value != first {
-			return fmt.Errorf("%w: decisions %v by %s", ErrAgreement, res.DistinctDecisions(), res.DecisionsString())
+			return agreementError{res}
 		}
 		first, decided = o.Value, true
 	}
@@ -59,6 +59,18 @@ func Consensus(proposals []sim.Value, res *sim.Result) error {
 	}
 	return nil
 }
+
+// agreementError is a uniform-agreement violation, rendered only when read:
+// a shrinker replays thousands of violating runs and reads one verdict. It
+// holds the run's result, which is safe because engines hand out fresh
+// results that nobody mutates afterwards (harness.Engine.Run).
+type agreementError struct{ res *sim.Result }
+
+func (e agreementError) Error() string {
+	return fmt.Sprintf("%v: decisions %v by %s", ErrAgreement, e.res.DistinctDecisions(), e.res.DecisionsString())
+}
+
+func (e agreementError) Unwrap() error { return ErrAgreement }
 
 // RoundBound validates that no process decided after bound(f), where f is
 // the number of crashes that occurred in the run. A violation names the

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/harness"
 	"repro/internal/sim"
@@ -188,9 +189,38 @@ func (rec *recorder) nonEmptySubset(k int) []bool {
 	return drop
 }
 
-// script returns the recorded schedule in canonical order.
+// recorders recycles generators across seeds and campaign workers: building
+// a math/rand source costs ~5 KB, and Rand.Seed rewrites the whole source
+// state and the read position, so a re-seeded recorder draws exactly the
+// stream rand.New(rand.NewSource(seed)) would.
+var recorders = sync.Pool{New: func() any {
+	return &recorder{rng: rand.New(rand.NewSource(0))}
+}}
+
+// newRecorder takes a pooled recorder, reset for one seed.
+func newRecorder(seed int64, gen Gen, n int) *recorder {
+	rec := recorders.Get().(*recorder)
+	rec.reset(seed, gen, n)
+	return rec
+}
+
+// reset re-seeds the generator and forgets the previous walk, keeping the
+// event and omissive-set storage.
+func (rec *recorder) reset(seed int64, gen Gen, n int) {
+	rec.rng.Seed(seed)
+	rec.gen, rec.n, rec.crashes = gen, n, 0
+	rec.events = rec.events[:0]
+	clear(rec.omissive)
+}
+
+// script returns the recorded schedule in canonical order, as an exact-size
+// copy the recorder no longer references (nil when nothing was recorded).
 func (rec *recorder) script() Script {
-	s := Script{Events: rec.events}
+	if len(rec.events) == 0 {
+		return Script{}
+	}
+	s := Script{Events: make([]Event, len(rec.events))}
+	copy(s.Events, rec.events)
 	s.normalize()
 	return s
 }
@@ -265,7 +295,7 @@ var ErrReplayDiverged = errors.New("fuzz: recorded script did not reproduce the 
 func RunSeed(eng harness.Engine, factory Factory, oracle Oracle, seed int64, opts Options) (Outcome, error) {
 	out := Outcome{Seed: seed}
 	tgt := factory()
-	rec := &recorder{rng: rand.New(rand.NewSource(seed)), gen: opts.Gen, n: len(tgt.Procs)}
+	rec := newRecorder(seed, opts.Gen, len(tgt.Procs))
 	var adv sim.Adversary = rec
 	if opts.Gen.omitting() {
 		// Only omission-injecting generators present an Omitter to the
@@ -275,11 +305,15 @@ func RunSeed(eng harness.Engine, factory Factory, oracle Oracle, seed int64, opt
 	res, runErr := eng.Run(harness.Job{
 		Model: tgt.Model, Horizon: tgt.Horizon, Procs: tgt.Procs, Adv: adv, Latency: tgt.Latency,
 	})
+	// Replay and shrinking run on the script alone: the generator goes back
+	// to the pool as soon as the walk is recorded.
+	script := rec.script()
+	recorders.Put(rec)
 	if res == nil {
 		return out, fmt.Errorf("fuzz: seed %d: %w", seed, runErr)
 	}
 	out.Executions++
-	out.Script = rec.script()
+	out.Script = script
 	out.Rounds = res.Rounds
 	out.MaxDecideRound = res.MaxDecideRound()
 	out.Faults = res.Faults()

@@ -17,8 +17,9 @@
 package fuzz
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -194,17 +195,11 @@ func (s Script) Clone() Script {
 	return out
 }
 
-// normalize sorts events into canonical (round, process, kind) order.
+// normalize sorts events into canonical (round, process, kind) order. A
+// valid script holds at most one event per key, so the order is unique.
 func (s *Script) normalize() {
-	sort.Slice(s.Events, func(i, j int) bool {
-		a, b := s.Events[i], s.Events[j]
-		if a.Round != b.Round {
-			return a.Round < b.Round
-		}
-		if a.Proc != b.Proc {
-			return a.Proc < b.Proc
-		}
-		return a.Kind < b.Kind
+	slices.SortFunc(s.Events, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.Round, b.Round), cmp.Compare(a.Proc, b.Proc), cmp.Compare(a.Kind, b.Kind))
 	})
 }
 
@@ -386,43 +381,60 @@ func parseMask(text string) ([]bool, error) {
 // data; omission masks are matched positionally with missing positions
 // DELIVERED, so a mutated omission can only shrink toward the fault-free
 // schedule.
+//
+// Lookups scan the script's events from the end, so when a script carries
+// two events for one key (only an unvalidated one can) the last one wins.
 type replayer struct {
-	crashByProc map[int]Event
-	sendOmit    map[[2]int]Event // keyed (proc, round)
-	recvOmit    map[[2]int]Event
+	events []Event
 }
+
+// isOmission reports whether an event kind is an omission; every other kind
+// replays as a crash.
+func isOmission(k EventKind) bool { return k == EventSendOmit || k == EventRecvOmit }
 
 // Adversary returns a replaying sim.Adversary for the script. Crash-only
 // scripts get a non-Omitter adversary, so their replay rides the engines'
 // crash-model path (no omission scratch, no per-(process, round) Omits
 // consults) exactly like the pre-omission code; scripts with omission
 // events get the omitting variant.
+//
+// The adversary reads the script's events in place rather than copying
+// them, so the script must not be mutated while a run consults it.
 func (s Script) Adversary() sim.Adversary {
-	r := &replayer{
-		crashByProc: map[int]Event{},
-		sendOmit:    map[[2]int]Event{},
-		recvOmit:    map[[2]int]Event{},
-	}
+	r := &replayer{events: s.Events}
 	for _, e := range s.Events {
-		switch e.Kind {
-		case EventSendOmit:
-			r.sendOmit[[2]int{e.Proc, e.Round}] = e
-		case EventRecvOmit:
-			r.recvOmit[[2]int{e.Proc, e.Round}] = e
-		default:
-			r.crashByProc[e.Proc] = e
+		if isOmission(e.Kind) {
+			return omittingReplayer{r}
 		}
 	}
-	if len(r.sendOmit) == 0 && len(r.recvOmit) == 0 {
-		return r
+	return r
+}
+
+// crashOf returns p's crash event, nil when the script does not crash p.
+func (r *replayer) crashOf(p int) *Event {
+	for i := len(r.events) - 1; i >= 0; i-- {
+		if e := &r.events[i]; e.Proc == p && !isOmission(e.Kind) {
+			return e
+		}
 	}
-	return omittingReplayer{r}
+	return nil
+}
+
+// omissionOf returns p's omission event of the given kind in round rd, nil
+// when there is none.
+func (r *replayer) omissionOf(kind EventKind, p, rd int) *Event {
+	for i := len(r.events) - 1; i >= 0; i-- {
+		if e := &r.events[i]; e.Kind == kind && e.Proc == p && e.Round == rd {
+			return e
+		}
+	}
+	return nil
 }
 
 // Crashes implements sim.Adversary.
 func (r *replayer) Crashes(p sim.ProcID, rd sim.Round, plan sim.SendPlan) (bool, sim.CrashOutcome) {
-	e, ok := r.crashByProc[int(p)]
-	if !ok || e.Round != int(rd) {
+	e := r.crashOf(int(p))
+	if e == nil || e.Round != int(rd) {
 		return false, sim.CrashOutcome{}
 	}
 	mask := make([]bool, len(plan.Data))
@@ -451,11 +463,11 @@ type omittingReplayer struct{ *replayer }
 // Omits implements sim.Omitter.
 func (r omittingReplayer) Omits(p sim.ProcID, rd sim.Round, plan sim.SendPlan) sim.Omission {
 	var om sim.Omission
-	if e, ok := r.sendOmit[[2]int{int(p), int(rd)}]; ok {
+	if e := r.omissionOf(EventSendOmit, int(p), int(rd)); e != nil {
 		om.Data = sim.DeliveredMask(e.Data, len(plan.Data))
 		om.Ctrl = sim.DeliveredMask(e.CtrlMask, len(plan.Control))
 	}
-	if e, ok := r.recvOmit[[2]int{int(p), int(rd)}]; ok {
+	if e := r.omissionOf(EventRecvOmit, int(p), int(rd)); e != nil {
 		om.Recv = append([]bool(nil), e.From...)
 	}
 	return om

@@ -24,6 +24,10 @@ go test -shuffle=on -count=2 -timeout 300s ./internal/sim/ ./internal/check/ ./i
 echo "== go test -race (parallel explorer + sweep/cross-check + fuzz-campaign + omission + timed differential + pooled-DES differential + law-audit + telemetry + plan-lifetime tests)"
 go test -race -timeout 300s -run 'ExploreParallel|Sweep|CrossCheck|Fuzz|Omission|Timed|Law|Planted|Conservation|Audit|Determinism|Pooled|Handle|Telemetry|Chrome|PlanLifetime' ./internal/check/ ./agree/ ./internal/lockstep/ ./internal/harness/ ./internal/fuzz/ ./internal/sim/ ./internal/timed/ ./internal/des/ ./internal/laws/ ./internal/smr/ ./internal/telemetry/
 
+# The fuzz generator is pooled and crosses campaign worker goroutines.
+echo "== go test -race -count=5 (recycled fuzz generator + slice replayer differentials)"
+go test -race -count=5 -timeout 300s -run 'RecycledRecorder|ReplayerMatches' ./internal/fuzz/
+
 echo "== go test -race -count=10 (lockstep runtime reuse across sizes + Close lifetime)"
 go test -race -count=10 -timeout 300s -run 'RuntimeReuse|RuntimeClose' ./internal/lockstep/
 
