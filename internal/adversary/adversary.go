@@ -20,6 +20,8 @@ package adversary
 
 import (
 	"math/rand"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -73,15 +75,24 @@ func (s *Script) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (bool, si
 }
 
 // outcome materializes the plan's truncation against a concrete send plan.
+// The delivery mask is shared, never copied, whenever it can be: all-or-
+// nothing delivery is a view of an immutable table, and a DataMask that
+// covers the plan is handed out as a capped view of itself. Only a DataMask
+// shorter than the plan is padded into a fresh mask. Engines treat
+// DataDelivered as read-only (the sim.CrashOutcome contract).
 func (cp CrashPlan) outcome(plan sim.SendPlan) sim.CrashOutcome {
-	mask := make([]bool, len(plan.Data))
+	k := len(plan.Data)
+	var mask []bool
 	switch {
+	case cp.DataMask != nil && len(cp.DataMask) >= k:
+		mask = cp.DataMask[:k:k]
 	case cp.DataMask != nil:
+		mask = make([]bool, k)
 		copy(mask, cp.DataMask)
 	case cp.DeliverAllData:
-		for i := range mask {
-			mask[i] = true
-		}
+		mask = constMask(&trueMasks, true, k)
+	default:
+		mask = constMask(&falseMasks, false, k)
 	}
 	prefix := cp.CtrlPrefix
 	if prefix == CtrlAll || prefix > len(plan.Control) {
@@ -91,6 +102,31 @@ func (cp CrashPlan) outcome(plan sim.SendPlan) sim.CrashOutcome {
 		prefix = 0
 	}
 	return sim.CrashOutcome{DataDelivered: mask, CtrlPrefix: prefix}
+}
+
+// trueMasks and falseMasks are grow-only tables of constant delivery masks. A
+// published table is never written again, so crash outcomes on any
+// goroutine share views of it.
+var trueMasks, falseMasks atomic.Pointer[[]bool]
+
+// constMask returns a capped view of k entries of the constant table tab,
+// growing the table (publishing a new one by compare-and-swap) when it is
+// shorter than k.
+func constMask(tab *atomic.Pointer[[]bool], v bool, k int) []bool {
+	for {
+		cur := tab.Load()
+		if cur != nil && len(*cur) >= k {
+			return (*cur)[:k:k]
+		}
+		m := max(k, 64)
+		if cur != nil {
+			m = max(m, 2*len(*cur))
+		}
+		next := slices.Repeat([]bool{v}, m)
+		if tab.CompareAndSwap(cur, &next) {
+			return next[:k:k]
+		}
+	}
 }
 
 // CoordinatorKiller crashes the coordinator p_r of round r, for every

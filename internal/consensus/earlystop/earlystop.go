@@ -51,30 +51,37 @@ type Protocol struct {
 	halted   bool
 
 	data []sim.Outgoing // empty, capacity n-1: the plan backing array every Send refills
+	sent sim.Payload    // the last boxed EstMsg, re-sent while (est, early) is unchanged
 }
 
 // New returns process p_id out of n tolerating t crashes, proposing v with
 // bit width b (<=0 defaults to 64).
 func New(id sim.ProcID, n, t int, proposal sim.Value, b int) *Protocol {
-	p := newProtocol(id, n, t, proposal, b)
+	p := newProtocol(id, n, t, proposal, b, make([]sim.Outgoing, 0, n-1))
 	return &p
 }
 
-func newProtocol(id sim.ProcID, n, t int, proposal sim.Value, b int) Protocol {
+// newProtocol builds one process whose plan backing array is data (empty,
+// capacity n-1).
+func newProtocol(id sim.ProcID, n, t int, proposal sim.Value, b int, data []sim.Outgoing) Protocol {
 	if b <= 0 {
 		b = 64
 	}
-	return Protocol{id: id, n: n, t: t, b: b, est: proposal}
+	return Protocol{id: id, n: n, t: t, b: b, est: proposal, data: data}
 }
 
 // NewSystem builds the n processes of one instance; proposals[i] belongs to
-// p_{i+1}. The processes live in one slab: a system costs one allocation,
-// not one per process.
+// p_{i+1}. The processes live in one slab and their plan backing arrays in
+// another of n(n-1) messages: a system costs a constant number of
+// allocations, not one per process.
 func NewSystem(proposals []sim.Value, t, b int) []sim.Process {
-	slab := make([]Protocol, len(proposals))
-	procs := make([]sim.Process, len(proposals))
+	n := len(proposals)
+	slab := make([]Protocol, n)
+	data := make([]sim.Outgoing, n*(n-1))
+	procs := make([]sim.Process, n)
 	for i, v := range proposals {
-		slab[i] = newProtocol(sim.ProcID(i+1), len(proposals), t, v, b)
+		d := data[(n-1)*i : (n-1)*i : (n-1)*(i+1)]
+		slab[i] = newProtocol(sim.ProcID(i+1), n, t, v, b, d)
 		procs[i] = &slab[i]
 	}
 	return procs
@@ -91,11 +98,12 @@ func (p *Protocol) Send(r sim.Round) sim.SendPlan {
 	if r > p.MaxRounds() {
 		return sim.SendPlan{}
 	}
-	// Boxed once: every message of the plan shares the immutable payload.
-	var payload sim.Payload = EstMsg{Est: p.est, Early: p.early, B: p.b}
-	if p.data == nil {
-		p.data = make([]sim.Outgoing, 0, p.n-1)
+	// Boxed once: every message of the plan shares the immutable payload, and
+	// later plans share it too while the estimate and the flag are unchanged.
+	if m, ok := p.sent.(EstMsg); !ok || m.Est != p.est || m.Early != p.early {
+		p.sent = EstMsg{Est: p.est, Early: p.early, B: p.b}
 	}
+	payload := p.sent
 	data := p.data // empty, full capacity: the appends below never reallocate
 	for j := 1; j <= p.n; j++ {
 		if sim.ProcID(j) == p.id {

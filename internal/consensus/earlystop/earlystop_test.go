@@ -167,11 +167,13 @@ func TestEstMsgPayload(t *testing.T) {
 }
 
 // TestSendAllocsIndependentOfN pins the allocation-lean send path: a first
-// Send costs one boxed payload shared by all n-1 messages plus the plan's
-// backing array, and every later Send of the process only the box.
+// Send costs one boxed payload shared by all n-1 messages (the plan's
+// backing array comes with the process); a later Send re-sends the previous
+// box while the estimate and the flag are unchanged, and boxes one new
+// payload when they changed.
 func TestSendAllocsIndependentOfN(t *testing.T) {
 	const runs = 20
-	sendAllocs := func(n int) (first, later float64) {
+	sendAllocs := func(n int) (first, unchanged, changed float64) {
 		fresh := make([]*earlystop.Protocol, runs+1) // AllocsPerRun adds a warm-up call
 		for i := range fresh {
 			fresh[i] = earlystop.New(1, n, n/2, 7, 0)
@@ -183,15 +185,33 @@ func TestSendAllocsIndependentOfN(t *testing.T) {
 			}
 			i++
 		})
-		later = testing.AllocsPerRun(runs, func() { fresh[0].Send(2) })
-		return first, later
+		unchanged = testing.AllocsPerRun(runs, func() { fresh[0].Send(2) })
+		// A lower estimate from p2 changes est and leaves the flag unset (p1
+		// heard from 2 processes, and n-2 crashes are not fewer than r=1), so
+		// round 2's Send must box a new payload.
+		inbox := []sim.Message{{From: 2, To: 1, Round: 1, Kind: sim.Data, Payload: earlystop.EstMsg{Est: 3, B: 64}}}
+		for _, p := range fresh {
+			p.Receive(1, inbox)
+		}
+		i = 0
+		changed = testing.AllocsPerRun(runs, func() {
+			plan := fresh[i].Send(2)
+			if m := plan.Data[0].Payload.(earlystop.EstMsg); m.Est != 3 || m.Early {
+				t.Fatalf("n=%d: round 2 sends %+v, want est 3 without the flag", n, m)
+			}
+			i++
+		})
+		return first, unchanged, changed
 	}
-	first8, later8 := sendAllocs(8)
-	first64, later64 := sendAllocs(64)
-	if first8 != first64 || first64 > 3 {
-		t.Errorf("first Send allocates %.0f at n=8 and %.0f at n=64, want equal and <= 3", first8, first64)
+	first8, unchanged8, changed8 := sendAllocs(8)
+	first64, unchanged64, changed64 := sendAllocs(64)
+	if first8 != 1 || first64 != 1 {
+		t.Errorf("first Send allocates %.0f at n=8 and %.0f at n=64, want 1 (the boxed payload)", first8, first64)
 	}
-	if later8 != 1 || later64 != 1 {
-		t.Errorf("later Sends allocate %.0f at n=8 and %.0f at n=64, want 1 (the boxed payload)", later8, later64)
+	if unchanged8 != 0 || unchanged64 != 0 {
+		t.Errorf("unchanged later Sends allocate %.0f at n=8 and %.0f at n=64, want 0 (the previous box is re-sent)", unchanged8, unchanged64)
+	}
+	if changed8 != 1 || changed64 != 1 {
+		t.Errorf("Sends after an estimate change allocate %.0f at n=8 and %.0f at n=64, want 1 (the new box)", changed8, changed64)
 	}
 }

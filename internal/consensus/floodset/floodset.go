@@ -43,7 +43,11 @@ type Protocol struct {
 	b  int
 
 	known []sim.Value // every value learned so far, sorted ascending
-	fresh []sim.Value // values learned in the previous round, to flood next
+	// fresh holds the values learned in the previous round, to flood next. It
+	// is a window over an append-only log: Send sorts the window in place and
+	// sends it, Receive starts the next window past it, so a window is never
+	// rewritten once delivered messages alias it.
+	fresh []sim.Value
 
 	decided  bool
 	decision sim.Value
@@ -55,15 +59,16 @@ type Protocol struct {
 // New returns the process p_id out of n tolerating t crashes, proposing v
 // with bit width b (<=0 defaults to 64).
 func New(id sim.ProcID, n, t int, proposal sim.Value, b int) *Protocol {
-	p := newProtocol(id, n, t, proposal, b, make([]sim.Value, 2*n))
+	p := newProtocol(id, n, t, proposal, b, make([]sim.Value, 2*n), make([]sim.Outgoing, 0, n-1))
 	return &p
 }
 
-// newProtocol builds one process whose known set and fresh list are carved
+// newProtocol builds one process whose known set and fresh log are carved
 // out of vals, 2n values: an instance floods at most n distinct proposals,
 // so neither list outgrows its half and Receive never allocates. A list that
 // does (values injected from outside the instance) reallocates privately.
-func newProtocol(id sim.ProcID, n, t int, proposal sim.Value, b int, vals []sim.Value) Protocol {
+// data is the plan backing array (empty, capacity n-1).
+func newProtocol(id sim.ProcID, n, t int, proposal sim.Value, b int, vals []sim.Value, data []sim.Outgoing) Protocol {
 	if b <= 0 {
 		b = 64
 	}
@@ -75,19 +80,22 @@ func newProtocol(id sim.ProcID, n, t int, proposal sim.Value, b int, vals []sim.
 		b:     b,
 		known: vals[0:1:n],
 		fresh: vals[n : n+1 : 2*n],
+		data:  data,
 	}
 }
 
 // NewSystem builds the n processes of one instance; proposals[i] belongs to
-// p_{i+1}. The processes live in one slab and their value lists in another
-// of 2n² values.
+// p_{i+1}. The processes live in one slab, their value lists in another of
+// 2n² values and their plan backing arrays in a third of n(n-1) messages.
 func NewSystem(proposals []sim.Value, t, b int) []sim.Process {
 	n := len(proposals)
 	slab := make([]Protocol, n)
 	vals := make([]sim.Value, 2*n*n)
+	data := make([]sim.Outgoing, n*(n-1))
 	procs := make([]sim.Process, n)
 	for i, v := range proposals {
-		slab[i] = newProtocol(sim.ProcID(i+1), n, t, v, b, vals[2*n*i:2*n*(i+1)])
+		d := data[(n-1)*i : (n-1)*i : (n-1)*(i+1)]
+		slab[i] = newProtocol(sim.ProcID(i+1), n, t, v, b, vals[2*n*i:2*n*(i+1)], d)
 		procs[i] = &slab[i]
 	}
 	return procs
@@ -105,14 +113,10 @@ func (p *Protocol) Send(r sim.Round) sim.SendPlan {
 	if r > p.Rounds() || len(p.fresh) == 0 {
 		return sim.SendPlan{}
 	}
-	// The sorted copy is fresh per Send because delivered messages alias it;
-	// it is boxed once and shared by every message of the plan.
-	vals := slices.Clone(p.fresh)
-	slices.Sort(vals)
-	var payload sim.Payload = ValueSet{Values: vals, B: p.b}
-	if p.data == nil {
-		p.data = make([]sim.Outgoing, 0, p.n-1)
-	}
+	// The window is sorted in place and sent as is: Receive never rewrites
+	// it. The set is boxed once and shared by every message of the plan.
+	slices.Sort(p.fresh)
+	var payload sim.Payload = ValueSet{Values: slices.Clip(p.fresh), B: p.b}
 	data := p.data // empty, full capacity: the appends below never reallocate
 	for j := 1; j <= p.n; j++ {
 		if sim.ProcID(j) == p.id {
@@ -126,7 +130,7 @@ func (p *Protocol) Send(r sim.Round) sim.SendPlan {
 // Receive accumulates flooded values; at the end of round t+1 it decides the
 // minimum of its set.
 func (p *Protocol) Receive(r sim.Round, inbox []sim.Message) {
-	p.fresh = p.fresh[:0]
+	p.fresh = p.fresh[len(p.fresh):] // the next window starts past the sent one
 	for _, m := range inbox {
 		set, ok := m.Payload.(ValueSet)
 		if !ok {

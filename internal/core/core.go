@@ -35,6 +35,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -90,31 +92,50 @@ func (commitTag) String() string { return "commit" }
 // sim.Process for the deterministic engine and is also reused by the
 // goroutine runtime.
 type Protocol struct {
-	id   sim.ProcID
-	n    int
-	opts Options
+	id  sim.ProcID
+	sys *system
 
 	est      sim.Value
-	decided  bool
 	decision sim.Value
+	decided  bool
 	halted   bool
 	violated bool
 }
 
+// system is the state the n processes of one consensus instance share. Only
+// the coordinator p_r sends in round r, so one plan buffer serves the whole
+// instance: the round's coordinator refills it on every Send, and a plan is
+// valid only during its round (the sim.Process.Send contract).
+type system struct {
+	n    int
+	opts Options
+	data []sim.Outgoing // empty; capacity n-1, or 2(n-1) under CommitAsData
+}
+
+func newSystem(n int, opts Options) *system {
+	dataCap := n - 1
+	if opts.CommitAsData {
+		dataCap *= 2 // the commit messages ride in the data step too
+	}
+	return &system{n: n, opts: opts, data: make([]sim.Outgoing, 0, max(dataCap, 0))}
+}
+
 // New returns the process p_id out of n with the given proposal.
 func New(id sim.ProcID, n int, proposal sim.Value, opts Options) *Protocol {
-	return &Protocol{id: id, n: n, opts: opts, est: proposal}
+	return &Protocol{id: id, sys: newSystem(n, opts), est: proposal}
 }
 
 // NewSystem builds the n processes of one consensus instance, with
-// proposals[i] the proposal of p_{i+1}. The processes live in one slab: a
-// system costs one allocation, not one per process.
+// proposals[i] the proposal of p_{i+1}. The processes live in one slab and
+// share one system state, plan buffer included: a system costs a constant
+// number of allocations, not one per process.
 func NewSystem(proposals []sim.Value, opts Options) []sim.Process {
 	n := len(proposals)
+	sys := newSystem(n, opts)
 	slab := make([]Protocol, n)
 	procs := make([]sim.Process, n)
 	for i, v := range proposals {
-		slab[i] = Protocol{id: sim.ProcID(i + 1), n: n, opts: opts, est: v}
+		slab[i] = Protocol{id: sim.ProcID(i + 1), sys: sys, est: v}
 		procs[i] = &slab[i]
 	}
 	return procs
@@ -130,49 +151,81 @@ func (p *Protocol) Estimate() sim.Value { return p.est }
 // no execution of the faithful algorithm may set this.
 func (p *Protocol) Violated() bool { return p.violated }
 
-// Send implements the send phase of round r (lines 4–5).
+// Send implements the send phase of round r (lines 4–5). The coordinator
+// fills the system's plan buffer; the control sequence is a view of an
+// immutable table, so a Send allocates only the boxed estimate.
 func (p *Protocol) Send(r sim.Round) sim.SendPlan {
 	if sim.Round(p.id) != r {
 		return sim.SendPlan{} // only the coordinator of r sends
 	}
+	sys := p.sys
 	var plan sim.SendPlan
 	// Boxed once: every message of the plan shares the immutable payload.
-	var payload sim.Payload = sim.Est{V: p.est, B: p.opts.bits()}
-	dataCap := p.n - int(p.id)
-	if p.opts.CommitAsData {
-		dataCap *= 2 // the commit messages ride in the data step too
+	var payload sim.Payload = sim.Est{V: p.est, B: sys.opts.bits()}
+	data := sys.data[:0]
+	for j := int(p.id) + 1; j <= sys.n; j++ {
+		data = append(data, sim.Outgoing{To: sim.ProcID(j), Payload: payload})
 	}
-	plan.Data = make([]sim.Outgoing, 0, dataCap)
-	for j := int(p.id) + 1; j <= p.n; j++ {
-		plan.Data = append(plan.Data, sim.Outgoing{To: sim.ProcID(j), Payload: payload})
-	}
-	dests := p.commitDests()
-	if p.opts.CommitAsData {
+	dests := commitDests(p.id, sys.n, sys.opts.Order)
+	if sys.opts.CommitAsData {
 		for _, to := range dests {
-			plan.Data = append(plan.Data, sim.Outgoing{To: to, Payload: commitTag{}})
+			data = append(data, sim.Outgoing{To: to, Payload: commitTag{}})
 		}
 	} else {
 		plan.Control = dests
 	}
+	plan.Data = slices.Clip(data)
 	return plan
 }
 
-// commitDests returns the ordered control destination sequence of line 5.
-func (p *Protocol) commitDests() []sim.ProcID {
-	if int(p.id) >= p.n {
+// Control destination tables: descending holds [m, m-1, ..., 1] and
+// ascending [1, ..., m] for the largest m any system has asked for. A table
+// is never written after it is published, so every coordinator of every
+// system — on any goroutine — reads its control sequence as a subslice.
+var descending, ascending atomic.Pointer[[]sim.ProcID]
+
+// commitDests returns the ordered control destination sequence of line 5 for
+// coordinator p_id of an n-process system: p_n, ..., p_{id+1} in the
+// faithful order, p_{id+1}, ..., p_n under OrderAscending. The result is a
+// capped view of an immutable table; nil when p_id is the last process.
+func commitDests(id sim.ProcID, n int, order CommitOrder) []sim.ProcID {
+	i := int(id)
+	if i >= n {
 		return nil
 	}
-	dests := make([]sim.ProcID, 0, p.n-int(p.id))
-	if p.opts.Order == OrderAscending {
-		for j := int(p.id) + 1; j <= p.n; j++ {
-			dests = append(dests, sim.ProcID(j))
+	if order == OrderAscending {
+		return destTable(&ascending, n, false)[i:n:n]
+	}
+	tab := destTable(&descending, n, true)
+	m := len(tab)
+	return tab[m-n : m-i : m-i]
+}
+
+// destTable returns the published table of at least n ids, growing it if it
+// is shorter. Growth builds a new table and publishes it with a
+// compare-and-swap, so a concurrent reader sees either table, never a
+// partial one, and a larger table is never replaced by a smaller one.
+func destTable(tab *atomic.Pointer[[]sim.ProcID], n int, desc bool) []sim.ProcID {
+	for {
+		cur := tab.Load()
+		if cur != nil && len(*cur) >= n {
+			return *cur
 		}
-		return dests
+		m := max(n, 64)
+		if cur != nil {
+			m = max(m, 2*len(*cur))
+		}
+		next := make([]sim.ProcID, m)
+		for k := range next {
+			next[k] = sim.ProcID(k + 1)
+			if desc {
+				next[k] = sim.ProcID(m - k)
+			}
+		}
+		if tab.CompareAndSwap(cur, &next) {
+			return next
+		}
 	}
-	for j := p.n; j > int(p.id); j-- {
-		dests = append(dests, sim.ProcID(j))
-	}
-	return dests
 }
 
 // Receive implements the receive and computation phases of round r
@@ -229,7 +282,7 @@ func (p *Protocol) String() string {
 	if p.decided {
 		state = fmt.Sprintf("decided(%d)", int64(p.decision))
 	}
-	return fmt.Sprintf("crw p%d/%d est=%d %s", p.id, p.n, int64(p.est), state)
+	return fmt.Sprintf("crw p%d/%d est=%d %s", p.id, p.sys.n, int64(p.est), state)
 }
 
 // WorstCaseDataMessages returns the paper's Theorem 2 upper bound on the

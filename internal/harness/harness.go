@@ -7,8 +7,9 @@
 //
 // Every engine adapter is reusable: calling Run repeatedly on one Engine
 // value executes independent jobs, and adapters that can recycle internal
-// buffers between jobs (the deterministic engine, via sim.Engine.Reset) do
-// so transparently. That is what makes a sweep cheap: each worker of a pool
+// buffers between jobs (the deterministic engine, via
+// sim.Engine.ResetConfig) do so transparently. That is what makes a sweep
+// cheap: each worker of a pool
 // owns one Cache, so a thousand configurations pay for one engine.
 package harness
 

@@ -3,6 +3,8 @@ package harness_test
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/adversary"
@@ -49,6 +51,79 @@ func poisoned(procs []sim.Process) []sim.Process {
 	return out
 }
 
+// roundPoisoner enforces the round-scoped plan lifetime of sim.Process.Send
+// for a whole system: the processes of one system may share plan backing
+// arrays, so a plan is valid only during its round. Every process of the
+// system hands out private copies through one poisoner, and at the first
+// Send of round r+1 — whichever process makes it — every copy handed out in
+// rounds <= r is overwritten with poison. Whoever reads a plan past its
+// round reads garbage, even the plan of a process that never sends again
+// (a coordinator that decided and halted, or crashed). The mutex serializes
+// the lockstep runtime's concurrent Sends.
+type roundPoisoner struct {
+	mu    sync.Mutex
+	round sim.Round
+	live  []sim.SendPlan // copies handed out in round `round`
+}
+
+// enter poisons every live copy when r opens a new round.
+func (s *roundPoisoner) enter(r sim.Round) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r == s.round {
+		return
+	}
+	for _, plan := range s.live {
+		poison(plan)
+	}
+	s.live, s.round = s.live[:0], r
+}
+
+// hand returns a private copy of plan, registered for poisoning.
+func (s *roundPoisoner) hand(plan sim.SendPlan) sim.SendPlan {
+	cp := sim.SendPlan{
+		Data:    append([]sim.Outgoing(nil), plan.Data...),
+		Control: append([]sim.ProcID(nil), plan.Control...),
+	}
+	s.mu.Lock()
+	s.live = append(s.live, cp)
+	s.mu.Unlock()
+	return cp
+}
+
+func poison(plan sim.SendPlan) {
+	for i := range plan.Data {
+		plan.Data[i] = sim.Outgoing{To: -1}
+	}
+	for i := range plan.Control {
+		plan.Control[i] = -1
+	}
+}
+
+// roundPoisonedProc routes one process's plans through its system's
+// poisoner.
+type roundPoisonedProc struct {
+	sim.Process
+	sys *roundPoisoner
+}
+
+func (p *roundPoisonedProc) Send(r sim.Round) sim.SendPlan {
+	p.sys.enter(r)
+	return p.sys.hand(p.Process.Send(r))
+}
+
+// roundPoisoned wraps one system: all its processes share one poisoner.
+// Every call builds a new poisoner, so the two layers of crw-on-classic —
+// whose rounds count macro and micro rounds — each get their own.
+func roundPoisoned(procs []sim.Process) []sim.Process {
+	sys := &roundPoisoner{}
+	out := make([]sim.Process, len(procs))
+	for i, p := range procs {
+		out[i] = &roundPoisonedProc{Process: p, sys: sys}
+	}
+	return out
+}
+
 // wrapFn decorates a process set (identity or poisoned).
 type wrapFn func([]sim.Process) []sim.Process
 
@@ -87,13 +162,10 @@ func lifetimeSystems(n, t int) []lifetimeSystem {
 
 func identity(procs []sim.Process) []sim.Process { return procs }
 
-// TestPlanLifetimeContract runs every protocol on every engine twice — bare
-// and through the poisoner — under a crash script with partial deliveries
-// and under scripted omissions, and requires identical results: no engine,
-// adversary or wrapper reads a plan after its process's next Send.
-func TestPlanLifetimeContract(t *testing.T) {
-	const n, tol = 7, 3
-	advs := map[string]func() sim.Adversary{
+// lifetimeAdversaries are the fault schedules the contract tests run: a
+// crash script with partial deliveries and scripted omissions.
+func lifetimeAdversaries(n int) map[string]func() sim.Adversary {
+	return map[string]func() sim.Adversary{
 		"crash": func() sim.Adversary {
 			return adversary.NewScript(map[sim.ProcID]adversary.CrashPlan{
 				1: {Round: 1, DataMask: []bool{true, false, true, false, true, true}, CtrlPrefix: 0},
@@ -108,10 +180,17 @@ func TestPlanLifetimeContract(t *testing.T) {
 			})
 		},
 	}
+}
+
+// checkPoisonedMatchesBare runs every protocol on every engine under every
+// lifetime adversary twice — bare and through the poisoning wrapper — and
+// requires identical results.
+func checkPoisonedMatchesBare(t *testing.T, poison wrapFn) {
+	const n, tol = 7, 3
 	cache := harness.NewCache()
 	defer cache.Close()
 	for _, sys := range lifetimeSystems(n, tol) {
-		for advName, adv := range advs {
+		for advName, adv := range lifetimeAdversaries(n) {
 			for _, kind := range harness.Kinds() {
 				eng, err := cache.Get(kind)
 				if err != nil {
@@ -122,10 +201,138 @@ func TestPlanLifetimeContract(t *testing.T) {
 						Procs: sys.build(wrap), Adv: adv()})
 				}
 				want, wantErr := run(identity)
-				got, gotErr := run(poisoned)
+				got, gotErr := run(poison)
 				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
 					t.Errorf("%s/%s/%s: poisoned run differs:\n got %+v (%v)\nwant %+v (%v)",
 						sys.name, advName, kind, got, gotErr, want, wantErr)
+				}
+			}
+		}
+	}
+}
+
+// TestPlanLifetimeContract: no engine, adversary or wrapper reads a plan
+// after its process's next Send.
+func TestPlanLifetimeContract(t *testing.T) { checkPoisonedMatchesBare(t, poisoned) }
+
+// TestPlanLifetimeRoundScoped: no engine, adversary or wrapper reads a plan
+// after its round, which is what lets the processes of one system share a
+// plan buffer.
+func TestPlanLifetimeRoundScoped(t *testing.T) { checkPoisonedMatchesBare(t, roundPoisoned) }
+
+// staleReader is a planted breach of the round-scoped contract: it keeps the
+// last non-empty plan of the previous round and reads it again, crashing the
+// current sender whenever that stale plan names an impossible destination.
+type staleReader struct {
+	inner     sim.Adversary
+	round     sim.Round
+	cur, prev sim.SendPlan
+}
+
+func (a *staleReader) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (bool, sim.CrashOutcome) {
+	if r != a.round {
+		a.prev, a.cur, a.round = a.cur, sim.SendPlan{}, r
+	}
+	if len(plan.Data) > 0 {
+		a.cur = plan
+	}
+	if len(a.prev.Data) > 0 && a.prev.Data[0].To < 1 {
+		return true, sim.NoDelivery(plan)
+	}
+	return a.inner.Crashes(p, r, plan)
+}
+
+// TestPlanLifetimeRoundScopedCatchesStaleReader is the round-scoped
+// poisoner's self-check. p1 coordinates round 1 and crashes silently, so it
+// never sends again: the per-process poisoner never poisons its plan and
+// misses an adversary that reads it in round 2, while the round-scoped
+// poisoner poisons it at the first Send of round 2 and the run changes.
+func TestPlanLifetimeRoundScopedCatchesStaleReader(t *testing.T) {
+	const n = 7
+	props := make([]sim.Value, n)
+	for i := range props {
+		props[i] = sim.Value(100 + i)
+	}
+	eng, err := harness.New(harness.KindDeterministic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(wrap wrapFn) (*sim.Result, error) {
+		adv := &staleReader{inner: adversary.NewScript(map[sim.ProcID]adversary.CrashPlan{1: {Round: 1}})}
+		return eng.Run(harness.Job{Model: sim.ModelExtended, Horizon: n + 2,
+			Procs: wrap(core.NewSystem(props, core.Options{})), Adv: adv})
+	}
+	want, wantErr := run(identity)
+	if wantErr != nil || want.Faults() != 1 {
+		t.Fatalf("bare run: %d faults (%v), want 1", want.Faults(), wantErr)
+	}
+	if got, err := run(poisoned); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("per-process poisoner changed the run (%v); the self-check's premise is gone", err)
+	}
+	if got, err := run(roundPoisoned); err == nil && reflect.DeepEqual(got, want) {
+		t.Fatal("round-scoped poisoner missed an adversary reading round 1's plan in round 2")
+	}
+}
+
+// maskSnapshots wraps an adversary and snapshots the delivery mask of every
+// crash outcome it returns, to prove afterwards that no engine wrote into a
+// mask — the masks may be shared tables or the script's own slices.
+type maskSnapshots struct {
+	inner sim.Adversary
+	mu    sync.Mutex
+	masks [][2][]bool // the handed-out mask and its snapshot
+}
+
+func (a *maskSnapshots) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (bool, sim.CrashOutcome) {
+	crash, out := a.inner.Crashes(p, r, plan)
+	if crash {
+		a.mu.Lock()
+		a.masks = append(a.masks, [2][]bool{out.DataDelivered, slices.Clone(out.DataDelivered)})
+		a.mu.Unlock()
+	}
+	return crash, out
+}
+
+// TestOutcomeMasksReadOnly runs every protocol on every engine under scripts
+// that hit each mask path of adversary.CrashPlan — a full-length DataMask
+// (handed out as a view of itself), a short one (padded copy), all-data and
+// no-data delivery (views of the shared tables) — and the coordinator
+// killer, and requires every mask to equal its snapshot after the run.
+func TestOutcomeMasksReadOnly(t *testing.T) {
+	const n, tol = 7, 3
+	advs := []func() sim.Adversary{
+		func() sim.Adversary {
+			return adversary.NewScript(map[sim.ProcID]adversary.CrashPlan{
+				1: {Round: 1, DataMask: []bool{true, false, true, false, true, true, true, false}},
+				2: {Round: 2, DeliverAllData: true, CtrlPrefix: 2},
+				3: {Round: 3},
+				5: {Round: 3, DataMask: []bool{false, true}},
+			})
+		},
+		func() sim.Adversary { return adversary.CoordinatorKiller{F: tol, DeliverAllData: true} },
+	}
+	cache := harness.NewCache()
+	defer cache.Close()
+	for _, sys := range lifetimeSystems(n, tol) {
+		for i, adv := range advs {
+			for _, kind := range harness.Kinds() {
+				eng, err := cache.Get(kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				snap := &maskSnapshots{inner: adv()}
+				if _, err := eng.Run(harness.Job{Model: sys.model, Horizon: sys.horizon,
+					Procs: sys.build(identity), Adv: snap}); err != nil {
+					t.Fatalf("%s/%d/%s: %v", sys.name, i, kind, err)
+				}
+				if len(snap.masks) == 0 {
+					t.Fatalf("%s/%d/%s: no crash outcome was handed out", sys.name, i, kind)
+				}
+				for _, m := range snap.masks {
+					if !slices.Equal(m[0], m[1]) {
+						t.Errorf("%s/%d/%s: an engine wrote into a crash mask: %v, handed out as %v",
+							sys.name, i, kind, m[0], m[1])
+					}
 				}
 			}
 		}

@@ -4,21 +4,15 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/telemetry"
-	"repro/internal/trace"
 )
 
 // simEngine adapts the sequential deterministic engine (internal/sim) to the
-// harness interface. It keeps the last sim.Engine it built and rewinds it
-// with Reset whenever the next job shares the engine's configuration, which
-// is the zero-alloc reuse path a sweep worker rides: consecutive jobs of the
-// same shape cost no engine construction at all.
+// harness interface. The adapter keeps one sim.Engine and rearms it with
+// ResetConfig for every job after the first — the whole job (model, horizon,
+// trace, telemetry, processes, adversary) is replaced while the engine's
+// buffers are kept and only grow — so jobs of every shape share one engine.
 type simEngine struct {
-	eng     *sim.Engine
-	model   sim.Model
-	horizon sim.Round
-	tr      *trace.Log
-	tel     *telemetry.Recorder
+	eng *sim.Engine
 }
 
 func init() {
@@ -33,29 +27,20 @@ func (e *simEngine) Capabilities() Capabilities {
 	return Capabilities{Trace: true, Deterministic: true, Reusable: true}
 }
 
-// Run implements Engine. An untraced job whose model and horizon match the
-// previous one reuses the cached engine via Reset; anything else (including
-// every traced job, whose log is a fresh pointer) constructs a new engine.
-// The reuse predicate must cover every sim.Config field a Job can set.
-// (Fault behaviour — crashes and omissions alike — lives entirely in the
-// adversary, which Reset replaces, so it never constrains reuse.)
+// Run implements Engine.
 func (e *simEngine) Run(job Job) (*sim.Result, error) {
 	if job.Latency != nil {
 		return nil, fmt.Errorf("harness: engine %q has no timed capability", KindDeterministic)
 	}
-	if e.eng != nil && job.Model == e.model && job.Horizon == e.horizon &&
-		job.Trace == e.tr && job.Telemetry == e.tel {
-		if err := e.eng.Reset(job.Procs, job.Adv); err != nil {
-			return nil, err
-		}
-	} else {
-		eng, err := sim.NewEngine(
-			sim.Config{Model: job.Model, Horizon: job.Horizon, Trace: job.Trace, Telemetry: job.Telemetry},
-			job.Procs, job.Adv)
+	cfg := sim.Config{Model: job.Model, Horizon: job.Horizon, Trace: job.Trace, Telemetry: job.Telemetry}
+	if e.eng == nil {
+		eng, err := sim.NewEngine(cfg, job.Procs, job.Adv)
 		if err != nil {
 			return nil, err
 		}
-		e.eng, e.model, e.horizon, e.tr, e.tel = eng, job.Model, job.Horizon, job.Trace, job.Telemetry
+		e.eng = eng
+	} else if err := e.eng.ResetConfig(cfg, job.Procs, job.Adv); err != nil {
+		return nil, err
 	}
 	return audited(e.eng.Run())
 }

@@ -236,8 +236,8 @@ const inboxSeedCap = 4
 // NewEngine builds an engine over the given processes. Process IDs must be
 // the contiguous range 1..n in order.
 func NewEngine(cfg Config, procs []Process, adv Adversary) (*Engine, error) {
-	e := &Engine{cfg: cfg, defaultHorizon: cfg.Horizon <= 0}
-	if err := e.Reset(procs, adv); err != nil {
+	e := &Engine{}
+	if err := e.ResetConfig(cfg, procs, adv); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -245,10 +245,23 @@ func NewEngine(cfg Config, procs []Process, adv Adversary) (*Engine, error) {
 
 // Reset rewinds the engine to its initial state over a fresh process set and
 // adversary, reusing the internal buffers of the previous execution. The
-// configuration (model, horizon, trace, loss hook) is retained; if the
+// configuration (model, horizon, trace, telemetry) is retained; if the
 // original Horizon was the n+2 default it is re-derived for the new process
 // count. Reset validates its arguments exactly like NewEngine.
 func (e *Engine) Reset(procs []Process, adv Adversary) error {
+	cfg := e.cfg
+	if e.defaultHorizon {
+		cfg.Horizon = 0
+	}
+	return e.ResetConfig(cfg, procs, adv)
+}
+
+// ResetConfig rewinds the engine onto a new job — configuration, process set
+// and adversary — reusing the internal buffers of previous executions, which
+// grow only when the process count exceeds every earlier one. One engine
+// therefore serves jobs of every shape. Validation happens before any
+// mutation, so on error the engine still holds its previous job.
+func (e *Engine) ResetConfig(cfg Config, procs []Process, adv Adversary) error {
 	if len(procs) == 0 {
 		return errors.New("sim: no processes")
 	}
@@ -261,6 +274,7 @@ func (e *Engine) Reset(procs []Process, adv Adversary) error {
 		return errors.New("sim: nil adversary")
 	}
 	n := len(procs)
+	e.cfg, e.defaultHorizon = cfg, cfg.Horizon <= 0
 	if e.defaultHorizon {
 		e.cfg.Horizon = Round(n + 2)
 	}

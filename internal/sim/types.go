@@ -175,11 +175,13 @@ type Process interface {
 	ID() ProcID
 	// Send returns the process's send plan for round r. It must not mutate
 	// state in a way that depends on messages of round r (per the model, the
-	// send phase precedes the receive phase). The returned plan is only valid
-	// until the process's next Send: a process may recycle the backing arrays
-	// of Data and Control, so engines, adversaries and wrappers must not
-	// retain it. Payloads are immutable and may be shared by every message of
-	// the plan; delivered messages keep referring to them.
+	// send phase precedes the receive phase). The returned plan is valid only
+	// during round r: the processes of one system may share its backing
+	// arrays — a round's coordinator refilling one system-owned buffer — so
+	// any process's Send in a later round may overwrite them, and engines,
+	// adversaries and wrappers must not retain a plan past its round.
+	// Payloads are immutable and may be shared by every message of the plan;
+	// delivered messages keep referring to them.
 	Send(r Round) SendPlan
 	// Receive delivers the messages received in round r and runs the local
 	// computation phase. The inbox slice is only valid for the duration of
@@ -208,6 +210,10 @@ type Process interface {
 // The engine rejects outcomes violating this with ErrBadOutcome — allowing
 // them would let a process receive a COMMIT without the coordinator's DATA,
 // which provably breaks the algorithm (see the CommitAsData ablation, E10).
+//
+// DataDelivered is read-only to engines: an adversary may hand out a mask it
+// shares with other outcomes (an immutable all-true table, a scripted mask),
+// so nothing that receives an outcome may write into it.
 type CrashOutcome struct {
 	DataDelivered []bool
 	CtrlPrefix    int
@@ -303,7 +309,8 @@ type Adversary interface {
 	// truncation; the process receives nothing this round and is removed.
 	//
 	// Implementations must keep the total number of crashes within the
-	// resilience bound t they were configured with.
+	// resilience bound t they were configured with. The outcome's
+	// DataDelivered mask may be shared: engines read it and never write it.
 	Crashes(p ProcID, r Round, plan SendPlan) (crash bool, outcome CrashOutcome)
 }
 

@@ -18,8 +18,8 @@ go test -timeout 300s ./...
 
 # Shuffled and repeated: a test that leans on the order of its neighbours, or
 # on state a previous run left behind, fails here instead of by accident.
-echo "== go test -shuffle=on -count=2 (result, check, engine, protocol, service, fuzz and agree packages)"
-go test -shuffle=on -count=2 -timeout 300s ./internal/sim/ ./internal/check/ ./internal/laws/ ./internal/timed/ ./internal/lockstep/ ./internal/consensus/... ./internal/smr/ ./internal/fuzz/ ./agree/
+echo "== go test -shuffle=on -count=2 ./..."
+go test -shuffle=on -count=2 -timeout 300s ./...
 
 echo "== go test -race (parallel explorer + sweep/cross-check + fuzz-campaign + omission + timed differential + pooled-DES differential + law-audit + telemetry + plan-lifetime tests)"
 go test -race -timeout 300s -run 'ExploreParallel|Sweep|CrossCheck|Fuzz|Omission|Timed|Law|Planted|Conservation|Audit|Determinism|Pooled|Handle|Telemetry|Chrome|PlanLifetime' ./internal/check/ ./agree/ ./internal/lockstep/ ./internal/harness/ ./internal/fuzz/ ./internal/sim/ ./internal/timed/ ./internal/des/ ./internal/laws/ ./internal/smr/ ./internal/telemetry/
@@ -27,6 +27,11 @@ go test -race -timeout 300s -run 'ExploreParallel|Sweep|CrossCheck|Fuzz|Omission
 # The fuzz generator is pooled and crosses campaign worker goroutines.
 echo "== go test -race -count=5 (recycled fuzz generator + slice replayer differentials)"
 go test -race -count=5 -timeout 300s -run 'RecycledRecorder|ReplayerMatches' ./internal/fuzz/
+
+# The control and crash-mask tables are shared by every system, and one
+# system's plan buffer crosses the lockstep workers.
+echo "== go test -race -count=5 (round-scoped plan lifetime + shared control and crash-mask tables + sim engine reuse across shapes)"
+go test -race -count=5 -timeout 300s -run 'PlanLifetime|OutcomeMasks|SimAdapterReuses|ControlTables' ./internal/harness/ ./internal/adversary/ ./internal/core/
 
 echo "== go test -race -count=10 (lockstep runtime reuse across sizes + Close lifetime)"
 go test -race -count=10 -timeout 300s -run 'RuntimeReuse|RuntimeClose' ./internal/lockstep/
