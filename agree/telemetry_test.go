@@ -9,9 +9,9 @@ import (
 	"repro/agree"
 )
 
-// telemetryShapes are the E-series workload shapes the exact-allocs gate
-// tracks, one per engine: telemetry instrumentation rides every hot path
-// these exercise.
+// telemetryShapes are E-series workload shapes, one per engine: telemetry
+// instrumentation rides every hot path these exercise. TestRunAllocs pins
+// their allocation counts with telemetry off.
 func telemetryShapes() map[string]agree.Config {
 	return map[string]agree.Config{
 		"e1-failure-free": {N: 64},
@@ -20,47 +20,6 @@ func telemetryShapes() map[string]agree.Config {
 		"timed": {N: 32, Engine: agree.EngineTimed,
 			Latency: agree.JitterLatency(7, 1, 0.1, 0.1, 0.85),
 			Faults:  agree.CoordinatorCrashes(4)},
-	}
-}
-
-// TestTelemetryDisabledAllocFree guards the "nil recorder costs nothing"
-// promise at the workload level: with Config.Telemetry off (the default),
-// per-config allocations on the engine-reuse path must stay at the
-// pre-telemetry pins for every E-series shape the exact-allocs benchmark
-// gate tracks. The recorder-level proof (nil methods allocate zero) lives in
-// internal/telemetry; this is the end-to-end version, and the
-// bench_compare.sh allocs/op gate enforces the same bound release to
-// release.
-func TestTelemetryDisabledAllocFree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("alloc measurement loops are slow in -short mode")
-	}
-	// Pins are measured per-config allocations inside a reuse batch plus
-	// headroom; a telemetry hook that allocates on the disabled path would
-	// blow well past them (one append per round per series ≈ hundreds).
-	pins := map[string]float64{
-		"e1-failure-free": 380,
-		"deterministic":   320,
-		"lockstep":        900,
-		"timed":           2500,
-	}
-	for name, cfg := range telemetryShapes() {
-		t.Run(name, func(t *testing.T) {
-			const batch = 16
-			configs := make([]agree.Config, batch)
-			for i := range configs {
-				configs[i] = cfg
-			}
-			perConfig := testing.AllocsPerRun(5, func() {
-				sr := agree.Sweep(configs, agree.SweepOptions{Workers: 1})
-				if sr.Aggregate.Errored != 0 {
-					t.Fatal("sweep errored")
-				}
-			}) / batch
-			if perConfig > pins[name] {
-				t.Errorf("telemetry-disabled run allocates %.1f allocs/config, want <= %g", perConfig, pins[name])
-			}
-		})
 	}
 }
 

@@ -323,3 +323,27 @@ func TestExploreBudgetExhaustion(t *testing.T) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
 }
+
+// TestExploreE5Allocs pins the exact allocation count of the E5 exhaustive
+// exploration (n=4, t=2, 151 executions validated for consensus and the f+1
+// bound). Any increase fails; when a change lowers the count, ratchet the pin
+// down to the new figure in the same change.
+func TestExploreE5Allocs(t *testing.T) {
+	factory := crwFactory(4, 2, core.Options{})
+	validate := fullValidator(check.BoundFPlus1)
+	allocs := testing.AllocsPerRun(20, func() {
+		stats, err := check.Explore(factory, validate, check.ExploreOpts{Budget: 1_000_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Executions != 151 || len(stats.Counterexamples) != 0 {
+			t.Fatalf("%d executions, %d counterexamples; want 151, 0",
+				stats.Executions, len(stats.Counterexamples))
+		}
+	})
+	const pin = 1793
+	if allocs > pin {
+		t.Errorf("E5 exploration allocates %v allocs/run, pinned at %d; ratchet the pin down when the count falls",
+			allocs, pin)
+	}
+}

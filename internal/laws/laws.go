@@ -28,7 +28,8 @@
 //
 // All per-run checks are integer comparisons over fields the engines already
 // maintain: the passing path performs no allocation, so the audit rides the
-// zero-alloc hot paths gated by scripts/bench_compare.sh.
+// zero-alloc hot paths whose exact allocation counts the agree package's
+// TestRunAllocs pins.
 //
 // The audit applies to successfully finished runs only. A run that aborts
 // with an engine error (model violation, horizon exhaustion) is legitimately

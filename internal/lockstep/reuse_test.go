@@ -178,3 +178,34 @@ func TestResetAllocsAtSeenSize(t *testing.T) {
 		t.Errorf("Reset to a seen size allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestReusedRunAllocs pins the exact allocation count of the reuse path: a
+// runtime already sized for n=32 is rearmed with a fresh system and run
+// under four coordinator crashes, process construction included. Any
+// increase fails; when a change lowers the count, ratchet the pin down to the
+// new figure in the same change.
+func TestReusedRunAllocs(t *testing.T) {
+	cfg := lockstep.Config{Model: sim.ModelExtended}
+	vals := props(32)
+	rt, err := lockstep.New(cfg, core.NewSystem(vals, core.Options{}), adversary.CoordinatorKiller{F: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := rt.Reset(cfg, core.NewSystem(vals, core.Options{}), adversary.CoordinatorKiller{F: 4}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	const pin = 12
+	if allocs > pin {
+		t.Errorf("reused lockstep run allocates %v allocs/run, pinned at %d; ratchet the pin down when the count falls",
+			allocs, pin)
+	}
+}

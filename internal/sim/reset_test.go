@@ -101,3 +101,76 @@ func TestEngineResetValidation(t *testing.T) {
 		t.Fatalf("run after recovery: %v", err)
 	}
 }
+
+// benchProc is a minimal allocation-free process for measuring the engine's
+// own hot-path cost: p1 broadcasts a preallocated data plan in round 1 and
+// every process decides (and halts) in round 2.
+type benchProc struct {
+	id      sim.ProcID
+	plan    sim.SendPlan // preallocated; empty except for p1 in round 1
+	decided bool
+}
+
+func (p *benchProc) ID() sim.ProcID { return p.id }
+func (p *benchProc) Send(r sim.Round) sim.SendPlan {
+	if r == 1 {
+		return p.plan
+	}
+	return sim.SendPlan{}
+}
+func (p *benchProc) Receive(r sim.Round, inbox []sim.Message) {
+	if r == 2 {
+		p.decided = true
+	}
+}
+func (p *benchProc) Decided() (sim.Value, bool) { return 7, p.decided }
+func (p *benchProc) Halted() bool               { return p.decided }
+
+// TestEngineHappyPathAllocs pins the allocation count of the engine's
+// no-trace hot path: with the engine reset between runs (as the explorer
+// does) and processes that allocate nothing, a two-round broadcast run may
+// only allocate the Result and its per-process outcome slice. The seed
+// engine spent hundreds of allocations here on map bookkeeping, eager trace
+// strings and delivery masks.
+func TestEngineHappyPathAllocs(t *testing.T) {
+	const n = 8
+	procs := make([]sim.Process, n)
+	bps := make([]*benchProc, n)
+	for i := range procs {
+		bp := &benchProc{id: sim.ProcID(i + 1)}
+		if i == 0 {
+			for j := 2; j <= n; j++ {
+				bp.plan.Data = append(bp.plan.Data,
+					sim.Outgoing{To: sim.ProcID(j), Payload: sim.Est{V: 7, B: 64}})
+			}
+			bp.plan.Control = make([]sim.ProcID, 0, n-1)
+			for j := n; j >= 2; j-- {
+				bp.plan.Control = append(bp.plan.Control, sim.ProcID(j))
+			}
+		}
+		bps[i] = bp
+		procs[i] = bp
+	}
+	eng, err := sim.NewEngine(sim.Config{Model: sim.ModelExtended, Horizon: 4}, procs, adversary.None{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() {
+		for _, bp := range bps {
+			bp.decided = false
+		}
+		if err := eng.Reset(procs, adversary.None{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm up inbox buffers
+	allocs := testing.AllocsPerRun(200, run)
+	// Result struct + Procs slice: exact, nothing map-shaped is left to vary.
+	const maxAllocs = 2
+	if allocs > maxAllocs {
+		t.Errorf("engine happy path allocates %.1f allocs/run, want <= %d", allocs, maxAllocs)
+	}
+}

@@ -7,7 +7,7 @@
 // Running the log over the paper's extended-model algorithm commits a slot
 // per synchronous round in the common failure-free case; over the classic
 // early-stopping baseline every slot costs at least two rounds. The smrlog
-// example and BenchmarkSMR quantify the resulting throughput gap — the
+// example quantifies the resulting throughput gap — the
 // system-level payoff of the extended model's f+1 bound.
 package smr
 

@@ -19,7 +19,8 @@
 // A nil *Recorder is the disabled state: every method is nil-receiver safe
 // and takes only value parameters, so the disabled path performs no
 // allocation and no locking — engines call it unconditionally on their hot
-// paths, and the E-series exact-allocs gate proves the cost is zero.
+// paths, and the exact allocation pins of agree's TestRunAllocs prove the
+// cost is zero.
 package telemetry
 
 // SpanKind classifies a span.

@@ -5,6 +5,28 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Nothing verify started, and no tool or test binary, may outlive it. The
+# check runs from the EXIT trap, so it also runs when a step fails: it
+# prints any leftovers and makes the exit non-zero, and a failed step keeps
+# its own exit code.
+leftovers() {
+	local code=$?
+	echo "== leftover processes"
+	local left
+	if left=$(ps -eo comm= | grep -E '^(agreeperf|agree(run|sim|fuzz|serve|bench|xplore)|go|compile|link|vet)$|\.tes'); then
+		echo "verify: processes left running:"
+		echo "$left"
+		if [ "$code" -eq 0 ]; then
+			code=1
+		fi
+	fi
+	if [ "$code" -eq 0 ]; then
+		echo "verify: OK"
+	fi
+	exit "$code"
+}
+trap leftovers EXIT
+
 echo "== go build ./..."
 go build ./...
 
@@ -44,13 +66,3 @@ go run ./cmd/agreesim -run all -engines deterministic
 # committed baselines in benchmarks/results/ stay untouched.
 echo "== agreeperf smoke"
 bash benchmarks/run.sh -smoke -out .bench_build/smoke-results
-
-# Nothing verify started, and no tool or test binary, may outlive it.
-echo "== leftover processes"
-if left=$(ps -eo comm= | grep -E '^(agreeperf|agree(run|sim|fuzz|serve|bench|xplore)|go|compile|link|vet)$|\.tes'); then
-	echo "verify: processes left running:"
-	echo "$left"
-	exit 1
-fi
-
-echo "verify: OK"
