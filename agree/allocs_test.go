@@ -23,17 +23,17 @@ func TestRunAllocs(t *testing.T) {
 		cfg  agree.Config
 		pin  float64
 	}{
-		{"E1FailureFree", agree.Config{N: 64}, 27},
-		{"E1RoundsVsFaults", agree.Config{N: 32, Faults: agree.CoordinatorCrashes(8)}, 37},
+		{"E1FailureFree", agree.Config{N: 64}, 26},
+		{"E1RoundsVsFaults", agree.Config{N: 32, Faults: agree.CoordinatorCrashes(8)}, 28},
 		{"E4EarlyStop", agree.Config{N: 32, T: 31, Protocol: agree.ProtocolEarlyStop,
-			Faults: agree.CoordinatorCrashes(2)}, 211},
-		{"E4FloodSet", agree.Config{N: 32, T: 8, Protocol: agree.ProtocolFloodSet}, 185},
-		{"DeterministicEngine", agree.Config{N: 32, Faults: agree.CoordinatorCrashes(4)}, 33},
-		{"TimedEngine", timed, 117},
+			Faults: agree.CoordinatorCrashes(2)}, 119},
+		{"E4FloodSet", agree.Config{N: 32, T: 8, Protocol: agree.ProtocolFloodSet}, 121},
+		{"DeterministicEngine", agree.Config{N: 32, Faults: agree.CoordinatorCrashes(4)}, 28},
+		{"TimedEngine", timed, 112},
 		{"LockstepEngine", agree.Config{N: 32, Engine: agree.EngineLockstep,
-			Faults: agree.CoordinatorCrashes(4)}, 369},
-		{"E1FailureFreeTelemetry", agree.Config{N: 64, Telemetry: true}, 38},
-		{"TimedEngineTelemetry", timedTelemetry, 166},
+			Faults: agree.CoordinatorCrashes(4)}, 364},
+		{"E1FailureFreeTelemetry", agree.Config{N: 64, Telemetry: true}, 37},
+		{"TimedEngineTelemetry", timedTelemetry, 161},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

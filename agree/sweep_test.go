@@ -158,7 +158,7 @@ func TestSweepAllocsPerConfig(t *testing.T) {
 	// Absolute regression pin for the batched path (protocol construction
 	// plus report assembly; the engine itself is reused), with small headroom
 	// over the measured value.
-	const maxPerConfig = 25 // measured 23.3
+	const maxPerConfig = 21 // measured 19.3
 	if sweepAllocs > maxPerConfig {
 		t.Errorf("sweep allocates %.1f allocs/config, want <= %d", sweepAllocs, maxPerConfig)
 	}
@@ -182,7 +182,7 @@ func TestSweepAllocsPerConfigLockstep(t *testing.T) {
 			t.Fatal("sweep errored")
 		}
 	}) / float64(len(configs))
-	const maxPerConfig = 60 // measured 57.2
+	const maxPerConfig = 55 // measured 53.0
 	if perConfig > maxPerConfig {
 		t.Errorf("lockstep sweep allocates %.1f allocs/config, want <= %d", perConfig, maxPerConfig)
 	}
@@ -191,8 +191,8 @@ func TestSweepAllocsPerConfigLockstep(t *testing.T) {
 // TestSweepAllocsPerConfigFloodSet pins the classic FloodSet baseline in a
 // sweep: its known sets and fresh-value logs are carved from one slab per
 // instance and its plan arrays from another, and each round sends its fresh
-// window in place, so nine flooding rounds (n=16, t=8) stay near fifty
-// allocations per config.
+// window in place through the process's own payload slot, so nine flooding
+// rounds (n=16, t=8) stay under twenty allocations per config.
 func TestSweepAllocsPerConfigFloodSet(t *testing.T) {
 	cfg := agree.Config{N: 16, T: 8, Protocol: agree.ProtocolFloodSet}
 	const batch = 64
@@ -206,7 +206,7 @@ func TestSweepAllocsPerConfigFloodSet(t *testing.T) {
 			t.Fatal("floodset sweep errored or violated consensus")
 		}
 	}) / batch
-	const maxPerConfig = 52 // measured 49.8
+	const maxPerConfig = 20 // measured 17.8
 	if perConfig > maxPerConfig {
 		t.Errorf("floodset sweep allocates %.1f allocs/config, want <= %d", perConfig, maxPerConfig)
 	}

@@ -11,7 +11,7 @@ import (
 func plan(nd, nc int) sim.SendPlan {
 	var p sim.SendPlan
 	for i := 0; i < nd; i++ {
-		p.Data = append(p.Data, sim.Outgoing{To: sim.ProcID(i + 2), Payload: sim.Est{V: 1, B: 8}})
+		p.Data = append(p.Data, sim.Outgoing{To: sim.ProcID(i + 2), Payload: &sim.Est{V: 1, B: 8}})
 	}
 	for i := 0; i < nc; i++ {
 		p.Control = append(p.Control, sim.ProcID(nc-i+1))

@@ -9,8 +9,8 @@ import (
 
 var omitPlan = sim.SendPlan{
 	Data: []sim.Outgoing{
-		{To: 2, Payload: sim.Est{V: 1, B: 8}},
-		{To: 3, Payload: sim.Est{V: 1, B: 8}},
+		{To: 2, Payload: &sim.Est{V: 1, B: 8}},
+		{To: 3, Payload: &sim.Est{V: 1, B: 8}},
 	},
 	Control: []sim.ProcID{3, 2},
 }

@@ -37,7 +37,7 @@ func copyingOutcome(cp CrashPlan, plan sim.SendPlan) sim.CrashOutcome {
 func sendPlan(k, c int) sim.SendPlan {
 	var p sim.SendPlan
 	for i := 0; i < k; i++ {
-		p.Data = append(p.Data, sim.Outgoing{To: sim.ProcID(i + 2), Payload: sim.Est{V: 1, B: 8}})
+		p.Data = append(p.Data, sim.Outgoing{To: sim.ProcID(i + 2), Payload: &sim.Est{V: 1, B: 8}})
 	}
 	for i := 0; i < c; i++ {
 		p.Control = append(p.Control, sim.ProcID(c-i+1))

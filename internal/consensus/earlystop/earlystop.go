@@ -22,7 +22,8 @@ import (
 )
 
 // EstMsg is the payload: the sender's estimate and its early-decision flag.
-// It costs b+1 bits.
+// It costs b+1 bits. It is sent by pointer (*EstMsg implements sim.Payload):
+// each process rewrites its own slot every round.
 type EstMsg struct {
 	Est   sim.Value
 	Early bool
@@ -30,10 +31,10 @@ type EstMsg struct {
 }
 
 // Bits returns b+1: the estimate plus the flag bit.
-func (m EstMsg) Bits() int { return m.B + 1 }
+func (m *EstMsg) Bits() int { return m.B + 1 }
 
 // String renders the payload for traces.
-func (m EstMsg) String() string { return fmt.Sprintf("est(%d,early=%t)", int64(m.Est), m.Early) }
+func (m *EstMsg) String() string { return fmt.Sprintf("est(%d,early=%t)", int64(m.Est), m.Early) }
 
 // Protocol is one early-stopping process. It implements sim.Process and runs
 // under sim.ModelClassic.
@@ -41,17 +42,16 @@ type Protocol struct {
 	id sim.ProcID
 	n  int
 	t  int
-	b  int
 
 	est   sim.Value
 	early bool
 
 	decided  bool
-	decision sim.Value
 	halted   bool
+	decision sim.Value
 
 	data []sim.Outgoing // empty, capacity n-1: the plan backing array every Send refills
-	sent sim.Payload    // the last boxed EstMsg, re-sent while (est, early) is unchanged
+	msg  EstMsg         // the payload slot every Send rewrites; msg.B is the bit width b
 }
 
 // New returns process p_id out of n tolerating t crashes, proposing v with
@@ -67,7 +67,7 @@ func newProtocol(id sim.ProcID, n, t int, proposal sim.Value, b int, data []sim.
 	if b <= 0 {
 		b = 64
 	}
-	return Protocol{id: id, n: n, t: t, b: b, est: proposal, data: data}
+	return Protocol{id: id, n: n, t: t, est: proposal, data: data, msg: EstMsg{B: b}}
 }
 
 // NewSystem builds the n processes of one instance; proposals[i] belongs to
@@ -98,18 +98,13 @@ func (p *Protocol) Send(r sim.Round) sim.SendPlan {
 	if r > p.MaxRounds() {
 		return sim.SendPlan{}
 	}
-	// Boxed once: every message of the plan shares the immutable payload, and
-	// later plans share it too while the estimate and the flag are unchanged.
-	if m, ok := p.sent.(EstMsg); !ok || m.Est != p.est || m.Early != p.early {
-		p.sent = EstMsg{Est: p.est, Early: p.early, B: p.b}
-	}
-	payload := p.sent
+	p.msg.Est, p.msg.Early = p.est, p.early
 	data := p.data // empty, full capacity: the appends below never reallocate
 	for j := 1; j <= p.n; j++ {
 		if sim.ProcID(j) == p.id {
 			continue
 		}
-		data = append(data, sim.Outgoing{To: sim.ProcID(j), Payload: payload})
+		data = append(data, sim.Outgoing{To: sim.ProcID(j), Payload: &p.msg})
 	}
 	return sim.SendPlan{Data: data}
 }
@@ -129,7 +124,7 @@ func (p *Protocol) Receive(r sim.Round, inbox []sim.Message) {
 	heard := 1 // itself
 	sawEarly := false
 	for _, m := range inbox {
-		msg, ok := m.Payload.(EstMsg)
+		msg, ok := m.Payload.(*EstMsg)
 		if !ok {
 			continue
 		}

@@ -3,6 +3,7 @@ package earlystop_test
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/adversary"
 	"repro/internal/check"
@@ -157,7 +158,7 @@ func TestPropertyUniformAndBoundedUnderRandomFaults(t *testing.T) {
 }
 
 func TestEstMsgPayload(t *testing.T) {
-	m := earlystop.EstMsg{Est: 5, Early: true, B: 32}
+	m := &earlystop.EstMsg{Est: 5, Early: true, B: 32}
 	if m.Bits() != 33 {
 		t.Errorf("Bits = %d, want 33", m.Bits())
 	}
@@ -166,11 +167,10 @@ func TestEstMsgPayload(t *testing.T) {
 	}
 }
 
-// TestSendAllocsIndependentOfN pins the allocation-lean send path: a first
-// Send costs one boxed payload shared by all n-1 messages (the plan's
-// backing array comes with the process); a later Send re-sends the previous
-// box while the estimate and the flag are unchanged, and boxes one new
-// payload when they changed.
+// TestSendAllocsIndependentOfN pins the allocation-free send path: every
+// Send rewrites the payload slot and refills the plan's backing array that
+// come with the process, whether or not the estimate changed since the last
+// round.
 func TestSendAllocsIndependentOfN(t *testing.T) {
 	const runs = 20
 	sendAllocs := func(n int) (first, unchanged, changed float64) {
@@ -188,15 +188,15 @@ func TestSendAllocsIndependentOfN(t *testing.T) {
 		unchanged = testing.AllocsPerRun(runs, func() { fresh[0].Send(2) })
 		// A lower estimate from p2 changes est and leaves the flag unset (p1
 		// heard from 2 processes, and n-2 crashes are not fewer than r=1), so
-		// round 2's Send must box a new payload.
-		inbox := []sim.Message{{From: 2, To: 1, Round: 1, Kind: sim.Data, Payload: earlystop.EstMsg{Est: 3, B: 64}}}
+		// round 2's Send must carry the new estimate.
+		inbox := []sim.Message{{From: 2, To: 1, Round: 1, Kind: sim.Data, Payload: &earlystop.EstMsg{Est: 3, B: 64}}}
 		for _, p := range fresh {
 			p.Receive(1, inbox)
 		}
 		i = 0
 		changed = testing.AllocsPerRun(runs, func() {
 			plan := fresh[i].Send(2)
-			if m := plan.Data[0].Payload.(earlystop.EstMsg); m.Est != 3 || m.Early {
+			if m := plan.Data[0].Payload.(*earlystop.EstMsg); m.Est != 3 || m.Early || m.Bits() != 65 {
 				t.Fatalf("n=%d: round 2 sends %+v, want est 3 without the flag", n, m)
 			}
 			i++
@@ -205,13 +205,38 @@ func TestSendAllocsIndependentOfN(t *testing.T) {
 	}
 	first8, unchanged8, changed8 := sendAllocs(8)
 	first64, unchanged64, changed64 := sendAllocs(64)
-	if first8 != 1 || first64 != 1 {
-		t.Errorf("first Send allocates %.0f at n=8 and %.0f at n=64, want 1 (the boxed payload)", first8, first64)
+	if first8 != 0 || first64 != 0 {
+		t.Errorf("first Send allocates %.0f at n=8 and %.0f at n=64, want 0", first8, first64)
 	}
 	if unchanged8 != 0 || unchanged64 != 0 {
-		t.Errorf("unchanged later Sends allocate %.0f at n=8 and %.0f at n=64, want 0 (the previous box is re-sent)", unchanged8, unchanged64)
+		t.Errorf("unchanged later Sends allocate %.0f at n=8 and %.0f at n=64, want 0", unchanged8, unchanged64)
 	}
-	if changed8 != 1 || changed64 != 1 {
-		t.Errorf("Sends after an estimate change allocate %.0f at n=8 and %.0f at n=64, want 1 (the new box)", changed8, changed64)
+	if changed8 != 0 || changed64 != 0 {
+		t.Errorf("Sends after an estimate change allocate %.0f at n=8 and %.0f at n=64, want 0", changed8, changed64)
+	}
+}
+
+// TestProtocolSize keeps bytes per run from creeping: a process is its 72
+// bytes of state plus one EstMsg, the slot being the only per-process price
+// of a Send that allocates nothing.
+func TestProtocolSize(t *testing.T) {
+	size, slot := unsafe.Sizeof(earlystop.Protocol{}), unsafe.Sizeof(earlystop.EstMsg{})
+	if size > 72+slot {
+		t.Errorf("Protocol is %d bytes, want <= %d (72 of state plus the %d-byte payload slot)", size, 72+slot, slot)
+	}
+}
+
+// TestPayloadLifetimeReceiveCopiesOut: a payload is valid only during its
+// round (the sim.Process.Send contract), so a receiver copies out what it
+// keeps. Rewriting a delivered message afterwards, as its sender's next Send
+// rewrites its slot, must not reach p1's next round.
+func TestPayloadLifetimeReceiveCopiesOut(t *testing.T) {
+	p := earlystop.New(1, 3, 2, 7, 0)
+	msg := &earlystop.EstMsg{Est: 3, B: 64}
+	p.Receive(1, []sim.Message{{From: 2, To: 1, Round: 1, Kind: sim.Data, Payload: msg}})
+	msg.Est, msg.Early = 1, true
+	plan := p.Send(2)
+	if m := plan.Data[0].Payload.(*earlystop.EstMsg); m.Est != 3 || m.Early {
+		t.Fatalf("p1 sends %+v after the delivered payload was rewritten, want est 3 without the flag", *m)
 	}
 }

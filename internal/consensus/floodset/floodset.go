@@ -22,17 +22,19 @@ import (
 )
 
 // ValueSet is the payload: the set of newly learned values, sorted. Its cost
-// is b bits per value, following the bit accounting of the paper.
+// is b bits per value, following the bit accounting of the paper. It is sent
+// by pointer (*ValueSet implements sim.Payload): each process rewrites its
+// own slot every round.
 type ValueSet struct {
 	Values []sim.Value
 	B      int // bit width of one value
 }
 
 // Bits returns the payload size: one b-bit slot per value.
-func (s ValueSet) Bits() int { return len(s.Values) * s.B }
+func (s *ValueSet) Bits() int { return len(s.Values) * s.B }
 
 // String renders the set for traces.
-func (s ValueSet) String() string { return fmt.Sprintf("set%v", s.Values) }
+func (s *ValueSet) String() string { return fmt.Sprintf("set%v", s.Values) }
 
 // Protocol is one FloodSet process. It implements sim.Process and runs under
 // sim.ModelClassic (it never emits control messages).
@@ -40,7 +42,6 @@ type Protocol struct {
 	id sim.ProcID
 	n  int
 	t  int
-	b  int
 
 	known []sim.Value // every value learned so far, sorted ascending
 	// fresh holds the values learned in the previous round, to flood next. It
@@ -50,10 +51,11 @@ type Protocol struct {
 	fresh []sim.Value
 
 	decided  bool
-	decision sim.Value
 	halted   bool
+	decision sim.Value
 
 	data []sim.Outgoing // empty, capacity n-1: the plan backing array every Send refills
+	set  ValueSet       // the payload slot every Send rewrites; set.B is the bit width b
 }
 
 // New returns the process p_id out of n tolerating t crashes, proposing v
@@ -77,10 +79,10 @@ func newProtocol(id sim.ProcID, n, t int, proposal sim.Value, b int, vals []sim.
 		id:    id,
 		n:     n,
 		t:     t,
-		b:     b,
 		known: vals[0:1:n],
 		fresh: vals[n : n+1 : 2*n],
 		data:  data,
+		set:   ValueSet{B: b},
 	}
 }
 
@@ -114,15 +116,15 @@ func (p *Protocol) Send(r sim.Round) sim.SendPlan {
 		return sim.SendPlan{}
 	}
 	// The window is sorted in place and sent as is: Receive never rewrites
-	// it. The set is boxed once and shared by every message of the plan.
+	// it, only starts the next window past it.
 	slices.Sort(p.fresh)
-	var payload sim.Payload = ValueSet{Values: slices.Clip(p.fresh), B: p.b}
+	p.set.Values = slices.Clip(p.fresh)
 	data := p.data // empty, full capacity: the appends below never reallocate
 	for j := 1; j <= p.n; j++ {
 		if sim.ProcID(j) == p.id {
 			continue
 		}
-		data = append(data, sim.Outgoing{To: sim.ProcID(j), Payload: payload})
+		data = append(data, sim.Outgoing{To: sim.ProcID(j), Payload: &p.set})
 	}
 	return sim.SendPlan{Data: data}
 }
@@ -132,7 +134,7 @@ func (p *Protocol) Send(r sim.Round) sim.SendPlan {
 func (p *Protocol) Receive(r sim.Round, inbox []sim.Message) {
 	p.fresh = p.fresh[len(p.fresh):] // the next window starts past the sent one
 	for _, m := range inbox {
-		set, ok := m.Payload.(ValueSet)
+		set, ok := m.Payload.(*ValueSet)
 		if !ok {
 			continue
 		}

@@ -3,6 +3,7 @@ package floodset_test
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/adversary"
 	"repro/internal/check"
@@ -145,7 +146,7 @@ func TestPropertyUniformUnderRandomFaults(t *testing.T) {
 }
 
 func TestValueSetPayload(t *testing.T) {
-	s := floodset.ValueSet{Values: []sim.Value{1, 2, 3}, B: 8}
+	s := &floodset.ValueSet{Values: []sim.Value{1, 2, 3}, B: 8}
 	if s.Bits() != 24 {
 		t.Errorf("Bits = %d, want 24", s.Bits())
 	}
@@ -154,10 +155,9 @@ func TestValueSetPayload(t *testing.T) {
 	}
 }
 
-// TestSendAllocsIndependentOfN pins the allocation-lean send path: every Send
-// refills the plan's backing array that comes with the process and sends
-// its fresh window in place, so it only boxes the payload, shared by all n-1
-// messages.
+// TestSendAllocsIndependentOfN pins the allocation-free send path: every
+// Send refills the plan's backing array and rewrites the payload slot that
+// come with the process, and the slot points at the fresh window in place.
 func TestSendAllocsIndependentOfN(t *testing.T) {
 	const runs = 20
 	sendAllocs := func(n int) (first, later float64) {
@@ -177,10 +177,42 @@ func TestSendAllocsIndependentOfN(t *testing.T) {
 	}
 	first8, later8 := sendAllocs(8)
 	first64, later64 := sendAllocs(64)
-	if first8 != 1 || first64 != 1 {
-		t.Errorf("first Send allocates %.0f at n=8 and %.0f at n=64, want 1 (the boxed payload)", first8, first64)
+	if first8 != 0 || first64 != 0 {
+		t.Errorf("first Send allocates %.0f at n=8 and %.0f at n=64, want 0", first8, first64)
 	}
-	if later8 != 1 || later64 != 1 {
-		t.Errorf("later Sends allocate %.0f at n=8 and %.0f at n=64, want 1 (the boxed payload)", later8, later64)
+	if later8 != 0 || later64 != 0 {
+		t.Errorf("later Sends allocate %.0f at n=8 and %.0f at n=64, want 0", later8, later64)
+	}
+}
+
+// TestProtocolSize keeps bytes per run from creeping: a process is its 112
+// bytes of state plus one ValueSet, the slot being the only per-process price
+// of a Send that allocates nothing.
+func TestProtocolSize(t *testing.T) {
+	size, slot := unsafe.Sizeof(floodset.Protocol{}), unsafe.Sizeof(floodset.ValueSet{})
+	if size > 112+slot {
+		t.Errorf("Protocol is %d bytes, want <= %d (112 of state plus the %d-byte payload slot)", size, 112+slot, slot)
+	}
+}
+
+// TestPayloadLifetimeReceiveCopiesOut: a payload is valid only during its
+// round (the sim.Process.Send contract), so a receiver copies out what it
+// keeps. Rewriting a delivered set afterwards, as its sender's next Send
+// rewrites its slot and window, must reach neither p1's flood nor its
+// decision.
+func TestPayloadLifetimeReceiveCopiesOut(t *testing.T) {
+	p := floodset.New(1, 3, 2, 7, 0)
+	vals := []sim.Value{3}
+	p.Receive(1, []sim.Message{{From: 2, To: 1, Round: 1, Kind: sim.Data,
+		Payload: &floodset.ValueSet{Values: vals, B: 64}}})
+	vals[0] = 1
+	plan := p.Send(2)
+	if got := plan.Data[0].Payload.(*floodset.ValueSet).Values; len(got) != 1 || got[0] != 3 {
+		t.Fatalf("p1 floods %v after the delivered payload was rewritten, want [3]", got)
+	}
+	p.Receive(2, nil)
+	p.Receive(3, nil)
+	if v, ok := p.Decided(); !ok || v != 3 {
+		t.Fatalf("decided %d,%t, want 3,true", v, ok)
 	}
 }

@@ -38,7 +38,7 @@ func (p *mapFloodset) sendValues(r sim.Round) []sim.Value {
 func (p *mapFloodset) receive(r sim.Round, inbox []sim.Message) {
 	p.fresh = p.fresh[:0]
 	for _, m := range inbox {
-		set, ok := m.Payload.(ValueSet)
+		set, ok := m.Payload.(*ValueSet)
 		if !ok {
 			continue
 		}
@@ -73,13 +73,13 @@ func randomInbox(rng *rand.Rand, id sim.ProcID, n int, r sim.Round) []sim.Messag
 		}
 		m := sim.Message{From: from, To: id, Round: r, Kind: sim.Data}
 		if rng.Intn(5) == 0 {
-			m.Payload = sim.Est{V: sim.Value(rng.Intn(3 * n)), B: 8}
+			m.Payload = &sim.Est{V: sim.Value(rng.Intn(3 * n)), B: 8}
 		} else {
 			vals := make([]sim.Value, rng.Intn(4))
 			for i := range vals {
 				vals[i] = sim.Value(rng.Intn(3 * n))
 			}
-			m.Payload = ValueSet{Values: vals, B: 8}
+			m.Payload = &ValueSet{Values: vals, B: 8}
 		}
 		inbox = append(inbox, m)
 	}
@@ -121,7 +121,7 @@ func TestPropertySortedSlabMatchesMapReference(t *testing.T) {
 						return false
 					}
 					for _, o := range plan.Data {
-						if got := o.Payload.(ValueSet).Values; !slices.Equal(got, want) {
+						if got := o.Payload.(*ValueSet).Values; !slices.Equal(got, want) {
 							t.Logf("seed %d p%d r%d: sends %v, reference %v", seed, i+1, r, got, want)
 							return false
 						}
@@ -163,7 +163,7 @@ func TestReceiveAllocatesNothing(t *testing.T) {
 	var inbox []sim.Message
 	for j := 2; j <= n; j++ {
 		inbox = append(inbox, sim.Message{From: sim.ProcID(j), To: 1, Round: 1, Kind: sim.Data,
-			Payload: ValueSet{Values: []sim.Value{proposals[j-1]}, B: 8}})
+			Payload: &ValueSet{Values: []sim.Value{proposals[j-1]}, B: 8}})
 	}
 	const runs = 50
 	systems := make([][]sim.Process, runs+1) // AllocsPerRun makes one warm-up call

@@ -103,13 +103,15 @@ type Protocol struct {
 }
 
 // system is the state the n processes of one consensus instance share. Only
-// the coordinator p_r sends in round r, so one plan buffer serves the whole
-// instance: the round's coordinator refills it on every Send, and a plan is
-// valid only during its round (the sim.Process.Send contract).
+// the coordinator p_r sends in round r, so one plan buffer and one payload
+// slot serve the whole instance: the round's coordinator refills both on
+// every Send, and a plan and its payload are valid only during their round
+// (the sim.Process.Send contract).
 type system struct {
 	n    int
 	opts Options
 	data []sim.Outgoing // empty; capacity n-1, or 2(n-1) under CommitAsData
+	est  sim.Est        // the DATA payload every message of the plan points at
 }
 
 func newSystem(n int, opts Options) *system {
@@ -127,8 +129,8 @@ func New(id sim.ProcID, n int, proposal sim.Value, opts Options) *Protocol {
 
 // NewSystem builds the n processes of one consensus instance, with
 // proposals[i] the proposal of p_{i+1}. The processes live in one slab and
-// share one system state, plan buffer included: a system costs a constant
-// number of allocations, not one per process.
+// share one system state, plan buffer and payload slot included: a system
+// costs a constant number of allocations, not one per process.
 func NewSystem(proposals []sim.Value, opts Options) []sim.Process {
 	n := len(proposals)
 	sys := newSystem(n, opts)
@@ -152,19 +154,18 @@ func (p *Protocol) Estimate() sim.Value { return p.est }
 func (p *Protocol) Violated() bool { return p.violated }
 
 // Send implements the send phase of round r (lines 4–5). The coordinator
-// fills the system's plan buffer; the control sequence is a view of an
-// immutable table, so a Send allocates only the boxed estimate.
+// fills the system's plan buffer and payload slot; the control sequence is a
+// view of an immutable table, so a Send allocates nothing.
 func (p *Protocol) Send(r sim.Round) sim.SendPlan {
 	if sim.Round(p.id) != r {
 		return sim.SendPlan{} // only the coordinator of r sends
 	}
 	sys := p.sys
 	var plan sim.SendPlan
-	// Boxed once: every message of the plan shares the immutable payload.
-	var payload sim.Payload = sim.Est{V: p.est, B: sys.opts.bits()}
+	sys.est = sim.Est{V: p.est, B: sys.opts.bits()}
 	data := sys.data[:0]
 	for j := int(p.id) + 1; j <= sys.n; j++ {
-		data = append(data, sim.Outgoing{To: sim.ProcID(j), Payload: payload})
+		data = append(data, sim.Outgoing{To: sim.ProcID(j), Payload: &sys.est})
 	}
 	dests := commitDests(p.id, sys.n, sys.opts.Order)
 	if sys.opts.CommitAsData {
@@ -244,7 +245,7 @@ func (p *Protocol) Receive(r sim.Round, inbox []sim.Message) {
 				continue
 			}
 			switch pay := m.Payload.(type) {
-			case sim.Est:
+			case *sim.Est:
 				p.est = pay.V // line 7
 			case commitTag:
 				commit = true

@@ -340,10 +340,10 @@ func TestCommitOrderDests(t *testing.T) {
 	}
 }
 
-// TestSendAllocsIndependentOfN pins the allocation-lean send path: a
-// coordinator's Send costs one boxed payload shared by all its data
-// messages — never one box per destination. Data refills the system's plan
-// buffer and Control is a view of an immutable table.
+// TestSendAllocsIndependentOfN pins the allocation-free send path: a
+// coordinator's Send rewrites the system's payload slot, which all its data
+// messages point at, and refills the system's plan buffer; Control is a view
+// of an immutable table.
 func TestSendAllocsIndependentOfN(t *testing.T) {
 	sendAllocs := func(n int) float64 {
 		p := core.New(1, n, 7, core.Options{})
@@ -354,7 +354,25 @@ func TestSendAllocsIndependentOfN(t *testing.T) {
 		})
 	}
 	small, large := sendAllocs(8), sendAllocs(64)
-	if small != 1 || large != 1 {
-		t.Errorf("Send allocates %.0f at n=8 and %.0f at n=64, want 1 (the boxed estimate)", small, large)
+	if small != 0 || large != 0 {
+		t.Errorf("Send allocates %.0f at n=8 and %.0f at n=64, want 0", small, large)
+	}
+}
+
+// TestPayloadLifetimeReceiveCopiesOut: a payload is valid only during its
+// round (the sim.Process.Send contract), so a receiver copies out what it
+// keeps. Rewriting a delivered estimate afterwards, as the next
+// coordinator's Send rewrites the system's slot, must not reach p2's state.
+func TestPayloadLifetimeReceiveCopiesOut(t *testing.T) {
+	p := core.New(2, 3, 105, core.Options{})
+	est := &sim.Est{V: 3, B: 64}
+	p.Receive(1, []sim.Message{{From: 1, To: 2, Round: 1, Kind: sim.Data, Payload: est}})
+	est.V = 1
+	if got := p.Estimate(); got != 3 {
+		t.Fatalf("estimate %d after the delivered payload was rewritten, want 3", got)
+	}
+	plan := p.Send(2)
+	if m := plan.Data[0].Payload.(*sim.Est); m.V != 3 {
+		t.Fatalf("p2 sends est %d, want 3", m.V)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -10,12 +11,12 @@ import (
 )
 
 // refSend is the coordinator's send phase as it was before the system-owned
-// plan buffer and the control tables: every Send allocates its own Data and
-// Control slices. It stays here as the reference NewSystem's plans must
-// match.
+// plan buffer, payload slot and control tables: every Send boxes its own
+// payload and allocates its own Data and Control slices. It stays here as
+// the reference NewSystem's plans must match.
 func refSend(id sim.ProcID, n int, est sim.Value, opts Options) sim.SendPlan {
 	var plan sim.SendPlan
-	var payload sim.Payload = sim.Est{V: est, B: opts.bits()}
+	var payload sim.Payload = &sim.Est{V: est, B: opts.bits()}
 	dataCap := n - int(id)
 	if opts.CommitAsData {
 		dataCap *= 2
@@ -49,12 +50,20 @@ func refSend(id sim.ProcID, n int, est sim.Value, opts Options) sim.SendPlan {
 
 // TestSendMatchesReference drives every process of a NewSystem instance
 // through every round and compares each plan with the reference as soon as it
-// is returned — before the next coordinator refills the shared buffer. Both
+// is returned — before the next coordinator refills the shared buffer and
+// payload slot. Each round's DATA reaches every other later process, as if
+// the coordinator crashed between its two sending steps, so estimates
+// diverge and each coordinator rewrites the slot with its own value. Both
 // orders, with and without CommitAsData, at sizes up past the tables' first
 // growth.
 func TestSendMatchesReference(t *testing.T) {
 	if size := unsafe.Sizeof(Protocol{}); size > 64 {
 		t.Errorf("Protocol is %d bytes, want <= 64", size)
+	}
+	// The payload slot rides in the shared system, not in each Protocol:
+	// per-process slots would add 16 bytes per process to every system.
+	if size := unsafe.Sizeof(system{}); size > 64 {
+		t.Errorf("system is %d bytes, want <= 64", size)
 	}
 	for _, n := range []int{1, 2, 3, 8, 64, 130} {
 		for _, order := range []CommitOrder{OrderDescending, OrderAscending} {
@@ -80,6 +89,9 @@ func TestSendMatchesReference(t *testing.T) {
 							t.Fatalf("n=%d %+v p%d r%d: plan slices not capped (data %d/%d, control %d/%d)",
 								n, opts, p.id, r, len(plan.Data), cap(plan.Data), len(plan.Control), cap(plan.Control))
 						}
+						if sim.Round(p.id) == r {
+							deliverAlternateData(procs, r, plan)
+						}
 					}
 				}
 			}
@@ -87,11 +99,24 @@ func TestSendMatchesReference(t *testing.T) {
 	}
 }
 
-// plansEqual compares two plans by destination, payload and control
-// sequence; nil and empty slices are equal.
+// deliverAlternateData hands the round-r coordinator's estimate to every
+// other later process and nothing else — no COMMIT, so nobody decides.
+func deliverAlternateData(procs []sim.Process, r sim.Round, plan sim.SendPlan) {
+	for _, o := range plan.Data {
+		if _, ok := o.Payload.(*sim.Est); ok && int(o.To)%2 == int(r)%2 {
+			m := sim.Message{From: sim.ProcID(r), To: o.To, Round: r, Kind: sim.Data, Payload: o.Payload}
+			procs[o.To-1].Receive(r, []sim.Message{m})
+		}
+	}
+}
+
+// plansEqual compares two plans by destination, payload contents and control
+// sequence; nil and empty slices are equal. Payloads are compared by what
+// they point at: the system's slot and the reference's box are different
+// pointers.
 func plansEqual(a, b sim.SendPlan) bool {
 	return slices.EqualFunc(a.Data, b.Data, func(x, y sim.Outgoing) bool {
-		return x.To == y.To && x.Payload == y.Payload
+		return x.To == y.To && reflect.DeepEqual(x.Payload, y.Payload)
 	}) && slices.Equal(a.Control, b.Control)
 }
 

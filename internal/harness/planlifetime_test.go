@@ -142,7 +142,7 @@ type lifetimeSystem struct {
 func lifetimeSystems(n, t int) []lifetimeSystem {
 	props := make([]sim.Value, n)
 	for i := range props {
-		props[i] = sim.Value(100 + (i*7)%n)
+		props[i] = sim.Value(100 + (i*5)%n) // distinct for n = 6 and 7
 	}
 	return []lifetimeSystem{
 		{"crw", sim.ModelExtended, sim.Round(n + 2), props, func(wrap wrapFn) []sim.Process {
@@ -271,6 +271,193 @@ func TestPlanLifetimeRoundScopedCatchesStaleReader(t *testing.T) {
 	}
 	if got, err := run(roundPoisoned); err == nil && reflect.DeepEqual(got, want) {
 		t.Fatal("round-scoped poisoner missed an adversary reading round 1's plan in round 2")
+	}
+}
+
+// payloadKey names the payloads one sender handed out in one round.
+type payloadKey struct {
+	from sim.ProcID
+	r    sim.Round
+}
+
+// payloadLedger enforces the round-scoped payload lifetime of
+// sim.Process.Send from the receivers' side: every payload a process of one
+// system hands out is rendered (String and Bits) at its Send, and every data
+// message a receiver gets must still render the same at its Receive. A
+// payload rewritten before its round ended — by its sender, a system-shared
+// slot or anything else — shows up as a mismatch. The mutex serializes the
+// lockstep runtime's concurrent calls.
+type payloadLedger struct {
+	mu        sync.Mutex
+	sent      map[payloadKey][]string
+	delivered int
+	bad       []string
+}
+
+func renderPayload(p sim.Payload) string { return fmt.Sprintf("%s/%d bits", p, p.Bits()) }
+
+func (l *payloadLedger) record(from sim.ProcID, r sim.Round, plan sim.SendPlan) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	k := payloadKey{from, r}
+	for _, o := range plan.Data {
+		if s := renderPayload(o.Payload); !slices.Contains(l.sent[k], s) {
+			l.sent[k] = append(l.sent[k], s)
+		}
+	}
+}
+
+// mismatches returns every data message of inbox that no longer renders as
+// its sender handed it out in its round.
+func (l *payloadLedger) mismatches(inbox []sim.Message) []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var bad []string
+	for _, m := range inbox {
+		if m.Kind != sim.Data {
+			continue
+		}
+		sent := l.sent[payloadKey{m.From, m.Round}]
+		if got := renderPayload(m.Payload); !slices.Contains(sent, got) {
+			bad = append(bad, fmt.Sprintf("p%d->p%d r%d: delivered %s, sent %v", m.From, m.To, m.Round, got, sent))
+		}
+	}
+	return bad
+}
+
+// ledgerProc routes one process's plans and inboxes through its system's
+// ledger. It hands out the inner plan unchanged, so the run is the bare one.
+type ledgerProc struct {
+	sim.Process
+	l *payloadLedger
+}
+
+func (p *ledgerProc) Send(r sim.Round) sim.SendPlan {
+	plan := p.Process.Send(r)
+	p.l.record(p.ID(), r, plan)
+	return plan
+}
+
+func (p *ledgerProc) Receive(r sim.Round, inbox []sim.Message) {
+	bad := p.l.mismatches(inbox)
+	p.l.mu.Lock()
+	p.l.delivered += len(inbox)
+	p.l.bad = append(p.l.bad, bad...)
+	p.l.mu.Unlock()
+	p.Process.Receive(r, inbox)
+}
+
+// ledgered wraps one system under a new ledger, appended to *all; the two
+// layers of crw-on-classic each get their own.
+func ledgered(all *[]*payloadLedger) wrapFn {
+	return func(procs []sim.Process) []sim.Process {
+		l := &payloadLedger{sent: map[payloadKey][]string{}}
+		*all = append(*all, l)
+		out := make([]sim.Process, len(procs))
+		for i, p := range procs {
+			out[i] = &ledgerProc{Process: p, l: l}
+		}
+		return out
+	}
+}
+
+// TestPlanLifetimePayloadRoundScoped: every engine delivers each payload as
+// its sender handed it out, although CRW's coordinators share one system
+// slot and every earlystop and floodset process rewrites its own slot each
+// round — no payload is rewritten before its round ends, and no engine reads
+// one after.
+func TestPlanLifetimePayloadRoundScoped(t *testing.T) {
+	const n, tol = 7, 3
+	cache := harness.NewCache()
+	defer cache.Close()
+	for _, sys := range lifetimeSystems(n, tol) {
+		for advName, adv := range lifetimeAdversaries(n) {
+			for _, kind := range harness.Kinds() {
+				eng, err := cache.Get(kind)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run := func(wrap wrapFn) (*sim.Result, error) {
+					return eng.Run(harness.Job{Model: sys.model, Horizon: sys.horizon,
+						Procs: sys.build(wrap), Adv: adv()})
+				}
+				want, wantErr := run(identity)
+				var ledgers []*payloadLedger
+				got, gotErr := run(ledgered(&ledgers))
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+					t.Errorf("%s/%s/%s: ledgered run differs:\n got %+v (%v)\nwant %+v (%v)",
+						sys.name, advName, kind, got, gotErr, want, wantErr)
+				}
+				for _, l := range ledgers {
+					if l.delivered == 0 {
+						t.Errorf("%s/%s/%s: a ledger saw no delivery", sys.name, advName, kind)
+					}
+					for _, b := range l.bad {
+						t.Errorf("%s/%s/%s: %s", sys.name, advName, kind, b)
+					}
+				}
+			}
+		}
+	}
+}
+
+// staleInbox is a planted breach of the round-scoped payload lifetime: it
+// keeps round r's inbox and checks it against the ledger again at round
+// r+1's Receive, after every sender's round-(r+1) Send.
+type staleInbox struct {
+	ledgerProc
+	kept  []sim.Message
+	stale []string
+}
+
+func (p *staleInbox) Receive(r sim.Round, inbox []sim.Message) {
+	p.stale = append(p.stale, p.l.mismatches(p.kept)...)
+	p.kept = slices.Clone(inbox)
+	p.ledgerProc.Receive(r, inbox)
+}
+
+// TestPlanLifetimePayloadCatchesStaleInbox is the payload ledger's
+// self-check. In a failure-free earlystop run every process hears from all
+// n in round 1, sets its early flag and lowers its estimate, so its round-2
+// Send rewrites the slot its round-1 messages point at: an inbox kept past
+// its round must read changed payloads, while the current inboxes stay
+// clean. This proves the payload storage is really reused and that the
+// ledger can fail.
+func TestPlanLifetimePayloadCatchesStaleInbox(t *testing.T) {
+	const n, tol = 7, 3
+	props := make([]sim.Value, n)
+	for i := range props {
+		props[i] = sim.Value(100 + i)
+	}
+	cache := harness.NewCache()
+	defer cache.Close()
+	for _, kind := range harness.Kinds() {
+		eng, err := cache.Get(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := &payloadLedger{sent: map[payloadKey][]string{}}
+		procs := earlystop.NewSystem(props, tol, 0)
+		stale := make([]*staleInbox, n)
+		for i, p := range procs {
+			stale[i] = &staleInbox{ledgerProc: ledgerProc{Process: p, l: l}}
+			procs[i] = stale[i]
+		}
+		res, err := eng.Run(harness.Job{Model: sim.ModelClassic, Horizon: tol + 2, Procs: procs, Adv: adversary.None{}})
+		if err != nil || res.Rounds != 2 {
+			t.Fatalf("%s: %d rounds (%v), want 2", kind, res.Rounds, err)
+		}
+		if len(l.bad) != 0 {
+			t.Fatalf("%s: current inboxes changed: %v", kind, l.bad)
+		}
+		changed := 0
+		for _, p := range stale {
+			changed += len(p.stale)
+		}
+		if changed != n*(n-1) {
+			t.Errorf("%s: %d of the %d kept round-1 messages read changed in round 2, want all",
+				kind, changed, n*(n-1))
+		}
 	}
 }
 

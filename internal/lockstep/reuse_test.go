@@ -24,7 +24,7 @@ func (o overflow) Send(r sim.Round) sim.SendPlan {
 	if r != 1 {
 		return o.Process.Send(r)
 	}
-	est := sim.Est{V: 1, B: 64}
+	est := &sim.Est{V: 1, B: 64}
 	return sim.SendPlan{
 		Data:    []sim.Outgoing{{To: o.to, Payload: est}, {To: o.to, Payload: est}},
 		Control: []sim.ProcID{o.to},

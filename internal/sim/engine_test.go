@@ -37,7 +37,7 @@ func (p *echoProc) Send(r sim.Round) sim.SendPlan {
 		if sim.ProcID(j) == p.id {
 			continue
 		}
-		plan.Data = append(plan.Data, sim.Outgoing{To: sim.ProcID(j), Payload: sim.Est{V: p.val, B: 8}})
+		plan.Data = append(plan.Data, sim.Outgoing{To: sim.ProcID(j), Payload: &sim.Est{V: p.val, B: 8}})
 		if p.ctrl {
 			plan.Control = append(plan.Control, sim.ProcID(j))
 		}
@@ -47,7 +47,7 @@ func (p *echoProc) Send(r sim.Round) sim.SendPlan {
 
 func (p *echoProc) Receive(r sim.Round, inbox []sim.Message) {
 	for _, m := range inbox {
-		if e, ok := m.Payload.(sim.Est); ok && e.V < p.val {
+		if e, ok := m.Payload.(*sim.Est); ok && e.V < p.val {
 			p.val = e.V
 		}
 	}
@@ -336,7 +336,7 @@ func TestResultMapStringsMatchFmt(t *testing.T) {
 }
 
 func TestMessageBits(t *testing.T) {
-	d := sim.Message{Kind: sim.Data, Payload: sim.Est{V: 7, B: 32}}
+	d := sim.Message{Kind: sim.Data, Payload: &sim.Est{V: 7, B: 32}}
 	if d.Bits() != 32 {
 		t.Errorf("data bits = %d, want 32", d.Bits())
 	}

@@ -35,7 +35,7 @@ func FuzzInboxOrdering(f *testing.F) {
 			} else {
 				// The payload value tags the message's arrival position, so
 				// the stability check below can tell equal-key messages apart.
-				m.Payload = Est{V: Value(i), B: 64}
+				m.Payload = &Est{V: Value(i), B: 64}
 			}
 			in = append(in, m)
 		}

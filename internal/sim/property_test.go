@@ -14,7 +14,7 @@ func mkPlan(n int, dataRaw, ctrlRaw []uint8) sim.SendPlan {
 	var plan sim.SendPlan
 	for _, d := range dataRaw {
 		plan.Data = append(plan.Data, sim.Outgoing{
-			To: sim.ProcID(int(d)%n + 1), Payload: sim.Est{V: 1, B: 8}})
+			To: sim.ProcID(int(d)%n + 1), Payload: &sim.Est{V: 1, B: 8}})
 	}
 	seen := map[sim.ProcID]bool{}
 	for _, c := range ctrlRaw {
@@ -104,7 +104,7 @@ func TestPropertyValidatePlanCatchesBadDestinations(t *testing.T) {
 		// Self-send rejected.
 		bad := plan
 		bad.Data = append(append([]sim.Outgoing(nil), plan.Data...),
-			sim.Outgoing{To: sender, Payload: sim.Est{V: 1, B: 8}})
+			sim.Outgoing{To: sender, Payload: &sim.Est{V: 1, B: 8}})
 		if v.Validate(sender, n, bad) == nil {
 			return false
 		}

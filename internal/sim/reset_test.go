@@ -141,7 +141,7 @@ func TestEngineHappyPathAllocs(t *testing.T) {
 		if i == 0 {
 			for j := 2; j <= n; j++ {
 				bp.plan.Data = append(bp.plan.Data,
-					sim.Outgoing{To: sim.ProcID(j), Payload: sim.Est{V: 7, B: 64}})
+					sim.Outgoing{To: sim.ProcID(j), Payload: &sim.Est{V: 7, B: 64}})
 			}
 			bp.plan.Control = make([]sim.ProcID, 0, n-1)
 			for j := n; j >= 2; j-- {

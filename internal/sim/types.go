@@ -93,6 +93,11 @@ func (k MsgKind) String() string {
 
 // Payload is the content of a data message. Implementations declare their
 // size in bits so the engine can account costs per Theorem 2.
+//
+// A payload, like the plan that carries it, is valid only during its round:
+// protocols send pointers into storage they own and rewrite it in a later
+// round's Send. The engines take Bits at send time; receivers copy out what
+// they keep.
 type Payload interface {
 	// Bits returns the size of the payload in bits.
 	Bits() int
@@ -101,17 +106,19 @@ type Payload interface {
 }
 
 // Est is the simplest payload: a single value of a declared bit width. It is
-// what the paper's algorithm sends (the coordinator's current estimate).
+// what the paper's algorithm sends (the coordinator's current estimate). It
+// is sent by pointer (*Est implements Payload), so a sender rewrites one
+// slot instead of boxing a new value each round.
 type Est struct {
 	V Value
 	B int
 }
 
 // Bits returns the declared bit width of the estimate.
-func (e Est) Bits() int { return e.B }
+func (e *Est) Bits() int { return e.B }
 
 // String renders the estimate value.
-func (e Est) String() string { return fmt.Sprintf("est(%d)", int64(e.V)) }
+func (e *Est) String() string { return fmt.Sprintf("est(%d)", int64(e.V)) }
 
 // Message is a message in transit or delivered.
 type Message struct {
@@ -180,8 +187,10 @@ type Process interface {
 	// arrays — a round's coordinator refilling one system-owned buffer — so
 	// any process's Send in a later round may overwrite them, and engines,
 	// adversaries and wrappers must not retain a plan past its round.
-	// Payloads are immutable and may be shared by every message of the plan;
-	// delivered messages keep referring to them.
+	// Payloads have the same lifetime: every message of the plan may share
+	// one payload that points into the sender's (or its system's) storage,
+	// which a later round's Send rewrites in place. Delivered messages refer
+	// to it, so a receiver must copy out what it keeps before its round ends.
 	Send(r Round) SendPlan
 	// Receive delivers the messages received in round r and runs the local
 	// computation phase. The inbox slice is only valid for the duration of

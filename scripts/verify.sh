@@ -51,9 +51,9 @@ echo "== go test -race -count=5 (recycled fuzz generator + slice replayer differ
 go test -race -count=5 -timeout 300s -run 'RecycledRecorder|ReplayerMatches' ./internal/fuzz/
 
 # The control and crash-mask tables are shared by every system, and one
-# system's plan buffer crosses the lockstep workers.
-echo "== go test -race -count=5 (round-scoped plan lifetime + shared control and crash-mask tables + sim engine reuse across shapes)"
-go test -race -count=5 -timeout 300s -run 'PlanLifetime|OutcomeMasks|SimAdapterReuses|ControlTables' ./internal/harness/ ./internal/adversary/ ./internal/core/
+# system's plan buffer and payload slot cross the lockstep workers.
+echo "== go test -race -count=5 (round-scoped plan and payload lifetime + shared control and crash-mask tables + sim engine reuse across shapes)"
+go test -race -count=5 -timeout 300s -run 'PlanLifetime|PayloadLifetime|OutcomeMasks|SimAdapterReuses|ControlTables' ./internal/harness/ ./internal/adversary/ ./internal/core/ ./internal/consensus/...
 
 echo "== go test -race -count=10 (lockstep runtime reuse across sizes + Close lifetime)"
 go test -race -count=10 -timeout 300s -run 'RuntimeReuse|RuntimeClose' ./internal/lockstep/
