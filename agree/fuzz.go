@@ -171,8 +171,12 @@ func normalizeFuzz(cfg FuzzConfig) (FuzzConfig, error) {
 	if cfg.N < 1 {
 		return cfg, errors.New("agree: N must be at least 1")
 	}
-	if cfg.Protocol == "" {
+	switch cfg.Protocol {
+	case "":
 		cfg.Protocol = ProtocolCRW
+	case ProtocolCRW, ProtocolEarlyStop, ProtocolFloodSet:
+	default:
+		return cfg, fmt.Errorf("agree: unknown protocol %q", cfg.Protocol)
 	}
 	if cfg.Protocol != ProtocolCRW && (cfg.OrderAscending || cfg.CommitAsData) {
 		return cfg, errors.New("agree: the ablations apply to the CRW protocol only")

@@ -170,6 +170,13 @@ func TestFuzzConfigValidation(t *testing.T) {
 	if _, err := agree.Fuzz(agree.FuzzConfig{N: 4, CrashProb: 1.5}); err == nil {
 		t.Error("accepted crash probability 1.5")
 	}
+	// An unknown protocol is an error, not a panic in a campaign worker.
+	if _, err := agree.Fuzz(agree.FuzzConfig{N: 4, Seeds: 2, Protocol: "bogus"}); err == nil {
+		t.Error("accepted an unknown protocol")
+	}
+	if _, err := agree.FuzzReplayScript(agree.FuzzConfig{N: 4, Protocol: "bogus"}, "", false); err == nil {
+		t.Error("replay accepted an unknown protocol")
+	}
 }
 
 // TestReplayFaultsValidation covers script-level rejection at Run time.

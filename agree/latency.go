@@ -162,34 +162,3 @@ func Engines() []EngineInfo {
 	}
 	return out
 }
-
-// LatencyFromFlags assembles a LatencySpec from the CLI latency knobs the
-// command-line tools share (-lat-profile, -lat-d, -lat-delta, -lat-floor,
-// -lat-spread, -lat-seed), with one precedence rule: a profile name wins,
-// then jitter (when a spread is given), then fixed (when d is given); all
-// zero selects the engine default. Conflicting combinations are errors so a
-// mistyped invocation cannot silently half-apply.
-func LatencyFromFlags(profile string, d, delta, floor, spread float64, seed int64) (LatencySpec, error) {
-	switch {
-	case profile != "":
-		if d != 0 || delta != 0 || floor != 0 || spread != 0 {
-			return LatencySpec{}, fmt.Errorf("agree: -lat-profile derives every parameter from the LAN profile; it cannot be combined with -lat-d/-lat-delta/-lat-floor/-lat-spread")
-		}
-		return ProfileLatency(profile), nil
-	case spread != 0:
-		if d == 0 {
-			return LatencySpec{}, fmt.Errorf("agree: -lat-spread requires -lat-d (the synchrony bound)")
-		}
-		return JitterLatency(seed, d, delta, floor, spread), nil
-	case d != 0:
-		if floor != 0 {
-			return LatencySpec{}, fmt.Errorf("agree: -lat-floor only applies to the jitter model; give -lat-spread as well")
-		}
-		return FixedLatency(d, delta), nil
-	default:
-		if delta != 0 || floor != 0 {
-			return LatencySpec{}, fmt.Errorf("agree: -lat-delta/-lat-floor need a latency model; give -lat-d (and -lat-spread for jitter)")
-		}
-		return LatencySpec{}, nil
-	}
-}

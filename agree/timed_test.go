@@ -223,45 +223,3 @@ func TestTimedFuzzReplayHonorsEngineAndLatency(t *testing.T) {
 		t.Logf("note: script %q also violates on the round engine (crash-induced), contrast not observable for this seed", finding.Script)
 	}
 }
-
-// TestLatencyFromFlags pins the CLI flag-assembly contract: a half-applied
-// invocation (a knob that the selected model would silently ignore) is an
-// error, never a silently different model.
-func TestLatencyFromFlags(t *testing.T) {
-	ok := []struct {
-		name                    string
-		profile                 string
-		d, delta, floor, spread float64
-		want                    agree.LatencySpec
-	}{
-		{"default", "", 0, 0, 0, 0, agree.LatencySpec{}},
-		{"profile", "1g", 0, 0, 0, 0, agree.ProfileLatency("1g")},
-		{"fixed", "", 1, 0.1, 0, 0, agree.FixedLatency(1, 0.1)},
-		{"jitter", "", 1, 0.1, 0.2, 0.5, agree.JitterLatency(7, 1, 0.1, 0.2, 0.5)},
-	}
-	for _, tc := range ok {
-		got, err := agree.LatencyFromFlags(tc.profile, tc.d, tc.delta, tc.floor, tc.spread, 7)
-		if err != nil || got != tc.want {
-			t.Errorf("%s: got (%+v, %v), want %+v", tc.name, got, err, tc.want)
-		}
-	}
-	bad := []struct {
-		name                    string
-		profile                 string
-		d, delta, floor, spread float64
-	}{
-		{"profile+d", "1g", 1, 0, 0, 0},
-		{"profile+delta", "1g", 0, 0.2, 0, 0},
-		{"profile+floor", "1g", 0, 0, 0.2, 0},
-		{"profile+spread", "1g", 0, 0, 0, 0.5},
-		{"spread without d", "", 0, 0, 0, 0.5},
-		{"floor without spread", "", 1, 0, 0.5, 0},
-		{"floor alone", "", 0, 0, 0.5, 0},
-		{"delta alone", "", 0, 0.2, 0, 0},
-	}
-	for _, tc := range bad {
-		if _, err := agree.LatencyFromFlags(tc.profile, tc.d, tc.delta, tc.floor, tc.spread, 7); err == nil {
-			t.Errorf("%s: accepted a half-applied flag combination", tc.name)
-		}
-	}
-}

@@ -13,64 +13,58 @@
 package main
 
 import (
-	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/agree"
+	"repro/internal/cli"
 	"repro/internal/experiments"
 )
 
-func main() {
-	exp := flag.String("e", "", "experiment id to run (E1..E16); empty runs all")
-	list := flag.Bool("list", false, "list experiments and exit")
-	workers := flag.Int("workers", 1, "sweep worker-pool size for batched experiments (0 = GOMAXPROCS)")
-	crosscheck := flag.Bool("crosscheck", false, "cross-validate batched runs on every other registered engine")
-	flag.Parse()
+func main() { os.Exit(command(os.Stdout, os.Stderr).Run(os.Args[1:])) }
 
-	experiments.SetSweepOptions(agree.SweepOptions{Workers: *workers, CrossCheck: *crosscheck})
-
-	if *list {
-		for _, t := range experiments.All() {
-			fmt.Printf("%-4s %s\n", t.ID, t.Title)
+func command(stdout, stderr io.Writer) *cli.Cmd {
+	c := cli.New("agreebench", stdout, stderr)
+	exp := c.String("e", "", "experiment id to run (E1..E16); empty runs all")
+	list := c.Bool("list", false, "list experiments and exit")
+	workers := c.Int("workers", 1, "sweep worker-pool size for batched experiments (0 = GOMAXPROCS)")
+	crosscheck := c.Bool("crosscheck", false, "cross-validate batched runs on every other registered engine")
+	c.Main = func() int {
+		if err := c.AtLeast(0, "workers"); err != nil {
+			return c.Fail(err)
 		}
-		return
-	}
-	if *exp != "" {
-		t := experiments.ByID(*exp)
-		if t == nil {
-			fmt.Fprintf(os.Stderr, "agreebench: unknown experiment %q (try -list)\n", *exp)
-			os.Exit(1)
+		experiments.SetSweepOptions(agree.SweepOptions{Workers: *workers, CrossCheck: *crosscheck})
+		if *list {
+			for _, t := range experiments.All() {
+				fmt.Fprintf(stdout, "%-4s %s\n", t.ID, t.Title)
+			}
+			return 0
 		}
-		fmt.Println(t.String())
-		printPoolUsage()
-		exitOnFail([]*experiments.Table{t})
-		return
-	}
-	tables := experiments.All()
-	for _, t := range tables {
-		fmt.Println(t.String())
-	}
-	printPoolUsage()
-	exitOnFail(tables)
-}
-
-// printPoolUsage reports how much engine construction the sweep workers'
-// caches saved: batched experiments rewind Reusable engines between jobs
-// instead of rebuilding them.
-func printPoolUsage() {
-	if built, reuses := experiments.PoolUsage(); built+reuses > 0 {
-		fmt.Printf("engine pool: %d built, %d reuse hits across batched sweeps\n", built, reuses)
-	}
-}
-
-// exitOnFail exits non-zero if any experiment's verdict is not PASS, so the
-// command doubles as a reproduction gate in CI.
-func exitOnFail(tables []*experiments.Table) {
-	for _, t := range tables {
-		if len(t.Verdict) < 4 || t.Verdict[:4] != "PASS" {
-			fmt.Fprintf(os.Stderr, "agreebench: %s failed: %s\n", t.ID, t.Verdict)
-			os.Exit(1)
+		var tables []*experiments.Table
+		if *exp == "" {
+			tables = experiments.All()
+		} else if t := experiments.ByID(*exp); t != nil {
+			tables = []*experiments.Table{t}
+		} else {
+			return c.Fail(fmt.Errorf("unknown experiment %q (try -list)", *exp))
 		}
+		for _, t := range tables {
+			fmt.Fprintln(stdout, t.String())
+		}
+		// Batched experiments rewind Reusable engines between jobs instead
+		// of rebuilding them; report how much construction that saved.
+		if built, reuses := experiments.PoolUsage(); built+reuses > 0 {
+			fmt.Fprintf(stdout, "engine pool: %d built, %d reuse hits across batched sweeps\n", built, reuses)
+		}
+		// A failed verdict exits non-zero, so the command doubles as a
+		// reproduction gate in CI.
+		for _, t := range tables {
+			if len(t.Verdict) < 4 || t.Verdict[:4] != "PASS" {
+				return c.Fail(fmt.Errorf("%s failed: %s", t.ID, t.Verdict))
+			}
+		}
+		return 0
 	}
+	return c
 }

@@ -20,200 +20,172 @@
 //	agreefuzz -n 8 -engine timed -lat-d 1 -lat-floor 0.5 -lat-spread 2 -expect-findings
 //	                                                    # timing-fault campaign: late messages
 //	                                                    # (receive omissions) break agreement
+//
+// A -cpuprofile of a campaign labels its samples per (engine, seed) for
+// pprof's tags view.
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/agree"
-	"repro/internal/prof"
+	"repro/internal/cli"
 )
 
-func main() {
-	os.Exit(run())
-}
+func main() { os.Exit(command(os.Stdout, os.Stderr).Run(os.Args[1:])) }
 
-func run() int {
+func command(stdout, stderr io.Writer) *cli.Cmd {
+	c := cli.New("agreefuzz", stdout, stderr)
 	var (
-		n            = flag.Int("n", 16, "number of processes")
-		tt           = flag.Int("t", 0, "crash budget per execution (0 = n-1)")
-		protocol     = flag.String("protocol", "crw", "protocol: crw, earlystop or floodset")
-		seeds        = flag.Int("seeds", 1000, "number of seeds to fuzz")
-		seed0        = flag.Int64("seed", 1, "base seed (seed i of the campaign is seed+i)")
-		crashProb    = flag.Float64("crashprob", 0.25, "per-(process, round) crash probability")
-		order        = flag.String("order", "desc", "commit order: desc (faithful) or asc (ablation, CRW only)")
-		commitAsData = flag.Bool("commit-as-data", false, "fold the commit into the data step (ablation, CRW only)")
-		shrink       = flag.Bool("shrink", true, "minimize violating schedules by delta debugging")
-		shrinkRuns   = flag.Int("max-shrink-runs", 512, "replay budget of the shrinker per finding")
-		workers      = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS; any count yields the identical report)")
-		crossCheck   = flag.Bool("crosscheck", false, "replay findings on every other registered engine and diff the outcome")
-		replay       = flag.String("replay", "", "replay one fault script with a full trace instead of fuzzing")
-		sendOmit     = flag.Float64("send-omit-prob", 0, "per-(process, round) send-omission probability (0 = crash model)")
-		recvOmit     = flag.Float64("recv-omit-prob", 0, "per-(process, round) receive-omission probability")
-		maxOmissive  = flag.Int("max-omissive", 0, "max distinct omission-faulty processes per execution (0 = n-1)")
-		omitOnly     = flag.Bool("omission-only", false, "disable crash injection (pure omission campaign)")
-		huntLaws     = flag.Bool("laws", false, "add the law oracles: every run must also satisfy message conservation, ledger consistency, the event-clock contract and the fault budget")
-		expectFind   = flag.Bool("expect-findings", false, "invert the verdict: the campaign passes when it finds (and cleanly replays) at least one violation — for ablations where the paper predicts the break")
-		findingsOut  = flag.String("findings-out", "", "write the findings' replay scripts to this file, one per line")
-		engine       = flag.String("engine", "deterministic", "engine the campaign runs on (must be deterministic; timed enables -lat-* knobs)")
-
-		latProfile = flag.String("lat-profile", "", "timed engine: LAN latency profile (100m, 1g, 10g)")
-		latD       = flag.Float64("lat-d", 0, "timed engine: synchrony bound D (fixed/jitter latency model)")
-		latDelta   = flag.Float64("lat-delta", 0, "timed engine: control-step extension δ")
-		latFloor   = flag.Float64("lat-floor", 0, "timed engine: jitter latency floor")
-		latSpread  = flag.Float64("lat-spread", 0, "timed engine: jitter width; floor+spread > D makes timing faults part of every walk")
-		latSeed    = flag.Int64("lat-seed", 1, "timed engine: jitter seed (pure per-message hash)")
-
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file (campaign samples are labeled per (engine, seed) for pprof's tags view)")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		telemetryOut = flag.String("telemetry-out", "", `-replay only: write the replay's metrics timeline JSON to this file ("-" = stdout)`)
-		chromeTrace  = flag.String("chrome-trace", "", "-replay only: write the replay's Chrome trace_event JSON to this file")
+		n            = c.Int("n", 16, "number of processes")
+		tt           = c.Int("t", 0, "crash budget per execution (0 = n-1)")
+		protocol     = c.String("protocol", "crw", "protocol: crw, earlystop or floodset")
+		seeds        = c.Int("seeds", 1000, "number of seeds to fuzz")
+		seed0        = c.Int64("seed", 1, "base seed (seed i of the campaign is seed+i)")
+		crashProb    = c.Float64("crashprob", 0.25, "per-(process, round) crash probability")
+		order        = c.Order("CRW only: ")
+		commitAsData = c.Bool("commit-as-data", false, "fold the commit into the data step (ablation, CRW only)")
+		shrink       = c.Bool("shrink", true, "minimize violating schedules by delta debugging")
+		shrinkRuns   = c.Int("max-shrink-runs", 512, "replay budget of the shrinker per finding")
+		workers      = c.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS; any count yields the identical report)")
+		crossCheck   = c.Bool("crosscheck", false, "replay findings on every other registered engine and diff the outcome")
+		replay       = c.String("replay", "", "replay one fault script with a full trace instead of fuzzing")
+		sendOmit     = c.Float64("send-omit-prob", 0, "per-(process, round) send-omission probability (0 = crash model)")
+		recvOmit     = c.Float64("recv-omit-prob", 0, "per-(process, round) receive-omission probability")
+		maxOmissive  = c.Int("max-omissive", 0, "max distinct omission-faulty processes per execution (0 = n-1)")
+		omitOnly     = c.Bool("omission-only", false, "disable crash injection (pure omission campaign)")
+		huntLaws     = c.Bool("laws", false, "add the law oracles: every run must also satisfy message conservation, ledger consistency, the event-clock contract and the fault budget")
+		expectFind   = c.Bool("expect-findings", false, "invert the verdict: the campaign passes when it finds (and cleanly replays) at least one violation — for ablations where the paper predicts the break")
+		findingsOut  = c.String("findings-out", "", "write the findings' replay scripts to this file, one per line")
+		engine       = c.String("engine", "deterministic", "engine the campaign runs on (must be deterministic; timed enables -lat-* knobs)")
+		lat          = c.Latency("timed engine: ")
 	)
-	flag.Parse()
-
-	latency, err := agree.LatencyFromFlags(*latProfile, *latD, *latDelta, *latFloor, *latSpread, *latSeed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "agreefuzz:", err)
-		return 1
-	}
-	cfg := agree.FuzzConfig{
-		N: *n, T: *tt, Protocol: agree.Protocol(*protocol),
-		Engine: agree.EngineKind(*engine), Latency: latency,
-		Seeds: *seeds, Seed: *seed0, CrashProb: *crashProb,
-		SendOmitProb: *sendOmit, RecvOmitProb: *recvOmit,
-		MaxOmissive: *maxOmissive, OmissionOnly: *omitOnly,
-		CommitAsData: *commitAsData, Laws: *huntLaws, Shrink: *shrink, MaxShrinkRuns: *shrinkRuns,
-		Workers: *workers, CrossCheck: *crossCheck,
-	}
-	switch *order {
-	case "desc":
-	case "asc":
-		cfg.OrderAscending = true
-	default:
-		fmt.Fprintf(os.Stderr, "agreefuzz: unknown order %q\n", *order)
-		return 1
-	}
-
-	stopCPU, err := prof.StartCPU(*cpuprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "agreefuzz:", err)
-		return 1
-	}
-	defer stopCPU()
-	defer func() {
-		if err := prof.WriteHeap(*memprofile); err != nil {
-			fmt.Fprintln(os.Stderr, "agreefuzz:", err)
+	c.Profiles()
+	c.Telemetry("-replay only: ")
+	c.Main = func() int {
+		latency, err := lat.Spec()
+		asc, orderErr := cli.Ascending(*order)
+		if err = errors.Join(err, orderErr, c.AtLeast(0, "t", "seeds", "workers")); err != nil {
+			return c.Fail(err)
 		}
-	}()
-
-	if *replay != "" {
-		cfg.Telemetry = *telemetryOut != "" || *chromeTrace != ""
-		return replayScript(cfg, *replay, *telemetryOut, *chromeTrace)
-	}
-	if *telemetryOut != "" || *chromeTrace != "" {
-		fmt.Fprintln(os.Stderr, "agreefuzz: -telemetry-out/-chrome-trace export one replay's timeline; combine them with -replay")
-		return 1
-	}
-
-	rep, err := agree.Fuzz(cfg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "agreefuzz:", err)
-		return 1
-	}
-
-	fmt.Printf("fuzzed        %d seeds (n=%d, t=%d, protocol=%s, engine=%s, crashprob=%g, order=%s, commit-as-data=%t)\n",
-		rep.Seeds, *n, effectiveT(cfg), *protocol, *engine, *crashProb, *order, *commitAsData)
-	if *sendOmit > 0 || *recvOmit > 0 {
-		eff := *maxOmissive
-		if eff <= 0 {
-			eff = *n - 1
+		cfg := agree.FuzzConfig{
+			N: *n, T: *tt, Protocol: agree.Protocol(*protocol),
+			Engine: agree.EngineKind(*engine), Latency: latency,
+			Seeds: *seeds, Seed: *seed0, CrashProb: *crashProb,
+			SendOmitProb: *sendOmit, RecvOmitProb: *recvOmit,
+			MaxOmissive: *maxOmissive, OmissionOnly: *omitOnly,
+			CommitAsData: *commitAsData, OrderAscending: asc,
+			Laws: *huntLaws, Shrink: *shrink, MaxShrinkRuns: *shrinkRuns,
+			Workers: *workers, CrossCheck: *crossCheck,
 		}
-		fmt.Printf("omissions     send-prob=%g recv-prob=%g max-omissive=%d omission-only=%t (oracle: consensus only — round bounds are crash-model theorems)\n",
-			*sendOmit, *recvOmit, eff, *omitOnly)
-	}
-	if *huntLaws {
-		fmt.Println("laws          conservation, ledger consistency, clock and fault-budget oracles standing")
-	}
-	fmt.Printf("executions    %d (incl. replay verification%s)\n", rep.Executions, shrinkNote(*shrink, *crossCheck))
-	fmt.Printf("max faults    %d crashes, %d omission-faulty\n", rep.MaxFaults, rep.MaxOmissionFaulty)
-	fmt.Printf("max decide    round %d\n", rep.MaxDecideRound)
-	fmt.Printf("decide rounds %s\n", histogram(rep.RoundHistogram))
+		if *replay != "" {
+			cfg.Telemetry = c.WantsTelemetry()
+			return replayScript(c, cfg, *replay)
+		}
+		if c.WantsTelemetry() {
+			return c.Fail(errors.New("-telemetry-out/-chrome-trace export one replay's timeline; combine them with -replay"))
+		}
+		rep, err := agree.Fuzz(cfg)
+		if err != nil {
+			return c.Fail(err)
+		}
 
-	divergence := false
-	var scripts []string
-	for _, f := range rep.Findings {
-		if f.CrossCheckErr != nil {
-			divergence = true
+		fmt.Fprintf(stdout, "fuzzed        %d seeds (n=%d, t=%d, protocol=%s, engine=%s, crashprob=%g, order=%s, commit-as-data=%t)\n",
+			rep.Seeds, *n, effectiveT(cfg), *protocol, *engine, *crashProb, *order, *commitAsData)
+		if *sendOmit > 0 || *recvOmit > 0 {
+			eff := *maxOmissive
+			if eff <= 0 {
+				eff = *n - 1
+			}
+			fmt.Fprintf(stdout, "omissions     send-prob=%g recv-prob=%g max-omissive=%d omission-only=%t (oracle: consensus only — round bounds are crash-model theorems)\n",
+				*sendOmit, *recvOmit, eff, *omitOnly)
 		}
-		script := f.Shrunk
-		if script == "" {
-			script = f.Script
-		}
-		scripts = append(scripts, script)
-	}
-	if *findingsOut != "" {
-		data := ""
-		if len(scripts) > 0 {
-			data = strings.Join(scripts, "\n") + "\n"
-		}
-		if err := os.WriteFile(*findingsOut, []byte(data), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "agreefuzz:", err)
-			return 1
-		}
-	}
-
-	if len(rep.Findings) == 0 {
-		oracles := "the consensus oracles"
 		if *huntLaws {
-			oracles = "the consensus and law oracles"
+			fmt.Fprintln(stdout, "laws          conservation, ledger consistency, clock and fault-budget oracles standing")
 		}
-		fmt.Printf("findings      none — every sampled schedule satisfies %s\n", oracles)
+		fmt.Fprintf(stdout, "executions    %d (incl. replay verification%s)\n", rep.Executions, shrinkNote(*shrink, *crossCheck))
+		fmt.Fprintf(stdout, "max faults    %d crashes, %d omission-faulty\n", rep.MaxFaults, rep.MaxOmissionFaulty)
+		fmt.Fprintf(stdout, "max decide    round %d\n", rep.MaxDecideRound)
+		fmt.Fprintf(stdout, "decide rounds %s\n", histogram(rep.RoundHistogram))
+
+		divergence := false
+		var scripts []string
+		for _, f := range rep.Findings {
+			if f.CrossCheckErr != nil {
+				divergence = true
+			}
+			script := f.Shrunk
+			if script == "" {
+				script = f.Script
+			}
+			scripts = append(scripts, script)
+		}
+		if *findingsOut != "" {
+			data := ""
+			if len(scripts) > 0 {
+				data = strings.Join(scripts, "\n") + "\n"
+			}
+			if err := os.WriteFile(*findingsOut, []byte(data), 0o644); err != nil {
+				return c.Fail(err)
+			}
+		}
+
+		if len(rep.Findings) == 0 {
+			oracles := "the consensus oracles"
+			if *huntLaws {
+				oracles = "the consensus and law oracles"
+			}
+			fmt.Fprintf(stdout, "findings      none — every sampled schedule satisfies %s\n", oracles)
+			if *expectFind {
+				fmt.Fprintln(stdout, "VERDICT: FAIL — the campaign was expected to find a violation (-expect-findings) and did not")
+				return 2
+			}
+			return 0
+		}
+		fmt.Fprintf(stdout, "findings      %d\n", len(rep.Findings))
+		for i, f := range rep.Findings {
+			class := ""
+			if f.Law != "" {
+				class = fmt.Sprintf(" [law %s]", f.Law)
+			}
+			fmt.Fprintf(stdout, "  [%d] seed %d%s: %v\n", i+1, f.Seed, class, f.Err)
+			fmt.Fprintf(stdout, "      script %q\n", f.Script)
+			if f.Shrunk != "" || f.ShrunkErr != nil {
+				fmt.Fprintf(stdout, "      shrunk %q (%d crash + %d omission events): %v\n",
+					f.Shrunk, f.ShrunkCrashes, f.ShrunkOmissions, f.ShrunkErr)
+			}
+			if len(f.CrossChecked) > 0 {
+				fmt.Fprintf(stdout, "      cross-checked on %v\n", f.CrossChecked)
+			}
+			if f.CrossCheckErr != nil {
+				fmt.Fprintf(stdout, "      CROSS-CHECK DIVERGENCE: %v\n", f.CrossCheckErr)
+			}
+			fmt.Fprintf(stdout, "      reproduce with -replay '%s'\n", scripts[i])
+		}
 		if *expectFind {
-			fmt.Println("VERDICT: FAIL — the campaign was expected to find a violation (-expect-findings) and did not")
-			return 2
+			if divergence {
+				fmt.Fprintln(stdout, "VERDICT: FAIL — findings found but a cross-engine replay diverged")
+				return 2
+			}
+			how := "found and replay-verified"
+			if *shrink {
+				how = "found, shrunk and replay-verified"
+			}
+			if *crossCheck {
+				how += ", cross-checked on every engine"
+			}
+			fmt.Fprintf(stdout, "VERDICT: OK — the predicted violation was %s\n", how)
+			return 0
 		}
-		return 0
+		return 2
 	}
-	fmt.Printf("findings      %d\n", len(rep.Findings))
-	for i, f := range rep.Findings {
-		class := ""
-		if f.Law != "" {
-			class = fmt.Sprintf(" [law %s]", f.Law)
-		}
-		fmt.Printf("  [%d] seed %d%s: %v\n", i+1, f.Seed, class, f.Err)
-		fmt.Printf("      script %q\n", f.Script)
-		if f.Shrunk != "" || f.ShrunkErr != nil {
-			fmt.Printf("      shrunk %q (%d crash + %d omission events): %v\n",
-				f.Shrunk, f.ShrunkCrashes, f.ShrunkOmissions, f.ShrunkErr)
-		}
-		if len(f.CrossChecked) > 0 {
-			fmt.Printf("      cross-checked on %v\n", f.CrossChecked)
-		}
-		if f.CrossCheckErr != nil {
-			fmt.Printf("      CROSS-CHECK DIVERGENCE: %v\n", f.CrossCheckErr)
-		}
-		fmt.Printf("      reproduce with -replay '%s'\n", scripts[i])
-	}
-	if *expectFind {
-		if divergence {
-			fmt.Println("VERDICT: FAIL — findings found but a cross-engine replay diverged")
-			return 2
-		}
-		how := "found and replay-verified"
-		if *shrink {
-			how = "found, shrunk and replay-verified"
-		}
-		if *crossCheck {
-			how += ", cross-checked on every engine"
-		}
-		fmt.Printf("VERDICT: OK — the predicted violation was %s\n", how)
-		return 0
-	}
-	return 2
+	return c
 }
 
 // effectiveT mirrors the campaign's crash-budget defaulting for the summary
@@ -245,22 +217,14 @@ func shrinkNote(shrink, crossCheck bool) string {
 
 // histogram renders a round histogram compactly in round order.
 func histogram(h map[int]int) string {
-	rounds := make([]int, 0, len(h))
-	for r := range h {
-		rounds = append(rounds, r)
-	}
-	sort.Ints(rounds)
-	out := ""
-	for i, r := range rounds {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("r%d:%d", r, h[r])
-	}
-	if out == "" {
+	if len(h) == 0 {
 		return "(no passing runs)"
 	}
-	return out
+	parts := make([]string, 0, len(h))
+	for _, r := range slices.Sorted(maps.Keys(h)) {
+		parts = append(parts, fmt.Sprintf("r%d:%d", r, h[r]))
+	}
+	return strings.Join(parts, " ")
 }
 
 // replayScript re-executes one crash script with a full transcript and
@@ -268,29 +232,22 @@ func histogram(h map[int]int) string {
 // campaign used (agree.FuzzReplayScript) — including the script-vs-n
 // validation, so an out-of-range script is an error, not a silently
 // failure-free passing run.
-func replayScript(cfg agree.FuzzConfig, text, telemetryOut, chromeTrace string) int {
+func replayScript(c *cli.Cmd, cfg agree.FuzzConfig, text string) int {
 	rep, err := agree.FuzzReplayScript(cfg, text, true)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "agreefuzz:", err)
-		return 1
+		return c.Fail(err)
 	}
-	if err := prof.WriteFile(telemetryOut, rep.Telemetry.MetricsJSON()); err != nil {
-		fmt.Fprintln(os.Stderr, "agreefuzz:", err)
-		return 1
+	if err := c.WriteTelemetry(rep.Telemetry); err != nil {
+		return c.Fail(err)
 	}
-	if err := prof.WriteFile(chromeTrace, rep.Telemetry.ChromeTrace()); err != nil {
-		fmt.Fprintln(os.Stderr, "agreefuzz:", err)
-		return 1
-	}
-	fmt.Print(rep.Transcript)
-	fmt.Println()
-	fmt.Printf("decisions %v (rounds %v), crashed %v, omissive %v\n",
+	fmt.Fprintln(c.Stdout, rep.Transcript)
+	fmt.Fprintf(c.Stdout, "decisions %v (rounds %v), crashed %v, omissive %v\n",
 		rep.Decisions, rep.DecideRound, rep.Crashed, rep.Omissive)
 	if rep.Err != nil {
 		if rep.Law != "" {
-			fmt.Printf("VERDICT: [law %s] %v\n", rep.Law, rep.Err)
+			fmt.Fprintf(c.Stdout, "VERDICT: [law %s] %v\n", rep.Law, rep.Err)
 		} else {
-			fmt.Printf("VERDICT: %v\n", rep.Err)
+			fmt.Fprintf(c.Stdout, "VERDICT: %v\n", rep.Err)
 		}
 		return 2
 	}
@@ -298,6 +255,6 @@ func replayScript(cfg agree.FuzzConfig, text, telemetryOut, chromeTrace string) 
 	if cfg.Laws {
 		verdict += "; all laws hold"
 	}
-	fmt.Println("VERDICT: " + verdict)
+	fmt.Fprintln(c.Stdout, "VERDICT: "+verdict)
 	return 0
 }

@@ -19,163 +19,127 @@
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"os"
+	"slices"
 
 	"repro/agree"
-	"repro/internal/prof"
+	"repro/internal/cli"
 )
 
-func main() {
+func main() { os.Exit(command(os.Stdout, os.Stderr).Run(os.Args[1:])) }
+
+func command(stdout, stderr io.Writer) *cli.Cmd {
+	c := cli.New("agreerun", stdout, stderr)
 	var (
-		n        = flag.Int("n", 5, "number of processes")
-		tt       = flag.Int("t", 0, "resilience bound for classic baselines (default n-1)")
-		protocol = flag.String("protocol", "crw", "protocol: crw, earlystop, floodset")
-		engine   = flag.String("engine", "deterministic", "engine kind (see -list-engines)")
-		listEng  = flag.Bool("list-engines", false, "list registered engines with their capabilities and exit")
-		f        = flag.Int("f", 0, "crash the coordinators of the first f rounds")
-		deliver  = flag.Bool("deliver", false, "dying coordinators complete their data step")
-		prefix   = flag.Int("prefix", 0, "control prefix delivered by dying coordinators (-1 = all)")
-		random   = flag.Bool("random", false, "use the randomized adversary instead of the coordinator killer")
-		seed     = flag.Int64("seed", 1, "seed for -random")
-		prob     = flag.Float64("prob", 0.2, "per-round crash probability for -random")
-		simulate = flag.Bool("simulate", false, "run CRW through the Section 2.2 classic-model simulation")
-		bits     = flag.Int("bits", 64, "proposal bit width b")
-		quiet    = flag.Bool("quiet", false, "suppress the transcript")
-		diag     = flag.Bool("diagram", false, "render a space-time diagram instead of the raw transcript")
-		crosschk = flag.Bool("crosscheck", false, "re-run on every other registered engine and diff the outcomes")
-		workers  = flag.Int("workers", 1, "worker-pool size for -fsweep (0 = GOMAXPROCS)")
-		fsweep   = flag.Int("fsweep", -1, "sweep coordinator crashes f=0..fsweep and print one row per f (ignores the single-run fault flags)")
-
-		latProfile = flag.String("lat-profile", "", "timed engine: LAN latency profile (100m, 1g, 10g)")
-		latD       = flag.Float64("lat-d", 0, "timed engine: synchrony bound D (fixed/jitter latency model)")
-		latDelta   = flag.Float64("lat-delta", 0, "timed engine: control-step extension δ")
-		latFloor   = flag.Float64("lat-floor", 0, "timed engine: jitter latency floor")
-		latSpread  = flag.Float64("lat-spread", 0, "timed engine: jitter width (latency = floor + U[0, spread)); floor+spread > D injects timing faults")
-		latSeed    = flag.Int64("lat-seed", 1, "timed engine: jitter seed (pure per-message hash)")
-
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		telemetryOut = flag.String("telemetry-out", "", `write the run's metrics timeline JSON to this file ("-" = stdout)`)
-		chromeTrace  = flag.String("chrome-trace", "", "write the run's Chrome trace_event JSON to this file (loads in Perfetto / chrome://tracing)")
+		n        = c.Int("n", 5, "number of processes")
+		tt       = c.Int("t", 0, "resilience bound for classic baselines (default n-1)")
+		protocol = c.String("protocol", "crw", "protocol: crw, earlystop, floodset")
+		engine   = c.String("engine", "deterministic", "engine kind (see -list-engines)")
+		listEng  = c.Bool("list-engines", false, "list registered engines with their capabilities and exit")
+		f        = c.Int("f", 0, "crash the coordinators of the first f rounds")
+		deliver  = c.Bool("deliver", false, "dying coordinators complete their data step")
+		prefix   = c.Int("prefix", 0, "control prefix delivered by dying coordinators (-1 = all)")
+		random   = c.Bool("random", false, "use the randomized adversary instead of the coordinator killer")
+		seed     = c.Int64("seed", 1, "seed for -random")
+		prob     = c.Float64("prob", 0.2, "per-round crash probability for -random")
+		simulate = c.Bool("simulate", false, "run CRW through the Section 2.2 classic-model simulation")
+		bits     = c.Int("bits", 64, "proposal bit width b")
+		quiet    = c.Bool("quiet", false, "suppress the transcript")
+		diag     = c.Bool("diagram", false, "render a space-time diagram instead of the raw transcript")
+		crosschk = c.Bool("crosscheck", false, "re-run on every other registered engine and diff the outcomes")
+		workers  = c.Int("workers", 1, "worker-pool size for -fsweep (0 = GOMAXPROCS)")
+		fsweep   = c.Int("fsweep", -1, "sweep coordinator crashes f=0..fsweep and print one row per f (ignores the single-run fault flags)")
+		lat      = c.Latency("timed engine: ")
 	)
-	flag.Parse()
-
-	if *listEng {
-		fmt.Printf("%-15s %-6s %-14s %-9s %-6s\n", "engine", "trace", "deterministic", "reusable", "timed")
-		for _, e := range agree.Engines() {
-			fmt.Printf("%-15s %-6v %-14v %-9v %-6v\n", e.Kind, e.Trace, e.Deterministic, e.Reusable, e.Timed)
-		}
-		return
-	}
-
-	latency, err := agree.LatencyFromFlags(*latProfile, *latD, *latDelta, *latFloor, *latSpread, *latSeed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "agreerun:", err)
-		os.Exit(1)
-	}
-
-	stopCPU, err := prof.StartCPU(*cpuprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "agreerun:", err)
-		os.Exit(1)
-	}
-	// finish flushes the profiles and exits; every post-flag-parse exit goes
-	// through it so -cpuprofile/-memprofile files are complete even on error.
-	finish := func(code int) {
-		stopCPU()
-		if err := prof.WriteHeap(*memprofile); err != nil {
-			fmt.Fprintln(os.Stderr, "agreerun:", err)
-			if code == 0 {
-				code = 1
+	c.Profiles()
+	c.Telemetry("")
+	c.Main = func() int {
+		if *listEng {
+			fmt.Fprintf(stdout, "%-15s %-6s %-14s %-9s %-6s\n", "engine", "trace", "deterministic", "reusable", "timed")
+			for _, e := range agree.Engines() {
+				fmt.Fprintf(stdout, "%-15s %-6v %-14v %-9v %-6v\n", e.Kind, e.Trace, e.Deterministic, e.Reusable, e.Timed)
 			}
+			return 0
 		}
-		os.Exit(code)
-	}
+		latency, err := lat.Spec()
+		if err = errors.Join(err, c.AtLeast(0, "t", "workers")); err != nil {
+			return c.Fail(err)
+		}
+		cfg := agree.Config{
+			N:                 *n,
+			T:                 *tt,
+			Protocol:          agree.Protocol(*protocol),
+			Engine:            agree.EngineKind(*engine),
+			Bits:              *bits,
+			Latency:           latency,
+			SimulateOnClassic: *simulate,
+		}
+		if *fsweep >= 0 {
+			if *random || *f > 0 || *deliver || *diag {
+				return c.Fail(errors.New("-fsweep always sweeps silent coordinator crashes; it cannot be combined with -random/-f/-deliver/-diagram"))
+			}
+			if c.WantsTelemetry() {
+				return c.Fail(errors.New("-telemetry-out/-chrome-trace export one run's timeline; they cannot be combined with -fsweep"))
+			}
+			if runSweep(stdout, cfg, *fsweep, *workers, *crosschk) {
+				return 2
+			}
+			return 0
+		}
 
-	if *fsweep >= 0 {
-		if *random || *f > 0 || *deliver || *diag {
-			fmt.Fprintln(os.Stderr, "agreerun: -fsweep always sweeps silent coordinator crashes; it cannot be combined with -random/-f/-deliver/-diagram")
-			finish(1)
+		switch {
+		case *random:
+			cfg.Faults = agree.RandomFaults(*seed, *prob, *n-1)
+		case *f > 0 && *deliver:
+			cfg.Faults = agree.CoordinatorCrashesDelivering(*f, *prefix)
+		case *f > 0:
+			cfg.Faults = agree.CoordinatorCrashes(*f)
 		}
-		if *telemetryOut != "" || *chromeTrace != "" {
-			fmt.Fprintln(os.Stderr, "agreerun: -telemetry-out/-chrome-trace export one run's timeline; they cannot be combined with -fsweep")
-			finish(1)
+		canTrace := engineHasTrace(cfg.Engine)
+		cfg.Trace = !*quiet && canTrace
+		cfg.Diagram = *diag && canTrace
+		cfg.Telemetry = c.WantsTelemetry()
+		item := agree.Sweep([]agree.Config{cfg}, agree.SweepOptions{Workers: 1, CrossCheck: *crosschk}).Items[0]
+		if item.Err != nil {
+			return c.Fail(item.Err)
 		}
-		if runSweep(*n, *tt, *protocol, *engine, *bits, *fsweep, *workers, *crosschk, *simulate, latency) {
-			finish(2)
+		rep := item.Report
+		if err := c.WriteTelemetry(rep.Telemetry); err != nil {
+			return c.Fail(err)
 		}
-		finish(0)
+		switch {
+		case rep.Diagram != "":
+			fmt.Fprintln(stdout, rep.Diagram)
+		case rep.Transcript != "" && !*quiet:
+			fmt.Fprintln(stdout, rep.Transcript)
+		}
+		fmt.Fprintf(stdout, "protocol    %s (%s engine)\n", cfg.Protocol, cfg.Engine)
+		fmt.Fprintf(stdout, "processes   n=%d\n", *n)
+		fmt.Fprintf(stdout, "faults      f=%d %v\n", rep.Faults(), slices.Sorted(maps.Keys(rep.Crashed)))
+		fmt.Fprintf(stdout, "rounds      %d (last decision at round %d)\n", rep.MacroRounds, rep.MaxDecideRound())
+		fmt.Fprintf(stdout, "decisions   %v\n", rep.Decisions)
+		fmt.Fprintf(stdout, "traffic     %s\n", rep.Counters.String())
+		fmt.Fprintf(stdout, "ledger      %s (conservation audited)\n", rep.Ledger.String())
+		if rep.SimTime > 0 {
+			fmt.Fprintf(stdout, "simtime     %g (measured on the event clock)\n", rep.SimTime)
+		}
+		if len(item.CrossChecked) > 0 {
+			fmt.Fprintf(stdout, "crosscheck  consistent on %v\n", item.CrossChecked)
+		} else if *crosschk {
+			fmt.Fprintln(stdout, "crosscheck  skipped (order-sensitive fault spec)")
+		}
+		if rep.ConsensusErr != nil {
+			fmt.Fprintf(stdout, "VERDICT     VIOLATION: %v\n", rep.ConsensusErr)
+			return 2
+		}
+		fmt.Fprintln(stdout, "VERDICT     uniform consensus holds")
+		return 0
 	}
-
-	faults := agree.NoFaults()
-	switch {
-	case *random:
-		faults = agree.RandomFaults(*seed, *prob, *n-1)
-	case *f > 0 && *deliver:
-		faults = agree.CoordinatorCrashesDelivering(*f, *prefix)
-	case *f > 0:
-		faults = agree.CoordinatorCrashes(*f)
-	}
-
-	canTrace := engineHasTrace(agree.EngineKind(*engine))
-	cfg := agree.Config{
-		N:                 *n,
-		T:                 *tt,
-		Protocol:          agree.Protocol(*protocol),
-		Engine:            agree.EngineKind(*engine),
-		Bits:              *bits,
-		Faults:            faults,
-		Latency:           latency,
-		SimulateOnClassic: *simulate,
-		Trace:             !*quiet && canTrace,
-		Diagram:           *diag && canTrace,
-		Telemetry:         *telemetryOut != "" || *chromeTrace != "",
-	}
-	item := agree.Sweep([]agree.Config{cfg}, agree.SweepOptions{Workers: 1, CrossCheck: *crosschk}).Items[0]
-	if item.Err != nil {
-		fmt.Fprintln(os.Stderr, "agreerun:", item.Err)
-		finish(1)
-	}
-	rep := item.Report
-	if err := prof.WriteFile(*telemetryOut, rep.Telemetry.MetricsJSON()); err != nil {
-		fmt.Fprintln(os.Stderr, "agreerun:", err)
-		finish(1)
-	}
-	if err := prof.WriteFile(*chromeTrace, rep.Telemetry.ChromeTrace()); err != nil {
-		fmt.Fprintln(os.Stderr, "agreerun:", err)
-		finish(1)
-	}
-	switch {
-	case rep.Diagram != "":
-		fmt.Print(rep.Diagram)
-		fmt.Println()
-	case rep.Transcript != "" && !*quiet:
-		fmt.Print(rep.Transcript)
-		fmt.Println()
-	}
-	fmt.Printf("protocol    %s (%s engine)\n", cfg.Protocol, cfg.Engine)
-	fmt.Printf("processes   n=%d\n", *n)
-	fmt.Printf("faults      f=%d %v\n", rep.Faults(), keys(rep.Crashed))
-	fmt.Printf("rounds      %d (last decision at round %d)\n", rep.MacroRounds, rep.MaxDecideRound())
-	fmt.Printf("decisions   %v\n", rep.Decisions)
-	fmt.Printf("traffic     %s\n", rep.Counters.String())
-	fmt.Printf("ledger      %s (conservation audited)\n", rep.Ledger.String())
-	if rep.SimTime > 0 {
-		fmt.Printf("simtime     %g (measured on the event clock)\n", rep.SimTime)
-	}
-	if len(item.CrossChecked) > 0 {
-		fmt.Printf("crosscheck  consistent on %v\n", item.CrossChecked)
-	} else if *crosschk {
-		fmt.Println("crosscheck  skipped (order-sensitive fault spec)")
-	}
-	if rep.ConsensusErr != nil {
-		fmt.Printf("VERDICT     VIOLATION: %v\n", rep.ConsensusErr)
-		finish(2)
-	}
-	fmt.Println("VERDICT     uniform consensus holds")
-	finish(0)
+	return c
 }
 
 // engineHasTrace consults the live registry (the same source -list-engines
@@ -193,29 +157,22 @@ func engineHasTrace(kind agree.EngineKind) bool {
 }
 
 // runSweep executes the -fsweep mode: coordinator-killer scenarios f=0..max
-// as one parallel sweep, one table row per fault count. It reports whether
-// any row errored or violated consensus.
-func runSweep(n, tt int, protocol, engine string, bits, max, workers int, crosscheck, simulate bool, latency agree.LatencySpec) bool {
+// of the base configuration as one parallel sweep, one table row per fault
+// count. It reports whether any row errored or violated consensus.
+func runSweep(w io.Writer, base agree.Config, max, workers int, crosscheck bool) bool {
 	configs := make([]agree.Config, 0, max+1)
 	for f := 0; f <= max; f++ {
-		configs = append(configs, agree.Config{
-			N:                 n,
-			T:                 tt,
-			Protocol:          agree.Protocol(protocol),
-			Engine:            agree.EngineKind(engine),
-			Bits:              bits,
-			Faults:            agree.CoordinatorCrashes(f),
-			Latency:           latency,
-			SimulateOnClassic: simulate,
-		})
+		cfg := base
+		cfg.Faults = agree.CoordinatorCrashes(f)
+		configs = append(configs, cfg)
 	}
 	sr := agree.Sweep(configs, agree.SweepOptions{Workers: workers, CrossCheck: crosscheck})
-	fmt.Printf("sweep: %s on n=%d, f=0..%d (%d workers requested)\n\n", protocol, n, max, workers)
-	fmt.Printf("%-4s %-7s %-9s %-10s %-9s\n", "f", "rounds", "messages", "crosscheck", "verdict")
+	fmt.Fprintf(w, "sweep: %s on n=%d, f=0..%d (%d workers requested)\n\n", base.Protocol, base.N, max, workers)
+	fmt.Fprintf(w, "%-4s %-7s %-9s %-10s %-9s\n", "f", "rounds", "messages", "crosscheck", "verdict")
 	failed := false
 	for i, item := range sr.Items {
 		if item.Err != nil {
-			fmt.Printf("%-4d %v\n", i, item.Err)
+			fmt.Fprintf(w, "%-4d %v\n", i, item.Err)
 			failed = true
 			continue
 		}
@@ -228,27 +185,13 @@ func runSweep(n, tt int, protocol, engine string, bits, max, workers int, crossc
 		if len(item.CrossChecked) > 0 {
 			xc = "ok"
 		}
-		fmt.Printf("%-4d %-7d %-9d %-10s %-9s\n", item.Report.Faults(), item.Report.MaxDecideRound(),
+		fmt.Fprintf(w, "%-4d %-7d %-9d %-10s %-9s\n", item.Report.Faults(), item.Report.MaxDecideRound(),
 			item.Report.Counters.TotalMsgs(), xc, verdict)
 	}
 	agg := sr.Aggregate
-	fmt.Printf("\naggregate: %d configs, %d errors, %d violations, rounds histogram %v, %s\n",
+	fmt.Fprintf(w, "\naggregate: %d configs, %d errors, %d violations, rounds histogram %v, %s\n",
 		agg.Configs, agg.Errored, agg.Violations, agg.RoundHistogram, agg.Counters.String())
-	fmt.Printf("engine pool: %d built, %d reuse hits (reusable engines rewind between jobs)\n",
+	fmt.Fprintf(w, "engine pool: %d built, %d reuse hits (reusable engines rewind between jobs)\n",
 		agg.EnginesBuilt, agg.EngineReuses)
 	return failed
-}
-
-// keys returns the sorted crash set for display.
-func keys(m map[int]int) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
-		}
-	}
-	return out
 }

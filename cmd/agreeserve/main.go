@@ -18,200 +18,167 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
-	"flag"
 	"fmt"
+	"io"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/agree"
-	"repro/internal/prof"
+	"repro/internal/cli"
 )
 
-func main() {
+func main() { os.Exit(command(os.Stdout, os.Stderr).Run(os.Args[1:])) }
+
+func command(stdout, stderr io.Writer) *cli.Cmd {
+	c := cli.New("agreeserve", stdout, stderr)
 	var (
-		n        = flag.Int("n", 4, "number of replicas")
-		protocol = flag.String("protocol", "crw", "per-slot protocol: crw, earlystop")
-		engine   = flag.String("engine", "timed", "engine kind (see agreerun -list-engines)")
-		bits     = flag.Int("bits", 64, "command bit width b")
-		noRotate = flag.Bool("no-rotate", false, "disable per-slot leader rotation (a dead static coordinator then wastes a round per slot)")
+		n        = c.Int("n", 4, "number of replicas")
+		protocol = c.String("protocol", "crw", "per-slot protocol: crw, earlystop")
+		engine   = c.String("engine", "timed", "engine kind (see agreerun -list-engines)")
+		bits     = c.Int("bits", 64, "command bit width b")
+		noRotate = c.Bool("no-rotate", false, "disable per-slot leader rotation (a dead static coordinator then wastes a round per slot)")
 
-		wl       = flag.String("workload", "fixed", "workload: fixed, poisson, bursty, closed")
-		rate     = flag.Float64("rate", 10, "open-loop arrival rate (base rate for bursty)")
-		burst    = flag.Float64("burst-rate", 0, "bursty: burst-phase arrival rate")
-		baseDur  = flag.Float64("base-dur", 10, "bursty: base-phase duration")
-		burstDur = flag.Float64("burst-dur", 1, "bursty: burst-phase duration")
-		clients  = flag.Int("clients", 8, "closed-loop: number of clients")
-		think    = flag.Float64("think", 0, "closed-loop: think time between commit and next command")
-		thinkExp = flag.Bool("think-poisson", false, "closed-loop: exponential think times instead of fixed")
-		wlSeed   = flag.Int64("workload-seed", 1, "workload sampling seed")
+		wl       = c.String("workload", "fixed", "workload: fixed, poisson, bursty, closed")
+		rate     = c.Float64("rate", 10, "open-loop arrival rate (base rate for bursty)")
+		burst    = c.Float64("burst-rate", 0, "bursty: burst-phase arrival rate")
+		baseDur  = c.Float64("base-dur", 10, "bursty: base-phase duration")
+		burstDur = c.Float64("burst-dur", 1, "bursty: burst-phase duration")
+		clients  = c.Int("clients", 8, "closed-loop: number of clients")
+		think    = c.Float64("think", 0, "closed-loop: think time between commit and next command")
+		thinkExp = c.Bool("think-poisson", false, "closed-loop: exponential think times instead of fixed")
+		wlSeed   = c.Int64("workload-seed", 1, "workload sampling seed")
 
-		maxCmds  = flag.Int("max-commands", 0, "stop after this many committed commands")
-		duration = flag.Float64("duration", 0, "stop launching slots after this simulated time")
-		maxSlots = flag.Int("max-slots", 0, "stop after this many slots")
-		batch    = flag.Int("batch", 0, "max commands per slot (0 = unbounded)")
-		noPipe   = flag.Bool("no-pipeline", false, "launch each slot only after the previous one committed")
+		maxCmds  = c.Int("max-commands", 0, "stop after this many committed commands")
+		duration = c.Float64("duration", 0, "stop launching slots after this simulated time")
+		maxSlots = c.Int("max-slots", 0, "stop after this many slots")
+		batch    = c.Int("batch", 0, "max commands per slot (0 = unbounded)")
+		noPipe   = c.Bool("no-pipeline", false, "launch each slot only after the previous one committed")
 
-		crash     = flag.String("crash", "", "crash schedule: comma-separated id@time, e.g. 1@5.5,3@20")
-		omitProcs = flag.String("omit-procs", "", "omission-faulty replicas, comma-separated ids")
-		omitSend  = flag.Float64("omit-send", 0, "per-round whole-plan send-omission probability")
-		omitRecv  = flag.Float64("omit-recv", 0, "per-(round, sender) receive-omission probability")
-		omitSeed  = flag.Int64("omit-seed", 1, "omission sampling seed")
+		crash     = c.String("crash", "", "crash schedule: comma-separated id@time, e.g. 1@5.5,3@20")
+		omitProcs = c.String("omit-procs", "", "omission-faulty replicas, comma-separated ids")
+		omitSend  = c.Float64("omit-send", 0, "per-round whole-plan send-omission probability")
+		omitRecv  = c.Float64("omit-recv", 0, "per-(round, sender) receive-omission probability")
+		omitSeed  = c.Int64("omit-seed", 1, "omission sampling seed")
 
-		latProfile = flag.String("lat-profile", "", "LAN latency profile (100m, 1g, 10g)")
-		latD       = flag.Float64("lat-d", 0, "synchrony bound D (fixed/jitter latency model)")
-		latDelta   = flag.Float64("lat-delta", 0, "control-step extension δ")
-		latFloor   = flag.Float64("lat-floor", 0, "jitter latency floor")
-		latSpread  = flag.Float64("lat-spread", 0, "jitter width; floor+spread > D injects timing faults")
-		latSeed    = flag.Int64("lat-seed", 1, "jitter seed")
+		lat = c.Latency("")
 
-		asJSON = flag.Bool("json", false, "print the report as canonical JSON")
-		verify = flag.Bool("verify", false, "check the determinism law (two byte-identical runs) before reporting")
-
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		telemetryOut = flag.String("telemetry-out", "", `write the run's metrics timeline JSON to this file ("-" = stdout)`)
-		chromeTrace  = flag.String("chrome-trace", "", "write the run's Chrome trace_event JSON to this file (one slot span per commit; loads in Perfetto / chrome://tracing)")
-		metricsOut   = flag.String("metrics-out", "", `write the per-slot latency/throughput timeline JSON to this file ("-" = stdout) and print the latency summary table`)
+		asJSON     = c.Bool("json", false, "print the report as canonical JSON")
+		verify     = c.Bool("verify", false, "check the determinism law (two byte-identical runs) before reporting")
+		metricsOut = c.String("metrics-out", "", `write the per-slot latency/throughput timeline JSON to this file ("-" = stdout) and print the latency summary table`)
 	)
-	flag.Parse()
-
-	latency, err := agree.LatencyFromFlags(*latProfile, *latD, *latDelta, *latFloor, *latSpread, *latSeed)
-	if err != nil {
-		fail(err)
-	}
-
-	var workload agree.WorkloadSpec
-	switch *wl {
-	case "fixed":
-		workload = agree.FixedArrivals(*rate, *wlSeed)
-	case "poisson":
-		workload = agree.PoissonArrivals(*rate, *wlSeed)
-	case "bursty":
-		workload = agree.BurstyArrivals(*rate, *burst, *baseDur, *burstDur, *wlSeed)
-	case "closed":
-		workload = agree.ClosedClients(*clients, *think, *thinkExp, *wlSeed)
-	default:
-		fail(fmt.Errorf("unknown workload %q (fixed, poisson, bursty, closed)", *wl))
-	}
-
-	crashAt, err := parseCrashSchedule(*crash)
-	if err != nil {
-		fail(err)
-	}
-
-	cfg := agree.ServeConfig{
-		N:            *n,
-		Protocol:     agree.Protocol(*protocol),
-		Bits:         *bits,
-		RotateLeader: !*noRotate,
-		Engine:       agree.EngineKind(*engine),
-		Latency:      latency,
-		Workload:     workload,
-		MaxCommands:  *maxCmds,
-		Duration:     *duration,
-		MaxSlots:     *maxSlots,
-		BatchLimit:   *batch,
-		NoPipeline:   *noPipe,
-		CrashAt:      crashAt,
-	}
-	if *omitProcs != "" {
-		procs, err := parseIDs(*omitProcs)
+	c.Profiles()
+	c.Telemetry("")
+	c.Main = func() int {
+		latency, err := lat.Spec()
 		if err != nil {
-			fail(err)
+			return c.Fail(err)
 		}
-		cfg.Omissions = &agree.ServeOmissions{Procs: procs, SendProb: *omitSend, RecvProb: *omitRecv, Seed: *omitSeed}
-	}
-	cfg.Telemetry = *telemetryOut != "" || *chromeTrace != "" || *metricsOut != ""
 
-	stopCPU, err := prof.StartCPU(*cpuprofile)
-	if err != nil {
-		fail(err)
-	}
-	// finish flushes the profiles and exits, so the -cpuprofile/-memprofile
-	// files are complete on every post-start exit path.
-	finish := func(code int) {
-		stopCPU()
-		if err := prof.WriteHeap(*memprofile); err != nil {
-			fmt.Fprintln(os.Stderr, "agreeserve:", err)
-			if code == 0 {
-				code = 1
+		var workload agree.WorkloadSpec
+		switch *wl {
+		case "fixed":
+			workload = agree.FixedArrivals(*rate, *wlSeed)
+		case "poisson":
+			workload = agree.PoissonArrivals(*rate, *wlSeed)
+		case "bursty":
+			workload = agree.BurstyArrivals(*rate, *burst, *baseDur, *burstDur, *wlSeed)
+		case "closed":
+			workload = agree.ClosedClients(*clients, *think, *thinkExp, *wlSeed)
+		default:
+			return c.Fail(fmt.Errorf("unknown workload %q (fixed, poisson, bursty, closed)", *wl))
+		}
+
+		crashAt, err := parseCrashSchedule(*crash)
+		if err != nil {
+			return c.Fail(err)
+		}
+
+		cfg := agree.ServeConfig{
+			N:            *n,
+			Protocol:     agree.Protocol(*protocol),
+			Bits:         *bits,
+			RotateLeader: !*noRotate,
+			Engine:       agree.EngineKind(*engine),
+			Latency:      latency,
+			Workload:     workload,
+			MaxCommands:  *maxCmds,
+			Duration:     *duration,
+			MaxSlots:     *maxSlots,
+			BatchLimit:   *batch,
+			NoPipeline:   *noPipe,
+			CrashAt:      crashAt,
+			Telemetry:    c.WantsTelemetry() || *metricsOut != "",
+		}
+		if *omitProcs != "" {
+			procs, err := parseIDs(*omitProcs)
+			if err != nil {
+				return c.Fail(err)
+			}
+			cfg.Omissions = &agree.ServeOmissions{Procs: procs, SendProb: *omitSend, RecvProb: *omitRecv, Seed: *omitSeed}
+		}
+
+		if *verify {
+			if err := agree.VerifyServeDeterminism(cfg); err != nil {
+				return c.Fail(err)
 			}
 		}
-		os.Exit(code)
-	}
-	failf := func(err error) {
-		fmt.Fprintln(os.Stderr, "agreeserve:", err)
-		finish(1)
-	}
-
-	if *verify {
-		if err := agree.VerifyServeDeterminism(cfg); err != nil {
-			failf(err)
-		}
-	}
-	rep, err := agree.Serve(cfg)
-	if err != nil {
-		failf(err)
-	}
-
-	tel := rep.Telemetry()
-	if err := prof.WriteFile(*telemetryOut, tel.MetricsJSON()); err != nil {
-		failf(err)
-	}
-	if err := prof.WriteFile(*chromeTrace, tel.ChromeTrace()); err != nil {
-		failf(err)
-	}
-	if err := prof.WriteFile(*metricsOut, tel.SlotTimelineJSON()); err != nil {
-		failf(err)
-	}
-
-	if *asJSON {
-		out, err := json.MarshalIndent(rep, "", "  ")
+		rep, err := agree.Serve(cfg)
 		if err != nil {
-			failf(err)
+			return c.Fail(err)
 		}
-		fmt.Println(string(out))
-		finish(0)
-	}
 
-	fmt.Printf("service     %s on %s engine, n=%d, rotate=%v\n", cfg.Protocol, orDefault(*engine, "timed"), *n, cfg.RotateLeader)
-	fmt.Printf("workload    %s\n", *wl)
-	fmt.Printf("committed   %d commands in %d slots (%d rounds, histogram %v)\n",
-		rep.Commands, rep.Slots, rep.TotalRounds, rep.RoundsHist)
-	fmt.Printf("throughput  %.0f commands/simulated-hour (last commit at t=%g)\n", rep.CommandsPerHour, rep.LastCommit)
-	fmt.Printf("latency     p50=%g p99=%g p999=%g mean=%g max=%g\n",
-		rep.LatencyP50, rep.LatencyP99, rep.LatencyP999, rep.LatencyMean, rep.LatencyMax)
-	if len(rep.Crashed) > 0 {
-		ids := make([]int, 0, len(rep.Crashed))
-		for id := range rep.Crashed {
-			ids = append(ids, id)
+		tel := rep.Telemetry()
+		if err := c.WriteTelemetry(tel); err != nil {
+			return c.Fail(err)
 		}
-		sort.Ints(ids)
-		for _, id := range ids {
-			fmt.Printf("crash       replica %d at t=%g\n", id, rep.Crashed[id])
+		if err := c.WriteFile(*metricsOut, tel.SlotTimelineJSON()); err != nil {
+			return c.Fail(err)
 		}
+
+		if *asJSON {
+			out, err := json.MarshalIndent(rep, "", "  ")
+			if err != nil {
+				return c.Fail(err)
+			}
+			fmt.Fprintln(stdout, string(out))
+			return 0
+		}
+
+		fmt.Fprintf(stdout, "service     %s on %s engine, n=%d, rotate=%v\n", cfg.Protocol, cmp.Or(*engine, "timed"), *n, cfg.RotateLeader)
+		fmt.Fprintf(stdout, "workload    %s\n", *wl)
+		fmt.Fprintf(stdout, "committed   %d commands in %d slots (%d rounds, histogram %v)\n",
+			rep.Commands, rep.Slots, rep.TotalRounds, rep.RoundsHist)
+		fmt.Fprintf(stdout, "throughput  %.0f commands/simulated-hour (last commit at t=%g)\n", rep.CommandsPerHour, rep.LastCommit)
+		fmt.Fprintf(stdout, "latency     p50=%g p99=%g p999=%g mean=%g max=%g\n",
+			rep.LatencyP50, rep.LatencyP99, rep.LatencyP999, rep.LatencyMean, rep.LatencyMax)
+		for _, id := range slices.Sorted(maps.Keys(rep.Crashed)) {
+			fmt.Fprintf(stdout, "crash       replica %d at t=%g\n", id, rep.Crashed[id])
+		}
+		for _, r := range rep.Recoveries {
+			fmt.Fprintf(stdout, "recovery    leader %d crashed at t=%g, next commit at t=%g: %g (%s)\n",
+				r.Replica, r.CrashTime, r.Commit, r.Time(), rotationNote(cfg.RotateLeader))
+		}
+		if len(rep.Omissive) > 0 {
+			fmt.Fprintf(stdout, "omissive    %v (rounds with injected omissions per replica)\n", rep.Omissive)
+		}
+		fmt.Fprintf(stdout, "traffic     %s\n", rep.Counters.String())
+		fmt.Fprintf(stdout, "ledger      %s (cross-slot conservation audited)\n", rep.Ledger.String())
+		fmt.Fprintf(stdout, "engines     %d built, %d reuse hits\n", rep.EnginesBuilt, rep.EngineReuses)
+		if *verify {
+			fmt.Fprintln(stdout, "determinism byte-identical across two runs (law verified)")
+		}
+		if *metricsOut != "" && *metricsOut != "-" {
+			fmt.Fprintln(stdout, "\ncommit-latency distribution")
+			fmt.Fprint(stdout, tel.LatencyTable())
+		}
+		return 0
 	}
-	for _, r := range rep.Recoveries {
-		fmt.Printf("recovery    leader %d crashed at t=%g, next commit at t=%g: %g (%s)\n",
-			r.Replica, r.CrashTime, r.Commit, r.Time(), rotationNote(cfg.RotateLeader))
-	}
-	if len(rep.Omissive) > 0 {
-		fmt.Printf("omissive    %v (rounds with injected omissions per replica)\n", rep.Omissive)
-	}
-	fmt.Printf("traffic     %s\n", rep.Counters.String())
-	fmt.Printf("ledger      %s (cross-slot conservation audited)\n", rep.Ledger.String())
-	fmt.Printf("engines     %d built, %d reuse hits\n", rep.EnginesBuilt, rep.EngineReuses)
-	if *verify {
-		fmt.Println("determinism byte-identical across two runs (law verified)")
-	}
-	if *metricsOut != "" && *metricsOut != "-" {
-		fmt.Println("\ncommit-latency distribution")
-		fmt.Print(tel.LatencyTable())
-	}
-	finish(0)
+	return c
 }
 
 // parseCrashSchedule parses "1@5.5,3@20" into a crash map.
@@ -260,18 +227,4 @@ func rotationNote(rotate bool) string {
 		return "one-round bound with rotation"
 	}
 	return "two rounds: static coordinator dead"
-}
-
-// orDefault substitutes a default for the empty string.
-func orDefault(s, def string) string {
-	if s == "" {
-		return def
-	}
-	return s
-}
-
-// fail prints the error and exits nonzero.
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "agreeserve:", err)
-	os.Exit(1)
 }

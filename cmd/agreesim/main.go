@@ -11,7 +11,7 @@
 //	agreesim -list                              # catalog inventory
 //	agreesim -run all                           # full catalog, each scenario's own engines
 //	agreesim -run all -engines all              # full catalog forced onto every registered engine
-//	agreesim -run crash/worst-case-n8-f2        # one scenario
+//	agreesim -run crash/worst-case-n8-f3        # one scenario
 //	agreesim -run all -engines deterministic    # tier-1: catalog on the deterministic engine
 //	agreesim -run all -json                     # machine-readable results
 //	agreesim -convert findings.txt -n 16 -name-prefix omission/nightly -out scenarios
@@ -21,190 +21,158 @@ package main
 
 import (
 	"encoding/json"
-	"flag"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"repro/agree"
+	"repro/internal/cli"
 	"repro/internal/fuzz"
-	"repro/internal/prof"
 	"repro/internal/scenario"
 )
 
-func main() {
-	os.Exit(run())
-}
+func main() { os.Exit(command(os.Stdout, os.Stderr).Run(os.Args[1:])) }
 
-func run() int {
+func command(stdout, stderr io.Writer) *cli.Cmd {
+	c := cli.New("agreesim", stdout, stderr)
 	var (
-		dir        = flag.String("dir", "scenarios", "scenario catalog directory")
-		list       = flag.Bool("list", false, "list the catalog and exit")
-		runNames   = flag.String("run", "", "scenarios to run: 'all' or a comma-separated name list")
-		engines    = flag.String("engines", "", "engine override: 'all' or a comma-separated kind list (default: each scenario's own engines)")
-		workers    = flag.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS; any count yields identical results)")
-		jsonOut    = flag.Bool("json", false, "emit results as JSON")
-		convert    = flag.String("convert", "", "convert an agreefuzz -findings-out artifact into scenario files and exit")
-		out        = flag.String("out", "scenarios", "catalog root the converter writes under")
-		namePrefix = flag.String("name-prefix", "", "scenario name prefix for converted findings (required with -convert; e.g. omission/nightly-20260807)")
-		n          = flag.Int("n", 0, "converter: system size of the campaign the findings came from")
-		tt         = flag.Int("t", 0, "converter: resilience bound of the campaign (0 = n-1)")
-		protocol   = flag.String("protocol", "crw", "converter: protocol of the campaign")
-		engine     = flag.String("engine", "", "converter: restrict the scenario to one engine kind (default: all engines)")
-		cad        = flag.Bool("commit-as-data", false, "converter: the campaign ran the commit-as-data ablation")
-		order      = flag.String("order", "desc", "converter: commit order of the campaign (desc or asc)")
-
-		latProfile = flag.String("lat-profile", "", "converter: LAN latency profile of the campaign (100m, 1g, 10g)")
-		latD       = flag.Float64("lat-d", 0, "converter: synchrony bound D of the campaign's latency model")
-		latDelta   = flag.Float64("lat-delta", 0, "converter: control-step extension δ")
-		latFloor   = flag.Float64("lat-floor", 0, "converter: jitter latency floor")
-		latSpread  = flag.Float64("lat-spread", 0, "converter: jitter width")
-		latSeed    = flag.Int64("lat-seed", 1, "converter: jitter seed")
-
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		telemetryOut = flag.String("telemetry-out", "", `write the run's metrics timeline JSON to this file ("-" = stdout); requires -run to select exactly one executed (scenario, engine) pair`)
-		chromeTrace  = flag.String("chrome-trace", "", "write the run's Chrome trace_event JSON to this file (loads in Perfetto / chrome://tracing); same exactly-one-run rule as -telemetry-out")
+		dir        = c.String("dir", "scenarios", "scenario catalog directory")
+		list       = c.Bool("list", false, "list the catalog and exit")
+		runNames   = c.String("run", "", "scenarios to run: 'all' or a comma-separated name list")
+		engines    = c.String("engines", "", "engine override: 'all' or a comma-separated kind list (default: each scenario's own engines)")
+		workers    = c.Int("workers", 0, "worker-pool size (0 = GOMAXPROCS; any count yields identical results)")
+		jsonOut    = c.Bool("json", false, "emit results as JSON")
+		convert    = c.String("convert", "", "convert an agreefuzz -findings-out artifact into scenario files and exit")
+		out        = c.String("out", "scenarios", "catalog root the converter writes under")
+		namePrefix = c.String("name-prefix", "", "scenario name prefix for converted findings (required with -convert; e.g. omission/nightly-20260807)")
+		n          = c.Int("n", 0, "converter: system size of the campaign the findings came from")
+		tt         = c.Int("t", 0, "converter: resilience bound of the campaign (0 = n-1)")
+		protocol   = c.String("protocol", "crw", "converter: protocol of the campaign")
+		engine     = c.String("engine", "", "converter: restrict the scenario to one engine kind (default: all engines)")
+		cad        = c.Bool("commit-as-data", false, "converter: the campaign ran the commit-as-data ablation")
+		order      = c.Order("converter: ")
+		lat        = c.Latency("converter: ")
 	)
-	flag.Parse()
-
-	fail := func(err error) int {
-		fmt.Fprintln(os.Stderr, "agreesim:", err)
-		return 1
-	}
-
-	if *convert != "" {
-		lat, err := convertLatency(*latProfile, *latD, *latDelta, *latFloor, *latSpread, *latSeed)
-		if err != nil {
-			return fail(err)
+	c.Profiles()
+	c.Telemetry("one executed (scenario, engine) pair only: ")
+	c.Main = func() int {
+		if err := c.AtLeast(0, "workers"); err != nil {
+			return c.Fail(err)
 		}
-		if *order != "desc" && *order != "asc" {
-			return fail(fmt.Errorf("bad -order %q (want desc or asc)", *order))
-		}
-		err = convertFindings(convertConfig{
-			findings: *convert, out: *out, prefix: *namePrefix,
-			n: *n, t: *tt, protocol: *protocol, engine: *engine, latency: lat,
-			commitAsData: *cad, orderAscending: *order == "asc",
-			workers: *workers,
-		})
-		if err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	if *list {
-		entries, err := scenario.LoadDir(*dir)
-		if err != nil {
-			return fail(err)
-		}
-		for _, e := range entries {
-			sc := e.Scenario
-			eng := "all"
-			if len(sc.Engines) > 0 {
-				eng = strings.Join(sc.Engines, ",")
+		if *convert != "" {
+			latency, err := lat.Scenario()
+			asc, orderErr := cli.Ascending(*order)
+			if err = errors.Join(err, orderErr); err != nil {
+				return c.Fail(err)
 			}
-			fmt.Printf("%-44s n=%-3d expect=%-12s engines=%-30s %s\n", sc.Name, sc.N, sc.Expect.Verdict, eng, sc.Info)
+			campaign := scenario.Scenario{Protocol: *protocol, N: *n, T: *tt, Latency: latency,
+				CommitAsData: *cad, OrderAscending: asc}
+			if *engine != "" {
+				campaign.Engines = []string{*engine}
+			}
+			if err := convertFindings(stdout, *convert, *out, *namePrefix, campaign, *workers); err != nil {
+				return c.Fail(err)
+			}
+			return 0
 		}
-		fmt.Printf("%d scenarios under %s\n", len(entries), *dir)
-		return 0
-	}
 
-	if *runNames == "" {
-		flag.Usage()
-		return 1
-	}
-	stopCPU, err := prof.StartCPU(*cpuprofile)
-	if err != nil {
-		return fail(err)
-	}
-	defer stopCPU()
-	wantTelemetry := *telemetryOut != "" || *chromeTrace != ""
-	opts := agree.ScenarioOptions{Dir: *dir, Workers: *workers, Telemetry: wantTelemetry}
-	if *runNames != "all" {
-		opts.Names = strings.Split(*runNames, ",")
-		for i := range opts.Names {
-			opts.Names[i] = strings.TrimSpace(opts.Names[i])
+		if *list {
+			entries, err := scenario.LoadDir(*dir)
+			if err != nil {
+				return c.Fail(err)
+			}
+			for _, e := range entries {
+				sc := e.Scenario
+				eng := "all"
+				if len(sc.Engines) > 0 {
+					eng = strings.Join(sc.Engines, ",")
+				}
+				fmt.Fprintf(stdout, "%-44s n=%-3d expect=%-12s engines=%-30s %s\n", sc.Name, sc.N, sc.Expect.Verdict, eng, sc.Info)
+			}
+			fmt.Fprintf(stdout, "%d scenarios under %s\n", len(entries), *dir)
+			return 0
 		}
-	}
-	if *engines != "" {
-		if *engines == "all" {
-			for _, info := range agree.Engines() {
-				opts.Engines = append(opts.Engines, info.Kind)
+
+		if *runNames == "" {
+			c.Usage()
+			return 1
+		}
+		opts := agree.ScenarioOptions{Dir: *dir, Workers: *workers, Telemetry: c.WantsTelemetry()}
+		if *runNames != "all" {
+			opts.Names = strings.Split(*runNames, ",")
+			for i := range opts.Names {
+				opts.Names[i] = strings.TrimSpace(opts.Names[i])
+			}
+		}
+		if *engines != "" {
+			if *engines == "all" {
+				for _, info := range agree.Engines() {
+					opts.Engines = append(opts.Engines, info.Kind)
+				}
+			} else {
+				for _, e := range strings.Split(*engines, ",") {
+					opts.Engines = append(opts.Engines, agree.EngineKind(strings.TrimSpace(e)))
+				}
+			}
+		}
+		rep, err := agree.RunScenarios(opts)
+		if err != nil {
+			return c.Fail(err)
+		}
+		if c.WantsTelemetry() {
+			if err := exportTelemetry(c, rep); err != nil {
+				return c.Fail(err)
+			}
+		}
+		if *jsonOut {
+			if err := printJSON(stdout, rep); err != nil {
+				return c.Fail(err)
 			}
 		} else {
-			for _, e := range strings.Split(*engines, ",") {
-				opts.Engines = append(opts.Engines, agree.EngineKind(strings.TrimSpace(e)))
-			}
+			printText(stdout, rep)
 		}
-	}
-	rep, err := agree.RunScenarios(opts)
-	if err != nil {
-		return fail(err)
-	}
-	if wantTelemetry {
-		if err := exportTelemetry(rep, *telemetryOut, *chromeTrace); err != nil {
-			return fail(err)
+		if rep.Failed > 0 {
+			return 2
 		}
+		return 0
 	}
-	if *jsonOut {
-		if err := printJSON(rep); err != nil {
-			return fail(err)
-		}
-	} else {
-		printText(rep)
-	}
-	if err := prof.WriteHeap(*memprofile); err != nil {
-		return fail(err)
-	}
-	if rep.Failed > 0 {
-		return 2
-	}
-	return 0
+	return c
 }
 
 // exportTelemetry writes the telemetry artifacts of a catalog run. The flags
 // export one run's timeline, so the selection must resolve to exactly one
 // executed (scenario, engine) pair — narrow with -run and -engines otherwise.
-func exportTelemetry(rep *agree.ScenarioReport, telemetryOut, chromeTrace string) error {
-	var hit *agree.ScenarioResult
-	executed := 0
-	for i := range rep.Results {
-		if rep.Results[i].Skipped {
-			continue
-		}
-		executed++
-		hit = &rep.Results[i]
+func exportTelemetry(c *cli.Cmd, rep *agree.ScenarioReport) error {
+	if rep.Ran != 1 {
+		return fmt.Errorf("-telemetry-out/-chrome-trace export one run's timeline but the selection executed %d (scenario, engine) pairs; narrow it with -run and -engines", rep.Ran)
 	}
-	if executed != 1 {
-		return fmt.Errorf("-telemetry-out/-chrome-trace export one run's timeline but the selection executed %d (scenario, engine) pairs; narrow it with -run and -engines", executed)
-	}
-	if err := prof.WriteFile(telemetryOut, hit.Telemetry().MetricsJSON()); err != nil {
-		return err
-	}
-	return prof.WriteFile(chromeTrace, hit.Telemetry().ChromeTrace())
+	i := slices.IndexFunc(rep.Results, func(r agree.ScenarioResult) bool { return !r.Skipped })
+	return c.WriteTelemetry(rep.Results[i].Telemetry())
 }
 
 // printText renders the results one line per (scenario, engine) run, with
 // expectation mismatches spelled out and a trailing summary.
-func printText(rep *agree.ScenarioReport) {
+func printText(w io.Writer, rep *agree.ScenarioReport) {
 	for _, r := range rep.Results {
 		switch {
 		case r.Skipped:
-			fmt.Printf("skip %-44s %-13s (%s)\n", r.Name, r.Engine, r.SkipReason)
+			fmt.Fprintf(w, "skip %-44s %-13s (%s)\n", r.Name, r.Engine, r.SkipReason)
 		case r.Err != nil:
-			fmt.Printf("FAIL %-44s %-13s %v\n", r.Name, r.Engine, r.Err)
+			fmt.Fprintf(w, "FAIL %-44s %-13s %v\n", r.Name, r.Engine, r.Err)
 		default:
 			line := fmt.Sprintf("ok   %-44s %-13s verdict=%s rounds=%d decide=%d",
 				r.Name, r.Engine, r.Verdict, r.Rounds, r.MaxDecideRound)
 			if r.SimTime > 0 {
 				line += fmt.Sprintf(" simtime=%g", r.SimTime)
 			}
-			fmt.Println(line)
+			fmt.Fprintln(w, line)
 		}
 	}
-	fmt.Printf("scenarios %d, runs %d (skipped %d), failures %d\n",
+	fmt.Fprintf(w, "scenarios %d, runs %d (skipped %d), failures %d\n",
 		rep.Scenarios, rep.Ran, rep.Skipped, rep.Failed)
 }
 
@@ -223,7 +191,7 @@ type jsonResult struct {
 }
 
 // printJSON renders the full report as JSON in deterministic order.
-func printJSON(rep *agree.ScenarioReport) error {
+func printJSON(w io.Writer, rep *agree.ScenarioReport) error {
 	type jsonReport struct {
 		Scenarios int          `json:"scenarios"`
 		Ran       int          `json:"ran"`
@@ -248,51 +216,8 @@ func printJSON(rep *agree.ScenarioReport) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(string(data))
+	fmt.Fprintln(w, string(data))
 	return nil
-}
-
-// convertLatency maps the converter's latency flags onto the scenario
-// format's latency value (mirroring agree.LatencyFromFlags precedence:
-// profile, then jitter, then fixed).
-func convertLatency(profile string, d, delta, floor, spread float64, seed int64) (scenario.Latency, error) {
-	switch {
-	case profile != "":
-		if d != 0 || delta != 0 || floor != 0 || spread != 0 {
-			return scenario.Latency{}, fmt.Errorf("-lat-profile cannot be combined with the other -lat-* flags")
-		}
-		return scenario.Latency{Kind: "profile", Profile: profile}, nil
-	case spread != 0:
-		if d == 0 {
-			return scenario.Latency{}, fmt.Errorf("-lat-spread requires -lat-d (the synchrony bound)")
-		}
-		return scenario.Latency{Kind: "jitter", Seed: seed, D: d, Delta: delta, Floor: floor, Spread: spread}, nil
-	case d != 0:
-		if floor != 0 {
-			return scenario.Latency{}, fmt.Errorf("-lat-floor only applies to the jitter model; give -lat-spread as well")
-		}
-		return scenario.Latency{Kind: "fixed", D: d, Delta: delta}, nil
-	default:
-		if delta != 0 || floor != 0 {
-			return scenario.Latency{}, fmt.Errorf("-lat-delta/-lat-floor need a latency model; give -lat-d (and -lat-spread for jitter)")
-		}
-		return scenario.Latency{}, nil
-	}
-}
-
-// convertConfig carries the converter's inputs: the campaign parameters the
-// findings artifact was produced under, and where the scenario files go.
-type convertConfig struct {
-	findings       string
-	out            string
-	prefix         string
-	n, t           int
-	protocol       string
-	engine         string
-	latency        scenario.Latency
-	commitAsData   bool
-	orderAscending bool
-	workers        int
 }
 
 // convertFindings turns each replay script of an agreefuzz findings artifact
@@ -301,14 +226,14 @@ type convertConfig struct {
 // expectations, and the expectation-checked scenario is confirmed green
 // before it is written — so every converted file is a passing catalog entry
 // from the moment it lands.
-func convertFindings(cfg convertConfig) error {
-	if cfg.prefix == "" {
+func convertFindings(w io.Writer, findings, out, prefix string, campaign scenario.Scenario, workers int) error {
+	if prefix == "" {
 		return fmt.Errorf("-convert requires -name-prefix (e.g. omission/nightly-20260807)")
 	}
-	if cfg.n < 1 {
+	if campaign.N < 1 {
 		return fmt.Errorf("-convert requires -n (the campaign's system size)")
 	}
-	data, err := os.ReadFile(cfg.findings)
+	data, err := os.ReadFile(findings)
 	if err != nil {
 		return err
 	}
@@ -317,47 +242,35 @@ func convertFindings(cfg convertConfig) error {
 		return err
 	}
 	if len(scripts) == 0 {
-		fmt.Printf("no findings in %s; nothing to convert\n", cfg.findings)
+		fmt.Fprintf(w, "no findings in %s; nothing to convert\n", findings)
 		return nil
 	}
-	written := 0
 	for i, script := range scripts {
-		if mp := script.MaxProc(); mp > cfg.n {
-			return fmt.Errorf("finding %d names p%d but the campaign size is n=%d", i+1, mp, cfg.n)
+		if mp := script.MaxProc(); mp > campaign.N {
+			return fmt.Errorf("finding %d names p%d but the campaign size is n=%d", i+1, mp, campaign.N)
 		}
-		sc := &scenario.Scenario{
-			Name:           fmt.Sprintf("%s-%d", cfg.prefix, i+1),
-			Info:           fmt.Sprintf("converted from fuzz finding %d of %s", i+1, filepath.Base(cfg.findings)),
-			Protocol:       cfg.protocol,
-			N:              cfg.n,
-			T:              cfg.t,
-			CommitAsData:   cfg.commitAsData,
-			OrderAscending: cfg.orderAscending,
-			Latency:        cfg.latency,
-			Faults:         script.String(),
-			Expect:         scenario.Expect{Verdict: scenario.VerdictPass},
-		}
-		if cfg.engine != "" {
-			sc.Engines = []string{cfg.engine}
-		}
+		sc := campaign
+		sc.Name = fmt.Sprintf("%s-%d", prefix, i+1)
+		sc.Info = fmt.Sprintf("converted from fuzz finding %d of %s", i+1, filepath.Base(findings))
+		sc.Faults = script.String()
+		sc.Expect = scenario.Expect{Verdict: scenario.VerdictPass}
 		if err := sc.Validate(); err != nil {
 			return err
 		}
-		if err := pinExpectations(sc, cfg.workers); err != nil {
+		if err := pinExpectations(&sc, workers); err != nil {
 			return fmt.Errorf("finding %d (%q): %w", i+1, script.String(), err)
 		}
-		path := filepath.Join(cfg.out, filepath.FromSlash(sc.Name)+scenario.Ext)
+		path := filepath.Join(out, filepath.FromSlash(sc.Name)+scenario.Ext)
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			return err
 		}
 		if err := os.WriteFile(path, []byte(sc.String()), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (expect=%s rounds=%d decide<=%d)\n",
+		fmt.Fprintf(w, "wrote %s (expect=%s rounds=%d decide<=%d)\n",
 			path, sc.Expect.Verdict, sc.Expect.Rounds, sc.Expect.DecideRoundMax)
-		written++
 	}
-	fmt.Printf("converted %d findings into %s\n", written, cfg.out)
+	fmt.Fprintf(w, "converted %d findings into %s\n", len(scripts), out)
 	return nil
 }
 

@@ -14,189 +14,167 @@
 package main
 
 import (
-	"flag"
+	"errors"
 	"fmt"
+	"io"
 	"os"
-	"runtime/pprof"
 
 	"repro/internal/adversary"
 	"repro/internal/check"
+	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-func main() {
-	os.Exit(run())
-}
+func main() { os.Exit(command(os.Stdout, os.Stderr).Run(os.Args[1:])) }
 
-// run holds the real main so deferred cleanups (CPU profile flush) execute
-// before the process exits.
-func run() int {
+func command(stdout, stderr io.Writer) *cli.Cmd {
+	c := cli.New("agreexplore", stdout, stderr)
 	var (
-		n            = flag.Int("n", 4, "number of processes (keep small: the space is exhaustive)")
-		tt           = flag.Int("t", 2, "crash budget")
-		order        = flag.String("order", "desc", "commit order: desc (faithful) or asc (ablation)")
-		commitAsData = flag.Bool("commit-as-data", false, "fold the commit into the data step (ablation)")
-		omitBudget   = flag.Int("omit-budget", 0, "additionally enumerate up to this many omission events per execution (ablation: the reliable-channel assumption falls; the f+1 bound is not checked)")
-		budget       = flag.Int("budget", 50_000_000, "maximum executions to explore")
-		maxCE        = flag.Int("max-counterexamples", 3, "stop after this many violations")
-		worst        = flag.Bool("worst", false, "search for the slowest execution and replay it with a trace")
-		replay       = flag.String("replay", "", "comma-separated choice script to replay with a trace")
-		parallel     = flag.Bool("parallel", false, "shard the exploration across all CPUs")
-		workers      = flag.Int("workers", 0, "worker-pool size with -parallel (0 = GOMAXPROCS)")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
+		n            = c.Int("n", 4, "number of processes (keep small: the space is exhaustive)")
+		tt           = c.Int("t", 2, "crash budget")
+		order        = c.Order("")
+		commitAsData = c.Bool("commit-as-data", false, "fold the commit into the data step (ablation)")
+		omitBudget   = c.Int("omit-budget", 0, "additionally enumerate up to this many omission events per execution (ablation: the reliable-channel assumption falls; the f+1 bound is not checked)")
+		budget       = c.Int("budget", 50_000_000, "maximum executions to explore")
+		maxCE        = c.Int("max-counterexamples", 3, "stop after this many violations")
+		worst        = c.Bool("worst", false, "search for the slowest execution and replay it with a trace")
+		replay       = c.String("replay", "", "comma-separated choice script to replay with a trace")
+		parallel     = c.Bool("parallel", false, "shard the exploration across all CPUs")
+		workers      = c.Int("workers", 0, "worker-pool size with -parallel (0 = GOMAXPROCS)")
 	)
-	flag.Parse()
+	c.CPUProfile()
+	c.Main = func() int {
+		asc, err := cli.Ascending(*order)
+		if err = errors.Join(err, c.AtLeast(1, "n"), c.AtLeast(0, "t", "workers")); err != nil {
+			return c.Fail(err)
+		}
+		opts := core.Options{CommitAsData: *commitAsData}
+		if asc {
+			opts.Order = core.OrderAscending
+		}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "agreexplore:", err)
-			return 1
+		factory := func(ch interface{ Choose(int) int }) check.Execution {
+			props := make([]sim.Value, *n)
+			for i := range props {
+				props[i] = sim.Value(10 + i)
+			}
+			model := sim.ModelExtended
+			if opts.CommitAsData {
+				model = sim.ModelClassic
+			}
+			var adv sim.Adversary = adversary.NewFromChooser(ch, *tt, sim.Round(*n))
+			if *omitBudget > 0 {
+				adv = adversary.NewFromChooserWithOmissions(ch, *tt, sim.Round(*n), *omitBudget, *n)
+			}
+			return check.Execution{
+				Procs:     core.NewSystem(props, opts),
+				Adv:       adv,
+				Cfg:       sim.Config{Model: model, Horizon: sim.Round(*n + 2)},
+				Proposals: props,
+			}
 		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "agreexplore:", err)
-			return 1
+		if *replay != "" {
+			script, err := check.ParseScript(*replay)
+			if err != nil {
+				return c.Fail(err)
+			}
+			return replayScript(c, factory, script)
 		}
-		defer pprof.StopCPUProfile()
-	}
+		if *worst {
+			w, err := check.FindWorstSchedule(factory, check.ExploreOpts{Budget: *budget})
+			if err != nil {
+				return c.Fail(err)
+			}
+			fmt.Fprintf(stdout, "worst execution over %d explored: decides at round %d with %d fault(s)\n",
+				w.Executions, w.DecideRound, w.Faults)
+			fmt.Fprintf(stdout, "script %v — replaying with trace:\n\n", w.Script)
+			return replayScript(c, factory, w.Script)
+		}
 
-	opts := core.Options{CommitAsData: *commitAsData}
-	switch *order {
-	case "desc":
-	case "asc":
-		opts.Order = core.OrderAscending
-	default:
-		fmt.Fprintf(os.Stderr, "agreexplore: unknown order %q\n", *order)
-		return 1
-	}
-
-	factory := func(ch interface{ Choose(int) int }) check.Execution {
-		props := make([]sim.Value, *n)
-		for i := range props {
-			props[i] = sim.Value(10 + i)
+		validator := func(ex check.Execution, res *sim.Result, engineErr error) error {
+			if engineErr != nil {
+				return engineErr
+			}
+			if err := check.Consensus(ex.Proposals, res); err != nil {
+				return err
+			}
+			if *omitBudget > 0 {
+				// The f+1 bound is a crash-model theorem; omission schedules are
+				// judged on the consensus properties alone.
+				return nil
+			}
+			return check.RoundBound(res, check.BoundFPlus1)
 		}
-		model := sim.ModelExtended
-		if opts.CommitAsData {
-			model = sim.ModelClassic
-		}
-		var adv sim.Adversary = adversary.NewFromChooser(ch, *tt, sim.Round(*n))
-		if *omitBudget > 0 {
-			adv = adversary.NewFromChooserWithOmissions(ch, *tt, sim.Round(*n), *omitBudget, *n)
-		}
-		return check.Execution{
-			Procs:     core.NewSystem(props, opts),
-			Adv:       adv,
-			Cfg:       sim.Config{Model: model, Horizon: sim.Round(*n + 2)},
-			Proposals: props,
-		}
-	}
-	if *replay != "" {
-		script, err := check.ParseScript(*replay)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "agreexplore:", err)
-			return 1
-		}
-		return replayScript(factory, script)
-	}
-	if *worst {
-		w, err := check.FindWorstSchedule(factory, check.ExploreOpts{Budget: *budget})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "agreexplore:", err)
-			return 1
-		}
-		fmt.Printf("worst execution over %d explored: decides at round %d with %d fault(s)\n",
-			w.Executions, w.DecideRound, w.Faults)
-		fmt.Printf("script %v — replaying with trace:\n\n", w.Script)
-		return replayScript(factory, w.Script)
-	}
-
-	validator := func(ex check.Execution, res *sim.Result, engineErr error) error {
-		if engineErr != nil {
-			return engineErr
-		}
-		if err := check.Consensus(ex.Proposals, res); err != nil {
-			return err
-		}
-		if *omitBudget > 0 {
-			// The f+1 bound is a crash-model theorem; omission schedules are
-			// judged on the consensus properties alone.
-			return nil
-		}
-		return check.RoundBound(res, check.BoundFPlus1)
-	}
-	eopts := check.ExploreOpts{Budget: *budget, MaxCounterexamples: *maxCE, Workers: *workers}
-	var stats check.Stats
-	var err error
-	if *parallel {
-		stats, err = check.ExploreParallel(factory, validator, eopts)
-	} else {
-		stats, err = check.Explore(factory, validator, eopts)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "agreexplore:", err)
-		return 1
-	}
-
-	mode := "sequential"
-	if *parallel {
-		if effective := check.EffectiveWorkers(eopts); effective > 1 {
-			// "≤" because degenerate spaces (no choice points to shard) run
-			// on fewer workers than the pool offers.
-			mode = fmt.Sprintf("parallel/≤%d workers", effective)
+		eopts := check.ExploreOpts{Budget: *budget, MaxCounterexamples: *maxCE, Workers: *workers}
+		var stats check.Stats
+		if *parallel {
+			stats, err = check.ExploreParallel(factory, validator, eopts)
 		} else {
-			// ExploreParallel degrades to the sequential explorer when only
-			// one worker (or a tiny budget) is in play; report what ran.
-			mode = "sequential (parallel fallback)"
+			stats, err = check.Explore(factory, validator, eopts)
 		}
+		if err != nil {
+			return c.Fail(err)
+		}
+
+		mode := "sequential"
+		if *parallel {
+			if effective := check.EffectiveWorkers(eopts); effective > 1 {
+				// "≤" because degenerate spaces (no choice points to shard) run
+				// on fewer workers than the pool offers.
+				mode = fmt.Sprintf("parallel/≤%d workers", effective)
+			} else {
+				// ExploreParallel degrades to the sequential explorer when only
+				// one worker (or a tiny budget) is in play; report what ran.
+				mode = "sequential (parallel fallback)"
+			}
+		}
+		fmt.Fprintf(stdout, "explored      %d executions (n=%d, t=%d, order=%s, commit-as-data=%t, %s)\n",
+			stats.Executions, *n, *tt, *order, *commitAsData, mode)
+		fmt.Fprintf(stdout, "max faults    %d\n", stats.MaxFaults)
+		fmt.Fprintf(stdout, "max decide    round %d (bound t+1 = %d)\n", stats.MaxDecideRound, *tt+1)
+		if len(stats.Counterexamples) == 0 {
+			fmt.Fprintln(stdout, "violations    none — every execution satisfies uniform consensus and the f+1 bound")
+			return 0
+		}
+		fmt.Fprintf(stdout, "violations    %d\n", len(stats.Counterexamples))
+		for i, ce := range stats.Counterexamples {
+			fmt.Fprintf(stdout, "  [%d] %v\n", i+1, ce.Err)
+			fmt.Fprintf(stdout, "      script %v (re-run with -replay %s for a full trace)\n",
+				ce.Script, check.ScriptString(ce.Script))
+			fmt.Fprintf(stdout, "      decisions %s, crashed %s\n", ce.Result.DecisionsString(), ce.Result.CrashedString())
+		}
+		return 2
 	}
-	fmt.Printf("explored      %d executions (n=%d, t=%d, order=%s, commit-as-data=%t, %s)\n",
-		stats.Executions, *n, *tt, *order, *commitAsData, mode)
-	fmt.Printf("max faults    %d\n", stats.MaxFaults)
-	fmt.Printf("max decide    round %d (bound t+1 = %d)\n", stats.MaxDecideRound, *tt+1)
-	if len(stats.Counterexamples) == 0 {
-		fmt.Println("violations    none — every execution satisfies uniform consensus and the f+1 bound")
-		return 0
-	}
-	fmt.Printf("violations    %d\n", len(stats.Counterexamples))
-	for i, ce := range stats.Counterexamples {
-		fmt.Printf("  [%d] %v\n", i+1, ce.Err)
-		fmt.Printf("      script %v (re-run with -replay %s for a full trace)\n",
-			ce.Script, check.ScriptString(ce.Script))
-		fmt.Printf("      decisions %s, crashed %s\n", ce.Result.DecisionsString(), ce.Result.CrashedString())
-	}
-	return 2
+	return c
 }
 
 // replayScript re-executes one scripted run with a full transcript and
 // verdict, returning the process exit code.
-func replayScript(factory check.RunFactory, script []int) int {
+func replayScript(c *cli.Cmd, factory check.RunFactory, script []int) int {
 	log := trace.New()
 	ex := factory(&check.Replayer{Values: script})
 	cfg := ex.Cfg
 	cfg.Trace = log
 	eng, err := sim.NewEngine(cfg, ex.Procs, ex.Adv)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "agreexplore:", err)
-		return 1
+		return c.Fail(err)
 	}
 	res, runErr := eng.Run()
-	fmt.Print(log.String())
-	fmt.Println()
-	fmt.Printf("decisions %s (rounds %s), crashed %s\n", res.DecisionsString(), res.DecideRoundsString(), res.CrashedString())
+	fmt.Fprintln(c.Stdout, log.String())
+	fmt.Fprintf(c.Stdout, "decisions %s (rounds %s), crashed %s\n", res.DecisionsString(), res.DecideRoundsString(), res.CrashedString())
 	if runErr != nil {
-		fmt.Printf("engine error: %v\n", runErr)
+		fmt.Fprintf(c.Stdout, "engine error: %v\n", runErr)
 	}
 	if err := check.Consensus(ex.Proposals, res); err != nil {
-		fmt.Printf("VERDICT: %v\n", err)
+		fmt.Fprintf(c.Stdout, "VERDICT: %v\n", err)
 		return 2
 	}
 	if err := check.RoundBound(res, check.BoundFPlus1); err != nil {
-		fmt.Printf("VERDICT: consensus holds but %v\n", err)
+		fmt.Fprintf(c.Stdout, "VERDICT: consensus holds but %v\n", err)
 		return 2
 	}
-	fmt.Println("VERDICT: uniform consensus and the f+1 bound hold")
+	fmt.Fprintln(c.Stdout, "VERDICT: uniform consensus and the f+1 bound hold")
 	return 0
 }
