@@ -31,7 +31,7 @@ func TestRunAllocs(t *testing.T) {
 		{"DeterministicEngine", agree.Config{N: 32, Faults: agree.CoordinatorCrashes(4)}, 28},
 		{"TimedEngine", timed, 112},
 		{"LockstepEngine", agree.Config{N: 32, Engine: agree.EngineLockstep,
-			Faults: agree.CoordinatorCrashes(4)}, 364},
+			Faults: agree.CoordinatorCrashes(4)}, 97},
 		{"E1FailureFreeTelemetry", agree.Config{N: 64, Telemetry: true}, 37},
 		{"TimedEngineTelemetry", timedTelemetry, 161},
 	}

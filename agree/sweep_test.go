@@ -182,7 +182,7 @@ func TestSweepAllocsPerConfigLockstep(t *testing.T) {
 			t.Fatal("sweep errored")
 		}
 	}) / float64(len(configs))
-	const maxPerConfig = 55 // measured 53.0
+	const maxPerConfig = 26 // measured 25.6
 	if perConfig > maxPerConfig {
 		t.Errorf("lockstep sweep allocates %.1f allocs/config, want <= %d", perConfig, maxPerConfig)
 	}

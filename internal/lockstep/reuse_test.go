@@ -1,23 +1,25 @@
 package lockstep_test
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/leakcheck"
 	"repro/internal/lockstep"
 	"repro/internal/sim"
 )
 
-// overflow makes its process send three messages to p_to in round 1 — two
-// data messages and a commit — one more than a mailbox holds.
+// overflow makes its process send data+1 messages to p_to in round 1 —
+// data data messages and a commit — more than a mailbox holds when data ≥ 2.
 type overflow struct {
 	sim.Process
-	to sim.ProcID
+	to   sim.ProcID
+	data int
 }
 
 func (o overflow) Send(r sim.Round) sim.SendPlan {
@@ -25,10 +27,11 @@ func (o overflow) Send(r sim.Round) sim.SendPlan {
 		return o.Process.Send(r)
 	}
 	est := &sim.Est{V: 1, B: 64}
-	return sim.SendPlan{
-		Data:    []sim.Outgoing{{To: o.to, Payload: est}, {To: o.to, Payload: est}},
-		Control: []sim.ProcID{o.to},
+	plan := sim.SendPlan{Control: []sim.ProcID{o.to}}
+	for range o.data {
+		plan.Data = append(plan.Data, sim.Outgoing{To: o.to, Payload: est})
 	}
+	return plan
 }
 
 // reuseJob is one arming of a runtime: the protocol, the adversary and, for
@@ -73,7 +76,7 @@ func TestRuntimeReuseAcrossSizes(t *testing.T) {
 	for i, job := range jobs {
 		procs, model := buildSystem(t, job.kind, props(job.n))
 		if job.overflow {
-			procs[1] = overflow{Process: procs[1], to: 1}
+			procs[1] = overflow{Process: procs[1], to: 1, data: 2}
 		}
 		cfg := lockstep.Config{Model: model}
 		var err error
@@ -142,14 +145,7 @@ func TestRuntimeCloseReleasesGoroutines(t *testing.T) {
 	}
 	rt.Close()
 	rt.Close() // idempotent
-	// Close has waited for every worker to leave its loop, but an exited
-	// goroutine counts until the scheduler frees it (its thread may be
-	// descheduled right after the WaitGroup release), so yield — never sleep
-	// — until it has. A leaked worker never exits and fails the deadline.
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base && time.Now().Before(deadline); {
-		runtime.Gosched()
-	}
-	if got := runtime.NumGoroutine(); got > base {
+	if got := leakcheck.Settle(base, leakcheck.Timeout); got > base {
 		t.Errorf("%d goroutines after Close, want the baseline %d", got, base)
 	}
 	if err := rt.Reset(cfg, core.NewSystem(props(8), core.Options{}), adversary.None{}); err == nil {
@@ -157,10 +153,28 @@ func TestRuntimeCloseReleasesGoroutines(t *testing.T) {
 	}
 }
 
+// TestOverflowCountSaturates sends 256 data messages and a commit to one
+// destination: the per-destination send counts saturate rather than wrap
+// back under the mailbox capacity, so the run fails with the capacity error
+// instead of overflowing a mailbox.
+func TestOverflowCountSaturates(t *testing.T) {
+	procs := core.NewSystem(props(4), core.Options{})
+	procs[1] = overflow{Process: procs[1], to: 1, data: 256}
+	rt, err := lockstep.New(lockstep.Config{Model: sim.ModelExtended}, procs, adversary.None{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	_, err = rt.Run()
+	if err == nil || !strings.Contains(err.Error(), "p2 sends 255 messages to p1 in round 1 (channel capacity 2)") {
+		t.Fatalf("err = %v, want the saturated capacity error", err)
+	}
+}
+
 // TestResetAllocsAtSeenSize pins the grow-only design: rearming at a process
 // count no larger than one already seen spawns nothing and reallocates
-// nothing, and a run abort travels on the recv barrier rather than a per-run
-// channel, so rearming allocates nothing at all.
+// nothing, and a run abort travels on the phase barrier rather than a
+// per-run channel, so rearming allocates nothing at all.
 func TestResetAllocsAtSeenSize(t *testing.T) {
 	cfg := lockstep.Config{Model: sim.ModelExtended}
 	rt, err := lockstep.New(cfg, core.NewSystem(props(64), core.Options{}), adversary.None{})
@@ -203,9 +217,127 @@ func TestReusedRunAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const pin = 12
+	const pin = 7
 	if allocs > pin {
 		t.Errorf("reused lockstep run allocates %v allocs/run, pinned at %d; ratchet the pin down when the count falls",
 			allocs, pin)
+	}
+}
+
+// TestNewAllocs pins the exact allocation count of building a runtime for
+// n=64 and closing it: each spawned worker costs its wake channel and its
+// goroutine's closure, and everything else — the worker structs, the
+// mailbox and send-count slabs, the driver's scratch — is one slab apiece.
+// Any increase fails; when a change lowers the count, ratchet the pin down.
+func TestNewAllocs(t *testing.T) {
+	cfg := lockstep.Config{Model: sim.ModelExtended}
+	procs := core.NewSystem(props(64), core.Options{})
+	allocs := testing.AllocsPerRun(20, func() {
+		rt, err := lockstep.New(cfg, procs, adversary.None{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt.Close()
+	})
+	const pin = 136
+	if allocs > pin {
+		t.Errorf("lockstep.New + Close at n=64 allocates %v allocs, pinned at %d; ratchet the pin down when the count falls",
+			allocs, pin)
+	}
+}
+
+// badOutcome crashes p1 in round 1 with a delivery mask that does not fit
+// its plan, which the runtime must reject as sim.ErrBadOutcome.
+type badOutcome struct{}
+
+func (badOutcome) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (bool, sim.CrashOutcome) {
+	if p != 1 || r != 1 {
+		return false, sim.CrashOutcome{}
+	}
+	return true, sim.CrashOutcome{DataDelivered: make([]bool, len(plan.Data)+1)}
+}
+
+// crashAll crashes every process in round 1.
+func crashAll(n int) sim.Adversary {
+	plans := make(map[sim.ProcID]adversary.CrashPlan, n)
+	for id := 1; id <= n; id++ {
+		plans[sim.ProcID(id)] = adversary.CrashPlan{Round: 1}
+	}
+	return adversary.NewScript(plans)
+}
+
+// TestRuntimeCloseAfterAbort ends runs on every abort path of the phase
+// barrier — a model violation or a bad adversary outcome while the other
+// workers are parked at the barrier, horizon exhaustion, and a round in
+// which every process crashes — and then either closes the runtime at once
+// or rearms it for a larger system, runs that cleanly against the
+// deterministic engine, and closes it. Either way every worker goroutine
+// must be gone afterwards: a worker the abort never released stays parked
+// and either leaks or corrupts the next run.
+// scripts/verify.sh runs this under -race -count=10.
+func TestRuntimeCloseAfterAbort(t *testing.T) {
+	const n = 8
+	aborts := []struct {
+		name  string
+		model sim.Model
+		hor   sim.Round
+		adv   sim.Adversary
+		err   error
+	}{
+		{"classic-control", sim.ModelClassic, 0, adversary.None{}, sim.ErrControlInClassic},
+		{"bad-outcome", sim.ModelExtended, 0, badOutcome{}, sim.ErrBadOutcome},
+		{"horizon", sim.ModelExtended, 1, adversary.CoordinatorKiller{F: 2}, sim.ErrNoProgress},
+		{"all-crash", sim.ModelExtended, 0, crashAll(n), nil},
+	}
+	for _, ab := range aborts {
+		for _, rearm := range []bool{false, true} {
+			name := ab.name + "/close"
+			if rearm {
+				name = ab.name + "/rearm"
+			}
+			t.Run(name, func(t *testing.T) {
+				base := runtime.NumGoroutine()
+				rt, err := lockstep.New(lockstep.Config{Model: ab.model, Horizon: ab.hor},
+					core.NewSystem(props(n), core.Options{}), ab.adv)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rt.Close()
+				res, err := rt.Run()
+				if !errors.Is(err, ab.err) {
+					t.Fatalf("err = %v, want %v", err, ab.err)
+				}
+				if ab.err == nil && res.Faults() != n {
+					t.Fatalf("%d crashes, want all %d", res.Faults(), n)
+				}
+				if rearm {
+					adv := func() sim.Adversary { return adversary.CoordinatorKiller{F: 3, DeliverAllData: true} }
+					cfg := lockstep.Config{Model: sim.ModelExtended}
+					if err := rt.Reset(cfg, core.NewSystem(props(2*n), core.Options{}), adv()); err != nil {
+						t.Fatal(err)
+					}
+					got, err := rt.Run()
+					if err != nil {
+						t.Fatalf("run after the abort: %v", err)
+					}
+					eng, err := sim.NewEngine(sim.Config{Model: sim.ModelExtended},
+						core.NewSystem(props(2*n), core.Options{}), adv())
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := eng.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("run after the abort: lockstep %+v\nwant %+v", got, want)
+					}
+				}
+				rt.Close()
+				if got := leakcheck.Settle(base, leakcheck.Timeout); got > base {
+					t.Errorf("%d goroutines after Close, want the baseline %d", got, base)
+				}
+			})
+		}
 	}
 }

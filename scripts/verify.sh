@@ -55,7 +55,7 @@ go test -race -count=5 -timeout 300s -run 'RecycledRecorder|ReplayerMatches' ./i
 echo "== go test -race -count=5 (round-scoped plan and payload lifetime + shared control and crash-mask tables + sim engine reuse across shapes)"
 go test -race -count=5 -timeout 300s -run 'PlanLifetime|PayloadLifetime|OutcomeMasks|SimAdapterReuses|ControlTables' ./internal/harness/ ./internal/adversary/ ./internal/core/ ./internal/consensus/...
 
-echo "== go test -race -count=10 (lockstep runtime reuse across sizes + Close lifetime)"
+echo "== go test -race -count=10 (lockstep runtime reuse across sizes + Close lifetime, also after every phase-barrier abort path)"
 go test -race -count=10 -timeout 300s -run 'RuntimeReuse|RuntimeClose' ./internal/lockstep/
 
 echo "== scenario catalog (deterministic engine)"
