@@ -36,8 +36,8 @@ func command(stdout, stderr io.Writer) *cli.Cmd {
 		}
 		experiments.SetSweepOptions(agree.SweepOptions{Workers: *workers, CrossCheck: *crosscheck})
 		if *list {
-			for _, t := range experiments.All() {
-				fmt.Fprintf(stdout, "%-4s %s\n", t.ID, t.Title)
+			for _, e := range experiments.List() {
+				fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Title)
 			}
 			return 0
 		}

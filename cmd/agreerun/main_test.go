@@ -4,9 +4,9 @@ import (
 	"flag"
 	"testing"
 
-	"repro/internal/cli"
+	"repro/internal/cli/clitest"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/ from the current output")
 
-func TestCommand(t *testing.T) { cli.TestCommand(t, command, *update) }
+func TestCommand(t *testing.T) { clitest.TestCommand(t, command, *update) }

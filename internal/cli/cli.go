@@ -5,7 +5,7 @@
 // -cpuprofile/-memprofile/-telemetry-out/-chrome-trace outputs), and one
 // exit path. A binary declares its own flags on a Cmd and its body as
 // Cmd.Main; its main is os.Exit(cmd.Run(os.Args[1:])), and its tests build
-// the same Cmd over buffers and drive it in-process (see TestCommand).
+// the same Cmd over buffers and drive it in-process (see clitest.TestCommand).
 //
 // The profiles and telemetry files are wall-clock-side observability; the
 // deterministic simulated-time telemetry itself lives in internal/telemetry.
@@ -114,6 +114,10 @@ func (c *Cmd) Profiles() {
 	c.CPUProfile()
 	c.StringVar(&c.memProfile, "memprofile", "", "write a heap profile to this file on exit")
 }
+
+// ProfilePaths returns the -cpuprofile and -memprofile paths, empty when
+// unset.
+func (c *Cmd) ProfilePaths() (cpu, mem string) { return c.cpuProfile, c.memProfile }
 
 // Telemetry registers -telemetry-out and -chrome-trace; scope prefixes their
 // help with the run whose timeline they export.

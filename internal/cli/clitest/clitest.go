@@ -1,4 +1,6 @@
-package cli
+// Package clitest pins a binary's command line to golden fixtures. Only
+// tests import it, so the binaries themselves do not link package testing.
+package clitest
 
 import (
 	"bytes"
@@ -10,6 +12,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/cli"
 )
 
 // TestCommand pins a binary's command line to the fixtures in its testdata/
@@ -22,7 +26,7 @@ import (
 // scenarios/ and a link to testdata/; once its flags parse, every
 // -cpuprofile or -memprofile file it names in an existing directory must
 // be written.
-func TestCommand(t *testing.T, newCmd func(stdout, stderr io.Writer) *Cmd, update bool) {
+func TestCommand(t *testing.T, newCmd func(stdout, stderr io.Writer) *cli.Cmd, update bool) {
 	var surface bytes.Buffer
 	newCmd(io.Discard, io.Discard).VisitAll(func(f *flag.Flag) {
 		fmt.Fprintf(&surface, "-%s %T %q\n", f.Name, f.Value.(flag.Getter).Get(), f.DefValue)
@@ -65,7 +69,8 @@ func TestCommand(t *testing.T, newCmd func(stdout, stderr io.Writer) *Cmd, updat
 			if newCmd(io.Discard, io.Discard).Parse(args) != nil {
 				return
 			}
-			for _, path := range []string{c.cpuProfile, c.memProfile} {
+			cpu, mem := c.ProfilePaths()
+			for _, path := range []string{cpu, mem} {
 				if _, err := os.Stat(filepath.Dir(path)); path == "" || err != nil {
 					continue
 				}

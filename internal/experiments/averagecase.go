@@ -9,17 +9,15 @@ import (
 	"repro/internal/timing"
 )
 
-// E11AverageCase quantifies the paper's practical argument (Section 2.2)
+// e11AverageCase quantifies the paper's practical argument (Section 2.2)
 // that "failures are possible but rare, so f = 0 and f = 1 are the most
 // common values": under randomized per-round crash probabilities, it
 // measures the distribution of decision rounds for the paper's algorithm and
 // the classic baseline, showing the expected case sits at 1–2 rounds — a
 // full round ahead of the classic model — long before the worst case
 // matters.
-func E11AverageCase() *Table {
+func e11AverageCase() *Table {
 	t := &Table{
-		ID:      "E11",
-		Title:   "average-case decision rounds under random crashes",
 		Claim:   "f=0,1 dominate in practice, so the expected gain of the extended model is a full round (Section 2.2)",
 		Columns: []string{"n", "crash prob", "runs", "mean f", "crw rounds", "earlystop rounds", "crw P99", "mean gain"},
 	}
@@ -56,14 +54,12 @@ func E11AverageCase() *Table {
 	return t
 }
 
-// E12LANRealism grounds Section 2.2's "always satisfied for realistic values
+// e12LANRealism grounds Section 2.2's "always satisfied for realistic values
 // of δ and D": with textbook Ethernet parameters, δ/D is a fraction of a
 // percent to a few percent, so the extended model wins up to fault counts
 // far beyond anything a LAN cluster would survive anyway.
-func E12LANRealism() *Table {
+func e12LANRealism() *Table {
 	t := &Table{
-		ID:      "E12",
-		Title:   "derived δ/D on real LAN profiles",
 		Claim:   "δ < D/(f+1) holds for realistic δ, D, so the extended model is practically relevant (Section 2.2)",
 		Columns: []string{"profile", "b (bits)", "D (µs)", "δ (µs)", "δ/D", "extended wins up to f"},
 	}

@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/agree"
@@ -129,66 +130,64 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// All runs every experiment and returns the tables in order.
-func All() []*Table {
-	return []*Table{
-		E1RoundsVsFaults(),
-		E2BitComplexity(),
-		E3Crossover(),
-		E4Baselines(),
-		E5Exhaustive(),
-		E6Simulation(),
-		E7FastFD(),
-		E8Bridge(),
-		E9Messages(),
-		E10Ablation(),
-		E11AverageCase(),
-		E12LANRealism(),
-		E13Valency(),
-		E14LossyChannels(),
-		E15Omission(),
-		E16TimingFaults(),
-	}
+// Experiment is one entry of the registry: an id, a title, and the function
+// that measures it. Listing experiments runs none of them.
+type Experiment struct {
+	// ID is the experiment identifier (E1..E16).
+	ID string
+	// Title describes the experiment.
+	Title string
+	run   func() *Table
 }
 
-// ByID returns the experiment with the given id (E1..E16), or nil.
-func ByID(id string) *Table {
-	switch strings.ToUpper(id) {
-	case "E1":
-		return E1RoundsVsFaults()
-	case "E2":
-		return E2BitComplexity()
-	case "E3":
-		return E3Crossover()
-	case "E4":
-		return E4Baselines()
-	case "E5":
-		return E5Exhaustive()
-	case "E6":
-		return E6Simulation()
-	case "E7":
-		return E7FastFD()
-	case "E8":
-		return E8Bridge()
-	case "E9":
-		return E9Messages()
-	case "E10":
-		return E10Ablation()
-	case "E11":
-		return E11AverageCase()
-	case "E12":
-		return E12LANRealism()
-	case "E13":
-		return E13Valency()
-	case "E14":
-		return E14LossyChannels()
-	case "E15":
-		return E15Omission()
-	case "E16":
-		return E16TimingFaults()
-	default:
-		return nil
+// table measures the experiment and stamps its ID and Title on the result.
+func (e Experiment) table() *Table {
+	t := e.run()
+	t.ID, t.Title = e.ID, e.Title
+	return t
+}
+
+// registry lists every experiment in order; each title is written here once.
+var registry = []Experiment{
+	{"E1", "CRW decision rounds vs actual faults (worst-case adversary)", e1RoundsVsFaults},
+	{"E2", "bit complexity (Theorem 2)", e2BitComplexity},
+	{"E3", "time crossover, measured: (f+1)(D+δ) vs min(f+2,t+1)·D on the timed engine", e3Crossover},
+	{"E4", "decision rounds: CRW (extended) vs EarlyStop and FloodSet (classic)", e4Baselines},
+	{"E5", "exhaustive model checking of the CRW algorithm", e5Exhaustive},
+	{"E6", "extended-on-classic simulation overhead", e6Simulation},
+	{"E7", "fast-failure-detector consensus time vs extended model", e7FastFD},
+	{"E8", "synchronous/asynchronous bridge: CRW round vs MR99 round", e8Bridge},
+	{"E9", "total messages: CRW vs flooding baselines", e9Messages},
+	{"E10", "ablations: why the ordered second sending step matters", e10Ablation},
+	{"E11", "average-case decision rounds under random crashes", e11AverageCase},
+	{"E12", "derived δ/D on real LAN profiles", e12LANRealism},
+	{"E13", "valency structure of the extended model (Section 5 proof machinery)", e13Valency},
+	{"E14", "ablation: unreliable channels break the model", e14LossyChannels},
+	{"E15", "ablation: omission faults break the crash-model guarantees", e15Omission},
+	{"E16", "timing faults: latency jitter against the synchrony bound (timed engine)", e16TimingFaults},
+}
+
+// List returns the registered experiments in order without running any.
+func List() []Experiment { return slices.Clone(registry) }
+
+// All runs every experiment and returns the tables in order.
+func All() []*Table {
+	tables := make([]*Table, len(registry))
+	for i, e := range registry {
+		tables[i] = e.table()
 	}
+	return tables
+}
+
+// ByID runs the experiment with the given id (E1..E16, any case), or returns
+// nil.
+func ByID(id string) *Table {
+	for _, e := range registry {
+		if strings.EqualFold(e.ID, id) {
+			return e.table()
+		}
+	}
+	return nil
 }
 
 // verdict builds a PASS/FAIL verdict string.

@@ -42,6 +42,11 @@ func TestAllCoversEveryID(t *testing.T) {
 	if len(tabs) != 16 {
 		t.Fatalf("All() returned %d experiments, want 16", len(tabs))
 	}
+	for i, e := range experiments.List() {
+		if tabs[i].ID != e.ID || tabs[i].Title != e.Title {
+			t.Errorf("All()[%d] is %s %q, List() says %s %q", i, tabs[i].ID, tabs[i].Title, e.ID, e.Title)
+		}
+	}
 	seen := map[string]bool{}
 	for _, tab := range tabs {
 		if seen[tab.ID] {

@@ -9,16 +9,14 @@ import (
 	"repro/internal/sim"
 )
 
-// E13Valency reproduces the proof machinery of Section 5 (Theorem 3, after
+// e13Valency reproduces the proof machinery of Section 5 (Theorem 3, after
 // Aguilera–Toueg's bivalency argument): mixed-proposal initial
 // configurations are bivalent; a clean round collapses them to univalent
 // (the value-locking of Lemma 2); and the adversary maintains bivalence by
 // silently killing coordinators — which is precisely why f+1 rounds are
 // unavoidable.
-func E13Valency() *Table {
+func e13Valency() *Table {
 	t := &Table{
-		ID:      "E13",
-		Title:   "valency structure of the extended model (Section 5 proof machinery)",
 		Claim:   "mixed inputs bivalent; a clean round locks the value; killing coordinators preserves bivalence (Theorem 3)",
 		Columns: []string{"configuration", "constrained prefix", "executions", "valency"},
 	}
@@ -94,7 +92,7 @@ func equalValues(a, b []sim.Value) bool {
 	return true
 }
 
-// E14LossyChannels reproduces the model's scoping statement (Sections 1 and
+// e14LossyChannels reproduces the model's scoping statement (Sections 1 and
 // 2.2): the extended model is meant for LANs with reliable communication and
 // "is not for networks where unreliable communication requires message
 // retransmission". Concretely: with lossy channels the algorithm's
@@ -106,10 +104,8 @@ func equalValues(a, b []sim.Value) bool {
 // channel is a send omission at the sender (every process allowed to be
 // omission faulty = every message independently losable), so the ablation
 // needs no special engine hook and runs identically on both engines.
-func E14LossyChannels() *Table {
+func e14LossyChannels() *Table {
 	t := &Table{
-		ID:      "E14",
-		Title:   "ablation: unreliable channels break the model",
 		Claim:   "the model requires reliable channels; under loss, agreement fails with zero crashes (Sections 1, 2.2)",
 		Columns: []string{"scenario", "faults", "distinct decisions", "agreement"},
 	}

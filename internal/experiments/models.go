@@ -18,7 +18,7 @@ import (
 	"repro/internal/timing"
 )
 
-// E3Crossover reproduces the Section 2.2 cost analysis empirically: the
+// e3Crossover reproduces the Section 2.2 cost analysis empirically: the
 // extended and classic protocols execute on the continuous-time engine
 // (internal/timed), whose event clock measures the completion time of the
 // actual run — (f+1)(D+δ) against min(f+2, t+1)·D is no longer an analytic
@@ -26,10 +26,8 @@ import (
 // The measured winner must flip exactly where timing.Cost predicts: at
 // δ/D = 1/(f+1) on a synthetic D=1 network (part one), and at the predicted
 // crossover fault count on every LAN profile of internal/lan (part two).
-func E3Crossover() *Table {
+func e3Crossover() *Table {
 	t := &Table{
-		ID:      "E3",
-		Title:   "time crossover, measured: (f+1)(D+δ) vs min(f+2,t+1)·D on the timed engine",
 		Claim:   "measured completion times match timing.Cost and the winner flips at δ < D/(f+1) (Section 2.2)",
 		Columns: []string{"network", "f", "δ/D", "ext time", "classic time", "winner", "predicted", "match"},
 	}
@@ -162,14 +160,12 @@ func profileSpecName(p lan.Profile) string {
 	}
 }
 
-// E5Exhaustive reproduces the proofs' quantification over all executions
+// e5Exhaustive reproduces the proofs' quantification over all executions
 // (Lemmas 1–3) and the tightness of the f+1 bound (Theorems 4–5): for small
 // systems, every execution of the model satisfies uniform consensus and
 // decides by round f+1, and some execution needs exactly t+1 rounds.
-func E5Exhaustive() *Table {
+func e5Exhaustive() *Table {
 	t := &Table{
-		ID:      "E5",
-		Title:   "exhaustive model checking of the CRW algorithm",
 		Claim:   "all executions uniform-safe and within f+1 rounds; bound attained (Theorems 1, 4, 5)",
 		Columns: []string{"n", "t", "executions", "violations", "max decide round", "t+1", "tight"},
 	}
@@ -230,14 +226,12 @@ func exploreCRW(n, t int, opts core.Options) (check.Stats, error) {
 	return check.Explore(factory, validator, check.ExploreOpts{Budget: 50_000_000, MaxCounterexamples: 4})
 }
 
-// E6Simulation reproduces the Section 2.2 computability-equivalence
+// e6Simulation reproduces the Section 2.2 computability-equivalence
 // construction: the extended model simulated on the classic model preserves
 // decisions while inflating rounds by the stride n (one micro round per
 // control position plus the data micro round).
-func E6Simulation() *Table {
+func e6Simulation() *Table {
 	t := &Table{
-		ID:      "E6",
-		Title:   "extended-on-classic simulation overhead",
 		Claim:   "same decisions, rounds inflated by factor n (Section 2.2)",
 		Columns: []string{"n", "f", "native rounds", "micro rounds", "macro rounds", "factor", "same decisions"},
 	}
@@ -284,14 +278,12 @@ func simulatedKiller(n, f int) agree.FaultSpec {
 	return agree.ScriptedFaults(plans)
 }
 
-// E7FastFD reproduces the related-work comparison with the fast failure
+// e7FastFD reproduces the related-work comparison with the fast failure
 // detector model of [1]: measured decision times equal D + f·d, versus the
 // extended model's (f+1)(D+δ); both models decide within one communication
 // delay when f = 0.
-func E7FastFD() *Table {
+func e7FastFD() *Table {
 	t := &Table{
-		ID:      "E7",
-		Title:   "fast-failure-detector consensus time vs extended model",
 		Claim:   "FFD decides by D + f·d ([1]); extended by (f+1)(D+δ); equal at f=0, δ=0",
 		Columns: []string{"f", "d/D", "ffd time", "D+f·d", "ext time (δ=d)", "ffd wins"},
 	}
@@ -327,13 +319,11 @@ func approxEq(a, b float64) bool {
 	return d < 1e-9 && d > -1e-9
 }
 
-// E8Bridge reproduces the Section 4 comparison: one CRW round (coordinator
+// e8Bridge reproduces the Section 4 comparison: one CRW round (coordinator
 // data broadcast + pipelined commit) against one MR99 round (coordinator
 // broadcast + all-to-all second step), message for message.
-func E8Bridge() *Table {
+func e8Bridge() *Table {
 	t := &Table{
-		ID:      "E8",
-		Title:   "synchronous/asynchronous bridge: CRW round vs MR99 round",
 		Claim:   "the commit message replaces MR99's n(n-1)-message second step (Section 4)",
 		Columns: []string{"n", "crw data", "crw commit", "crw total", "mr99 step1", "mr99 step2", "mr99 total", "ratio"},
 	}
@@ -371,15 +361,13 @@ func E8Bridge() *Table {
 	return t
 }
 
-// E10Ablation demonstrates that both structural ingredients of the extended
+// e10Ablation demonstrates that both structural ingredients of the extended
 // model are load-bearing, by exhaustively finding counterexamples when
 // either is removed: the descending order of line 5 (its ascending variant
 // breaks the f+1 bound) and the two-step send structure (folding the commit
 // into the data step breaks uniform agreement).
-func E10Ablation() *Table {
+func e10Ablation() *Table {
 	t := &Table{
-		ID:      "E10",
-		Title:   "ablations: why the ordered second sending step matters",
 		Claim:   "prefix-ordered commits are necessary for f+1 and for uniform agreement (Section 2)",
 		Columns: []string{"variant", "n", "t", "executions", "property violated", "example script"},
 	}

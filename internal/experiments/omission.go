@@ -7,7 +7,7 @@ import (
 	"repro/internal/check"
 )
 
-// E15Omission maps the boundary of the paper's fault model with the
+// e15Omission maps the boundary of the paper's fault model with the
 // first-class omission machinery: the crash model (which the paper proves
 // correct) is exhaustively violation-free, while a single send- or
 // receive-omission event — one notch beyond the model's reliable-channel
@@ -15,10 +15,8 @@ import (
 // proof sizes (the E10-style ablation search) and by the randomized fuzzer
 // at production sizes, where every finding shrinks to a minimal replayable
 // omission script.
-func E15Omission() *Table {
+func e15Omission() *Table {
 	t := &Table{
-		ID:      "E15",
-		Title:   "ablation: omission faults break the crash-model guarantees",
 		Claim:   "the algorithm tolerates crash faults only; one omission event beyond the model breaks uniform agreement (Section 2.1)",
 		Columns: []string{"search", "n", "fault model", "executions/seeds", "agreement violations", "min events"},
 	}

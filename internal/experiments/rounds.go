@@ -8,15 +8,13 @@ import (
 	"repro/internal/timing"
 )
 
-// E1RoundsVsFaults reproduces Theorem 1 and the Section 3.2 discussion: the
+// e1RoundsVsFaults reproduces Theorem 1 and the Section 3.2 discussion: the
 // paper's algorithm decides in exactly f+1 rounds under the worst-case
 // coordinator-killing schedule, and in a single round whenever the first
 // coordinator survives, independent of n and of the number of non-coordinator
 // crashes.
-func E1RoundsVsFaults() *Table {
+func e1RoundsVsFaults() *Table {
 	t := &Table{
-		ID:      "E1",
-		Title:   "CRW decision rounds vs actual faults (worst-case adversary)",
 		Claim:   "decision in at most f+1 rounds; exactly 1 round when p1 does not crash (Theorem 1)",
 		Columns: []string{"n", "f", "rounds", "f+1", "match"},
 	}
@@ -75,13 +73,11 @@ func E1RoundsVsFaults() *Table {
 	return t
 }
 
-// E4Baselines reproduces the introduction's comparison: the paper's f+1
+// e4Baselines reproduces the introduction's comparison: the paper's f+1
 // against the classic model's min(f+2, t+1) early-stopping bound and the
 // t+1 of FloodSet, measured on real executions.
-func E4Baselines() *Table {
+func e4Baselines() *Table {
 	t := &Table{
-		ID:      "E4",
-		Title:   "decision rounds: CRW (extended) vs EarlyStop and FloodSet (classic)",
 		Claim:   "f+1 vs min(f+2, t+1) vs t+1 (Section 1)",
 		Columns: []string{"n", "t", "f", "crw", "earlystop", "floodset", "f+1", "min(f+2,t+1)", "t+1"},
 	}
@@ -129,12 +125,10 @@ func E4Baselines() *Table {
 	return t
 }
 
-// E2BitComplexity reproduces Theorem 2: best-case bits (n-1)(b+1) measured
+// e2BitComplexity reproduces Theorem 2: best-case bits (n-1)(b+1) measured
 // exactly, and worst-case bits bounded by the theorem's scenario sum.
-func E2BitComplexity() *Table {
+func e2BitComplexity() *Table {
 	t := &Table{
-		ID:      "E2",
-		Title:   "bit complexity (Theorem 2)",
 		Claim:   "best case (n-1)(b+1) bits; worst case bounded by sum_{i<=t+1}(n-i)(b+1)",
 		Columns: []string{"n", "b", "scenario", "msgs", "bits", "formula", "within"},
 	}
@@ -176,13 +170,11 @@ func E2BitComplexity() *Table {
 	return t
 }
 
-// E9Messages reproduces the message-count side of Theorem 2's analysis:
+// e9Messages reproduces the message-count side of Theorem 2's analysis:
 // total messages of CRW under heavy fault schedules vs the flooding
 // baselines' n(n-1) per round.
-func E9Messages() *Table {
+func e9Messages() *Table {
 	t := &Table{
-		ID:      "E9",
-		Title:   "total messages: CRW vs flooding baselines",
 		Claim:   "CRW sends O(n) messages per round (coordinator only) vs Θ(n²) for flooding (Theorem 2 proof)",
 		Columns: []string{"n", "f", "crw msgs", "crw bound", "earlystop msgs", "floodset msgs"},
 	}

@@ -6,7 +6,7 @@ import (
 	"repro/agree"
 )
 
-// E16TimingFaults maps the boundary of the paper's synchrony assumption
+// e16TimingFaults maps the boundary of the paper's synchrony assumption
 // with the continuous-time engine: random per-message jitter whose whole
 // range fits under the synchrony bound D is semantically invisible — zero
 // late messages, the cross-check against the round engines passes, and the
@@ -16,10 +16,8 @@ import (
 // do) lose rounds or uniform agreement itself. Partial synchrony degrades
 // into exactly the omission fault model E15 charts, one late message at a
 // time.
-func E16TimingFaults() *Table {
+func e16TimingFaults() *Table {
 	t := &Table{
-		ID:      "E16",
-		Title:   "timing faults: latency jitter against the synchrony bound (timed engine)",
 		Claim:   "jitter within D is invisible (cross-checked vs round engines); jitter beyond D becomes receive omissions (Sections 1-2: synchrony is assumed, not enforced)",
 		Columns: []string{"protocol", "jitter range", "bound", "late msgs", "rounds", "consensus", "crosscheck", "as predicted"},
 	}

@@ -65,8 +65,14 @@ type ServeOptions struct {
 	Protocol Protocol
 	// Bits is the command bit width (default 64).
 	Bits int
-	// RotateLeader renumbers replicas per slot so a live replica holds the
-	// p1 role (see Config.RotateLeader).
+	// RotateLeader renumbers replicas per slot so the lowest-id live replica
+	// plays the p1 role of Figure 1. Without it the algorithm's static
+	// p1-first rotation wastes one round per dead coordinator on every slot;
+	// with it the log returns to one round per commit after a crash. This is
+	// a beyond-the-paper engineering optimization: the renumbering is a pure
+	// permutation of process identities, so Theorem 1's guarantees carry
+	// over unchanged (the proofs never use the numeric value of an id, only
+	// the total order).
 	RotateLeader bool
 	// Engine selects the execution engine (default harness.KindTimed).
 	Engine harness.Kind
@@ -395,7 +401,6 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 
 	// Round duration on the service clock: from the latency model for timed
 	// engines, one unit per round otherwise.
-	cfg := Config{N: opts.N, Protocol: opts.Protocol, Bits: opts.Bits, RotateLeader: opts.RotateLeader}
 	roundDur := 1.0
 	if caps.Timed {
 		lat := opts.Latency
@@ -526,9 +531,9 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 		for i := range proposals {
 			proposals[i] = Command(slot, perm[i])
 		}
-		procs, model, horizon := buildInstance(cfg, proposals)
+		procs, model, horizon := buildInstance(opts.Protocol, opts.Bits, proposals)
 		var adv sim.Adversary
-		crashAdv := slotAdversary{dead: dead, killNow: nil, perm: perm}
+		crashAdv := slotAdversary{dead: dead, perm: perm}
 		if opts.Omit != nil {
 			adv = &svcAdversary{slotAdversary: crashAdv,
 				om: &svcOmitter{opt: opts.Omit, faulty: faulty, slot: slot, perm: perm, n: opts.N}}
@@ -553,7 +558,7 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 		if aerr := laws.AuditBudget(out, budget); aerr != nil {
 			return res, fmt.Errorf("smr: slot %d: %w", slot, aerr)
 		}
-		if _, err := agreedValue(out); err != nil {
+		if _, err := agreedValue(out, proposals); err != nil {
 			return res, fmt.Errorf("smr: slot %d (t=%g): %w", slot, start, err)
 		}
 

@@ -3,224 +3,129 @@ package smr_test
 import (
 	"testing"
 
+	"repro/internal/harness"
 	"repro/internal/sim"
 	"repro/internal/smr"
+	"repro/internal/workload"
 )
 
+// logCase is one replicated log on the round engine and the TotalRounds it
+// must take. serveLog saturates it with a closed loop of one command per
+// slot, so slot s launches at time s-1 and a crash at time s-1 kills the
+// replica for slot s onwards.
+type logCase struct {
+	opts smr.ServeOptions
+	want int
+}
+
+// serveLog runs each case for its MaxSlots slots, checks its TotalRounds,
+// and returns the results in order. Serve itself checks every slot's
+// agreement, validity and fault budget, and the cross-slot conservation of
+// the whole log.
+func serveLog(t *testing.T, cases ...logCase) []*smr.ServeResult {
+	t.Helper()
+	var out []*smr.ServeResult
+	for _, c := range cases {
+		clients, err := workload.NewClosed(c.opts.MaxSlots, 0, false, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := c.opts
+		opts.Engine, opts.Clients, opts.BatchLimit = harness.KindDeterministic, clients, 1
+		res := mustServe(t, opts)
+		if res.Slots != opts.MaxSlots || res.TotalRounds != c.want {
+			t.Errorf("%+v: %d slots in %d rounds, want %d in %d",
+				c.opts, res.Slots, res.TotalRounds, opts.MaxSlots, c.want)
+		}
+		out = append(out, res)
+	}
+	return out
+}
+
 func TestFailureFreeOneRoundPerSlot(t *testing.T) {
-	res, err := smr.Run(smr.Config{N: 5, Slots: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := smr.Validate(res); err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalRounds != 20 {
-		t.Errorf("total rounds = %d, want 20 (one per slot)", res.TotalRounds)
-	}
-	if got := res.RoundsPerCommit(); got != 1 {
-		t.Errorf("rounds/commit = %g, want 1", got)
-	}
-	// Every replica committed every slot, and slot s holds p1's command.
-	for id, log := range res.Logs {
-		if len(log) != 20 {
-			t.Errorf("replica %d log length %d, want 20", id, len(log))
-		}
-		for i, v := range log {
-			if want := smr.Command(i+1, 1); v != want {
-				t.Errorf("replica %d slot %d = %d, want %d", id, i+1, int64(v), int64(want))
-			}
-		}
+	res := serveLog(t, logCase{smr.ServeOptions{N: 5, MaxSlots: 20}, 20})[0]
+	if res.RoundsHist[1] != 20 {
+		t.Errorf("rounds histogram %v, want every slot in one round", res.RoundsHist)
 	}
 }
 
 func TestEarlyStopCostsTwoRoundsPerSlot(t *testing.T) {
-	res, err := smr.Run(smr.Config{N: 5, Slots: 10, Protocol: smr.ProtocolEarlyStop})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := smr.Validate(res); err != nil {
-		t.Fatal(err)
-	}
-	if got := res.RoundsPerCommit(); got != 2 {
-		t.Errorf("rounds/commit = %g, want 2 (classic floor)", got)
-	}
+	serveLog(t, logCase{smr.ServeOptions{N: 5, MaxSlots: 10, Protocol: smr.ProtocolEarlyStop}, 20})
 }
 
 func TestCrashMidLogKeepsConsistency(t *testing.T) {
-	// p1 dies during slot 3: slots 1–2 commit its commands in one round;
-	// slot 3 onwards p2 leads, costing one extra (wasted) round per slot.
-	res, err := smr.Run(smr.Config{N: 4, Slots: 6,
-		CrashDuringSlot: map[sim.ProcID]int{1: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := smr.Validate(res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Crashed[1] != 3 {
-		t.Errorf("crash slot = %d, want 3", res.Crashed[1])
-	}
-	// p1's log is the 2-slot prefix.
-	if got := len(res.Logs[1]); got != 2 {
-		t.Errorf("dead replica log length = %d, want 2", got)
-	}
-	for _, id := range []sim.ProcID{2, 3, 4} {
-		if got := len(res.Logs[id]); got != 6 {
-			t.Errorf("replica %d log length = %d, want 6", id, got)
-		}
-	}
-	// Slots 1–2 committed p1's command, slots 3–6 p2's.
-	for i, want := range []sim.Value{
-		smr.Command(1, 1), smr.Command(2, 1),
-		smr.Command(3, 2), smr.Command(4, 2), smr.Command(5, 2), smr.Command(6, 2),
-	} {
-		if got := res.Logs[2][i]; got != want {
-			t.Errorf("slot %d = %d, want %d", i+1, int64(got), int64(want))
-		}
-	}
-	// Rounds: 1+1 (slots 1,2) + 4×2 (dead p1 wastes round 1) = 10.
-	if res.TotalRounds != 10 {
-		t.Errorf("total rounds = %d, want 10", res.TotalRounds)
+	// p1 dies before slot 3: slots 1–2 commit in one round each; from slot
+	// 3 on p2 leads, and the dead p1 wastes round 1 of every slot:
+	// 1+1 + 4×2 = 10.
+	res := serveLog(t, logCase{smr.ServeOptions{N: 4, MaxSlots: 6,
+		CrashAt: map[sim.ProcID]float64{1: 2}}, 10})[0]
+	if res.CrashSlot[1] != 3 {
+		t.Errorf("crash slot = %d, want 3", res.CrashSlot[1])
 	}
 }
 
 func TestCascadingCrashes(t *testing.T) {
-	res, err := smr.Run(smr.Config{N: 5, Slots: 8,
-		CrashDuringSlot: map[sim.ProcID]int{1: 2, 2: 4, 3: 6}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := smr.Validate(res); err != nil {
-		t.Fatal(err)
-	}
+	res := serveLog(t, logCase{smr.ServeOptions{N: 5, MaxSlots: 8,
+		CrashAt: map[sim.ProcID]float64{1: 1, 2: 3, 3: 5}}, 23})[0]
 	if len(res.Crashed) != 3 {
 		t.Errorf("crashed = %v, want 3 replicas", res.Crashed)
-	}
-	// Survivors committed all 8 slots.
-	for _, id := range []sim.ProcID{4, 5} {
-		if got := len(res.Logs[id]); got != 8 {
-			t.Errorf("replica %d log length = %d, want 8", id, got)
-		}
-	}
-}
-
-func TestAllReplicasDeadFails(t *testing.T) {
-	_, err := smr.Run(smr.Config{N: 2, Slots: 3,
-		CrashDuringSlot: map[sim.ProcID]int{1: 1, 2: 1}})
-	if err == nil {
-		t.Fatal("accepted a run with all replicas dead")
-	}
-}
-
-func TestConfigValidation(t *testing.T) {
-	if _, err := smr.Run(smr.Config{N: 0, Slots: 1}); err == nil {
-		t.Error("accepted N=0")
-	}
-	if _, err := smr.Run(smr.Config{N: 3, Slots: 0}); err == nil {
-		t.Error("accepted Slots=0")
 	}
 }
 
 func TestThroughputAdvantage(t *testing.T) {
 	// The system-level payoff: over many slots the extended model commits
 	// twice as fast as the classic baseline in the failure-free case.
-	crw, err := smr.Run(smr.Config{N: 8, Slots: 50})
-	if err != nil {
-		t.Fatal(err)
-	}
-	es, err := smr.Run(smr.Config{N: 8, Slots: 50, Protocol: smr.ProtocolEarlyStop})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ratio := es.RoundsPerCommit() / crw.RoundsPerCommit(); ratio != 2 {
-		t.Errorf("classic/extended rounds-per-commit ratio = %g, want 2", ratio)
-	}
+	serveLog(t,
+		logCase{smr.ServeOptions{N: 8, MaxSlots: 50}, 50},
+		logCase{smr.ServeOptions{N: 8, MaxSlots: 50, Protocol: smr.ProtocolEarlyStop}, 100})
 }
 
 func TestRotateLeaderRestoresThroughput(t *testing.T) {
 	// Without rotation, p1's death costs one wasted round on every later
-	// slot; with leader rotation the live lowest-id replica takes the p1
-	// role and the log returns to one round per commit immediately.
-	static, err := smr.Run(smr.Config{N: 4, Slots: 10,
-		CrashDuringSlot: map[sim.ProcID]int{1: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rotated, err := smr.Run(smr.Config{N: 4, Slots: 10, RotateLeader: true,
-		CrashDuringSlot: map[sim.ProcID]int{1: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := smr.Validate(rotated); err != nil {
-		t.Fatal(err)
-	}
-	// Static: slot 1 = 1 round, slots 2..10 = 2 rounds each -> 19.
-	if static.TotalRounds != 19 {
-		t.Errorf("static rounds = %d, want 19", static.TotalRounds)
-	}
-	// Rotated: slot 1 = 1, slot 2 = 2 (crash happens mid-slot), 3..10 = 1 -> 11.
-	if rotated.TotalRounds != 11 {
-		t.Errorf("rotated rounds = %d, want 11", rotated.TotalRounds)
-	}
-	// From slot 3 on the committed commands are p2's.
-	for i := 2; i < 10; i++ {
-		if got, want := rotated.Logs[2][i], smr.Command(i+1, 2); got != want {
-			t.Errorf("slot %d = %d, want %d", i+1, int64(got), int64(want))
+	// slot: 1 + 9×2 = 19. With leader rotation the live lowest-id replica
+	// takes the p1 role from the first slot p1 is dead for, so every slot
+	// commits in one round: 10. The crash takes effect before a slot's
+	// launch, so its cost shows in the recovery time (two rounds static,
+	// one rotated), not in a slot led by the dying replica.
+	crash := map[sim.ProcID]float64{1: 1}
+	res := serveLog(t,
+		logCase{smr.ServeOptions{N: 4, MaxSlots: 10, CrashAt: crash}, 19},
+		logCase{smr.ServeOptions{N: 4, MaxSlots: 10, CrashAt: crash, RotateLeader: true}, 10})
+	for i, want := range []float64{2, 1} {
+		if rec := res[i].Recoveries; len(rec) != 1 || rec[0].Duration() != want {
+			t.Errorf("run %d: recoveries %+v, want one of %g", i, rec, want)
 		}
 	}
 }
 
 func TestRotateLeaderUnderCascadingCrashes(t *testing.T) {
-	res, err := smr.Run(smr.Config{N: 5, Slots: 12, RotateLeader: true,
-		CrashDuringSlot: map[sim.ProcID]int{1: 2, 2: 5, 3: 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := smr.Validate(res); err != nil {
-		t.Fatal(err)
-	}
-	// Steady-state slots commit in one round despite three dead replicas.
-	last := res.RoundsPerSlot[len(res.RoundsPerSlot)-1]
-	if last != 1 {
-		t.Errorf("final slot took %d rounds, want 1 under rotation", last)
-	}
-	for _, id := range []sim.ProcID{4, 5} {
-		if got := len(res.Logs[id]); got != 12 {
-			t.Errorf("replica %d log length = %d, want 12", id, got)
-		}
-	}
+	// Every slot commits in one round despite three dead replicas.
+	serveLog(t, logCase{smr.ServeOptions{N: 5, MaxSlots: 12, RotateLeader: true,
+		CrashAt: map[sim.ProcID]float64{1: 1, 2: 4, 3: 7}}, 12})
 }
 
 // TestCrossSlotConservation pins the conservation identity on the aggregated
-// log-level ledger: with crashes persisting across slots (a replica that dies
-// in slot s is dead for every later instance), every message any slot
+// log-level ledger: with crashes persisting across slots (a replica dead
+// for slot s is dead for every later instance), every message any slot
 // transmitted must still land in exactly one sink — crashes at slot
 // boundaries must not leak messages from the books.
 func TestCrossSlotConservation(t *testing.T) {
-	configs := []smr.Config{
-		{N: 5, Slots: 6},
-		{N: 5, Slots: 6, CrashDuringSlot: map[sim.ProcID]int{1: 2, 3: 4}},
-		{N: 5, Slots: 6, Protocol: smr.ProtocolEarlyStop, CrashDuringSlot: map[sim.ProcID]int{2: 1}},
-		{N: 6, Slots: 8, RotateLeader: true, CrashDuringSlot: map[sim.ProcID]int{1: 1, 2: 3, 3: 5}},
-	}
-	for _, cfg := range configs {
-		res, err := smr.Run(cfg)
-		if err != nil {
-			t.Fatalf("%+v: %v", cfg, err)
-		}
-		l, c := &res.Ledger, &res.Counters
-		if got := l.SinkData(); got != c.DataMsgs {
-			t.Errorf("%+v: %d data messages transmitted, sinks account for %d (%s)",
-				cfg, c.DataMsgs, got, l.String())
-		}
-		if got := l.SinkCtrl(); got != c.CtrlMsgs {
-			t.Errorf("%+v: %d control messages transmitted, sinks account for %d (%s)",
-				cfg, c.CtrlMsgs, got, l.String())
+	res := serveLog(t,
+		logCase{smr.ServeOptions{N: 5, MaxSlots: 6}, 6},
+		logCase{smr.ServeOptions{N: 5, MaxSlots: 6, CrashAt: map[sim.ProcID]float64{1: 1, 3: 3}}, 11},
+		logCase{smr.ServeOptions{N: 5, MaxSlots: 6, Protocol: smr.ProtocolEarlyStop,
+			CrashAt: map[sim.ProcID]float64{2: 0}}, 18},
+		logCase{smr.ServeOptions{N: 6, MaxSlots: 8, RotateLeader: true,
+			CrashAt: map[sim.ProcID]float64{1: 0, 2: 2, 3: 4}}, 8})
+	for i, r := range res {
+		l, c := &r.Ledger, &r.Counters
+		if l.SinkData() != c.DataMsgs || l.SinkCtrl() != c.CtrlMsgs {
+			t.Errorf("run %d: %s transmitted, sinks account for %d data %d control (%s)",
+				i, c.String(), l.SinkData(), l.SinkCtrl(), l.String())
 		}
 		// Crash-model log: nothing may land in the omission or late sinks.
 		if l.RecvOmitData+l.RecvOmitCtrl+l.LateData+l.LateCtrl != 0 {
-			t.Errorf("%+v: omission/late sinks non-zero in the crash model: %s", cfg, l.String())
+			t.Errorf("run %d: omission/late sinks non-zero in the crash model: %s", i, l.String())
 		}
 	}
 }

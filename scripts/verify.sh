@@ -30,6 +30,15 @@ trap leftovers EXIT
 echo "== go build ./..."
 go build ./...
 
+# The golden harness lives in a package only tests import, so no binary
+# links package testing.
+echo "== no cmd/ binary links testing"
+deps=$(go list -deps ./cmd/...)
+if grep -qx testing <<<"$deps"; then
+	echo "verify: a cmd/ binary links package testing"
+	exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
 
