@@ -23,17 +23,17 @@ func TestRunAllocs(t *testing.T) {
 		cfg  agree.Config
 		pin  float64
 	}{
-		{"E1FailureFree", agree.Config{N: 64}, 26},
-		{"E1RoundsVsFaults", agree.Config{N: 32, Faults: agree.CoordinatorCrashes(8)}, 28},
+		{"E1FailureFree", agree.Config{N: 64}, 25},
+		{"E1RoundsVsFaults", agree.Config{N: 32, Faults: agree.CoordinatorCrashes(8)}, 27},
 		{"E4EarlyStop", agree.Config{N: 32, T: 31, Protocol: agree.ProtocolEarlyStop,
-			Faults: agree.CoordinatorCrashes(2)}, 119},
-		{"E4FloodSet", agree.Config{N: 32, T: 8, Protocol: agree.ProtocolFloodSet}, 121},
-		{"DeterministicEngine", agree.Config{N: 32, Faults: agree.CoordinatorCrashes(4)}, 28},
-		{"TimedEngine", timed, 112},
+			Faults: agree.CoordinatorCrashes(2)}, 118},
+		{"E4FloodSet", agree.Config{N: 32, T: 8, Protocol: agree.ProtocolFloodSet}, 120},
+		{"DeterministicEngine", agree.Config{N: 32, Faults: agree.CoordinatorCrashes(4)}, 27},
+		{"TimedEngine", timed, 59},
 		{"LockstepEngine", agree.Config{N: 32, Engine: agree.EngineLockstep,
 			Faults: agree.CoordinatorCrashes(4)}, 97},
-		{"E1FailureFreeTelemetry", agree.Config{N: 64, Telemetry: true}, 37},
-		{"TimedEngineTelemetry", timedTelemetry, 161},
+		{"E1FailureFreeTelemetry", agree.Config{N: 64, Telemetry: true}, 36},
+		{"TimedEngineTelemetry", timedTelemetry, 108},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

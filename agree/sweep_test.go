@@ -164,27 +164,37 @@ func TestSweepAllocsPerConfig(t *testing.T) {
 	}
 }
 
-// TestSweepAllocsPerConfigLockstep pins the lockstep runtime's reuse across
-// sizes: the list alternates n, as agreeperf's config list does, so a runtime
-// that rebuilt its workers or mailboxes whenever n changes (~2500
-// allocs/config here) fails the pin. Only the first growth to each larger n
-// spawns workers and reallocates the slab.
+// TestSweepAllocsPerConfigLockstep pins the reuse of the lockstep runtime
+// and the timed engine across sizes: the list alternates n, as agreeperf's
+// config list does, so an engine that rebuilt its state whenever n changes
+// (~2500 allocs/config for lockstep's workers and mailboxes) fails its pin.
+// Only the first growth to each larger n reallocates: lockstep's workers and
+// slab, the timed engine's kernel state and inbox seed.
 func TestSweepAllocsPerConfigLockstep(t *testing.T) {
-	var configs []agree.Config
-	for rep := 0; rep < 4; rep++ {
-		for _, n := range []int{8, 64, 8, 32, 16} {
-			configs = append(configs, agree.Config{N: n, Engine: agree.EngineLockstep,
-				Faults: agree.CoordinatorCrashes(n / 8)})
-		}
-	}
-	perConfig := testing.AllocsPerRun(5, func() {
-		if sr := agree.Sweep(configs, agree.SweepOptions{Workers: 1}); sr.Aggregate.Errored != 0 {
-			t.Fatal("sweep errored")
-		}
-	}) / float64(len(configs))
-	const maxPerConfig = 26 // measured 25.6
-	if perConfig > maxPerConfig {
-		t.Errorf("lockstep sweep allocates %.1f allocs/config, want <= %d", perConfig, maxPerConfig)
+	for _, tc := range []struct {
+		engine       agree.EngineKind
+		maxPerConfig float64
+	}{
+		{agree.EngineLockstep, 26}, // measured 25.6
+		{agree.EngineTimed, 22},    // measured 21.45
+	} {
+		t.Run(string(tc.engine), func(t *testing.T) {
+			var configs []agree.Config
+			for rep := 0; rep < 4; rep++ {
+				for _, n := range []int{8, 64, 8, 32, 16} {
+					configs = append(configs, agree.Config{N: n, Engine: tc.engine,
+						Faults: agree.CoordinatorCrashes(n / 8)})
+				}
+			}
+			perConfig := testing.AllocsPerRun(5, func() {
+				if sr := agree.Sweep(configs, agree.SweepOptions{Workers: 1}); sr.Aggregate.Errored != 0 {
+					t.Fatal("sweep errored")
+				}
+			}) / float64(len(configs))
+			if perConfig > tc.maxPerConfig {
+				t.Errorf("%s sweep allocates %.2f allocs/config, want <= %v", tc.engine, perConfig, tc.maxPerConfig)
+			}
+		})
 	}
 }
 

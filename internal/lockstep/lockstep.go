@@ -191,20 +191,11 @@ func (rt *Runtime) init(cfg Config, procs []sim.Process, adv sim.Adversary) erro
 	if rt.closed {
 		return errors.New("lockstep: runtime is closed")
 	}
-	if len(procs) == 0 {
-		return errors.New("lockstep: no processes")
+	h, err := sim.ValidateJob("lockstep", cfg.Horizon, procs, adv)
+	if err != nil {
+		return err
 	}
-	for i, p := range procs {
-		if p.ID() != sim.ProcID(i+1) {
-			return fmt.Errorf("lockstep: process at index %d has id %d, want %d", i, p.ID(), i+1)
-		}
-	}
-	if adv == nil {
-		return errors.New("lockstep: nil adversary")
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = sim.Round(len(procs) + 2)
-	}
+	cfg.Horizon = h
 	n := len(procs)
 	if n > len(rt.workers) {
 		rt.grow(n)
@@ -525,14 +516,9 @@ func (rt *Runtime) Run() (*sim.Result, error) {
 		return c
 	}
 
-	recording := rt.cfg.Telemetry.Enabled()
-	var prevCtr metrics.Counters
-	var prevLed metrics.Ledger
+	var tel sim.RoundTelemetry
 	var r sim.Round
 	for r = 1; r <= rt.cfg.Horizon; r++ {
-		if recording {
-			prevCtr, prevLed = res.Counters, res.Ledger
-		}
 		ws := rt.started[:0]
 		for i, w := range rt.workers[:n] {
 			if alive[i] && !halted[i] {
@@ -590,9 +576,9 @@ func (rt *Runtime) Run() (*sim.Result, error) {
 				rt.discard(&res.Ledger, i)
 			}
 		}
-		if recording {
-			rt.recordRound(res, r, prevCtr, prevLed)
-		}
+		// Recording happens in the driver, which owns the result between
+		// barriers, so it needs no synchronization.
+		tel.Record(rt.cfg.Telemetry, r, float64(r-1), float64(r), res.Counters, res.Ledger)
 		if activeCount() == 0 {
 			break
 		}
@@ -605,31 +591,8 @@ func (rt *Runtime) Run() (*sim.Result, error) {
 		}
 	}
 	rt.finish(res, r)
-	if recording {
-		rt.cfg.Telemetry.Span(telemetry.SpanRun, telemetry.TrackEngine, 0, int32(r), 0, float64(r))
-		if r > 0 {
-			rt.cfg.Telemetry.Sample(telemetry.SeriesRoundsPerSec, float64(r), 1)
-		}
-	}
+	sim.RecordRun(rt.cfg.Telemetry, r, float64(r))
 	return res, nil
-}
-
-// recordRound emits one round's telemetry from the driver loop: the round
-// span over its unit time interval and the traffic deltas of the round,
-// computed against the result snapshots taken before the send phase. The
-// driver owns the result between barriers, so no synchronization is needed.
-func (rt *Runtime) recordRound(res *sim.Result, r sim.Round, prevCtr metrics.Counters, prevLed metrics.Ledger) {
-	rec := rt.cfg.Telemetry
-	t := float64(r)
-	rec.Span(telemetry.SpanRound, telemetry.TrackEngine, int32(r), 0, t-1, t)
-	dc := res.Counters.Minus(prevCtr)
-	dl := res.Ledger.Minus(prevLed)
-	rec.Sample(telemetry.SeriesDataMsgs, t, float64(dc.DataMsgs))
-	rec.Sample(telemetry.SeriesCtrlMsgs, t, float64(dc.CtrlMsgs))
-	rec.Sample(telemetry.SeriesDelivered, t, float64(dl.DeliveredData+dl.DeliveredCtrl))
-	rec.Sample(telemetry.SeriesDropped, t, float64(dc.DroppedData+dc.DroppedCtrl))
-	rec.Sample(telemetry.SeriesOmitted, t, float64(dc.OmittedData+dc.OmittedCtrl+dc.OmittedRecv))
-	rec.Sample(telemetry.SeriesLate, t, float64(dc.Late))
 }
 
 // finish stamps the round count on res and hands it a copy of the driver's

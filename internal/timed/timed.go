@@ -23,11 +23,14 @@
 // — which is exactly how partial synchrony degrades into the omission fault
 // model of the round engines.
 //
-// When every latency respects the bound the engine is semantically identical
-// to internal/sim, bit for bit: same decisions, decide rounds, crash and
-// omission bookkeeping, and traffic counters. The differential tests and the
-// sweep harness's CrossCheck mode enforce this; only SimTime distinguishes
-// the engines.
+// The round semantics are not transcribed here: the engine runs sim's round
+// kernel (sim.Kernel) for every send and receive phase, and keeps only event
+// scheduling and latency pricing. When every latency respects the bound the
+// engine is therefore semantically identical to internal/sim, bit for bit:
+// same decisions, decide rounds, crash and omission bookkeeping, and traffic
+// counters. The differential tests and the sweep harness's CrossCheck mode
+// check the scheduling that makes this so; only SimTime distinguishes the
+// engines.
 //
 // The hot path is built for reuse: message arrivals ride pooled delivery
 // records (des.Action) instead of per-message closures, the per-round
@@ -39,10 +42,8 @@ package timed
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/des"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -71,25 +72,12 @@ type Config struct {
 // runs one job; Reset rearms it for the next job while keeping every buffer,
 // which is what lets the harness mark the timed engine Reusable.
 type Engine struct {
-	cfg   Config
-	procs []sim.Process
-	adv   sim.Adversary
-	omit  sim.Omitter
-	val   sim.PlanValidator
-	lat   LatencyModel
+	cfg Config
+	k   sim.Kernel
+	lat LatencyModel
 
 	d, delta des.Time
 	roundDur des.Time
-
-	alive    []bool
-	halted   []bool
-	out      []sim.Outcome // per-process outcome so far; Run hands out a copy
-	recvOmit [][]bool
-	inbox    [][]sim.Message
-
-	aliveUnhalted int
-	ctr           metrics.Counters
-	led           metrics.Ledger
 
 	// Pooled arrival records: one per in-flight message, recycled the moment
 	// the message is delivered. freeDel is the free list; allDel pins every
@@ -106,11 +94,9 @@ type Engine struct {
 	err    error
 	ran    bool
 
-	// Telemetry bookkeeping: the open round's start time and the counter
-	// snapshots backing per-round deltas. Touched only when recording.
+	// roundOpenT is the open round's start time, the start of its telemetry
+	// span.
 	roundOpenT des.Time
-	telCtr     metrics.Counters
-	telLed     metrics.Ledger
 }
 
 // delivery is a pooled message arrival: the allocation-free replacement for
@@ -139,40 +125,37 @@ type sweepAction struct {
 // Act implements des.Action.
 func (s *sweepAction) Act() { s.e.sweep(s.r) }
 
+// link is the engine as the round kernel sees it: the Transmitter that
+// prices and schedules every transmitted message, and the Clock that stamps
+// the kernel's trace lines with event-clock time.
+type link Engine
+
+// Transmit implements sim.Transmitter.
+func (l *link) Transmit(m sim.Message) { (*Engine)(l).send(m) }
+
+// Now implements sim.Clock.
+func (l *link) Now() float64 { return float64(l.ds.Now()) }
+
 // New builds a timed engine over the given processes (ids 1..n in order).
 func New(cfg Config, procs []sim.Process, adv sim.Adversary) (*Engine, error) {
 	e := &Engine{}
 	e.sweepAct.e = e
-	if err := e.init(cfg, procs, adv); err != nil {
+	if err := e.Reset(cfg, procs, adv); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
 // Reset rearms the engine for a new job, keeping the event pool, the heap,
-// the inbox scratch and the delivery records of previous runs. On error the
-// engine is unchanged and still holds its previous (consumed) job.
+// the inbox scratch and the delivery records of previous runs. Validation
+// happens before any mutation, so on error the engine is unchanged and still
+// holds its previous (consumed) job.
 func (e *Engine) Reset(cfg Config, procs []sim.Process, adv sim.Adversary) error {
-	return e.init(cfg, procs, adv)
-}
-
-// init validates and installs a job; shared by New and Reset. Validation
-// happens before any mutation so a failed Reset leaves the engine intact.
-func (e *Engine) init(cfg Config, procs []sim.Process, adv sim.Adversary) error {
-	if len(procs) == 0 {
-		return errors.New("timed: no processes")
+	h, err := sim.ValidateJob("timed", cfg.Horizon, procs, adv)
+	if err != nil {
+		return err
 	}
-	for i, p := range procs {
-		if p.ID() != sim.ProcID(i+1) {
-			return fmt.Errorf("timed: process at index %d has id %d, want %d", i, p.ID(), i+1)
-		}
-	}
-	if adv == nil {
-		return errors.New("timed: nil adversary")
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = sim.Round(len(procs) + 2)
-	}
+	cfg.Horizon = h
 	lat := cfg.Latency
 	if lat == nil {
 		lat = DefaultModel()
@@ -180,36 +163,14 @@ func (e *Engine) init(cfg Config, procs []sim.Process, adv sim.Adversary) error 
 	if err := validateModel(lat); err != nil {
 		return err
 	}
-	n := len(procs)
-	e.cfg, e.procs, e.adv, e.lat = cfg, procs, adv, lat
-	e.omit, _ = adv.(sim.Omitter)
+	e.cfg, e.lat = cfg, lat
 	e.d, e.delta = lat.Params()
 	e.roundDur = e.d
 	if cfg.Model == sim.ModelExtended {
 		e.roundDur += e.delta
 	}
-	e.alive = resize(e.alive, n)
-	e.halted = resize(e.halted, n)
-	e.out = resize(e.out, n)
-	if cap(e.inbox) < n {
-		e.inbox = make([][]sim.Message, n)
-	} else {
-		e.inbox = e.inbox[:n]
-		for i := range e.inbox {
-			e.inbox[i] = e.inbox[i][:0]
-		}
-	}
-	if e.omit != nil {
-		e.recvOmit = resize(e.recvOmit, n)
-	} else {
-		e.recvOmit = e.recvOmit[:0]
-	}
-	for i := range e.alive {
-		e.alive[i] = true
-	}
-	e.aliveUnhalted = n
-	e.ctr = metrics.Counters{}
-	e.led = metrics.Ledger{}
+	e.k.Arm(sim.Config{Model: cfg.Model, Horizon: h, Trace: cfg.Trace, Telemetry: cfg.Telemetry},
+		procs, adv, (*link)(e), (*link)(e))
 	e.freeDel = append(e.freeDel[:0], e.allDel...)
 	e.ds.Reset()
 	e.ds.Telemetry = cfg.Telemetry
@@ -217,19 +178,7 @@ func (e *Engine) init(cfg Config, procs []sim.Process, adv sim.Adversary) error 
 	e.err = nil
 	e.ran = false
 	e.roundOpenT = 0
-	e.telCtr = metrics.Counters{}
-	e.telLed = metrics.Ledger{}
 	return nil
-}
-
-// resize returns s resized to n zeroed elements, reusing capacity.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // allocDel takes a delivery record from the free list, growing it by a slab
@@ -264,46 +213,12 @@ func (e *Engine) Run() (*sim.Result, error) {
 	if e.err == nil {
 		e.ds.Run(des.Infinity)
 	}
-
-	res := &sim.Result{
-		Rounds:   e.rounds,
-		Procs:    slices.Clone(e.out),
-		Counters: e.ctr,
-		Ledger:   e.led,
-		SimTime:  float64(e.ds.Now()),
-	}
+	res := e.k.Finish(e.rounds, float64(e.ds.Now()), e.err == nil)
+	res.SimTime = float64(e.ds.Now())
 	if err := e.ds.Audit(); err != nil {
 		res.ClockViolation = err.Error()
 	}
-	res.Counters.Rounds = int(e.rounds)
-	if e.cfg.Telemetry.Enabled() && e.err == nil {
-		e.cfg.Telemetry.Span(telemetry.SpanRun, telemetry.TrackEngine, 0, int32(e.rounds), 0, res.SimTime)
-		if res.SimTime > 0 {
-			e.cfg.Telemetry.Sample(telemetry.SeriesRoundsPerSec, res.SimTime,
-				float64(e.rounds)/res.SimTime)
-		}
-	}
 	return res, e.err
-}
-
-// recordRound emits the telemetry of one finished round: a round span over
-// its event-clock interval and the per-round traffic deltas against the
-// previous snapshot. Called at the end of the deadline sweep, only when
-// recording.
-func (e *Engine) recordRound(r sim.Round) {
-	rec := e.cfg.Telemetry
-	t := float64(e.ds.Now())
-	rec.Span(telemetry.SpanRound, telemetry.TrackEngine, int32(r), 0, float64(e.roundOpenT), t)
-	dc := e.ctr.Minus(e.telCtr)
-	dl := e.led.Minus(e.telLed)
-	rec.Sample(telemetry.SeriesDataMsgs, t, float64(dc.DataMsgs))
-	rec.Sample(telemetry.SeriesCtrlMsgs, t, float64(dc.CtrlMsgs))
-	rec.Sample(telemetry.SeriesDelivered, t, float64(dl.DeliveredData+dl.DeliveredCtrl))
-	rec.Sample(telemetry.SeriesDropped, t, float64(dc.DroppedData+dc.DroppedCtrl))
-	rec.Sample(telemetry.SeriesOmitted, t, float64(dc.OmittedData+dc.OmittedCtrl+dc.OmittedRecv))
-	rec.Sample(telemetry.SeriesLate, t, float64(dc.Late))
-	e.telCtr = e.ctr
-	e.telLed = e.led
 }
 
 // fail aborts the run after the current event.
@@ -312,72 +227,23 @@ func (e *Engine) fail(err error) {
 	e.ds.Stop()
 }
 
-// allQuiet reports whether every alive process has halted.
-func (e *Engine) allQuiet() bool { return e.aliveUnhalted == 0 }
-
 // roundStart opens round r at the current simulated time: it runs the send
-// phase of every alive, unhalted process in id order (the same adversary
-// consultation order as the deterministic engine), scheduling each
-// transmitted message's arrival, then arms the round's deadline sweep. FIFO
-// tie-breaking in the event queue guarantees that an arrival at exactly the
-// deadline still precedes the sweep (it was scheduled earlier), so the
-// receive phases observe exactly the messages that respected the bound.
+// phase of every active process in id order (the same adversary consultation
+// order as the deterministic engine), which schedules each transmitted
+// message's arrival, then arms the round's deadline sweep. FIFO tie-breaking
+// in the event queue guarantees that an arrival at exactly the deadline still
+// precedes the sweep (it was scheduled earlier), so the receive phases
+// observe exactly the messages that respected the bound.
 func (e *Engine) roundStart(r sim.Round) {
 	e.rounds = r
 	e.roundOpenT = e.ds.Now()
-	deadline := e.ds.Now() + e.roundDur
-	for i := range e.recvOmit {
-		e.recvOmit[i] = nil
-	}
-	for _, p := range e.procs {
-		id := p.ID()
-		i := int(id) - 1
-		if !e.alive[i] || e.halted[i] {
+	for i := range e.k.N() {
+		if !e.k.Active(i) {
 			continue
 		}
-		plan := p.Send(r)
-		if e.cfg.Model == sim.ModelClassic && len(plan.Control) > 0 {
-			e.fail(fmt.Errorf("%w (process p%d, round %d)", sim.ErrControlInClassic, id, r))
+		if err := e.k.SendPhase(i, r); err != nil {
+			e.fail(err)
 			return
-		}
-		if err := e.val.Validate(id, len(e.procs), plan); err != nil {
-			e.fail(fmt.Errorf("%v (round %d)", err, r))
-			return
-		}
-		crash, outcome := e.adv.Crashes(id, r, plan)
-		if crash {
-			if !outcome.ValidFor(plan) {
-				e.fail(fmt.Errorf("%w (process p%d, round %d)", sim.ErrBadOutcome, id, r))
-				return
-			}
-			e.alive[i] = false
-			e.out[i].CrashRound = r
-			e.aliveUnhalted--
-			if e.cfg.Trace.Enabled() {
-				e.cfg.Trace.Add(trace.Event{Round: int(r), Kind: trace.KindCrash, From: int(id),
-					Detail: fmt.Sprintf("t=%g during send (data %s, ctrl prefix %d/%d)",
-						float64(e.ds.Now()), subsetString(outcome.DataDelivered), outcome.CtrlPrefix, len(plan.Control))})
-			}
-			e.emitCrashed(id, r, plan, outcome)
-			continue
-		}
-		if e.omit != nil {
-			if om := e.omit.Omits(id, r, plan); !om.IsZero() {
-				if !om.ValidFor(plan) {
-					e.fail(fmt.Errorf("%w (process p%d, round %d)", sim.ErrBadOmission, id, r))
-					return
-				}
-				e.out[i].OmissiveRounds++
-				e.recvOmit[i] = om.Recv
-				e.emitOmitted(id, r, plan, om)
-				continue
-			}
-		}
-		for _, o := range plan.Data {
-			e.send(sim.Message{From: id, To: o.To, Round: r, Kind: sim.Data, Payload: o.Payload})
-		}
-		for _, to := range plan.Control {
-			e.send(sim.Message{From: id, To: to, Round: r, Kind: sim.Control})
 		}
 	}
 	// One sweep event covers every process due at this deadline (processes
@@ -386,79 +252,31 @@ func (e *Engine) roundStart(r sim.Round) {
 	// inside send phases and sweeps, never between them, so the sweep sees
 	// exactly the processes a per-process timer scheme would have armed.
 	e.sweepAct.r = r
-	e.ds.AtAct(deadline, &e.sweepAct)
+	e.ds.AtAct(e.roundOpenT+e.roundDur, &e.sweepAct)
 }
 
 // sweep is the round's deadline event: the receive and computation phase of
-// every due process in id order — the order n per-process timers would have
-// fired in under FIFO ties — followed by the round controller.
+// every active process in id order — the order n per-process timers would
+// have fired in under FIFO ties — followed by the round controller.
 func (e *Engine) sweep(r sim.Round) {
-	for _, p := range e.procs {
-		i := int(p.ID()) - 1
-		if !e.alive[i] || e.halted[i] {
+	for i := range e.k.N() {
+		if !e.k.Active(i) {
 			continue
 		}
-		e.receive(p, r)
-		if e.err != nil {
+		if err := e.k.ReceivePhase(i, r); err != nil {
+			e.fail(err)
 			return
 		}
 	}
 	e.roundEnd(r)
 }
 
-// emitCrashed transmits the escaped part of a crashing sender's plan: the
-// delivered data subset and the escaped control prefix. Suppressed messages
-// are accounted as dropped, exactly like the round engines.
-func (e *Engine) emitCrashed(from sim.ProcID, r sim.Round, plan sim.SendPlan, out sim.CrashOutcome) {
-	for i, o := range plan.Data {
-		if !out.DataDelivered[i] {
-			e.ctr.DroppedData++
-			e.traceDrop(r, from, o.To, "data")
-			continue
-		}
-		e.send(sim.Message{From: from, To: o.To, Round: r, Kind: sim.Data, Payload: o.Payload})
-	}
-	for i, to := range plan.Control {
-		if i >= out.CtrlPrefix {
-			e.ctr.DroppedCtrl++
-			e.traceDrop(r, from, to, "control")
-			continue
-		}
-		e.send(sim.Message{From: from, To: to, Round: r, Kind: sim.Control})
-	}
-}
-
-// emitOmitted transmits a live sender's plan under a send-omission mask.
-func (e *Engine) emitOmitted(from sim.ProcID, r sim.Round, plan sim.SendPlan, om sim.Omission) {
-	for i, o := range plan.Data {
-		if om.Data != nil && !om.Data[i] {
-			e.ctr.OmittedData++
-			e.traceDrop(r, from, o.To, "data (send omission)")
-			continue
-		}
-		e.send(sim.Message{From: from, To: o.To, Round: r, Kind: sim.Data, Payload: o.Payload})
-	}
-	for i, to := range plan.Control {
-		if om.Ctrl != nil && !om.Ctrl[i] {
-			e.ctr.OmittedCtrl++
-			e.traceDrop(r, from, to, "control (send omission)")
-			continue
-		}
-		e.send(sim.Message{From: from, To: to, Round: r, Kind: sim.Control})
-	}
-}
-
-// send transmits one message: it is accounted as sent, its latency is
-// sampled, and — if the latency respects the synchrony bound of its kind —
-// its arrival is scheduled on a pooled delivery record. A latency beyond the
-// bound is a timing fault: the message misses its round and is mapped to a
-// receive omission at the destination (Counters.Late).
+// send prices one transmitted message: its latency is sampled and — if the
+// latency respects the synchrony bound of its kind — its arrival is
+// scheduled on a pooled delivery record. A latency beyond the bound is a
+// timing fault: the message misses its round and is mapped to a receive
+// omission at the destination (Counters.Late).
 func (e *Engine) send(m sim.Message) {
-	if m.Kind == sim.Control {
-		e.ctr.AddCtrl()
-	} else {
-		e.ctr.AddData(m.Bits())
-	}
 	lat := e.lat.Latency(m.From, m.To, m.Round, m.Kind)
 	bound := e.d
 	if m.Kind == sim.Control {
@@ -470,10 +288,13 @@ func (e *Engine) send(m sim.Message) {
 			Detail: fmt.Sprintf("%s t=%g lat=%g", m.Kind, float64(e.ds.Now()), float64(lat))})
 	}
 	if lat > bound {
-		e.ctr.Late++
-		e.led.Late(m.Kind == sim.Control)
-		e.traceDrop(m.Round, m.From, m.To, fmt.Sprintf("%s late (lat %g > bound %g; timing fault -> receive omission)",
-			m.Kind, float64(lat), float64(bound)))
+		e.k.Late(m)
+		if e.cfg.Trace.Enabled() {
+			e.cfg.Trace.Add(trace.Event{Round: int(m.Round), Kind: trace.KindDrop,
+				From: int(m.From), To: int(m.To),
+				Detail: fmt.Sprintf("%s late (lat %g > bound %g; timing fault -> receive omission)",
+					m.Kind, float64(lat), float64(bound))})
+		}
 		return
 	}
 	d := e.allocDel()
@@ -482,98 +303,14 @@ func (e *Engine) send(m sim.Message) {
 }
 
 // arrive delivers a message into its destination's inbox for the current
-// round. Messages to crashed processes vanish (they were transmitted and
-// accounted; nobody is there to receive them).
+// round. A crashed destination is not there to receive it; a halted one is
+// alive but has returned, and the sweep skips it.
 func (e *Engine) arrive(m sim.Message) {
-	i := int(m.To) - 1
-	if !e.alive[i] || e.halted[i] {
-		// Crashed: nobody is there. Halted: alive but returned — the round
-		// engines discard its deliveries at the receive phase; with the
-		// sweep skipping it, the discard happens here instead.
-		if !e.alive[i] {
-			e.led.DeadDest(m.Kind == sim.Control)
-		} else {
-			e.led.HaltedDest(m.Kind == sim.Control)
-		}
-		return
-	}
-	e.inbox[i] = append(e.inbox[i], m)
-	if e.cfg.Trace.Enabled() {
+	if e.k.Accept(m) && e.cfg.Trace.Enabled() {
 		e.cfg.Trace.Add(trace.Event{Round: int(m.Round), Kind: trace.KindDeliver,
 			From: int(m.From), To: int(m.To),
 			Detail: fmt.Sprintf("%s t=%g", m.Kind, float64(e.ds.Now()))})
 	}
-}
-
-// receive is process p's slice of the round-r deadline sweep: the receive
-// phase plus the local computation phase, mirroring the deterministic
-// engine's receive loop body exactly.
-func (e *Engine) receive(p sim.Process, r sim.Round) {
-	id := p.ID()
-	i := int(id) - 1
-	if !e.alive[i] {
-		for _, m := range e.inbox[i] {
-			e.led.DeadDest(m.Kind == sim.Control)
-		}
-		e.inbox[i] = e.inbox[i][:0]
-		return
-	}
-	if e.halted[i] {
-		// A halted process stays alive but silent; anything delivered to it
-		// is discarded.
-		for _, m := range e.inbox[i] {
-			e.led.HaltedDest(m.Kind == sim.Control)
-		}
-		e.inbox[i] = e.inbox[i][:0]
-		return
-	}
-	in := e.inbox[i]
-	e.inbox[i] = in[:0]
-	if i < len(e.recvOmit) && e.recvOmit[i] != nil {
-		in = e.applyRecvOmission(in, e.recvOmit[i], r)
-	}
-	for _, m := range in {
-		e.led.Delivered(m.Kind == sim.Control)
-	}
-	sim.SortInbox(in)
-	p.Receive(r, in)
-	if v, ok := p.Decided(); ok && e.out[i].DecideRound == 0 {
-		e.out[i].Value, e.out[i].DecideRound = v, r
-		if e.cfg.Trace.Enabled() {
-			e.cfg.Trace.Add(trace.Event{Round: int(r), Kind: trace.KindDecide,
-				From: int(id), Detail: fmt.Sprintf("value %d t=%g", int64(v), float64(e.ds.Now()))})
-		}
-	}
-	if p.Halted() {
-		if e.out[i].DecideRound == 0 {
-			e.fail(fmt.Errorf("%w (process p%d, round %d)", sim.ErrHaltedWithoutDecision, id, r))
-			return
-		}
-		if !e.halted[i] {
-			e.halted[i] = true
-			e.aliveUnhalted--
-			if e.cfg.Trace.Enabled() {
-				e.cfg.Trace.Add(trace.Event{Round: int(r), Kind: trace.KindHalt, From: int(id)})
-			}
-		}
-	}
-}
-
-// applyRecvOmission compacts an inbox to the messages surviving an
-// adversarial receive-omission mask.
-func (e *Engine) applyRecvOmission(in []sim.Message, mask []bool, r sim.Round) []sim.Message {
-	w := 0
-	for _, m := range in {
-		if i := int(m.From) - 1; i < len(mask) && !mask[i] {
-			e.ctr.OmittedRecv++
-			e.led.RecvOmitted(m.Kind == sim.Control)
-			e.traceDrop(r, m.From, m.To, m.Kind.String()+" (receive omission)")
-			continue
-		}
-		in[w] = m
-		w++
-	}
-	return in[:w]
 }
 
 // roundEnd is the round controller, run at the end of the deadline sweep:
@@ -581,10 +318,8 @@ func (e *Engine) applyRecvOmission(in []sim.Message, mask []bool, r sim.Round) [
 // at the current time (rounds are back to back — the receive and computation
 // phases fit inside the round's D, per the model).
 func (e *Engine) roundEnd(r sim.Round) {
-	if e.cfg.Telemetry.Enabled() {
-		e.recordRound(r)
-	}
-	if e.allQuiet() {
+	e.k.RecordRound(r, float64(e.roundOpenT), float64(e.ds.Now()))
+	if e.k.Quiet() {
 		e.ds.Stop()
 		return
 	}
@@ -593,29 +328,4 @@ func (e *Engine) roundEnd(r sim.Round) {
 		return
 	}
 	e.roundStart(r + 1)
-}
-
-// traceDrop records a suppressed message when tracing is enabled.
-func (e *Engine) traceDrop(r sim.Round, from, to sim.ProcID, detail string) {
-	if e.cfg.Trace.Enabled() {
-		e.cfg.Trace.Add(trace.Event{Round: int(r), Kind: trace.KindDrop,
-			From: int(from), To: int(to), Detail: detail})
-	}
-}
-
-// subsetString renders a delivered-subset mask compactly, e.g. "{1,3}/4".
-func subsetString(mask []bool) string {
-	s := "{"
-	first := true
-	for i, b := range mask {
-		if !b {
-			continue
-		}
-		if !first {
-			s += ","
-		}
-		s += fmt.Sprint(i + 1)
-		first = false
-	}
-	return fmt.Sprintf("%s}/%d", s, len(mask))
 }

@@ -42,6 +42,16 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
+# The round semantics live once, in sim's round kernel: the timed engine
+# only schedules and prices messages. A non-test file of internal/timed that
+# consults the adversary, runs a receive phase or sorts an inbox has grown a
+# second copy of them.
+echo "== no round semantics in internal/timed"
+if grep -nE '\.(Crashes|Omits|Receive)\(|SortInbox\(' $(ls internal/timed/*.go | grep -v '_test\.go$'); then
+	echo "verify: internal/timed calls the adversary, a receive phase or SortInbox itself; use sim.Kernel"
+	exit 1
+fi
+
 # Every go test carries an explicit -timeout (per package binary, below the
 # ten-minute default) so a barrier deadlock fails instead of hanging.
 echo "== go test ./..."
@@ -67,8 +77,8 @@ go test -race -count=5 -timeout 300s -run 'PlanLifetime|PayloadLifetime|OutcomeM
 echo "== go test -race -count=10 (lockstep runtime reuse across sizes + Close lifetime, also after every phase-barrier abort path)"
 go test -race -count=10 -timeout 300s -run 'RuntimeReuse|RuntimeClose' ./internal/lockstep/
 
-echo "== scenario catalog (deterministic engine)"
-go run ./cmd/agreesim -run all -engines deterministic
+echo "== scenario catalog (all engines)"
+go run ./cmd/agreesim -run all -engines all
 
 # Every agreeperf workload at 1 % scale: its correctness checks and the
 # cross-engine result digests. Results go under .bench_build/ so the
