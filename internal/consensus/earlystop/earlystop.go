@@ -70,15 +70,39 @@ func newProtocol(id sim.ProcID, n, t int, proposal sim.Value, b int, data []sim.
 	return Protocol{id: id, n: n, t: t, est: proposal, data: data, msg: EstMsg{B: b}}
 }
 
+// System holds the storage of one instance for reuse: Reset builds an
+// instance in it, overwriting the one the previous Reset built. The zero
+// value is ready to use.
+type System struct {
+	slab  []Protocol
+	data  []sim.Outgoing
+	procs []sim.Process
+}
+
 // NewSystem builds the n processes of one instance; proposals[i] belongs to
 // p_{i+1}. The processes live in one slab and their plan backing arrays in
 // another of n(n-1) messages: a system costs a constant number of
 // allocations, not one per process.
 func NewSystem(proposals []sim.Value, t, b int) []sim.Process {
+	var s System
+	return s.Reset(proposals, t, b)
+}
+
+// Reset builds the n = len(proposals) processes of a fresh instance, as
+// NewSystem does, in the storage of s: the process slab, the plan slab and
+// the []sim.Process are refilled in place, and grown only when n exceeds
+// what s has held. The processes a previous Reset returned become the new
+// instance's, so that instance must be finished with.
+func (s *System) Reset(proposals []sim.Value, t, b int) []sim.Process {
 	n := len(proposals)
-	slab := make([]Protocol, n)
-	data := make([]sim.Outgoing, n*(n-1))
-	procs := make([]sim.Process, n)
+	if cap(s.slab) < n {
+		s.slab = make([]Protocol, n)
+		s.procs = make([]sim.Process, n)
+	}
+	if cap(s.data) < n*(n-1) {
+		s.data = make([]sim.Outgoing, n*(n-1))
+	}
+	slab, procs, data := s.slab[:n], s.procs[:n], s.data
 	for i, v := range proposals {
 		d := data[(n-1)*i : (n-1)*i : (n-1)*(i+1)]
 		slab[i] = newProtocol(sim.ProcID(i+1), n, t, v, b, d)

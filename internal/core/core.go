@@ -115,11 +115,23 @@ type system struct {
 }
 
 func newSystem(n int, opts Options) *system {
-	dataCap := n - 1
+	sys := &system{}
+	sys.reset(n, opts)
+	return sys
+}
+
+// reset makes sys the shared state of an n-process system, keeping its plan
+// buffer when that is large enough.
+func (sys *system) reset(n int, opts Options) {
+	dataCap := max(n-1, 0)
 	if opts.CommitAsData {
 		dataCap *= 2 // the commit messages ride in the data step too
 	}
-	return &system{n: n, opts: opts, data: make([]sim.Outgoing, 0, max(dataCap, 0))}
+	data := sys.data[:0]
+	if cap(data) < dataCap {
+		data = make([]sim.Outgoing, 0, dataCap)
+	}
+	*sys = system{n: n, opts: opts, data: data}
 }
 
 // New returns the process p_id out of n with the given proposal.
@@ -127,17 +139,42 @@ func New(id sim.ProcID, n int, proposal sim.Value, opts Options) *Protocol {
 	return &Protocol{id: id, sys: newSystem(n, opts), est: proposal}
 }
 
+// System holds the storage of one consensus instance for reuse: Reset builds
+// an instance in it, overwriting the one the previous Reset built. The zero
+// value is ready to use.
+type System struct {
+	sys   *system
+	slab  []Protocol
+	procs []sim.Process
+}
+
 // NewSystem builds the n processes of one consensus instance, with
 // proposals[i] the proposal of p_{i+1}. The processes live in one slab and
 // share one system state, plan buffer and payload slot included: a system
 // costs a constant number of allocations, not one per process.
 func NewSystem(proposals []sim.Value, opts Options) []sim.Process {
+	var s System
+	return s.Reset(proposals, opts)
+}
+
+// Reset builds the n = len(proposals) processes of a fresh instance, as
+// NewSystem does, in the storage of s: its slab, its []sim.Process and its
+// shared state are refilled in place, and grown only when n or the plan
+// size exceeds what s has held. The processes a previous Reset returned
+// become the new instance's, so that instance must be finished with.
+func (s *System) Reset(proposals []sim.Value, opts Options) []sim.Process {
 	n := len(proposals)
-	sys := newSystem(n, opts)
-	slab := make([]Protocol, n)
-	procs := make([]sim.Process, n)
+	if s.sys == nil {
+		s.sys = new(system)
+	}
+	s.sys.reset(n, opts)
+	if cap(s.slab) < n {
+		s.slab = make([]Protocol, n)
+		s.procs = make([]sim.Process, n)
+	}
+	slab, procs := s.slab[:n], s.procs[:n]
 	for i, v := range proposals {
-		slab[i] = Protocol{id: sim.ProcID(i + 1), sys: sys, est: v}
+		slab[i] = Protocol{id: sim.ProcID(i + 1), sys: s.sys, est: v}
 		procs[i] = &slab[i]
 	}
 	return procs

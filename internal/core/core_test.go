@@ -12,12 +12,17 @@ import (
 // run executes one CRW instance and returns the result.
 func run(t *testing.T, proposals []sim.Value, opts core.Options, adv sim.Adversary) *sim.Result {
 	t.Helper()
-	procs := core.NewSystem(proposals, opts)
+	return runProcs(t, core.NewSystem(proposals, opts), opts, adv)
+}
+
+// runProcs executes the CRW instance procs and returns the result.
+func runProcs(t *testing.T, procs []sim.Process, opts core.Options, adv sim.Adversary) *sim.Result {
+	t.Helper()
 	model := sim.ModelExtended
 	if opts.CommitAsData {
 		model = sim.ModelClassic
 	}
-	eng, err := sim.NewEngine(sim.Config{Model: model, Horizon: sim.Round(len(proposals) + 2)}, procs, adv)
+	eng, err := sim.NewEngine(sim.Config{Model: model, Horizon: sim.Round(len(procs) + 2)}, procs, adv)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}

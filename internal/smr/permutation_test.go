@@ -32,10 +32,20 @@ func (permCase) Generate(r *rand.Rand, _ int) reflect.Value {
 // TestPermutationProperties pins the three contract properties of the
 // per-slot replica ordering: the result is always a permutation of 1..n,
 // live replicas precede dead ones under rotation, and without rotation the
-// ordering is the identity regardless of the dead set.
+// ordering is the identity regardless of the dead set. leaderOf must name
+// the permutation's first replica without building it.
 func TestPermutationProperties(t *testing.T) {
 	prop := func(c permCase) bool {
-		perm := permutation(c.n, c.dead, c.rotate)
+		dead := make([]bool, c.n)
+		for id := range c.dead {
+			dead[id-1] = true
+		}
+		perm := make([]sim.ProcID, c.n)
+		fillPermutation(perm, dead, c.rotate)
+		if want := perm[0]; leaderOf(dead, c.rotate) != want {
+			t.Logf("n=%d: leaderOf = %d, the permutation's p1 is %d", c.n, leaderOf(dead, c.rotate), want)
+			return false
+		}
 		if len(perm) != c.n {
 			t.Logf("n=%d: permutation has length %d", c.n, len(perm))
 			return false

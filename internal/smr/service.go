@@ -17,6 +17,11 @@ package smr
 // for every instance launched afterwards (it crashes at round 1 having sent
 // nothing, indistinguishable within an instance from having died earlier).
 //
+// A session costs only its simulation: it resets one consensus instance per
+// slot instead of building one, refills one permutation buffer, keeps one
+// adversary, and finds its latency percentiles by in-place selection over
+// one buffer (stats.Percentiles) instead of sorting copies.
+//
 // Client-observed commit latency is commit(slot) - arrival(command), and
 // leader recovery is the service's headline fault metric: the simulated time
 // from a leader crash to the earliest commit of any instance launched at or
@@ -24,10 +29,12 @@ package smr
 // coordinator wastes the first round of every subsequent instance).
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/harness"
 	"repro/internal/laws"
@@ -103,7 +110,8 @@ type ServeOptions struct {
 	// apart.
 	NoPipeline bool
 	// CrashAt schedules replica crashes: replica id -> simulated time. The
-	// crash takes effect at the first slot launched at or after that time.
+	// crash takes effect at the first slot launched at or after that time;
+	// the crashes due at one launch apply in (time, id) order.
 	CrashAt map[sim.ProcID]float64
 	// Omit injects omission faults mid-stream; nil injects none.
 	Omit *OmitOptions
@@ -188,8 +196,8 @@ func (r *ServeResult) RoundsPerCommit() float64 {
 	return float64(r.TotalRounds) / float64(r.Slots)
 }
 
-// svcOmitter implements sim.Omitter over physical replica ids for one slot,
-// sampling from pure per-(slot, replica, round) hashes.
+// svcOmitter implements sim.Omitter over physical replica ids for the
+// current slot, sampling from pure per-(slot, replica, round) hashes.
 type svcOmitter struct {
 	opt    *OmitOptions
 	faulty []bool // indexed by physical id - 1
@@ -328,7 +336,8 @@ func (o *ServeOptions) validate() error {
 	if o.MaxCommands < 0 || o.Duration < 0 || o.MaxSlots < 0 || o.BatchLimit < 0 {
 		return errors.New("smr: serve bounds must be non-negative")
 	}
-	for id, t := range o.CrashAt {
+	for _, id := range slices.Sorted(maps.Keys(o.CrashAt)) {
+		t := o.CrashAt[id]
 		if id < 1 || int(id) > o.N {
 			return fmt.Errorf("smr: crash schedule names nonexistent replica %d (n=%d)", id, o.N)
 		}
@@ -359,6 +368,11 @@ func (o *ServeOptions) validate() error {
 	}
 	return nil
 }
+
+// maxLatencyPrealloc caps the latency buffer a session allocates up front,
+// so a MaxCommands far beyond what a Duration or MaxSlots stop lets commit
+// does not allocate for commands that never come.
+const maxLatencyPrealloc = 1 << 20
 
 // slotLatency derives the latency model of one slot: stateless models pass
 // through; a Jitter model is re-seeded by hashing the slot index so the
@@ -452,24 +466,48 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 		Crashed:    map[sim.ProcID]float64{},
 		CrashSlot:  map[sim.ProcID]int{},
 	}
-	var lat stats.Sample
+	// One commit latency per committed command: MaxCommands, plus the final
+	// batch's overshoot. A session past the cap grows the buffer as it goes.
+	lat := make([]float64, 0, min(opts.MaxCommands, maxLatencyPrealloc)+min(opts.BatchLimit, maxLatencyPrealloc))
 	var latMax, latSum float64
 
 	cache := harness.NewCache()
 	defer cache.Close()
 
-	dead := map[sim.ProcID]bool{}
-	var faulty []bool
+	// The crash schedule in (time, id) order, walked by a cursor: the crashes
+	// due at a launch apply chronologically, ties broken by replica id.
+	type crash struct {
+		id sim.ProcID
+		t  float64
+	}
+	schedule := make([]crash, 0, len(opts.CrashAt))
+	for id, t := range opts.CrashAt {
+		schedule = append(schedule, crash{id, t})
+	}
+	slices.SortFunc(schedule, func(a, b crash) int { return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.id, b.id)) })
+	nextCrash := 0
+
+	// One instance, one permutation and one adversary serve every slot; the
+	// adversary reads dead and perm, which each slot refills in place.
+	inst := instance{protocol: opts.Protocol, bits: opts.Bits}
+	dead := make([]bool, opts.N) // by replica id - 1
+	nDead := 0
+	perm := make([]sim.ProcID, opts.N)
+	crashes := slotAdversary{dead: dead, perm: perm}
+	var adv sim.Adversary = &crashes
+	var om *svcOmitter
 	if opts.Omit != nil {
-		faulty = make([]bool, opts.N)
+		faulty := make([]bool, opts.N)
 		for _, p := range opts.Omit.Procs {
 			faulty[p-1] = true
 		}
+		om = &svcOmitter{opt: opts.Omit, faulty: faulty, perm: perm, n: opts.N}
+		adv = &svcAdversary{slotAdversary: crashes, om: om}
 	}
 
-	// Pending leader recoveries: resolved by the minimum commit time over
-	// all instances launched at or after the crash (a pipelined successor
-	// can commit before a slow multi-round predecessor).
+	// Pending leader recoveries, in (time, id) order: resolved by the minimum
+	// commit time over all instances launched at or after the crash (a
+	// pipelined successor can commit before a slow multi-round predecessor).
 	type pendingRec struct {
 		replica sim.ProcID
 		t       float64
@@ -501,19 +539,19 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 
 		// Crash injection: replicas whose crash time has passed are dead
 		// for this and every later instance.
-		leader := leaderOf(opts.N, dead, opts.RotateLeader)
-		for id, t := range opts.CrashAt {
-			if t <= start && !dead[id] {
-				dead[id] = true
-				res.Crashed[id] = t
-				res.CrashSlot[id] = slot
-				if id == leader {
-					pending = append(pending, pendingRec{replica: id, t: t, best: math.Inf(1)})
-					leader = leaderOf(opts.N, dead, opts.RotateLeader)
-				}
+		leader := leaderOf(dead, opts.RotateLeader)
+		for ; nextCrash < len(schedule) && schedule[nextCrash].t <= start; nextCrash++ {
+			c := schedule[nextCrash]
+			dead[c.id-1] = true
+			nDead++
+			res.Crashed[c.id] = c.t
+			res.CrashSlot[c.id] = slot
+			if c.id == leader {
+				pending = append(pending, pendingRec{replica: c.id, t: c.t, best: math.Inf(1)})
+				leader = leaderOf(dead, opts.RotateLeader)
 			}
 		}
-		if len(dead) >= opts.N {
+		if nDead >= opts.N {
 			return res, fmt.Errorf("smr: all replicas dead at slot %d (t=%g)", slot, start)
 		}
 
@@ -527,18 +565,13 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 			batch = append(batch, heap.pop())
 		}
 
-		perm := permutation(opts.N, dead, opts.RotateLeader)
+		fillPermutation(perm, dead, opts.RotateLeader)
 		for i := range proposals {
 			proposals[i] = Command(slot, perm[i])
 		}
-		procs, model, horizon := buildInstance(opts.Protocol, opts.Bits, proposals)
-		var adv sim.Adversary
-		crashAdv := slotAdversary{dead: dead, perm: perm}
-		if opts.Omit != nil {
-			adv = &svcAdversary{slotAdversary: crashAdv,
-				om: &svcOmitter{opt: opts.Omit, faulty: faulty, slot: slot, perm: perm, n: opts.N}}
-		} else {
-			adv = &crashAdv
+		procs, model, horizon := inst.reset(proposals)
+		if om != nil {
+			om.slot = slot
 		}
 		eng, err := cache.Get(kind)
 		if err != nil {
@@ -551,7 +584,7 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 		}
 		// The adapter audited the budget-free laws; the slot's fault budget
 		// is service knowledge, audited here.
-		budget := laws.Budget{Crashes: len(dead)}
+		budget := laws.Budget{Crashes: nDead}
 		if opts.Omit != nil {
 			budget.Omissive = len(opts.Omit.Procs)
 		}
@@ -585,7 +618,7 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 
 		for _, a := range batch {
 			l := commit - a.t
-			lat.Add(l)
+			lat = append(lat, l)
 			latSum += l
 			if l > latMax {
 				latMax = l
@@ -624,10 +657,12 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 		return res, errors.New("smr: service committed no commands (empty workload before the stop condition)")
 	}
 	res.Commands = committed
+	var q [3]float64
+	stats.Percentiles(lat, []float64{99.9, 99, 50}, q[:])
 	res.Latency = LatencyStats{
-		P50:  lat.Percentile(50),
-		P99:  lat.Percentile(99),
-		P999: lat.Percentile(99.9),
+		P50:  q[2],
+		P99:  q[1],
+		P999: q[0],
 		Mean: latSum / float64(committed),
 		Max:  latMax,
 	}
@@ -636,7 +671,6 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 			res.Recoveries = append(res.Recoveries, Recovery{Replica: p.replica, CrashTime: p.t, Commit: p.best})
 		}
 	}
-	sort.Slice(res.Recoveries, func(i, j int) bool { return res.Recoveries[i].CrashTime < res.Recoveries[j].CrashTime })
 	stats := cache.Stats()
 	res.EnginesBuilt, res.EngineReuses = stats.Built, stats.ReuseHits
 
@@ -651,9 +685,4 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 			Detail: fmt.Sprintf("service aggregate: %d control messages transmitted, sinks account for %d", want, got)}
 	}
 	return res, nil
-}
-
-// leaderOf returns the replica holding the p1 role for the given dead set.
-func leaderOf(n int, dead map[sim.ProcID]bool, rotate bool) sim.ProcID {
-	return permutation(n, dead, rotate)[0]
 }

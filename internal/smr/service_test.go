@@ -401,3 +401,56 @@ func TestServeValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestServeSimultaneousCrashesDeterministic pins the order in which the
+// crashes due at one launch apply: chronological, ties broken by replica id.
+// Replicas 1 and 2 die at the same time while 1 leads; applied in id order,
+// 1's crash hands the lead to 2, whose crash is a leader crash too, so the
+// session records two recoveries. Walking the schedule map instead let its
+// iteration order decide, and sometimes reported one.
+func TestServeSimultaneousCrashesDeterministic(t *testing.T) {
+	run := func() *smr.ServeResult {
+		return mustServe(t, smr.ServeOptions{
+			N: 8, RotateLeader: true,
+			Latency:     timed.Profile{P: lan.Ethernet1G, Bits: 64},
+			Arrivals:    openPoisson(t, 100e3, 1),
+			MaxCommands: 2000,
+			CrashAt:     map[sim.ProcID]float64{1: 0.005, 2: 0.005},
+		})
+	}
+	first := run()
+	if got := len(first.Recoveries); got != 2 {
+		t.Fatalf("%d recoveries, want 2 (%v)", got, first.Recoveries)
+	}
+	for i, want := range []sim.ProcID{1, 2} {
+		if r := first.Recoveries[i]; r.Replica != want {
+			t.Errorf("recovery %d from replica %d, want %d", i, r.Replica, want)
+		}
+	}
+	for i := 1; i < 100; i++ {
+		if res := run(); !reflect.DeepEqual(res, first) {
+			t.Fatalf("run %d differs from run 0:\n%+v\n%+v", i, res, first)
+		}
+	}
+}
+
+// TestServeValidationNamesLowestReplica pins that a crash schedule with
+// several bad entries is reported by its lowest replica id, whatever order
+// the schedule map iterates in.
+func TestServeValidationNamesLowestReplica(t *testing.T) {
+	for _, tc := range []struct {
+		crashAt map[sim.ProcID]float64
+		want    string
+	}{
+		{map[sim.ProcID]float64{9: 1, 0: 1, 7: 1, 1: 1}, "nonexistent replica 0 "},
+		{map[sim.ProcID]float64{4: math.NaN(), 3: -1, 2: math.Inf(1), 1: 0}, "of replica 2 "},
+	} {
+		for i := 0; i < 50; i++ {
+			_, err := smr.Serve(smr.ServeOptions{N: 5, Arrivals: openPoisson(t, 10, 0), MaxCommands: 1,
+				CrashAt: tc.crashAt})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v does not name %q", err, tc.want)
+			}
+		}
+	}
+}

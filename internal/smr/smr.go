@@ -60,42 +60,55 @@ func Command(slot int, id sim.ProcID) sim.Value {
 
 // slotAdversary keeps dead replicas dead: they crash at the start of the
 // instance sending nothing — indistinguishable, within one instance, from
-// having crashed earlier. perm maps the instance's logical process ids to
-// physical replica ids (identity without leader rotation).
+// having crashed earlier. dead is indexed by physical replica id - 1, and
+// perm maps the instance's logical process ids to physical replica ids
+// (identity without leader rotation). A service session builds one and
+// refills both slices in place every slot.
 type slotAdversary struct {
-	dead map[sim.ProcID]bool
+	dead []bool
 	perm []sim.ProcID
 }
 
 func (a *slotAdversary) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (bool, sim.CrashOutcome) {
-	if r == 1 && a.dead[a.perm[p-1]] {
+	if r == 1 && a.dead[a.perm[p-1]-1] {
 		return true, sim.NoDelivery(plan)
 	}
 	return false, sim.CrashOutcome{}
 }
 
-// permutation orders the physical replicas for one slot: identity normally;
-// with leader rotation, live replicas first (in id order) and dead ones
-// last, so a live replica holds the p1 role.
-func permutation(n int, dead map[sim.ProcID]bool, rotate bool) []sim.ProcID {
-	perm := make([]sim.ProcID, 0, n)
-	if !rotate {
-		for id := 1; id <= n; id++ {
-			perm = append(perm, sim.ProcID(id))
-		}
-		return perm
-	}
-	for id := 1; id <= n; id++ {
-		if !dead[sim.ProcID(id)] {
-			perm = append(perm, sim.ProcID(id))
+// fillPermutation orders the physical replicas 1..len(perm) for one slot
+// into perm: identity normally; with leader rotation, live replicas first
+// (in id order) and dead ones last, so a live replica holds the p1 role.
+// dead is indexed by replica id - 1.
+func fillPermutation(perm []sim.ProcID, dead []bool, rotate bool) {
+	k := 0
+	for i := range perm {
+		if !rotate || !dead[i] {
+			perm[k] = sim.ProcID(i + 1)
+			k++
 		}
 	}
-	for id := 1; id <= n; id++ {
-		if dead[sim.ProcID(id)] {
-			perm = append(perm, sim.ProcID(id))
+	if rotate {
+		for i := range perm {
+			if dead[i] {
+				perm[k] = sim.ProcID(i + 1)
+				k++
+			}
 		}
 	}
-	return perm
+}
+
+// leaderOf returns the replica holding the p1 role of the permutation
+// fillPermutation would build, without building it.
+func leaderOf(dead []bool, rotate bool) sim.ProcID {
+	if rotate {
+		for i, d := range dead {
+			if !d {
+				return sim.ProcID(i + 1)
+			}
+		}
+	}
+	return 1
 }
 
 // agreedValue extracts the single agreed decision of one slot's instance, or
@@ -123,12 +136,21 @@ func agreedValue(out *sim.Result, proposals []sim.Value) (sim.Value, error) {
 	return 0, fmt.Errorf("decided %d, which no replica proposed", int64(committed))
 }
 
-// buildInstance constructs one slot's consensus instance over proposals.
-func buildInstance(protocol Protocol, bits int, proposals []sim.Value) ([]sim.Process, sim.Model, sim.Round) {
+// instance is the consensus instance a service session reuses for every
+// slot: each protocol's System is reset in place, never rebuilt.
+type instance struct {
+	protocol Protocol
+	bits     int
+	crw      core.System
+	es       earlystop.System
+}
+
+// reset builds the slot's instance over proposals in the session's storage.
+func (in *instance) reset(proposals []sim.Value) ([]sim.Process, sim.Model, sim.Round) {
 	n := len(proposals)
-	if protocol == ProtocolEarlyStop {
+	if in.protocol == ProtocolEarlyStop {
 		t := n - 1
-		return earlystop.NewSystem(proposals, t, bits), sim.ModelClassic, sim.Round(t + 2)
+		return in.es.Reset(proposals, t, in.bits), sim.ModelClassic, sim.Round(t + 2)
 	}
-	return core.NewSystem(proposals, core.Options{Bits: bits}), sim.ModelExtended, sim.Round(n + 2)
+	return in.crw.Reset(proposals, core.Options{Bits: in.bits}), sim.ModelExtended, sim.Round(n + 2)
 }

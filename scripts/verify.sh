@@ -52,6 +52,16 @@ if grep -nE '\.(Crashes|Omits|Receive)\(|SortInbox\(' $(ls internal/timed/*.go |
 	exit 1
 fi
 
+# A service session resets one consensus instance per slot and finds its
+# latency percentiles by in-place selection. A non-test file of internal/smr
+# that builds an instance or takes a copying percentile has brought back the
+# per-slot construction or the per-percentile sort.
+echo "== no per-slot construction or sorted percentiles in internal/smr"
+if grep -nE '(core|earlystop)\.NewSystem\(|\.Percentile\(|sort\.Float64s\(' $(ls internal/smr/*.go | grep -v '_test\.go$'); then
+	echo "verify: internal/smr builds a consensus instance or sorts for a percentile; reset the session's System and use stats.Percentiles"
+	exit 1
+fi
+
 # Every go test carries an explicit -timeout (per package binary, below the
 # ten-minute default) so a barrier deadlock fails instead of hanging.
 echo "== go test ./..."
@@ -71,8 +81,8 @@ go test -race -count=5 -timeout 300s -run 'RecycledRecorder|ReplayerMatches' ./i
 
 # The control and crash-mask tables are shared by every system, and one
 # system's plan buffer and payload slot cross the lockstep workers.
-echo "== go test -race -count=5 (round-scoped plan and payload lifetime + shared control and crash-mask tables + sim engine reuse across shapes)"
-go test -race -count=5 -timeout 300s -run 'PlanLifetime|PayloadLifetime|OutcomeMasks|SimAdapterReuses|ControlTables' ./internal/harness/ ./internal/adversary/ ./internal/core/ ./internal/consensus/...
+echo "== go test -race -count=5 (round-scoped plan and payload lifetime + shared control and crash-mask tables + sim engine reuse across shapes + consensus System reset)"
+go test -race -count=5 -timeout 300s -run 'PlanLifetime|PayloadLifetime|OutcomeMasks|SimAdapterReuses|ControlTables|SystemReset' ./internal/harness/ ./internal/adversary/ ./internal/core/ ./internal/consensus/...
 
 echo "== go test -race -count=10 (lockstep runtime reuse across sizes + Close lifetime, also after every phase-barrier abort path)"
 go test -race -count=10 -timeout 300s -run 'RuntimeReuse|RuntimeClose' ./internal/lockstep/
