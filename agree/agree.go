@@ -19,19 +19,15 @@
 package agree
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/adversary"
-	"repro/internal/consensus/earlystop"
-	"repro/internal/consensus/floodset"
-	"repro/internal/core"
 	"repro/internal/fuzz"
 	"repro/internal/harness"
 	"repro/internal/laws"
 	"repro/internal/metrics"
+	"repro/internal/protocol"
 	"repro/internal/sim"
-	"repro/internal/simulate"
 )
 
 // Protocol selects the consensus algorithm.
@@ -509,74 +505,55 @@ func (r *Report) MaxDecideRound() int {
 func Run(cfg Config) (*Report, error) {
 	cache := harness.NewCache()
 	defer cache.Close()
-	return runConfig(cfg, cache)
+	rep, _, err := runConfig(cfg, cache, nil)
+	return rep, err
 }
 
 // normalize validates a config, fills in the defaults, and materializes the
-// proposal vector. It returns the normalized copy.
-func normalize(cfg Config) (Config, []sim.Value, error) {
-	if cfg.N < 1 {
-		return cfg, nil, errors.New("agree: N must be at least 1")
-	}
-	if cfg.Protocol == "" {
-		cfg.Protocol = ProtocolCRW
+// proposal vector. It returns the normalized copy and its protocol spec.
+func normalize(cfg Config) (Config, protocol.Spec, []sim.Value, error) {
+	spec, err := resolve(protocol.Spec{Protocol: string(cfg.Protocol), N: cfg.N, T: cfg.T,
+		Bits: cfg.Bits, SimulateOnClassic: cfg.SimulateOnClassic})
+	if err != nil {
+		return cfg, spec, nil, err
 	}
 	if cfg.Engine == "" {
 		cfg.Engine = EngineDeterministic
-	}
-	if cfg.T <= 0 || cfg.T >= cfg.N {
-		cfg.T = cfg.N - 1
-	}
-	if cfg.N == 1 {
-		cfg.T = 0
 	}
 	if cfg.Diagram {
 		cfg.Trace = true
 	}
 	if err := cfg.Faults.validate(cfg.N); err != nil {
-		return cfg, nil, err
+		return cfg, spec, nil, err
 	}
 	if err := cfg.Latency.validate(); err != nil {
-		return cfg, nil, err
+		return cfg, spec, nil, err
 	}
-	proposals := make([]sim.Value, cfg.N)
-	for i := range proposals {
-		if cfg.Proposals != nil {
-			if len(cfg.Proposals) != cfg.N {
-				return cfg, nil, fmt.Errorf("agree: %d proposals for %d processes", len(cfg.Proposals), cfg.N)
-			}
-			proposals[i] = sim.Value(cfg.Proposals[i])
-		} else {
-			proposals[i] = sim.Value(100 + i)
-		}
+	if cfg.Proposals != nil && len(cfg.Proposals) != cfg.N {
+		return cfg, spec, nil, fmt.Errorf("agree: %d proposals for %d processes", len(cfg.Proposals), cfg.N)
 	}
-	return cfg, proposals, nil
+	return cfg, spec, proposalVector(cfg.N, cfg.Proposals), nil
 }
 
-// buildProtocol constructs the process set, model, and horizon for a config.
-func buildProtocol(cfg Config, proposals []sim.Value) ([]sim.Process, sim.Model, sim.Round, error) {
-	switch cfg.Protocol {
-	case ProtocolCRW:
-		procs := core.NewSystem(proposals, core.Options{Bits: cfg.Bits})
-		horizon := sim.Round(cfg.N + 2)
-		if cfg.SimulateOnClassic {
-			return simulate.OnClassic(procs), sim.ModelClassic,
-				simulate.MicroRounds(horizon, cfg.N), nil
+// proposalVector returns the proposals of an n-process run: given[i] for
+// p_{i+1}, or 100+i when given is nil.
+func proposalVector(n int, given []int64) []sim.Value {
+	props := make([]sim.Value, n)
+	for i := range props {
+		props[i] = sim.Value(100 + i)
+		if given != nil {
+			props[i] = sim.Value(given[i])
 		}
-		return procs, sim.ModelExtended, horizon, nil
-	case ProtocolEarlyStop:
-		if cfg.SimulateOnClassic {
-			return nil, 0, 0, errors.New("agree: SimulateOnClassic applies to the CRW protocol only")
-		}
-		return earlystop.NewSystem(proposals, cfg.T, cfg.Bits), sim.ModelClassic,
-			sim.Round(cfg.T + 2), nil
-	case ProtocolFloodSet:
-		if cfg.SimulateOnClassic {
-			return nil, 0, 0, errors.New("agree: SimulateOnClassic applies to the CRW protocol only")
-		}
-		return floodset.NewSystem(proposals, cfg.T, cfg.Bits), sim.ModelClassic,
-			sim.Round(cfg.T + 2), nil
-	default:
-		return nil, 0, 0, fmt.Errorf("agree: unknown protocol %q", cfg.Protocol)
 	}
+	return props
+}
+
+// resolve validates a protocol spec for the public API, whose errors carry
+// the package prefix.
+func resolve(spec protocol.Spec) (protocol.Spec, error) {
+	spec, err := spec.Resolve()
+	if err != nil {
+		return spec, fmt.Errorf("agree: %w", err)
+	}
+	return spec, nil
 }

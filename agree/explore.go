@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/adversary"
 	"repro/internal/check"
-	"repro/internal/core"
-	"repro/internal/sim"
+	"repro/internal/protocol"
 )
 
 // ExploreConfig configures an exhaustive exploration of the paper's
@@ -80,75 +78,26 @@ type ExploreReport struct {
 // Explore exhaustively model-checks the configured system. It is the public
 // face of the internal/check explorer, wired to the paper's algorithm.
 func Explore(cfg ExploreConfig) (*ExploreReport, error) {
-	if cfg.N < 1 {
-		return nil, errors.New("agree: N must be at least 1")
+	spec, err := resolve(protocol.Spec{N: cfg.N, T: cfg.T,
+		OrderAscending: cfg.OrderAscending, CommitAsData: cfg.CommitAsData})
+	if err != nil {
+		return nil, err
 	}
-	if cfg.T <= 0 || cfg.T >= cfg.N {
-		cfg.T = cfg.N - 1
-	}
-	if cfg.N == 1 {
-		cfg.T = 0
-	}
+	crashes := spec.T
 	if cfg.OmissionOnly {
 		if cfg.OmissionBudget <= 0 {
 			return nil, errors.New("agree: OmissionOnly requires a non-zero OmissionBudget")
 		}
-		cfg.T = 0
+		crashes = 0
 	}
 	if cfg.Budget <= 0 {
 		cfg.Budget = 50_000_000
 	}
-	opts := core.Options{CommitAsData: cfg.CommitAsData}
-	if cfg.OrderAscending {
-		opts.Order = core.OrderAscending
-	}
-	model := sim.ModelExtended
-	if cfg.CommitAsData {
-		model = sim.ModelClassic
-	}
-	n, t, omit := cfg.N, cfg.T, cfg.OmissionBudget
-	factory := func(ch interface{ Choose(int) int }) check.Execution {
-		props := make([]sim.Value, n)
-		for i := range props {
-			props[i] = sim.Value(10 + i)
-		}
-		var adv sim.Adversary = adversary.NewFromChooser(ch, t, sim.Round(n))
-		if omit > 0 {
-			adv = adversary.NewFromChooserWithOmissions(ch, t, sim.Round(n), omit, n)
-		}
-		return check.Execution{
-			Procs:     core.NewSystem(props, opts),
-			Adv:       adv,
-			Cfg:       sim.Config{Model: model, Horizon: sim.Round(n + 2)},
-			Proposals: props,
-		}
-	}
-	validator := func(ex check.Execution, res *sim.Result, engineErr error) error {
-		if engineErr != nil {
-			return engineErr
-		}
-		if err := check.Consensus(ex.Proposals, res); err != nil {
-			return err
-		}
-		if omit > 0 {
-			// The f+1 bound is a crash-model theorem; under omission
-			// schedules only the consensus properties are checked.
-			return nil
-		}
-		return check.RoundBound(res, check.BoundFPlus1)
-	}
-	eopts := check.ExploreOpts{
+	stats, err := spec.Explore(crashes, cfg.OmissionBudget, cfg.Parallel, check.ExploreOpts{
 		Budget:             cfg.Budget,
 		MaxCounterexamples: cfg.MaxCounterexamples,
 		Workers:            cfg.Workers,
-	}
-	var stats check.Stats
-	var err error
-	if cfg.Parallel {
-		stats, err = check.ExploreParallel(factory, validator, eopts)
-	} else {
-		stats, err = check.Explore(factory, validator, eopts)
-	}
+	})
 	if err != nil {
 		return nil, fmt.Errorf("agree: explore: %w", err)
 	}

@@ -7,11 +7,10 @@ import (
 	"runtime/pprof"
 	"strconv"
 
-	"repro/internal/check"
-	"repro/internal/core"
 	"repro/internal/fuzz"
 	"repro/internal/harness"
 	"repro/internal/laws"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -166,42 +165,29 @@ type fuzzOutcome struct {
 	crossRuns    int
 }
 
-// normalizeFuzz validates a campaign config and fills in the defaults.
-func normalizeFuzz(cfg FuzzConfig) (FuzzConfig, error) {
-	if cfg.N < 1 {
-		return cfg, errors.New("agree: N must be at least 1")
-	}
-	switch cfg.Protocol {
-	case "":
-		cfg.Protocol = ProtocolCRW
-	case ProtocolCRW, ProtocolEarlyStop, ProtocolFloodSet:
-	default:
-		return cfg, fmt.Errorf("agree: unknown protocol %q", cfg.Protocol)
-	}
-	if cfg.Protocol != ProtocolCRW && (cfg.OrderAscending || cfg.CommitAsData) {
-		return cfg, errors.New("agree: the ablations apply to the CRW protocol only")
+// normalizeFuzz validates a campaign config, fills in the defaults, and
+// resolves the campaign's protocol spec.
+func normalizeFuzz(cfg FuzzConfig) (FuzzConfig, protocol.Spec, error) {
+	spec, err := resolve(protocol.Spec{Protocol: string(cfg.Protocol), N: cfg.N, T: cfg.T,
+		OrderAscending: cfg.OrderAscending, CommitAsData: cfg.CommitAsData})
+	if err != nil {
+		return cfg, spec, err
 	}
 	if cfg.Engine == "" {
 		cfg.Engine = EngineDeterministic
 	}
 	caps, ok := harness.Lookup(harness.Kind(cfg.Engine))
 	if !ok {
-		return cfg, fmt.Errorf("agree: unknown engine %q", cfg.Engine)
+		return cfg, spec, fmt.Errorf("agree: unknown engine %q", cfg.Engine)
 	}
 	if !caps.Deterministic {
-		return cfg, fmt.Errorf("agree: engine %q is not deterministic; fuzz campaigns require reproducible replay", cfg.Engine)
+		return cfg, spec, fmt.Errorf("agree: engine %q is not deterministic; fuzz campaigns require reproducible replay", cfg.Engine)
 	}
 	if err := cfg.Latency.validate(); err != nil {
-		return cfg, err
+		return cfg, spec, err
 	}
 	if !cfg.Latency.IsZero() && !caps.Timed {
-		return cfg, fmt.Errorf("agree: FuzzConfig.Latency is not supported by engine %q (engine lacks the timed capability)", cfg.Engine)
-	}
-	if cfg.T <= 0 || cfg.T >= cfg.N {
-		cfg.T = cfg.N - 1
-	}
-	if cfg.N == 1 {
-		cfg.T = 0
+		return cfg, spec, fmt.Errorf("agree: FuzzConfig.Latency is not supported by engine %q (engine lacks the timed capability)", cfg.Engine)
 	}
 	if cfg.Seeds <= 0 {
 		cfg.Seeds = 64
@@ -210,82 +196,42 @@ func normalizeFuzz(cfg FuzzConfig) (FuzzConfig, error) {
 		cfg.Seed = 1
 	}
 	if cfg.CrashProb < 0 || cfg.CrashProb > 1 {
-		return cfg, fmt.Errorf("agree: crash probability %g out of [0, 1]", cfg.CrashProb)
+		return cfg, spec, fmt.Errorf("agree: crash probability %g out of [0, 1]", cfg.CrashProb)
 	}
 	if cfg.CrashProb == 0 {
 		cfg.CrashProb = 0.25
 	}
 	if cfg.SendOmitProb < 0 || cfg.SendOmitProb > 1 {
-		return cfg, fmt.Errorf("agree: send-omission probability %g out of [0, 1]", cfg.SendOmitProb)
+		return cfg, spec, fmt.Errorf("agree: send-omission probability %g out of [0, 1]", cfg.SendOmitProb)
 	}
 	if cfg.RecvOmitProb < 0 || cfg.RecvOmitProb > 1 {
-		return cfg, fmt.Errorf("agree: receive-omission probability %g out of [0, 1]", cfg.RecvOmitProb)
+		return cfg, spec, fmt.Errorf("agree: receive-omission probability %g out of [0, 1]", cfg.RecvOmitProb)
 	}
 	omitting := cfg.SendOmitProb > 0 || cfg.RecvOmitProb > 0
 	if cfg.OmissionOnly && !omitting {
-		return cfg, errors.New("agree: OmissionOnly requires a non-zero omission probability")
+		return cfg, spec, errors.New("agree: OmissionOnly requires a non-zero omission probability")
 	}
 	if cfg.MaxOmissive < 0 {
-		return cfg, fmt.Errorf("agree: omission-faulty budget %d is negative", cfg.MaxOmissive)
+		return cfg, spec, fmt.Errorf("agree: omission-faulty budget %d is negative", cfg.MaxOmissive)
 	}
 	if cfg.MaxOmissive > cfg.N {
-		return cfg, fmt.Errorf("agree: omission-faulty budget %d exceeds the system size n=%d", cfg.MaxOmissive, cfg.N)
+		return cfg, spec, fmt.Errorf("agree: omission-faulty budget %d exceeds the system size n=%d", cfg.MaxOmissive, cfg.N)
 	}
 	if omitting && cfg.MaxOmissive == 0 {
 		cfg.MaxOmissive = cfg.N - 1
 	}
-	return cfg, nil
+	return cfg, spec, nil
 }
 
-// fuzzFactory builds the per-execution target factory for a campaign. Every
-// target shares one proposal slice: NewSystem copies the values into the
-// processes and the oracles only read them.
-func fuzzFactory(cfg FuzzConfig) fuzz.Factory {
-	props := make([]sim.Value, cfg.N)
-	for i := range props {
-		props[i] = sim.Value(100 + i)
-	}
+// fuzzFactory builds the per-execution target factory for a campaign, with
+// the campaign's latency model on every target (none unless the campaign is
+// timed). Every target shares one proposal slice: the systems copy the
+// values into their processes and the oracles only read them.
+func fuzzFactory(spec protocol.Spec, latency LatencySpec) fuzz.Factory {
+	props, lm := proposalVector(spec.N, nil), latency.model(0)
 	return func() fuzz.Target {
-		if cfg.Protocol == ProtocolCRW {
-			opts := core.Options{CommitAsData: cfg.CommitAsData}
-			if cfg.OrderAscending {
-				opts.Order = core.OrderAscending
-			}
-			model := sim.ModelExtended
-			if cfg.CommitAsData {
-				model = sim.ModelClassic
-			}
-			return fuzz.Target{
-				Model:     model,
-				Horizon:   sim.Round(cfg.N + 2),
-				Procs:     core.NewSystem(props, opts),
-				Proposals: props,
-			}
-		}
-		// The classic baselines share buildProtocol with Run/Sweep.
-		procs, model, horizon, err := buildProtocol(Config{
-			N: cfg.N, T: cfg.T, Protocol: cfg.Protocol,
-		}, props)
-		if err != nil {
-			// Unreachable: normalizeFuzz pinned the protocol to a known one.
-			panic(err)
-		}
-		return fuzz.Target{Model: model, Horizon: horizon, Procs: procs, Proposals: props}
-	}
-}
-
-// withLatency attaches a campaign's latency model to every target the
-// factory produces (timed campaigns only; the model is nil otherwise and
-// the field stays zero).
-func withLatency(factory fuzz.Factory, spec LatencySpec) fuzz.Factory {
-	lm := spec.model(0)
-	if lm == nil {
-		return factory
-	}
-	return func() fuzz.Target {
-		tgt := factory()
-		tgt.Latency = lm
-		return tgt
+		procs, model, horizon := spec.Build(props)
+		return fuzz.Target{Model: model, Horizon: horizon, Procs: procs, Proposals: props, Latency: lm}
 	}
 }
 
@@ -296,19 +242,11 @@ func withLatency(factory fuzz.Factory, spec LatencySpec) fuzz.Factory {
 // exactly what the oracle should report, not a bound artifact. Timing-fault
 // campaigns (an out-of-bound latency model) degrade into receive omissions
 // and are judged the same way.
-func fuzzOracle(cfg FuzzConfig) fuzz.Oracle {
+func fuzzOracle(cfg FuzzConfig, spec protocol.Spec) fuzz.Oracle {
 	if cfg.SendOmitProb > 0 || cfg.RecvOmitProb > 0 || !cfg.Latency.withinBound() {
 		return fuzz.ConsensusOracle(nil)
 	}
-	switch cfg.Protocol {
-	case ProtocolEarlyStop:
-		return fuzz.ConsensusOracle(check.BoundClassic(cfg.T))
-	case ProtocolFloodSet:
-		t := cfg.T
-		return fuzz.ConsensusOracle(func(int) sim.Round { return sim.Round(t + 1) })
-	default:
-		return fuzz.ConsensusOracle(check.BoundFPlus1)
-	}
+	return fuzz.ConsensusOracle(spec.Bound())
 }
 
 // Fuzz runs a randomized fuzzing campaign across the harness worker pool.
@@ -317,13 +255,13 @@ func fuzzOracle(cfg FuzzConfig) fuzz.Oracle {
 // the same work-stealing cursor, and outcomes are merged in seed order — the
 // report is bit-identical for every worker count.
 func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
-	cfg, err := normalizeFuzz(cfg)
+	cfg, spec, err := normalizeFuzz(cfg)
 	if err != nil {
 		return nil, err
 	}
-	factory := fuzzFactory(cfg)
-	oracle := fuzzOracle(cfg)
-	genT := cfg.T
+	factory := fuzzFactory(spec, cfg.Latency)
+	oracle := fuzzOracle(cfg, spec)
+	genT := spec.T
 	if cfg.OmissionOnly {
 		genT = 0
 	}
@@ -346,7 +284,6 @@ func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 		MaxShrinkRuns: cfg.MaxShrinkRuns,
 	}
 
-	factory = withLatency(factory, cfg.Latency)
 	outcomes := make([]fuzzOutcome, cfg.Seeds)
 	harness.ForEach(cfg.Seeds, cfg.Workers, func(cache *harness.Cache, i int) {
 		slot := &outcomes[i]
@@ -449,7 +386,7 @@ type FuzzReplayReport struct {
 // engine under the campaign's latency model). The script is validated
 // against the system size exactly like ReplayFaults specs are at Run time.
 func FuzzReplayScript(cfg FuzzConfig, script string, withTrace bool) (*FuzzReplayReport, error) {
-	cfg, err := normalizeFuzz(cfg)
+	cfg, spec, err := normalizeFuzz(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -468,7 +405,7 @@ func FuzzReplayScript(cfg FuzzConfig, script string, withTrace bool) (*FuzzRepla
 	if cfg.Telemetry {
 		rec = telemetry.New()
 	}
-	tgt := withLatency(fuzzFactory(cfg), cfg.Latency)()
+	tgt := fuzzFactory(spec, cfg.Latency)()
 	cache := harness.NewCache()
 	defer cache.Close()
 	eng, err := cache.Get(harness.Kind(cfg.Engine))
@@ -482,7 +419,7 @@ func FuzzReplayScript(cfg FuzzConfig, script string, withTrace bool) (*FuzzRepla
 	if res == nil {
 		return nil, runErr
 	}
-	oracle := fuzzOracle(cfg)
+	oracle := fuzzOracle(cfg, spec)
 	if s.Omissions() > 0 {
 		// An omission script is judged by the omission-model oracle even
 		// when the replay flags omit the campaign's omission probabilities:
@@ -511,72 +448,32 @@ func FuzzReplayScript(cfg FuzzConfig, script string, withTrace bool) (*FuzzRepla
 	return rep, nil
 }
 
-// crossCheckScript replays a script on the deterministic engine and on every
-// other registered engine, diffing the semantic outcome (rounds, decisions,
-// crash set, traffic counters). It returns the engines compared, the number
-// of engine runs spent, and the first divergence (or reference-engine
-// failure).
+// crossCheckScript replays a script on the deterministic engine and diffs
+// every other registered engine's replay against it (crossCheck). It returns
+// the engines compared, the number of engine runs spent, and the first
+// divergence (or reference-engine failure).
 func crossCheckScript(cache *harness.Cache, factory fuzz.Factory, script fuzz.Script) ([]EngineKind, int, error) {
-	runs := 0
-	runOn := func(kind harness.Kind) (*sim.Result, error) {
-		eng, err := cache.Get(kind)
-		if err != nil {
-			return nil, err
-		}
-		tgt := factory()
-		runs++
-		res, runErr := eng.Run(harness.Job{
-			Model: tgt.Model, Horizon: tgt.Horizon, Procs: tgt.Procs, Adv: script.Adversary(),
-		})
-		if res == nil {
-			return nil, runErr
-		}
-		// Run errors (e.g. horizon exhaustion on a violating schedule) are
-		// part of the semantic outcome; both engines must agree on them via
-		// the result they return alongside.
-		return res, nil
+	job := scriptJob(factory, script)
+	eng, err := cache.Get(harness.KindDeterministic)
+	var primary *sim.Result
+	if err == nil {
+		primary, err = eng.Run(job(harness.KindDeterministic))
 	}
-	primary, err := runOn(harness.KindDeterministic)
-	if err != nil {
-		return nil, runs, fmt.Errorf("agree: fuzz crosscheck reference run: %w", err)
+	if primary == nil {
+		return nil, 1, fmt.Errorf("agree: fuzz crosscheck reference run: %w", err)
 	}
-	var checked []EngineKind
-	for _, kind := range harness.Kinds() {
-		if kind == harness.KindDeterministic {
-			continue
-		}
-		ref, err := runOn(kind)
-		if err != nil {
-			return checked, runs, fmt.Errorf("agree: fuzz crosscheck on engine %q: %w", kind, err)
-		}
-		if diff := diffResults(primary, ref); diff != "" {
-			return checked, runs, fmt.Errorf("agree: fuzz crosscheck divergence between engines %q and %q replaying %q: %s",
-				harness.KindDeterministic, kind, script.String(), diff)
-		}
-		checked = append(checked, EngineKind(kind))
-	}
-	return checked, runs, nil
+	// Run errors (e.g. horizon exhaustion on a violating schedule) are part
+	// of the semantic outcome; every engine must agree on them via the result
+	// it returns alongside.
+	checked, runs, err := crossCheck(cache, harness.KindDeterministic, primary, err, "fuzz crosscheck",
+		func() string { return fmt.Sprintf(" replaying %q", script.String()) }, job)
+	return checked, runs + 1, err
 }
 
-// diffResults compares the semantic fields of two engine results for one
-// script and returns a description of the first difference, or "".
-func diffResults(a, b *sim.Result) string {
-	if a.Rounds != b.Rounds {
-		return fmt.Sprintf("rounds %d vs %d", a.Rounds, b.Rounds)
+// scriptJob returns the job replaying script on a fresh target of factory.
+func scriptJob(factory fuzz.Factory, script fuzz.Script) func(harness.Kind) harness.Job {
+	return func(harness.Kind) harness.Job {
+		tgt := factory()
+		return harness.Job{Model: tgt.Model, Horizon: tgt.Horizon, Procs: tgt.Procs, Adv: script.Adversary()}
 	}
-	if len(a.Procs) != len(b.Procs) {
-		return fmt.Sprintf("%d vs %d processes", len(a.Procs), len(b.Procs))
-	}
-	for i, o := range a.Procs {
-		if p := b.Procs[i]; o != p {
-			return fmt.Sprintf("p%d outcome %+v vs %+v", i+1, o, p)
-		}
-	}
-	if a.Counters != b.Counters {
-		return fmt.Sprintf("counters %s vs %s", a.Counters.String(), b.Counters.String())
-	}
-	if a.Ledger != b.Ledger {
-		return fmt.Sprintf("ledger %s vs %s", a.Ledger.String(), b.Ledger.String())
-	}
-	return ""
 }

@@ -6,11 +6,10 @@ import (
 	"runtime/pprof"
 	"sort"
 
-	"repro/internal/check"
-	"repro/internal/core"
 	"repro/internal/fuzz"
 	"repro/internal/harness"
 	"repro/internal/laws"
+	"repro/internal/protocol"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -276,58 +275,24 @@ func scenarioLatencySpec(l scenario.Latency) LatencySpec {
 	}
 }
 
-// scenarioTarget materializes the system under test of a scenario: process
-// set, model, horizon and proposals — the same construction the fuzzer's
-// campaign factory uses, ablations included.
-func scenarioTarget(sc *scenario.Scenario) ([]sim.Process, sim.Model, sim.Round, []sim.Value, error) {
-	props := make([]sim.Value, sc.N)
-	for i := range props {
-		if sc.Proposals != nil {
-			props[i] = sim.Value(sc.Proposals[i])
-		} else {
-			props[i] = sim.Value(100 + i)
-		}
-	}
-	if sc.Protocol == "" || sc.Protocol == "crw" {
-		opts := core.Options{CommitAsData: sc.CommitAsData}
-		if sc.OrderAscending {
-			opts.Order = core.OrderAscending
-		}
-		model := sim.ModelExtended
-		if sc.CommitAsData {
-			model = sim.ModelClassic
-		}
-		return core.NewSystem(props, opts), model, sim.Round(sc.N + 2), props, nil
-	}
-	procs, model, horizon, err := buildProtocol(Config{
-		N: sc.N, T: sc.T, Protocol: Protocol(sc.Protocol),
-	}, props)
-	return procs, model, horizon, props, err
-}
-
-// scenarioBound returns the protocol's decision round bound, or nil when the
+// scenarioTarget materializes the run of a scenario under its fault script:
+// the job, the proposals, and the decision round bound — nil when the
 // scenario is judged on the consensus properties alone (omission scripts and
-// timing-fault latency models — the round bounds are crash-model theorems).
-func scenarioBound(sc *scenario.Scenario) func(f int) sim.Round {
-	if sc.ConsensusOnly() {
-		return nil
+// timing-fault latency models; the round bounds are crash-model theorems).
+func scenarioTarget(sc *scenario.Scenario, script fuzz.Script) (harness.Job, []sim.Value, func(f int) sim.Round, error) {
+	spec, err := resolve(protocol.Spec{Protocol: sc.Protocol, N: sc.N, T: sc.T,
+		OrderAscending: sc.OrderAscending, CommitAsData: sc.CommitAsData})
+	if err != nil {
+		return harness.Job{}, nil, nil, err
 	}
-	t := sc.T
-	if t <= 0 || t >= sc.N {
-		t = sc.N - 1
+	props := proposalVector(sc.N, sc.Proposals)
+	procs, model, horizon := spec.Build(props)
+	var bound func(f int) sim.Round
+	if !sc.ConsensusOnly() {
+		bound = spec.Bound()
 	}
-	if sc.N == 1 {
-		t = 0
-	}
-	switch sc.Protocol {
-	case "earlystop":
-		return check.BoundClassic(t)
-	case "floodset":
-		bound := sim.Round(t + 1)
-		return func(int) sim.Round { return bound }
-	default:
-		return check.BoundFPlus1
-	}
+	return harness.Job{Model: model, Horizon: horizon, Procs: procs, Adv: script.Adversary(),
+		Latency: scenarioLatencySpec(sc.Latency).model(0)}, props, bound, nil
 }
 
 // runScenarioJob executes one (scenario, engine) pair and fills the result:
@@ -344,15 +309,14 @@ func runScenarioJob(cache *harness.Cache, job scenarioJob, res *ScenarioResult) 
 		fail(err)
 		return
 	}
-	procs, model, horizon, props, err := scenarioTarget(sc)
+	script := sc.Script()
+	target, props, bound, err := scenarioTarget(sc, script)
 	if err != nil {
 		fail(err)
 		return
 	}
-	script := sc.Script()
-	var rec *telemetry.Recorder
 	if job.telemetry {
-		rec = telemetry.New()
+		target.Telemetry = telemetry.New()
 	}
 	var result *sim.Result
 	var runErr error
@@ -363,21 +327,17 @@ func runScenarioJob(cache *harness.Cache, job scenarioJob, res *ScenarioResult) 
 	pprof.Do(context.Background(),
 		pprof.Labels("engine", string(job.kind), "scenario", sc.Name),
 		func(context.Context) {
-			result, runErr = eng.Run(harness.Job{
-				Model: model, Horizon: horizon, Procs: procs, Adv: script.Adversary(),
-				Latency:   scenarioLatencySpec(sc.Latency).model(0),
-				Telemetry: rec,
-			})
+			result, runErr = eng.Run(target)
 		})
-	if rec != nil {
-		res.telemetry = &Telemetry{rec: rec}
+	if target.Telemetry != nil {
+		res.telemetry = &Telemetry{rec: target.Telemetry}
 	}
 	if result == nil {
 		fail(runErr)
 		return
 	}
 	oracle := fuzz.Oracles(
-		fuzz.ConsensusOracle(scenarioBound(sc)),
+		fuzz.ConsensusOracle(bound),
 		fuzz.LawOracle(laws.Budget{Crashes: script.Crashes(), Omissive: script.OmissiveProcs()}),
 	)
 	verdictErr := oracle(props, result, runErr)

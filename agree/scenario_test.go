@@ -163,6 +163,33 @@ func TestScenarioExpectedViolationPasses(t *testing.T) {
 	}
 }
 
+// TestScenarioDefaultT pins the classic baselines' default resilience: a
+// scenario without a t line runs and is judged with t = n-1, as a Config or
+// a fuzz campaign with T unset is. One crash that delivers p1's first data
+// message only must then pass on every engine.
+func TestScenarioDefaultT(t *testing.T) {
+	var srcs []agree.ScenarioSource
+	for _, proto := range []string{"earlystop", "floodset"} {
+		srcs = append(srcs, agree.ScenarioSource{
+			File: proto + ".scenario",
+			Text: "scenario: crash/" + proto + "-default-t\nprotocol: " + proto +
+				"\nn: 4\nfaults: p1@r1:100/0\nexpect: pass\n",
+		})
+	}
+	rep, err := agree.RunScenarios(agree.ScenarioOptions{Sources: srcs})
+	if err != nil {
+		t.Fatalf("RunScenarios: %v", err)
+	}
+	if rep.Ran != 2*3 || rep.Failed != 0 {
+		t.Errorf("Ran/Failed = %d/%d, want 6/0", rep.Ran, rep.Failed)
+	}
+	for _, r := range rep.Results {
+		if r.Err != nil || r.Verdict != "pass" {
+			t.Errorf("%s on %s: verdict %q, err %v", r.Name, r.Engine, r.Verdict, r.Err)
+		}
+	}
+}
+
 func TestScenarioEngineSemantics(t *testing.T) {
 	latencyScenario := "scenario: timing/fixed\nn: 4\nlatency: fixed d=1 delta=0.1\nexpect: pass\n"
 

@@ -100,7 +100,8 @@ func Sweep(configs []Config, opts SweepOptions) *SweepReport {
 	stats := harness.ForEachProf(len(configs), opts.Workers, prof, func(cache *harness.Cache, i int) {
 		item := &sr.Items[i]
 		item.Config = configs[i]
-		item.Report, item.Err = runConfigProf(configs[i], cache, prof)
+		var res *sim.Result
+		item.Report, res, item.Err = runConfig(configs[i], cache, prof)
 		if item.Err != nil || !opts.CrossCheck {
 			return
 		}
@@ -108,7 +109,7 @@ func Sweep(configs []Config, opts SweepOptions) *SweepReport {
 		if prof.Enabled() {
 			t0 = time.Now()
 		}
-		item.CrossChecked, item.Err = crossCheck(configs[i], item.Report, cache)
+		item.CrossChecked, item.Err = crossCheckConfig(configs[i], res, cache)
 		if prof.Enabled() {
 			prof.Add(telemetry.PhaseCrossCheck, time.Since(t0))
 		}
@@ -140,41 +141,34 @@ func Sweep(configs []Config, opts SweepOptions) *SweepReport {
 }
 
 // runConfig executes one configuration on an engine drawn from the worker's
-// cache and assembles the validated report.
-func runConfig(cfg Config, cache *harness.Cache) (*Report, error) {
-	return runConfigProf(cfg, cache, nil)
-}
-
-// runConfigProf is runConfig with an optional wall-clock phase profile: the
-// engine execution is charged to telemetry.PhaseRun, everything after it
-// (law audit, consensus validation, report assembly) to telemetry.PhaseAudit.
-// A nil profile reads no clocks.
-func runConfigProf(cfg Config, cache *harness.Cache, prof *telemetry.Profile) (*Report, error) {
-	cfg, proposals, err := normalize(cfg)
+// cache and assembles the validated report. The engine's result is handed
+// back alongside it for the cross-check to diff against. A non-nil profile
+// charges the engine execution to telemetry.PhaseRun and everything after it
+// (law audit, consensus validation, report assembly) to
+// telemetry.PhaseAudit; a nil one reads no clocks.
+func runConfig(cfg Config, cache *harness.Cache, prof *telemetry.Profile) (*Report, *sim.Result, error) {
+	cfg, spec, proposals, err := normalize(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	kind := harness.Kind(cfg.Engine)
 	caps, ok := harness.Lookup(kind)
 	if !ok {
-		return nil, fmt.Errorf("agree: unknown engine %q", cfg.Engine)
+		return nil, nil, fmt.Errorf("agree: unknown engine %q", cfg.Engine)
 	}
 	if cfg.Trace && !caps.Trace {
 		feature := "Trace"
 		if cfg.Diagram {
 			feature = "Diagram"
 		}
-		return nil, fmt.Errorf("agree: Config.%s is not supported by engine %q (engine lacks the trace capability)",
+		return nil, nil, fmt.Errorf("agree: Config.%s is not supported by engine %q (engine lacks the trace capability)",
 			feature, cfg.Engine)
 	}
 	if !cfg.Latency.IsZero() && !caps.Timed {
-		return nil, fmt.Errorf("agree: Config.Latency is not supported by engine %q (engine lacks the timed capability)",
+		return nil, nil, fmt.Errorf("agree: Config.Latency is not supported by engine %q (engine lacks the timed capability)",
 			cfg.Engine)
 	}
-	procs, model, horizon, err := buildProtocol(cfg, proposals)
-	if err != nil {
-		return nil, err
-	}
+	procs, model, horizon := spec.Build(proposals)
 	var log *trace.Log
 	if cfg.Trace {
 		log = trace.New()
@@ -185,7 +179,7 @@ func runConfigProf(cfg Config, cache *harness.Cache, prof *telemetry.Profile) (*
 	}
 	eng, err := cache.Get(kind)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var t0 time.Time
 	if prof.Enabled() {
@@ -205,13 +199,14 @@ func runConfigProf(cfg Config, cache *harness.Cache, prof *telemetry.Profile) (*
 		defer func(t time.Time) { prof.Add(telemetry.PhaseAudit, time.Since(t)) }(time.Now())
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The engine adapter audited the budget-free laws; the fault budget is
 	// config knowledge the engines never see, so its law is audited here —
-	// the single wiring point every Run, Sweep and cross-check goes through.
+	// the single wiring point every Run and Sweep goes through. Cross-check
+	// references are held to it by matching this run's outcomes exactly.
 	if aerr := laws.AuditBudget(res, cfg.Faults.budget(cfg.N)); aerr != nil {
-		return nil, aerr
+		return nil, nil, aerr
 	}
 
 	rep := &Report{
@@ -237,7 +232,7 @@ func runConfigProf(cfg Config, cache *harness.Cache, prof *telemetry.Profile) (*
 	if rec != nil {
 		rep.Telemetry = &Telemetry{rec: rec}
 	}
-	return rep, nil
+	return rep, res, nil
 }
 
 // outcomeMaps translates a run's per-process outcomes into the map-shaped
@@ -280,13 +275,11 @@ func outcomeMaps(res *sim.Result, stride sim.Round) (decisions map[int]int64, de
 	return decisions, decideRound, crashed, omissive
 }
 
-// crossCheck re-runs cfg on every other registered engine that supports it
-// and diffs the semantic outcome against the primary report. It returns the
-// engines compared; a non-nil error reports the first divergence (or a
-// reference-engine failure). Order-sensitive fault specs are skipped
-// entirely — comparing engines that consult a stateful adversary in
+// crossCheckConfig re-runs cfg on every other registered engine and diffs
+// each result against the primary one. Order-sensitive fault specs are
+// skipped entirely — comparing engines that consult a stateful adversary in
 // different orders proves nothing.
-func crossCheck(cfg Config, primary *Report, cache *harness.Cache) ([]EngineKind, error) {
+func crossCheckConfig(cfg Config, primary *sim.Result, cache *harness.Cache) ([]EngineKind, error) {
 	if !cfg.Faults.orderInsensitive() {
 		return nil, nil
 	}
@@ -296,78 +289,78 @@ func crossCheck(cfg Config, primary *Report, cache *harness.Cache) ([]EngineKind
 		// abstraction proves nothing.
 		return nil, nil
 	}
-	primaryKind := cfg.Engine
-	if primaryKind == "" {
-		primaryKind = EngineDeterministic
+	cfg, spec, proposals, err := normalize(cfg)
+	if err != nil {
+		return nil, err
 	}
+	checked, _, err := crossCheck(cache, harness.Kind(cfg.Engine), primary, nil, "crosscheck", nil,
+		func(kind harness.Kind) harness.Job {
+			procs, model, horizon := spec.Build(proposals)
+			job := harness.Job{Model: model, Horizon: horizon, Procs: procs, Adv: cfg.Faults.build(cfg.N)}
+			if caps, _ := harness.Lookup(kind); caps.Timed {
+				// A within-bound latency spec is semantically neutral — it
+				// only prices the execution — so the round engines run the
+				// same configuration without it.
+				job.Latency = cfg.Latency.model(cfg.Bits)
+			}
+			return job
+		})
+	return checked, err
+}
+
+// crossCheck runs job on every registered engine other than primaryKind and
+// diffs each result against primary, the result (and primaryErr the run
+// error) of the same job on primaryKind. It returns the engines that agreed,
+// the number of engine runs spent, and the first divergence or
+// reference-engine failure, named by what; a non-nil subject adds the
+// diverging input's description. A reference run error counts as a failure
+// unless the primary run failed too: then both engines must agree on the
+// result they return alongside it.
+func crossCheck(cache *harness.Cache, primaryKind harness.Kind, primary *sim.Result, primaryErr error,
+	what string, subject func() string, job func(harness.Kind) harness.Job) ([]EngineKind, int, error) {
 	var checked []EngineKind
+	runs := 0
 	for _, kind := range harness.Kinds() {
-		if kind == harness.Kind(primaryKind) {
+		if kind == primaryKind {
 			continue
 		}
-		ref := cfg
-		ref.Engine = EngineKind(kind)
-		ref.Trace, ref.Diagram, ref.Telemetry = false, false, false
-		if caps, _ := harness.Lookup(kind); !caps.Timed {
-			// A within-bound latency spec is semantically neutral — it only
-			// prices the execution — so the round engines run the same
-			// configuration without it.
-			ref.Latency = LatencySpec{}
+		eng, err := cache.Get(kind)
+		var res *sim.Result
+		if err == nil {
+			runs++
+			res, err = eng.Run(job(kind))
 		}
-		refRep, err := runConfig(ref, cache)
-		if err != nil {
-			return checked, fmt.Errorf("agree: crosscheck on engine %q: %w", kind, err)
+		if res == nil || (err != nil && primaryErr == nil) {
+			return checked, runs, fmt.Errorf("agree: %s on engine %q: %w", what, kind, err)
 		}
-		if diff := diffReports(primary, refRep); diff != "" {
-			return checked, fmt.Errorf("agree: crosscheck divergence between engines %q and %q: %s",
-				primaryKind, kind, diff)
+		if diff := diffResults(primary, res); diff != "" {
+			on := ""
+			if subject != nil {
+				on = subject()
+			}
+			return checked, runs, fmt.Errorf("agree: %s divergence between engines %q and %q%s: %s",
+				what, primaryKind, kind, on, diff)
 		}
 		checked = append(checked, EngineKind(kind))
 	}
-	return checked, nil
+	return checked, runs, nil
 }
 
-// diffReports compares the semantic fields of two reports of the same
-// configuration and returns a description of the first difference, or "".
-// Transcript and Diagram are presentation artifacts of trace-capable
-// engines, and SimTime is the continuous-time engines' price tag on the
-// same semantic execution; all three are deliberately excluded.
-func diffReports(a, b *Report) string {
+// diffResults compares the semantic fields of two engine results of one job
+// and returns a description of the first difference, or "". SimTime is the
+// continuous-time engines' price tag on the same semantic execution and is
+// deliberately excluded. Macro rounds and the consensus verdict are
+// functions of the compared rounds and outcomes.
+func diffResults(a, b *sim.Result) string {
 	if a.Rounds != b.Rounds {
 		return fmt.Sprintf("rounds %d vs %d", a.Rounds, b.Rounds)
 	}
-	if a.MacroRounds != b.MacroRounds {
-		return fmt.Sprintf("macro rounds %d vs %d", a.MacroRounds, b.MacroRounds)
+	if len(a.Procs) != len(b.Procs) {
+		return fmt.Sprintf("%d vs %d processes", len(a.Procs), len(b.Procs))
 	}
-	if len(a.Decisions) != len(b.Decisions) {
-		return fmt.Sprintf("%d vs %d deciders", len(a.Decisions), len(b.Decisions))
-	}
-	for id, v := range a.Decisions {
-		bv, ok := b.Decisions[id]
-		if !ok {
-			return fmt.Sprintf("p%d decided only on one engine", id)
-		}
-		if v != bv {
-			return fmt.Sprintf("p%d decided %d vs %d", id, v, bv)
-		}
-		if a.DecideRound[id] != b.DecideRound[id] {
-			return fmt.Sprintf("p%d decide round %d vs %d", id, a.DecideRound[id], b.DecideRound[id])
-		}
-	}
-	if len(a.Crashed) != len(b.Crashed) {
-		return fmt.Sprintf("%d vs %d crashes", len(a.Crashed), len(b.Crashed))
-	}
-	for id, r := range a.Crashed {
-		if br, ok := b.Crashed[id]; !ok || r != br {
-			return fmt.Sprintf("p%d crash round %d vs %d", id, r, br)
-		}
-	}
-	if len(a.Omissive) != len(b.Omissive) {
-		return fmt.Sprintf("%d vs %d omission-faulty processes", len(a.Omissive), len(b.Omissive))
-	}
-	for id, c := range a.Omissive {
-		if bc, ok := b.Omissive[id]; !ok || c != bc {
-			return fmt.Sprintf("p%d omissive rounds %d vs %d", id, c, bc)
+	for i, o := range a.Procs {
+		if p := b.Procs[i]; o != p {
+			return fmt.Sprintf("p%d outcome %+v vs %+v", i+1, o, p)
 		}
 	}
 	if a.Counters != b.Counters {
@@ -375,9 +368,6 @@ func diffReports(a, b *Report) string {
 	}
 	if a.Ledger != b.Ledger {
 		return fmt.Sprintf("ledger %s vs %s", a.Ledger.String(), b.Ledger.String())
-	}
-	if (a.ConsensusErr == nil) != (b.ConsensusErr == nil) {
-		return fmt.Sprintf("consensus verdict %v vs %v", a.ConsensusErr, b.ConsensusErr)
 	}
 	return ""
 }

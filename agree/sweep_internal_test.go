@@ -1,50 +1,58 @@
 package agree
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/fuzz"
+	"repro/internal/harness"
 	"repro/internal/metrics"
+	"repro/internal/protocol"
+	"repro/internal/sim"
 )
 
-// report returns a small consistent report for diff tests.
-func testReport() *Report {
-	return &Report{
-		Rounds:      3,
-		MacroRounds: 3,
-		Decisions:   map[int]int64{1: 7, 2: 7, 3: 7},
-		DecideRound: map[int]int{1: 3, 2: 3, 3: 2},
-		Crashed:     map[int]int{2: 1},
-		Counters:    metrics.Counters{DataMsgs: 6, DataBits: 384, CtrlMsgs: 2, CtrlBits: 2, Rounds: 3},
+// testResult returns a small consistent engine result for diff tests: p1
+// decides, p2 crashes in round 1, p3 decides after one omissive round.
+func testResult() *sim.Result {
+	return &sim.Result{
+		Rounds: 3,
+		Procs: []sim.Outcome{
+			{Value: 7, DecideRound: 3},
+			{CrashRound: 1},
+			{Value: 7, DecideRound: 2, OmissiveRounds: 1},
+		},
+		Counters: metrics.Counters{DataMsgs: 6, DataBits: 384, CtrlMsgs: 2, CtrlBits: 2, Rounds: 3},
+		Ledger:   metrics.Ledger{DeliveredData: 5, DeliveredCtrl: 2, RecvOmitData: 1},
 	}
 }
 
-// TestDiffReports exercises the cross-check comparator field by field: equal
-// reports produce no diff, and each semantic divergence is caught and named.
-func TestDiffReports(t *testing.T) {
-	if d := diffReports(testReport(), testReport()); d != "" {
-		t.Errorf("identical reports diff: %s", d)
+// TestDiffResults exercises the cross-check comparator field by field:
+// equal results produce no diff, each semantic divergence is caught and
+// named, and the continuous-time price tag is not compared.
+func TestDiffResults(t *testing.T) {
+	if d := diffResults(testResult(), testResult()); d != "" {
+		t.Errorf("identical results diff: %s", d)
 	}
 	cases := []struct {
 		name    string
-		mutate  func(*Report)
+		mutate  func(*sim.Result)
 		mention string
 	}{
-		{"rounds", func(r *Report) { r.Rounds = 4 }, "rounds"},
-		{"macro", func(r *Report) { r.MacroRounds = 1 }, "macro"},
-		{"decision value", func(r *Report) { r.Decisions[1] = 9 }, "decided"},
-		{"decider set", func(r *Report) { delete(r.Decisions, 3) }, "deciders"},
-		{"decide round", func(r *Report) { r.DecideRound[3] = 3 }, "decide round"},
-		{"crash set", func(r *Report) { delete(r.Crashed, 2) }, "crashes"},
-		{"crash round", func(r *Report) { r.Crashed[2] = 2 }, "crash round"},
-		{"counters", func(r *Report) { r.Counters.DataMsgs = 5 }, "counters"},
-		{"verdict", func(r *Report) { r.ConsensusErr = errors.New("disagreement") }, "verdict"},
+		{"rounds", func(r *sim.Result) { r.Rounds = 4 }, "rounds 3 vs 4"},
+		{"decision value", func(r *sim.Result) { r.Procs[0].Value = 9 }, "p1 outcome"},
+		{"decider set", func(r *sim.Result) { r.Procs[2] = sim.Outcome{OmissiveRounds: 1} }, "p3 outcome"},
+		{"decide round", func(r *sim.Result) { r.Procs[2].DecideRound = 3 }, "p3 outcome"},
+		{"crash set", func(r *sim.Result) { r.Procs[1].CrashRound = 0 }, "p2 outcome"},
+		{"crash round", func(r *sim.Result) { r.Procs[1].CrashRound = 2 }, "p2 outcome"},
+		{"omissive rounds", func(r *sim.Result) { r.Procs[2].OmissiveRounds = 2 }, "p3 outcome"},
+		{"process count", func(r *sim.Result) { r.Procs = r.Procs[:2] }, "3 vs 2 processes"},
+		{"counters", func(r *sim.Result) { r.Counters.DataMsgs = 5 }, "counters"},
+		{"ledger", func(r *sim.Result) { r.Ledger.RecvOmitData = 0 }, "ledger"},
 	}
 	for _, c := range cases {
-		mutated := testReport()
+		mutated := testResult()
 		c.mutate(mutated)
-		d := diffReports(testReport(), mutated)
+		d := diffResults(testResult(), mutated)
 		if d == "" {
 			t.Errorf("%s: divergence not detected", c.name)
 			continue
@@ -53,10 +61,73 @@ func TestDiffReports(t *testing.T) {
 			t.Errorf("%s: diff %q does not mention %q", c.name, d, c.mention)
 		}
 	}
-	// Transcript and diagram are presentation-only and must not diff.
-	withTrace := testReport()
-	withTrace.Transcript, withTrace.Diagram = "transcript", "diagram"
-	if d := diffReports(withTrace, testReport()); d != "" {
-		t.Errorf("presentation fields diffed: %s", d)
+	priced := testResult()
+	priced.SimTime = 12.5
+	if d := diffResults(priced, testResult()); d != "" {
+		t.Errorf("SimTime diffed: %s", d)
+	}
+}
+
+// plantDivergence alters p3's outcome in a primary result, as an engine
+// disagreeing with every other one would.
+func plantDivergence(res *sim.Result) {
+	res.Procs[2].DecideRound++
+}
+
+// TestCrossCheckPlantedDivergenceSweep hands the shared cross-check a Sweep
+// configuration's primary result with one outcome altered: every other
+// engine disagrees, and the divergence names the process.
+func TestCrossCheckPlantedDivergenceSweep(t *testing.T) {
+	cache := harness.NewCache()
+	defer cache.Close()
+	cfg := Config{N: 5, Faults: CoordinatorCrashes(2)}
+	_, res, err := runConfig(cfg, cache, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked, err := crossCheckConfig(cfg, res, cache)
+	if err != nil || len(checked) != len(harness.Kinds())-1 {
+		t.Fatalf("faithful primary: checked %v, err %v", checked, err)
+	}
+	plantDivergence(res)
+	checked, err = crossCheckConfig(cfg, res, cache)
+	if err == nil || !strings.Contains(err.Error(), "crosscheck divergence") || !strings.Contains(err.Error(), "p3 outcome") {
+		t.Fatalf("planted divergence: err %v, want a crosscheck divergence naming p3", err)
+	}
+	if len(checked) != 0 {
+		t.Errorf("planted divergence: engines %v reported as agreeing", checked)
+	}
+}
+
+// TestCrossCheckPlantedDivergenceFuzz does the same for a fuzz finding's
+// script replayed through the campaign factory.
+func TestCrossCheckPlantedDivergenceFuzz(t *testing.T) {
+	cache := harness.NewCache()
+	defer cache.Close()
+	spec, err := protocol.Spec{N: 4}.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	script, err := fuzz.Parse("p1@r1:100/0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := scriptJob(fuzzFactory(spec, LatencySpec{}), script)
+	eng, err := cache.Get(harness.KindDeterministic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	primary, runErr := eng.Run(job(harness.KindDeterministic))
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	plantDivergence(primary)
+	checked, runs, err := crossCheck(cache, harness.KindDeterministic, primary, runErr, "fuzz crosscheck",
+		func() string { return " replaying " + script.String() }, job)
+	if err == nil || !strings.Contains(err.Error(), "fuzz crosscheck divergence") || !strings.Contains(err.Error(), "p3 outcome") {
+		t.Fatalf("planted divergence: err %v, want a fuzz crosscheck divergence naming p3", err)
+	}
+	if len(checked) != 0 || runs != 1 {
+		t.Errorf("planted divergence: engines %v agreed in %d runs, want none in 1", checked, runs)
 	}
 }

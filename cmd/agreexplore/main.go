@@ -19,10 +19,9 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/adversary"
 	"repro/internal/check"
 	"repro/internal/cli"
-	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -50,37 +49,19 @@ func command(stdout, stderr io.Writer) *cli.Cmd {
 		if err = errors.Join(err, c.AtLeast(1, "n"), c.AtLeast(0, "t", "workers")); err != nil {
 			return c.Fail(err)
 		}
-		opts := core.Options{CommitAsData: *commitAsData}
-		if asc {
-			opts.Order = core.OrderAscending
+		if *tt >= *n {
+			return c.Fail(fmt.Errorf("-t=%d must be below -n=%d: a run needs a survivor", *tt, *n))
 		}
-
-		factory := func(ch interface{ Choose(int) int }) check.Execution {
-			props := make([]sim.Value, *n)
-			for i := range props {
-				props[i] = sim.Value(10 + i)
-			}
-			model := sim.ModelExtended
-			if opts.CommitAsData {
-				model = sim.ModelClassic
-			}
-			var adv sim.Adversary = adversary.NewFromChooser(ch, *tt, sim.Round(*n))
-			if *omitBudget > 0 {
-				adv = adversary.NewFromChooserWithOmissions(ch, *tt, sim.Round(*n), *omitBudget, *n)
-			}
-			return check.Execution{
-				Procs:     core.NewSystem(props, opts),
-				Adv:       adv,
-				Cfg:       sim.Config{Model: model, Horizon: sim.Round(*n + 2)},
-				Proposals: props,
-			}
-		}
+		// -t is the explorer's crash budget, so -t 0 explores crash-free
+		// schedules; CRW's construction and bound do not depend on t.
+		spec := protocol.Spec{N: *n, OrderAscending: asc, CommitAsData: *commitAsData}
+		factory := spec.Explorer(*tt, *omitBudget)
 		if *replay != "" {
 			script, err := check.ParseScript(*replay)
 			if err != nil {
 				return c.Fail(err)
 			}
-			return replayScript(c, factory, script)
+			return replayScript(c, factory, spec.Bound(), script)
 		}
 		if *worst {
 			w, err := check.FindWorstSchedule(factory, check.ExploreOpts{Budget: *budget})
@@ -90,30 +71,11 @@ func command(stdout, stderr io.Writer) *cli.Cmd {
 			fmt.Fprintf(stdout, "worst execution over %d explored: decides at round %d with %d fault(s)\n",
 				w.Executions, w.DecideRound, w.Faults)
 			fmt.Fprintf(stdout, "script %v — replaying with trace:\n\n", w.Script)
-			return replayScript(c, factory, w.Script)
+			return replayScript(c, factory, spec.Bound(), w.Script)
 		}
 
-		validator := func(ex check.Execution, res *sim.Result, engineErr error) error {
-			if engineErr != nil {
-				return engineErr
-			}
-			if err := check.Consensus(ex.Proposals, res); err != nil {
-				return err
-			}
-			if *omitBudget > 0 {
-				// The f+1 bound is a crash-model theorem; omission schedules are
-				// judged on the consensus properties alone.
-				return nil
-			}
-			return check.RoundBound(res, check.BoundFPlus1)
-		}
 		eopts := check.ExploreOpts{Budget: *budget, MaxCounterexamples: *maxCE, Workers: *workers}
-		var stats check.Stats
-		if *parallel {
-			stats, err = check.ExploreParallel(factory, validator, eopts)
-		} else {
-			stats, err = check.Explore(factory, validator, eopts)
-		}
+		stats, err := spec.Explore(*tt, *omitBudget, *parallel, eopts)
 		if err != nil {
 			return c.Fail(err)
 		}
@@ -151,8 +113,8 @@ func command(stdout, stderr io.Writer) *cli.Cmd {
 }
 
 // replayScript re-executes one scripted run with a full transcript and
-// verdict, returning the process exit code.
-func replayScript(c *cli.Cmd, factory check.RunFactory, script []int) int {
+// verdict against bound, returning the process exit code.
+func replayScript(c *cli.Cmd, factory check.RunFactory, bound func(f int) sim.Round, script []int) int {
 	log := trace.New()
 	ex := factory(&check.Replayer{Values: script})
 	cfg := ex.Cfg
@@ -171,7 +133,7 @@ func replayScript(c *cli.Cmd, factory check.RunFactory, script []int) int {
 		fmt.Fprintf(c.Stdout, "VERDICT: %v\n", err)
 		return 2
 	}
-	if err := check.RoundBound(res, check.BoundFPlus1); err != nil {
+	if err := check.RoundBound(res, bound); err != nil {
 		fmt.Fprintf(c.Stdout, "VERDICT: consensus holds but %v\n", err)
 		return 2
 	}

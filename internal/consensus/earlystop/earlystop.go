@@ -179,13 +179,3 @@ func (p *Protocol) Decided() (sim.Value, bool) { return p.decision, p.decided }
 
 // Halted implements sim.Process.
 func (p *Protocol) Halted() bool { return p.halted }
-
-// RoundBound returns the classic-model decision bound min(f+2, t+1) for f
-// actual crashes and resilience t.
-func RoundBound(f, t int) sim.Round {
-	b := f + 2
-	if t+1 < b {
-		b = t + 1
-	}
-	return sim.Round(b)
-}

@@ -56,20 +56,22 @@ func TestBoundMinFPlus2TPlus1(t *testing.T) {
 		if err := check.RoundBound(res, check.BoundClassic(tt)); err != nil {
 			t.Errorf("f=%d: %v", f, err)
 		}
-		want := earlystop.RoundBound(res.Faults(), tt)
+		want := check.BoundClassic(tt)(res.Faults())
 		if got := res.MaxDecideRound(); got > want {
 			t.Errorf("f=%d: decide round %d exceeds min(f+2,t+1) = %d", f, got, want)
 		}
 	}
 }
 
+// TestRoundBoundHelper pins the early-stopping bound min(f+2, t+1) that
+// check.BoundClassic returns for the baseline.
 func TestRoundBoundHelper(t *testing.T) {
 	cases := []struct{ f, t, want int }{
 		{0, 5, 2}, {1, 5, 3}, {4, 5, 6}, {5, 5, 6}, {3, 3, 4},
 	}
 	for _, c := range cases {
-		if got := earlystop.RoundBound(c.f, c.t); got != sim.Round(c.want) {
-			t.Errorf("RoundBound(%d,%d) = %d, want %d", c.f, c.t, got, c.want)
+		if got := check.BoundClassic(c.t)(c.f); got != sim.Round(c.want) {
+			t.Errorf("BoundClassic(%d)(%d) = %d, want %d", c.t, c.f, got, c.want)
 		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/check"
-	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 )
 
@@ -59,12 +59,7 @@ func e13Valency() *Table {
 			if c.prefix.adv != nil && c.prefix.until > 0 {
 				adv = adversary.Staged{Until: c.prefix.until, First: c.prefix.adv, Rest: adv}
 			}
-			return check.Execution{
-				Procs:     core.NewSystem(props, core.Options{}),
-				Adv:       adv,
-				Cfg:       sim.Config{Model: sim.ModelExtended, Horizon: sim.Round(n + 2)},
-				Proposals: props,
-			}
+			return protocol.Spec{N: n}.Execution(props, adv)
 		}
 		v, err := check.ValencySet(factory, check.ExploreOpts{Budget: 20_000_000})
 		if err != nil {
@@ -114,8 +109,8 @@ func e14LossyChannels() *Table {
 	n := len(props)
 
 	runWith := func(adv sim.Adversary) (*sim.Result, error) {
-		procs := core.NewSystem(props, core.Options{})
-		eng, err := sim.NewEngine(sim.Config{Model: sim.ModelExtended, Horizon: 6}, procs, adv)
+		procs, model, horizon := protocol.Spec{N: n}.Build(props)
+		eng, err := sim.NewEngine(sim.Config{Model: model, Horizon: horizon}, procs, adv)
 		if err != nil {
 			return nil, err
 		}

@@ -6,13 +6,12 @@ import (
 	"math"
 
 	"repro/agree"
-	"repro/internal/adversary"
 	"repro/internal/check"
 	"repro/internal/consensus/mr99"
-	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/ffd"
 	"repro/internal/lan"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/simulate"
 	"repro/internal/timing"
@@ -173,7 +172,7 @@ func e5Exhaustive() *Table {
 	for _, tc := range []struct{ n, t int }{
 		{3, 1}, {3, 2}, {4, 1}, {4, 2}, {4, 3}, {5, 1}, {5, 2}, {5, 3}, {5, 4}, {6, 2},
 	} {
-		stats, err := exploreCRW(tc.n, tc.t, core.Options{})
+		stats, err := exploreCRW(protocol.Spec{N: tc.n, T: tc.t})
 		if err != nil {
 			ok = false
 			t.AddRow(tc.n, tc.t, "error: "+err.Error(), "-", "-", tc.t+1, false)
@@ -188,42 +187,19 @@ func e5Exhaustive() *Table {
 	return t
 }
 
-// exploreCRW enumerates all executions of the CRW variant for n processes
-// with crash budget t, validating consensus and (for the faithful variant)
-// the f+1 bound.
-func exploreCRW(n, t int, opts core.Options) (check.Stats, error) {
-	factory := func(ch interface{ Choose(int) int }) check.Execution {
-		props := make([]sim.Value, n)
-		for i := range props {
-			props[i] = sim.Value(10 + i)
-		}
-		model := sim.ModelExtended
-		if opts.CommitAsData {
-			model = sim.ModelClassic
-		}
-		return check.Execution{
-			Procs:     core.NewSystem(props, opts),
-			Adv:       adversary.NewFromChooser(ch, t, sim.Round(n)),
-			Cfg:       sim.Config{Model: model, Horizon: sim.Round(n + 2)},
-			Proposals: props,
-		}
-	}
-	validator := func(ex check.Execution, res *sim.Result, engineErr error) error {
-		if engineErr != nil {
-			return engineErr
-		}
-		if err := check.Consensus(ex.Proposals, res); err != nil {
-			return err
-		}
+// exploreCRW enumerates all executions of a CRW variant, the spec's T being
+// the crash budget, validating consensus and (for the extended-model
+// variants) the f+1 bound.
+func exploreCRW(spec protocol.Spec) (check.Stats, error) {
+	bound := spec.Bound()
+	if spec.CommitAsData {
 		// The f+1 bound is checked for the extended-model variants (it is
 		// exactly what the ascending-order ablation violates); the
 		// commit-as-data ablation targets uniform agreement instead.
-		if !opts.CommitAsData {
-			return check.RoundBound(res, check.BoundFPlus1)
-		}
-		return nil
+		bound = nil
 	}
-	return check.Explore(factory, validator, check.ExploreOpts{Budget: 50_000_000, MaxCounterexamples: 4})
+	return check.Explore(spec.Explorer(spec.T, 0), protocol.Validator(bound),
+		check.ExploreOpts{Budget: 50_000_000, MaxCounterexamples: 4})
 }
 
 // e6Simulation reproduces the Section 2.2 computability-equivalence
@@ -374,7 +350,7 @@ func e10Ablation() *Table {
 	ok := true
 
 	// Faithful control: no violations.
-	stats, err := exploreCRW(4, 2, core.Options{})
+	stats, err := exploreCRW(protocol.Spec{N: 4, T: 2})
 	if err != nil {
 		ok = false
 	} else {
@@ -383,7 +359,7 @@ func e10Ablation() *Table {
 	}
 
 	// Ascending order: bound violation, agreement intact.
-	stats, err = exploreCRW(4, 1, core.Options{Order: core.OrderAscending})
+	stats, err = exploreCRW(protocol.Spec{N: 4, T: 1, OrderAscending: true})
 	if err != nil {
 		ok = false
 	} else {
@@ -405,7 +381,7 @@ func e10Ablation() *Table {
 	}
 
 	// Commit as data: uniform agreement violation.
-	stats, err = exploreCRW(3, 1, core.Options{CommitAsData: true})
+	stats, err = exploreCRW(protocol.Spec{N: 3, T: 1, CommitAsData: true})
 	if err != nil {
 		ok = false
 	} else {

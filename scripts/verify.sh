@@ -62,6 +62,18 @@ if grep -nE '(core|earlystop)\.NewSystem\(|\.Percentile\(|sort\.Float64s\(' $(ls
 	exit 1
 fi
 
+# A protocol's system under test and its round bound are built in one place,
+# internal/protocol. A non-test file anywhere else that constructs a
+# consensus system or picks a round bound has grown a second copy of that
+# mapping. The protocols' own packages, internal/check (which defines the
+# bounds) and the benchmark are exempt; comment lines do not count.
+echo "== one protocol spec: no system construction or bound selection outside internal/protocol"
+spec_files=$(find agree cmd examples internal -name '*.go' ! -name '*_test.go' | grep -vE '^internal/(protocol|check|core|consensus)/')
+if grep -nE '(core|earlystop|floodset)\.NewSystem\(|check\.Bound(Classic|FPlus1)\b' $spec_files | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+	echo "verify: a system is built or a round bound chosen outside internal/protocol; use protocol.Spec's Build and Bound"
+	exit 1
+fi
+
 # Every go test carries an explicit -timeout (per package binary, below the
 # ten-minute default) so a barrier deadlock fails instead of hanging.
 echo "== go test ./..."
