@@ -98,7 +98,8 @@ func CoordinatorCrashesDelivering(f, ctrlPrefix int) FaultSpec {
 }
 
 // RandomFaults crashes each alive process with probability prob per round,
-// at most max crashes total, deterministically for a seed.
+// at most max crashes total, deterministically for a seed: the seed selects
+// a SplitMix64 stream.
 func RandomFaults(seed int64, prob float64, max int) FaultSpec {
 	return FaultSpec{kind: "random", seed: seed, prob: prob, max: max}
 }

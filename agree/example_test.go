@@ -171,27 +171,27 @@ func ExampleSweep() {
 	// crw         kill 4 coordinators      4       5       14        ok
 	// crw         kill 4, deliver data     4       5       52        ok
 	// crw         kill 4, deliver all      1       1       22        ok
-	// crw         random p=0.2 seed=1      3       1       22        ok
-	// crw         random p=0.4 seed=9      7       2       25        ok
+	// crw         random p=0.2 seed=1      0       1       22        ok
+	// crw         random p=0.4 seed=9      5       1       22        ok
 	//
 	// earlystop   none                     0       2       264       ok
 	// earlystop   kill 1 coordinator       1       3       363       ok
 	// earlystop   kill 4 coordinators      4       6       594       ok
 	// earlystop   kill 4, deliver data     2       2       253       ok
 	// earlystop   kill 4, deliver all      2       2       253       ok
-	// earlystop   random p=0.2 seed=1      2       3       308       ok
-	// earlystop   random p=0.4 seed=9      10      4       232       ok
+	// earlystop   random p=0.2 seed=1      2       2       255       ok
+	// earlystop   random p=0.4 seed=9      11      12      296       ok
 	//
 	// floodset    none                     0       12      264       ok
 	// floodset    kill 1 coordinator       1       12      242       ok
 	// floodset    kill 4 coordinators      4       12      231       ok
 	// floodset    kill 4, deliver data     4       12      253       ok
 	// floodset    kill 4, deliver all      4       12      253       ok
-	// floodset    random p=0.2 seed=1      10      12      308       ok
-	// floodset    random p=0.4 seed=9      11      12      221       ok
+	// floodset    random p=0.2 seed=1      11      12      255       ok
+	// floodset    random p=0.4 seed=9      11      12      197       ok
 	//
-	// aggregate: 21 runs, 0 violations, rounds histogram map[1:3 2:5 3:2 4:1 5:2 6:1 12:7]
-	// traffic:   rounds=123 data=4149(750363b) ctrl=67(67b) dropped=273/98
+	// aggregate: 21 runs, 0 violations, rounds histogram map[1:4 2:5 3:1 5:2 6:1 12:8]
+	// traffic:   rounds=129 data=4079(746598b) ctrl=68(68b) dropped=267/87
 	//
 	// Reading: CRW tracks f+1 exactly and transmits O(n) messages per round;
 	// the classic baselines pay one extra round (early stopping) or always t+1

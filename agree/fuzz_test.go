@@ -236,9 +236,9 @@ func TestFuzzReportIsDeepEqualAcrossRuns(t *testing.T) {
 
 // TestFuzzAllocsPerExec pins the per-execution allocations of the campaigns
 // agreeperf's fuzz_campaign runs: a faithful batch and a commit-as-data batch
-// that shrinks its findings. A pooled generator re-seeded per seed, a replayer
-// reading the script in place and an agreement violation rendered only when
-// read keep it near a dozen.
+// that shrinks its findings. A pooled recorder whose value-type generator is
+// re-seeded by one assignment, a replayer reading the script in place and an
+// agreement violation rendered only when read keep it near a dozen.
 func TestFuzzAllocsPerExec(t *testing.T) {
 	campaigns := []agree.FuzzConfig{
 		{N: 16, T: 5, CrashProb: 0.25, Laws: true, Seeds: 200, Workers: 1},
@@ -259,7 +259,7 @@ func TestFuzzAllocsPerExec(t *testing.T) {
 			}
 		}
 	}) / float64(execs)
-	const maxPerExec = 13 // measured 11.4; 27.4 with a fresh generator per seed, map replayers and eager texts
+	const maxPerExec = 13 // measured 11.3; 27.4 with a fresh generator per seed, map replayers and eager texts
 	if perExec > maxPerExec {
 		t.Errorf("fuzz campaigns allocate %.2f allocs/exec over %d executions, want <= %d", perExec, execs, maxPerExec)
 	}

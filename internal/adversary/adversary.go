@@ -19,10 +19,10 @@
 package adversary
 
 import (
-	"math/rand"
 	"slices"
 	"sync/atomic"
 
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -157,10 +157,10 @@ func (k CoordinatorKiller) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan)
 // with probability CrashProb, as long as fewer than MaxCrashes processes have
 // crashed. The escaped data subset and control prefix are uniform.
 //
-// Random is deterministic for a fixed seed, so randomized experiments are
-// reproducible.
+// Random draws from the seed's SplitMix64 stream (internal/rng), so
+// randomized experiments are reproducible on every platform and Go release.
 type Random struct {
-	rng        *rand.Rand
+	rng        rng.Stream
 	CrashProb  float64
 	MaxCrashes int
 	crashes    int
@@ -169,7 +169,7 @@ type Random struct {
 // NewRandom builds a seeded random adversary that crashes at most maxCrashes
 // processes, each alive process crashing with probability p per round.
 func NewRandom(seed int64, p float64, maxCrashes int) *Random {
-	return &Random{rng: rand.New(rand.NewSource(seed)), CrashProb: p, MaxCrashes: maxCrashes}
+	return &Random{rng: rng.New(seed), CrashProb: p, MaxCrashes: maxCrashes}
 }
 
 // Crashes implements sim.Adversary. The crash point is drawn first: either
@@ -225,27 +225,9 @@ func (s Staged) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (bool, sim
 
 // Chooser resolves nondeterministic choices. Choose(n) returns a value in
 // [0, n). A backtracking Chooser turns the engine into an exhaustive model
-// checker (see internal/check); a seeded Chooser gives randomized testing.
+// checker (see internal/check).
 type Chooser interface {
 	Choose(n int) int
-}
-
-// RandChooser is a Chooser drawing uniformly from a seeded source.
-type RandChooser struct {
-	rng *rand.Rand
-}
-
-// NewRandChooser returns a seeded random chooser.
-func NewRandChooser(seed int64) *RandChooser {
-	return &RandChooser{rng: rand.New(rand.NewSource(seed))}
-}
-
-// Choose returns a uniform value in [0, n).
-func (c *RandChooser) Choose(n int) int {
-	if n <= 1 {
-		return 0
-	}
-	return c.rng.Intn(n)
 }
 
 // FromChooser is a generic adversary whose every decision is delegated to a

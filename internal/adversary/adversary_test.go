@@ -185,17 +185,3 @@ func TestFromChooserRespectsBudgetAndHorizon(t *testing.T) {
 		t.Error("crashed beyond budget")
 	}
 }
-
-func TestRandChooserInRange(t *testing.T) {
-	c := adversary.NewRandChooser(3)
-	for i := 0; i < 1000; i++ {
-		n := i%7 + 1
-		v := c.Choose(n)
-		if v < 0 || v >= n {
-			t.Fatalf("Choose(%d) = %d out of range", n, v)
-		}
-	}
-	if c.Choose(1) != 0 || c.Choose(0) != 0 {
-		t.Error("degenerate domains must return 0")
-	}
-}

@@ -16,8 +16,7 @@ package adversary
 // crash+omission scenario.
 
 import (
-	"math/rand"
-
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -112,11 +111,12 @@ func (s *OmissionScript) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim
 // lost with SendProb), which is how E14 demonstrates the model's
 // reliable-channel precondition.
 //
-// RandomOmission is deterministic for a fixed seed on the deterministic
-// engine; like every stateful randomized adversary it is order-sensitive and
-// must not be used for cross-engine comparison.
+// RandomOmission draws from the seed's SplitMix64 stream (internal/rng) and
+// is deterministic for a fixed seed on the deterministic engine; like every
+// stateful randomized adversary it is order-sensitive and must not be used
+// for cross-engine comparison.
 type RandomOmission struct {
-	rng       *rand.Rand
+	rng       rng.Stream
 	SendProb  float64
 	RecvProb  float64
 	MaxFaulty int
@@ -131,7 +131,7 @@ type RandomOmission struct {
 // senders with probability recvProb.
 func NewRandomOmission(seed int64, sendProb, recvProb float64, maxFaulty, n int) *RandomOmission {
 	return &RandomOmission{
-		rng: rand.New(rand.NewSource(seed)), SendProb: sendProb, RecvProb: recvProb,
+		rng: rng.New(seed), SendProb: sendProb, RecvProb: recvProb,
 		MaxFaulty: maxFaulty, N: n, faulty: make(map[sim.ProcID]bool),
 	}
 }

@@ -3,10 +3,10 @@ package fuzz
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 
 	"repro/internal/harness"
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/timed"
 )
@@ -56,7 +56,7 @@ func (g Gen) crashProb() float64 {
 // adversary in a fixed (round, process) order — the walk is a pure function
 // of the seed.
 type recorder struct {
-	rng      *rand.Rand
+	rng      rng.Stream
 	gen      Gen
 	n        int // system size, for receive-omission sender masks
 	crashes  int
@@ -189,13 +189,11 @@ func (rec *recorder) nonEmptySubset(k int) []bool {
 	return drop
 }
 
-// recorders recycles generators across seeds and campaign workers: building
-// a math/rand source costs ~5 KB, and Rand.Seed rewrites the whole source
-// state and the read position, so a re-seeded recorder draws exactly the
-// stream rand.New(rand.NewSource(seed)) would.
-var recorders = sync.Pool{New: func() any {
-	return &recorder{rng: rand.New(rand.NewSource(0))}
-}}
+// recorders recycles recorders across seeds and campaign workers for their
+// event slice and omissive set, which a walk would otherwise grow afresh per
+// seed. The generator itself needs no recycling: it is one word, and reset
+// assigns the seed's stream.
+var recorders = sync.Pool{New: func() any { return new(recorder) }}
 
 // newRecorder takes a pooled recorder, reset for one seed.
 func newRecorder(seed int64, gen Gen, n int) *recorder {
@@ -207,7 +205,7 @@ func newRecorder(seed int64, gen Gen, n int) *recorder {
 // reset re-seeds the generator and forgets the previous walk, keeping the
 // event and omissive-set storage.
 func (rec *recorder) reset(seed int64, gen Gen, n int) {
-	rec.rng.Seed(seed)
+	rec.rng = rng.New(seed)
 	rec.gen, rec.n, rec.crashes = gen, n, 0
 	rec.events = rec.events[:0]
 	clear(rec.omissive)

@@ -2,13 +2,13 @@ package fuzz
 
 import (
 	"errors"
-	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -94,7 +94,7 @@ func TestRecordedScriptReplaysIdentically(t *testing.T) {
 	factory := crwFactory(9, core.Options{})
 	for seed := int64(0); seed < 50; seed++ {
 		tgt := factory()
-		rec := &recorder{rng: rand.New(rand.NewSource(seed)), gen: Gen{T: 4, CrashProb: 0.3}}
+		rec := &recorder{rng: rng.New(seed), gen: Gen{T: 4, CrashProb: 0.3}}
 		want, runErr := eng.Run(harness.Job{
 			Model: tgt.Model, Horizon: tgt.Horizon, Procs: tgt.Procs, Adv: rec,
 		})

@@ -11,6 +11,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/harness"
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -60,7 +61,7 @@ func walk(t *testing.T, eng harness.Engine, factory Factory, oracle Oracle, rec 
 // TestRecycledRecorderMatchesFresh runs every seed on a recorder another seed
 // has just used — once through an explicitly reused recorder, once through
 // RunSeed's pool, sequentially and from four goroutines sharing the pool —
-// and requires the outcome a fresh rand.New(rand.NewSource(seed)) recorder
+// and requires the outcome a fresh recorder seeded with rng.New(seed)
 // gives. The omission generator populates the omissive set under a small
 // budget, so a reset that forgot it would change the walk.
 func TestRecycledRecorderMatchesFresh(t *testing.T) {
@@ -78,10 +79,10 @@ func TestRecycledRecorderMatchesFresh(t *testing.T) {
 			eng, oracle := newEngine(t), tc.oracle
 			want := make([]walkSummary, seeds)
 			for seed := range want {
-				fresh := &recorder{rng: rand.New(rand.NewSource(int64(seed))), gen: tc.gen, n: n}
+				fresh := &recorder{rng: rng.New(int64(seed)), gen: tc.gen, n: n}
 				want[seed] = walk(t, eng, factory, oracle, fresh)
 			}
-			reused := &recorder{rng: rand.New(rand.NewSource(0))}
+			reused := new(recorder)
 			for seed := range want {
 				reused.reset(int64(seeds+seed), tc.gen, n)
 				walk(t, eng, factory, oracle, reused)

@@ -39,6 +39,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/laws"
 	"repro/internal/metrics"
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -208,11 +209,11 @@ type svcOmitter struct {
 
 // u01 hashes one (slot, phys, round, stream) identity into [0, 1).
 func (o *svcOmitter) u01(phys sim.ProcID, r sim.Round, stream uint64) float64 {
-	h := mix(uint64(o.opt.Seed))
-	h = mix(h ^ uint64(o.slot)<<1)
-	h = mix(h ^ uint64(phys)<<24)
-	h = mix(h ^ uint64(r)<<40)
-	h = mix(h ^ stream<<56)
+	h := rng.Mix(uint64(o.opt.Seed))
+	h = rng.Mix(h ^ uint64(o.slot)<<1)
+	h = rng.Mix(h ^ uint64(phys)<<24)
+	h = rng.Mix(h ^ uint64(r)<<40)
+	h = rng.Mix(h ^ stream<<56)
 	return float64(h>>11) / (1 << 53)
 }
 
@@ -249,14 +250,6 @@ func (o *svcOmitter) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim.Omi
 		om.Recv = recv
 	}
 	return om
-}
-
-// mix is the SplitMix64 finalizer.
-func mix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
 }
 
 // svcAdversary combines the slot crash adversary with the optional omitter.
@@ -380,7 +373,7 @@ const maxLatencyPrealloc = 1 << 20
 // function of (seed, slot, message).
 func slotLatency(m timed.LatencyModel, slot int) timed.LatencyModel {
 	if j, ok := m.(timed.Jitter); ok {
-		j.Seed = int64(mix(uint64(j.Seed) ^ uint64(slot)))
+		j.Seed = int64(rng.Mix(uint64(j.Seed) ^ uint64(slot)))
 		return j
 	}
 	return m

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/lan"
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -138,20 +139,12 @@ func (m Jitter) Latency(from, to sim.ProcID, r sim.Round, kind sim.MsgKind) des.
 
 // u01 hashes one message identity into [0, 1).
 func (m Jitter) u01(from, to sim.ProcID, r sim.Round, kind sim.MsgKind) float64 {
-	h := splitmix(uint64(m.Seed))
-	h = splitmix(h ^ uint64(from))
-	h = splitmix(h ^ uint64(to)<<16)
-	h = splitmix(h ^ uint64(r)<<32)
-	h = splitmix(h ^ uint64(kind)<<48)
+	h := rng.Mix(uint64(m.Seed))
+	h = rng.Mix(h ^ uint64(from))
+	h = rng.Mix(h ^ uint64(to)<<16)
+	h = rng.Mix(h ^ uint64(r)<<32)
+	h = rng.Mix(h ^ uint64(kind)<<48)
 	return float64(h>>11) / (1 << 53)
-}
-
-// splitmix is the SplitMix64 finalizer: a cheap, well-mixed 64-bit hash.
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
 }
 
 // validateModel rejects models whose parameters cannot define a round.

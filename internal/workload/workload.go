@@ -22,37 +22,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/rng"
 )
-
-// RNG is a deterministic SplitMix64 random stream.
-type RNG struct{ s uint64 }
-
-// NewRNG returns a stream seeded with seed.
-func NewRNG(seed int64) *RNG { return &RNG{s: uint64(seed)} }
-
-// Uint64 returns the next 64 random bits.
-func (r *RNG) Uint64() uint64 {
-	r.s += 0x9e3779b97f4a7c15
-	x := r.s
-	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-	x = (x ^ x>>27) * 0x94d049bb133111eb
-	return x ^ x>>31
-}
-
-// Float64 returns a uniform sample in [0, 1).
-func (r *RNG) Float64() float64 { return float64(r.Uint64()>>11) / (1 << 53) }
-
-// Exp returns an exponential sample with the given mean.
-func (r *RNG) Exp(mean float64) float64 {
-	// 1 - Float64() is in (0, 1], so the log is finite.
-	return -mean * math.Log(1-r.Float64())
-}
 
 // Schedule is an arrival process: Gap samples the inter-arrival time to the
 // next command, given the absolute simulated time t of the previous arrival.
 // Implementations draw randomness exclusively from the supplied stream.
 type Schedule interface {
-	Gap(t float64, rng *RNG) float64
+	Gap(t float64, src *rng.Stream) float64
 	// Validate rejects schedules that cannot generate arrivals.
 	Validate() error
 	fmt.Stringer
@@ -66,7 +44,7 @@ type Fixed struct {
 }
 
 // Gap implements Schedule.
-func (s Fixed) Gap(float64, *RNG) float64 { return 1 / s.Rate }
+func (s Fixed) Gap(float64, *rng.Stream) float64 { return 1 / s.Rate }
 
 // Validate implements Schedule.
 func (s Fixed) Validate() error {
@@ -87,7 +65,7 @@ type Poisson struct {
 }
 
 // Gap implements Schedule.
-func (s Poisson) Gap(_ float64, rng *RNG) float64 { return rng.Exp(1 / s.Rate) }
+func (s Poisson) Gap(_ float64, src *rng.Stream) float64 { return src.Exp(1 / s.Rate) }
 
 // Validate implements Schedule.
 func (s Poisson) Validate() error {
@@ -146,10 +124,10 @@ func (s Cycle) phaseAt(t float64) Phase {
 }
 
 // Gap implements Schedule.
-func (s Cycle) Gap(t float64, rng *RNG) float64 {
+func (s Cycle) Gap(t float64, src *rng.Stream) float64 {
 	p := s.phaseAt(t)
 	if p.Poisson {
-		return rng.Exp(1 / p.Rate)
+		return src.Exp(1 / p.Rate)
 	}
 	return 1 / p.Rate
 }
@@ -190,7 +168,7 @@ func (s Cycle) String() string {
 // arrival times drawn from a schedule, independent of service progress.
 type Open struct {
 	sched Schedule
-	rng   *RNG
+	rng   rng.Stream
 	next  float64
 }
 
@@ -203,8 +181,8 @@ func NewOpen(sched Schedule, seed int64) (*Open, error) {
 	if err := sched.Validate(); err != nil {
 		return nil, err
 	}
-	o := &Open{sched: sched, rng: NewRNG(seed)}
-	o.next = o.sched.Gap(0, o.rng)
+	o := &Open{sched: sched, rng: rng.New(seed)}
+	o.next = o.sched.Gap(0, &o.rng)
 	return o, nil
 }
 
@@ -214,7 +192,7 @@ func (o *Open) Peek() float64 { return o.next }
 // Pop consumes and returns the next arrival time.
 func (o *Open) Pop() float64 {
 	t := o.next
-	o.next = t + o.sched.Gap(t, o.rng)
+	o.next = t + o.sched.Gap(t, &o.rng)
 	return t
 }
 
@@ -231,7 +209,7 @@ type Closed struct {
 	// Poisson selects exponential think times; false means fixed.
 	Poisson bool
 
-	rng *RNG
+	rng rng.Stream
 }
 
 // NewClosed returns a closed-loop population with a seeded think-time
@@ -243,7 +221,7 @@ func NewClosed(clients int, think float64, poisson bool, seed int64) (*Closed, e
 	if think < 0 {
 		return nil, fmt.Errorf("workload: think time %g is negative", think)
 	}
-	return &Closed{Clients: clients, Think: think, Poisson: poisson, rng: NewRNG(seed)}, nil
+	return &Closed{Clients: clients, Think: think, Poisson: poisson, rng: rng.New(seed)}, nil
 }
 
 // ThinkGap samples the think time before a client's next command.

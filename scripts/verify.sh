@@ -74,6 +74,17 @@ if grep -nE '(core|earlystop|floodset)\.NewSystem\(|check\.Bound(Classic|FPlus1)
 	exit 1
 fi
 
+# Every seeded random choice draws from internal/rng's SplitMix64 stream,
+# held by value, so seeding is one assignment and equal seeds replay on
+# every Go release. A non-test file outside benchmarks/ that imports
+# math/rand (or math/rand/v2) has brought back a second generator.
+echo "== one generator: no math/rand outside tests and benchmarks/"
+rand_files=$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmarks/*' ! -path './.*')
+if grep -nE '^[[:space:]]*(import[[:space:]]+)?([[:alnum:]_.]+[[:space:]]+)?"math/rand(/v2)?"' $rand_files; then
+	echo "verify: non-test code imports math/rand; draw from internal/rng instead"
+	exit 1
+fi
+
 # Every go test carries an explicit -timeout (per package binary, below the
 # ten-minute default) so a barrier deadlock fails instead of hanging.
 echo "== go test ./..."
@@ -87,8 +98,8 @@ go test -shuffle=on -count=2 -timeout 300s ./...
 echo "== go test -race (parallel explorer + sweep/cross-check + fuzz-campaign + omission + timed differential + pooled-DES differential + law-audit + telemetry + plan-lifetime tests)"
 go test -race -timeout 300s -run 'ExploreParallel|Sweep|CrossCheck|Fuzz|Omission|Timed|Law|Planted|Conservation|Audit|Determinism|Pooled|Handle|Telemetry|Chrome|PlanLifetime' ./internal/check/ ./agree/ ./internal/lockstep/ ./internal/harness/ ./internal/fuzz/ ./internal/sim/ ./internal/timed/ ./internal/des/ ./internal/laws/ ./internal/smr/ ./internal/telemetry/
 
-# The fuzz generator is pooled and crosses campaign worker goroutines.
-echo "== go test -race -count=5 (recycled fuzz generator + slice replayer differentials)"
+# The fuzz recorder is pooled and crosses campaign worker goroutines.
+echo "== go test -race -count=5 (recycled fuzz recorder + slice replayer differentials)"
 go test -race -count=5 -timeout 300s -run 'RecycledRecorder|ReplayerMatches' ./internal/fuzz/
 
 # The control and crash-mask tables are shared by every system, and one
