@@ -255,7 +255,7 @@ func (f FaultSpec) validate(n int) error {
 			return fmt.Errorf("agree: control prefix %d out of range (0..%d, or agree.CtrlAll for the full sequence)", f.ctrlPrefix, n-1)
 		}
 	case "random":
-		if f.prob < 0 || f.prob > 1 {
+		if !(f.prob >= 0 && f.prob <= 1) {
 			return fmt.Errorf("agree: crash probability %g out of [0, 1]", f.prob)
 		}
 		if f.max < 0 {
@@ -269,10 +269,10 @@ func (f FaultSpec) validate(n int) error {
 			return err
 		}
 	case "randomomit":
-		if f.prob < 0 || f.prob > 1 {
+		if !(f.prob >= 0 && f.prob <= 1) {
 			return fmt.Errorf("agree: send-omission probability %g out of [0, 1]", f.prob)
 		}
-		if f.recvProb < 0 || f.recvProb > 1 {
+		if !(f.recvProb >= 0 && f.recvProb <= 1) {
 			return fmt.Errorf("agree: receive-omission probability %g out of [0, 1]", f.recvProb)
 		}
 		if f.max < 0 {
@@ -506,7 +506,8 @@ func (r *Report) MaxDecideRound() int {
 func Run(cfg Config) (*Report, error) {
 	cache := harness.NewCache()
 	defer cache.Close()
-	rep, _, err := runConfig(cfg, cache, nil)
+	var sys protocol.Systems
+	rep, _, err := runConfig(cfg, cache, &sys, nil)
 	return rep, err
 }
 

@@ -1,6 +1,7 @@
 package agree_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -236,5 +237,46 @@ func TestFaultSpecBoundaryBehavior(t *testing.T) {
 	}
 	if rep.MaxDecideRound() != 1 {
 		t.Errorf("full-delivery coordinator crash delayed decision to round %d, want 1", rep.MaxDecideRound())
+	}
+}
+
+// TestProbabilitiesRejectNaN pins the probability checks against NaN, which
+// passes both p < 0 and p > 1: a NaN fault or campaign probability is a
+// configuration error, not a silently fault-free run.
+func TestProbabilitiesRejectNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"RandomFaults prob", func() error {
+			_, err := agree.Run(agree.Config{N: 4, Faults: agree.RandomFaults(1, nan, 2)})
+			return err
+		}, "crash probability NaN"},
+		{"OmissionFaults send prob", func() error {
+			_, err := agree.Run(agree.Config{N: 4, Faults: agree.OmissionFaults(1, nan, 0, 2)})
+			return err
+		}, "send-omission probability NaN"},
+		{"OmissionFaults recv prob", func() error {
+			_, err := agree.Run(agree.Config{N: 4, Faults: agree.OmissionFaults(1, 0, nan, 2)})
+			return err
+		}, "receive-omission probability NaN"},
+		{"FuzzConfig.CrashProb", func() error {
+			_, err := agree.Fuzz(agree.FuzzConfig{N: 4, CrashProb: nan, Seeds: 2})
+			return err
+		}, "crash probability NaN"},
+		{"FuzzConfig.SendOmitProb", func() error {
+			_, err := agree.Fuzz(agree.FuzzConfig{N: 4, SendOmitProb: nan, Seeds: 2})
+			return err
+		}, "send-omission probability NaN"},
+		{"FuzzConfig.RecvOmitProb", func() error {
+			_, err := agree.Fuzz(agree.FuzzConfig{N: 4, RecvOmitProb: nan, Seeds: 2})
+			return err
+		}, "receive-omission probability NaN"},
+	} {
+		if err := tc.run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -195,16 +195,16 @@ func normalizeFuzz(cfg FuzzConfig) (FuzzConfig, protocol.Spec, error) {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.CrashProb < 0 || cfg.CrashProb > 1 {
+	if !(cfg.CrashProb >= 0 && cfg.CrashProb <= 1) {
 		return cfg, spec, fmt.Errorf("agree: crash probability %g out of [0, 1]", cfg.CrashProb)
 	}
 	if cfg.CrashProb == 0 {
 		cfg.CrashProb = 0.25
 	}
-	if cfg.SendOmitProb < 0 || cfg.SendOmitProb > 1 {
+	if !(cfg.SendOmitProb >= 0 && cfg.SendOmitProb <= 1) {
 		return cfg, spec, fmt.Errorf("agree: send-omission probability %g out of [0, 1]", cfg.SendOmitProb)
 	}
-	if cfg.RecvOmitProb < 0 || cfg.RecvOmitProb > 1 {
+	if !(cfg.RecvOmitProb >= 0 && cfg.RecvOmitProb <= 1) {
 		return cfg, spec, fmt.Errorf("agree: receive-omission probability %g out of [0, 1]", cfg.RecvOmitProb)
 	}
 	omitting := cfg.SendOmitProb > 0 || cfg.RecvOmitProb > 0
@@ -223,16 +223,25 @@ func normalizeFuzz(cfg FuzzConfig) (FuzzConfig, protocol.Spec, error) {
 	return cfg, spec, nil
 }
 
-// fuzzFactory builds the per-execution target factory for a campaign, with
-// the campaign's latency model on every target (none unless the campaign is
-// timed). Every target shares one proposal slice: the systems copy the
-// values into their processes and the oracles only read them.
-func fuzzFactory(spec protocol.Spec, latency LatencySpec) fuzz.Factory {
+// fuzzFactory builds a campaign worker's target factory: every target's
+// processes are built in sys, and carry the campaign's latency model (none
+// unless the campaign is timed). Every target shares one proposal slice: the
+// systems copy the values into their processes and the oracles only read
+// them.
+func fuzzFactory(spec protocol.Spec, sys *protocol.Systems, latency LatencySpec) fuzz.Factory {
 	props, lm := proposalVector(spec.N, nil), latency.model(0)
 	return func() fuzz.Target {
-		procs, model, horizon := spec.Build(props)
+		procs, model, horizon := spec.Build(sys, props)
 		return fuzz.Target{Model: model, Horizon: horizon, Procs: procs, Proposals: props, Latency: lm}
 	}
+}
+
+// fuzzWorker is what a campaign worker keeps across its seeds: the systems
+// its executions are built in and the factory building them there, made at
+// the worker's first seed.
+type fuzzWorker struct {
+	sys     protocol.Systems
+	factory fuzz.Factory
 }
 
 // fuzzOracle returns the consensus oracle with the protocol's round bound.
@@ -251,15 +260,15 @@ func fuzzOracle(cfg FuzzConfig, spec protocol.Spec) fuzz.Oracle {
 
 // Fuzz runs a randomized fuzzing campaign across the harness worker pool.
 // Each worker draws its deterministic engine from a private cache
-// (sim.Engine.Reset reuse, exactly like Sweep), seeds are fanned out through
-// the same work-stealing cursor, and outcomes are merged in seed order — the
-// report is bit-identical for every worker count.
+// (sim.Engine.Reset reuse, exactly like Sweep) and builds every execution in
+// its own protocol.Systems; seeds are fanned out through the same
+// work-stealing cursor, and outcomes are merged in seed order — the report
+// is bit-identical for every worker count.
 func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 	cfg, spec, err := normalizeFuzz(cfg)
 	if err != nil {
 		return nil, err
 	}
-	factory := fuzzFactory(spec, cfg.Latency)
 	oracle := fuzzOracle(cfg, spec)
 	genT := spec.T
 	if cfg.OmissionOnly {
@@ -285,8 +294,11 @@ func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 	}
 
 	outcomes := make([]fuzzOutcome, cfg.Seeds)
-	harness.ForEach(cfg.Seeds, cfg.Workers, func(cache *harness.Cache, i int) {
+	harness.ForEach(cfg.Seeds, cfg.Workers, func(cache *harness.Cache, w *fuzzWorker, i int) {
 		slot := &outcomes[i]
+		if w.factory == nil {
+			w.factory = fuzzFactory(spec, &w.sys, cfg.Latency)
+		}
 		eng, err := cache.Get(harness.Kind(cfg.Engine))
 		if err != nil {
 			slot.fatal = err
@@ -300,7 +312,7 @@ func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 		pprof.Do(context.Background(),
 			pprof.Labels("engine", string(cfg.Engine), "seed", strconv.FormatInt(seed, 10)),
 			func(context.Context) {
-				slot.out, slot.fatal = fuzz.RunSeed(eng, factory, oracle, seed, opts)
+				slot.out, slot.fatal = fuzz.RunSeed(eng, w.factory, oracle, seed, opts)
 			})
 		if slot.fatal != nil || slot.out.Err == nil || !cfg.CrossCheck || !cfg.Latency.withinBound() {
 			return
@@ -309,7 +321,7 @@ func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 		if slot.out.Shrunk != nil {
 			script = *slot.out.Shrunk
 		}
-		slot.crossChecked, slot.crossRuns, slot.crossErr = crossCheckScript(cache, factory, script)
+		slot.crossChecked, slot.crossRuns, slot.crossErr = crossCheckScript(cache, w.factory, script)
 	})
 
 	rep := &FuzzReport{Seeds: cfg.Seeds, RoundHistogram: make(map[int]int)}
@@ -405,7 +417,8 @@ func FuzzReplayScript(cfg FuzzConfig, script string, withTrace bool) (*FuzzRepla
 	if cfg.Telemetry {
 		rec = telemetry.New()
 	}
-	tgt := fuzzFactory(spec, cfg.Latency)()
+	var sys protocol.Systems
+	tgt := fuzzFactory(spec, &sys, cfg.Latency)()
 	cache := harness.NewCache()
 	defer cache.Close()
 	eng, err := cache.Get(harness.Kind(cfg.Engine))
@@ -470,7 +483,7 @@ func crossCheckScript(cache *harness.Cache, factory fuzz.Factory, script fuzz.Sc
 	return checked, runs + 1, err
 }
 
-// scriptJob returns the job replaying script on a fresh target of factory.
+// scriptJob returns the job replaying script on a new target of factory.
 func scriptJob(factory fuzz.Factory, script fuzz.Script) func(harness.Kind) harness.Job {
 	return func(harness.Kind) harness.Job {
 		tgt := factory()

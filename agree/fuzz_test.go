@@ -55,6 +55,54 @@ func TestFuzzWorkerCountInvariance(t *testing.T) {
 	}
 }
 
+// TestFuzzReusedSystemsMatchSingleSeeds holds a campaign, whose workers
+// reset one system per protocol from seed to seed, to the same seeds fuzzed
+// one campaign each, on storage of their own: the findings (shrunk and
+// cross-checked), executions and round histogram must agree on 1, 2 and 4
+// workers. scripts/verify.sh runs this under -race.
+func TestFuzzReusedSystemsMatchSingleSeeds(t *testing.T) {
+	for _, base := range []agree.FuzzConfig{
+		{N: 5, CommitAsData: true, CrashProb: 0.35, Shrink: true, CrossCheck: true, Laws: true},
+		{N: 6, T: 3, OrderAscending: true, CrashProb: 0.35, Shrink: true},
+		{N: 7, T: 3, Protocol: agree.ProtocolEarlyStop, Laws: true},
+		{N: 6, T: 2, Protocol: agree.ProtocolFloodSet, SendOmitProb: 0.1, Shrink: true},
+	} {
+		base.Seeds = 24
+		want := &agree.FuzzReport{Seeds: base.Seeds, RoundHistogram: map[int]int{}}
+		for i := 0; i < base.Seeds; i++ {
+			one := base
+			one.Seeds, one.Seed, one.Workers = 1, int64(1+i), 1
+			rep, err := agree.Fuzz(one)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want.Executions += rep.Executions
+			want.Findings = append(want.Findings, rep.Findings...)
+			want.MaxRounds = max(want.MaxRounds, rep.MaxRounds)
+			want.MaxDecideRound = max(want.MaxDecideRound, rep.MaxDecideRound)
+			want.MaxFaults = max(want.MaxFaults, rep.MaxFaults)
+			for r, k := range rep.RoundHistogram {
+				want.RoundHistogram[r] += k
+			}
+		}
+		if len(want.Findings) == 0 && base.Protocol == "" {
+			t.Fatalf("%+v: no findings on an ablation; the comparison misses replay and shrinking", base)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			cfg := base
+			cfg.Workers = workers
+			rep, err := agree.Fuzz(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := flattenFuzzReport(rep), flattenFuzzReport(want); got != want {
+				t.Errorf("%s workers=%d: campaign differs from its seeds fuzzed alone:\n--- campaign\n%s--- alone\n%s",
+					base.Protocol, workers, got, want)
+			}
+		}
+	}
+}
+
 // TestFuzzFaithfulProtocolsFindNothing fuzzes all three faithful protocols:
 // no seed may violate consensus or the protocol's round bound.
 func TestFuzzFaithfulProtocolsFindNothing(t *testing.T) {
@@ -237,8 +285,9 @@ func TestFuzzReportIsDeepEqualAcrossRuns(t *testing.T) {
 // TestFuzzAllocsPerExec pins the per-execution allocations of the campaigns
 // agreeperf's fuzz_campaign runs: a faithful batch and a commit-as-data batch
 // that shrinks its findings. A pooled recorder whose value-type generator is
-// re-seeded by one assignment, a replayer reading the script in place and an
-// agreement violation rendered only when read keep it near a dozen.
+// re-seeded by one assignment, a system each worker resets instead of
+// building, a replayer reading the script in place and an agreement
+// violation rendered only when read keep it under eight.
 func TestFuzzAllocsPerExec(t *testing.T) {
 	campaigns := []agree.FuzzConfig{
 		{N: 16, T: 5, CrashProb: 0.25, Laws: true, Seeds: 200, Workers: 1},
@@ -259,7 +308,7 @@ func TestFuzzAllocsPerExec(t *testing.T) {
 			}
 		}
 	}) / float64(execs)
-	const maxPerExec = 13 // measured 11.3; 27.4 with a fresh generator per seed, map replayers and eager texts
+	const maxPerExec = 8 // measured 7.27
 	if perExec > maxPerExec {
 		t.Errorf("fuzz campaigns allocate %.2f allocs/exec over %d executions, want <= %d", perExec, execs, maxPerExec)
 	}

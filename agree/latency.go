@@ -2,6 +2,7 @@ package agree
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/des"
@@ -69,8 +70,17 @@ var lanProfiles = map[string]lan.Profile{
 	"10g":  lan.Ethernet10G,
 }
 
-// validate rejects specs that cannot define a round.
+// validate rejects specs that cannot define a round. NaN and ±Inf pass
+// every ordered check below, so non-finite parameters are rejected first.
 func (l LatencySpec) validate() error {
+	for _, p := range [...]struct {
+		name string
+		v    float64
+	}{{"D", l.d}, {"δ", l.delta}, {"floor", l.floor}, {"spread", l.spread}} {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return fmt.Errorf("agree: latency %s=%g must be finite", p.name, p.v)
+		}
+	}
 	switch l.kind {
 	case "":
 		return nil

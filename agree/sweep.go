@@ -9,6 +9,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/laws"
 	"repro/internal/metrics"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/simulate"
 	"repro/internal/telemetry"
@@ -89,19 +90,20 @@ type SweepReport struct {
 }
 
 // Sweep executes a batch of configurations across a worker pool. Each worker
-// owns one engine per engine kind and rewinds it between configurations
-// (sim.Engine.Reset), so a sweep of a thousand scenarios constructs a
-// handful of engines. Items are returned in input order, bit-identical for
-// every worker count; per-configuration failures are reported in the item,
-// never by panicking or aborting the rest of the batch.
+// owns one engine per engine kind and one system per protocol, and rewinds
+// both between configurations (sim.Engine.Reset, protocol.Systems), so a
+// sweep of a thousand scenarios constructs a handful of engines and systems.
+// Items are returned in input order, bit-identical for every worker count;
+// per-configuration failures are reported in the item, never by panicking or
+// aborting the rest of the batch.
 func Sweep(configs []Config, opts SweepOptions) *SweepReport {
 	sr := &SweepReport{Items: make([]SweepItem, len(configs))}
 	prof := opts.Profile
-	stats := harness.ForEachProf(len(configs), opts.Workers, prof, func(cache *harness.Cache, i int) {
+	stats := harness.ForEachProf(len(configs), opts.Workers, prof, func(cache *harness.Cache, sys *protocol.Systems, i int) {
 		item := &sr.Items[i]
 		item.Config = configs[i]
 		var res *sim.Result
-		item.Report, res, item.Err = runConfig(configs[i], cache, prof)
+		item.Report, res, item.Err = runConfig(configs[i], cache, sys, prof)
 		if item.Err != nil || !opts.CrossCheck {
 			return
 		}
@@ -109,7 +111,7 @@ func Sweep(configs []Config, opts SweepOptions) *SweepReport {
 		if prof.Enabled() {
 			t0 = time.Now()
 		}
-		item.CrossChecked, item.Err = crossCheckConfig(configs[i], res, cache)
+		item.CrossChecked, item.Err = crossCheckConfig(configs[i], res, cache, sys)
 		if prof.Enabled() {
 			prof.Add(telemetry.PhaseCrossCheck, time.Since(t0))
 		}
@@ -141,12 +143,13 @@ func Sweep(configs []Config, opts SweepOptions) *SweepReport {
 }
 
 // runConfig executes one configuration on an engine drawn from the worker's
-// cache and assembles the validated report. The engine's result is handed
-// back alongside it for the cross-check to diff against. A non-nil profile
-// charges the engine execution to telemetry.PhaseRun and everything after it
-// (law audit, consensus validation, report assembly) to
-// telemetry.PhaseAudit; a nil one reads no clocks.
-func runConfig(cfg Config, cache *harness.Cache, prof *telemetry.Profile) (*Report, *sim.Result, error) {
+// cache, with its processes built in sys, and assembles the validated
+// report. The engine's result is handed back alongside it for the
+// cross-check to diff against. A non-nil profile charges the engine
+// execution to telemetry.PhaseRun and everything after it (law audit,
+// consensus validation, report assembly) to telemetry.PhaseAudit; a nil one
+// reads no clocks.
+func runConfig(cfg Config, cache *harness.Cache, sys *protocol.Systems, prof *telemetry.Profile) (*Report, *sim.Result, error) {
 	cfg, spec, proposals, err := normalize(cfg)
 	if err != nil {
 		return nil, nil, err
@@ -168,7 +171,7 @@ func runConfig(cfg Config, cache *harness.Cache, prof *telemetry.Profile) (*Repo
 		return nil, nil, fmt.Errorf("agree: Config.Latency is not supported by engine %q (engine lacks the timed capability)",
 			cfg.Engine)
 	}
-	procs, model, horizon := spec.Build(proposals)
+	procs, model, horizon := spec.Build(sys, proposals)
 	var log *trace.Log
 	if cfg.Trace {
 		log = trace.New()
@@ -279,7 +282,7 @@ func outcomeMaps(res *sim.Result, stride sim.Round) (decisions map[int]int64, de
 // each result against the primary one. Order-sensitive fault specs are
 // skipped entirely — comparing engines that consult a stateful adversary in
 // different orders proves nothing.
-func crossCheckConfig(cfg Config, primary *sim.Result, cache *harness.Cache) ([]EngineKind, error) {
+func crossCheckConfig(cfg Config, primary *sim.Result, cache *harness.Cache, sys *protocol.Systems) ([]EngineKind, error) {
 	if !cfg.Faults.orderInsensitive() {
 		return nil, nil
 	}
@@ -295,7 +298,7 @@ func crossCheckConfig(cfg Config, primary *sim.Result, cache *harness.Cache) ([]
 	}
 	checked, _, err := crossCheck(cache, harness.Kind(cfg.Engine), primary, nil, "crosscheck", nil,
 		func(kind harness.Kind) harness.Job {
-			procs, model, horizon := spec.Build(proposals)
+			procs, model, horizon := spec.Build(sys, proposals)
 			job := harness.Job{Model: model, Horizon: horizon, Procs: procs, Adv: cfg.Faults.build(cfg.N)}
 			if caps, _ := harness.Lookup(kind); caps.Timed {
 				// A within-bound latency spec is semantically neutral — it

@@ -80,17 +80,18 @@ func plantDivergence(res *sim.Result) {
 func TestCrossCheckPlantedDivergenceSweep(t *testing.T) {
 	cache := harness.NewCache()
 	defer cache.Close()
+	var sys protocol.Systems
 	cfg := Config{N: 5, Faults: CoordinatorCrashes(2)}
-	_, res, err := runConfig(cfg, cache, nil)
+	_, res, err := runConfig(cfg, cache, &sys, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked, err := crossCheckConfig(cfg, res, cache)
+	checked, err := crossCheckConfig(cfg, res, cache, &sys)
 	if err != nil || len(checked) != len(harness.Kinds())-1 {
 		t.Fatalf("faithful primary: checked %v, err %v", checked, err)
 	}
 	plantDivergence(res)
-	checked, err = crossCheckConfig(cfg, res, cache)
+	checked, err = crossCheckConfig(cfg, res, cache, &sys)
 	if err == nil || !strings.Contains(err.Error(), "crosscheck divergence") || !strings.Contains(err.Error(), "p3 outcome") {
 		t.Fatalf("planted divergence: err %v, want a crosscheck divergence naming p3", err)
 	}
@@ -112,7 +113,8 @@ func TestCrossCheckPlantedDivergenceFuzz(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	job := scriptJob(fuzzFactory(spec, LatencySpec{}), script)
+	var sys protocol.Systems
+	job := scriptJob(fuzzFactory(spec, &sys, LatencySpec{}), script)
 	eng, err := cache.Get(harness.KindDeterministic)
 	if err != nil {
 		t.Fatal(err)

@@ -130,10 +130,49 @@ func TestSweepMatchesRun(t *testing.T) {
 	}
 }
 
-// TestSweepAllocsPerConfig pins the engine-reuse dividend: amortized
-// per-config allocations inside a sweep must undercut a standalone
-// agree.Run of the same configuration, which pays engine construction every
-// call.
+// TestSweepReusedSystemsMatchRun runs every protocol variant through sizes
+// that grow and shrink (n = 8, 64, 8, 32, 64, 16), cross-checked on every
+// engine, on 1, 2 and 4 workers: each worker resets its systems from config
+// to config, and every item must equal what a one-shot Run, building on
+// fresh storage, reports. scripts/verify.sh runs this under -race.
+func TestSweepReusedSystemsMatchRun(t *testing.T) {
+	var configs []agree.Config
+	for _, n := range []int{8, 64, 8, 32, 64, 16} {
+		f := n / 8
+		configs = append(configs,
+			agree.Config{N: n, Faults: agree.CoordinatorCrashes(f)},
+			agree.Config{N: n, Faults: agree.CoordinatorCrashesDelivering(f, 2)},
+			agree.Config{N: n, Protocol: agree.ProtocolEarlyStop, T: 2 * f, Faults: agree.CoordinatorCrashes(f)},
+			agree.Config{N: n, Protocol: agree.ProtocolFloodSet, T: f + 1, Faults: agree.CoordinatorCrashes(f)},
+			agree.Config{N: n, Engine: agree.EngineLockstep, Faults: agree.CoordinatorCrashes(f)},
+			agree.Config{N: n, SimulateOnClassic: true, Faults: agree.CoordinatorCrashes(1)},
+		)
+	}
+	want := make([]agree.SweepItem, len(configs))
+	for i, cfg := range configs {
+		rep, err := agree.Run(cfg)
+		if err != nil {
+			t.Fatalf("config %d: %v", i, err)
+		}
+		want[i] = agree.SweepItem{Config: cfg, Report: rep}
+	}
+	for _, w := range []int{1, 2, 4} {
+		sr := agree.Sweep(configs, agree.SweepOptions{Workers: w, CrossCheck: true})
+		for i := range configs {
+			if d := diffItems(want[i], sr.Items[i]); d != "" {
+				t.Errorf("W=%d config %d (n=%d %s): sweep differs from Run: %s", w, i, configs[i].N, configs[i].Protocol, d)
+			}
+			if len(sr.Items[i].CrossChecked) == 0 {
+				t.Errorf("W=%d config %d: not cross-checked", w, i)
+			}
+		}
+	}
+}
+
+// TestSweepAllocsPerConfig pins the engine- and system-reuse dividend:
+// amortized per-config allocations inside a sweep must undercut a standalone
+// agree.Run of the same configuration, which pays engine and system
+// construction every call.
 func TestSweepAllocsPerConfig(t *testing.T) {
 	cfg := agree.Config{N: 16, Faults: agree.CoordinatorCrashes(3)}
 	const batch = 64
@@ -155,10 +194,10 @@ func TestSweepAllocsPerConfig(t *testing.T) {
 	if sweepAllocs >= runAllocs {
 		t.Errorf("sweep allocates %.1f allocs/config, want < %.1f (standalone Run)", sweepAllocs, runAllocs)
 	}
-	// Absolute regression pin for the batched path (protocol construction
-	// plus report assembly; the engine itself is reused), with small headroom
-	// over the measured value.
-	const maxPerConfig = 21 // measured 19.3
+	// Absolute regression pin for the batched path (report assembly; the
+	// engine and the system are reused), with small headroom over the
+	// measured value.
+	const maxPerConfig = 16 // measured 15.3
 	if sweepAllocs > maxPerConfig {
 		t.Errorf("sweep allocates %.1f allocs/config, want <= %d", sweepAllocs, maxPerConfig)
 	}
@@ -175,8 +214,8 @@ func TestSweepAllocsPerConfigLockstep(t *testing.T) {
 		engine       agree.EngineKind
 		maxPerConfig float64
 	}{
-		{agree.EngineLockstep, 26}, // measured 25.6
-		{agree.EngineTimed, 22},    // measured 21.45
+		{agree.EngineLockstep, 22.5}, // measured 21.95
+		{agree.EngineTimed, 18},      // measured 17.85
 	} {
 		t.Run(string(tc.engine), func(t *testing.T) {
 			var configs []agree.Config
@@ -199,10 +238,11 @@ func TestSweepAllocsPerConfigLockstep(t *testing.T) {
 }
 
 // TestSweepAllocsPerConfigFloodSet pins the classic FloodSet baseline in a
-// sweep: its known sets and fresh-value logs are carved from one slab per
-// instance and its plan arrays from another, and each round sends its fresh
-// window in place through the process's own payload slot, so nine flooding
-// rounds (n=16, t=8) stay under twenty allocations per config.
+// sweep: its known sets and fresh-value logs are carved from one slab the
+// worker's system reuses and its plan arrays from another, and each round
+// sends its fresh window in place through the process's own payload slot, so
+// nine flooding rounds (n=16, t=8) stay under fourteen allocations per
+// config.
 func TestSweepAllocsPerConfigFloodSet(t *testing.T) {
 	cfg := agree.Config{N: 16, T: 8, Protocol: agree.ProtocolFloodSet}
 	const batch = 64
@@ -216,7 +256,7 @@ func TestSweepAllocsPerConfigFloodSet(t *testing.T) {
 			t.Fatal("floodset sweep errored or violated consensus")
 		}
 	}) / batch
-	const maxPerConfig = 20 // measured 17.8
+	const maxPerConfig = 14 // measured 13.8
 	if perConfig > maxPerConfig {
 		t.Errorf("floodset sweep allocates %.1f allocs/config, want <= %d", perConfig, maxPerConfig)
 	}

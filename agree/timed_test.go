@@ -1,6 +1,7 @@
 package agree_test
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -221,5 +222,35 @@ func TestTimedFuzzReplayHonorsEngineAndLatency(t *testing.T) {
 	plain.Engine, plain.Latency = "", agree.LatencySpec{}
 	if replayPlain, err := agree.FuzzReplayScript(plain, finding.Script, false); err == nil && replayPlain.Err != nil {
 		t.Logf("note: script %q also violates on the round engine (crash-induced), contrast not observable for this seed", finding.Script)
+	}
+}
+
+// TestLatencySpecRejectsNonFinite feeds NaN, +Inf and -Inf into every
+// parameter of the fixed and jitter specs, through Run and through Fuzz:
+// each must be a configuration error naming the parameter, not a run that
+// fails a law audit (NaN passes every ordered check) or an engine error.
+func TestLatencySpecRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, tc := range []struct {
+			param string
+			spec  agree.LatencySpec
+		}{
+			{"D", agree.FixedLatency(bad, 0.1)},
+			{"δ", agree.FixedLatency(1, bad)},
+			{"D", agree.JitterLatency(1, bad, 0.1, 0.5, 0.2)},
+			{"δ", agree.JitterLatency(1, 1, bad, 0.5, 0.2)},
+			{"floor", agree.JitterLatency(1, 1, 0.1, bad, 0.2)},
+			{"spread", agree.JitterLatency(1, 1, 0.1, 0.5, bad)},
+		} {
+			want := fmt.Sprintf("agree: latency %s=%g must be finite", tc.param, bad)
+			_, err := agree.Run(agree.Config{N: 4, Engine: agree.EngineTimed, Latency: tc.spec})
+			if err == nil || err.Error() != want {
+				t.Errorf("Run with %s=%g: error %v, want %q", tc.param, bad, err, want)
+			}
+			_, err = agree.Fuzz(agree.FuzzConfig{N: 4, Engine: agree.EngineTimed, Latency: tc.spec, Seeds: 2})
+			if err == nil || err.Error() != want {
+				t.Errorf("Fuzz with %s=%g: error %v, want %q", tc.param, bad, err, want)
+			}
+		}
 	}
 }

@@ -54,22 +54,6 @@ type Protocol struct {
 	msg  EstMsg         // the payload slot every Send rewrites; msg.B is the bit width b
 }
 
-// New returns process p_id out of n tolerating t crashes, proposing v with
-// bit width b (<=0 defaults to 64).
-func New(id sim.ProcID, n, t int, proposal sim.Value, b int) *Protocol {
-	p := newProtocol(id, n, t, proposal, b, make([]sim.Outgoing, 0, n-1))
-	return &p
-}
-
-// newProtocol builds one process whose plan backing array is data (empty,
-// capacity n-1).
-func newProtocol(id sim.ProcID, n, t int, proposal sim.Value, b int, data []sim.Outgoing) Protocol {
-	if b <= 0 {
-		b = 64
-	}
-	return Protocol{id: id, n: n, t: t, est: proposal, data: data, msg: EstMsg{B: b}}
-}
-
 // System holds the storage of one instance for reuse: Reset builds an
 // instance in it, overwriting the one the previous Reset built. The zero
 // value is ready to use.
@@ -79,10 +63,11 @@ type System struct {
 	procs []sim.Process
 }
 
-// NewSystem builds the n processes of one instance; proposals[i] belongs to
-// p_{i+1}. The processes live in one slab and their plan backing arrays in
-// another of n(n-1) messages: a system costs a constant number of
-// allocations, not one per process.
+// NewSystem builds the n processes of one instance tolerating t crashes,
+// with bit width b (<= 0 means 64); proposals[i] belongs to p_{i+1}. The
+// processes live in one slab and their plan backing arrays in another of
+// n(n-1) messages: a system costs a constant number of allocations, not one
+// per process.
 func NewSystem(proposals []sim.Value, t, b int) []sim.Process {
 	var s System
 	return s.Reset(proposals, t, b)
@@ -102,10 +87,13 @@ func (s *System) Reset(proposals []sim.Value, t, b int) []sim.Process {
 	if cap(s.data) < n*(n-1) {
 		s.data = make([]sim.Outgoing, n*(n-1))
 	}
+	if b <= 0 {
+		b = 64
+	}
 	slab, procs, data := s.slab[:n], s.procs[:n], s.data
 	for i, v := range proposals {
 		d := data[(n-1)*i : (n-1)*i : (n-1)*(i+1)]
-		slab[i] = newProtocol(sim.ProcID(i+1), n, t, v, b, d)
+		slab[i] = Protocol{id: sim.ProcID(i + 1), n: n, t: t, est: v, data: d, msg: EstMsg{B: b}}
 		procs[i] = &slab[i]
 	}
 	return procs

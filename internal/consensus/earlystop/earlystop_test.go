@@ -178,7 +178,7 @@ func TestSendAllocsIndependentOfN(t *testing.T) {
 	sendAllocs := func(n int) (first, unchanged, changed float64) {
 		fresh := make([]*earlystop.Protocol, runs+1) // AllocsPerRun adds a warm-up call
 		for i := range fresh {
-			fresh[i] = earlystop.New(1, n, n/2, 7, 0)
+			fresh[i] = newProc(1, n, n/2, 7, 0)
 		}
 		i := 0
 		first = testing.AllocsPerRun(runs, func() {
@@ -233,7 +233,7 @@ func TestProtocolSize(t *testing.T) {
 // keeps. Rewriting a delivered message afterwards, as its sender's next Send
 // rewrites its slot, must not reach p1's next round.
 func TestPayloadLifetimeReceiveCopiesOut(t *testing.T) {
-	p := earlystop.New(1, 3, 2, 7, 0)
+	p := newProc(1, 3, 2, 7, 0)
 	msg := &earlystop.EstMsg{Est: 3, B: 64}
 	p.Receive(1, []sim.Message{{From: 2, To: 1, Round: 1, Kind: sim.Data, Payload: msg}})
 	msg.Est, msg.Early = 1, true
@@ -241,4 +241,12 @@ func TestPayloadLifetimeReceiveCopiesOut(t *testing.T) {
 	if m := plan.Data[0].Payload.(*earlystop.EstMsg); m.Est != 3 || m.Early {
 		t.Fatalf("p1 sends %+v after the delivered payload was rewritten, want est 3 without the flag", *m)
 	}
+}
+
+// newProc returns p_id of a fresh n-process system tolerating t crashes,
+// proposing v with bit width b.
+func newProc(id sim.ProcID, n, t int, v sim.Value, b int) *earlystop.Protocol {
+	props := make([]sim.Value, n)
+	props[id-1] = v
+	return earlystop.NewSystem(props, t, b)[id-1].(*earlystop.Protocol)
 }

@@ -58,46 +58,54 @@ type Protocol struct {
 	set  ValueSet       // the payload slot every Send rewrites; set.B is the bit width b
 }
 
-// New returns the process p_id out of n tolerating t crashes, proposing v
-// with bit width b (<=0 defaults to 64).
-func New(id sim.ProcID, n, t int, proposal sim.Value, b int) *Protocol {
-	p := newProtocol(id, n, t, proposal, b, make([]sim.Value, 2*n), make([]sim.Outgoing, 0, n-1))
-	return &p
+// System holds the storage of one instance for reuse: Reset builds an
+// instance in it, overwriting the one the previous Reset built. The zero
+// value is ready to use.
+type System struct {
+	slab  []Protocol
+	vals  []sim.Value
+	data  []sim.Outgoing
+	procs []sim.Process
 }
 
-// newProtocol builds one process whose known set and fresh log are carved
-// out of vals, 2n values: an instance floods at most n distinct proposals,
-// so neither list outgrows its half and Receive never allocates. A list that
-// does (values injected from outside the instance) reallocates privately.
-// data is the plan backing array (empty, capacity n-1).
-func newProtocol(id sim.ProcID, n, t int, proposal sim.Value, b int, vals []sim.Value, data []sim.Outgoing) Protocol {
+// NewSystem builds the n processes of one instance tolerating t crashes,
+// with bit width b (<= 0 means 64); proposals[i] belongs to p_{i+1}.
+func NewSystem(proposals []sim.Value, t, b int) []sim.Process {
+	var s System
+	return s.Reset(proposals, t, b)
+}
+
+// Reset builds the n = len(proposals) processes of a fresh instance, as
+// NewSystem does, in the storage of s, growing it only when n exceeds what
+// s has held. The processes live in one slab, their plan backing arrays in
+// another of n(n-1) messages, and their known sets and fresh logs in a third
+// of 2n² values: an instance floods at most n distinct proposals, so neither
+// list outgrows its n-value half and Receive never allocates (a list that
+// does, with values injected from outside the instance, reallocates
+// privately). The processes a previous Reset returned become the new
+// instance's, so that instance must be finished with.
+func (s *System) Reset(proposals []sim.Value, t, b int) []sim.Process {
+	n := len(proposals)
+	if cap(s.slab) < n {
+		s.slab = make([]Protocol, n)
+		s.procs = make([]sim.Process, n)
+	}
+	if cap(s.vals) < 2*n*n {
+		s.vals = make([]sim.Value, 2*n*n)
+	}
+	if cap(s.data) < n*(n-1) {
+		s.data = make([]sim.Outgoing, n*(n-1))
+	}
 	if b <= 0 {
 		b = 64
 	}
-	vals[0], vals[n] = proposal, proposal
-	return Protocol{
-		id:    id,
-		n:     n,
-		t:     t,
-		known: vals[0:1:n],
-		fresh: vals[n : n+1 : 2*n],
-		data:  data,
-		set:   ValueSet{B: b},
-	}
-}
-
-// NewSystem builds the n processes of one instance; proposals[i] belongs to
-// p_{i+1}. The processes live in one slab, their value lists in another of
-// 2n² values and their plan backing arrays in a third of n(n-1) messages.
-func NewSystem(proposals []sim.Value, t, b int) []sim.Process {
-	n := len(proposals)
-	slab := make([]Protocol, n)
-	vals := make([]sim.Value, 2*n*n)
-	data := make([]sim.Outgoing, n*(n-1))
-	procs := make([]sim.Process, n)
+	slab, procs := s.slab[:n], s.procs[:n]
 	for i, v := range proposals {
-		d := data[(n-1)*i : (n-1)*i : (n-1)*(i+1)]
-		slab[i] = newProtocol(sim.ProcID(i+1), n, t, v, b, vals[2*n*i:2*n*(i+1)], d)
+		vals := s.vals[2*n*i : 2*n*(i+1)]
+		vals[0], vals[n] = v, v
+		slab[i] = Protocol{id: sim.ProcID(i + 1), n: n, t: t,
+			known: vals[0:1:n], fresh: vals[n : n+1 : 2*n],
+			data: s.data[(n-1)*i : (n-1)*i : (n-1)*(i+1)], set: ValueSet{B: b}}
 		procs[i] = &slab[i]
 	}
 	return procs

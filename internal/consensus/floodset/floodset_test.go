@@ -163,7 +163,7 @@ func TestSendAllocsIndependentOfN(t *testing.T) {
 	sendAllocs := func(n int) (first, later float64) {
 		fresh := make([]*floodset.Protocol, runs+1) // AllocsPerRun adds a warm-up call
 		for i := range fresh {
-			fresh[i] = floodset.New(1, n, n/2, 7, 0)
+			fresh[i] = newProc(1, n, n/2, 7, 0)
 		}
 		i := 0
 		first = testing.AllocsPerRun(runs, func() {
@@ -201,7 +201,7 @@ func TestProtocolSize(t *testing.T) {
 // rewrites its slot and window, must reach neither p1's flood nor its
 // decision.
 func TestPayloadLifetimeReceiveCopiesOut(t *testing.T) {
-	p := floodset.New(1, 3, 2, 7, 0)
+	p := newProc(1, 3, 2, 7, 0)
 	vals := []sim.Value{3}
 	p.Receive(1, []sim.Message{{From: 2, To: 1, Round: 1, Kind: sim.Data,
 		Payload: &floodset.ValueSet{Values: vals, B: 64}}})
@@ -215,4 +215,12 @@ func TestPayloadLifetimeReceiveCopiesOut(t *testing.T) {
 	if v, ok := p.Decided(); !ok || v != 3 {
 		t.Fatalf("decided %d,%t, want 3,true", v, ok)
 	}
+}
+
+// newProc returns p_id of a fresh n-process system tolerating t crashes,
+// proposing v with bit width b.
+func newProc(id sim.ProcID, n, t int, v sim.Value, b int) *floodset.Protocol {
+	props := make([]sim.Value, n)
+	props[id-1] = v
+	return floodset.NewSystem(props, t, b)[id-1].(*floodset.Protocol)
 }

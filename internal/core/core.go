@@ -114,12 +114,6 @@ type system struct {
 	est  sim.Est        // the DATA payload every message of the plan points at
 }
 
-func newSystem(n int, opts Options) *system {
-	sys := &system{}
-	sys.reset(n, opts)
-	return sys
-}
-
 // reset makes sys the shared state of an n-process system, keeping its plan
 // buffer when that is large enough.
 func (sys *system) reset(n int, opts Options) {
@@ -132,11 +126,6 @@ func (sys *system) reset(n int, opts Options) {
 		data = make([]sim.Outgoing, 0, dataCap)
 	}
 	*sys = system{n: n, opts: opts, data: data}
-}
-
-// New returns the process p_id out of n with the given proposal.
-func New(id sim.ProcID, n int, proposal sim.Value, opts Options) *Protocol {
-	return &Protocol{id: id, sys: newSystem(n, opts), est: proposal}
 }
 
 // System holds the storage of one consensus instance for reuse: Reset builds

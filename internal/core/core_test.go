@@ -325,7 +325,7 @@ func TestSingleProcessDecidesAlone(t *testing.T) {
 }
 
 func TestCommitOrderDests(t *testing.T) {
-	p := core.New(2, 5, 7, core.Options{})
+	p := newProc(2, 5, 7, core.Options{})
 	plan := p.Send(2)
 	wantCtrl := []sim.ProcID{5, 4, 3}
 	if len(plan.Control) != len(wantCtrl) {
@@ -351,7 +351,7 @@ func TestCommitOrderDests(t *testing.T) {
 // of an immutable table.
 func TestSendAllocsIndependentOfN(t *testing.T) {
 	sendAllocs := func(n int) float64 {
-		p := core.New(1, n, 7, core.Options{})
+		p := newProc(1, n, 7, core.Options{})
 		return testing.AllocsPerRun(50, func() {
 			if plan := p.Send(1); len(plan.Data) != n-1 || len(plan.Control) != n-1 {
 				t.Fatalf("n=%d: plan %d data / %d control", n, len(plan.Data), len(plan.Control))
@@ -369,7 +369,7 @@ func TestSendAllocsIndependentOfN(t *testing.T) {
 // keeps. Rewriting a delivered estimate afterwards, as the next
 // coordinator's Send rewrites the system's slot, must not reach p2's state.
 func TestPayloadLifetimeReceiveCopiesOut(t *testing.T) {
-	p := core.New(2, 3, 105, core.Options{})
+	p := newProc(2, 3, 105, core.Options{})
 	est := &sim.Est{V: 3, B: 64}
 	p.Receive(1, []sim.Message{{From: 1, To: 2, Round: 1, Kind: sim.Data, Payload: est}})
 	est.V = 1
@@ -380,4 +380,11 @@ func TestPayloadLifetimeReceiveCopiesOut(t *testing.T) {
 	if m := plan.Data[0].Payload.(*sim.Est); m.V != 3 {
 		t.Fatalf("p2 sends est %d, want 3", m.V)
 	}
+}
+
+// newProc returns p_id of a fresh n-process system, proposing v.
+func newProc(id sim.ProcID, n int, v sim.Value, opts core.Options) *core.Protocol {
+	props := make([]sim.Value, n)
+	props[id-1] = v
+	return core.NewSystem(props, opts)[id-1].(*core.Protocol)
 }

@@ -109,7 +109,8 @@ func e14LossyChannels() *Table {
 	n := len(props)
 
 	runWith := func(adv sim.Adversary) (*sim.Result, error) {
-		procs, model, horizon := protocol.Spec{N: n}.Build(props)
+		var sys protocol.Systems
+		procs, model, horizon := protocol.Spec{N: n}.Build(&sys, props)
 		eng, err := sim.NewEngine(sim.Config{Model: model, Horizon: horizon}, procs, adv)
 		if err != nil {
 			return nil, err

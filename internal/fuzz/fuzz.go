@@ -236,10 +236,12 @@ type Target struct {
 	Latency   timed.LatencyModel
 }
 
-// Factory builds a fresh Target per execution (processes are stateful, so
-// every run needs its own). Factories used by a parallel campaign must be
-// safe for concurrent calls, which any factory constructing a fresh process
-// set per call is.
+// Factory builds the Target of one execution. Processes are stateful, so
+// every run needs a fresh process set, but a factory may reset one it keeps
+// (a protocol.Systems) instead of allocating one: RunSeed never touches a
+// target's processes after building the next. Such a factory belongs to one
+// worker and is never called concurrently; a parallel campaign gives each
+// worker its own.
 type Factory func() Target
 
 // Oracle validates one finished run; a non-nil error flags a violation.

@@ -259,17 +259,23 @@ func TestLockstepAdapterRejectsTrace(t *testing.T) {
 
 // TestForEachCoversAllIndicesDeterministically checks every index is
 // visited exactly once for any worker count, and that each worker owns a
-// private cache.
+// private cache and a private state that persists across its jobs.
 func TestForEachCoversAllIndicesDeterministically(t *testing.T) {
 	const n = 100
 	for _, workers := range []int{0, 1, 2, 4, 8, 200} {
 		visits := make([]int, n)
 		var mu sync.Mutex
 		caches := map[*harness.Cache]bool{}
-		harness.ForEach(n, workers, func(c *harness.Cache, i int) {
+		owner := map[*int]*harness.Cache{} // worker state -> its worker's cache
+		harness.ForEach(n, workers, func(c *harness.Cache, jobs *int, i int) {
+			*jobs++ // unsynchronized: the state belongs to this worker alone
 			mu.Lock()
 			visits[i]++
 			caches[c] = true
+			if prev, ok := owner[jobs]; ok && prev != c {
+				t.Errorf("workers=%d: one worker state seen with two caches", workers)
+			}
+			owner[jobs] = c
 			mu.Unlock()
 		})
 		for i, v := range visits {
@@ -280,9 +286,17 @@ func TestForEachCoversAllIndicesDeterministically(t *testing.T) {
 		if len(caches) > n && workers != 1 {
 			t.Errorf("workers=%d: %d caches for %d jobs", workers, len(caches), n)
 		}
+		total := 0
+		for jobs := range owner {
+			total += *jobs
+		}
+		if total != n || len(owner) != len(caches) {
+			t.Errorf("workers=%d: %d worker states counted %d jobs over %d caches, want one state per cache and %d jobs",
+				workers, len(owner), total, len(caches), n)
+		}
 	}
 	// n = 0 must be a no-op, not a hang.
-	harness.ForEach(0, 4, func(*harness.Cache, int) { t.Error("fn called for empty batch") })
+	harness.ForEach(0, 4, func(*harness.Cache, *struct{}, int) { t.Error("fn called for empty batch") })
 }
 
 // TestCacheReturnsSameEngine checks Get memoizes per kind.

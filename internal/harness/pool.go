@@ -69,8 +69,11 @@ func (c *Cache) Close() {
 	clear(c.engines)
 }
 
-// ForEach invokes fn(cache, i) for every i in [0, n), fanned across a pool
-// of workers that each own a private Cache (closed when its worker drains).
+// ForEach invokes fn(cache, w, i) for every i in [0, n), fanned across a
+// pool of workers that each own a private Cache (closed when its worker
+// drains) and a private worker state w, zero at the worker's first job and
+// kept across its jobs: what a caller reuses between jobs, such as the
+// systems under test, lives there.
 // Indices are handed out through an atomic cursor, so scheduling is
 // work-stealing; callers that write result slots by index get output in
 // deterministic input order regardless of the worker count. workers <= 0
@@ -80,7 +83,7 @@ func (c *Cache) Close() {
 // The returned PoolStats aggregate engine construction and reuse over all
 // workers. They are the only worker-count-dependent output: a pool of w
 // workers builds up to w engines per kind touched.
-func ForEach(n, workers int, fn func(c *Cache, i int)) PoolStats {
+func ForEach[W any](n, workers int, fn func(c *Cache, w *W, i int)) PoolStats {
 	return ForEachProf(n, workers, nil, fn)
 }
 
@@ -91,7 +94,7 @@ func ForEach(n, workers int, fn func(c *Cache, i int)) PoolStats {
 // (run, audit, cross-check) are charged by the callback itself; see
 // agree.SweepOptions.Profile. A nil prof takes the exact ForEach path with no
 // clock reads.
-func ForEachProf(n, workers int, prof *telemetry.Profile, fn func(c *Cache, i int)) PoolStats {
+func ForEachProf[W any](n, workers int, prof *telemetry.Profile, fn func(c *Cache, w *W, i int)) PoolStats {
 	if n <= 0 {
 		return PoolStats{}
 	}
@@ -103,9 +106,9 @@ func ForEachProf(n, workers int, prof *telemetry.Profile, fn func(c *Cache, i in
 	}
 	body := fn
 	if prof.Enabled() {
-		body = func(c *Cache, i int) {
+		body = func(c *Cache, w *W, i int) {
 			t0 := time.Now()
-			fn(c, i)
+			fn(c, w, i)
 			// Negative queue-wait is impossible: fn time is subtracted from
 			// the worker's wall time measured around the whole drain loop.
 			prof.Add(telemetry.PhaseQueueWait, -time.Since(t0))
@@ -113,10 +116,10 @@ func ForEachProf(n, workers int, prof *telemetry.Profile, fn func(c *Cache, i in
 	}
 	if workers == 1 {
 		start := time.Now()
-		c := NewCache()
+		c, w := NewCache(), new(W)
 		defer c.Close()
 		for i := 0; i < n; i++ {
-			body(c, i)
+			body(c, w, i)
 		}
 		if prof.Enabled() {
 			prof.Add(telemetry.PhaseQueueWait, time.Since(start))
@@ -134,7 +137,7 @@ func ForEachProf(n, workers int, prof *telemetry.Profile, fn func(c *Cache, i in
 		go func() {
 			defer wg.Done()
 			start := time.Now()
-			c := NewCache()
+			c, w := NewCache(), new(W)
 			defer func() {
 				if prof.Enabled() {
 					prof.Add(telemetry.PhaseQueueWait, time.Since(start))
@@ -149,7 +152,7 @@ func ForEachProf(n, workers int, prof *telemetry.Profile, fn func(c *Cache, i in
 				if i >= n {
 					return
 				}
-				body(c, i)
+				body(c, w, i)
 			}
 		}()
 	}

@@ -81,20 +81,33 @@ func (s Spec) Resolve() (Spec, error) {
 	return s, nil
 }
 
-// Build constructs the spec's processes, proposals[i] being the proposal of
-// p_{i+1}, together with the model and the horizon they run in.
-func (s Spec) Build(proposals []sim.Value) ([]sim.Process, sim.Model, sim.Round) {
+// Systems holds the storage of one system per protocol for reuse: each
+// Build resets the protocol's system in place, growing it only past the
+// largest size it has held. A harness worker keeps one Systems for all its
+// executions; a one-shot caller keeps one on its stack. The zero value is
+// ready to use.
+type Systems struct {
+	crw core.System
+	es  earlystop.System
+	fs  floodset.System
+}
+
+// Build constructs the spec's processes in sys, proposals[i] being the
+// proposal of p_{i+1}, together with the model and the horizon they run in.
+// The processes the previous Build of the same protocol into sys returned
+// become the new instance's, so that run must be finished with.
+func (s Spec) Build(sys *Systems, proposals []sim.Value) ([]sim.Process, sim.Model, sim.Round) {
 	switch s.Protocol {
 	case EarlyStop:
-		return earlystop.NewSystem(proposals, s.T, s.Bits), sim.ModelClassic, sim.Round(s.T + 2)
+		return sys.es.Reset(proposals, s.T, s.Bits), sim.ModelClassic, sim.Round(s.T + 2)
 	case FloodSet:
-		return floodset.NewSystem(proposals, s.T, s.Bits), sim.ModelClassic, sim.Round(s.T + 2)
+		return sys.fs.Reset(proposals, s.T, s.Bits), sim.ModelClassic, sim.Round(s.T + 2)
 	}
 	opts := core.Options{Bits: s.Bits, CommitAsData: s.CommitAsData}
 	if s.OrderAscending {
 		opts.Order = core.OrderAscending
 	}
-	procs, horizon := core.NewSystem(proposals, opts), sim.Round(s.N+2)
+	procs, horizon := sys.crw.Reset(proposals, opts), sim.Round(s.N+2)
 	switch {
 	case s.SimulateOnClassic:
 		return simulate.OnClassic(procs), sim.ModelClassic, simulate.MicroRounds(horizon, s.N)
@@ -121,9 +134,11 @@ func (s Spec) Bound() func(f int) sim.Round {
 }
 
 // Execution assembles one explorer execution of the spec from its proposals
-// and adversary.
+// and adversary, on a system of its own: the parallel explorer builds
+// executions concurrently.
 func (s Spec) Execution(proposals []sim.Value, adv sim.Adversary) check.Execution {
-	procs, model, horizon := s.Build(proposals)
+	var sys Systems
+	procs, model, horizon := s.Build(&sys, proposals)
 	return check.Execution{
 		Procs:     procs,
 		Adv:       adv,

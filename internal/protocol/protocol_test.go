@@ -1,6 +1,8 @@
 package protocol_test
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -48,6 +50,7 @@ func TestResolve(t *testing.T) {
 // TestBuildAndBound runs each protocol's system under coordinator crashes
 // through the round engine and holds it to the spec's own round bound.
 func TestBuildAndBound(t *testing.T) {
+	var sys protocol.Systems
 	for _, c := range []struct {
 		spec    protocol.Spec
 		model   sim.Model
@@ -71,7 +74,7 @@ func TestBuildAndBound(t *testing.T) {
 			}
 		}
 		props := []sim.Value{10, 11, 12, 13, 14}
-		procs, model, horizon := spec.Build(props)
+		procs, model, horizon := spec.Build(&sys, props)
 		if len(procs) != 5 || model != c.model || horizon != c.horizon {
 			t.Errorf("%+v: built %d processes, model %v, horizon %d; want 5, %v, %d",
 				c.spec, len(procs), model, horizon, c.model, c.horizon)
@@ -130,4 +133,78 @@ func TestExplore(t *testing.T) {
 	if len(stats.Counterexamples) == 0 || !strings.Contains(stats.Counterexamples[0].Err.Error(), "round bound") {
 		t.Errorf("ascending ablation: counterexamples %v, want a round-bound violation", stats.Counterexamples)
 	}
+}
+
+// TestSpecBuildReuseMatchesFresh walks one Systems through n = 8, 64, 8, 32,
+// 64, 16, building every protocol variant at each size in turn, so each
+// system grows, shrinks below what it holds and is rebuilt after another
+// protocol's run. Each build must equal a fresh one — processes, model and
+// horizon — and its run under a crash script on the round engine must give
+// the fresh build's result. Proposals differ from build to build, so a
+// value an earlier instance left behind would show.
+func TestSpecBuildReuseMatchesFresh(t *testing.T) {
+	variants := []protocol.Spec{
+		{},
+		{OrderAscending: true},
+		{CommitAsData: true, Bits: 16},
+		{SimulateOnClassic: true},
+		{Protocol: protocol.EarlyStop},
+		{Protocol: protocol.FloodSet, Bits: 8},
+	}
+	var sys protocol.Systems
+	for i, n := range []int{8, 64, 8, 32, 64, 16} {
+		for j, v := range variants {
+			v.N, v.T = n, n/4+j%2
+			spec, err := v.Resolve()
+			if err != nil {
+				t.Fatal(err)
+			}
+			props := make([]sim.Value, n)
+			for k := range props {
+				props[k] = sim.Value(1000*(i*len(variants)+j) + n - k)
+			}
+			// p_1..p_f crash in their own rounds, alternately leaking part of
+			// the data and all of the data with part of the control
+			// sequence; simulated runs crash in the coordinators' data micro
+			// rounds.
+			plans := map[sim.ProcID]adversary.CrashPlan{}
+			for k := 1; k <= 1+(i+j)%3; k++ {
+				r := sim.Round(k)
+				if spec.SimulateOnClassic {
+					r = sim.Round(simulate.Stride(n)*(k-1) + 1)
+				}
+				plans[sim.ProcID(k)] = adversary.CrashPlan{Round: r, DataMask: []bool{false, true, false, true}}
+				if k%2 == 0 {
+					plans[sim.ProcID(k)] = adversary.CrashPlan{Round: r, DeliverAllData: true, CtrlPrefix: k}
+				}
+			}
+			adv := adversary.NewScript(plans)
+
+			var fresh protocol.Systems
+			wantProcs, wantModel, wantHorizon := spec.Build(&fresh, props)
+			procs, model, horizon := spec.Build(&sys, props)
+			if model != wantModel || horizon != wantHorizon || !reflect.DeepEqual(procs, wantProcs) {
+				t.Fatalf("n=%d %+v: reused build differs from a fresh one", n, spec)
+			}
+			want, wantErr := runOnce(t, wantModel, wantHorizon, wantProcs, adv)
+			got, err := runOnce(t, model, horizon, procs, adv)
+			if !reflect.DeepEqual(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("n=%d %+v: reused run differs from a fresh one:\n%+v (%v)\n%+v (%v)", n, spec, got, err, want, wantErr)
+			}
+			if wantErr != nil || want.Faults() == 0 || want.MaxDecideRound() == 0 {
+				t.Fatalf("n=%d %+v: error %v, %d crashes, latest decision in round %d; the run leaves too little state to compare",
+					n, spec, wantErr, want.Faults(), want.MaxDecideRound())
+			}
+		}
+	}
+}
+
+// runOnce runs procs on a new round engine.
+func runOnce(t *testing.T, model sim.Model, horizon sim.Round, procs []sim.Process, adv sim.Adversary) (*sim.Result, error) {
+	t.Helper()
+	eng, err := sim.NewEngine(sim.Config{Model: model, Horizon: horizon}, procs, adv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng.Run()
 }

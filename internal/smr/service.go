@@ -39,6 +39,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/laws"
 	"repro/internal/metrics"
+	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -320,6 +321,9 @@ func (o *ServeOptions) validate() error {
 	if o.N < 1 {
 		return errors.New("smr: serve needs at least one replica")
 	}
+	if o.Protocol != "" && o.Protocol != ProtocolCRW && o.Protocol != ProtocolEarlyStop {
+		return fmt.Errorf("smr: unknown protocol %q", o.Protocol)
+	}
 	if (o.Arrivals == nil) == (o.Clients == nil) {
 		return errors.New("smr: serve needs exactly one workload source (Arrivals or Clients)")
 	}
@@ -355,7 +359,7 @@ func (o *ServeOptions) validate() error {
 			}
 			seen[p] = true
 		}
-		if om.SendProb < 0 || om.SendProb > 1 || om.RecvProb < 0 || om.RecvProb > 1 {
+		if !(om.SendProb >= 0 && om.SendProb <= 1 && om.RecvProb >= 0 && om.RecvProb <= 1) {
 			return fmt.Errorf("smr: omission probabilities %g/%g out of [0, 1]", om.SendProb, om.RecvProb)
 		}
 	}
@@ -480,9 +484,10 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 	slices.SortFunc(schedule, func(a, b crash) int { return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.id, b.id)) })
 	nextCrash := 0
 
-	// One instance, one permutation and one adversary serve every slot; the
+	// One system, one permutation and one adversary serve every slot; the
 	// adversary reads dead and perm, which each slot refills in place.
-	inst := instance{protocol: opts.Protocol, bits: opts.Bits}
+	spec := protocol.Spec{Protocol: string(opts.Protocol), N: opts.N, T: opts.N - 1, Bits: opts.Bits}
+	var systems protocol.Systems
 	dead := make([]bool, opts.N) // by replica id - 1
 	nDead := 0
 	perm := make([]sim.ProcID, opts.N)
@@ -562,7 +567,7 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 		for i := range proposals {
 			proposals[i] = Command(slot, perm[i])
 		}
-		procs, model, horizon := inst.reset(proposals)
+		procs, model, horizon := spec.Build(&systems, proposals)
 		if om != nil {
 			om.slot = slot
 		}

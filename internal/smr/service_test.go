@@ -385,6 +385,10 @@ func TestServeValidation(t *testing.T) {
 			Omit: &smr.OmitOptions{Procs: []sim.ProcID{9}, SendProb: 0.1}}, "does not exist"},
 		{"omit prob out of range", smr.ServeOptions{N: 3, Arrivals: open(), MaxCommands: 1,
 			Omit: &smr.OmitOptions{Procs: []sim.ProcID{1}, SendProb: 1.5}}, "out of [0, 1]"},
+		{"omit prob NaN", smr.ServeOptions{N: 3, Arrivals: open(), MaxCommands: 1,
+			Omit: &smr.OmitOptions{Procs: []sim.ProcID{1}, RecvProb: math.NaN()}}, "out of [0, 1]"},
+		{"unknown protocol", smr.ServeOptions{N: 3, Arrivals: open(), MaxCommands: 1,
+			Protocol: "floodset"}, `unknown protocol "floodset"`},
 		{"unknown engine", smr.ServeOptions{N: 3, Arrivals: open(), MaxCommands: 1,
 			Engine: harness.Kind("warp")}, "unknown engine"},
 		{"latency on round engine", smr.ServeOptions{N: 3, Arrivals: open(), MaxCommands: 1,

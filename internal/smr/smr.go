@@ -16,8 +16,7 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/consensus/earlystop"
-	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 )
 
@@ -27,9 +26,9 @@ type Protocol string
 // Supported per-slot protocols.
 const (
 	// ProtocolCRW uses the paper's extended-model algorithm.
-	ProtocolCRW Protocol = "crw"
+	ProtocolCRW Protocol = protocol.CRW
 	// ProtocolEarlyStop uses the classic early-stopping baseline.
-	ProtocolEarlyStop Protocol = "earlystop"
+	ProtocolEarlyStop Protocol = protocol.EarlyStop
 )
 
 // CommandIDBits is the width of the replica-id field in a Command encoding:
@@ -134,23 +133,4 @@ func agreedValue(out *sim.Result, proposals []sim.Value) (sim.Value, error) {
 		}
 	}
 	return 0, fmt.Errorf("decided %d, which no replica proposed", int64(committed))
-}
-
-// instance is the consensus instance a service session reuses for every
-// slot: each protocol's System is reset in place, never rebuilt.
-type instance struct {
-	protocol Protocol
-	bits     int
-	crw      core.System
-	es       earlystop.System
-}
-
-// reset builds the slot's instance over proposals in the session's storage.
-func (in *instance) reset(proposals []sim.Value) ([]sim.Process, sim.Model, sim.Round) {
-	n := len(proposals)
-	if in.protocol == ProtocolEarlyStop {
-		t := n - 1
-		return in.es.Reset(proposals, t, in.bits), sim.ModelClassic, sim.Round(t + 2)
-	}
-	return in.crw.Reset(proposals, core.Options{Bits: in.bits}), sim.ModelExtended, sim.Round(n + 2)
 }

@@ -63,14 +63,14 @@ if grep -nE '(core|earlystop)\.NewSystem\(|\.Percentile\(|sort\.Float64s\(' $(ls
 fi
 
 # A protocol's system under test and its round bound are built in one place,
-# internal/protocol. A non-test file anywhere else that constructs a
+# internal/protocol. A non-test file anywhere else that constructs or holds a
 # consensus system or picks a round bound has grown a second copy of that
 # mapping. The protocols' own packages, internal/check (which defines the
 # bounds) and the benchmark are exempt; comment lines do not count.
-echo "== one protocol spec: no system construction or bound selection outside internal/protocol"
+echo "== one protocol spec: no system construction, system storage or bound selection outside internal/protocol"
 spec_files=$(find agree cmd examples internal -name '*.go' ! -name '*_test.go' | grep -vE '^internal/(protocol|check|core|consensus)/')
-if grep -nE '(core|earlystop|floodset)\.NewSystem\(|check\.Bound(Classic|FPlus1)\b' $spec_files | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
-	echo "verify: a system is built or a round bound chosen outside internal/protocol; use protocol.Spec's Build and Bound"
+if grep -nE '(core|earlystop|floodset)\.(NewSystem\(|System\b)|check\.Bound(Classic|FPlus1)\b' $spec_files | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
+	echo "verify: a system is built or held or a round bound chosen outside internal/protocol; use protocol.Spec's Build into a protocol.Systems, and Bound"
 	exit 1
 fi
 
@@ -102,10 +102,11 @@ go test -race -timeout 300s -run 'ExploreParallel|Sweep|CrossCheck|Fuzz|Omission
 echo "== go test -race -count=5 (recycled fuzz recorder + slice replayer differentials)"
 go test -race -count=5 -timeout 300s -run 'RecycledRecorder|ReplayerMatches' ./internal/fuzz/
 
-# The control and crash-mask tables are shared by every system, and one
-# system's plan buffer and payload slot cross the lockstep workers.
-echo "== go test -race -count=5 (round-scoped plan and payload lifetime + shared control and crash-mask tables + sim engine reuse across shapes + consensus System reset)"
-go test -race -count=5 -timeout 300s -run 'PlanLifetime|PayloadLifetime|OutcomeMasks|SimAdapterReuses|ControlTables|SystemReset' ./internal/harness/ ./internal/adversary/ ./internal/core/ ./internal/consensus/...
+# The control and crash-mask tables are shared by every system, one
+# system's plan buffer and payload slot cross the lockstep workers, and one
+# protocol.Systems is rebuilt across protocols and sizes.
+echo "== go test -race -count=5 (round-scoped plan and payload lifetime + shared control and crash-mask tables + sim engine reuse across shapes + consensus System reset + protocol.Systems reuse)"
+go test -race -count=5 -timeout 300s -run 'PlanLifetime|PayloadLifetime|OutcomeMasks|SimAdapterReuses|ControlTables|SystemReset|SpecBuildReuse' ./internal/harness/ ./internal/adversary/ ./internal/core/ ./internal/consensus/... ./internal/protocol/
 
 echo "== go test -race -count=10 (lockstep runtime reuse across sizes + Close lifetime, also after every phase-barrier abort path)"
 go test -race -count=10 -timeout 300s -run 'RuntimeReuse|RuntimeClose' ./internal/lockstep/
