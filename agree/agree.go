@@ -132,7 +132,9 @@ func ReplayFaults(script string) (FaultSpec, error) {
 	return FaultSpec{kind: "fuzzscript", fscript: s}, nil
 }
 
-// CrashPlan mirrors adversary.CrashPlan for the public API.
+// CrashPlan mirrors adversary.CrashPlan for the public API. A plan with a
+// non-zero CtrlPrefix crashes in the control step, after the whole data
+// step: it must set DeliverAllData and leave DataMask nil.
 type CrashPlan struct {
 	Round          int
 	DeliverAllData bool
@@ -293,19 +295,8 @@ func (f FaultSpec) validate(n int) error {
 			return err
 		}
 	case "fuzzscript":
-		for _, e := range f.fscript.Events {
-			if e.Proc > n {
-				return fmt.Errorf("agree: replay script faults nonexistent p%d (n=%d)", e.Proc, n)
-			}
-			if e.Ctrl > n-1 {
-				return fmt.Errorf("agree: replay script control prefix %d of p%d out of range (0..%d)", e.Ctrl, e.Proc, n-1)
-			}
-			if len(e.From) > n {
-				return fmt.Errorf("agree: replay script receive-omission mask of p%d names %d senders (n=%d)", e.Proc, len(e.From), n)
-			}
-		}
-		if f.fscript.Crashes() >= n && n > 0 {
-			return fmt.Errorf("agree: replay script crashes all %d processes; a run needs a survivor", n)
+		if err := f.fscript.ValidateFor(n); err != nil {
+			return fmt.Errorf("agree: replay script %w", err)
 		}
 	}
 	return nil
@@ -324,6 +315,9 @@ func validateCrashScript(script map[sim.ProcID]adversary.CrashPlan, n int) error
 		}
 		if cp.CtrlPrefix < adversary.CtrlAll || cp.CtrlPrefix > n-1 {
 			return fmt.Errorf("agree: scripted control prefix %d of p%d out of range (0..%d, or agree.CtrlAll)", cp.CtrlPrefix, p, n-1)
+		}
+		if cp.CtrlPrefix != 0 && (!cp.DeliverAllData || cp.DataMask != nil) {
+			return fmt.Errorf("agree: scripted crash of p%d lets control messages escape but not every data message (a crash in the control step delivered all data: set DeliverAllData and no DataMask)", p)
 		}
 		crashes++
 	}

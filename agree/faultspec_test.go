@@ -44,6 +44,12 @@ func TestFaultSpecValidation(t *testing.T) {
 		{"script proc 0", agree.ScriptedFaults(map[int]agree.CrashPlan{0: {Round: 1}}), "nonexistent"},
 		{"script ctrl below CtrlAll", agree.ScriptedFaults(map[int]agree.CrashPlan{2: {Round: 1, CtrlPrefix: -4}}), "control prefix"},
 		{"script ctrl=n", agree.ScriptedFaults(map[int]agree.CrashPlan{2: {Round: 1, DeliverAllData: true, CtrlPrefix: n}}), "control prefix"},
+		{"script ctrl=CtrlAll, all data", agree.ScriptedFaults(map[int]agree.CrashPlan{1: {Round: 1, DeliverAllData: true, CtrlPrefix: agree.CtrlAll}}), ""},
+		{"script ctrl=CtrlAll, no data", agree.ScriptedFaults(map[int]agree.CrashPlan{1: {Round: 1, CtrlPrefix: agree.CtrlAll}}), "p1 lets control messages escape"},
+		{"script ctrl=2, partial mask", agree.ScriptedFaults(map[int]agree.CrashPlan{1: {Round: 1, DataMask: []bool{true, false, true}, CtrlPrefix: 2}}), "p1 lets control messages escape"},
+		{"script ctrl=1, short mask", agree.ScriptedFaults(map[int]agree.CrashPlan{1: {Round: 1, DeliverAllData: true, DataMask: []bool{true}, CtrlPrefix: 1}}), "p1 lets control messages escape"},
+		{"mixed ctrl=CtrlAll, no data", agree.CrashesWithOmissions(map[int]agree.CrashPlan{2: {Round: 2, CtrlPrefix: agree.CtrlAll}}, nil), "p2 lets control messages escape"},
+		{"mixed ctrl=2, partial mask", agree.CrashesWithOmissions(map[int]agree.CrashPlan{1: {Round: 1, DataMask: []bool{false, true, true}, CtrlPrefix: 2}}, nil), "p1 lets control messages escape"},
 		{"script crashes everyone", agree.ScriptedFaults(map[int]agree.CrashPlan{
 			1: {Round: 1}, 2: {Round: 1}, 3: {Round: 1}, 4: {Round: 1}}), "survivor"},
 	}

@@ -13,9 +13,12 @@
 //   - CoordinatorKiller: crashes the coordinator of each of the first F
 //     rounds, the schedule that forces the paper's algorithm to its f+1
 //     round bound.
-//   - Random: seeded randomized fault injection.
-//   - FromChooser: a generic adversary driven by a Chooser, the hook used by
-//     the exhaustive explorer in internal/check to enumerate every schedule.
+//   - FromChooser: the model's fault-choice tree, every decision delegated
+//     to a Chooser. It is the one tree for the exhaustive explorer in
+//     internal/check (a backtracking Chooser enumerates every schedule), the
+//     fuzzer in internal/fuzz and seeded random runs (NewRandom), which
+//     sample it with a Seeded Chooser. OmittingFromChooser adds the
+//     omission tree.
 package adversary
 
 import (
@@ -153,51 +156,16 @@ func (k CoordinatorKiller) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan)
 	return true, cp.outcome(plan)
 }
 
-// Random injects crashes at random: each alive process crashes in each round
-// with probability CrashProb, as long as fewer than MaxCrashes processes have
-// crashed. The escaped data subset and control prefix are uniform.
+// NewRandom builds the seeded random crash adversary: FromChooser driven by
+// a Seeded chooser, so each alive process crashes with probability p per
+// round while fewer than maxCrashes have crashed, and the escaped data
+// subset or control prefix is uniform over the model's legal outcomes.
 //
-// Random draws from the seed's SplitMix64 stream (internal/rng), so
-// randomized experiments are reproducible on every platform and Go release.
-type Random struct {
-	rng        rng.Stream
-	CrashProb  float64
-	MaxCrashes int
-	crashes    int
+// It draws from the seed's SplitMix64 stream (internal/rng), so randomized
+// experiments are reproducible on every platform and Go release.
+func NewRandom(seed int64, p float64, maxCrashes int) *FromChooser {
+	return NewFromChooser(&Seeded{Stream: rng.New(seed), CrashProb: p}, maxCrashes, 0)
 }
-
-// NewRandom builds a seeded random adversary that crashes at most maxCrashes
-// processes, each alive process crashing with probability p per round.
-func NewRandom(seed int64, p float64, maxCrashes int) *Random {
-	return &Random{rng: rng.New(seed), CrashProb: p, MaxCrashes: maxCrashes}
-}
-
-// Crashes implements sim.Adversary. The crash point is drawn first: either
-// during the data step (random subset escapes, no control message) or during
-// the control step (all data escaped, random prefix) — never a mix, since the
-// two steps are sequential and a process crashes at a single point in time.
-func (a *Random) Crashes(_ sim.ProcID, _ sim.Round, plan sim.SendPlan) (bool, sim.CrashOutcome) {
-	if a.crashes >= a.MaxCrashes || a.rng.Float64() >= a.CrashProb {
-		return false, sim.CrashOutcome{}
-	}
-	a.crashes++
-	mask := make([]bool, len(plan.Data))
-	if len(plan.Control) > 0 && a.rng.Intn(2) == 1 {
-		// Crash during the control step: the data step completed.
-		for i := range mask {
-			mask[i] = true
-		}
-		return true, sim.CrashOutcome{DataDelivered: mask, CtrlPrefix: a.rng.Intn(len(plan.Control) + 1)}
-	}
-	// Crash during the data step: arbitrary subset, no control messages.
-	for i := range mask {
-		mask[i] = a.rng.Intn(2) == 1
-	}
-	return true, sim.CrashOutcome{DataDelivered: mask, CtrlPrefix: 0}
-}
-
-// Crashed returns how many processes the adversary has crashed so far.
-func (a *Random) Crashed() int { return a.crashes }
 
 // Staged composes two adversaries around a round boundary: First controls
 // rounds 1..Until, Rest controls every later round. It is used by the
@@ -223,18 +191,76 @@ func (s Staged) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (bool, sim
 	return s.Rest.Crashes(p, r, plan)
 }
 
-// Chooser resolves nondeterministic choices. Choose(n) returns a value in
-// [0, n). A backtracking Chooser turns the engine into an exhaustive model
-// checker (see internal/check).
+// Decision is the kind of choice the fault-choice tree asks its Chooser
+// for. Enumerating choosers ignore it; the seeded chooser reads it to answer
+// a gate with that gate's probability and every other choice uniformly.
+type Decision uint8
+
+const (
+	// CrashGate: does the process crash this round? (1 = crash)
+	CrashGate Decision = iota
+	// ControlStep: does the crash fall in the control step? (1 = control
+	// step: all data escaped; 0 = data step: no control message escapes)
+	ControlStep
+	// Prefix: how many control messages escape a control-step crash.
+	Prefix
+	// DataBit: does this data message escape a data-step crash? (1 =
+	// escapes)
+	DataBit
+	// SendOmitGate: does the process send-omit this round? (1 = omit)
+	SendOmitGate
+	// RecvOmitGate: does the process receive-omit this round? (1 = omit)
+	RecvOmitGate
+	// SubsetBit: is this position of an omission subset dropped? (1 =
+	// dropped)
+	SubsetBit
+)
+
+// Chooser resolves nondeterministic choices. Choose(d, n) returns a value
+// in [0, n) for a decision of kind d. A backtracking Chooser turns the
+// engine into an exhaustive model checker (see internal/check); a Seeded one
+// samples the same tree at random.
 type Chooser interface {
-	Choose(n int) int
+	Choose(d Decision, n int) int
 }
 
-// FromChooser is a generic adversary whose every decision is delegated to a
-// Chooser. Each round, for each alive process (while the crash budget T is
-// not exhausted), it asks the chooser whether to crash it; on a crash it asks
-// for the escaped data subset (one binary choice per message) and the control
-// prefix length.
+// Seeded is the seeded random Chooser. It answers each gate with 1 with the
+// gate's probability, one Float64 draw (a gate whose probability is not
+// positive stays shut without a draw), and every other decision uniformly,
+// one Intn draw.
+type Seeded struct {
+	Stream rng.Stream
+	// CrashProb, SendOmitProb and RecvOmitProb are the probabilities of the
+	// CrashGate, SendOmitGate and RecvOmitGate decisions.
+	CrashProb, SendOmitProb, RecvOmitProb float64
+}
+
+// Choose implements Chooser.
+func (s *Seeded) Choose(d Decision, n int) int {
+	var p float64
+	switch d {
+	case CrashGate:
+		p = s.CrashProb
+	case SendOmitGate:
+		p = s.SendOmitProb
+	case RecvOmitGate:
+		p = s.RecvOmitProb
+	default:
+		return s.Stream.Intn(n)
+	}
+	if p > 0 && s.Stream.Float64() < p {
+		return 1
+	}
+	return 0
+}
+
+// FromChooser is the model's fault-choice tree, every decision delegated to
+// a Chooser. It is the one copy of that tree: the exhaustive explorer walks
+// it with a backtracking chooser, and the fuzzer and seeded random runs
+// sample it with a Seeded one. Each round, for each alive process (while
+// the crash budget T is not exhausted), it asks whether to crash it; on a
+// crash it asks for the crash point and then the escaped data subset (one
+// binary choice per message) or the control prefix length.
 //
 // MaxCrashRound bounds the rounds in which crashes may occur, which keeps the
 // exhaustive search space finite; crashes after the last interesting round
@@ -245,8 +271,19 @@ type FromChooser struct {
 	T int
 	// MaxCrashRound is the last round a crash may occur in (0 = no limit).
 	MaxCrashRound sim.Round
+	// Observe, if non-nil, is told of every fault the tree injects.
+	Observe Observer
 
 	crashes int
+}
+
+// Observer is told of each fault a FromChooser or OmittingFromChooser
+// injects, with the outcome it hands the engine; the fuzzer records them as
+// a replayable script. The outcome's masks are the tree's own and must not
+// be written.
+type Observer interface {
+	ObserveCrash(p sim.ProcID, r sim.Round, out sim.CrashOutcome)
+	ObserveOmission(p sim.ProcID, r sim.Round, om sim.Omission)
 }
 
 // NewFromChooser builds a chooser-driven adversary with crash budget t and
@@ -260,62 +297,66 @@ func NewFromChooser(c Chooser, t int, maxRound sim.Round) *FromChooser {
 // for a data-step crash — one binary choice per data message, or — for a
 // control-step crash — the escaped prefix length (with full data delivery).
 // This enumerates exactly the legal outcomes of the model, no more.
-func (a *FromChooser) Crashes(_ sim.ProcID, r sim.Round, plan sim.SendPlan) (bool, sim.CrashOutcome) {
+func (a *FromChooser) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (bool, sim.CrashOutcome) {
 	if a.crashes >= a.T {
 		return false, sim.CrashOutcome{}
 	}
 	if a.MaxCrashRound > 0 && r > a.MaxCrashRound {
 		return false, sim.CrashOutcome{}
 	}
-	if a.C.Choose(2) == 0 {
+	if a.C.Choose(CrashGate, 2) == 0 {
 		return false, sim.CrashOutcome{}
 	}
 	a.crashes++
-	mask := make([]bool, len(plan.Data))
-	if len(plan.Control) > 0 && a.C.Choose(2) == 1 {
+	out := sim.CrashOutcome{DataDelivered: make([]bool, len(plan.Data))}
+	if len(plan.Control) > 0 && a.C.Choose(ControlStep, 2) == 1 {
 		// Crash during the control step: all data escaped, prefix chosen.
-		for i := range mask {
-			mask[i] = true
+		for i := range out.DataDelivered {
+			out.DataDelivered[i] = true
 		}
-		return true, sim.CrashOutcome{DataDelivered: mask, CtrlPrefix: a.C.Choose(len(plan.Control) + 1)}
+		out.CtrlPrefix = a.C.Choose(Prefix, len(plan.Control)+1)
+	} else {
+		// Crash during the data step: arbitrary subset, no control messages.
+		for i := range out.DataDelivered {
+			out.DataDelivered[i] = a.C.Choose(DataBit, 2) == 1
+		}
 	}
-	// Crash during the data step: arbitrary subset, no control messages.
-	for i := range mask {
-		mask[i] = a.C.Choose(2) == 1
+	if a.Observe != nil {
+		a.Observe.ObserveCrash(p, r, out)
 	}
-	return true, sim.CrashOutcome{DataDelivered: mask, CtrlPrefix: 0}
+	return true, out
 }
 
 // Crashed returns how many processes have been crashed so far.
 func (a *FromChooser) Crashed() int { return a.crashes }
 
-// maxEnumMsgs clamps the per-event enumeration width: only the first 16
-// messages (or senders) of a step are omittable, which keeps the Choose
-// domain within int range. Proof-sized systems never reach the clamp.
-const maxEnumMsgs = 16
-
-// OmittingFromChooser extends FromChooser with bounded-omission enumeration.
-// It is a separate type — not a flag on FromChooser — so crash-only
-// exploration keeps a non-Omitter adversary: the engines then skip the
-// omission machinery entirely and the crash-model choice spaces (and the
-// engine's allocation profile) are bit-identical to the pre-omission code.
+// OmittingFromChooser extends FromChooser with the omission tree. It is a
+// separate type — not a flag on FromChooser — so crash-only exploration
+// keeps a non-Omitter adversary: the engines then skip the omission
+// machinery entirely and the crash-model choice spaces (and the engine's
+// allocation profile) are bit-identical to the pre-omission code.
 type OmittingFromChooser struct {
 	FromChooser
-	// OmissionBudget is the maximum number of omission events the adversary
-	// may inject.
+	// OmissionBudget is the maximum number of omission events (a send and a
+	// receive omission count one each) the adversary may inject; 0 = no
+	// limit.
 	OmissionBudget int
-	// Procs is the system size n, required for receive-omission enumeration.
+	// MaxOmissive is the maximum number of distinct omission-faulty
+	// processes; 0 = no limit.
+	MaxOmissive int
+	// Procs is the system size n, required for receive-omission subsets.
 	Procs int
 
-	omitted int
+	omitted  int
+	omissive []sim.ProcID // the omission-faulty processes, kept only under MaxOmissive
 }
 
 // NewFromChooserWithOmissions builds a chooser-driven adversary that, beyond
 // crashes, enumerates bounded-omission schedules for an n-process system: up
-// to omitBudget omission events, each either a send omission (any non-empty
-// subset of the round's messages suppressed) or a receive omission (any
-// non-empty subset of senders blocked). This is what lets the exhaustive
-// explorer search the omission fault model at proof sizes.
+// to omitBudget omission events, each a send omission (any non-empty subset
+// of the round's messages suppressed) or a receive omission (any non-empty
+// subset of senders blocked). This is what lets the exhaustive explorer
+// search the omission fault model at proof sizes.
 func NewFromChooserWithOmissions(c Chooser, t int, maxRound sim.Round, omitBudget, n int) *OmittingFromChooser {
 	return &OmittingFromChooser{
 		FromChooser:    FromChooser{C: c, T: t, MaxCrashRound: maxRound},
@@ -324,70 +365,71 @@ func NewFromChooserWithOmissions(c Chooser, t int, maxRound sim.Round, omitBudge
 	}
 }
 
-// Omits implements sim.Omitter. While budget remains, the choice tree per
-// (process, round) is: omit or not; send vs receive omission (when both are
-// possible); then the non-empty suppressed subset — of the round's
-// data+control messages for a send omission, of the other processes for a
-// receive omission. MaxCrashRound bounds omission events exactly like
-// crashes.
+// Reset readies the adversary for another execution: it forgets the
+// crashes, omission events and omission-faulty processes of the last one,
+// keeping its configuration and storage.
+func (a *OmittingFromChooser) Reset() {
+	a.crashes, a.omitted, a.omissive = 0, 0, a.omissive[:0]
+}
+
+// Omits implements sim.Omitter. Within MaxCrashRound and the MaxOmissive
+// budget, the choice tree per (process, round) is: a send-omit gate (when
+// the round has messages), then the non-empty dropped subset of its data
+// then control positions; then a receive-omit gate (when there are other
+// processes), then the non-empty blocked subset of senders. Each gate is
+// asked only while OmissionBudget has an event left, so one process may
+// send-omit and receive-omit in the same round when the budget allows two.
 func (a *OmittingFromChooser) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim.Omission {
-	if a.omitted >= a.OmissionBudget {
-		return sim.Omission{}
-	}
 	if a.MaxCrashRound > 0 && r > a.MaxCrashRound {
 		return sim.Omission{}
 	}
-	kSend := len(plan.Data) + len(plan.Control)
-	if kSend > maxEnumMsgs {
-		kSend = maxEnumMsgs
-	}
-	kRecv := a.Procs - 1
-	if kRecv > maxEnumMsgs {
-		kRecv = maxEnumMsgs
-	}
-	if kSend <= 0 && kRecv <= 0 {
+	if a.MaxOmissive > 0 && len(a.omissive) >= a.MaxOmissive && !slices.Contains(a.omissive, p) {
 		return sim.Omission{}
 	}
-	if a.C.Choose(2) == 0 {
-		return sim.Omission{}
+	var om sim.Omission
+	if k := len(plan.Data) + len(plan.Control); k > 0 && a.eventLeft() && a.C.Choose(SendOmitGate, 2) == 1 {
+		a.omitted++
+		send := a.dropSubset(allTrue(k), -1)
+		om.Data, om.Ctrl = send[:len(plan.Data):len(plan.Data)], send[len(plan.Data):]
 	}
-	a.omitted++
-	send := kSend > 0
-	if send && kRecv > 0 {
-		send = a.C.Choose(2) == 0
+	if a.Procs > 1 && a.eventLeft() && a.C.Choose(RecvOmitGate, 2) == 1 {
+		a.omitted++
+		om.Recv = a.dropSubset(allTrue(a.Procs), int(p)-1)
 	}
-	if send {
-		// Send omission: a non-empty suppressed subset of the round's
-		// messages, data positions first, then control positions.
-		sub := a.C.Choose(1<<kSend-1) + 1
-		om := sim.Omission{Data: allTrue(len(plan.Data)), Ctrl: allTrue(len(plan.Control))}
-		for i := 0; i < kSend; i++ {
-			if sub>>i&1 == 0 {
-				continue
-			}
-			if i < len(plan.Data) {
-				om.Data[i] = false
-			} else {
-				om.Ctrl[i-len(plan.Data)] = false
-			}
-		}
+	if om.IsZero() {
 		return om
 	}
-	// Receive omission: a non-empty blocked subset of the other processes.
-	sub := a.C.Choose(1<<kRecv-1) + 1
-	recv := allTrue(a.Procs)
-	idx := 0
-	for q := 1; q <= a.Procs && idx < kRecv; q++ {
-		if sim.ProcID(q) == p {
-			continue
-		}
-		if sub>>idx&1 == 1 {
-			recv[q-1] = false
-		}
-		idx++
+	if a.MaxOmissive > 0 && !slices.Contains(a.omissive, p) {
+		a.omissive = append(a.omissive, p)
 	}
-	return sim.Omission{Recv: recv}
+	if a.Observe != nil {
+		a.Observe.ObserveOmission(p, r, om)
+	}
+	return om
 }
 
-// OmissionEvents returns how many omission events have been injected so far.
-func (a *OmittingFromChooser) OmissionEvents() int { return a.omitted }
+// eventLeft reports whether OmissionBudget allows another omission event.
+func (a *OmittingFromChooser) eventLeft() bool {
+	return a.OmissionBudget <= 0 || a.omitted < a.OmissionBudget
+}
+
+// dropSubset clears a non-empty subset of the delivered-mask's positions,
+// all but skip (-1 for none): one SubsetBit choice per position, the last
+// one forced when no earlier one was dropped. Each non-empty subset is one
+// leaf of the tree, so no subset index (and no width clamp) is needed.
+func (a *OmittingFromChooser) dropSubset(mask []bool, skip int) []bool {
+	last := len(mask) - 1
+	if last == skip {
+		last--
+	}
+	dropped := false
+	for i := range mask {
+		if i == skip {
+			continue
+		}
+		if i == last && !dropped || a.C.Choose(SubsetBit, 2) == 1 {
+			mask[i], dropped = false, true
+		}
+	}
+	return mask
+}

@@ -146,7 +146,7 @@ type seqChooser struct {
 	pos  int
 }
 
-func (c *seqChooser) Choose(n int) int {
+func (c *seqChooser) Choose(_ adversary.Decision, n int) int {
 	if c.pos >= len(c.vals) {
 		return 0
 	}

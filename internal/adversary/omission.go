@@ -9,9 +9,9 @@ package adversary
 // assumption is load-bearing (and how far the guarantees stretch before it
 // breaks).
 //
-// Mirroring the crash adversaries, three flavours are provided: scripted
-// (OmissionScript), seeded random (RandomOmission) and chooser-driven
-// (OmittingFromChooser, for the exhaustive explorer).
+// Three flavours are provided: scripted (OmissionScript), the lossy channel
+// (RandomOmission) and chooser-driven (OmittingFromChooser, the omission
+// tree the exhaustive explorer enumerates and the fuzzer samples).
 // Combine composes any crash adversary with any omitter into a mixed
 // crash+omission scenario.
 
@@ -110,6 +110,13 @@ func (s *OmissionScript) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim
 // is exactly the classic lossy-channel ablation (every message independently
 // lost with SendProb), which is how E14 demonstrates the model's
 // reliable-channel precondition.
+//
+// RandomOmission is not a walk of OmittingFromChooser's tree, because it is
+// a different distribution: every message is lost independently and an
+// all-delivered draw is no fault at all, whereas the tree gates each event
+// and then draws a non-empty subset. Expressing the lossy channel on the
+// tree would take duplicate explorer leaves or a chooser that knows the
+// subset width.
 //
 // RandomOmission draws from the seed's SplitMix64 stream (internal/rng) and
 // is deterministic for a fixed seed on the deterministic engine; like every

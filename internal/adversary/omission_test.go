@@ -128,4 +128,4 @@ func TestFromChooserOmissionSplit(t *testing.T) {
 
 type countingChooser struct{ calls int }
 
-func (c *countingChooser) Choose(n int) int { c.calls++; return 0 }
+func (c *countingChooser) Choose(Decision, int) int { c.calls++; return 0 }

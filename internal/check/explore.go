@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/adversary"
 	"repro/internal/sim"
 )
 
@@ -51,8 +52,9 @@ func newBacktrackerFrozen(prefix []choice) *Backtracker {
 }
 
 // Choose implements adversary.Chooser: it replays the current script and
-// extends it with 0-picks at fresh choice points.
-func (b *Backtracker) Choose(n int) int {
+// extends it with 0-picks at fresh choice points. The decision kind does not
+// matter to an enumeration.
+func (b *Backtracker) Choose(_ adversary.Decision, n int) int {
 	if n <= 1 {
 		return 0
 	}
@@ -106,8 +108,9 @@ type Replayer struct {
 	pos    int
 }
 
-// Choose implements adversary.Chooser.
-func (r *Replayer) Choose(n int) int {
+// Choose implements adversary.Chooser; like the Backtracker it ignores the
+// decision kind.
+func (r *Replayer) Choose(_ adversary.Decision, n int) int {
 	if r.pos >= len(r.Values) {
 		return 0
 	}
@@ -136,7 +139,7 @@ type Execution struct {
 // factory should return the same Model/Horizon/Trace every call — which every
 // fixed-scenario factory naturally does. Factories passed to ExploreParallel
 // must additionally be safe for concurrent calls.
-type RunFactory func(ch interface{ Choose(int) int }) Execution
+type RunFactory func(ch adversary.Chooser) Execution
 
 // Validator inspects a finished run; returning an error flags a violation.
 // engineErr is the engine's own error (e.g. horizon exhaustion), which the

@@ -10,6 +10,7 @@ import (
 	"repro/internal/consensus/earlystop"
 	"repro/internal/consensus/floodset"
 	"repro/internal/core"
+	"repro/internal/protocol"
 	"repro/internal/sim"
 )
 
@@ -18,8 +19,8 @@ func TestBacktrackerEnumeratesFullTree(t *testing.T) {
 	bt := check.NewBacktracker()
 	seen := map[string]bool{}
 	for {
-		a := bt.Choose(2)
-		b := bt.Choose(3)
+		a := bt.Choose(adversary.DataBit, 2)
+		b := bt.Choose(adversary.DataBit, 3)
 		key := fmt.Sprintf("%d-%d", a, b)
 		if seen[key] {
 			t.Fatalf("duplicate execution %s", key)
@@ -40,8 +41,8 @@ func TestBacktrackerDependentTree(t *testing.T) {
 	bt := check.NewBacktracker()
 	count := 0
 	for {
-		if bt.Choose(2) == 0 {
-			bt.Choose(2)
+		if bt.Choose(adversary.DataBit, 2) == 0 {
+			bt.Choose(adversary.DataBit, 2)
 		}
 		count++
 		if !bt.Next() {
@@ -55,10 +56,10 @@ func TestBacktrackerDependentTree(t *testing.T) {
 
 func TestBacktrackerTrivialChoices(t *testing.T) {
 	bt := check.NewBacktracker()
-	if v := bt.Choose(1); v != 0 {
+	if v := bt.Choose(adversary.DataBit, 1); v != 0 {
 		t.Errorf("Choose(1) = %d, want 0", v)
 	}
-	if v := bt.Choose(0); v != 0 {
+	if v := bt.Choose(adversary.DataBit, 0); v != 0 {
 		t.Errorf("Choose(0) = %d, want 0", v)
 	}
 	if bt.Next() {
@@ -68,7 +69,7 @@ func TestBacktrackerTrivialChoices(t *testing.T) {
 
 func TestReplayerReproducesScript(t *testing.T) {
 	r := &check.Replayer{Values: []int{1, 2, 0}}
-	got := []int{r.Choose(2), r.Choose(3), r.Choose(2), r.Choose(5)}
+	got := []int{r.Choose(adversary.DataBit, 2), r.Choose(adversary.DataBit, 3), r.Choose(adversary.DataBit, 2), r.Choose(adversary.DataBit, 5)}
 	want := []int{1, 2, 0, 0}
 	for i := range want {
 		if got[i] != want[i] {
@@ -77,7 +78,7 @@ func TestReplayerReproducesScript(t *testing.T) {
 	}
 	// Out-of-range script values are clamped.
 	r2 := &check.Replayer{Values: []int{9}}
-	if v := r2.Choose(3); v != 2 {
+	if v := r2.Choose(adversary.DataBit, 3); v != 2 {
 		t.Errorf("clamped choice = %d, want 2", v)
 	}
 }
@@ -85,7 +86,7 @@ func TestReplayerReproducesScript(t *testing.T) {
 // crwFactory builds executions of the paper's algorithm with n processes and
 // crash budget t, every nondeterministic choice resolved by the chooser.
 func crwFactory(n, t int, opts core.Options) check.RunFactory {
-	return func(ch interface{ Choose(int) int }) check.Execution {
+	return func(ch adversary.Chooser) check.Execution {
 		props := make([]sim.Value, n)
 		for i := range props {
 			props[i] = sim.Value(10 + i)
@@ -241,7 +242,7 @@ func TestExhaustiveEarlyStop(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(fmt.Sprintf("n=%d,t=%d", tc.n, tc.t), func(t *testing.T) {
-			factory := func(ch interface{ Choose(int) int }) check.Execution {
+			factory := func(ch adversary.Chooser) check.Execution {
 				props := make([]sim.Value, tc.n)
 				for i := range props {
 					props[i] = sim.Value(10 + i)
@@ -276,7 +277,7 @@ func TestExhaustiveFloodSet(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(fmt.Sprintf("n=%d,t=%d", tc.n, tc.t), func(t *testing.T) {
-			factory := func(ch interface{ Choose(int) int }) check.Execution {
+			factory := func(ch adversary.Chooser) check.Execution {
 				props := make([]sim.Value, tc.n)
 				for i := range props {
 					props[i] = sim.Value(10 + i)
@@ -321,6 +322,58 @@ func TestExploreBudgetExhaustion(t *testing.T) {
 		check.ExploreOpts{Budget: 10})
 	if !errors.Is(err, check.ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+}
+
+// sendAndRecv wraps the omission tree and counts the consults at which one
+// process send-omits and receive-omits in the same round.
+type sendAndRecv struct {
+	*adversary.OmittingFromChooser
+	hits *int
+}
+
+func (s sendAndRecv) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim.Omission {
+	om := s.OmittingFromChooser.Omits(p, r, plan)
+	if om.Data != nil && om.Recv != nil {
+		*s.hits++
+	}
+	return om
+}
+
+// TestExploreOmissionBudgetTwoSendAndRecvInOneRound explores CRW at n=3
+// under omissions alone. At budget 1 the explorer enumerates E15's 25
+// executions, none of which omits both ways in one round; at budget 2 it
+// also reaches the legal schedules in which one process send-omits and
+// receive-omits in the same round.
+func TestExploreOmissionBudgetTwoSendAndRecvInOneRound(t *testing.T) {
+	const n = 3
+	for _, tc := range []struct {
+		budget, wantExecs int
+		wantBoth          bool
+	}{{1, 25, false}, {2, 0, true}} {
+		factory := func(ch adversary.Chooser) check.Execution {
+			props := []sim.Value{10, 11, 12}
+			adv := sendAndRecv{adversary.NewFromChooserWithOmissions(ch, 0, n, tc.budget, n), new(int)}
+			return protocol.Spec{N: n}.Execution(props, adv)
+		}
+		both := 0
+		count := func(ex check.Execution, _ *sim.Result, _ error) error {
+			if *ex.Adv.(sendAndRecv).hits > 0 {
+				both++
+			}
+			return nil
+		}
+		stats, err := check.Explore(factory, count, check.ExploreOpts{Budget: 1_000_000})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.wantExecs > 0 && stats.Executions != tc.wantExecs {
+			t.Errorf("budget %d: %d executions, want %d", tc.budget, stats.Executions, tc.wantExecs)
+		}
+		if (both > 0) != tc.wantBoth {
+			t.Errorf("budget %d: %d of %d executions send-omit and receive-omit in one round, want any: %v",
+				tc.budget, both, stats.Executions, tc.wantBoth)
+		}
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 
 // e5Factory is the E5 workload: the faithful algorithm at n=4, t=2 (151
 // executions, zero violations).
-func e5Factory(ch interface{ Choose(int) int }) Execution {
+func e5Factory(ch adversary.Chooser) Execution {
 	props := []sim.Value{10, 11, 12, 13}
 	return Execution{
 		Procs:     core.NewSystem(props, core.Options{}),
@@ -25,7 +25,7 @@ func e5Factory(ch interface{ Choose(int) int }) Execution {
 
 // e10Factory is the E10 workload: the commit-as-data ablation at n=3, t=1,
 // whose space contains uniform-agreement violations.
-func e10Factory(ch interface{ Choose(int) int }) Execution {
+func e10Factory(ch adversary.Chooser) Execution {
 	props := []sim.Value{10, 11, 12}
 	return Execution{
 		Procs:     core.NewSystem(props, core.Options{CommitAsData: true}),

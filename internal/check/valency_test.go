@@ -14,7 +14,7 @@ import (
 // over (the Staged adversary's job).
 func valencyFactory(proposals []sim.Value, t int, cleanRounds sim.Round) check.RunFactory {
 	n := len(proposals)
-	return func(ch interface{ Choose(int) int }) check.Execution {
+	return func(ch adversary.Chooser) check.Execution {
 		props := append([]sim.Value(nil), proposals...)
 		var adv sim.Adversary = adversary.NewFromChooser(ch, t, sim.Round(n))
 		if cleanRounds > 0 {
@@ -91,7 +91,7 @@ func TestBivalenceMaintainedByCrashingCoordinators(t *testing.T) {
 	const tt = 3
 	for k := 1; k <= 2; k++ {
 		k := k
-		factory := func(ch interface{ Choose(int) int }) check.Execution {
+		factory := func(ch adversary.Chooser) check.Execution {
 			props := append([]sim.Value(nil), proposals...)
 			rest := adversary.NewFromChooser(ch, tt-k, 4)
 			adv := adversary.Staged{

@@ -3,6 +3,7 @@ package mr99
 import (
 	"sort"
 
+	"repro/internal/adversary"
 	"repro/internal/sim"
 )
 
@@ -44,19 +45,17 @@ func (o *GSTOracle) AuxQuorum(_ sim.ProcID, _ int, senders []sim.ProcID, need in
 	return sorted[:need]
 }
 
-// Chooser is the choice interface used by the backtracking oracle (it
-// matches adversary.Chooser and check.Backtracker).
-type Chooser interface {
-	Choose(n int) int
-}
-
 // ChooserOracle resolves every asynchronous choice through a Chooser, making
 // MR99 runs exhaustively explorable like the synchronous engines. To keep
 // the space finite it enforces a GST discipline: from round GST on, the
 // failure detector is accurate and quorums are canonical (lowest ids), so
 // every run decides shortly after GST.
+//
+// Its choices reach the chooser as adversary decisions: a crash is a
+// CrashGate, the estimate reaching a process is a DataBit and a quorum
+// member is a SubsetBit. The backtracking chooser ignores the kinds.
 type ChooserOracle struct {
-	C Chooser
+	C adversary.Chooser
 	// T is the crash budget.
 	T int
 	// GST bounds the chaotic prefix (chooser-driven suspicion and quorums
@@ -72,7 +71,7 @@ func (o *ChooserOracle) CrashesBefore(_ sim.ProcID, r int) bool {
 	if o.crashes >= o.T || r >= o.GST {
 		return false
 	}
-	if o.C.Choose(2) == 1 {
+	if o.C.Choose(adversary.CrashGate, 2) == 1 {
 		o.crashes++
 		return true
 	}
@@ -87,7 +86,7 @@ func (o *ChooserOracle) ReceivesEstimate(_ sim.ProcID, r int, coordAlive bool) b
 	// Pre-GST: a crashed coordinator's messages may or may not arrive; an
 	// alive coordinator may be falsely suspected. Either way both outcomes
 	// are legal.
-	return o.C.Choose(2) == 1
+	return o.C.Choose(adversary.DataBit, 2) == 1
 }
 
 // AuxQuorum implements Oracle: pre-GST the quorum is an arbitrary
@@ -108,7 +107,7 @@ func (o *ChooserOracle) AuxQuorum(p sim.ProcID, r int, senders []sim.ProcID, nee
 			out = append(out, sorted[i:]...)
 			break
 		}
-		if remaining > 0 && o.C.Choose(2) == 1 {
+		if remaining > 0 && o.C.Choose(adversary.SubsetBit, 2) == 1 {
 			out = append(out, s)
 			remaining--
 		}

@@ -49,7 +49,7 @@ func e13Valency() *Table {
 	for _, c := range cases {
 		c := c
 		n := len(c.proposals)
-		factory := func(ch interface{ Choose(int) int }) check.Execution {
+		factory := func(ch adversary.Chooser) check.Execution {
 			props := append([]sim.Value(nil), c.proposals...)
 			budget := c.t - int(c.prefix.until)
 			if c.prefix.adv == nil || c.prefix.until == 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/adversary"
 	"repro/internal/harness"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -48,151 +49,58 @@ func (g Gen) crashProb() float64 {
 	return g.CrashProb
 }
 
-// recorder is the generating adversary: a seeded random walk over the legal
-// fault choices of the model — crash or not (data-step vs control-step crash
-// point, escaped subset / prefix) and, when the generator enables them,
-// send/receive-omission events — recording every fault it injects as a
+// recorder generates a seed's schedule: adversary.FromChooser, the model's
+// one fault-choice tree (crash point, escaped subset or prefix and, when the
+// generator enables them, send/receive-omission subsets), walked by a
+// Seeded chooser whose gates carry the generator's probabilities. The
+// recorder observes the tree and keeps every fault it injects as a
 // replayable Event. On the deterministic engine — which consults the
 // adversary in a fixed (round, process) order — the walk is a pure function
 // of the seed.
 type recorder struct {
-	rng      rng.Stream
-	gen      Gen
-	n        int // system size, for receive-omission sender masks
-	crashes  int
-	omissive map[int]bool
-	events   []Event
+	src    adversary.Seeded
+	tree   adversary.OmittingFromChooser
+	events []Event
 }
 
-// Crashes implements sim.Adversary. The choice tree mirrors
-// adversary.FromChooser: crash point first (data step vs control step, when
-// a control sequence exists), then either a uniform escaped subset (data
-// step) or full data plus a uniform escaped prefix (control step).
-func (rec *recorder) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (bool, sim.CrashOutcome) {
-	if rec.crashes >= rec.gen.T {
-		return false, sim.CrashOutcome{}
-	}
-	if rec.gen.MaxCrashRound > 0 && int(r) > rec.gen.MaxCrashRound {
-		return false, sim.CrashOutcome{}
-	}
-	if rec.rng.Float64() >= rec.gen.crashProb() {
-		return false, sim.CrashOutcome{}
-	}
-	rec.crashes++
-	mask := make([]bool, len(plan.Data))
-	ctrl := 0
-	if len(plan.Control) > 0 && rec.rng.Intn(2) == 1 {
-		// Control-step crash: the data step completed, a prefix escapes.
-		for i := range mask {
-			mask[i] = true
-		}
-		ctrl = rec.rng.Intn(len(plan.Control) + 1)
-	} else {
-		// Data-step crash: an arbitrary subset escapes, no control messages.
-		for i := range mask {
-			mask[i] = rec.rng.Intn(2) == 1
-		}
-	}
+// ObserveCrash implements adversary.Observer: it keeps the crash as an
+// Event.
+func (rec *recorder) ObserveCrash(p sim.ProcID, r sim.Round, out sim.CrashOutcome) {
 	rec.events = append(rec.events, Event{
-		Proc: int(p), Round: int(r), Data: append([]bool(nil), mask...), Ctrl: ctrl,
+		Proc: int(p), Round: int(r), Data: append([]bool(nil), out.DataDelivered...), Ctrl: out.CtrlPrefix,
 	})
-	return true, sim.CrashOutcome{DataDelivered: mask, CtrlPrefix: ctrl}
 }
 
-// omittingRecorder is the sim.Omitter face of a recorder. RunSeed attaches
-// it only when the generator actually injects omissions, so crash-only
-// campaigns keep a non-Omitter adversary and ride the engines' crash-model
-// path untouched.
-type omittingRecorder struct{ *recorder }
-
-// Omits implements sim.Omitter: with probability SendOmitProb the process
-// send-omits a random non-empty subset of this round's messages, and
-// independently with probability RecvOmitProb it blocks a random non-empty
-// subset of senders — while the budget of distinct omission-faulty processes
-// lasts. Every injected event is recorded for replay.
-func (rec omittingRecorder) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim.Omission {
-	g := rec.gen
-	if g.MaxCrashRound > 0 && int(r) > g.MaxCrashRound {
-		return sim.Omission{}
-	}
-	if g.MaxOmissive > 0 && !rec.omissive[int(p)] && len(rec.omissive) >= g.MaxOmissive {
-		return sim.Omission{}
-	}
-	var om sim.Omission
-	k := len(plan.Data) + len(plan.Control)
-	if k > 0 && g.SendOmitProb > 0 && rec.rng.Float64() < g.SendOmitProb {
-		// Uniform non-empty dropped subset over data then control positions.
-		drop := rec.nonEmptySubset(k)
-		om.Data = make([]bool, len(plan.Data))
-		om.Ctrl = make([]bool, len(plan.Control))
-		for i := 0; i < k; i++ {
-			delivered := !drop[i]
-			if i < len(plan.Data) {
-				om.Data[i] = delivered
-			} else {
-				om.Ctrl[i-len(plan.Data)] = delivered
-			}
-		}
+// ObserveOmission implements adversary.Observer: it keeps the send and the
+// receive omission, each one present, as an Event.
+func (rec *recorder) ObserveOmission(p sim.ProcID, r sim.Round, om sim.Omission) {
+	if om.Data != nil {
 		rec.events = append(rec.events, Event{
 			Kind: EventSendOmit, Proc: int(p), Round: int(r),
-			Data:     append([]bool(nil), om.Data...),
-			CtrlMask: append([]bool(nil), om.Ctrl...),
+			Data: append([]bool(nil), om.Data...), CtrlMask: append([]bool(nil), om.Ctrl...),
 		})
 	}
-	if rec.n > 1 && g.RecvOmitProb > 0 && rec.rng.Float64() < g.RecvOmitProb {
-		// Uniform non-empty blocked subset of the other processes.
-		drop := rec.nonEmptySubset(rec.n - 1)
-		om.Recv = make([]bool, rec.n)
-		idx := 0
-		for q := 1; q <= rec.n; q++ {
-			if sim.ProcID(q) == p {
-				om.Recv[q-1] = true
-				continue
-			}
-			om.Recv[q-1] = !drop[idx]
-			idx++
-		}
+	if om.Recv != nil {
 		rec.events = append(rec.events, Event{
-			Kind: EventRecvOmit, Proc: int(p), Round: int(r),
-			From: append([]bool(nil), om.Recv...),
+			Kind: EventRecvOmit, Proc: int(p), Round: int(r), From: append([]bool(nil), om.Recv...),
 		})
 	}
-	if om.IsZero() {
-		return sim.Omission{}
-	}
-	if rec.omissive == nil {
-		rec.omissive = map[int]bool{}
-	}
-	rec.omissive[int(p)] = true
-	return om
 }
 
-// nonEmptySubset draws a subset of {0..k-1} with each position included
-// independently with probability 1/2, forcing one uniformly-chosen member
-// when the draw comes out empty. (That redistribution puts the all-empty
-// mass on the singletons, so the result slightly over-weights them relative
-// to true conditioning on non-emptiness — a deliberate trade: the draw
-// count stays fixed, keeping the walk a simple function of the seed, and
-// over-weighting minimal fault footprints is fine for fuzzing.)
-func (rec *recorder) nonEmptySubset(k int) []bool {
-	drop := make([]bool, k)
-	any := false
-	for i := range drop {
-		if rec.rng.Intn(2) == 1 {
-			drop[i] = true
-			any = true
-		}
+// adversary returns the observed tree. Only an omitting generator gets the
+// sim.Omitter face: crash-only campaigns keep a non-Omitter adversary and
+// ride the engines' crash-model path untouched.
+func (rec *recorder) adversary(omitting bool) sim.Adversary {
+	if omitting {
+		return &rec.tree
 	}
-	if !any {
-		drop[rec.rng.Intn(k)] = true
-	}
-	return drop
+	return &rec.tree.FromChooser
 }
 
 // recorders recycles recorders across seeds and campaign workers for their
 // event slice and omissive set, which a walk would otherwise grow afresh per
-// seed. The generator itself needs no recycling: it is one word, and reset
-// assigns the seed's stream.
+// seed. The generator itself needs no recycling: reset assigns the seed's
+// stream.
 var recorders = sync.Pool{New: func() any { return new(recorder) }}
 
 // newRecorder takes a pooled recorder, reset for one seed.
@@ -203,12 +111,20 @@ func newRecorder(seed int64, gen Gen, n int) *recorder {
 }
 
 // reset re-seeds the generator and forgets the previous walk, keeping the
-// event and omissive-set storage.
+// event and omissive-set storage. An n-process walk crashes at most gen.T
+// processes, injects faults only up to gen.MaxCrashRound and turns at most
+// gen.MaxOmissive processes omission-faulty, with no cap on their events.
 func (rec *recorder) reset(seed int64, gen Gen, n int) {
-	rec.rng = rng.New(seed)
-	rec.gen, rec.n, rec.crashes = gen, n, 0
+	rec.src = adversary.Seeded{
+		Stream: rng.New(seed), CrashProb: gen.crashProb(),
+		SendOmitProb: gen.SendOmitProb, RecvOmitProb: gen.RecvOmitProb,
+	}
+	rec.tree.FromChooser = adversary.FromChooser{
+		C: &rec.src, T: gen.T, MaxCrashRound: sim.Round(gen.MaxCrashRound), Observe: rec,
+	}
+	rec.tree.MaxOmissive, rec.tree.Procs = gen.MaxOmissive, n
+	rec.tree.Reset()
 	rec.events = rec.events[:0]
-	clear(rec.omissive)
 }
 
 // script returns the recorded schedule in canonical order, as an exact-size
@@ -296,14 +212,8 @@ func RunSeed(eng harness.Engine, factory Factory, oracle Oracle, seed int64, opt
 	out := Outcome{Seed: seed}
 	tgt := factory()
 	rec := newRecorder(seed, opts.Gen, len(tgt.Procs))
-	var adv sim.Adversary = rec
-	if opts.Gen.omitting() {
-		// Only omission-injecting generators present an Omitter to the
-		// engine; crash-only campaigns stay on the crash-model path.
-		adv = omittingRecorder{rec}
-	}
 	res, runErr := eng.Run(harness.Job{
-		Model: tgt.Model, Horizon: tgt.Horizon, Procs: tgt.Procs, Adv: adv, Latency: tgt.Latency,
+		Model: tgt.Model, Horizon: tgt.Horizon, Procs: tgt.Procs, Adv: rec.adversary(opts.Gen.omitting()), Latency: tgt.Latency,
 	})
 	// Replay and shrinking run on the script alone: the generator goes back
 	// to the pool as soon as the walk is recorded.

@@ -8,7 +8,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -94,9 +93,10 @@ func TestRecordedScriptReplaysIdentically(t *testing.T) {
 	factory := crwFactory(9, core.Options{})
 	for seed := int64(0); seed < 50; seed++ {
 		tgt := factory()
-		rec := &recorder{rng: rng.New(seed), gen: Gen{T: 4, CrashProb: 0.3}}
+		rec := new(recorder)
+		rec.reset(seed, Gen{T: 4, CrashProb: 0.3}, len(tgt.Procs))
 		want, runErr := eng.Run(harness.Job{
-			Model: tgt.Model, Horizon: tgt.Horizon, Procs: tgt.Procs, Adv: rec,
+			Model: tgt.Model, Horizon: tgt.Horizon, Procs: tgt.Procs, Adv: rec.adversary(false),
 		})
 		if runErr != nil {
 			t.Fatalf("seed %d: %v", seed, runErr)

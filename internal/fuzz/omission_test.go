@@ -8,7 +8,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -83,9 +82,10 @@ func TestRecordedOmissionScriptReplaysIdentically(t *testing.T) {
 	gen := Gen{T: 3, CrashProb: 0.2, SendOmitProb: 0.15, RecvOmitProb: 0.1, MaxOmissive: 4}
 	for seed := int64(0); seed < 50; seed++ {
 		tgt := factory()
-		rec := &recorder{rng: rng.New(seed), gen: gen, n: len(tgt.Procs)}
+		rec := new(recorder)
+		rec.reset(seed, gen, len(tgt.Procs))
 		want, wantErr := eng.Run(harness.Job{
-			Model: tgt.Model, Horizon: tgt.Horizon, Procs: tgt.Procs, Adv: omittingRecorder{rec},
+			Model: tgt.Model, Horizon: tgt.Horizon, Procs: tgt.Procs, Adv: rec.adversary(true),
 		})
 		if want == nil {
 			t.Fatalf("seed %d: %v", seed, wantErr)

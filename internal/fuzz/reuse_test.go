@@ -11,7 +11,6 @@ import (
 	"repro/internal/check"
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -43,14 +42,10 @@ func summarize(out Outcome) walkSummary {
 
 // walk executes one random walk with the given recorder and summarizes it
 // the way RunSeed does.
-func walk(t *testing.T, eng harness.Engine, factory Factory, oracle Oracle, rec *recorder) walkSummary {
+func walk(t *testing.T, eng harness.Engine, factory Factory, oracle Oracle, rec *recorder, gen Gen) walkSummary {
 	t.Helper()
 	tgt := factory()
-	var adv sim.Adversary = rec
-	if rec.gen.omitting() {
-		adv = omittingRecorder{rec}
-	}
-	res, runErr := eng.Run(harness.Job{Model: tgt.Model, Horizon: tgt.Horizon, Procs: tgt.Procs, Adv: adv})
+	res, runErr := eng.Run(harness.Job{Model: tgt.Model, Horizon: tgt.Horizon, Procs: tgt.Procs, Adv: rec.adversary(gen.omitting())})
 	if res == nil {
 		t.Fatal(runErr)
 	}
@@ -61,8 +56,7 @@ func walk(t *testing.T, eng harness.Engine, factory Factory, oracle Oracle, rec 
 // TestRecycledRecorderMatchesFresh runs every seed on a recorder another seed
 // has just used — once through an explicitly reused recorder, once through
 // RunSeed's pool, sequentially and from four goroutines sharing the pool —
-// and requires the outcome a fresh recorder seeded with rng.New(seed)
-// gives. The omission generator populates the omissive set under a small
+// and requires the outcome a fresh recorder reset for the seed gives. The omission generator populates the omissive set under a small
 // budget, so a reset that forgot it would change the walk.
 func TestRecycledRecorderMatchesFresh(t *testing.T) {
 	const n, seeds = 8, 200
@@ -79,15 +73,16 @@ func TestRecycledRecorderMatchesFresh(t *testing.T) {
 			eng, oracle := newEngine(t), tc.oracle
 			want := make([]walkSummary, seeds)
 			for seed := range want {
-				fresh := &recorder{rng: rng.New(int64(seed)), gen: tc.gen, n: n}
-				want[seed] = walk(t, eng, factory, oracle, fresh)
+				fresh := new(recorder)
+				fresh.reset(int64(seed), tc.gen, n)
+				want[seed] = walk(t, eng, factory, oracle, fresh, tc.gen)
 			}
 			reused := new(recorder)
 			for seed := range want {
 				reused.reset(int64(seeds+seed), tc.gen, n)
-				walk(t, eng, factory, oracle, reused)
+				walk(t, eng, factory, oracle, reused, tc.gen)
 				reused.reset(int64(seed), tc.gen, n)
-				if got := walk(t, eng, factory, oracle, reused); got != want[seed] {
+				if got := walk(t, eng, factory, oracle, reused, tc.gen); got != want[seed] {
 					t.Fatalf("seed %d on a reused recorder: %+v, fresh %+v", seed, got, want[seed])
 				}
 			}

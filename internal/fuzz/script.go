@@ -1,10 +1,11 @@
 // Package fuzz turns the deterministic engine into a property-based tester:
-// a seeded random-walk adversary drives executions through randomly sampled
-// fault schedules — crash faults and send/receive-omission faults — at sizes
-// the exhaustive explorer (internal/check) cannot reach, every sampled choice
-// is recorded into a compact replayable Script, each run is validated against
-// the consensus oracles, and violating scripts are minimized by a
-// delta-debugging shrinker while preserving the failure.
+// a seeded random walk of adversary.FromChooser, the same fault-choice tree
+// the exhaustive explorer (internal/check) enumerates, drives executions
+// through randomly sampled fault schedules — crash faults and
+// send/receive-omission faults — at sizes the explorer cannot reach, every
+// sampled fault is recorded into a compact replayable Script, each run is
+// validated against the consensus oracles, and violating scripts are
+// minimized by a delta-debugging shrinker while preserving the failure.
 //
 // The pipeline per seed is
 //
@@ -259,6 +260,28 @@ func (s Script) validate() error {
 			return fmt.Errorf("fuzz: duplicate %s event for p%d@r%d", e.Kind, e.Proc, e.Round)
 		}
 		seen[k] = true
+	}
+	return nil
+}
+
+// ValidateFor checks the script against an n-process system: every event
+// names an existing process, crash control prefixes and receive-omission
+// masks fit, and a survivor remains. Its errors are phrases that read after
+// the caller's own prefix, e.g. "agree: replay script " + err.
+func (s Script) ValidateFor(n int) error {
+	for _, e := range s.Events {
+		if e.Proc > n {
+			return fmt.Errorf("names nonexistent p%d (n=%d)", e.Proc, n)
+		}
+		if e.Ctrl > n-1 {
+			return fmt.Errorf("control prefix %d of p%d out of range (0..%d)", e.Ctrl, e.Proc, n-1)
+		}
+		if len(e.From) > n {
+			return fmt.Errorf("receive-omission mask of p%d names %d senders (n=%d)", e.Proc, len(e.From), n)
+		}
+	}
+	if s.Crashes() >= n && n > 0 {
+		return fmt.Errorf("crashes all %d processes; a run needs a survivor", n)
 	}
 	return nil
 }

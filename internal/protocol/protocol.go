@@ -152,7 +152,7 @@ func (s Spec) Execution(proposals []sim.Value, adv sim.Adversary) check.Executio
 // may crash up to crashes processes and, when omissions > 0, inject up to
 // that many omission events.
 func (s Spec) Explorer(crashes, omissions int) check.RunFactory {
-	return func(ch interface{ Choose(int) int }) check.Execution {
+	return func(ch adversary.Chooser) check.Execution {
 		props := make([]sim.Value, s.N)
 		for i := range props {
 			props[i] = sim.Value(10 + i)

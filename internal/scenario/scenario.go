@@ -583,7 +583,10 @@ func (s *Scenario) Validate() error {
 	if canon := script.String(); canon != s.Faults {
 		return fmt.Errorf("scenario %q: fault script is not in canonical event order (want %q)", s.Name, canon)
 	}
-	return validateScript(s.Name, script, s.N)
+	if err := script.ValidateFor(s.N); err != nil {
+		return fmt.Errorf("scenario %q: fault script %w", s.Name, err)
+	}
+	return nil
 }
 
 // contains reports whether list holds v.
@@ -594,27 +597,6 @@ func contains(list []string, v string) bool {
 		}
 	}
 	return false
-}
-
-// validateScript applies the same script-vs-system-size rules the public
-// replay path enforces: every event names an existing process, control
-// prefixes and receive masks fit, and a survivor remains.
-func validateScript(name string, script fuzz.Script, n int) error {
-	for _, e := range script.Events {
-		if e.Proc > n {
-			return fmt.Errorf("scenario %q: fault script names nonexistent p%d (n=%d)", name, e.Proc, n)
-		}
-		if e.Kind == fuzz.EventCrash && e.Ctrl > n-1 {
-			return fmt.Errorf("scenario %q: control prefix %d of p%d out of range (0..%d)", name, e.Ctrl, e.Proc, n-1)
-		}
-		if len(e.From) > n {
-			return fmt.Errorf("scenario %q: receive-omission mask of p%d names %d senders (n=%d)", name, e.Proc, len(e.From), n)
-		}
-	}
-	if script.Crashes() >= n {
-		return fmt.Errorf("scenario %q: fault script crashes all %d processes; a run needs a survivor", name, n)
-	}
-	return nil
 }
 
 // Script returns the parsed fault script. The scenario must have passed

@@ -136,7 +136,7 @@ func TestExhaustiveSimulatedCRW(t *testing.T) {
 	// of the simulated protocol satisfies uniform consensus, and decisions
 	// happen within f+1 macro rounds.
 	const n, budget = 3, 20_000_000
-	factory := func(ch interface{ Choose(int) int }) check.Execution {
+	factory := func(ch adversary.Chooser) check.Execution {
 		pr := props(n)
 		procs := simulate.OnClassic(core.NewSystem(pr, core.Options{}))
 		return check.Execution{

@@ -98,9 +98,11 @@ go test -shuffle=on -count=2 -timeout 300s ./...
 echo "== go test -race (parallel explorer + sweep/cross-check + fuzz-campaign + omission + timed differential + pooled-DES differential + law-audit + telemetry + plan-lifetime tests)"
 go test -race -timeout 300s -run 'ExploreParallel|Sweep|CrossCheck|Fuzz|Omission|Timed|Law|Planted|Conservation|Audit|Determinism|Pooled|Handle|Telemetry|Chrome|PlanLifetime' ./internal/check/ ./agree/ ./internal/lockstep/ ./internal/harness/ ./internal/fuzz/ ./internal/sim/ ./internal/timed/ ./internal/des/ ./internal/laws/ ./internal/smr/ ./internal/telemetry/
 
-# The fuzz recorder is pooled and crosses campaign worker goroutines.
-echo "== go test -race -count=5 (recycled fuzz recorder + slice replayer differentials)"
-go test -race -count=5 -timeout 300s -run 'RecycledRecorder|ReplayerMatches' ./internal/fuzz/
+# The fuzz recorder is pooled and crosses campaign worker goroutines; the
+# one-tree test replays its chooser's answers on pooled recorders from
+# parallel subtests.
+echo "== go test -race -count=5 (recycled fuzz recorder + slice replayer differentials + one fault-choice tree)"
+go test -race -count=5 -timeout 300s -run 'RecycledRecorder|ReplayerMatches|OneTree' ./internal/fuzz/
 
 # The control and crash-mask tables are shared by every system, one
 # system's plan buffer and payload slot cross the lockstep workers, and one
