@@ -53,8 +53,10 @@ const (
 	// EngineDeterministic is the sequential round engine (exact, fast,
 	// exhaustively explorable).
 	EngineDeterministic EngineKind = "deterministic"
-	// EngineLockstep runs one goroutine per process with mailbox-based
-	// message delivery and barrier-synchronized rounds.
+	// EngineLockstep runs the processes concurrently on P = min(n,
+	// GOMAXPROCS) goroutines with mailbox-based message delivery and
+	// barrier-synchronized rounds; the order in which processes consult the
+	// adversary depends on scheduling.
 	EngineLockstep EngineKind = "lockstep"
 	// EngineTimed is the continuous-time discrete-event engine: every
 	// message is a timed event priced by a latency model (Config.Latency),

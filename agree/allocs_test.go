@@ -31,7 +31,7 @@ func TestRunAllocs(t *testing.T) {
 		{"DeterministicEngine", agree.Config{N: 32, Faults: agree.CoordinatorCrashes(4)}, 27},
 		{"TimedEngine", timed, 59},
 		{"LockstepEngine", agree.Config{N: 32, Engine: agree.EngineLockstep,
-			Faults: agree.CoordinatorCrashes(4)}, 97},
+			Faults: agree.CoordinatorCrashes(4)}, 33},
 		{"E1FailureFreeTelemetry", agree.Config{N: 64, Telemetry: true}, 36},
 		{"TimedEngineTelemetry", timedTelemetry, 108},
 	}

@@ -69,8 +69,8 @@ func ExampleRun_commitPrefix() {
 // The paper's algorithm in the extended synchronous model, first
 // failure-free (one round), then under the worst-case schedule that crashes
 // the first two coordinators (f+1 = 3 rounds), then the same run on the
-// goroutine runtime — one goroutine per process, channel-based delivery,
-// identical outcome.
+// goroutine runtime — processes run concurrently on P = min(n, GOMAXPROCS)
+// goroutines, mailbox-based delivery, identical outcome.
 func ExampleRun_quickstart() {
 	// Failure-free: the first coordinator imposes its proposal in one round.
 	rep, err := agree.Run(agree.Config{N: 8, Protocol: agree.ProtocolCRW})

@@ -146,7 +146,8 @@ func (e Event) clone() Event {
 //
 // A script is order-insensitive — replaying it is a pure function of
 // (process, round, plan) — so it reproduces identically on every engine,
-// including the goroutine-per-process lockstep runtime.
+// including the lockstep runtime, whose processes run concurrently on
+// P = min(n, GOMAXPROCS) goroutines.
 type Script struct {
 	Events []Event
 }

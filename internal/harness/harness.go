@@ -33,7 +33,8 @@ type Kind string
 const (
 	// KindDeterministic is the sequential round engine (internal/sim).
 	KindDeterministic Kind = "deterministic"
-	// KindLockstep is the goroutine-per-process runtime (internal/lockstep).
+	// KindLockstep is the concurrent runtime (internal/lockstep): processes
+	// run concurrently on P = min(n, GOMAXPROCS) goroutines.
 	KindLockstep Kind = "lockstep"
 	// KindTimed is the continuous-time discrete-event engine (internal/timed).
 	KindTimed Kind = "timed"

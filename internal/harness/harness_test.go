@@ -174,7 +174,7 @@ func TestAdaptersAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The adapter's runtime keeps its worker goroutines until closed.
+	// The adapter's runtime keeps its shard goroutines until closed.
 	t.Cleanup(ls.(interface{ Close() }).Close)
 	want, err := det.Run(job(6, 2))
 	if err != nil {

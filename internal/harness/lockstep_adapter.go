@@ -7,13 +7,14 @@ import (
 	"repro/internal/sim"
 )
 
-// lockstepEngine adapts the goroutine-per-process runtime
-// (internal/lockstep) to the harness interface. The runtime's worker
-// goroutines and mailbox slab are persistent: the adapter keeps one
-// lockstep.Runtime and rearms it with Reset per job, so it advertises
-// Reusable. It records no transcripts and, because worker goroutines consult
-// the adversary in scheduling order, makes no bit-determinism promise. Close
-// (called by Cache.Close) terminates the goroutine set and waits for it.
+// lockstepEngine adapts the concurrent runtime (internal/lockstep), in which
+// processes run concurrently on P = min(n, GOMAXPROCS) goroutines, to the
+// harness interface. The runtime's shard goroutines and mailbox slab are
+// persistent: the adapter keeps one lockstep.Runtime and rearms it with Reset
+// per job, so it advertises Reusable. It records no transcripts and, because
+// concurrent processes consult the adversary in scheduling order, makes no
+// bit-determinism promise. Close (called by Cache.Close) terminates the
+// goroutine set and waits for it.
 type lockstepEngine struct {
 	rt *lockstep.Runtime
 }
@@ -49,7 +50,7 @@ func (e *lockstepEngine) Run(job Job) (*sim.Result, error) {
 	return audited(e.rt.Run())
 }
 
-// Close terminates the runtime's persistent worker goroutines.
+// Close terminates the runtime's persistent shard goroutines.
 func (e *lockstepEngine) Close() {
 	if e.rt != nil {
 		e.rt.Close()

@@ -142,12 +142,22 @@ func Audit(res *sim.Result) error {
 // AuditBudget checks the fault-budget laws: the run's observed crashes and
 // omissive processes never exceed the budget the fault specification was
 // allowed to spend. Negative budget fields disable the corresponding law.
+// Both counts come from one pass over res.Procs.
 func AuditBudget(res *sim.Result, b Budget) error {
-	if f := res.Faults(); b.Crashes >= 0 && f > b.Crashes {
+	f, k := 0, 0
+	for _, o := range res.Procs {
+		if o.CrashRound != 0 {
+			f++
+		}
+		if o.OmissiveRounds != 0 {
+			k++
+		}
+	}
+	if b.Crashes >= 0 && f > b.Crashes {
 		return &Violation{Law: LawCrashBudget,
 			Detail: fmt.Sprintf("%d processes crashed, budget allows %d", f, b.Crashes)}
 	}
-	if k := res.OmissionFaulty(); b.Omissive >= 0 && k > b.Omissive {
+	if b.Omissive >= 0 && k > b.Omissive {
 		return &Violation{Law: LawOmissionBudget,
 			Detail: fmt.Sprintf("%d omissive processes, budget allows %d", k, b.Omissive)}
 	}

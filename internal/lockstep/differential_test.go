@@ -2,6 +2,7 @@ package lockstep_test
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -50,13 +51,29 @@ func randomScript(rng *rand.Rand, n int) *adversary.Script {
 // TestDifferentialEnginesUnderRandomScripts fuzzes both engines with the
 // same randomly scripted crash schedules and requires bit-identical results:
 // same rounds, decisions, decide rounds, crash sets and traffic counters.
+// The GoroutinePerProcess subtest runs each lockstep job at GOMAXPROCS = n,
+// so every process gets a shard goroutine of its own, the runtime's old
+// shape. scripts/verify.sh runs this under -race -count=10.
 func TestDifferentialEnginesUnderRandomScripts(t *testing.T) {
+	for _, perProcess := range []bool{false, true} {
+		name := "Shards"
+		if perProcess {
+			name = "GoroutinePerProcess"
+		}
+		t.Run(name, func(t *testing.T) { differentialRandomScripts(t, perProcess) })
+	}
+}
+
+func differentialRandomScripts(t *testing.T, perProcess bool) {
 	prop := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%8) + 3
 		props := make([]sim.Value, n)
 		for i := range props {
 			props[i] = sim.Value(rng.Intn(1000))
+		}
+		if perProcess {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
 		}
 
 		mk := func() (sim.Adversary, []sim.Process) {

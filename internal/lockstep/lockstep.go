@@ -1,6 +1,7 @@
-// Package lockstep is a concurrent runtime for the synchronous models: one
-// goroutine per process, one two-cell mailbox per directed process pair, and
-// a driver that enforces the round structure with one phase barrier.
+// Package lockstep is a concurrent runtime for the synchronous models:
+// processes run concurrently on P = min(n, GOMAXPROCS) goroutines, one
+// two-cell mailbox per directed process pair carries their messages, and a
+// driver enforces the round structure with one phase barrier.
 //
 // It executes the same sim.Process state machines as the deterministic engine
 // in internal/sim, under the same sim.Adversary interface, and produces the
@@ -16,27 +17,26 @@
 //     and one control message per round (footnote 3 of the paper); all
 //     mailboxes live in one flat slab, where a sender writes only its own
 //     column and a receiver drains only its own row, in place;
-//   - the send phase of a round runs concurrently in all process goroutines;
-//     a crashing process performs the escaped prefix of its sends and then
-//     its goroutine goes silent for the rest of the run, exactly like a crash
-//     mid-send-phase;
+//   - the send phase of a round runs concurrently on the P shard goroutines,
+//     each running the send halves of its share of the live processes in id
+//     order; a crashing process performs the escaped prefix of its sends and
+//     is never run again, exactly like a crash mid-send-phase;
 //   - the phase barrier between the send and receive phases is the model's
 //     synchrony assumption (a message sent in round r arrives in round r).
-//     The driver publishes a command and the round, then wakes each live
-//     worker on the worker's own wake channel; each worker counts its
-//     arrival down on one shared atomic when its phase is done, and the last
-//     arrival wakes the driver — one driver wake per phase. A worker that
-//     survives its send phase parks at the barrier until the driver wakes it
-//     again to receive, or to abort the run. The barrier also orders every
-//     mailbox access, so the slab needs no lock.
+//     For each phase the driver publishes a command, the round and the list
+//     of processes to run, then wakes each shard on the shard's own wake
+//     channel; a shard runs its contiguous share of the list and counts its
+//     arrival down on one shared atomic, and the last arrival wakes the
+//     driver — two wakes per shard and two driver wakes per round. The
+//     barrier also orders every mailbox access, so the slab needs no lock.
 //
-// Worker goroutines and the slabs are persistent and grow-only: a Runtime
+// Shard goroutines and the slabs are persistent and grow-only: a Runtime
 // built by New survives its Run, and Reset rearms it — new processes,
-// adversary and configuration — spawning workers and reallocating the slabs
-// only when the process count exceeds every earlier one. That is what makes
-// the runtime Reusable to the sweep harness: a worker executing a thousand
-// lockstep jobs of any size mix pays for one goroutine set. Call Close to
-// terminate the goroutines when the runtime is retired.
+// adversary and configuration — spawning shards and reallocating the slabs
+// only when the process count or P exceeds every earlier one. That is what
+// makes the runtime Reusable to the sweep harness: a worker executing a
+// thousand lockstep jobs of any size mix pays for one goroutine set. Call
+// Close to terminate the goroutines when the runtime is retired.
 //
 // Adversary calls are serialized with a mutex, but the order in which
 // concurrent processes consult the adversary is scheduling-dependent: use
@@ -49,6 +49,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -66,8 +67,8 @@ type Config struct {
 	Horizon sim.Round
 	// Telemetry, if non-nil, receives run/round spans and per-round traffic
 	// series. Recording happens entirely in the driver, after the last
-	// arrival of a round's receive phase and before it wakes any worker for
-	// the next one, so the recorder needs no locking even though the workers
+	// arrival of a round's receive phase and before it wakes any shard for
+	// the next one, so the recorder needs no locking even though the shards
 	// run concurrently. The nil path costs nothing.
 	Telemetry *telemetry.Recorder
 }
@@ -85,42 +86,32 @@ type Runtime struct {
 	box []sim.Message
 	cnt []uint8
 
-	// The phase barrier. The driver writes cmd and r, stores the number of
-	// workers it wakes in pending, then wakes them; every woken worker
-	// decrements pending when its phase is done, and the one that takes it
-	// to zero signals arrived. Workers read cmd and r only after a wake, and
-	// the driver writes them only after the last arrival.
-	cmd     command
+	// The phase barrier. The driver writes recv, r and list, stores the
+	// number of shards it wakes in pending, then wakes them; every woken
+	// shard decrements pending when its share of list is done, and the one
+	// that takes it to zero signals arrived. Shards read recv, r and list
+	// only after a wake, and the driver writes them only after the last
+	// arrival.
+	recv    bool // the phase runs the receive halves, not the send halves
 	r       sim.Round
+	list    []int // indices (id-1) of the processes the phase runs
 	pending atomic.Int32
 	arrived chan struct{} // capacity 1
 
-	workers []*worker      // grow-only; workers[:n] run the current job
-	wg      sync.WaitGroup // one count per spawned worker goroutine
+	shards []*shard       // grow-only; shards[:p] run the current job
+	p      int            // min(n, GOMAXPROCS) at arming
+	wg     sync.WaitGroup // one count per spawned shard goroutine
+	ps     []procState    // grow-only; indexed by process (id-1)
 
-	consumed bool
-	closed   bool
+	consumed, closed bool
 
-	// Driver-side scratch, sized when workers are spawned. Indexed by
-	// process (id-1).
-	alive     []bool
-	halted    []bool
-	out       []sim.Outcome // per-process outcome so far; finish hands out a copy
-	started   []*worker
-	receivers []*worker
+	// Driver-side scratch, sized with ps. Indexed by process (id-1).
+	alive, halted []bool
+	out           []sim.Outcome // per-process outcome so far; finish hands out a copy
+	active, recvs []int         // the send and the receive phase's lists
 }
 
-// command is what a wake asks of a worker: the send phase of round r from
-// its idle loop, or, at the barrier, the receive phase or the end of the run.
-type command uint8
-
-const (
-	cmdSend command = iota
-	cmdRecv
-	cmdAbort
-)
-
-// sendReport is a worker's account of its send phase.
+// sendReport is the account of one process's send phase.
 type sendReport struct {
 	crashed bool
 	omitted bool // the adversary injected an omission fault this round
@@ -128,7 +119,7 @@ type sendReport struct {
 	ctr     metrics.Counters
 }
 
-// recvReport is a worker's account of its receive phase.
+// recvReport is the account of one process's receive phase.
 type recvReport struct {
 	decided bool
 	value   sim.Value
@@ -137,31 +128,44 @@ type recvReport struct {
 	led     metrics.Ledger   // delivery-ledger slice of this receive phase
 }
 
-// worker is the per-process goroutine state. rt, idx and wake are fixed at
-// spawn. The driver installs proc and carves destCnt while every worker is
-// idle; the next wake publishes them. A worker writes its reports before it
-// arrives, and the driver reads them after the last arrival.
-type worker struct {
-	rt   *Runtime
-	idx  int // process index: the worker runs p_{idx+1}
-	wake chan struct{}
-
-	proc sim.Process
+// procState is what one process carries through a round. The shard running
+// the process writes it before arriving, and the driver reads the reports
+// after the last arrival.
+type procState struct {
 	sent sendReport
 	done recvReport
-
-	destCnt []uint8           // per-destination send count scratch
-	val     sim.PlanValidator // workers validate concurrently: one each
+	om   sim.Omission // this round's omission, from the send to the receive half
 }
 
-// loop is the persistent worker goroutine: idle between rounds, executing
-// one round per wake. A crash, halt, protocol error or run abort returns the
-// worker to idle — never exits the goroutine — so the driver simply stops
-// waking it; only Close, which closes the wake channel, ends the loop.
-func (w *worker) loop() {
-	defer w.rt.wg.Done()
-	for range w.wake {
-		w.round()
+// shard is one persistent goroutine's state. rt, idx and wake are fixed at
+// spawn; the driver carves cnt while every shard is idle, and the next wake
+// publishes it.
+type shard struct {
+	rt   *Runtime
+	idx  int
+	wake chan struct{}
+
+	cnt []uint8           // per-destination send counts, all zero between plans
+	val sim.PlanValidator // shards validate concurrently: one each
+}
+
+// loop is the persistent shard goroutine: idle between phases, running its
+// share of one phase per wake. Only Close, which closes the wake channel,
+// ends the loop.
+func (s *shard) loop() {
+	defer s.rt.wg.Done()
+	for range s.wake {
+		rt := s.rt
+		m := len(rt.list)
+		k := min(rt.p, m)
+		for _, i := range rt.list[s.idx*m/k : (s.idx+1)*m/k] {
+			if rt.recv {
+				s.receive(i, rt.r)
+			} else {
+				s.send(i, rt.r)
+			}
+		}
+		rt.arrive()
 	}
 }
 
@@ -175,17 +179,17 @@ func New(cfg Config, procs []sim.Process, adv sim.Adversary) (*Runtime, error) {
 	return rt, nil
 }
 
-// Reset rearms the runtime for a new job, reusing the worker goroutines and
-// the slabs (they grow only when the process count exceeds every earlier
-// one). On error the runtime keeps its previous (consumed) arming. Reset
-// must not be called concurrently with Run.
+// Reset rearms the runtime for a new job, reusing the shard goroutines and
+// the slabs (they grow only when the process count or P exceeds every
+// earlier one). On error the runtime keeps its previous (consumed) arming.
+// Reset must not be called concurrently with Run.
 func (rt *Runtime) Reset(cfg Config, procs []sim.Process, adv sim.Adversary) error {
 	return rt.init(cfg, procs, adv)
 }
 
 // init validates and installs a job; shared by New and Reset. Validation
 // happens before any mutation so a failed Reset leaves the runtime intact.
-// Every worker is idle here, so the writes need no handshake: the wake of
+// Every shard is idle here, so the writes need no handshake: the wake of
 // the first send phase publishes them.
 func (rt *Runtime) init(cfg Config, procs []sim.Process, adv sim.Adversary) error {
 	if rt.closed {
@@ -197,83 +201,86 @@ func (rt *Runtime) init(cfg Config, procs []sim.Process, adv sim.Adversary) erro
 	}
 	cfg.Horizon = h
 	n := len(procs)
-	if n > len(rt.workers) {
-		rt.grow(n)
+	p := min(n, runtime.GOMAXPROCS(0))
+	if n > len(rt.ps) || p > len(rt.shards) {
+		rt.grow(max(n, len(rt.ps)), max(p, len(rt.shards)))
 	}
 	// An aborted run can leave mail behind; every mailbox starts empty.
 	clear(rt.cnt[:n*n])
-	for i, w := range rt.workers[:n] {
-		w.proc = procs[i]
-	}
-	rt.cfg, rt.procs, rt.adv = cfg, procs, adv
+	rt.cfg, rt.procs, rt.adv, rt.p = cfg, procs, adv, p
 	rt.omit, _ = adv.(sim.Omitter)
 	rt.consumed = false
 	return nil
 }
 
-// grow spawns workers up to n and resizes every slab for n processes. The
-// new workers come from one slab, the mailbox counts and every worker's
-// send-count row from one uint8 slab, and the driver's scratch is sized
-// here so a run never appends past it.
-func (rt *Runtime) grow(n int) {
-	u8 := make([]uint8, 2*n*n)
+// grow sizes every slab for n processes and spawns shards up to p. The new
+// shards come from one slab, the mailbox counts and every shard's send-count
+// row from one uint8 slab, and the driver's scratch is sized here so a run
+// never appends past it.
+func (rt *Runtime) grow(n, p int) {
+	if n > len(rt.ps) {
+		rt.box = make([]sim.Message, 2*n*n)
+		rt.ps = make([]procState, n)
+		idx := make([]int, 2*n)
+		rt.active, rt.recvs = idx[:0:n], idx[n:n]
+		flags := make([]bool, 2*n)
+		rt.alive, rt.halted = flags[:n:n], flags[n:]
+		rt.out = make([]sim.Outcome, n)
+	}
+	u8 := make([]uint8, (n+p)*n)
 	rt.cnt = u8[:n*n]
-	rt.box = make([]sim.Message, 2*n*n)
-	ptrs := make([]*worker, 3*n)
-	have := copy(ptrs, rt.workers)
-	rt.workers = ptrs[:have:n]
-	rt.started = ptrs[n : n : 2*n]
-	rt.receivers = ptrs[2*n : 2*n : 3*n]
-	spawned := make([]worker, n-have)
+	have := len(rt.shards)
+	rt.shards = append(make([]*shard, 0, p), rt.shards...)
+	spawned := make([]shard, p-have)
 	for i := range spawned {
-		w := &spawned[i]
-		w.rt, w.idx, w.wake = rt, have+i, make(chan struct{}, 1)
-		rt.workers = append(rt.workers, w)
+		s := &spawned[i]
+		s.rt, s.idx, s.wake = rt, have+i, make(chan struct{}, 1)
+		rt.shards = append(rt.shards, s)
 	}
-	for i, w := range rt.workers {
-		w.destCnt = u8[(n+i)*n : (n+i+1)*n]
+	for i, s := range rt.shards {
+		s.cnt = u8[(n+i)*n : (n+i+1)*n]
 	}
-	for _, w := range rt.workers[have:] {
+	for _, s := range rt.shards[have:] {
 		rt.wg.Add(1)
-		go w.loop()
+		go s.loop()
 	}
-	flags := make([]bool, 2*n)
-	rt.alive, rt.halted = flags[:n:n], flags[n:]
-	rt.out = make([]sim.Outcome, n)
 }
 
-// Close terminates the worker goroutines and returns once all of them have
+// Close terminates the shard goroutines and returns once all of them have
 // exited. The runtime cannot be used afterwards; Close is idempotent and must
-// not run concurrently with Run. Every worker is idle between runs, so
+// not run concurrently with Run. Every shard is idle between runs, so
 // closing its wake channel ends its loop.
 func (rt *Runtime) Close() {
 	if rt.closed {
 		return
 	}
 	rt.closed = true
-	for _, w := range rt.workers {
-		close(w.wake)
+	for _, s := range rt.shards {
+		close(s.wake)
 	}
-	rt.workers = nil
+	rt.shards = nil
 	rt.wg.Wait()
 }
 
-// phase runs one phase of the barrier: it publishes cmd for round r, wakes
-// every worker of ws and returns after the last of them has arrived.
-func (rt *Runtime) phase(cmd command, r sim.Round, ws []*worker) {
-	if len(ws) == 0 {
+// phase runs one phase of the barrier: it publishes the send (or, with
+// recv, the receive) halves of round r over the processes of list, wakes
+// min(p, len(list)) shards, each for its contiguous share of list, and
+// returns after the last of them has arrived.
+func (rt *Runtime) phase(recv bool, r sim.Round, list []int) {
+	if len(list) == 0 {
 		return
 	}
-	rt.cmd, rt.r = cmd, r
-	rt.pending.Store(int32(len(ws)))
-	for _, w := range ws {
-		w.wake <- struct{}{}
+	shards := rt.shards[:min(rt.p, len(list))]
+	rt.recv, rt.r, rt.list = recv, r, list
+	rt.pending.Store(int32(len(shards)))
+	for _, s := range shards {
+		s.wake <- struct{}{}
 	}
 	<-rt.arrived
 }
 
-// arrive counts the calling worker's phase done; the last arrival wakes the
-// driver. A worker touches no shared state after it has arrived until its
+// arrive counts the calling shard's share done; the last arrival wakes the
+// driver. A shard touches no shared state after it has arrived until its
 // next wake.
 func (rt *Runtime) arrive() {
 	if rt.pending.Add(-1) == 0 {
@@ -281,7 +288,7 @@ func (rt *Runtime) arrive() {
 	}
 }
 
-// consult serializes adversary access across worker goroutines: the crash
+// consult serializes adversary access across shard goroutines: the crash
 // decision first and — exactly like the deterministic engine — the omission
 // decision only when the process survives (a crash truncation subsumes any
 // send omission, and a crashed process receives nothing anyway).
@@ -295,86 +302,52 @@ func (rt *Runtime) consult(p sim.ProcID, r sim.Round, plan sim.SendPlan) (bool, 
 	return false, sim.CrashOutcome{}, rt.omit.Omits(p, r, plan)
 }
 
-// round executes one round in worker w: send phase, barrier, receive phase.
-// Every woken phase ends in exactly one arrival. Returning (on crash, halt,
-// error or abort) parks the worker in its idle loop.
-func (w *worker) round() {
-	rt := w.rt
-	r := rt.r
-	om, survived := w.send(r)
-	rt.arrive()
-	if !survived {
-		return // a crash silences the worker for the rest of the run
-	}
-	// The barrier: the next wake means every round-r message is in the
-	// mailboxes, or that the driver aborted the run.
-	<-w.wake
-	if rt.cmd != cmdAbort {
-		w.receive(r, om)
-	}
-	rt.arrive()
-}
-
-// send runs w's send phase of round r and reports it in w.sent. It returns
-// the process's omission of this round and whether the process is still
-// running (neither crashed nor failed) and so waits at the barrier.
-func (w *worker) send(r sim.Round) (sim.Omission, bool) {
-	rt := w.rt
-	id := w.proc.ID()
-	n := len(rt.procs)
-	plan := w.proc.Send(r)
-	rep := &w.sent
-	*rep = sendReport{}
+// send runs the send half of round r for process i+1 and reports it in
+// rt.ps[i]; the process's omission of the round waits there for its receive
+// half. A process that crashed or failed is not run again.
+func (s *shard) send(i int, r sim.Round) {
+	rt := s.rt
+	st := &rt.ps[i]
+	proc := rt.procs[i]
+	id := proc.ID()
+	plan := proc.Send(r)
+	rep := &st.sent
+	*rep, st.om = sendReport{}, sim.Omission{}
 	if rt.cfg.Model == sim.ModelClassic && len(plan.Control) > 0 {
 		rep.err = fmt.Errorf("%w (process p%d, round %d)", sim.ErrControlInClassic, id, r)
-		return sim.Omission{}, false
+		return
 	}
-	if err := w.val.Validate(id, n, plan); err != nil {
+	if err := s.val.Validate(id, len(rt.procs), plan); err != nil {
 		rep.err = fmt.Errorf("%v (round %d)", err, r)
-		return sim.Omission{}, false
+		return
 	}
 	// The two-cell mailboxes encode the model's per-round channel
-	// discipline; reject plans that would overflow them. The counts
-	// saturate, so no plan can wrap one back under the capacity.
-	cnt := w.destCnt[:n]
-	clear(cnt)
-	for _, o := range plan.Data {
-		if c := cnt[o.To-1]; c < math.MaxUint8 {
-			cnt[o.To-1] = c + 1
-		}
-	}
-	for _, to := range plan.Control {
-		if c := cnt[to-1]; c < math.MaxUint8 {
-			cnt[to-1] = c + 1
-		}
-	}
-	for j, c := range cnt {
-		if c > 2 {
-			rep.err = fmt.Errorf("lockstep: p%d sends %d messages to p%d in round %d (channel capacity 2)",
-				id, c, j+1, r)
-			return sim.Omission{}, false
-		}
+	// discipline; reject plans that would overflow them.
+	if to, c := s.overflow(plan); c > 0 {
+		rep.err = fmt.Errorf("lockstep: p%d sends %d messages to p%d in round %d (channel capacity 2)",
+			id, c, to, r)
+		return
 	}
 	crash, outcome, om := rt.consult(id, r, plan)
 	if crash && !outcome.ValidFor(plan) {
 		rep.err = fmt.Errorf("%w (process p%d, round %d)", sim.ErrBadOutcome, id, r)
-		return sim.Omission{}, false
+		return
 	}
 	if !om.IsZero() && !om.ValidFor(plan) {
 		rep.err = fmt.Errorf("%w (process p%d, round %d)", sim.ErrBadOmission, id, r)
-		return sim.Omission{}, false
+		return
 	}
 	// Data sending step: the escaped subset goes out in plan order. A
 	// crash truncation and a send omission are accounted differently
 	// (dropped vs omitted), matching the deterministic engine exactly. The
 	// outcome is consulted only for a crashing sender, so a surviving one
 	// needs no all-true mask.
-	for i, o := range plan.Data {
-		if crash && !outcome.DataDelivered[i] {
+	for j, o := range plan.Data {
+		if crash && !outcome.DataDelivered[j] {
 			rep.ctr.DroppedData++
 			continue
 		}
-		if om.Data != nil && !om.Data[i] {
+		if om.Data != nil && !om.Data[j] {
 			rep.ctr.OmittedData++
 			continue
 		}
@@ -385,12 +358,12 @@ func (w *worker) send(r sim.Round) (sim.Omission, bool) {
 	// Control sending step, immediately after, in the prescribed order;
 	// a crash lets exactly a prefix escape, a send omission may suppress
 	// any subset (the sender is alive and executes the whole step).
-	for i, to := range plan.Control {
-		if crash && i >= outcome.CtrlPrefix {
+	for j, to := range plan.Control {
+		if crash && j >= outcome.CtrlPrefix {
 			rep.ctr.DroppedCtrl++
 			continue
 		}
-		if om.Ctrl != nil && !om.Ctrl[i] {
+		if om.Ctrl != nil && !om.Ctrl[j] {
 			rep.ctr.OmittedCtrl++
 			continue
 		}
@@ -399,41 +372,73 @@ func (w *worker) send(r sim.Round) (sim.Omission, bool) {
 	}
 	rep.crashed = crash
 	rep.omitted = !om.IsZero()
-	return om, !crash
+	st.om = om
 }
 
-// receive runs w's receive phase of round r under the process's omission
-// om of that round and reports it in w.done.
-func (w *worker) receive(r sim.Round, om sim.Omission) {
-	inbox := w.rt.take(w.proc.ID())
-	rep := &w.done
+// overflow counts a validated plan's messages per destination on the
+// shard's row and returns the lowest destination that would get more than
+// its mailbox holds, with its count, or a zero count. It touches only the
+// plan's own destinations and leaves them zero again. The counts saturate,
+// so no plan can wrap one back under the capacity.
+func (s *shard) overflow(plan sim.SendPlan) (to sim.ProcID, c uint8) {
+	cnt := s.cnt
+	bump := func(d sim.ProcID) { cnt[d-1] = min(cnt[d-1], math.MaxUint8-1) + 1 }
+	// A destination's first drain reads its full count and zeroes it.
+	drain := func(d sim.ProcID) {
+		if k := cnt[d-1]; k > 2 && (c == 0 || d < to) {
+			to, c = d, k
+		}
+		cnt[d-1] = 0
+	}
+	for _, o := range plan.Data {
+		bump(o.To)
+	}
+	for _, d := range plan.Control {
+		bump(d)
+	}
+	for _, o := range plan.Data {
+		drain(o.To)
+	}
+	for _, d := range plan.Control {
+		drain(d)
+	}
+	return to, c
+}
+
+// receive runs the receive half of round r for process i+1 under the
+// omission its send half left in rt.ps[i], and reports it there.
+func (s *shard) receive(i int, r sim.Round) {
+	st := &s.rt.ps[i]
+	proc := s.rt.procs[i]
+	inbox := s.rt.take(proc.ID())
+	rep := &st.done
 	*rep = recvReport{}
-	if om.Recv != nil {
+	if recv := st.om.Recv; recv != nil {
 		// Receive omission: deliveries from masked-out senders vanish
 		// before the process sees its inbox.
-		w2 := 0
+		w := 0
 		for _, m := range inbox {
-			if i := int(m.From) - 1; i < len(om.Recv) && !om.Recv[i] {
+			if j := int(m.From) - 1; j < len(recv) && !recv[j] {
 				rep.ctr.OmittedRecv++
 				rep.led.RecvOmitted(m.Kind == sim.Control)
 				continue
 			}
-			inbox[w2] = m
-			w2++
+			inbox[w] = m
+			w++
 		}
-		inbox = inbox[:w2]
+		inbox = inbox[:w]
 	}
 	for _, m := range inbox {
 		rep.led.Delivered(m.Kind == sim.Control)
 	}
 	sim.SortInbox(inbox)
-	w.proc.Receive(r, inbox)
-	rep.value, rep.decided = w.proc.Decided()
-	rep.halted = w.proc.Halted()
+	proc.Receive(r, inbox)
+	rep.value, rep.decided = proc.Decided()
+	rep.halted = proc.Halted()
 }
 
-// put posts m to its mailbox. Only the sender's goroutine writes its column,
-// during its send phase. The capacity check in round rejects a third message
+// put posts m to its mailbox. Only the shard running the sender writes its
+// column, during the send phase. The capacity check in send rejects a third message
 // to one destination first, so a full mailbox is a bug.
 func (rt *Runtime) put(m sim.Message) {
 	k := int(m.To-1)*len(rt.procs) + int(m.From-1)
@@ -448,7 +453,8 @@ func (rt *Runtime) put(m sim.Message) {
 // take drains the mail addressed to process id in place: it compacts the
 // row's messages, in sender order, to the front of the row, empties every
 // mailbox of the row and returns the compacted prefix. The row belongs to
-// its receiver between the barrier and its arrival, and the prefix is only
+// the shard running its receiver between the barrier and the shard's
+// arrival, and the prefix is only
 // valid until the next send phase — the sim.Process.Receive contract.
 func (rt *Runtime) take(id sim.ProcID) []sim.Message {
 	n := len(rt.procs)
@@ -506,36 +512,24 @@ func (rt *Runtime) Run() (*sim.Result, error) {
 	for i := range alive {
 		alive[i] = true
 	}
-	activeCount := func() int {
-		c := 0
-		for i := range alive {
-			if alive[i] && !halted[i] {
-				c++
-			}
-		}
-		return c
-	}
 
+	// Every round starts with a live process: the loop ends after the first
+	// round that leaves none.
 	var tel sim.RoundTelemetry
 	var r sim.Round
 	for r = 1; r <= rt.cfg.Horizon; r++ {
-		ws := rt.started[:0]
-		for i, w := range rt.workers[:n] {
+		active := rt.active[:0]
+		for i := range alive {
 			if alive[i] && !halted[i] {
-				ws = append(ws, w)
+				active = append(active, i)
 			}
 		}
-		if len(ws) == 0 {
-			r--
-			break
-		}
-		// Send phase (concurrent across workers). Every worker that neither
-		// crashed nor failed now waits at the barrier.
-		rt.phase(cmdSend, r, ws)
+		// Send phase (concurrent across shards).
+		rt.phase(false, r, active)
 		var firstErr error
-		recvs := rt.receivers[:0]
-		for _, w := range ws {
-			rep := &w.sent
+		recvs := rt.recvs[:0]
+		for _, i := range active {
+			rep := &rt.ps[i].sent
 			res.Counters.Merge(rep.ctr)
 			switch {
 			case rep.err != nil:
@@ -543,32 +537,34 @@ func (rt *Runtime) Run() (*sim.Result, error) {
 					firstErr = rep.err
 				}
 			case rep.crashed:
-				alive[w.idx] = false
-				out[w.idx].CrashRound = r
+				alive[i] = false
+				out[i].CrashRound = r
 			default:
-				recvs = append(recvs, w)
+				recvs = append(recvs, i)
 			}
 			if rep.omitted {
-				out[w.idx].OmissiveRounds++
+				out[i].OmissiveRounds++
 			}
 		}
-		// Receive phase (concurrent across the waiting workers), or release
-		// them back to their idle loops when the run aborts.
+		// A model violation ends the run here; the survivors' receive halves
+		// simply never run, and init empties the mail they leave behind.
 		if firstErr != nil {
-			rt.phase(cmdAbort, r, recvs)
 			rt.finish(res, r)
 			return res, firstErr
 		}
-		rt.phase(cmdRecv, r, recvs)
-		for _, w := range recvs {
-			rep := &w.done
+		// Receive phase (concurrent across shards).
+		rt.phase(true, r, recvs)
+		live := len(recvs)
+		for _, i := range recvs {
+			rep := &rt.ps[i].done
 			res.Counters.Merge(rep.ctr)
 			res.Ledger.Merge(rep.led)
-			if o := &out[w.idx]; rep.decided && o.DecideRound == 0 {
+			if o := &out[i]; rep.decided && o.DecideRound == 0 {
 				o.Value, o.DecideRound = rep.value, r
 			}
 			if rep.halted {
-				halted[w.idx] = true
+				halted[i] = true
+				live--
 			}
 		}
 		for i := range alive {
@@ -579,16 +575,13 @@ func (rt *Runtime) Run() (*sim.Result, error) {
 		// Recording happens in the driver, which owns the result between
 		// barriers, so it needs no synchronization.
 		tel.Record(rt.cfg.Telemetry, r, float64(r-1), float64(r), res.Counters, res.Ledger)
-		if activeCount() == 0 {
+		if live == 0 {
 			break
 		}
 	}
 	if r > rt.cfg.Horizon {
-		r = rt.cfg.Horizon
-		if activeCount() != 0 {
-			rt.finish(res, r)
-			return res, sim.ErrNoProgress
-		}
+		rt.finish(res, rt.cfg.Horizon)
+		return res, sim.ErrNoProgress
 	}
 	rt.finish(res, r)
 	sim.RecordRun(rt.cfg.Telemetry, r, float64(r))

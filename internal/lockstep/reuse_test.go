@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/core"
@@ -46,7 +47,8 @@ type reuseJob struct {
 // TestRuntimeReuseAcrossSizes drives one runtime through growing and
 // shrinking process counts, with an aborted run in the middle. Every
 // completed run must equal a fresh deterministic-engine run of the same job,
-// so stale mail or a stale worker from an earlier size shows up as a diff.
+// so stale mail or a stale send-count row from an earlier size shows up as
+// a diff.
 // scripts/verify.sh runs this under -race -count=10.
 func TestRuntimeReuseAcrossSizes(t *testing.T) {
 	killer := func(n int) sim.Adversary { return adversary.CoordinatorKiller{F: n / 8, DeliverAllData: true} }
@@ -120,10 +122,12 @@ func TestRuntimeReuseAcrossSizes(t *testing.T) {
 }
 
 // TestRuntimeCloseReleasesGoroutines pins the runtime's lifetime: Close
-// returns only once every worker goroutine — including those spawned for a
-// larger earlier job and idle since — has exited.
+// returns only once every shard goroutine — including those spawned for a
+// larger earlier job and idle since — has exited. It runs at GOMAXPROCS 32,
+// so the n=32 job runs one goroutine per process, the runtime's old shape.
 // scripts/verify.sh runs this under -race -count=10.
 func TestRuntimeCloseReleasesGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(32))
 	base := runtime.NumGoroutine()
 	cfg := lockstep.Config{Model: sim.ModelExtended}
 	rt, err := lockstep.New(cfg, core.NewSystem(props(32), core.Options{}), adversary.CoordinatorKiller{F: 3})
@@ -141,7 +145,7 @@ func TestRuntimeCloseReleasesGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := runtime.NumGoroutine(); got < 32 {
-		t.Fatalf("%d goroutines with a 32-worker runtime, want at least 32", got)
+		t.Fatalf("%d goroutines with a 32-shard runtime, want at least 32", got)
 	}
 	rt.Close()
 	rt.Close() // idempotent
@@ -150,6 +154,52 @@ func TestRuntimeCloseReleasesGoroutines(t *testing.T) {
 	}
 	if err := rt.Reset(cfg, core.NewSystem(props(8), core.Options{}), adversary.None{}); err == nil {
 		t.Error("Reset accepted on a closed runtime")
+	}
+}
+
+// settledGoroutines returns the goroutine count once the goroutines that
+// earlier tests released, and that have not been freed yet, are gone.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for {
+		m := leakcheck.Settle(n-1, 10*time.Millisecond)
+		if m >= n {
+			return n
+		}
+		n = m
+	}
+}
+
+// TestRuntimeShardGoroutines pins the shard count: at GOMAXPROCS 2 an n=64
+// job runs on exactly two goroutines, a later n=8 job reuses them and spawns
+// none, and Close releases both.
+// scripts/verify.sh runs this under -race -count=10.
+func TestRuntimeShardGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	base := settledGoroutines()
+	cfg := lockstep.Config{Model: sim.ModelExtended}
+	rt, err := lockstep.New(cfg, core.NewSystem(props(64), core.Options{}), adversary.CoordinatorKiller{F: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(rt.Close)
+	run := func(job string) {
+		t.Helper()
+		if _, err := rt.Run(); err != nil {
+			t.Fatalf("%s job: %v", job, err)
+		}
+		if got := runtime.NumGoroutine() - base; got != 2 {
+			t.Errorf("after the %s job: %d goroutines spawned, want 2 shards", job, got)
+		}
+	}
+	run("n=64")
+	if err := rt.Reset(cfg, core.NewSystem(props(8), core.Options{}), adversary.None{}); err != nil {
+		t.Fatal(err)
+	}
+	run("later n=8")
+	rt.Close()
+	if got := leakcheck.Settle(base, leakcheck.Timeout); got > base {
+		t.Errorf("%d goroutines after Close, want the baseline %d", got, base)
 	}
 }
 
@@ -173,8 +223,8 @@ func TestOverflowCountSaturates(t *testing.T) {
 
 // TestResetAllocsAtSeenSize pins the grow-only design: rearming at a process
 // count no larger than one already seen spawns nothing and reallocates
-// nothing, and a run abort travels on the phase barrier rather than a
-// per-run channel, so rearming allocates nothing at all.
+// nothing, and a run abort leaves nothing behind but mail, so rearming
+// allocates nothing at all.
 func TestResetAllocsAtSeenSize(t *testing.T) {
 	cfg := lockstep.Config{Model: sim.ModelExtended}
 	rt, err := lockstep.New(cfg, core.NewSystem(props(64), core.Options{}), adversary.None{})
@@ -225,8 +275,9 @@ func TestReusedRunAllocs(t *testing.T) {
 }
 
 // TestNewAllocs pins the exact allocation count of building a runtime for
-// n=64 and closing it: each spawned worker costs its wake channel and its
-// goroutine's closure, and everything else — the worker structs, the
+// n=64 and closing it: each spawned shard costs its wake channel and its
+// goroutine's closure (AllocsPerRun measures at GOMAXPROCS 1, so one shard),
+// and everything else — the shard structs, the per-process reports, the
 // mailbox and send-count slabs, the driver's scratch — is one slab apiece.
 // Any increase fails; when a change lowers the count, ratchet the pin down.
 func TestNewAllocs(t *testing.T) {
@@ -239,7 +290,7 @@ func TestNewAllocs(t *testing.T) {
 		}
 		rt.Close()
 	})
-	const pin = 136
+	const pin = 12
 	if allocs > pin {
 		t.Errorf("lockstep.New + Close at n=64 allocates %v allocs, pinned at %d; ratchet the pin down when the count falls",
 			allocs, pin)
@@ -267,13 +318,12 @@ func crashAll(n int) sim.Adversary {
 }
 
 // TestRuntimeCloseAfterAbort ends runs on every abort path of the phase
-// barrier — a model violation or a bad adversary outcome while the other
-// workers are parked at the barrier, horizon exhaustion, and a round in
-// which every process crashes — and then either closes the runtime at once
-// or rearms it for a larger system, runs that cleanly against the
-// deterministic engine, and closes it. Either way every worker goroutine
-// must be gone afterwards: a worker the abort never released stays parked
-// and either leaks or corrupts the next run.
+// barrier — a model violation or a bad adversary outcome in a round the
+// other processes survived, horizon exhaustion, and a round in which every
+// process crashes — and then either closes the runtime at once or rearms it
+// for a larger system, runs that cleanly against the deterministic engine,
+// and closes it. Either way every shard goroutine must be gone afterwards,
+// and the mail the aborted round left behind must not reach the next run.
 // scripts/verify.sh runs this under -race -count=10.
 func TestRuntimeCloseAfterAbort(t *testing.T) {
 	const n = 8
