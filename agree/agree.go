@@ -59,7 +59,7 @@ const (
 	// adversary depends on scheduling.
 	EngineLockstep EngineKind = "lockstep"
 	// EngineTimed is the continuous-time discrete-event engine: every
-	// message is a timed event priced by a latency model (Config.Latency),
+	// message's arrival is priced by a latency model (Config.Latency),
 	// round boundaries emerge from timers, and the report carries the
 	// measured completion time (Report.SimTime). Latencies beyond the
 	// synchrony bound become receive omissions — timing faults.

@@ -29,11 +29,11 @@ func TestRunAllocs(t *testing.T) {
 			Faults: agree.CoordinatorCrashes(2)}, 118},
 		{"E4FloodSet", agree.Config{N: 32, T: 8, Protocol: agree.ProtocolFloodSet}, 120},
 		{"DeterministicEngine", agree.Config{N: 32, Faults: agree.CoordinatorCrashes(4)}, 27},
-		{"TimedEngine", timed, 59},
+		{"TimedEngine", timed, 44},
 		{"LockstepEngine", agree.Config{N: 32, Engine: agree.EngineLockstep,
 			Faults: agree.CoordinatorCrashes(4)}, 33},
 		{"E1FailureFreeTelemetry", agree.Config{N: 64, Telemetry: true}, 36},
-		{"TimedEngineTelemetry", timedTelemetry, 108},
+		{"TimedEngineTelemetry", timedTelemetry, 84},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

@@ -215,7 +215,7 @@ func TestSweepAllocsPerConfigLockstep(t *testing.T) {
 		maxPerConfig float64
 	}{
 		{agree.EngineLockstep, 16}, // measured 15.35
-		{agree.EngineTimed, 18},      // measured 17.85
+		{agree.EngineTimed, 17},    // measured 16.80
 	} {
 		t.Run(string(tc.engine), func(t *testing.T) {
 			var configs []agree.Config

@@ -350,8 +350,9 @@ func (s *Sim) Audit() error {
 // The priority queue: a hand-rolled 4-ary min-heap on (at, seq). Compared to
 // container/heap's interface-boxed binary heap it saves the dynamic dispatch
 // per comparison and halves the tree depth — sift-down does more comparisons
-// per level but touches fewer cache lines, which wins for the short-horizon
-// queues the timed engine keeps (one round of in-flight messages).
+// per level but touches fewer cache lines, which wins for short-horizon
+// queues: the FFD model's in-flight messages and detector timers, or the
+// timed engine's one deadline per round.
 
 // less orders events by time, then tie-break key.
 func less(a, b *event) bool {

@@ -3,7 +3,9 @@ package timed
 // This file is in-package (not timed_test) so it can reach the engine's
 // embedded des.Sim and plant the LIFOTies mutation end-to-end: a mangled
 // tie-break key inside the event core must surface as Result.ClockViolation,
-// which internal/laws then classifies as the clock law.
+// which internal/laws then classifies as the clock law. A timed run puts one
+// event per round on the clock, never two at the same time, so the test
+// plants the same-time pair the mutation needs before the run starts.
 
 import (
 	"strings"
@@ -29,6 +31,8 @@ func TestPlantedLIFOTiesSurfacesClockViolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.ds.LIFOTies = true
+	eng.ds.At(0, func() {})
+	eng.ds.At(0, func() {})
 	res, err := eng.Run()
 	if err != nil {
 		t.Fatalf("planted tie reorder aborted the run: %v", err)

@@ -1,7 +1,9 @@
 package timed_test
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/timed"
+	"repro/internal/trace"
 )
 
 // randomMixedSpec builds a random but order-insensitive mixed
@@ -97,6 +100,10 @@ func diffResults(t *testing.T, label string, got, want *sim.Result) bool {
 		t.Logf("%s: counters %s vs %s", label, got.Counters.String(), want.Counters.String())
 		ok = false
 	}
+	if got.Ledger != want.Ledger {
+		t.Logf("%s: ledger %+v vs %+v", label, got.Ledger, want.Ledger)
+		ok = false
+	}
 	return ok
 }
 
@@ -105,9 +112,12 @@ func diffResults(t *testing.T, label string, got, want *sim.Result) bool {
 // crash+omission schedules across all three protocols, the continuous-time
 // execution under any within-bound latency model is bit-identical to the
 // deterministic round engine — same decisions, decide rounds, crash and
-// omission bookkeeping, traffic counters, and run verdict. Only SimTime
-// differs (it is the point of the engine). scripts/verify.sh runs this
-// under -race.
+// omission bookkeeping, traffic counters, message ledger, and run verdict.
+// Only SimTime differs (it is the point of the engine). Every timed case also
+// runs with a transcript attached, which must not change its Result — nor
+// may it for an out-of-bound model or core's CommitAsData ablation (two data
+// messages on one channel), checked trace-on against trace-off only.
+// scripts/verify.sh runs this under -race.
 func TestTimedDifferentialAgainstDeterministic(t *testing.T) {
 	latencies := []timed.LatencyModel{
 		nil, // engine default
@@ -141,6 +151,30 @@ func TestTimedDifferentialAgainstDeterministic(t *testing.T) {
 			return randomMixedSpec(rand.New(rand.NewSource(seed)), n)
 		}
 
+		// runTimed runs one timed case untraced and traced and returns the
+		// untraced outcome, or ok=false when the transcript changed it.
+		runTimed := func(lat timed.LatencyModel, procs func() []sim.Process) (res *sim.Result, err error, ok bool) {
+			var runs [2]struct {
+				res *sim.Result
+				err error
+			}
+			for i, log := range []*trace.Log{nil, trace.New()} {
+				eng, err := timed.New(timed.Config{Model: model, Horizon: horizon, Latency: lat, Trace: log},
+					procs(), mkAdv())
+				if err != nil {
+					t.Log(err)
+					return nil, nil, false
+				}
+				runs[i].res, runs[i].err = eng.Run()
+			}
+			if !reflect.DeepEqual(runs[0].res, runs[1].res) || fmt.Sprint(runs[0].err) != fmt.Sprint(runs[1].err) {
+				t.Logf("seed=%d n=%d proto=%d lat=%+v: traced run diverged: %+v (%v) vs %+v (%v)",
+					seed, n, protoRaw%3, lat, *runs[1].res, runs[1].err, *runs[0].res, runs[0].err)
+				return nil, nil, false
+			}
+			return runs[0].res, runs[0].err, true
+		}
+
 		ref, err := sim.NewEngine(sim.Config{Model: model, Horizon: horizon}, mkProcs(), mkAdv())
 		if err != nil {
 			t.Log(err)
@@ -149,13 +183,10 @@ func TestTimedDifferentialAgainstDeterministic(t *testing.T) {
 		want, wantErr := ref.Run()
 
 		for li, lat := range latencies {
-			eng, err := timed.New(timed.Config{Model: model, Horizon: horizon, Latency: lat},
-				mkProcs(), mkAdv())
-			if err != nil {
-				t.Log(err)
+			got, gotErr, ok := runTimed(lat, mkProcs)
+			if !ok {
 				return false
 			}
-			got, gotErr := eng.Run()
 			if (gotErr == nil) != (wantErr == nil) {
 				t.Logf("seed=%d n=%d proto=%d lat=%d: err %v vs %v", seed, n, protoRaw%3, li, gotErr, wantErr)
 				return false
@@ -173,7 +204,12 @@ func TestTimedDifferentialAgainstDeterministic(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		if _, _, ok := runTimed(timed.Jitter{D: 1, Delta: 0.2, Floor: 0.3, Spread: 1.2, Seed: seed}, mkProcs); !ok {
+			return false
+		}
+		commitAsData := func() []sim.Process { return core.NewSystem(props, core.Options{CommitAsData: true}) }
+		_, _, ok := runTimed(latencies[2], commitAsData)
+		return ok
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)

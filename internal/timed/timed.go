@@ -2,15 +2,17 @@
 // sim.Process state machines as the round-based engines (internal/sim,
 // internal/lockstep), under the same sim.Adversary / sim.Omitter fault
 // interfaces, but on a discrete-event simulation (internal/des) in which
-// every data and control message is a timed event priced by a pluggable
-// LatencyModel.
+// every data and control message is stamped with an arrival time priced by a
+// pluggable LatencyModel.
 //
 // Round boundaries emerge from timers rather than lockstep barriers: a round
 // starts at simulated time T, each alive process executes its send phase and
-// every transmitted message is scheduled to arrive at T plus its sampled
+// every transmitted message is stamped to arrive at T plus its sampled
 // latency; one deadline sweep fires at the round deadline T + D (classic
 // model) or T + D + δ (extended model), delivers whatever arrived in time to
-// each process in id order, and runs the local computation phases. The
+// each process in id order, and runs the local computation phases. No process
+// can observe an arrival before that sweep, so arrivals are buffered rather
+// than scheduled: the deadline is the only event a round puts on the clock. The
 // paper's timing claim — an (f+1)-round extended run costs (f+1)(D+δ)
 // against min(f+2, t+1)·D classically — thereby becomes executable:
 // sim.Result.SimTime is measured from the event clock, not derived
@@ -32,16 +34,18 @@
 // check the scheduling that makes this so; only SimTime distinguishes the
 // engines.
 //
-// The hot path is built for reuse: message arrivals ride pooled delivery
-// records (des.Action) instead of per-message closures, the per-round
-// deadline is one batched sweep event instead of n per-process timers, inbox
-// scratch is recycled across rounds, and Reset rewinds an Engine — including
-// its des.Sim and every pool — for the next job without reallocating.
+// The hot path is built for reuse: a round's arrivals fill one grow-only
+// buffer, the per-round deadline is one batched sweep event instead of n
+// per-process timers, inbox scratch is recycled across rounds, and Reset
+// rewinds an Engine — including its des.Sim and every buffer — for the next
+// job without reallocating.
 package timed
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/des"
 	"repro/internal/sim"
@@ -79,12 +83,9 @@ type Engine struct {
 	d, delta des.Time
 	roundDur des.Time
 
-	// Pooled arrival records: one per in-flight message, recycled the moment
-	// the message is delivered. freeDel is the free list; allDel pins every
-	// record ever allocated so Reset can reclaim the ones still in flight
-	// when a run is cut short.
-	freeDel []*delivery
-	allDel  []*delivery
+	// arrivals holds the open round's in-bound messages in send order, each
+	// with its arrival time; the deadline sweep accepts and empties it.
+	arrivals []arrival
 	// sweepAct is the single per-round deadline event, reused every round
 	// (at most one is ever outstanding).
 	sweepAct sweepAction
@@ -99,20 +100,11 @@ type Engine struct {
 	roundOpenT des.Time
 }
 
-// delivery is a pooled message arrival: the allocation-free replacement for
-// the per-message `func() { e.arrive(m) }` closure.
-type delivery struct {
-	e *Engine
-	m sim.Message
-}
-
-// Act implements des.Action: deliver the message and recycle the record. The
-// record is released before delivery (mirroring des.Sim.Run) so nothing
-// dangles if arrive ends the run.
-func (d *delivery) Act() {
-	e, m := d.e, d.m
-	e.freeDel = append(e.freeDel, d)
-	e.arrive(m)
+// arrival is an in-bound message and the simulated time it reaches its
+// destination.
+type arrival struct {
+	at des.Time
+	m  sim.Message
 }
 
 // sweepAction is the batched round-deadline event: one timer per round in
@@ -126,7 +118,7 @@ type sweepAction struct {
 func (s *sweepAction) Act() { s.e.sweep(s.r) }
 
 // link is the engine as the round kernel sees it: the Transmitter that
-// prices and schedules every transmitted message, and the Clock that stamps
+// prices and buffers every transmitted message, and the Clock that stamps
 // the kernel's trace lines with event-clock time.
 type link Engine
 
@@ -147,7 +139,7 @@ func New(cfg Config, procs []sim.Process, adv sim.Adversary) (*Engine, error) {
 }
 
 // Reset rearms the engine for a new job, keeping the event pool, the heap,
-// the inbox scratch and the delivery records of previous runs. Validation
+// the inbox scratch and the arrival buffer of previous runs. Validation
 // happens before any mutation, so on error the engine is unchanged and still
 // holds its previous (consumed) job.
 func (e *Engine) Reset(cfg Config, procs []sim.Process, adv sim.Adversary) error {
@@ -171,7 +163,7 @@ func (e *Engine) Reset(cfg Config, procs []sim.Process, adv sim.Adversary) error
 	}
 	e.k.Arm(sim.Config{Model: cfg.Model, Horizon: h, Trace: cfg.Trace, Telemetry: cfg.Telemetry},
 		procs, adv, (*link)(e), (*link)(e))
-	e.freeDel = append(e.freeDel[:0], e.allDel...)
+	e.arrivals = e.arrivals[:0] // a send-phase error leaves a round's arrivals behind
 	e.ds.Reset()
 	e.ds.Telemetry = cfg.Telemetry
 	e.rounds = 0
@@ -179,22 +171,6 @@ func (e *Engine) Reset(cfg Config, procs []sim.Process, adv sim.Adversary) error
 	e.ran = false
 	e.roundOpenT = 0
 	return nil
-}
-
-// allocDel takes a delivery record from the free list, growing it by a slab
-// when empty (same amortization as the des event pool).
-func (e *Engine) allocDel() *delivery {
-	if len(e.freeDel) == 0 {
-		blk := make([]delivery, 32)
-		for i := range blk {
-			blk[i].e = e
-			e.allDel = append(e.allDel, &blk[i])
-			e.freeDel = append(e.freeDel, &blk[i])
-		}
-	}
-	d := e.freeDel[len(e.freeDel)-1]
-	e.freeDel = e.freeDel[:len(e.freeDel)-1]
-	return d
 }
 
 // Run executes the system on the event clock until every alive process has
@@ -229,11 +205,8 @@ func (e *Engine) fail(err error) {
 
 // roundStart opens round r at the current simulated time: it runs the send
 // phase of every active process in id order (the same adversary consultation
-// order as the deterministic engine), which schedules each transmitted
-// message's arrival, then arms the round's deadline sweep. FIFO tie-breaking
-// in the event queue guarantees that an arrival at exactly the deadline still
-// precedes the sweep (it was scheduled earlier), so the receive phases
-// observe exactly the messages that respected the bound.
+// order as the deterministic engine), which buffers each in-bound message's
+// arrival, then arms the round's deadline sweep.
 func (e *Engine) roundStart(r sim.Round) {
 	e.rounds = r
 	e.roundOpenT = e.ds.Now()
@@ -247,7 +220,7 @@ func (e *Engine) roundStart(r sim.Round) {
 		}
 	}
 	// One sweep event covers every process due at this deadline (processes
-	// already crashed or halted receive nothing — arrive refuses deliveries
+	// already crashed or halted receive nothing — Accept refuses deliveries
 	// to both — so the sweep skips them). Alive/halted flags only change
 	// inside send phases and sweeps, never between them, so the sweep sees
 	// exactly the processes a per-process timer scheme would have armed.
@@ -255,10 +228,29 @@ func (e *Engine) roundStart(r sim.Round) {
 	e.ds.AtAct(e.roundOpenT+e.roundDur, &e.sweepAct)
 }
 
-// sweep is the round's deadline event: the receive and computation phase of
-// every active process in id order — the order n per-process timers would
-// have fired in under FIFO ties — followed by the round controller.
+// sweep is the round's deadline event: it accepts the round's arrivals, then
+// runs the receive and computation phase of every active process in id order
+// — the order n per-process timers would have fired in under FIFO ties — and
+// finally the round controller.
+//
+// Accepting in send order is exact: every arrival meets the destination
+// state the sends left, and SortInbox orders an inbox stably by (sender,
+// kind), where equal-key messages to one destination share one arrival time
+// (the latency model is pure) and so arrived in send order. Only a transcript
+// shows arrival order: a traced run stable-sorts by arrival time first.
 func (e *Engine) sweep(r sim.Round) {
+	tracing := e.cfg.Trace.Enabled()
+	if tracing {
+		slices.SortStableFunc(e.arrivals, func(a, b arrival) int { return cmp.Compare(a.at, b.at) })
+	}
+	for _, a := range e.arrivals {
+		if e.k.Accept(a.m) && tracing {
+			e.cfg.Trace.Add(trace.Event{Round: int(a.m.Round), Kind: trace.KindDeliver,
+				From: int(a.m.From), To: int(a.m.To),
+				Detail: fmt.Sprintf("%s t=%g", a.m.Kind, float64(a.at))})
+		}
+	}
+	e.arrivals = e.arrivals[:0]
 	for i := range e.k.N() {
 		if !e.k.Active(i) {
 			continue
@@ -272,10 +264,12 @@ func (e *Engine) sweep(r sim.Round) {
 }
 
 // send prices one transmitted message: its latency is sampled and — if the
-// latency respects the synchrony bound of its kind — its arrival is
-// scheduled on a pooled delivery record. A latency beyond the bound is a
-// timing fault: the message misses its round and is mapped to a receive
-// omission at the destination (Counters.Late).
+// latency respects the synchrony bound of its kind — its arrival is buffered
+// for the round's deadline sweep. A latency beyond the bound is a timing
+// fault: the message misses its round and is mapped to a receive omission at
+// the destination (Counters.Late). The explicit bound check is what keeps an
+// in-bound message inside its round: every bound is at most the round
+// duration, so no buffered arrival falls after the deadline.
 func (e *Engine) send(m sim.Message) {
 	lat := e.lat.Latency(m.From, m.To, m.Round, m.Kind)
 	bound := e.d
@@ -297,20 +291,7 @@ func (e *Engine) send(m sim.Message) {
 		}
 		return
 	}
-	d := e.allocDel()
-	d.m = m
-	e.ds.AfterAct(lat, d)
-}
-
-// arrive delivers a message into its destination's inbox for the current
-// round. A crashed destination is not there to receive it; a halted one is
-// alive but has returned, and the sweep skips it.
-func (e *Engine) arrive(m sim.Message) {
-	if e.k.Accept(m) && e.cfg.Trace.Enabled() {
-		e.cfg.Trace.Add(trace.Event{Round: int(m.Round), Kind: trace.KindDeliver,
-			From: int(m.From), To: int(m.To),
-			Detail: fmt.Sprintf("%s t=%g", m.Kind, float64(e.ds.Now()))})
-	}
+	e.arrivals = append(e.arrivals, arrival{at: e.ds.Now() + lat, m: m})
 }
 
 // roundEnd is the round controller, run at the end of the deadline sweep:

@@ -3,12 +3,14 @@ package timed_test
 import (
 	"errors"
 	"math"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/adversary"
 	"repro/internal/consensus/earlystop"
+	"repro/internal/consensus/floodset"
 	"repro/internal/core"
 	"repro/internal/des"
 	"repro/internal/lan"
@@ -250,14 +252,56 @@ func TestConstructorValidation(t *testing.T) {
 	}
 }
 
+// ctrlSender is a process that adds a control message to its plan, which
+// the classic model rejects.
+type ctrlSender struct{ sim.Process }
+
+func (p ctrlSender) Send(r sim.Round) sim.SendPlan {
+	plan := p.Process.Send(r)
+	plan.Control = []sim.ProcID{1}
+	return plan
+}
+
+// TestControlInClassicRejected also cuts a run short after a send phase
+// has transmitted: p1 broadcasts, p2's control message aborts the round.
+// Reset must discard the aborted round's arrivals, so the next job on the
+// engine matches a fresh engine's run.
 func TestControlInClassicRejected(t *testing.T) {
-	procs, _ := crwSystem(3) // CRW emits control messages
+	procs, props := crwSystem(3) // CRW emits control messages
 	eng, err := timed.New(timed.Config{Model: sim.ModelClassic}, procs, adversary.None{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := eng.Run(); !errors.Is(err, sim.ErrControlInClassic) {
 		t.Errorf("err = %v, want ErrControlInClassic", err)
+	}
+
+	flood := floodset.NewSystem(props, 1, 64)
+	if err := eng.Reset(timed.Config{Model: sim.ModelClassic},
+		[]sim.Process{flood[0], ctrlSender{flood[1]}, flood[2]}, adversary.None{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Run(); !errors.Is(err, sim.ErrControlInClassic) {
+		t.Fatalf("err = %v, want ErrControlInClassic", err)
+	}
+	cfg := timed.Config{Model: sim.ModelClassic}
+	if err := eng.Reset(cfg, floodset.NewSystem(props, 1, 64), adversary.None{}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := timed.New(cfg, floodset.NewSystem(props, 1, 64), adversary.None{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("run after an aborted round = %+v, want %+v", *got, *want)
 	}
 }
 
