@@ -38,7 +38,8 @@ type ExploreConfig struct {
 	// OmissionBudget. Every counterexample then contains zero crashes by
 	// construction.
 	OmissionOnly bool
-	// Budget caps the number of executions (default 50,000,000).
+	// Budget caps the number of executions (0 = the default, 50,000,000).
+	// Explore rejects a negative Budget or OmissionBudget.
 	Budget int
 	// MaxCounterexamples stops the search after this many violations
 	// (default 1).
@@ -83,6 +84,12 @@ func Explore(cfg ExploreConfig) (*ExploreReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	if cfg.OmissionBudget < 0 {
+		return nil, fmt.Errorf("agree: omission budget %d is negative", cfg.OmissionBudget)
+	}
+	if cfg.Budget < 0 {
+		return nil, fmt.Errorf("agree: execution budget %d is negative", cfg.Budget)
+	}
 	crashes := spec.T
 	if cfg.OmissionOnly {
 		if cfg.OmissionBudget <= 0 {
@@ -90,7 +97,7 @@ func Explore(cfg ExploreConfig) (*ExploreReport, error) {
 		}
 		crashes = 0
 	}
-	if cfg.Budget <= 0 {
+	if cfg.Budget == 0 {
 		cfg.Budget = 50_000_000
 	}
 	stats, err := spec.Explore(crashes, cfg.OmissionBudget, cfg.Parallel, check.ExploreOpts{

@@ -64,3 +64,16 @@ func TestExploreAblationFindsViolation(t *testing.T) {
 		t.Errorf("malformed counterexample: %+v", rep.Counterexamples[0])
 	}
 }
+
+// TestExploreRejectsNegativeBudgets checks that a negative omission or
+// execution budget is an error, not a silent crash-only or default search.
+func TestExploreRejectsNegativeBudgets(t *testing.T) {
+	for _, cfg := range []agree.ExploreConfig{
+		{N: 3, OmissionBudget: -1},
+		{N: 3, Budget: -5},
+	} {
+		if rep, err := agree.Explore(cfg); err == nil {
+			t.Errorf("%+v: explored %d executions, want an error", cfg, rep.Executions)
+		}
+	}
+}

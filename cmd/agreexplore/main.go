@@ -46,7 +46,7 @@ func command(stdout, stderr io.Writer) *cli.Cmd {
 	c.CPUProfile()
 	c.Main = func() int {
 		asc, err := cli.Ascending(*order)
-		if err = errors.Join(err, c.AtLeast(1, "n"), c.AtLeast(0, "t", "workers")); err != nil {
+		if err = errors.Join(err, c.AtLeast(1, "n"), c.AtLeast(0, "t", "omit-budget", "budget", "workers")); err != nil {
 			return c.Fail(err)
 		}
 		if *tt >= *n {

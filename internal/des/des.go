@@ -1,7 +1,7 @@
 // Package des is a minimal deterministic discrete-event simulator used by
 // the continuous-time substrates of this repository (the fast failure
-// detector model of experiment E7 and the timed consensus engine of
-// internal/timed).
+// detector model of experiment E7, the timed consensus engine of
+// internal/timed and the Chandy–Lamport snapshot of internal/snapshot).
 //
 // Events are callbacks scheduled at absolute times and executed in
 // nondecreasing time order; ties are broken by scheduling order (FIFO), which

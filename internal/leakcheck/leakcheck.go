@@ -1,7 +1,9 @@
 // Package leakcheck is the goroutine-leak gate of the packages whose tests
-// spawn goroutines (the lockstep runtime, the harness pool, the agree API):
-// their TestMain calls Main, which fails the test binary when goroutines
-// outlive its tests.
+// spawn goroutines: the TestMain of agree, cmd/agreeserve, internal/harness,
+// internal/smr, internal/fuzz, internal/lockstep and internal/check calls
+// Main, which fails the test binary when goroutines outlive its tests. Every
+// non-test package that starts goroutines (the harness pool, the lockstep
+// shards, the parallel explorer of internal/check) is among them.
 package leakcheck
 
 import (

@@ -1,7 +1,5 @@
 package snapshot
 
-import "repro/internal/async"
-
 // Transfer is the token-bank application message: an amount of tokens moving
 // between nodes, with a hop budget that guarantees quiescence.
 type Transfer struct {
@@ -14,7 +12,7 @@ type Transfer struct {
 // the total (recorded balances plus tokens in recorded channel states equal
 // the initial total).
 type Bank struct {
-	ID      async.NodeID
+	ID      NodeID
 	N       int
 	Balance int64
 	// Plan is the initial outgoing transfers (destination, amount, hops).
@@ -23,19 +21,19 @@ type Bank struct {
 
 // PlannedTransfer is one scripted initial transfer.
 type PlannedTransfer struct {
-	To     async.NodeID
+	To     NodeID
 	Amount int64
 	Hops   int
 }
 
 // NewBank returns a bank node with the given starting balance and transfer
 // plan.
-func NewBank(id async.NodeID, n int, balance int64, plan []PlannedTransfer) *Bank {
+func NewBank(id NodeID, n int, balance int64, plan []PlannedTransfer) *Bank {
 	return &Bank{ID: id, N: n, Balance: balance, Plan: plan}
 }
 
 // Init implements App: it issues the planned transfers.
-func (b *Bank) Init(send func(to async.NodeID, payload any)) {
+func (b *Bank) Init(send func(to NodeID, payload any)) {
 	for _, p := range b.Plan {
 		if p.Amount <= 0 || p.Amount > b.Balance || p.To == b.ID {
 			continue
@@ -46,13 +44,13 @@ func (b *Bank) Init(send func(to async.NodeID, payload any)) {
 }
 
 // next returns the ring successor of this node.
-func (b *Bank) next() async.NodeID {
-	return async.NodeID(int(b.ID)%b.N + 1)
+func (b *Bank) next() NodeID {
+	return NodeID(int(b.ID)%b.N + 1)
 }
 
 // Handle implements App: receive tokens, and forward half of them along the
 // ring while the hop budget lasts.
-func (b *Bank) Handle(_ async.NodeID, payload any, send func(to async.NodeID, payload any)) {
+func (b *Bank) Handle(_ NodeID, payload any, send func(to NodeID, payload any)) {
 	t, ok := payload.(Transfer)
 	if !ok {
 		return
@@ -83,7 +81,7 @@ func TotalInChannels(channels []ChannelState) int64 {
 }
 
 // TotalBalances sums recorded balances.
-func TotalBalances(states map[async.NodeID]any) int64 {
+func TotalBalances(states map[NodeID]any) int64 {
 	var sum int64
 	for _, s := range states {
 		if b, ok := s.(int64); ok {

@@ -10,169 +10,143 @@
 // COMMIT message is the synchronous-agreement sibling of this idea, which is
 // why this substrate is part of the reproduction.
 //
-// The implementation is generic over the application: any App can be wrapped
-// by a Node. The package also ships the classic token-bank application whose
-// conservation invariant ("no money is created or destroyed") is the
-// textbook way to validate snapshot consistency, used by the tests and the
-// snapshot example.
+// Run executes the protocol on the discrete-event clock of internal/des:
+// reliable FIFO channels between every pair of nodes, each message delayed
+// by a draw from a seeded internal/rng stream, so a seed fixes the
+// interleaving and the run replays exactly. The protocol is generic over the
+// application (any App); the package also ships the classic token-bank
+// application whose conservation invariant ("no money is created or
+// destroyed") is the textbook way to validate snapshot consistency.
 package snapshot
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 
-	"repro/internal/async"
+	"repro/internal/des"
+	"repro/internal/rng"
 )
+
+// NodeID identifies a node (1-based, like sim.ProcID).
+type NodeID int
 
 // App is the application layer living on one node.
 type App interface {
 	// Init may send initial application messages via send.
-	Init(send func(to async.NodeID, payload any))
+	Init(send func(to NodeID, payload any))
 	// Handle processes one application payload; it may send messages.
-	Handle(from async.NodeID, payload any, send func(to async.NodeID, payload any))
+	Handle(from NodeID, payload any, send func(to NodeID, payload any))
 	// State returns a copy of the current local state for recording.
 	State() any
 }
 
 // Marker is the snapshot synchronization message.
 type Marker struct {
-	// Origin identifies the snapshot initiator (to distinguish concurrent
-	// snapshots; this implementation runs one snapshot per engine run).
-	Origin async.NodeID
+	// Origin identifies the node that sent the marker.
+	Origin NodeID
 }
 
 // ChannelState is the recorded in-transit content of one channel.
 type ChannelState struct {
-	From     async.NodeID
-	To       async.NodeID
+	From     NodeID
+	To       NodeID
 	Payloads []any
 }
 
-// Collector gathers the pieces of one global snapshot as nodes complete.
+// Collector is one global snapshot, assembled as the nodes finish recording.
 type Collector struct {
-	mu       sync.Mutex
-	states   map[async.NodeID]any
-	channels []ChannelState
-	done     int
+	// States holds each node's recorded local state.
+	States map[NodeID]any
+	// Channels holds the recorded in-transit messages of every channel that
+	// had any, sorted by (From, To).
+	Channels []ChannelState
+	// Done counts the nodes that finished recording.
+	Done int
 }
 
-// NewCollector returns an empty collector.
-func NewCollector() *Collector {
-	return &Collector{states: map[async.NodeID]any{}}
-}
-
-// recordNode stores a node's recorded local state.
-func (c *Collector) recordNode(id async.NodeID, state any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.states[id] = state
-}
-
-// recordChannel stores one channel's recorded in-transit messages.
-func (c *Collector) recordChannel(cs ChannelState) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.channels = append(c.channels, cs)
-}
-
-// nodeDone marks one node's snapshot participation complete.
-func (c *Collector) nodeDone() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.done++
-}
-
-// Complete reports whether all n nodes finished recording.
-func (c *Collector) Complete(n int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.done == n
-}
-
-// States returns the recorded local states keyed by node.
-func (c *Collector) States() map[async.NodeID]any {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[async.NodeID]any, len(c.states))
-	for k, v := range c.states {
-		out[k] = v
-	}
-	return out
-}
-
-// Channels returns the recorded channel states, sorted by (From, To).
-func (c *Collector) Channels() []ChannelState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := append([]ChannelState(nil), c.channels...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
+// Run takes one snapshot of the apps: node i+1 runs apps[i], and node 1
+// initiates the snapshot right after its app's Init. Every node's Init runs
+// at t=0 in id order. Each message then arrives after a delay drawn from the
+// stream seeded by seed, but never before the previous message on its
+// channel; equal arrival times keep send order by the simulator's FIFO
+// tie-break, so every channel is FIFO. The run ends at quiescence. Run
+// returns the snapshot and the number of messages sent, markers included;
+// equal seeds give equal runs.
+func Run(apps []App, seed int64) (*Collector, int) {
+	n := len(apps)
+	var (
+		sim   des.Sim
+		delay = rng.New(seed)
+		last  = make([]des.Time, n*n) // latest arrival on channel (from, to), at (from-1)·n + to-1
+		sent  int
+		col   = &Collector{States: map[NodeID]any{}}
+		nodes = make([]*node, n)
+	)
+	for i, app := range apps {
+		nd := &node{app: app, col: col, id: NodeID(i + 1), n: n}
+		nd.send = func(to NodeID, payload any) {
+			// Both are protocol bugs in a fault-free substrate.
+			if to == nd.id || to < 1 || int(to) > n {
+				panic(fmt.Sprintf("snapshot: node %d sends to node %d", nd.id, to))
+			}
+			ch := int(nd.id-1)*n + int(to-1)
+			last[ch] = max(sim.Now()+des.Time(delay.Float64()), last[ch])
+			sent++
+			sim.At(last[ch], func() { nodes[to-1].deliver(nd.id, payload) })
 		}
-		return out[i].To < out[j].To
+		nodes[i] = nd
+	}
+	for _, nd := range nodes {
+		nd.app.Init(nd.send)
+		if nd.id == 1 {
+			nd.record()
+		}
+	}
+	sim.Run(des.Infinity)
+	slices.SortFunc(col.Channels, func(a, b ChannelState) int {
+		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To))
 	})
-	return out
+	return col, sent
 }
 
-// Node wraps an App with the Chandy–Lamport protocol. It implements
-// async.Handler.
-type Node struct {
-	app       App
-	collector *Collector
-	initiator bool
+// node wraps an App with the Chandy–Lamport protocol.
+type node struct {
+	app  App
+	col  *Collector
+	id   NodeID
+	n    int
+	send func(to NodeID, payload any)
 
 	recorded  bool
-	recording map[async.NodeID]bool // channels still being recorded (by sender)
-	chanState map[async.NodeID][]any
-	n         int
-}
-
-// NewNode wraps app; if initiator is true the node starts the snapshot in
-// Init (after the app's own Init). All nodes of a run must share the
-// collector.
-func NewNode(app App, collector *Collector, initiator bool) *Node {
-	return &Node{app: app, collector: collector, initiator: initiator}
-}
-
-// Init implements async.Handler.
-func (nd *Node) Init(ctx *async.Context) {
-	nd.n = ctx.N()
-	nd.app.Init(func(to async.NodeID, payload any) { ctx.Send(to, payload) })
-	if nd.initiator {
-		nd.record(ctx)
-	}
+	recording map[NodeID]bool // channels still being recorded (by sender)
+	chanState map[NodeID][]any
 }
 
 // record takes the local snapshot and emits markers on all outgoing
-// channels; it starts recording every incoming channel (except that the
-// initiator's trigger has no incoming marker channel to exclude).
-func (nd *Node) record(ctx *async.Context) {
+// channels; it starts recording every incoming channel.
+func (nd *node) record() {
 	if nd.recorded {
 		return
 	}
 	nd.recorded = true
-	nd.collector.recordNode(ctx.ID(), nd.app.State())
-	nd.recording = map[async.NodeID]bool{}
-	nd.chanState = map[async.NodeID][]any{}
-	for i := 1; i <= nd.n; i++ {
-		id := async.NodeID(i)
-		if id != ctx.ID() {
-			nd.recording[id] = true
-		}
-	}
+	nd.col.States[nd.id] = nd.app.State()
+	nd.recording = map[NodeID]bool{}
+	nd.chanState = map[NodeID][]any{}
 	// The marker is sent atomically with the recording on every outgoing
 	// channel — the synchronization point.
-	ctx.Broadcast(Marker{Origin: ctx.ID()})
-	nd.maybeFinish(ctx)
+	for i := 1; i <= nd.n; i++ {
+		if id := NodeID(i); id != nd.id {
+			nd.recording[id] = true
+			nd.send(id, Marker{Origin: nd.id})
+		}
+	}
+	nd.maybeFinish()
 }
 
 // maybeFinish completes the node's participation once every incoming channel
 // has delivered its marker.
-func (nd *Node) maybeFinish(ctx *async.Context) {
-	if !nd.recorded {
-		return
-	}
+func (nd *node) maybeFinish() {
 	for _, still := range nd.recording {
 		if still {
 			return
@@ -180,35 +154,28 @@ func (nd *Node) maybeFinish(ctx *async.Context) {
 	}
 	if nd.recording != nil {
 		for from, msgs := range nd.chanState {
-			nd.collector.recordChannel(ChannelState{From: from, To: ctx.ID(), Payloads: msgs})
+			nd.col.Channels = append(nd.col.Channels, ChannelState{From: from, To: nd.id, Payloads: msgs})
 		}
 		nd.recording = nil
-		nd.collector.nodeDone()
+		nd.col.Done++
 	}
 }
 
-// OnMessage implements async.Handler.
-func (nd *Node) OnMessage(ctx *async.Context, m async.Message) {
-	if _, ok := m.Payload.(Marker); ok {
-		if !nd.recorded {
-			// First marker: record now. The channel it arrived on is empty
-			// in the snapshot (FIFO: everything before the marker was
-			// delivered pre-recording).
-			nd.record(ctx)
-		}
-		nd.recording[m.From] = false
-		nd.maybeFinish(ctx)
+// deliver handles one message arriving from the given sender.
+func (nd *node) deliver(from NodeID, payload any) {
+	if _, ok := payload.(Marker); ok {
+		// The first marker records now. The channel it arrived on is empty
+		// in the snapshot (FIFO: everything before the marker was delivered
+		// pre-recording).
+		nd.record()
+		nd.recording[from] = false
+		nd.maybeFinish()
 		return
 	}
 	// Application message: if it arrived on a channel still being recorded,
 	// it was in transit at the snapshot point.
-	if nd.recorded && nd.recording != nil && nd.recording[m.From] {
-		nd.chanState[m.From] = append(nd.chanState[m.From], m.Payload)
+	if nd.recording[from] {
+		nd.chanState[from] = append(nd.chanState[from], payload)
 	}
-	nd.app.Handle(m.From, m.Payload, func(to async.NodeID, payload any) { ctx.Send(to, payload) })
-}
-
-// String renders the node state.
-func (nd *Node) String() string {
-	return fmt.Sprintf("snapshot-node(recorded=%t)", nd.recorded)
+	nd.app.Handle(from, payload, nd.send)
 }

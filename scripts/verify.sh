@@ -68,7 +68,7 @@ fi
 # mapping. The protocols' own packages, internal/check (which defines the
 # bounds) and the benchmark are exempt; comment lines do not count.
 echo "== one protocol spec: no system construction, system storage or bound selection outside internal/protocol"
-spec_files=$(find agree cmd examples internal -name '*.go' ! -name '*_test.go' | grep -vE '^internal/(protocol|check|core|consensus)/')
+spec_files=$(find agree cmd internal -name '*.go' ! -name '*_test.go' | grep -vE '^internal/(protocol|check|core|consensus)/')
 if grep -nE '(core|earlystop|floodset)\.(NewSystem\(|System\b)|check\.Bound(Classic|FPlus1)\b' $spec_files | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//'; then
 	echo "verify: a system is built or held or a round bound chosen outside internal/protocol; use protocol.Spec's Build into a protocol.Systems, and Bound"
 	exit 1
