@@ -397,8 +397,9 @@ func (f FaultSpec) orderInsensitive() bool { return f.kind != "random" && f.kind
 type Config struct {
 	// N is the number of processes (required).
 	N int
-	// T is the resilience bound for the classic baselines; 0 defaults to
-	// N-1 (crash-stop consensus tolerates any minority-free bound).
+	// T is the resilience bound for the classic baselines, below N; 0
+	// defaults to N-1 (crash-stop consensus tolerates any minority-free
+	// bound). A negative T or one of at least N is an error.
 	T int
 	// Protocol selects the algorithm (default ProtocolCRW).
 	Protocol Protocol
@@ -407,7 +408,7 @@ type Config struct {
 	// Proposals are the proposed values; nil defaults to 100+i for p_{i+1}.
 	Proposals []int64
 	// Bits is the proposal bit width b used for Theorem 2 accounting
-	// (default 64).
+	// (0 defaults to 64; a negative width is an error).
 	Bits int
 	// Faults is the crash scenario (default NoFaults).
 	Faults FaultSpec

@@ -139,6 +139,34 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeInputsAreErrors: a resilience bound outside [0, N) or a
+// negative bit width is rejected by every entry point that takes one, not
+// silently replaced by its default.
+func TestOutOfRangeInputsAreErrors(t *testing.T) {
+	for _, cfg := range []agree.Config{
+		{N: 4, Protocol: agree.ProtocolFloodSet, T: 50},
+		{N: 4, Protocol: agree.ProtocolEarlyStop, T: 4},
+		{N: 4, T: -1},
+		{N: 4, Bits: -3},
+	} {
+		if rep, err := agree.Run(cfg); err == nil {
+			t.Errorf("Run %+v: ran %d rounds, want an error", cfg, rep.Rounds)
+		}
+	}
+	for _, cfg := range []agree.FuzzConfig{{N: 4, T: 9, Seeds: 1}, {N: 4, T: -1, Seeds: 1}} {
+		if _, err := agree.Fuzz(cfg); err == nil {
+			t.Errorf("Fuzz %+v: want an error", cfg)
+		}
+	}
+	if _, err := agree.Explore(agree.ExploreConfig{N: 3, T: 3}); err == nil {
+		t.Error("Explore with T = N: want an error")
+	}
+	if _, err := agree.Serve(agree.ServeConfig{N: 4, Bits: -3, Workload: agree.FixedArrivals(1, 1),
+		MaxCommands: 10}); err == nil {
+		t.Error("Serve with Bits=-3: want an error")
+	}
+}
+
 func TestCustomProposals(t *testing.T) {
 	rep, err := agree.Run(agree.Config{N: 3, Proposals: []int64{7, 8, 9}})
 	if err != nil {

@@ -16,7 +16,7 @@ type ExploreConfig struct {
 	// N is the number of processes (required; keep small — the space is
 	// exhaustive).
 	N int
-	// T is the crash budget (default N-1).
+	// T is the crash budget, below N (0 defaults to N-1).
 	T int
 	// OrderAscending flips the commit order to ascending (ablation: the f+1
 	// bound fails).

@@ -1,10 +1,14 @@
 package agree_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/agree"
+	"repro/internal/check"
+	"repro/internal/protocol"
+	"repro/internal/sim"
 )
 
 // TestExploreFaithful checks the public explorer on the faithful algorithm:
@@ -75,5 +79,37 @@ func TestExploreRejectsNegativeBudgets(t *testing.T) {
 		if rep, err := agree.Explore(cfg); err == nil {
 			t.Errorf("%+v: explored %d executions, want an error", cfg, rep.Executions)
 		}
+	}
+}
+
+// TestExploreKeptVerdictsRenderTheirOwnRun: the explorer's engine reruns for
+// every later execution, so each counterexample's verdict must keep the run
+// it judged, rendering exactly as a fresh replay of its script.
+func TestExploreKeptVerdictsRenderTheirOwnRun(t *testing.T) {
+	rep, err := agree.Explore(agree.ExploreConfig{N: 4, CommitAsData: true, MaxCounterexamples: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Counterexamples) < 3 {
+		t.Fatalf("%d counterexamples on the commit-as-data ablation, want at least 3", len(rep.Counterexamples))
+	}
+	spec := protocol.Spec{N: 4, T: 3, CommitAsData: true}
+	factory, validate := spec.Explorer(spec.T, 0), protocol.Validator(spec.Bound())
+	distinct := map[string]bool{}
+	for i, ce := range rep.Counterexamples {
+		ex := factory(&check.Replayer{Values: ce.Script})
+		eng, err := sim.NewEngine(ex.Cfg, ex.Procs, ex.Adv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, runErr := eng.Run()
+		want := fmt.Sprint(validate(ex, res, runErr))
+		if got := fmt.Sprint(ce.Err); got != want {
+			t.Errorf("counterexample %d %v: kept verdict %q, replay %q", i, ce.Script, got, want)
+		}
+		distinct[want] = true
+	}
+	if len(distinct) < 2 {
+		t.Errorf("every counterexample renders %v: a stale verdict would go unnoticed", distinct)
 	}
 }

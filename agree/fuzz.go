@@ -7,6 +7,7 @@ import (
 	"runtime/pprof"
 	"strconv"
 
+	"repro/internal/check"
 	"repro/internal/fuzz"
 	"repro/internal/harness"
 	"repro/internal/laws"
@@ -29,7 +30,7 @@ import (
 type FuzzConfig struct {
 	// N is the number of processes (required).
 	N int
-	// T is the crash budget per execution (default N-1).
+	// T is the crash budget per execution, below N (0 defaults to N-1).
 	T int
 	// Protocol selects the algorithm (default ProtocolCRW).
 	Protocol Protocol
@@ -446,9 +447,11 @@ func FuzzReplayScript(cfg FuzzConfig, script string, withTrace bool) (*FuzzRepla
 		oracle = fuzz.Oracles(oracle,
 			fuzz.LawOracle(laws.Budget{Crashes: s.Crashes(), Omissive: s.OmissiveProcs()}))
 	}
+	// The report outlives the result's engine contract (harness.Engine.Run),
+	// so its verdict is detached from the engine's result.
 	rep := &FuzzReplayReport{
 		Rounds: int(res.Rounds),
-		Err:    oracle(tgt.Proposals, res, runErr),
+		Err:    check.Detach(oracle(tgt.Proposals, res, runErr)),
 	}
 	rep.Law = laws.Of(rep.Err)
 	rep.Decisions, rep.DecideRound, rep.Crashed, rep.Omissive = outcomeMaps(res, 1)

@@ -287,7 +287,8 @@ func TestFuzzReportIsDeepEqualAcrossRuns(t *testing.T) {
 // that shrinks its findings. A pooled recorder whose value-type generator is
 // re-seeded by one assignment, a system each worker resets instead of
 // building, a replayer reading the script in place and an agreement
-// violation rendered only when read keep it under eight.
+// violation rendered only when read and a result the engine recycles keep it
+// under seven.
 func TestFuzzAllocsPerExec(t *testing.T) {
 	campaigns := []agree.FuzzConfig{
 		{N: 16, T: 5, CrashProb: 0.25, Laws: true, Seeds: 200, Workers: 1},
@@ -308,7 +309,9 @@ func TestFuzzAllocsPerExec(t *testing.T) {
 			}
 		}
 	}) / float64(execs)
-	const maxPerExec = 8 // measured 7.27
+	// Measured 5.99; 6.6 under -race, where sync.Pool drops recorders at
+	// random.
+	const maxPerExec = 7
 	if perExec > maxPerExec {
 		t.Errorf("fuzz campaigns allocate %.2f allocs/exec over %d executions, want <= %d", perExec, execs, maxPerExec)
 	}
@@ -330,5 +333,40 @@ func TestFuzzFindsAscendingOrderBoundViolations(t *testing.T) {
 		if !strings.Contains(f.Err.Error(), "round bound") {
 			t.Errorf("seed %d: %v, want a round-bound violation", f.Seed, f.Err)
 		}
+	}
+}
+
+// TestFuzzKeptVerdictsRenderTheirOwnRun: a campaign worker's engine reruns
+// for every later seed, replay and shrink candidate, so a finding's verdicts
+// must keep the runs they judged. Each Err and ShrunkErr renders exactly as
+// a fresh FuzzReplayScript of its Script and Shrunk.
+func TestFuzzKeptVerdictsRenderTheirOwnRun(t *testing.T) {
+	cfg := agree.FuzzConfig{N: 5, T: 3, Seeds: 60, CommitAsData: true, CrashProb: 0.35,
+		Shrink: true, Workers: 1}
+	rep, err := agree.Fuzz(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Findings) < 3 {
+		t.Fatalf("%d findings on the commit-as-data ablation, want at least 3", len(rep.Findings))
+	}
+	distinct := map[string]bool{}
+	for _, f := range rep.Findings {
+		for _, kept := range []struct {
+			script string
+			err    error
+		}{{f.Script, f.Err}, {f.Shrunk, f.ShrunkErr}} {
+			replay, err := agree.FuzzReplayScript(cfg, kept.script, false)
+			if err != nil {
+				t.Fatalf("seed %d: replaying %q: %v", f.Seed, kept.script, err)
+			}
+			if got, want := fmt.Sprint(kept.err), fmt.Sprint(replay.Err); got != want {
+				t.Errorf("seed %d, script %q: kept verdict %q, replay %q", f.Seed, kept.script, got, want)
+			}
+			distinct[fmt.Sprint(replay.Err)] = true
+		}
+	}
+	if len(distinct) < 2 {
+		t.Errorf("every finding renders %v: a stale verdict would go unnoticed", distinct)
 	}
 }

@@ -114,7 +114,8 @@ type ServeConfig struct {
 	// Protocol selects the per-slot consensus algorithm: ProtocolCRW
 	// (default) or ProtocolEarlyStop.
 	Protocol Protocol
-	// Bits is the command bit width (default 64).
+	// Bits is the command bit width (0 defaults to 64; a negative width is
+	// an error).
 	Bits int
 	// RotateLeader renumbers replicas per slot so a live replica always
 	// holds the coordinator role; without it a dead static coordinator

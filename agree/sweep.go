@@ -218,7 +218,7 @@ func runConfig(cfg Config, cache *harness.Cache, sys *protocol.Systems, prof *te
 		Counters:     res.Counters,
 		Ledger:       res.Ledger,
 		SimTime:      res.SimTime,
-		ConsensusErr: check.Consensus(proposals, res),
+		ConsensusErr: check.Detach(check.Consensus(proposals, res)),
 	}
 	stride := sim.Round(1)
 	if cfg.SimulateOnClassic {

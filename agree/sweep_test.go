@@ -197,7 +197,7 @@ func TestSweepAllocsPerConfig(t *testing.T) {
 	// Absolute regression pin for the batched path (report assembly; the
 	// engine and the system are reused), with small headroom over the
 	// measured value.
-	const maxPerConfig = 16 // measured 15.3
+	const maxPerConfig = 14 // measured 13.3
 	if sweepAllocs > maxPerConfig {
 		t.Errorf("sweep allocates %.1f allocs/config, want <= %d", sweepAllocs, maxPerConfig)
 	}
@@ -214,8 +214,8 @@ func TestSweepAllocsPerConfigLockstep(t *testing.T) {
 		engine       agree.EngineKind
 		maxPerConfig float64
 	}{
-		{agree.EngineLockstep, 16}, // measured 15.35
-		{agree.EngineTimed, 17},    // measured 16.80
+		{agree.EngineLockstep, 14}, // measured 13.35
+		{agree.EngineTimed, 15},    // measured 14.80
 	} {
 		t.Run(string(tc.engine), func(t *testing.T) {
 			var configs []agree.Config
@@ -241,7 +241,7 @@ func TestSweepAllocsPerConfigLockstep(t *testing.T) {
 // sweep: its known sets and fresh-value logs are carved from one slab the
 // worker's system reuses and its plan arrays from another, and each round
 // sends its fresh window in place through the process's own payload slot, so
-// nine flooding rounds (n=16, t=8) stay under fourteen allocations per
+// nine flooding rounds (n=16, t=8) stay under twelve allocations per
 // config.
 func TestSweepAllocsPerConfigFloodSet(t *testing.T) {
 	cfg := agree.Config{N: 16, T: 8, Protocol: agree.ProtocolFloodSet}
@@ -256,7 +256,7 @@ func TestSweepAllocsPerConfigFloodSet(t *testing.T) {
 			t.Fatal("floodset sweep errored or violated consensus")
 		}
 	}) / batch
-	const maxPerConfig = 14 // measured 13.8
+	const maxPerConfig = 12 // measured 11.8
 	if perConfig > maxPerConfig {
 		t.Errorf("floodset sweep allocates %.1f allocs/config, want <= %d", perConfig, maxPerConfig)
 	}

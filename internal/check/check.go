@@ -35,7 +35,8 @@ var (
 // run: every decided value is a proposal; no two processes (correct or
 // faulty) decided differently; every process that did not crash decided. A
 // violation names the lowest offending process id. Neither a clean run nor
-// an agreement violation allocates: the latter is rendered when read.
+// an agreement violation allocates: the latter is rendered from res when
+// read, so a caller keeping it past res's next rewrite keeps Detach of it.
 func Consensus(proposals []sim.Value, res *sim.Result) error {
 	for i, o := range res.Procs {
 		if o.DecideRound != 0 && !slices.Contains(proposals, o.Value) {
@@ -62,8 +63,9 @@ func Consensus(proposals []sim.Value, res *sim.Result) error {
 
 // agreementError is a uniform-agreement violation, rendered only when read:
 // a shrinker replays thousands of violating runs and reads one verdict. It
-// holds the run's result, which is safe because engines hand out fresh
-// results that nobody mutates afterwards (harness.Engine.Run).
+// holds the run's result, which its engine rewrites on the next run
+// (harness.Engine.Run), so the verdict reads that run only until then: a
+// caller that keeps the verdict longer keeps Detach of it.
 type agreementError struct{ res *sim.Result }
 
 func (e agreementError) Error() string {
@@ -71,6 +73,17 @@ func (e agreementError) Error() string {
 }
 
 func (e agreementError) Unwrap() error { return ErrAgreement }
+
+// Detach returns a verdict of Consensus ready to be kept past the next run
+// of the engine whose result it judged: an agreement violation, which reads
+// that result when rendered, is re-pointed at a clone of it. Every other
+// verdict, nil included, is already rendered and comes back as is.
+func Detach(err error) error {
+	if e, ok := err.(agreementError); ok {
+		return agreementError{e.res.Clone()}
+	}
+	return err
+}
 
 // RoundBound validates that no process decided after bound(f), where f is
 // the number of crashes that occurred in the run. A violation names the

@@ -146,11 +146,20 @@ type RunFactory func(ch adversary.Chooser) Execution
 // validator may tolerate or reject.
 type Validator func(ex Execution, res *sim.Result, engineErr error) error
 
-// Counterexample records a violating execution.
+// Counterexample records a violating execution: the choice script that
+// replays it, its verdict and its result. Result is a clone, and Err a
+// detached verdict (Detach), so both stay those of this execution while the
+// explorer's engine runs the next ones.
 type Counterexample struct {
 	Script []int
 	Err    error
 	Result *sim.Result
+}
+
+// keep records the violating execution of script, whose result res the
+// engine rewrites on its next run.
+func keep(script []int, verr error, res *sim.Result) Counterexample {
+	return Counterexample{Script: script, Err: Detach(verr), Result: res.Clone()}
 }
 
 // Stats aggregates an exploration.
@@ -259,11 +268,7 @@ func Explore(factory RunFactory, validate Validator, opts ExploreOpts) (Stats, e
 		}
 		stats.observe(res)
 		if verr := validate(ex, res, runErr); verr != nil {
-			stats.Counterexamples = append(stats.Counterexamples, Counterexample{
-				Script: bt.Script(),
-				Err:    verr,
-				Result: res,
-			})
+			stats.Counterexamples = append(stats.Counterexamples, keep(bt.Script(), verr, res))
 			if len(stats.Counterexamples) >= opts.MaxCounterexamples {
 				return stats, nil
 			}

@@ -3,6 +3,7 @@ package check_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/adversary"
@@ -394,9 +395,55 @@ func TestExploreE5Allocs(t *testing.T) {
 				stats.Executions, len(stats.Counterexamples))
 		}
 	})
-	const pin = 1442
+	const pin = 1140
 	if allocs > pin {
 		t.Errorf("E5 exploration allocates %v allocs/run, pinned at %d; ratchet the pin down when the count falls",
 			allocs, pin)
+	}
+}
+
+// TestCounterexamplesKeepTheirOwnRun: the explorer's engine rewrites its
+// result on every execution, so each counterexample must keep a result and
+// a verdict of its own. Every one, sequential or parallel, equals a fresh
+// engine's replay of its script.
+func TestCounterexamplesKeepTheirOwnRun(t *testing.T) {
+	factory := crwFactory(4, 3, core.Options{CommitAsData: true})
+	validate := fullValidator(nil)
+	for _, tc := range []struct {
+		name    string
+		explore func(check.RunFactory, check.Validator, check.ExploreOpts) (check.Stats, error)
+	}{
+		{"sequential", check.Explore},
+		{"parallel", check.ExploreParallel},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stats, err := tc.explore(factory, validate, check.ExploreOpts{MaxCounterexamples: 6, Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(stats.Counterexamples) < 3 {
+				t.Fatalf("%d counterexamples, want at least 3", len(stats.Counterexamples))
+			}
+			distinct := map[string]bool{}
+			for i, ce := range stats.Counterexamples {
+				ex := factory(&check.Replayer{Values: ce.Script})
+				eng, err := sim.NewEngine(ex.Cfg, ex.Procs, ex.Adv)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, runErr := eng.Run()
+				verr := validate(ex, res, runErr)
+				if !reflect.DeepEqual(ce.Result, res) {
+					t.Errorf("counterexample %d %v: kept result %+v, replay %+v", i, ce.Script, ce.Result, res)
+				}
+				if fmt.Sprint(ce.Err) != fmt.Sprint(verr) {
+					t.Errorf("counterexample %d %v: kept verdict %q, replay %q", i, ce.Script, ce.Err, verr)
+				}
+				distinct[fmt.Sprint(verr)] = true
+			}
+			if len(distinct) < 2 {
+				t.Errorf("every counterexample renders %v: a stale verdict would go unnoticed", distinct)
+			}
+		})
 	}
 }

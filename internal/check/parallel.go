@@ -112,11 +112,7 @@ func ExploreParallel(factory RunFactory, validate Validator, opts ExploreOpts) (
 			}
 			out.observe(res)
 			if verr := validate(ex, res, runErr); verr != nil {
-				out.Counterexamples = append(out.Counterexamples, Counterexample{
-					Script: bt.Script(),
-					Err:    verr,
-					Result: res,
-				})
+				out.Counterexamples = append(out.Counterexamples, keep(bt.Script(), verr, res))
 				if ceCount.Add(1) >= int64(opts.MaxCounterexamples) {
 					stop.Store(true)
 					return

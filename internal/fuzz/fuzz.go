@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/adversary"
+	"repro/internal/check"
 	"repro/internal/harness"
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -228,7 +229,9 @@ func RunSeed(eng harness.Engine, factory Factory, oracle Oracle, seed int64, opt
 	out.MaxDecideRound = res.MaxDecideRound()
 	out.Faults = res.Faults()
 	out.Omissive = res.OmissionFaulty()
-	out.Err = oracle(tgt.Proposals, res, runErr)
+	// The replays below rewrite the engine's result, which a lazily
+	// rendered verdict still reads: the kept one is detached from it.
+	out.Err = check.Detach(oracle(tgt.Proposals, res, runErr))
 	if out.Err == nil {
 		return out, nil
 	}

@@ -101,6 +101,7 @@ func TestRecordedScriptReplaysIdentically(t *testing.T) {
 		if runErr != nil {
 			t.Fatalf("seed %d: %v", seed, runErr)
 		}
+		want = want.Clone() // the replay below reruns the engine
 		script := rec.script()
 
 		tgt2 := factory()
@@ -197,7 +198,7 @@ func TestPlantedAgreementBugIsCaughtAndShrunk(t *testing.T) {
 			t.Fatalf("replay %d of shrunk script %q passed", i, out.Shrunk.String())
 		}
 		errs = append(errs, verr.Error())
-		results = append(results, res)
+		results = append(results, res.Clone())
 	}
 	if errs[0] != errs[1] {
 		t.Errorf("replays diverged: %q vs %q", errs[0], errs[1])
@@ -279,7 +280,7 @@ func TestPlantedOracleMutationIsCaught(t *testing.T) {
 		if verr := faithful(tgt.Proposals, res, runErr); !errors.Is(verr, check.ErrRoundBound) {
 			t.Fatalf("replay %d of shrunk script %q: %v, want round-bound violation", i, first.Shrunk.String(), verr)
 		}
-		results = append(results, res)
+		results = append(results, res.Clone())
 	}
 	if !reflect.DeepEqual(results[0], results[1]) {
 		t.Errorf("replayed results diverged: %+v vs %+v", results[0], results[1])

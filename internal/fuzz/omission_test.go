@@ -90,6 +90,7 @@ func TestRecordedOmissionScriptReplaysIdentically(t *testing.T) {
 		if want == nil {
 			t.Fatalf("seed %d: %v", seed, wantErr)
 		}
+		want = want.Clone() // the replay below reruns the engine
 		script := rec.script()
 		if err := script.validate(); err != nil {
 			t.Fatalf("seed %d: recorded script %q invalid: %v", seed, script.String(), err)
@@ -168,7 +169,7 @@ func TestOmissionBreaksAgreementAndShrinksToOneEvent(t *testing.T) {
 		if verr := oracle(tgt.Proposals, res, runErr); !errors.Is(verr, check.ErrAgreement) {
 			t.Fatalf("replay %d of %q: %v, want agreement violation", i, out.Shrunk.String(), verr)
 		}
-		results = append(results, res)
+		results = append(results, res.Clone())
 	}
 	if !reflect.DeepEqual(results[0], results[1]) {
 		t.Errorf("replays diverged: %+v vs %+v", results[0], results[1])

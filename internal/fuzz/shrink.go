@@ -1,5 +1,7 @@
 package fuzz
 
+import "repro/internal/check"
+
 // Shrink minimizes a violating script by delta debugging: candidate
 // simplifications are replayed through test, and a candidate is kept exactly
 // when it still fails the oracle. Simplification passes run in preference
@@ -17,10 +19,12 @@ package fuzz
 //
 // Shrink returns the minimized script, the oracle violation it fails with,
 // and any fatal replay error (which aborts the shrink and returns the best
-// script found so far).
+// script found so far). A verdict may read the result of the run it judged,
+// which the next replay rewrites, so the kept verdict — serr, then each
+// adopted candidate's — is detached from it (check.Detach).
 func Shrink(s Script, serr error, maxRound, budget int, test func(Script) (error, error)) (Script, error, error) {
 	cur := s.Clone()
-	curErr := serr
+	curErr := check.Detach(serr)
 	runs := 0
 	var fatal error
 
@@ -45,7 +49,7 @@ func Shrink(s Script, serr error, maxRound, budget int, test func(Script) (error
 			return false
 		}
 		cand.normalize()
-		cur, curErr = cand, verr
+		cur, curErr = cand, check.Detach(verr)
 		return true
 	}
 

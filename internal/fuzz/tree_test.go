@@ -52,7 +52,7 @@ func TestOneTreeSeededAnswersReplay(t *testing.T) {
 				}
 				script := rec.script().String()
 				recorders.Put(rec)
-				return res, script
+				return res.Clone(), script // the engine reruns for the next call
 			}
 			faults := 0
 			for seed := int64(0); seed < seeds; seed++ {

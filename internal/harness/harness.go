@@ -89,9 +89,11 @@ type Engine interface {
 	// Capabilities returns the engine's capability flags.
 	Capabilities() Capabilities
 	// Run executes one job to completion and returns its result. The result
-	// and its per-process Procs slice are freshly allocated and safe to
-	// retain (explorer counterexamples, shrinker and fuzz findings keep
-	// them); the engine's own outcome scratch is recycled by the next Run.
+	// and its per-process Procs slice belong to the engine and are valid
+	// until its next Run, which rewrites them in place: a reused engine runs
+	// without allocating a result. A caller that keeps a result longer keeps
+	// its Clone, and one that keeps a verdict judged on it keeps
+	// check.Detach of the verdict.
 	Run(Job) (*sim.Result, error)
 }
 

@@ -200,7 +200,9 @@ func checkPoisonedMatchesBare(t *testing.T, poison wrapFn) {
 					return eng.Run(harness.Job{Model: sys.model, Horizon: sys.horizon,
 						Procs: sys.build(wrap), Adv: adv()})
 				}
+				// The engine rewrites its result on the next run: keep a clone.
 				want, wantErr := run(identity)
+				want = want.Clone()
 				got, gotErr := run(poison)
 				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
 					t.Errorf("%s/%s/%s: poisoned run differs:\n got %+v (%v)\nwant %+v (%v)",
@@ -262,7 +264,9 @@ func TestPlanLifetimeRoundScopedCatchesStaleReader(t *testing.T) {
 		return eng.Run(harness.Job{Model: sim.ModelExtended, Horizon: n + 2,
 			Procs: wrap(core.NewSystem(props, core.Options{})), Adv: adv})
 	}
+	// The engine rewrites its result on the next run: keep a clone.
 	want, wantErr := run(identity)
+	want = want.Clone()
 	if wantErr != nil || want.Faults() != 1 {
 		t.Fatalf("bare run: %d faults (%v), want 1", want.Faults(), wantErr)
 	}
@@ -381,7 +385,9 @@ func TestPlanLifetimePayloadRoundScoped(t *testing.T) {
 					return eng.Run(harness.Job{Model: sys.model, Horizon: sys.horizon,
 						Procs: sys.build(wrap), Adv: adv()})
 				}
+				// The engine rewrites its result on the next run: keep a clone.
 				want, wantErr := run(identity)
+				want = want.Clone()
 				var ledgers []*payloadLedger
 				got, gotErr := run(ledgered(&ledgers))
 				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {

@@ -50,7 +50,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -107,8 +106,9 @@ type Runtime struct {
 
 	// Driver-side scratch, sized with ps. Indexed by process (id-1).
 	alive, halted []bool
-	out           []sim.Outcome // per-process outcome so far; finish hands out a copy
+	out           []sim.Outcome // per-process outcome so far; the result's Procs
 	active, recvs []int         // the send and the receive phase's lists
+	res           sim.Result    // the result Run hands out, rewritten by the next Run
 }
 
 // sendReport is the account of one process's send phase.
@@ -494,7 +494,8 @@ func (rt *Runtime) discard(led *metrics.Ledger, i int) {
 
 // Run executes the system until every alive process halts, the horizon is
 // reached, or a model violation occurs. Run may be called once per arming;
-// Reset arms the next job.
+// Reset arms the next job. The result is the runtime's own and valid until
+// its next Run or Reset; Clone it to keep it longer.
 func (rt *Runtime) Run() (*sim.Result, error) {
 	if rt.closed {
 		return nil, errors.New("lockstep: runtime is closed")
@@ -505,7 +506,8 @@ func (rt *Runtime) Run() (*sim.Result, error) {
 	rt.consumed = true
 	n := len(rt.procs)
 
-	res := &sim.Result{}
+	res := &rt.res
+	*res = sim.Result{}
 	alive, halted, out := rt.alive[:n], rt.halted[:n], rt.out[:n]
 	clear(halted)
 	clear(out)
@@ -588,10 +590,10 @@ func (rt *Runtime) Run() (*sim.Result, error) {
 	return res, nil
 }
 
-// finish stamps the round count on res and hands it a copy of the driver's
-// outcome scratch, like sim.Engine.Run.
+// finish stamps the round count on res and hands it the driver's outcome
+// scratch in place, like sim.Kernel.Finish: the next Run rewinds both.
 func (rt *Runtime) finish(res *sim.Result, r sim.Round) {
 	res.Rounds = r
 	res.Counters.Rounds = int(r)
-	res.Procs = slices.Clone(rt.out[:len(rt.procs)])
+	res.Procs = rt.out[:len(rt.procs)]
 }

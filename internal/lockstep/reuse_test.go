@@ -267,7 +267,7 @@ func TestReusedRunAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const pin = 7
+	const pin = 5
 	if allocs > pin {
 		t.Errorf("reused lockstep run allocates %v allocs/run, pinned at %d; ratchet the pin down when the count falls",
 			allocs, pin)

@@ -38,10 +38,11 @@ type Spec struct {
 	Protocol string
 	// N is the number of processes.
 	N int
-	// T is the resilience bound of the classic baselines. Resolve turns
-	// t <= 0 and t >= n into n-1. CRW's construction and bound ignore it.
+	// T is the resilience bound of the classic baselines, 0 <= t < n.
+	// Resolve turns 0 into n-1. CRW's construction and bound ignore it.
 	T int
-	// Bits is the proposal bit width b of Theorem 2's accounting (0 = 64).
+	// Bits is the proposal bit width b of Theorem 2's accounting (0 = 64);
+	// Resolve rejects a negative width.
 	Bits int
 	// OrderAscending is the ascending-commit-order ablation (CRW only): the
 	// f+1 bound falls.
@@ -56,7 +57,9 @@ type Spec struct {
 }
 
 // Resolve validates the spec and fills in its defaults: the protocol name,
-// and t <= 0 or t >= n as n-1. Every other method expects a resolved spec.
+// and t = 0 as n-1. A t outside [0, n) or a negative bit width is an error,
+// not a default: the run would otherwise use a value the caller never gave.
+// Every other method expects a resolved spec.
 func (s Spec) Resolve() (Spec, error) {
 	if s.N < 1 {
 		return s, errors.New("N must be at least 1")
@@ -75,7 +78,13 @@ func (s Spec) Resolve() (Spec, error) {
 	default:
 		return s, fmt.Errorf("unknown protocol %q", s.Protocol)
 	}
-	if s.T <= 0 || s.T >= s.N {
+	if s.T < 0 || s.T >= s.N {
+		return s, fmt.Errorf("T=%d is outside [0, N) = [0, %d) (0 selects N-1)", s.T, s.N)
+	}
+	if s.Bits < 0 {
+		return s, fmt.Errorf("Bits=%d is negative (0 selects 64)", s.Bits)
+	}
+	if s.T == 0 {
 		s.T = s.N - 1
 	}
 	return s, nil

@@ -14,7 +14,8 @@ import (
 )
 
 // TestResolve pins the one validation and t-default rule every caller
-// shares.
+// shares: only t = 0 and bits = 0 select defaults; an out-of-range t or a
+// negative width is an error, never silently replaced.
 func TestResolve(t *testing.T) {
 	for _, c := range []struct {
 		spec  protocol.Spec
@@ -24,8 +25,12 @@ func TestResolve(t *testing.T) {
 	}{
 		{protocol.Spec{N: 4}, protocol.CRW, 3, ""},
 		{protocol.Spec{Protocol: protocol.EarlyStop, N: 4}, protocol.EarlyStop, 3, ""},
-		{protocol.Spec{Protocol: protocol.FloodSet, N: 4, T: 4}, protocol.FloodSet, 3, ""},
-		{protocol.Spec{Protocol: protocol.FloodSet, N: 4, T: -2}, protocol.FloodSet, 3, ""},
+		{protocol.Spec{Protocol: protocol.FloodSet, N: 4, T: 4}, "", 0, "T=4 is outside"},
+		{protocol.Spec{Protocol: protocol.FloodSet, N: 4, T: 50}, "", 0, "T=50 is outside"},
+		{protocol.Spec{Protocol: protocol.FloodSet, N: 4, T: -2}, "", 0, "T=-2 is outside"},
+		{protocol.Spec{Protocol: protocol.FloodSet, N: 4, T: 3}, protocol.FloodSet, 3, ""},
+		{protocol.Spec{N: 4, Bits: -3}, "", 0, "Bits=-3 is negative"},
+		{protocol.Spec{N: 4, Bits: 8}, protocol.CRW, 3, ""},
 		{protocol.Spec{Protocol: protocol.EarlyStop, N: 8, T: 3}, protocol.EarlyStop, 3, ""},
 		{protocol.Spec{N: 1}, protocol.CRW, 0, ""},
 		{protocol.Spec{N: 0}, "", 0, "N must be at least 1"},

@@ -73,8 +73,9 @@ type Result struct {
 	// Rounds is the number of rounds executed until every alive process
 	// halted (or horizon, on error).
 	Rounds Round
-	// Procs holds every process's outcome, indexed by id−1. The slice is
-	// allocated per run at its exact size and owned by the result.
+	// Procs holds every process's outcome, indexed by id−1, one per process
+	// of the run. Like the rest of the result it belongs to the engine that
+	// produced it and is rewritten by that engine's next run (see Clone).
 	Procs []Outcome
 	// Counters holds the communication cost of the run.
 	Counters metrics.Counters
@@ -95,6 +96,16 @@ type Result struct {
 	// Cross-engine comparisons deliberately exclude it: it prices the same
 	// semantic execution, it does not change it.
 	SimTime float64
+}
+
+// Clone returns a copy of the result that shares nothing with it. Every
+// engine recycles its one result, which stays valid only until the engine's
+// next Run or Reset; a caller that keeps a result longer (a counterexample, a
+// finding) keeps a clone.
+func (r *Result) Clone() *Result {
+	c := *r
+	c.Procs = slices.Clone(r.Procs)
+	return &c
 }
 
 // Decision returns the value process id decided, and whether it decided.
@@ -254,7 +265,8 @@ func (e *Engine) N() int { return e.k.N() }
 
 // Run executes rounds until every alive process has halted, the horizon is
 // reached, or a model violation occurs. It returns the result in all cases;
-// the result is partial when err != nil.
+// the result is partial when err != nil. The result is the engine's own and
+// valid until its next Run, Reset or ResetConfig; Clone it to keep it longer.
 func (e *Engine) Run() (*Result, error) {
 	var r Round
 	var runErr error

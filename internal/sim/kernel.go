@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"repro/internal/metrics"
 	"repro/internal/telemetry"
@@ -68,7 +67,7 @@ type Kernel struct {
 
 	alive    []bool
 	halted   []bool
-	out      []Outcome // per-process outcome so far; Finish hands out a copy
+	out      []Outcome // per-process outcome so far; Finish's result reads it in place
 	inbox    [][]Message
 	recvOmit [][]bool // receive-omission mask of the current round, omitters only
 
@@ -76,6 +75,7 @@ type Kernel struct {
 	ctr           metrics.Counters
 	led           metrics.Ledger
 	tel           RoundTelemetry
+	res           Result // the result Finish hands out, recycled by the next Arm
 }
 
 // inboxSeedCap is the per-process inbox capacity carved out of the flat
@@ -302,14 +302,17 @@ func (k *Kernel) RecordRound(r Round, t0, t1 float64) {
 }
 
 // Finish builds the result of a job that ended after round r at engine time
-// t and, for a clean run, records its run telemetry.
+// t and, for a clean run, records its run telemetry. The result is the
+// kernel's own: every field is overwritten here, its Procs is the kernel's
+// outcome slice, and the next Arm rewinds both, so a caller that keeps it
+// past that keeps a Clone.
 func (k *Kernel) Finish(r Round, t float64, clean bool) *Result {
-	res := &Result{Rounds: r, Procs: slices.Clone(k.out), Counters: k.ctr, Ledger: k.led}
-	res.Counters.Rounds = int(r)
+	k.res = Result{Rounds: r, Procs: k.out, Counters: k.ctr, Ledger: k.led}
+	k.res.Counters.Rounds = int(r)
 	if clean {
 		RecordRun(k.cfg.Telemetry, r, t)
 	}
-	return res
+	return &k.res
 }
 
 // stamp renders the engine clock's time through format, or "" without a

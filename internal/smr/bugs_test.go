@@ -60,10 +60,11 @@ func TestCommandRangeChecks(t *testing.T) {
 
 // TestServeAllocsPerSlot gates the reuse path in allocation terms: every
 // slot of a service runs on the one engine its cache built and resets the
-// session's one consensus instance, so a slot costs about the sim.Result and
-// its Procs slice (2.86 at n=8 on the round engine for CRW, 2.98 for
-// earlystop) instead of the ~170 of constructing an n=8 engine per slot or
-// the 9.8 of rebuilding the instance.
+// session's one consensus instance, and the engine recycles its result, so a
+// slot itself allocates nothing: the 0.86 per slot at n=8 on the round engine
+// for CRW (0.98 for earlystop) is the session's set-up spread over its
+// slots, against the ~170 of constructing an n=8 engine per slot or the 9.8
+// of rebuilding the instance.
 func TestServeAllocsPerSlot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -72,7 +73,7 @@ func TestServeAllocsPerSlot(t *testing.T) {
 	for _, c := range []struct {
 		proto smr.Protocol
 		pin   float64
-	}{{smr.ProtocolCRW, 2.86}, {smr.ProtocolEarlyStop, 2.98}} {
+	}{{smr.ProtocolCRW, 0.86}, {smr.ProtocolEarlyStop, 0.98}} {
 		t.Run(string(c.proto), func(t *testing.T) {
 			avg := testing.AllocsPerRun(10, func() {
 				clients, err := workload.NewClosed(8, 0, false, 0)

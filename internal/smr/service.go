@@ -72,7 +72,8 @@ type ServeOptions struct {
 	N int
 	// Protocol selects the per-slot consensus algorithm (default ProtocolCRW).
 	Protocol Protocol
-	// Bits is the command bit width (default 64).
+	// Bits is the command bit width (0 defaults to 64; a negative width is
+	// an error).
 	Bits int
 	// RotateLeader renumbers replicas per slot so the lowest-id live replica
 	// plays the p1 role of Figure 1. Without it the algorithm's static
@@ -320,6 +321,9 @@ func (h *arrivalHeap) pop() arrival {
 func (o *ServeOptions) validate() error {
 	if o.N < 1 {
 		return errors.New("smr: serve needs at least one replica")
+	}
+	if o.Bits < 0 {
+		return fmt.Errorf("smr: Bits=%d is negative (0 selects 64)", o.Bits)
 	}
 	if o.Protocol != "" && o.Protocol != ProtocolCRW && o.Protocol != ProtocolEarlyStop {
 		return fmt.Errorf("smr: unknown protocol %q", o.Protocol)

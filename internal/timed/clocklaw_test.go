@@ -66,3 +66,31 @@ func TestCleanRunHasNoClockViolation(t *testing.T) {
 		t.Errorf("laws.Audit on clean timed run: %v", err)
 	}
 }
+
+// TestResultLifetimeClockViolation: the engine rewrites every field of its
+// result on each run, so a clean run after one that surfaced a clock
+// violation reads none.
+func TestResultLifetimeClockViolation(t *testing.T) {
+	eng, err := New(Config{Model: sim.ModelExtended}, clockLawSystem(5), adversary.None{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.ds.LIFOTies = true
+	eng.ds.At(0, func() {})
+	eng.ds.At(0, func() {})
+	res, err := eng.Run()
+	if err != nil || res.ClockViolation == "" {
+		t.Fatalf("planted tie reorder: ClockViolation %q (%v), want one", res.ClockViolation, err)
+	}
+	eng.ds.LIFOTies = false
+	if err := eng.Reset(Config{Model: sim.ModelExtended}, clockLawSystem(5), adversary.None{}); err != nil {
+		t.Fatal(err)
+	}
+	res, err = eng.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ClockViolation != "" {
+		t.Errorf("clean run after a violating one reads ClockViolation %q, want none", res.ClockViolation)
+	}
+}

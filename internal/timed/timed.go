@@ -175,8 +175,9 @@ func (e *Engine) Reset(cfg Config, procs []sim.Process, adv sim.Adversary) error
 
 // Run executes the system on the event clock until every alive process has
 // halted, the horizon is reached, or a model violation occurs. It returns
-// the result in all cases; the result is partial when err != nil. Run may be
-// called once per job (use Reset to arm the next one).
+// the result in all cases; the result is partial when err != nil. The result
+// is the engine's own and valid until its next Run or Reset; Clone it to keep
+// it longer. Run may be called once per job (use Reset to arm the next one).
 func (e *Engine) Run() (*sim.Result, error) {
 	if e.ran {
 		return nil, errors.New("timed: Engine.Run called twice (Reset the engine between jobs)")
