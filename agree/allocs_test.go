@@ -23,17 +23,17 @@ func TestRunAllocs(t *testing.T) {
 		cfg  agree.Config
 		pin  float64
 	}{
-		{"E1FailureFree", agree.Config{N: 64}, 23},
-		{"E1RoundsVsFaults", agree.Config{N: 32, Faults: agree.CoordinatorCrashes(8)}, 25},
+		{"E1FailureFree", agree.Config{N: 64}, 21},
+		{"E1RoundsVsFaults", agree.Config{N: 32, Faults: agree.CoordinatorCrashes(8)}, 23},
 		{"E4EarlyStop", agree.Config{N: 32, T: 31, Protocol: agree.ProtocolEarlyStop,
-			Faults: agree.CoordinatorCrashes(2)}, 116},
-		{"E4FloodSet", agree.Config{N: 32, T: 8, Protocol: agree.ProtocolFloodSet}, 118},
-		{"DeterministicEngine", agree.Config{N: 32, Faults: agree.CoordinatorCrashes(4)}, 25},
-		{"TimedEngine", timed, 42},
+			Faults: agree.CoordinatorCrashes(2)}, 115},
+		{"E4FloodSet", agree.Config{N: 32, T: 8, Protocol: agree.ProtocolFloodSet}, 117},
+		{"DeterministicEngine", agree.Config{N: 32, Faults: agree.CoordinatorCrashes(4)}, 23},
+		{"TimedEngine", timed, 40},
 		{"LockstepEngine", agree.Config{N: 32, Engine: agree.EngineLockstep,
 			Faults: agree.CoordinatorCrashes(4)}, 31},
-		{"E1FailureFreeTelemetry", agree.Config{N: 64, Telemetry: true}, 34},
-		{"TimedEngineTelemetry", timedTelemetry, 82},
+		{"E1FailureFreeTelemetry", agree.Config{N: 64, Telemetry: true}, 32},
+		{"TimedEngineTelemetry", timedTelemetry, 80},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

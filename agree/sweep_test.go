@@ -214,8 +214,8 @@ func TestSweepAllocsPerConfigLockstep(t *testing.T) {
 		engine       agree.EngineKind
 		maxPerConfig float64
 	}{
-		{agree.EngineLockstep, 14}, // measured 13.35
-		{agree.EngineTimed, 15},    // measured 14.80
+		{agree.EngineLockstep, 14}, // measured 13.30
+		{agree.EngineTimed, 15},    // measured 14.60
 	} {
 		t.Run(string(tc.engine), func(t *testing.T) {
 			var configs []agree.Config

@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"errors"
 	"slices"
 	"sort"
 	"strings"
@@ -315,5 +316,73 @@ func TestCacheReturnsSameEngine(t *testing.T) {
 	}
 	if _, err := c.Get("bogus"); err == nil {
 		t.Error("cache accepted an unregistered kind")
+	}
+}
+
+// quitter halts after its first round without deciding, which no correct
+// protocol may do.
+type quitter struct {
+	id   sim.ProcID
+	done bool
+}
+
+func (q *quitter) ID() sim.ProcID                   { return q.id }
+func (q *quitter) Send(sim.Round) sim.SendPlan      { return sim.SendPlan{} }
+func (q *quitter) Receive(sim.Round, []sim.Message) { q.done = true }
+func (q *quitter) Decided() (sim.Value, bool)       { return 0, false }
+func (q *quitter) Halted() bool                     { return q.done }
+
+// TestEnginesRejectHaltWithoutDecision runs a system in which p3 halts
+// undecided in round 1 on every registered engine: each must fail the run
+// with sim.ErrHaltedWithoutDecision.
+func TestEnginesRejectHaltWithoutDecision(t *testing.T) {
+	for _, kind := range harness.Kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			cache := harness.NewCache()
+			defer cache.Close()
+			eng, err := cache.Get(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j := job(4, 0)
+			j.Procs[2] = &quitter{id: 3}
+			if _, err := eng.Run(j); !errors.Is(err, sim.ErrHaltedWithoutDecision) {
+				t.Errorf("err = %v, want %v", err, sim.ErrHaltedWithoutDecision)
+			}
+		})
+	}
+}
+
+// flooder makes its process send three data messages to p2 in round 1, one
+// more than the channel carries in a round.
+type flooder struct{ sim.Process }
+
+func (f flooder) Send(r sim.Round) sim.SendPlan {
+	if r != 1 {
+		return f.Process.Send(r)
+	}
+	est := &sim.Est{V: 1, B: 64}
+	return sim.SendPlan{Data: []sim.Outgoing{{To: 2, Payload: est}, {To: 2, Payload: est}, {To: 2, Payload: est}}}
+}
+
+// TestEnginesEnforceChannelCapacity runs a plan with three data messages
+// from p1 to p2 in round 1 on every registered engine: each must reject it
+// with the same channel-capacity error.
+func TestEnginesEnforceChannelCapacity(t *testing.T) {
+	const want = "p1 sends 3 messages to p2 in one round (channel capacity 2) (round 1)"
+	for _, kind := range harness.Kinds() {
+		t.Run(string(kind), func(t *testing.T) {
+			cache := harness.NewCache()
+			defer cache.Close()
+			eng, err := cache.Get(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j := job(4, 0)
+			j.Procs[0] = flooder{j.Procs[0]}
+			if _, err := eng.Run(j); err == nil || err.Error() != "sim: "+want {
+				t.Errorf("err = %v, want %q", err, "sim: "+want)
+			}
+		})
 	}
 }

@@ -51,6 +51,10 @@ func randomScript(rng *rand.Rand, n int) *adversary.Script {
 // TestDifferentialEnginesUnderRandomScripts fuzzes both engines with the
 // same randomly scripted crash schedules and requires bit-identical results:
 // same rounds, decisions, decide rounds, crash sets and traffic counters.
+// Both engines run sim.Kernel's phases, so this checks lockstep's
+// scheduling — shards, barrier, mailboxes, accumulator merge; the round
+// semantics themselves are checked against internal/harness's reference
+// model.
 // The GoroutinePerProcess subtest runs each lockstep job at GOMAXPROCS = n,
 // so every process gets a shard goroutine of its own, the runtime's old
 // shape. scripts/verify.sh runs this under -race -count=10.

@@ -16,7 +16,8 @@ import (
 )
 
 // overflow makes its process send data+1 messages to p_to in round 1 —
-// data data messages and a commit — more than a mailbox holds when data ≥ 2.
+// data data messages and a commit — more than a channel carries in a round
+// when data ≥ 2.
 type overflow struct {
 	sim.Process
 	to   sim.ProcID
@@ -47,8 +48,8 @@ type reuseJob struct {
 // TestRuntimeReuseAcrossSizes drives one runtime through growing and
 // shrinking process counts, with an aborted run in the middle. Every
 // completed run must equal a fresh deterministic-engine run of the same job,
-// so stale mail or a stale send-count row from an earlier size shows up as
-// a diff.
+// so stale mail or stale kernel state from an earlier size shows up as a
+// diff.
 // scripts/verify.sh runs this under -race -count=10.
 func TestRuntimeReuseAcrossSizes(t *testing.T) {
 	killer := func(n int) sim.Adversary { return adversary.CoordinatorKiller{F: n / 8, DeliverAllData: true} }
@@ -93,7 +94,7 @@ func TestRuntimeReuseAcrossSizes(t *testing.T) {
 		}
 		got, err := rt.Run()
 		if job.overflow {
-			if err == nil || !strings.Contains(err.Error(), "p2 sends 3 messages to p1 in round 1 (channel capacity 2)") {
+			if err == nil || !strings.Contains(err.Error(), "sim: p2 sends 3 messages to p1 in one round (channel capacity 2) (round 1)") {
 				t.Fatalf("job %d (n=%d): err = %v, want the capacity error", i, job.n, err)
 			}
 			continue
@@ -203,24 +204,6 @@ func TestRuntimeShardGoroutines(t *testing.T) {
 	}
 }
 
-// TestOverflowCountSaturates sends 256 data messages and a commit to one
-// destination: the per-destination send counts saturate rather than wrap
-// back under the mailbox capacity, so the run fails with the capacity error
-// instead of overflowing a mailbox.
-func TestOverflowCountSaturates(t *testing.T) {
-	procs := core.NewSystem(props(4), core.Options{})
-	procs[1] = overflow{Process: procs[1], to: 1, data: 256}
-	rt, err := lockstep.New(lockstep.Config{Model: sim.ModelExtended}, procs, adversary.None{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	_, err = rt.Run()
-	if err == nil || !strings.Contains(err.Error(), "p2 sends 255 messages to p1 in round 1 (channel capacity 2)") {
-		t.Fatalf("err = %v, want the saturated capacity error", err)
-	}
-}
-
 // TestResetAllocsAtSeenSize pins the grow-only design: rearming at a process
 // count no larger than one already seen spawns nothing and reallocates
 // nothing, and a run abort leaves nothing behind but mail, so rearming
@@ -277,8 +260,9 @@ func TestReusedRunAllocs(t *testing.T) {
 // TestNewAllocs pins the exact allocation count of building a runtime for
 // n=64 and closing it: each spawned shard costs its wake channel and its
 // goroutine's closure (AllocsPerRun measures at GOMAXPROCS 1, so one shard),
-// and everything else — the shard structs, the per-process reports, the
-// mailbox and send-count slabs, the driver's scratch — is one slab apiece.
+// and everything else — the shard structs, the mailbox and mailbox-count
+// slabs, the phase list, the kernel's per-process state, outcomes and inbox
+// seeds — is one slab apiece.
 // Any increase fails; when a change lowers the count, ratchet the pin down.
 func TestNewAllocs(t *testing.T) {
 	cfg := lockstep.Config{Model: sim.ModelExtended}

@@ -297,30 +297,28 @@ func (e *Engine) round(r Round) error {
 	k := &e.k
 	for i := range k.procs {
 		if k.Active(i) {
-			if err := k.SendPhase(i, r); err != nil {
+			if err := k.SendPhase(&k.acc, i, r); err != nil {
 				return err
 			}
 		}
 	}
 	for i := range k.procs {
 		if k.Active(i) {
-			if err := k.ReceivePhase(i, r); err != nil {
+			if err := k.ReceivePhase(&k.acc, i, r); err != nil {
 				return err
 			}
 		}
 	}
 	// Every active process has emptied its inbox. What is left was queued
 	// for a process that crashed later in this round's send phase, or that
-	// has halted: it is never received.
-	for i, in := range k.inbox {
+	// has halted: it is never received, and Accept books it by the
+	// destination's state.
+	for i := range k.ps {
+		in := k.ps[i].inbox
+		k.ps[i].inbox = in[:0]
 		for _, m := range in {
-			if k.alive[i] {
-				k.led.HaltedDest(m.Kind == Control)
-			} else {
-				k.led.DeadDest(m.Kind == Control)
-			}
+			k.Accept(m)
 		}
-		k.inbox[i] = in[:0]
 	}
 	return nil
 }
@@ -329,20 +327,21 @@ func (e *Engine) round(r Round) error {
 type deliverer Engine
 
 // Transmit queues a message for the destination's receive phase of the
-// current round. Messages to already-crashed processes vanish; a halted
-// destination's are discarded at the end of the round.
+// current round. A crashed destination's message is refused at once; a
+// halted destination's is queued, traced as delivered like every other, and
+// refused at the end of the round.
 func (d *deliverer) Transmit(m Message) {
 	k := &d.k
 	if k.cfg.Trace.Enabled() {
 		k.cfg.Trace.Add(trace.Event{Round: int(m.Round), Kind: trace.KindSend,
 			From: int(m.From), To: int(m.To), Detail: m.Kind.String()})
 	}
-	i := int(m.To) - 1
-	if !k.alive[i] {
-		k.led.DeadDest(m.Kind == Control)
+	p := &k.ps[m.To-1]
+	if !p.alive {
+		k.Accept(m)
 		return
 	}
-	k.inbox[i] = append(k.inbox[i], m)
+	p.inbox = append(p.inbox, m)
 	if k.cfg.Trace.Enabled() {
 		k.cfg.Trace.Add(trace.Event{Round: int(m.Round), Kind: trace.KindDeliver,
 			From: int(m.From), To: int(m.To), Detail: m.Kind.String()})

@@ -55,27 +55,45 @@ func ValidateJob(pkg string, horizon Round, procs []Process, adv Adversary) (Rou
 //
 // All per-process state lives in slices indexed by process (id-1) and grows
 // only when the process count exceeds every earlier one, so with tracing
-// disabled a rearmed kernel runs without allocating.
+// disabled a rearmed kernel runs without allocating. The phases of distinct
+// processes touch distinct per-process state and the accumulator (Acc) they
+// are handed only, so an engine may run them concurrently — one accumulator
+// per worker, an adversary and a Transmitter safe for concurrent calls, and
+// no trace.
 type Kernel struct {
 	cfg   Config
 	procs []Process
 	adv   Adversary
 	omit  Omitter // adv's omission extension, nil when absent
-	val   PlanValidator
 	tx    Transmitter
 	clock Clock
 
-	alive    []bool
-	halted   []bool
+	ps       []procState
 	out      []Outcome // per-process outcome so far; Finish's result reads it in place
-	inbox    [][]Message
-	recvOmit [][]bool // receive-omission mask of the current round, omitters only
+	recvOmit [][]bool  // receive-omission mask of the current round, omitters only
+	acc      Acc       // the kernel's own accumulator: after a merge, the run's totals
+	tel      roundTelemetry
+	res      Result // the result Finish hands out, recycled by the next Arm
+}
 
-	aliveUnhalted int // alive processes that have not halted; Quiet is ==0
-	ctr           metrics.Counters
-	led           metrics.Ledger
-	tel           RoundTelemetry
-	res           Result // the result Finish hands out, recycled by the next Arm
+// procState is the kernel's state of one process.
+type procState struct {
+	alive, halted bool
+	inbox         []Message // the current round's mail
+}
+
+// Acc is one worker's share of the round state that is not indexed by
+// process: the plan validator's scratch, the traffic counters, the message
+// ledger and the number of processes that stopped (crashed or halted). A
+// sequential engine hands every phase the kernel's own (Kernel.Acc); a
+// concurrent one gives each worker its own and folds them in with
+// Kernel.Merge after every barrier. Every total is a sum, so the merge order
+// does not matter. The zero value is ready to use.
+type Acc struct {
+	val     PlanValidator
+	ctr     metrics.Counters
+	led     metrics.Ledger
+	stopped int
 }
 
 // inboxSeedCap is the per-process inbox capacity carved out of the flat
@@ -92,26 +110,25 @@ func (k *Kernel) Arm(cfg Config, procs []Process, adv Adversary, tx Transmitter,
 	n := len(procs)
 	k.cfg, k.procs, k.adv, k.tx, k.clock = cfg, procs, adv, tx, clock
 	k.omit, _ = adv.(Omitter)
-	if cap(k.alive) < n {
-		k.alive = make([]bool, n)
-		k.halted = make([]bool, n)
+	if cap(k.ps) < n {
+		k.ps = make([]procState, n)
 		k.out = make([]Outcome, n)
-		k.inbox = make([][]Message, n)
 		// Seed every inbox from one flat backing array: a fresh kernel pays
 		// one allocation instead of one per first delivery per process. An
 		// inbox that outgrows its seed capacity reallocates privately.
 		flat := make([]Message, n*inboxSeedCap)
-		for i := range k.inbox {
-			k.inbox[i] = flat[i*inboxSeedCap : i*inboxSeedCap : (i+1)*inboxSeedCap]
+		for i := range k.ps {
+			k.ps[i].inbox = flat[i*inboxSeedCap : i*inboxSeedCap : (i+1)*inboxSeedCap]
 		}
-	} else {
-		k.alive = k.alive[:n]
-		k.halted = k.halted[:n]
-		k.out = k.out[:n]
-		k.inbox = k.inbox[:n]
 	}
+	k.ps, k.out = k.ps[:n], k.out[:n]
+	for i := range k.ps {
+		p := &k.ps[i]
+		p.alive, p.halted, p.inbox = true, false, p.inbox[:0]
+	}
+	clear(k.out)
 	// The receive-omission scratch exists only for omission-capable
-	// adversaries, so the crash-model hot path (and its allocation count) is
+	// adversaries, so the crash-model path (and its allocation count) is
 	// untouched by the omission fault model.
 	if k.omit == nil {
 		k.recvOmit = k.recvOmit[:0]
@@ -119,18 +136,10 @@ func (k *Kernel) Arm(cfg Config, procs []Process, adv Adversary, tx Transmitter,
 		k.recvOmit = make([][]bool, n)
 	} else {
 		k.recvOmit = k.recvOmit[:n]
+		clear(k.recvOmit)
 	}
-	for i := range n {
-		k.alive[i] = true
-		k.halted[i] = false
-		k.out[i] = Outcome{}
-		k.inbox[i] = k.inbox[i][:0]
-	}
-	clear(k.recvOmit)
-	k.aliveUnhalted = n
-	k.ctr = metrics.Counters{}
-	k.led = metrics.Ledger{}
-	k.tel = RoundTelemetry{}
+	k.acc = Acc{val: k.acc.val}
+	k.tel = roundTelemetry{}
 }
 
 // N returns the number of processes.
@@ -138,25 +147,39 @@ func (k *Kernel) N() int { return len(k.procs) }
 
 // Active reports whether process p_{i+1} still runs rounds: alive and not
 // halted. Engines run both phases of a round for exactly these processes.
-func (k *Kernel) Active(i int) bool { return k.alive[i] && !k.halted[i] }
+func (k *Kernel) Active(i int) bool { return k.ps[i].alive && !k.ps[i].halted }
 
-// Quiet reports whether every alive process has halted. The kernel keeps a
-// running count, so this is O(1) per call.
-func (k *Kernel) Quiet() bool { return k.aliveUnhalted == 0 }
+// Quiet reports whether every alive process has halted. The kernel counts
+// the processes that stop, so this is O(1) per call; a concurrent engine
+// asks only after merging its workers' accumulators.
+func (k *Kernel) Quiet() bool { return k.acc.stopped == len(k.procs) }
+
+// Acc returns the kernel's own accumulator, the one a sequential engine
+// hands every phase.
+func (k *Kernel) Acc() *Acc { return &k.acc }
+
+// Merge folds a worker's accumulator into the kernel's own and zeroes its
+// sums; the worker keeps its validator scratch.
+func (k *Kernel) Merge(a *Acc) {
+	k.acc.ctr.Merge(a.ctr)
+	k.acc.led.Merge(a.led)
+	k.acc.stopped += a.stopped
+	*a = Acc{val: a.val}
+}
 
 // SendPhase runs the send phase of the active process p_{i+1} in round r: its
 // plan, the model and plan checks, the crash decision and — for a survivor —
 // the omission decision, then both sending steps. A crash lets the escaped
 // data subset and control prefix out and drops the rest; a send omission
 // suppresses its masked messages and lets the rest out. Every message that
-// leaves is counted and handed to the engine's Transmitter.
-func (k *Kernel) SendPhase(i int, r Round) error {
+// leaves is counted in a and handed to the engine's Transmitter.
+func (k *Kernel) SendPhase(a *Acc, i int, r Round) error {
 	id := ProcID(i + 1)
 	plan := k.procs[i].Send(r)
 	if k.cfg.Model == ModelClassic && len(plan.Control) > 0 {
 		return fmt.Errorf("%w (process p%d, round %d)", ErrControlInClassic, id, r)
 	}
-	if err := k.val.Validate(id, len(k.procs), plan); err != nil {
+	if err := a.val.Validate(id, len(k.procs), plan); err != nil {
 		return fmt.Errorf("%v (round %d)", err, r)
 	}
 	crash, outcome := k.adv.Crashes(id, r, plan)
@@ -165,9 +188,9 @@ func (k *Kernel) SendPhase(i int, r Round) error {
 		if !outcome.ValidFor(plan) {
 			return fmt.Errorf("%w (process p%d, round %d)", ErrBadOutcome, id, r)
 		}
-		k.alive[i] = false
+		k.ps[i].alive = false
 		k.out[i].CrashRound = r
-		k.aliveUnhalted--
+		a.stopped++
 		if k.cfg.Trace.Enabled() {
 			k.cfg.Trace.Add(trace.Event{Round: int(r), Kind: trace.KindCrash, From: int(id),
 				Detail: fmt.Sprintf("%sduring send (data %s, ctrl prefix %d/%d)", k.stamp("t=%g "),
@@ -190,27 +213,27 @@ func (k *Kernel) SendPhase(i int, r Round) error {
 	for j, o := range plan.Data {
 		switch {
 		case crash && !outcome.DataDelivered[j]:
-			k.ctr.DroppedData++
+			a.ctr.DroppedData++
 			k.traceDrop(r, id, o.To, "data")
 		case om.Data != nil && !om.Data[j]:
-			k.ctr.OmittedData++
+			a.ctr.OmittedData++
 			k.traceDrop(r, id, o.To, "data (send omission)")
 		default:
 			m := Message{From: id, To: o.To, Round: r, Kind: Data, Payload: o.Payload}
-			k.ctr.AddData(m.Bits())
+			a.ctr.AddData(m.Bits())
 			k.tx.Transmit(m)
 		}
 	}
 	for j, to := range plan.Control {
 		switch {
 		case crash && j >= outcome.CtrlPrefix:
-			k.ctr.DroppedCtrl++
+			a.ctr.DroppedCtrl++
 			k.traceDrop(r, id, to, "control")
 		case om.Ctrl != nil && !om.Ctrl[j]:
-			k.ctr.OmittedCtrl++
+			a.ctr.OmittedCtrl++
 			k.traceDrop(r, id, to, "control (send omission)")
 		default:
-			k.ctr.AddCtrl()
+			a.ctr.AddCtrl()
 			k.tx.Transmit(Message{From: id, To: to, Round: r, Kind: Control})
 		}
 	}
@@ -221,40 +244,48 @@ func (k *Kernel) SendPhase(i int, r Round) error {
 // destination's receive phase and reports true, or refuses it — accounted by
 // the destination's state — when the destination has crashed or halted.
 func (k *Kernel) Accept(m Message) bool {
-	i := int(m.To) - 1
+	p := &k.ps[m.To-1]
 	switch {
-	case !k.alive[i]:
-		k.led.DeadDest(m.Kind == Control)
-	case k.halted[i]:
-		k.led.HaltedDest(m.Kind == Control)
+	case !p.alive:
+		k.acc.led.DeadDest(m.Kind == Control)
+	case p.halted:
+		k.acc.led.HaltedDest(m.Kind == Control)
 	default:
-		k.inbox[i] = append(k.inbox[i], m)
+		p.inbox = append(p.inbox, m)
 		return true
 	}
 	return false
 }
 
+// SetInbox hands the active process p_{i+1} its mail of the current round in
+// storage the engine owns, for an engine whose workers gather each
+// receiver's mail themselves instead of calling Accept. The receive phase
+// filters and sorts it in place before delivering it, so the engine must
+// not reuse the storage until that phase has run.
+func (k *Kernel) SetInbox(i int, mail []Message) { k.ps[i].inbox = mail }
+
 // Late accounts a transmitted message that missed its round: a timing fault,
 // which its destination sees as a receive omission.
 func (k *Kernel) Late(m Message) {
-	k.ctr.Late++
-	k.led.Late(m.Kind == Control)
+	k.acc.ctr.Late++
+	k.acc.led.Late(m.Kind == Control)
 }
 
 // ReceivePhase runs the receive and computation phase of the active process
 // p_{i+1} in round r: it filters the inbox through the round's
 // receive-omission mask, records the deliveries, sorts the inbox into the
 // canonical order, hands it to the process and books a first decision and a
-// halt.
-func (k *Kernel) ReceivePhase(i int, r Round) error {
+// halt, accounting in a.
+func (k *Kernel) ReceivePhase(a *Acc, i int, r Round) error {
 	p, id := k.procs[i], ProcID(i+1)
-	in := k.inbox[i]
-	k.inbox[i] = in[:0] // recycle the buffer for the next round
+	st := &k.ps[i]
+	in := st.inbox
+	st.inbox = in[:0] // recycle the buffer for the next round
 	if i < len(k.recvOmit) && k.recvOmit[i] != nil {
-		in = k.applyRecvOmission(in, k.recvOmit[i], r)
+		in = k.applyRecvOmission(a, in, k.recvOmit[i], r)
 	}
 	for _, m := range in {
-		k.led.Delivered(m.Kind == Control)
+		a.led.Delivered(m.Kind == Control)
 	}
 	SortInbox(in)
 	p.Receive(r, in)
@@ -269,8 +300,8 @@ func (k *Kernel) ReceivePhase(i int, r Round) error {
 		if k.out[i].DecideRound == 0 {
 			return fmt.Errorf("%w (process p%d, round %d)", ErrHaltedWithoutDecision, id, r)
 		}
-		k.halted[i] = true
-		k.aliveUnhalted--
+		st.halted = true
+		a.stopped++
 		if k.cfg.Trace.Enabled() {
 			k.cfg.Trace.Add(trace.Event{Round: int(r), Kind: trace.KindHalt, From: int(id)})
 		}
@@ -280,12 +311,12 @@ func (k *Kernel) ReceivePhase(i int, r Round) error {
 
 // applyRecvOmission compacts an inbox in place to the messages that survive a
 // receive-omission mask, accounting the suppressed deliveries.
-func (k *Kernel) applyRecvOmission(in []Message, mask []bool, r Round) []Message {
+func (k *Kernel) applyRecvOmission(a *Acc, in []Message, mask []bool, r Round) []Message {
 	w := 0
 	for _, m := range in {
 		if i := int(m.From) - 1; i < len(mask) && !mask[i] {
-			k.ctr.OmittedRecv++
-			k.led.RecvOmitted(m.Kind == Control)
+			a.ctr.OmittedRecv++
+			a.led.RecvOmitted(m.Kind == Control)
 			k.traceDrop(r, m.From, m.To, m.Kind.String()+" (receive omission)")
 			continue
 		}
@@ -298,7 +329,7 @@ func (k *Kernel) applyRecvOmission(in []Message, mask []bool, r Round) []Message
 // RecordRound emits the telemetry of finished round r, spanning [t0, t1] on
 // the engine's clock. It does nothing when the job records no telemetry.
 func (k *Kernel) RecordRound(r Round, t0, t1 float64) {
-	k.tel.Record(k.cfg.Telemetry, r, t0, t1, k.ctr, k.led)
+	k.tel.record(k.cfg.Telemetry, r, t0, t1, k.acc.ctr, k.acc.led)
 }
 
 // Finish builds the result of a job that ended after round r at engine time
@@ -307,10 +338,10 @@ func (k *Kernel) RecordRound(r Round, t0, t1 float64) {
 // outcome slice, and the next Arm rewinds both, so a caller that keeps it
 // past that keeps a Clone.
 func (k *Kernel) Finish(r Round, t float64, clean bool) *Result {
-	k.res = Result{Rounds: r, Procs: k.out, Counters: k.ctr, Ledger: k.led}
+	k.res = Result{Rounds: r, Procs: k.out, Counters: k.acc.ctr, Ledger: k.acc.led}
 	k.res.Counters.Rounds = int(r)
 	if clean {
-		RecordRun(k.cfg.Telemetry, r, t)
+		recordRun(k.cfg.Telemetry, r, t)
 	}
 	return &k.res
 }
@@ -332,17 +363,17 @@ func (k *Kernel) traceDrop(r Round, from, to ProcID, detail string) {
 	}
 }
 
-// RoundTelemetry emits the telemetry of finished rounds: a round span and the
+// roundTelemetry emits the telemetry of finished rounds: a round span and the
 // round's traffic deltas against the counters of the previous round's end.
 // The zero value starts from zero counters.
-type RoundTelemetry struct {
+type roundTelemetry struct {
 	ctr metrics.Counters
 	led metrics.Ledger
 }
 
-// Record emits round r, spanning [t0, t1], given the run's counters and
+// record emits round r, spanning [t0, t1], given the run's counters and
 // ledger at its end. It does nothing when rec is disabled.
-func (s *RoundTelemetry) Record(rec *telemetry.Recorder, r Round, t0, t1 float64, ctr metrics.Counters, led metrics.Ledger) {
+func (s *roundTelemetry) record(rec *telemetry.Recorder, r Round, t0, t1 float64, ctr metrics.Counters, led metrics.Ledger) {
 	if !rec.Enabled() {
 		return
 	}
@@ -358,11 +389,11 @@ func (s *RoundTelemetry) Record(rec *telemetry.Recorder, r Round, t0, t1 float64
 	s.ctr, s.led = ctr, led
 }
 
-// RecordRun emits the run span of a clean r-round run that finished at
+// recordRun emits the run span of a clean r-round run that finished at
 // engine time t, and its rounds per simulated time unit — 1 by construction
 // on the round abstraction, where round r ends at t = r. It does nothing when
 // rec is disabled.
-func RecordRun(rec *telemetry.Recorder, r Round, t float64) {
+func recordRun(rec *telemetry.Recorder, r Round, t float64) {
 	if !rec.Enabled() {
 		return
 	}

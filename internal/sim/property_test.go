@@ -77,24 +77,29 @@ func TestPropertyOutOfRangePrefixInvalid(t *testing.T) {
 
 func TestPropertyValidatePlanCatchesBadDestinations(t *testing.T) {
 	// Self-sends and out-of-range destinations are always rejected; plans
-	// built from in-range non-self destinations always pass. One validator
-	// serves every iteration, so its scratch is reused across system sizes.
+	// built from in-range non-self destinations within the channel capacity
+	// always pass. One validator serves every iteration, so its scratch is
+	// reused across system sizes.
 	var v sim.PlanValidator
 	prop := func(nRaw, from uint8, dataRaw, ctrlRaw []uint8) bool {
 		n := int(nRaw%8) + 2
 		sender := sim.ProcID(int(from)%n + 1)
 		plan := mkPlan(n, dataRaw, ctrlRaw)
-		// Filter out self-sends so the plan is legal.
-		var data []sim.Outgoing
-		for _, o := range plan.Data {
-			if o.To != sender {
-				data = append(data, o)
-			}
-		}
+		// Filter out self-sends and messages over a channel's capacity of
+		// two so the plan is legal.
+		perChannel := map[sim.ProcID]int{}
 		var ctrl []sim.ProcID
 		for _, c := range plan.Control {
 			if c != sender {
 				ctrl = append(ctrl, c)
+				perChannel[c]++
+			}
+		}
+		var data []sim.Outgoing
+		for _, o := range plan.Data {
+			if o.To != sender && perChannel[o.To] < 2 {
+				data = append(data, o)
+				perChannel[o.To]++
 			}
 		}
 		plan = sim.SendPlan{Data: data, Control: ctrl}
@@ -132,7 +137,9 @@ func TestPropertyDuplicateControlRejected(t *testing.T) {
 }
 
 // refValidatePlan is the map-based validator PlanValidator replaced, kept as
-// the reference the scratch-owned version is compared against.
+// the reference the scratch-owned version is compared against. It has
+// learned the channel-capacity rule: at most two messages per channel, the
+// lowest destination over capacity reported with its count saturated at 255.
 func refValidatePlan(from sim.ProcID, n int, plan sim.SendPlan) error {
 	for _, o := range plan.Data {
 		if o.To < 1 || int(o.To) > n {
@@ -155,14 +162,26 @@ func refValidatePlan(from sim.ProcID, n int, plan sim.SendPlan) error {
 		}
 		seenCtrl[to] = true
 	}
+	perChannel := map[sim.ProcID]int{}
+	for _, o := range plan.Data {
+		perChannel[o.To]++
+	}
+	for _, to := range plan.Control {
+		perChannel[to]++
+	}
+	for to := sim.ProcID(1); int(to) <= n; to++ {
+		if c := perChannel[to]; c > 2 {
+			return fmt.Errorf("sim: p%d sends %d messages to p%d in one round (channel capacity 2)", from, min(c, 255), to)
+		}
+	}
 	return nil
 }
 
 func TestPropertyPlanValidatorMatchesReference(t *testing.T) {
 	// Arbitrary plans — self-sends, out-of-range and duplicate destinations
-	// included — get the same verdict and the same first error from one
-	// reused validator as from the map-based reference, whatever was
-	// validated before.
+	// and channels over capacity included — get the same verdict and the
+	// same first error from one reused validator as from the map-based
+	// reference, whatever was validated before.
 	var v sim.PlanValidator
 	prop := func(nRaw, from uint8, dataRaw, ctrlRaw []int8) bool {
 		n := int(nRaw%8) + 1
@@ -203,5 +222,38 @@ func TestPlanValidatorAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Validate allocates %.1f per plan, want 0", allocs)
+	}
+}
+
+// TestPlanValidatorChannelCapacity sends data messages and a commit to one
+// destination: up to two messages fit the channel, a third is rejected at
+// the lowest destination over capacity, and the count saturates rather than
+// wrapping back under the capacity — 256 data messages and a commit read as
+// 255.
+func TestPlanValidatorChannelCapacity(t *testing.T) {
+	plan := func(data int) sim.SendPlan {
+		p := sim.SendPlan{Data: []sim.Outgoing{{To: 4}, {To: 4}, {To: 4}}, Control: []sim.ProcID{1}}
+		for range data {
+			p.Data = append(p.Data, sim.Outgoing{To: 1})
+		}
+		return p
+	}
+	var v sim.PlanValidator
+	if err := v.Validate(2, 4, sim.SendPlan{Data: []sim.Outgoing{{To: 1}, {To: 1}}}); err != nil {
+		t.Errorf("two data messages on one channel: %v", err)
+	}
+	if err := v.Validate(2, 4, sim.SendPlan{Data: []sim.Outgoing{{To: 1}}, Control: []sim.ProcID{1}}); err != nil {
+		t.Errorf("a data and a control message on one channel: %v", err)
+	}
+	for _, c := range []struct {
+		data int
+		want string
+	}{
+		{2, "sim: p2 sends 3 messages to p1 in one round (channel capacity 2)"},
+		{256, "sim: p2 sends 255 messages to p1 in one round (channel capacity 2)"},
+	} {
+		if err := v.Validate(2, 4, plan(c.data)); err == nil || err.Error() != c.want {
+			t.Errorf("%d data messages and a commit: err = %v, want %q", c.data, err, c.want)
+		}
 	}
 }

@@ -24,7 +24,10 @@
 //     load-bearing for the uniform agreement proof).
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // ProcID identifies a process. Processes are numbered 1..n as in the paper
 // (p1 is the first rotating coordinator).
@@ -326,19 +329,19 @@ type Adversary interface {
 // PlanValidator checks send plans on scratch it owns, so validating a plan
 // allocates nothing once the scratch has grown to the system size. The zero
 // value is ready to use. A validator is not safe for concurrent use: every
-// engine — and every lockstep worker, which validate concurrently — owns one.
+// accumulator (Acc) owns one.
 type PlanValidator struct {
-	seen []bool // seen[j]: p_{j+1} is a control destination of the current plan
+	cnt []uint8 // cnt[j]: messages of the current plan to p_{j+1}, saturating
 }
 
-// Validate checks a send plan: destinations must be existing processes
-// other than the sender, and the ordered control sequence must not name a
-// destination twice (a channel carries at most one control message per round
-// — footnote 3 of the paper). Multiple data messages to one destination are
-// tolerated here because the CommitAsData ablation folds the commit into the
-// data step; the faithful protocols send at most one data message per channel
-// per round, which the lockstep runtime's two-cell mailboxes additionally
-// enforce.
+// Validate checks a send plan against the model's channels: destinations
+// must be existing processes other than the sender, the ordered control
+// sequence must not name a destination twice, and no channel may carry more
+// than two messages in one round — one data and one control message
+// (footnote 3 of the paper). Two data messages to one destination fit, which
+// the CommitAsData ablation needs: it folds the commit into the data step.
+// A plan over capacity is reported at its lowest such destination, with a
+// count that saturates at 255 rather than wrapping back under the capacity.
 func (v *PlanValidator) Validate(from ProcID, n int, plan SendPlan) error {
 	for _, o := range plan.Data {
 		if o.To < 1 || int(o.To) > n {
@@ -348,14 +351,16 @@ func (v *PlanValidator) Validate(from ProcID, n int, plan SendPlan) error {
 			return fmt.Errorf("sim: p%d sends data to itself", from)
 		}
 	}
-	if len(plan.Control) == 0 {
-		return nil
+	if len(plan.Control) == 0 && len(plan.Data) <= 2 {
+		return nil // no channel can repeat a control message or overflow
 	}
-	if cap(v.seen) < n {
-		v.seen = make([]bool, n)
+	if cap(v.cnt) < n {
+		v.cnt = make([]uint8, n)
 	}
-	seen := v.seen[:n]
-	clear(seen)
+	cnt := v.cnt[:n]
+	clear(cnt)
+	// Control destinations are counted first, so a non-zero count here is
+	// a repeated control destination.
 	for _, to := range plan.Control {
 		if to < 1 || int(to) > n {
 			return fmt.Errorf("sim: p%d sends control to nonexistent p%d", from, to)
@@ -363,10 +368,18 @@ func (v *PlanValidator) Validate(from ProcID, n int, plan SendPlan) error {
 		if to == from {
 			return fmt.Errorf("sim: p%d sends control to itself", from)
 		}
-		if seen[to-1] {
+		if cnt[to-1] != 0 {
 			return fmt.Errorf("sim: p%d sends two control messages to p%d in one round", from, to)
 		}
-		seen[to-1] = true
+		cnt[to-1] = 1
+	}
+	for _, o := range plan.Data {
+		cnt[o.To-1] = min(cnt[o.To-1], math.MaxUint8-1) + 1
+	}
+	for j, c := range cnt {
+		if c > 2 {
+			return fmt.Errorf("sim: p%d sends %d messages to p%d in one round (channel capacity 2)", from, c, j+1)
+		}
 	}
 	return nil
 }

@@ -215,7 +215,7 @@ func (e *Engine) roundStart(r sim.Round) {
 		if !e.k.Active(i) {
 			continue
 		}
-		if err := e.k.SendPhase(i, r); err != nil {
+		if err := e.k.SendPhase(e.k.Acc(), i, r); err != nil {
 			e.fail(err)
 			return
 		}
@@ -256,7 +256,7 @@ func (e *Engine) sweep(r sim.Round) {
 		if !e.k.Active(i) {
 			continue
 		}
-		if err := e.k.ReceivePhase(i, r); err != nil {
+		if err := e.k.ReceivePhase(e.k.Acc(), i, r); err != nil {
 			e.fail(err)
 			return
 		}

@@ -52,6 +52,17 @@ if grep -nE '\.(Crashes|Omits|Receive)\(|SortInbox\(' $(ls internal/timed/*.go |
 	exit 1
 fi
 
+# The lockstep runtime schedules the same kernel's phases on its shards. A
+# non-test file of internal/lockstep that runs a receive phase, sorts an
+# inbox, validates a plan or books a message's fate has grown a second copy
+# of the round semantics. Its adversary guard's .Crashes(/.Omits( calls are
+# the only ones it makes.
+echo "== no round semantics in internal/lockstep"
+if grep -nE '\.Receive\(|SortInbox\(|\.Validate\(|\.(AddData|AddCtrl|Delivered|RecvOmitted|DeadDest|HaltedDest)\(' $(ls internal/lockstep/*.go | grep -v '_test\.go$'); then
+	echo "verify: internal/lockstep runs round semantics itself; run sim.Kernel's phases"
+	exit 1
+fi
+
 # A service session resets one consensus instance per slot and finds its
 # latency percentiles by in-place selection. A non-test file of internal/smr
 # that builds an instance or takes a copying percentile has brought back the
@@ -110,8 +121,8 @@ go test -race -count=5 -timeout 300s -run 'RecycledRecorder|ReplayerMatches|OneT
 echo "== go test -race -count=5 (round-scoped plan and payload lifetime + shared control and crash-mask tables + sim engine reuse across shapes + consensus System reset + protocol.Systems reuse)"
 go test -race -count=5 -timeout 300s -run 'PlanLifetime|PayloadLifetime|OutcomeMasks|SimAdapterReuses|ControlTables|SystemReset|SpecBuildReuse' ./internal/harness/ ./internal/adversary/ ./internal/core/ ./internal/consensus/... ./internal/protocol/
 
-echo "== go test -race -count=10 (lockstep runtime reuse across sizes + Close lifetime, also after every phase-barrier abort path + shard count at GOMAXPROCS 2 + engine differential at GOMAXPROCS = n + every engine's recycled result across sizes, aborts and clock violations)"
-go test -race -count=10 -timeout 300s -run 'RuntimeReuse|RuntimeClose|RuntimeShard|DifferentialEnginesUnderRandomScripts|ResultLifetime' ./internal/lockstep/ ./internal/harness/ ./internal/timed/
+echo "== go test -race -count=10 (lockstep runtime reuse across sizes + Close lifetime, also after every phase-barrier abort path + shard count at GOMAXPROCS 2 + engine differential at GOMAXPROCS = n + every engine against the reference model + every engine's recycled result across sizes, aborts and clock violations)"
+go test -race -count=10 -timeout 300s -run 'RuntimeReuse|RuntimeClose|RuntimeShard|DifferentialEnginesUnderRandomScripts|EnginesMatchReference|ResultLifetime' ./internal/lockstep/ ./internal/harness/ ./internal/timed/
 
 echo "== scenario catalog (all engines)"
 go run ./cmd/agreesim -run all -engines all
