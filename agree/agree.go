@@ -20,6 +20,7 @@ package agree
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/adversary"
 	"repro/internal/fuzz"
@@ -54,9 +55,9 @@ const (
 	// exhaustively explorable).
 	EngineDeterministic EngineKind = "deterministic"
 	// EngineLockstep runs the processes concurrently on P = min(n,
-	// GOMAXPROCS) goroutines with mailbox-based message delivery and
-	// barrier-synchronized rounds; the order in which processes consult the
-	// adversary depends on scheduling.
+	// GOMAXPROCS) goroutines in barrier-synchronized phases, routing each
+	// round's mail from per-goroutine outboxes between them; the order in
+	// which processes consult the adversary depends on scheduling.
 	EngineLockstep EngineKind = "lockstep"
 	// EngineTimed is the continuous-time discrete-event engine: every
 	// message's arrival is priced by a latency model (Config.Latency),
@@ -503,18 +504,19 @@ func (r *Report) MaxDecideRound() int {
 func Run(cfg Config) (*Report, error) {
 	cache := harness.NewCache()
 	defer cache.Close()
-	var sys protocol.Systems
-	rep, _, err := runConfig(cfg, cache, &sys, nil)
+	var w worker
+	rep, _, err := runConfig(cfg, cache, &w, nil)
 	return rep, err
 }
 
 // normalize validates a config, fills in the defaults, and materializes the
-// proposal vector. It returns the normalized copy and its protocol spec.
-func normalize(cfg Config) (Config, protocol.Spec, []sim.Value, error) {
+// proposal vector in w.props. It returns the normalized copy and its
+// protocol spec.
+func normalize(cfg Config, w *worker) (Config, protocol.Spec, error) {
 	spec, err := resolve(protocol.Spec{Protocol: string(cfg.Protocol), N: cfg.N, T: cfg.T,
 		Bits: cfg.Bits, SimulateOnClassic: cfg.SimulateOnClassic})
 	if err != nil {
-		return cfg, spec, nil, err
+		return cfg, spec, err
 	}
 	if cfg.Engine == "" {
 		cfg.Engine = EngineDeterministic
@@ -523,21 +525,23 @@ func normalize(cfg Config) (Config, protocol.Spec, []sim.Value, error) {
 		cfg.Trace = true
 	}
 	if err := cfg.Faults.validate(cfg.N); err != nil {
-		return cfg, spec, nil, err
+		return cfg, spec, err
 	}
 	if err := cfg.Latency.validate(); err != nil {
-		return cfg, spec, nil, err
+		return cfg, spec, err
 	}
 	if cfg.Proposals != nil && len(cfg.Proposals) != cfg.N {
-		return cfg, spec, nil, fmt.Errorf("agree: %d proposals for %d processes", len(cfg.Proposals), cfg.N)
+		return cfg, spec, fmt.Errorf("agree: %d proposals for %d processes", len(cfg.Proposals), cfg.N)
 	}
-	return cfg, spec, proposalVector(cfg.N, cfg.Proposals), nil
+	w.props = proposalVector(w.props, cfg.N, cfg.Proposals)
+	return cfg, spec, nil
 }
 
-// proposalVector returns the proposals of an n-process run: given[i] for
-// p_{i+1}, or 100+i when given is nil.
-func proposalVector(n int, given []int64) []sim.Value {
-	props := make([]sim.Value, n)
+// proposalVector returns the proposals of an n-process run in dst's storage,
+// grown when it is too short: given[i] for p_{i+1}, or 100+i when given is
+// nil.
+func proposalVector(dst []sim.Value, n int, given []int64) []sim.Value {
+	props := slices.Grow(dst[:0], n)[:n]
 	for i := range props {
 		props[i] = sim.Value(100 + i)
 		if given != nil {

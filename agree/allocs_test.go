@@ -31,7 +31,7 @@ func TestRunAllocs(t *testing.T) {
 		{"DeterministicEngine", agree.Config{N: 32, Faults: agree.CoordinatorCrashes(4)}, 23},
 		{"TimedEngine", timed, 40},
 		{"LockstepEngine", agree.Config{N: 32, Engine: agree.EngineLockstep,
-			Faults: agree.CoordinatorCrashes(4)}, 31},
+			Faults: agree.CoordinatorCrashes(4)}, 30},
 		{"E1FailureFreeTelemetry", agree.Config{N: 64, Telemetry: true}, 32},
 		{"TimedEngineTelemetry", timedTelemetry, 80},
 	}

@@ -230,7 +230,7 @@ func normalizeFuzz(cfg FuzzConfig) (FuzzConfig, protocol.Spec, error) {
 // systems copy the values into their processes and the oracles only read
 // them.
 func fuzzFactory(spec protocol.Spec, sys *protocol.Systems, latency LatencySpec) fuzz.Factory {
-	props, lm := proposalVector(spec.N, nil), latency.model(0)
+	props, lm := proposalVector(nil, spec.N, nil), latency.model(0)
 	return func() fuzz.Target {
 		procs, model, horizon := spec.Build(sys, props)
 		return fuzz.Target{Model: model, Horizon: horizon, Procs: procs, Proposals: props, Latency: lm}

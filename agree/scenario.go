@@ -286,7 +286,7 @@ func scenarioTarget(sc *scenario.Scenario, sys *protocol.Systems, script fuzz.Sc
 	if err != nil {
 		return harness.Job{}, nil, nil, err
 	}
-	props := proposalVector(sc.N, sc.Proposals)
+	props := proposalVector(nil, sc.N, sc.Proposals)
 	procs, model, horizon := spec.Build(sys, props)
 	var bound func(f int) sim.Round
 	if !sc.ConsensusOnly() {

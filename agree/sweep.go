@@ -99,11 +99,11 @@ type SweepReport struct {
 func Sweep(configs []Config, opts SweepOptions) *SweepReport {
 	sr := &SweepReport{Items: make([]SweepItem, len(configs))}
 	prof := opts.Profile
-	stats := harness.ForEachProf(len(configs), opts.Workers, prof, func(cache *harness.Cache, sys *protocol.Systems, i int) {
+	stats := harness.ForEachProf(len(configs), opts.Workers, prof, func(cache *harness.Cache, w *worker, i int) {
 		item := &sr.Items[i]
 		item.Config = configs[i]
 		var res *sim.Result
-		item.Report, res, item.Err = runConfig(configs[i], cache, sys, prof)
+		item.Report, res, item.Err = runConfig(configs[i], cache, w, prof)
 		if item.Err != nil || !opts.CrossCheck {
 			return
 		}
@@ -111,7 +111,7 @@ func Sweep(configs []Config, opts SweepOptions) *SweepReport {
 		if prof.Enabled() {
 			t0 = time.Now()
 		}
-		item.CrossChecked, item.Err = crossCheckConfig(configs[i], res, cache, sys)
+		item.CrossChecked, item.Err = crossCheckConfig(configs[i], res, cache, w)
 		if prof.Enabled() {
 			prof.Add(telemetry.PhaseCrossCheck, time.Since(t0))
 		}
@@ -142,15 +142,25 @@ func Sweep(configs []Config, opts SweepOptions) *SweepReport {
 	return sr
 }
 
+// worker is what a sweep worker keeps across its configurations: the systems
+// their processes are built in and the proposal vector they run, both
+// rewritten by each configuration. Nothing keeps the vector past its run:
+// every system copies the values into its processes, and check.Consensus
+// renders them into its error at once.
+type worker struct {
+	sys   protocol.Systems
+	props []sim.Value
+}
+
 // runConfig executes one configuration on an engine drawn from the worker's
-// cache, with its processes built in sys, and assembles the validated
+// cache, with its processes built in w, and assembles the validated
 // report. The engine's result is handed back alongside it for the
 // cross-check to diff against. A non-nil profile charges the engine
 // execution to telemetry.PhaseRun and everything after it (law audit,
 // consensus validation, report assembly) to telemetry.PhaseAudit; a nil one
 // reads no clocks.
-func runConfig(cfg Config, cache *harness.Cache, sys *protocol.Systems, prof *telemetry.Profile) (*Report, *sim.Result, error) {
-	cfg, spec, proposals, err := normalize(cfg)
+func runConfig(cfg Config, cache *harness.Cache, w *worker, prof *telemetry.Profile) (*Report, *sim.Result, error) {
+	cfg, spec, err := normalize(cfg, w)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -171,7 +181,7 @@ func runConfig(cfg Config, cache *harness.Cache, sys *protocol.Systems, prof *te
 		return nil, nil, fmt.Errorf("agree: Config.Latency is not supported by engine %q (engine lacks the timed capability)",
 			cfg.Engine)
 	}
-	procs, model, horizon := spec.Build(sys, proposals)
+	procs, model, horizon := spec.Build(&w.sys, w.props)
 	var log *trace.Log
 	if cfg.Trace {
 		log = trace.New()
@@ -218,7 +228,7 @@ func runConfig(cfg Config, cache *harness.Cache, sys *protocol.Systems, prof *te
 		Counters:     res.Counters,
 		Ledger:       res.Ledger,
 		SimTime:      res.SimTime,
-		ConsensusErr: check.Detach(check.Consensus(proposals, res)),
+		ConsensusErr: check.Detach(check.Consensus(w.props, res)),
 	}
 	stride := sim.Round(1)
 	if cfg.SimulateOnClassic {
@@ -282,7 +292,7 @@ func outcomeMaps(res *sim.Result, stride sim.Round) (decisions map[int]int64, de
 // each result against the primary one. Order-sensitive fault specs are
 // skipped entirely — comparing engines that consult a stateful adversary in
 // different orders proves nothing.
-func crossCheckConfig(cfg Config, primary *sim.Result, cache *harness.Cache, sys *protocol.Systems) ([]EngineKind, error) {
+func crossCheckConfig(cfg Config, primary *sim.Result, cache *harness.Cache, w *worker) ([]EngineKind, error) {
 	if !cfg.Faults.orderInsensitive() {
 		return nil, nil
 	}
@@ -292,13 +302,13 @@ func crossCheckConfig(cfg Config, primary *sim.Result, cache *harness.Cache, sys
 		// abstraction proves nothing.
 		return nil, nil
 	}
-	cfg, spec, proposals, err := normalize(cfg)
+	cfg, spec, err := normalize(cfg, w)
 	if err != nil {
 		return nil, err
 	}
 	checked, _, err := crossCheck(cache, harness.Kind(cfg.Engine), primary, nil, "crosscheck", nil,
 		func(kind harness.Kind) harness.Job {
-			procs, model, horizon := spec.Build(sys, proposals)
+			procs, model, horizon := spec.Build(&w.sys, w.props)
 			job := harness.Job{Model: model, Horizon: horizon, Procs: procs, Adv: cfg.Faults.build(cfg.N)}
 			if caps, _ := harness.Lookup(kind); caps.Timed {
 				// A within-bound latency spec is semantically neutral — it

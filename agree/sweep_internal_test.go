@@ -80,18 +80,18 @@ func plantDivergence(res *sim.Result) {
 func TestCrossCheckPlantedDivergenceSweep(t *testing.T) {
 	cache := harness.NewCache()
 	defer cache.Close()
-	var sys protocol.Systems
+	var w worker
 	cfg := Config{N: 5, Faults: CoordinatorCrashes(2)}
-	_, res, err := runConfig(cfg, cache, &sys, nil)
+	_, res, err := runConfig(cfg, cache, &w, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	checked, err := crossCheckConfig(cfg, res, cache, &sys)
+	checked, err := crossCheckConfig(cfg, res, cache, &w)
 	if err != nil || len(checked) != len(harness.Kinds())-1 {
 		t.Fatalf("faithful primary: checked %v, err %v", checked, err)
 	}
 	plantDivergence(res)
-	checked, err = crossCheckConfig(cfg, res, cache, &sys)
+	checked, err = crossCheckConfig(cfg, res, cache, &w)
 	if err == nil || !strings.Contains(err.Error(), "crosscheck divergence") || !strings.Contains(err.Error(), "p3 outcome") {
 		t.Fatalf("planted divergence: err %v, want a crosscheck divergence naming p3", err)
 	}

@@ -197,7 +197,7 @@ func TestSweepAllocsPerConfig(t *testing.T) {
 	// Absolute regression pin for the batched path (report assembly; the
 	// engine and the system are reused), with small headroom over the
 	// measured value.
-	const maxPerConfig = 14 // measured 13.3
+	const maxPerConfig = 13 // measured 12.3
 	if sweepAllocs > maxPerConfig {
 		t.Errorf("sweep allocates %.1f allocs/config, want <= %d", sweepAllocs, maxPerConfig)
 	}
@@ -206,16 +206,16 @@ func TestSweepAllocsPerConfig(t *testing.T) {
 // TestSweepAllocsPerConfigLockstep pins the reuse of the lockstep runtime
 // and the timed engine across sizes: the list alternates n, as agreeperf's
 // config list does, so an engine that rebuilt its state whenever n changes
-// (~2500 allocs/config for lockstep's workers and mailboxes) fails its pin.
-// Only the first growth to each larger n reallocates: lockstep's workers and
-// slab, the timed engine's kernel state and inbox seed.
+// (its shard goroutines, or the kernel state of every process) fails its pin.
+// Only the first growth to each larger n reallocates: lockstep's mail,
+// outbox and index slabs, the timed engine's kernel state and inbox seed.
 func TestSweepAllocsPerConfigLockstep(t *testing.T) {
 	for _, tc := range []struct {
 		engine       agree.EngineKind
 		maxPerConfig float64
 	}{
-		{agree.EngineLockstep, 14}, // measured 13.30
-		{agree.EngineTimed, 15},    // measured 14.60
+		{agree.EngineLockstep, 13}, // measured 12.30
+		{agree.EngineTimed, 14},    // measured 13.70
 	} {
 		t.Run(string(tc.engine), func(t *testing.T) {
 			var configs []agree.Config
@@ -241,7 +241,7 @@ func TestSweepAllocsPerConfigLockstep(t *testing.T) {
 // sweep: its known sets and fresh-value logs are carved from one slab the
 // worker's system reuses and its plan arrays from another, and each round
 // sends its fresh window in place through the process's own payload slot, so
-// nine flooding rounds (n=16, t=8) stay under twelve allocations per
+// nine flooding rounds (n=16, t=8) stay under eleven allocations per
 // config.
 func TestSweepAllocsPerConfigFloodSet(t *testing.T) {
 	cfg := agree.Config{N: 16, T: 8, Protocol: agree.ProtocolFloodSet}
@@ -256,7 +256,7 @@ func TestSweepAllocsPerConfigFloodSet(t *testing.T) {
 			t.Fatal("floodset sweep errored or violated consensus")
 		}
 	}) / batch
-	const maxPerConfig = 12 // measured 11.8
+	const maxPerConfig = 11 // measured 10.8
 	if perConfig > maxPerConfig {
 		t.Errorf("floodset sweep allocates %.1f allocs/config, want <= %d", perConfig, maxPerConfig)
 	}

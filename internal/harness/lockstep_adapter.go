@@ -9,7 +9,7 @@ import (
 
 // lockstepEngine adapts the concurrent runtime (internal/lockstep), in which
 // processes run concurrently on P = min(n, GOMAXPROCS) goroutines, to the
-// harness interface. The runtime's shard goroutines and mailbox slab are
+// harness interface. The runtime's shard goroutines and mail slabs are
 // persistent: the adapter keeps one lockstep.Runtime and rearms it with Reset
 // per job, so it advertises Reusable. It records no transcripts and, because
 // concurrent processes consult the adversary in scheduling order, makes no

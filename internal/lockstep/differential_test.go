@@ -52,7 +52,7 @@ func randomScript(rng *rand.Rand, n int) *adversary.Script {
 // same randomly scripted crash schedules and requires bit-identical results:
 // same rounds, decisions, decide rounds, crash sets and traffic counters.
 // Both engines run sim.Kernel's phases, so this checks lockstep's
-// scheduling — shards, barrier, mailboxes, accumulator merge; the round
+// scheduling — shards, barrier, mail routing, accumulator merge; the round
 // semantics themselves are checked against internal/harness's reference
 // model.
 // The GoroutinePerProcess subtest runs each lockstep job at GOMAXPROCS = n,

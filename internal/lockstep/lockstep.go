@@ -1,7 +1,7 @@
 // Package lockstep is a concurrent scheduler for the round kernel: the
-// processes of a job run on P = min(n, GOMAXPROCS) goroutines, one two-cell
-// mailbox per directed process pair carries their messages, and a driver
-// enforces the round structure with one phase barrier.
+// processes of a job run on P = min(n, GOMAXPROCS) goroutines, and a driver
+// enforces the round structure with one phase barrier and routes each
+// round's mail between the phases.
 //
 // The round semantics are not transcribed here. Every send and receive phase
 // is sim.Kernel's, the one copy the deterministic engine (internal/sim) and
@@ -9,12 +9,6 @@
 // same sim.Result from the same sim.Process state machines and
 // sim.Adversary. What the package adds is real concurrency:
 //
-//   - every ordered pair of processes gets a mailbox of two cells, because a
-//     channel of the extended model never holds more than one data message
-//     and one control message per round (footnote 3 of the paper), which
-//     sim.PlanValidator enforces; all mailboxes live in one flat slab, where
-//     a sender writes only its own column and a receiver drains only its own
-//     row, in place;
 //   - each phase of a round runs concurrently on the P shard goroutines,
 //     each running the kernel's phase for its contiguous share of the active
 //     processes in id order, with a sim.Acc of its own for the phase's sums;
@@ -26,19 +20,26 @@
 //     down on one shared atomic, and the last arrival wakes the driver — two
 //     wakes per shard and two driver wakes per round. The driver then merges
 //     the shards' accumulators into the kernel. The barrier also orders every
-//     mailbox access, so the slab needs no lock;
-//   - a shard hands each receiver its compacted mailbox row as the kernel
-//     inbox of the round, and after the receive phase the driver empties the
-//     rows of crashed and halted processes through sim.Kernel.Accept, which
-//     books each message by its destination's state.
+//     access to the mail, so none of it needs a lock;
+//   - a shard appends every message its senders transmit to an outbox of
+//     its own; after the send barrier the driver routes the outboxes in one
+//     pass: mail to a crashed or halted process goes to sim.Kernel.Accept,
+//     which books it by the destination's state, and the rest is
+//     counting-sorted by destination into one slab, from which the shards
+//     hand each receiver its range as its kernel inbox.
+//
+// Memory and per-round work are linear in n plus the round's messages. The
+// channel capacity of footnote 3 of the paper — one data and one control
+// message per channel and round — is sim.PlanValidator's to enforce.
 //
 // Shard goroutines and the slabs are persistent and grow-only: a Runtime
 // built by New survives its Run, and Reset rearms it — new processes,
 // adversary and configuration — spawning shards and reallocating the slabs
-// only when the process count or P exceeds every earlier one. That is what
-// makes the runtime Reusable to the sweep harness: a worker executing a
-// thousand lockstep jobs of any size mix pays for one goroutine set. Call
-// Close to terminate the goroutines when the runtime is retired.
+// only when the process count or P exceeds every earlier one, or a round's
+// mail outgrows them. That is what makes the runtime Reusable to the sweep
+// harness: a worker executing a thousand lockstep jobs of any size mix pays
+// for one goroutine set. Call Close to terminate the goroutines when the
+// runtime is retired.
 //
 // Adversary calls are serialized with a mutex, but the order in which
 // concurrent processes consult the adversary is scheduling-dependent: use
@@ -50,7 +51,6 @@ package lockstep
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -80,9 +80,13 @@ type Runtime struct {
 	guard   guard
 	horizon sim.Round
 
-	// The mailbox from p_f to p_t is box[2k : 2k+cnt[k]], k = (t−1)·n + (f−1).
-	box []sim.Message
-	cnt []uint8
+	// The round's mail. In the send phase owner[i] is the index of the
+	// shard running p_{i+1}, whose outbox takes that sender's messages. The
+	// routing pass sorts them by destination into mail, where p_{i+1}'s
+	// messages are mail[off[i]:off[i+1]].
+	mail  []sim.Message
+	owner []int32
+	off   []int32
 
 	// The phase barrier. The driver writes recv, r and list, stores the
 	// number of shards it wakes in pending, then wakes them; every woken
@@ -92,7 +96,7 @@ type Runtime struct {
 	// arrival.
 	recv    bool // the phase runs the receive halves, not the send halves
 	r       sim.Round
-	list    []int // indices (id-1) of the processes the phase runs
+	list    []int32 // indices (id-1) of the processes the phase runs
 	pending atomic.Int32
 	arrived chan struct{} // capacity 1
 
@@ -100,21 +104,22 @@ type Runtime struct {
 	p      int            // min(n, GOMAXPROCS) at arming
 	wg     sync.WaitGroup // one count per spawned shard goroutine
 	size   int            // the process count the slabs hold, grow-only
-	active []int          // the phase lists' buffer, sized with the slabs
+	active []int32        // the phase lists' buffer, sized with the slabs
 
 	consumed, closed bool
 }
 
 // shard is one persistent goroutine's state. rt, idx and wake are fixed at
-// spawn. acc and err belong to the shard from a wake to its arrival and to
-// the driver from the last arrival to the next wake.
+// spawn. acc, err and out belong to the shard from a wake to its arrival and
+// to the driver from the last arrival to the next wake.
 type shard struct {
 	rt   *Runtime
 	idx  int
 	wake chan struct{}
 
-	acc sim.Acc // the sums of the shard's share of a phase
-	err error   // the first error of the shard's share
+	acc sim.Acc       // the sums of the shard's share of a phase
+	err error         // the first error of the shard's share
+	out []sim.Message // the mail its senders transmitted this round
 }
 
 // loop is the persistent shard goroutine: idle between phases, running its
@@ -128,10 +133,11 @@ func (s *shard) loop() {
 		w := min(rt.p, m)
 		for _, i := range rt.list[s.idx*m/w : (s.idx+1)*m/w] {
 			if rt.recv {
-				rt.k.SetInbox(i, rt.take(i))
-				s.err = rt.k.ReceivePhase(&s.acc, i, rt.r)
+				rt.k.SetInbox(int(i), rt.mail[rt.off[i]:rt.off[i+1]:rt.off[i+1]])
+				s.err = rt.k.ReceivePhase(&s.acc, int(i), rt.r)
 			} else {
-				s.err = rt.k.SendPhase(&s.acc, i, rt.r)
+				rt.owner[i] = int32(s.idx)
+				s.err = rt.k.SendPhase(&s.acc, int(i), rt.r)
 			}
 			if s.err != nil {
 				break
@@ -184,20 +190,14 @@ func (g *omitGuard) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim.Omis
 }
 
 // post is the runtime as the kernel's Transmitter: it posts every
-// transmitted message to its mailbox.
+// transmitted message to the outbox of the shard running its sender.
 type post Runtime
 
-// Transmit implements sim.Transmitter. Only the shard running the sender
-// writes its column, during the send phase. The plan validator rejects a
-// third message on one channel first, so a full mailbox is a bug.
+// Transmit implements sim.Transmitter. It runs on the shard that owns the
+// sender, during the send phase, so the outbox it appends to is its own.
 func (p *post) Transmit(m sim.Message) {
-	k := int(m.To-1)*p.k.N() + int(m.From-1)
-	c := p.cnt[k]
-	if c == 2 {
-		panic(fmt.Sprintf("lockstep: mailbox p%d→p%d overflows in round %d", m.From, m.To, m.Round))
-	}
-	p.box[2*k+int(c)] = m
-	p.cnt[k] = c + 1
+	s := p.shards[p.owner[m.From-1]]
+	s.out = append(s.out, m)
 }
 
 // New builds a runtime over the given processes (ids 1..n in order) and arms
@@ -233,8 +233,10 @@ func (rt *Runtime) init(cfg Config, procs []sim.Process, adv sim.Adversary) erro
 	n := len(procs)
 	p := min(n, runtime.GOMAXPROCS(0))
 	rt.grow(n, p)
-	// An aborted run can leave mail behind; every mailbox starts empty.
-	clear(rt.cnt[:n*n])
+	// An aborted run can leave mail behind; every outbox starts empty.
+	for _, s := range rt.shards {
+		s.out = s.out[:0]
+	}
 	rt.horizon, rt.p = h, p
 	rt.k.Arm(sim.Config{Model: cfg.Model, Horizon: h, Telemetry: cfg.Telemetry},
 		procs, rt.guard.arm(adv), (*post)(rt), nil)
@@ -244,26 +246,37 @@ func (rt *Runtime) init(cfg Config, procs []sim.Process, adv sim.Adversary) erro
 
 // grow sizes the slabs for n processes and spawns shards up to p, each
 // only when it exceeds every earlier size. The new shards come from one
-// slab.
+// slab, owner, off and the phase list from another, and the mail slab and
+// the outboxes from a third: 2n messages for the slab and 2n shared by the
+// outboxes, one coordinator's data and commits. A round with more mail
+// grows the slab or an outbox for good.
 func (rt *Runtime) grow(n, p int) {
-	if n > rt.size {
-		rt.size = n
-		rt.box = make([]sim.Message, 2*n*n)
-		rt.cnt = make([]uint8, n*n)
-		rt.active = make([]int, 0, n)
-	}
 	have := len(rt.shards)
-	if p <= have {
+	if n <= rt.size && p <= have {
 		return
 	}
-	rt.shards = append(make([]*shard, 0, p), rt.shards...)
-	spawned := make([]shard, p-have)
-	for i := range spawned {
-		s := &spawned[i]
-		s.rt, s.idx, s.wake = rt, have+i, make(chan struct{}, 1)
-		rt.shards = append(rt.shards, s)
-		rt.wg.Add(1)
-		go s.loop()
+	if n > rt.size {
+		rt.size = n
+		ints := make([]int32, 3*n+2)
+		rt.owner, rt.off, rt.active = ints[:n], ints[n:2*n+2], ints[2*n+2:2*n+2]
+	}
+	if p > have {
+		rt.shards = append(make([]*shard, 0, p), rt.shards...)
+		spawned := make([]shard, p-have)
+		for i := range spawned {
+			s := &spawned[i]
+			s.rt, s.idx, s.wake = rt, have+i, make(chan struct{}, 1)
+			rt.shards = append(rt.shards, s)
+			rt.wg.Add(1)
+			go s.loop()
+		}
+	}
+	slab, per := 2*rt.size, (2*rt.size+len(rt.shards)-1)/len(rt.shards)
+	msgs := make([]sim.Message, slab+per*len(rt.shards))
+	rt.mail = msgs[:slab:slab]
+	for i, s := range rt.shards {
+		lo := slab + i*per
+		s.out = msgs[lo : lo : lo+per]
 	}
 }
 
@@ -292,7 +305,7 @@ func (rt *Runtime) phase(recv bool, r sim.Round) error {
 	list := rt.active[:0]
 	for i := range rt.k.N() {
 		if rt.k.Active(i) {
-			list = append(list, i)
+			list = append(list, int32(i))
 		}
 	}
 	if len(list) == 0 {
@@ -325,35 +338,41 @@ func (rt *Runtime) arrive() {
 	}
 }
 
-// take compacts the mail addressed to process i+1 in place, in sender
-// order, to the front of its row, empties every mailbox of the row and
-// returns the compacted prefix. The row belongs to the shard running its
-// receiver between the barrier and the shard's arrival, and the prefix is
-// only valid until the next send phase — the sim.Process.Receive contract.
-func (rt *Runtime) take(i int) []sim.Message {
-	n := rt.k.N()
-	lo := i * n
-	row := rt.box[2*lo : 2*(lo+n)]
-	m := 0
-	for k := lo; k < lo+n; k++ {
-		if c := int(rt.cnt[k]); c > 0 {
-			m += copy(row[m:], rt.box[2*k:2*k+c])
-			rt.cnt[k] = 0
+// route empties the outboxes after the send barrier of a round. A message
+// to a process that crashed or halted is never received: the kernel's
+// Accept books it by the destination's state. The rest is counting-sorted
+// by destination into the mail slab, in outbox order (senders ascending),
+// where each receiver's range belongs to the shard running it until the
+// next send phase, the sim.Process.Receive contract.
+func (rt *Runtime) route() {
+	k := &rt.k
+	off := rt.off[:k.N()+2]
+	clear(off)
+	for _, s := range rt.shards[:rt.p] {
+		for _, m := range s.out {
+			if k.Active(int(m.To - 1)) {
+				off[m.To+1]++
+			} else {
+				k.Accept(m)
+			}
 		}
 	}
-	return row[:m:m]
-}
-
-// discard empties the mailboxes of process i+1, which crashed or halted:
-// their messages were transmitted but are never received, and the kernel's
-// Accept books each by its destination's state.
-func (rt *Runtime) discard(i int) {
-	n := rt.k.N()
-	for k := i * n; k < (i+1)*n; k++ {
-		for _, m := range rt.box[2*k : 2*k+int(rt.cnt[k])] {
-			rt.k.Accept(m)
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	if total := int(off[len(off)-1]); total > len(rt.mail) {
+		rt.mail = make([]sim.Message, total)
+	}
+	// off[i+1] is where p_{i+1}'s range starts; placing its mail moves it to
+	// where the range ends, which is where p_{i+2}'s starts.
+	for _, s := range rt.shards[:rt.p] {
+		for _, m := range s.out {
+			if k.Active(int(m.To - 1)) {
+				rt.mail[off[m.To]] = m
+				off[m.To]++
+			}
 		}
-		rt.cnt[k] = 0
+		s.out = s.out[:0]
 	}
 }
 
@@ -374,17 +393,13 @@ func (rt *Runtime) Run() (*sim.Result, error) {
 	var r sim.Round
 	for r = 1; r <= rt.horizon; r++ {
 		// A model violation ends the run after its phase; init empties the
-		// mail it leaves behind.
+		// outboxes it leaves behind.
 		if err = rt.phase(false, r); err != nil {
 			break
 		}
+		rt.route()
 		if err = rt.phase(true, r); err != nil {
 			break
-		}
-		for i := range k.N() {
-			if !k.Active(i) {
-				rt.discard(i)
-			}
 		}
 		// Recording happens in the driver, which owns the kernel between
 		// barriers, so it needs no synchronization.

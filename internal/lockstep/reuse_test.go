@@ -64,8 +64,8 @@ func TestRuntimeReuseAcrossSizes(t *testing.T) {
 				2: {Round: 2},
 			})
 		}},
-		// p1 fills every row with its round-1 mail while p2 overflows, so
-		// the next arming starts over a slab the abort left full.
+		// p1's round-1 mail is in an outbox when p2 overflows, so the next
+		// arming starts over an outbox the abort left full.
 		{kind: "crw", n: 64, adv: none, overflow: true},
 		{kind: "crw", n: 16, adv: func(n int) sim.Adversary {
 			return adversary.NewOmissionScript(n, map[sim.ProcID][]adversary.OmissionPlan{
@@ -260,9 +260,9 @@ func TestReusedRunAllocs(t *testing.T) {
 // TestNewAllocs pins the exact allocation count of building a runtime for
 // n=64 and closing it: each spawned shard costs its wake channel and its
 // goroutine's closure (AllocsPerRun measures at GOMAXPROCS 1, so one shard),
-// and everything else — the shard structs, the mailbox and mailbox-count
-// slabs, the phase list, the kernel's per-process state, outcomes and inbox
-// seeds — is one slab apiece.
+// and everything else — the shard structs, the mail slab with every outbox,
+// the owner, range-offset and phase-list indices, the kernel's per-process
+// state, outcomes and inbox seeds — is one slab apiece.
 // Any increase fails; when a change lowers the count, ratchet the pin down.
 func TestNewAllocs(t *testing.T) {
 	cfg := lockstep.Config{Model: sim.ModelExtended}
@@ -274,10 +274,39 @@ func TestNewAllocs(t *testing.T) {
 		}
 		rt.Close()
 	})
-	const pin = 12
+	const pin = 11
 	if allocs > pin {
 		t.Errorf("lockstep.New + Close at n=64 allocates %v allocs, pinned at %d; ratchet the pin down when the count falls",
 			allocs, pin)
+	}
+}
+
+// TestMemoryLinearInN pins the runtime's memory to O(n + messages): building
+// a runtime for CRW at n=1024, running it under four coordinator crashes and
+// closing it allocates under 4 MB in all. A structure indexed by process
+// pair — two message cells per directed channel — would be ≈101 MB alone.
+// The system is built outside the measurement.
+func TestMemoryLinearInN(t *testing.T) {
+	const n, limit = 1024, 4 << 20
+	procs := core.NewSystem(props(n), core.Options{})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rt, err := lockstep.New(lockstep.Config{Model: sim.ModelExtended}, procs,
+		adversary.CoordinatorKiller{F: 4, DeliverAllData: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rt.Run()
+	rt.Close()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.MaxDecideRound(); got != 5 {
+		t.Fatalf("max decide round = %d, want 5", got)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= limit {
+		t.Errorf("lockstep at n=%d allocates %d bytes, want under %d", n, got, limit)
 	}
 }
 
@@ -303,11 +332,14 @@ func crashAll(n int) sim.Adversary {
 
 // TestRuntimeCloseAfterAbort ends runs on every abort path of the phase
 // barrier — a model violation or a bad adversary outcome in a round the
-// other processes survived, horizon exhaustion, and a round in which every
-// process crashes — and then either closes the runtime at once or rearms it
-// for a larger system, runs that cleanly against the deterministic engine,
-// and closes it. Either way every shard goroutine must be gone afterwards,
-// and the mail the aborted round left behind must not reach the next run.
+// other processes survived, horizon exhaustion, a round in which every
+// process crashes, and a capacity violation after p1 has sent its round-1
+// mail — and then either closes the runtime at once or rearms it for a
+// system of 2n processes, runs that cleanly against the deterministic
+// engine, and closes it. Either way every shard goroutine must be gone
+// afterwards, and the mail the aborted round left behind must not reach the
+// next run: the capacity abort runs at 2n itself, so the rearmed runtime
+// reuses the outboxes holding p1's mail.
 // scripts/verify.sh runs this under -race -count=10.
 func TestRuntimeCloseAfterAbort(t *testing.T) {
 	const n = 8
@@ -317,11 +349,13 @@ func TestRuntimeCloseAfterAbort(t *testing.T) {
 		hor   sim.Round
 		adv   sim.Adversary
 		err   error
+		size  int // the aborted system's process count, n when zero
 	}{
-		{"classic-control", sim.ModelClassic, 0, adversary.None{}, sim.ErrControlInClassic},
-		{"bad-outcome", sim.ModelExtended, 0, badOutcome{}, sim.ErrBadOutcome},
-		{"horizon", sim.ModelExtended, 1, adversary.CoordinatorKiller{F: 2}, sim.ErrNoProgress},
-		{"all-crash", sim.ModelExtended, 0, crashAll(n), nil},
+		{"classic-control", sim.ModelClassic, 0, adversary.None{}, sim.ErrControlInClassic, 0},
+		{"bad-outcome", sim.ModelExtended, 0, badOutcome{}, sim.ErrBadOutcome, 0},
+		{"horizon", sim.ModelExtended, 1, adversary.CoordinatorKiller{F: 2}, sim.ErrNoProgress, 0},
+		{"all-crash", sim.ModelExtended, 0, crashAll(n), nil, 0},
+		{"capacity", sim.ModelExtended, 0, adversary.None{}, nil, 2 * n},
 	}
 	for _, ab := range aborts {
 		for _, rearm := range []bool{false, true} {
@@ -331,17 +365,25 @@ func TestRuntimeCloseAfterAbort(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				base := runtime.NumGoroutine()
-				rt, err := lockstep.New(lockstep.Config{Model: ab.model, Horizon: ab.hor},
-					core.NewSystem(props(n), core.Options{}), ab.adv)
+				procs := core.NewSystem(props(n), core.Options{})
+				if ab.size != 0 {
+					procs = core.NewSystem(props(ab.size), core.Options{})
+					procs[1] = overflow{Process: procs[1], to: 1, data: 2}
+				}
+				rt, err := lockstep.New(lockstep.Config{Model: ab.model, Horizon: ab.hor}, procs, ab.adv)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer rt.Close()
 				res, err := rt.Run()
-				if !errors.Is(err, ab.err) {
+				switch {
+				case ab.size != 0:
+					if err == nil || !strings.Contains(err.Error(), "channel capacity 2") {
+						t.Fatalf("err = %v, want the capacity error", err)
+					}
+				case !errors.Is(err, ab.err):
 					t.Fatalf("err = %v, want %v", err, ab.err)
-				}
-				if ab.err == nil && res.Faults() != n {
+				case ab.err == nil && res.Faults() != n:
 					t.Fatalf("%d crashes, want all %d", res.Faults(), n)
 				}
 				if rearm {

@@ -121,8 +121,8 @@ go test -race -count=5 -timeout 300s -run 'RecycledRecorder|ReplayerMatches|OneT
 echo "== go test -race -count=5 (round-scoped plan and payload lifetime + shared control and crash-mask tables + sim engine reuse across shapes + consensus System reset + protocol.Systems reuse)"
 go test -race -count=5 -timeout 300s -run 'PlanLifetime|PayloadLifetime|OutcomeMasks|SimAdapterReuses|ControlTables|SystemReset|SpecBuildReuse' ./internal/harness/ ./internal/adversary/ ./internal/core/ ./internal/consensus/... ./internal/protocol/
 
-echo "== go test -race -count=10 (lockstep runtime reuse across sizes + Close lifetime, also after every phase-barrier abort path + shard count at GOMAXPROCS 2 + engine differential at GOMAXPROCS = n + every engine against the reference model + every engine's recycled result across sizes, aborts and clock violations)"
-go test -race -count=10 -timeout 300s -run 'RuntimeReuse|RuntimeClose|RuntimeShard|DifferentialEnginesUnderRandomScripts|EnginesMatchReference|ResultLifetime' ./internal/lockstep/ ./internal/harness/ ./internal/timed/
+echo "== go test -race -count=10 (lockstep runtime reuse across sizes + Close lifetime, also after every phase-barrier abort path + shard count at GOMAXPROCS 2 + engine differential at GOMAXPROCS = n + lockstep memory linear in n + every engine against the reference model + every engine's recycled result across sizes, aborts and clock violations)"
+go test -race -count=10 -timeout 300s -run 'RuntimeReuse|RuntimeClose|RuntimeShard|DifferentialEnginesUnderRandomScripts|MemoryLinearInN|EnginesMatchReference|ResultLifetime' ./internal/lockstep/ ./internal/harness/ ./internal/timed/
 
 echo "== scenario catalog (all engines)"
 go run ./cmd/agreesim -run all -engines all
