@@ -157,13 +157,35 @@ type FuzzReport struct {
 	RoundHistogram map[int]int
 }
 
-// fuzzOutcome carries one seed's result through the worker pool.
+// fuzzOutcome carries one seed's result through the worker pool. It holds
+// no view of the worker's fuzz.Runner, which the worker's next seed
+// rewrites: a finding is made of owned values before then.
 type fuzzOutcome struct {
-	out          fuzz.Outcome
-	fatal        error
-	crossChecked []EngineKind
-	crossErr     error
-	crossRuns    int
+	executions        int
+	rounds, maxDecide sim.Round
+	faults, omissive  int
+	finding           *FuzzFinding // nil for a passing seed
+	fatal             error
+}
+
+// keep records the outcome of one seed, making what a finding keeps of it —
+// its scripts' text, its verdicts detached from the runner's results, its
+// law class and counts — its own.
+func (o *fuzzOutcome) keep(out *fuzz.Outcome) {
+	o.executions, o.rounds, o.maxDecide = out.Executions, out.Rounds, out.MaxDecideRound
+	o.faults, o.omissive = out.Faults, out.Omissive
+	if out.Err == nil {
+		return
+	}
+	f := &FuzzFinding{Seed: out.Seed, Err: check.Detach(out.Err), Law: laws.Of(out.Err), Script: out.Script.String()}
+	if out.Shrunk != nil {
+		f.Shrunk = out.Shrunk.String()
+		f.ShrunkErr = check.Detach(out.ShrunkErr)
+		f.Law = laws.Of(out.ShrunkErr)
+		f.ShrunkCrashes = out.Shrunk.Crashes()
+		f.ShrunkOmissions = out.Shrunk.Omissions()
+	}
+	o.finding = f
 }
 
 // normalizeFuzz validates a campaign config, fills in the defaults, and
@@ -238,11 +260,14 @@ func fuzzFactory(spec protocol.Spec, sys *protocol.Systems, latency LatencySpec)
 }
 
 // fuzzWorker is what a campaign worker keeps across its seeds: the systems
-// its executions are built in and the factory building them there, made at
-// the worker's first seed.
+// its executions are built in, the factory building them there, made at the
+// worker's first seed, and the runner whose storage every seed reuses, with
+// the last seed's outcome, a view of it.
 type fuzzWorker struct {
 	sys     protocol.Systems
 	factory fuzz.Factory
+	run     fuzz.Runner
+	out     fuzz.Outcome
 }
 
 // fuzzOracle returns the consensus oracle with the protocol's round bound.
@@ -313,16 +338,22 @@ func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 		pprof.Do(context.Background(),
 			pprof.Labels("engine", string(cfg.Engine), "seed", strconv.FormatInt(seed, 10)),
 			func(context.Context) {
-				slot.out, slot.fatal = fuzz.RunSeed(eng, w.factory, oracle, seed, opts)
+				w.out, slot.fatal = w.run.Run(eng, w.factory, oracle, seed, opts)
 			})
-		if slot.fatal != nil || slot.out.Err == nil || !cfg.CrossCheck || !cfg.Latency.withinBound() {
+		if slot.fatal != nil {
 			return
 		}
-		script := slot.out.Script
-		if slot.out.Shrunk != nil {
-			script = *slot.out.Shrunk
+		slot.keep(&w.out)
+		if slot.finding == nil || !cfg.CrossCheck || !cfg.Latency.withinBound() {
+			return
 		}
-		slot.crossChecked, slot.crossRuns, slot.crossErr = crossCheckScript(cache, w.factory, script)
+		script := w.out.Script
+		if w.out.Shrunk != nil {
+			script = *w.out.Shrunk
+		}
+		var runs int
+		slot.finding.CrossChecked, runs, slot.finding.CrossCheckErr = crossCheckScript(cache, w.factory, script)
+		slot.executions += runs
 	})
 
 	rep := &FuzzReport{Seeds: cfg.Seeds, RoundHistogram: make(map[int]int)}
@@ -331,40 +362,16 @@ func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 		if slot.fatal != nil {
 			return nil, slot.fatal
 		}
-		out := &slot.out
-		rep.Executions += out.Executions + slot.crossRuns
-		if r := int(out.Rounds); r > rep.MaxRounds {
-			rep.MaxRounds = r
-		}
-		if r := int(out.MaxDecideRound); r > rep.MaxDecideRound {
-			rep.MaxDecideRound = r
-		}
-		if out.Faults > rep.MaxFaults {
-			rep.MaxFaults = out.Faults
-		}
-		if out.Omissive > rep.MaxOmissionFaulty {
-			rep.MaxOmissionFaulty = out.Omissive
-		}
-		if out.Err == nil {
-			rep.RoundHistogram[int(out.MaxDecideRound)]++
+		rep.Executions += slot.executions
+		rep.MaxRounds = max(rep.MaxRounds, int(slot.rounds))
+		rep.MaxDecideRound = max(rep.MaxDecideRound, int(slot.maxDecide))
+		rep.MaxFaults = max(rep.MaxFaults, slot.faults)
+		rep.MaxOmissionFaulty = max(rep.MaxOmissionFaulty, slot.omissive)
+		if slot.finding == nil {
+			rep.RoundHistogram[int(slot.maxDecide)]++
 			continue
 		}
-		finding := FuzzFinding{
-			Seed:          out.Seed,
-			Err:           out.Err,
-			Law:           laws.Of(out.Err),
-			Script:        out.Script.String(),
-			CrossChecked:  slot.crossChecked,
-			CrossCheckErr: slot.crossErr,
-		}
-		if out.Shrunk != nil {
-			finding.Shrunk = out.Shrunk.String()
-			finding.ShrunkErr = out.ShrunkErr
-			finding.Law = laws.Of(out.ShrunkErr)
-			finding.ShrunkCrashes = out.Shrunk.Crashes()
-			finding.ShrunkOmissions = out.Shrunk.Omissions()
-		}
-		rep.Findings = append(rep.Findings, finding)
+		rep.Findings = append(rep.Findings, *slot.finding)
 	}
 	return rep, nil
 }

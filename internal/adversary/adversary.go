@@ -275,12 +275,39 @@ type FromChooser struct {
 	Observe Observer
 
 	crashes int
+	masks   Masks // the run's outcome masks, one region per fault
 }
+
+// Masks is a grow-only arena of delivery masks for one execution. Each
+// Carve returns a region that no other Carve of the execution shares, so
+// the masks handed to an engine stay intact while the run lasts: lockstep
+// shards read them outside the adversary guard while another shard's
+// consult carves the next. Growing starts a new backing array and leaves
+// the regions already carved where they are; Reset rewinds the arena for
+// the next execution. The zero value is ready to use.
+type Masks struct{ buf []bool }
+
+// Carve returns a zeroed region of k entries, capped at its length.
+func (m *Masks) Carve(k int) []bool {
+	if cap(m.buf)-len(m.buf) < k {
+		m.buf = make([]bool, 0, max(2*cap(m.buf), 2*k, 16))
+	}
+	n := len(m.buf)
+	m.buf = m.buf[:n+k]
+	region := m.buf[n : n+k : n+k]
+	clear(region)
+	return region
+}
+
+// Reset rewinds the arena: every region carved so far may be handed out
+// again.
+func (m *Masks) Reset() { m.buf = m.buf[:0] }
 
 // Observer is told of each fault a FromChooser or OmittingFromChooser
 // injects, with the outcome it hands the engine; the fuzzer records them as
-// a replayable script. The outcome's masks are the tree's own and must not
-// be written.
+// a replayable script. The outcome's masks are regions of the tree's arena:
+// they must not be written, and an observer that keeps them past the tree's
+// next Reset keeps a copy.
 type Observer interface {
 	ObserveCrash(p sim.ProcID, r sim.Round, out sim.CrashOutcome)
 	ObserveOmission(p sim.ProcID, r sim.Round, om sim.Omission)
@@ -292,11 +319,16 @@ func NewFromChooser(c Chooser, t int, maxRound sim.Round) *FromChooser {
 	return &FromChooser{C: c, T: t, MaxCrashRound: maxRound}
 }
 
+// Reset readies the tree for another execution: it forgets the crashes of
+// the last one and rewinds the mask arena, keeping its configuration.
+func (a *FromChooser) Reset() { a.crashes = 0; a.masks.Reset() }
+
 // Crashes implements sim.Adversary. The choice tree per crash is: crash
 // point (data step vs control step, when a control sequence exists), then —
 // for a data-step crash — one binary choice per data message, or — for a
 // control-step crash — the escaped prefix length (with full data delivery).
-// This enumerates exactly the legal outcomes of the model, no more.
+// This enumerates exactly the legal outcomes of the model, no more. Each
+// crash's mask is its own region of the run's arena.
 func (a *FromChooser) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (bool, sim.CrashOutcome) {
 	if a.crashes >= a.T {
 		return false, sim.CrashOutcome{}
@@ -308,7 +340,7 @@ func (a *FromChooser) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (boo
 		return false, sim.CrashOutcome{}
 	}
 	a.crashes++
-	out := sim.CrashOutcome{DataDelivered: make([]bool, len(plan.Data))}
+	out := sim.CrashOutcome{DataDelivered: a.masks.Carve(len(plan.Data))}
 	if len(plan.Control) > 0 && a.C.Choose(ControlStep, 2) == 1 {
 		// Crash during the control step: all data escaped, prefix chosen.
 		for i := range out.DataDelivered {
@@ -366,10 +398,11 @@ func NewFromChooserWithOmissions(c Chooser, t int, maxRound sim.Round, omitBudge
 }
 
 // Reset readies the adversary for another execution: it forgets the
-// crashes, omission events and omission-faulty processes of the last one,
-// keeping its configuration and storage.
+// crashes, omission events and omission-faulty processes of the last one
+// and rewinds the mask arena, keeping its configuration and storage.
 func (a *OmittingFromChooser) Reset() {
-	a.crashes, a.omitted, a.omissive = 0, 0, a.omissive[:0]
+	a.FromChooser.Reset()
+	a.omitted, a.omissive = 0, a.omissive[:0]
 }
 
 // Omits implements sim.Omitter. Within MaxCrashRound and the MaxOmissive
@@ -389,12 +422,12 @@ func (a *OmittingFromChooser) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan
 	var om sim.Omission
 	if k := len(plan.Data) + len(plan.Control); k > 0 && a.eventLeft() && a.C.Choose(SendOmitGate, 2) == 1 {
 		a.omitted++
-		send := a.dropSubset(allTrue(k), -1)
+		send := a.dropSubset(a.allTrue(k), -1)
 		om.Data, om.Ctrl = send[:len(plan.Data):len(plan.Data)], send[len(plan.Data):]
 	}
 	if a.Procs > 1 && a.eventLeft() && a.C.Choose(RecvOmitGate, 2) == 1 {
 		a.omitted++
-		om.Recv = a.dropSubset(allTrue(a.Procs), int(p)-1)
+		om.Recv = a.dropSubset(a.allTrue(a.Procs), int(p)-1)
 	}
 	if om.IsZero() {
 		return om
@@ -406,6 +439,16 @@ func (a *OmittingFromChooser) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan
 		a.Observe.ObserveOmission(p, r, om)
 	}
 	return om
+}
+
+// allTrue carves a delivered-mask of k entries, every message delivered,
+// from the run's arena.
+func (a *OmittingFromChooser) allTrue(k int) []bool {
+	mask := a.masks.Carve(k)
+	for i := range mask {
+		mask[i] = true
+	}
+	return mask
 }
 
 // eventLeft reports whether OmissionBudget allows another omission event.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -145,4 +146,62 @@ func TestOutcomeMasksConcurrentGrowth(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestChooserMasksOwnRegions consults one chooser-driven tree as a run does
+// — every process crashing or omitting, plans of growing width, so the
+// arena grows mid-run — and requires every mask handed out to keep the
+// value it had when handed out until the run ends: no two faults of a run
+// share a region, growth included. After Reset a warmed tree allocates
+// nothing for the same run.
+func TestChooserMasksOwnRegions(t *testing.T) {
+	for _, omit := range []bool{false, true} {
+		src := &Seeded{CrashProb: 1, SendOmitProb: 1, RecvOmitProb: 1}
+		tree := NewFromChooserWithOmissions(src, 0, 0, 0, 9)
+		if !omit {
+			tree.T = 1 << 30
+		}
+		var plans [5][10]sim.SendPlan
+		for r := range plans {
+			for p := range plans[r] {
+				plans[r][p] = sendPlan(r*p%11, p%4)
+			}
+		}
+		type handed struct{ mask, snap []bool }
+		var masks []handed
+		run := func(record bool) {
+			src.Stream = rng.New(7)
+			tree.Reset()
+			for r := sim.Round(1); r <= 4; r++ {
+				for p := sim.ProcID(1); p <= 9; p++ {
+					pl := plans[r][p]
+					var got [][]bool
+					if omit {
+						om := tree.Omits(p, r, pl)
+						got = [][]bool{om.Data, om.Ctrl, om.Recv}
+					} else {
+						_, out := tree.Crashes(p, r, pl)
+						got = [][]bool{out.DataDelivered}
+					}
+					if record {
+						for _, m := range got {
+							masks = append(masks, handed{m, slices.Clone(m)})
+						}
+					}
+				}
+			}
+		}
+		run(true)
+		if len(masks) < 30 {
+			t.Fatalf("omit=%t: only %d masks handed out", omit, len(masks))
+		}
+		for i, h := range masks {
+			if !slices.Equal(h.mask, h.snap) {
+				t.Fatalf("omit=%t: mask %d was rewritten within its run: %v, handed out as %v", omit, i, h.mask, h.snap)
+			}
+		}
+		if allocs := testing.AllocsPerRun(20, func() { run(false) }); allocs != 0 {
+			t.Errorf("omit=%t: a reset tree allocates %.1f per run, want 0", omit, allocs)
+		}
+	}
 }

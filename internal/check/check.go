@@ -85,6 +85,20 @@ func Detach(err error) error {
 	return err
 }
 
+// DetachInto is Detach into storage the caller owns: an agreement violation
+// is re-pointed at dst, overwritten with the result it read (dst's Procs
+// storage reused), so the verdict reads dst until the caller rewrites it.
+// Every other verdict comes back as is.
+func DetachInto(err error, dst *sim.Result) error {
+	if e, ok := err.(agreementError); ok {
+		procs := dst.Procs
+		*dst = *e.res
+		dst.Procs = append(procs[:0], e.res.Procs...)
+		return agreementError{dst}
+	}
+	return err
+}
+
 // RoundBound validates that no process decided after bound(f), where f is
 // the number of crashes that occurred in the run. A violation names the
 // lowest late process id. Pass core's f+1 bound as

@@ -395,7 +395,7 @@ func TestExploreE5Allocs(t *testing.T) {
 				stats.Executions, len(stats.Counterexamples))
 		}
 	})
-	const pin = 1138
+	const pin = 1061
 	if allocs > pin {
 		t.Errorf("E5 exploration allocates %v allocs/run, pinned at %d; ratchet the pin down when the count falls",
 			allocs, pin)

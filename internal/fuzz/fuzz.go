@@ -3,7 +3,6 @@ package fuzz
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/adversary"
 	"repro/internal/check"
@@ -55,20 +54,32 @@ func (g Gen) crashProb() float64 {
 // generator enables them, send/receive-omission subsets), walked by a
 // Seeded chooser whose gates carry the generator's probabilities. The
 // recorder observes the tree and keeps every fault it injects as a
-// replayable Event. On the deterministic engine — which consults the
-// adversary in a fixed (round, process) order — the walk is a pure function
-// of the seed.
+// replayable Event, its masks copied into the recorder's own arena. On the
+// deterministic engine — which consults the adversary in a fixed (round,
+// process) order — the walk is a pure function of the seed.
 type recorder struct {
 	src    adversary.Seeded
 	tree   adversary.OmittingFromChooser
 	events []Event
+	masks  adversary.Masks // the recorded events' masks
+}
+
+// keep copies mask into a region of the arena m; an empty mask is kept as
+// nil.
+func keep(m *adversary.Masks, mask []bool) []bool {
+	if len(mask) == 0 {
+		return nil
+	}
+	region := m.Carve(len(mask))
+	copy(region, mask)
+	return region
 }
 
 // ObserveCrash implements adversary.Observer: it keeps the crash as an
 // Event.
 func (rec *recorder) ObserveCrash(p sim.ProcID, r sim.Round, out sim.CrashOutcome) {
 	rec.events = append(rec.events, Event{
-		Proc: int(p), Round: int(r), Data: append([]bool(nil), out.DataDelivered...), Ctrl: out.CtrlPrefix,
+		Proc: int(p), Round: int(r), Data: keep(&rec.masks, out.DataDelivered), Ctrl: out.CtrlPrefix,
 	})
 }
 
@@ -78,12 +89,12 @@ func (rec *recorder) ObserveOmission(p sim.ProcID, r sim.Round, om sim.Omission)
 	if om.Data != nil {
 		rec.events = append(rec.events, Event{
 			Kind: EventSendOmit, Proc: int(p), Round: int(r),
-			Data: append([]bool(nil), om.Data...), CtrlMask: append([]bool(nil), om.Ctrl...),
+			Data: keep(&rec.masks, om.Data), CtrlMask: keep(&rec.masks, om.Ctrl),
 		})
 	}
 	if om.Recv != nil {
 		rec.events = append(rec.events, Event{
-			Kind: EventRecvOmit, Proc: int(p), Round: int(r), From: append([]bool(nil), om.Recv...),
+			Kind: EventRecvOmit, Proc: int(p), Round: int(r), From: keep(&rec.masks, om.Recv),
 		})
 	}
 }
@@ -98,44 +109,32 @@ func (rec *recorder) adversary(omitting bool) sim.Adversary {
 	return &rec.tree.FromChooser
 }
 
-// recorders recycles recorders across seeds and campaign workers for their
-// event slice and omissive set, which a walk would otherwise grow afresh per
-// seed. The generator itself needs no recycling: reset assigns the seed's
-// stream.
-var recorders = sync.Pool{New: func() any { return new(recorder) }}
-
-// newRecorder takes a pooled recorder, reset for one seed.
-func newRecorder(seed int64, gen Gen, n int) *recorder {
-	rec := recorders.Get().(*recorder)
-	rec.reset(seed, gen, n)
-	return rec
-}
-
 // reset re-seeds the generator and forgets the previous walk, keeping the
-// event and omissive-set storage. An n-process walk crashes at most gen.T
-// processes, injects faults only up to gen.MaxCrashRound and turns at most
-// gen.MaxOmissive processes omission-faulty, with no cap on their events.
+// tree's, the events' and the masks' storage. An n-process walk crashes at
+// most gen.T processes, injects faults only up to gen.MaxCrashRound and
+// turns at most gen.MaxOmissive processes omission-faulty, with no cap on
+// their events.
 func (rec *recorder) reset(seed int64, gen Gen, n int) {
 	rec.src = adversary.Seeded{
 		Stream: rng.New(seed), CrashProb: gen.crashProb(),
 		SendOmitProb: gen.SendOmitProb, RecvOmitProb: gen.RecvOmitProb,
 	}
-	rec.tree.FromChooser = adversary.FromChooser{
-		C: &rec.src, T: gen.T, MaxCrashRound: sim.Round(gen.MaxCrashRound), Observe: rec,
-	}
-	rec.tree.MaxOmissive, rec.tree.Procs = gen.MaxOmissive, n
-	rec.tree.Reset()
+	tree := &rec.tree
+	tree.C, tree.T, tree.MaxCrashRound, tree.Observe = &rec.src, gen.T, sim.Round(gen.MaxCrashRound), rec
+	tree.MaxOmissive, tree.Procs = gen.MaxOmissive, n
+	tree.Reset()
 	rec.events = rec.events[:0]
+	rec.masks.Reset()
 }
 
-// script returns the recorded schedule in canonical order, as an exact-size
-// copy the recorder no longer references (nil when nothing was recorded).
+// script returns the recorded schedule in canonical order (nil events when
+// nothing was recorded): a view of the recorder's storage, valid until its
+// next reset.
 func (rec *recorder) script() Script {
 	if len(rec.events) == 0 {
 		return Script{}
 	}
-	s := Script{Events: make([]Event, len(rec.events))}
-	copy(s.Events, rec.events)
+	s := Script{Events: rec.events[:len(rec.events):len(rec.events)]}
 	s.normalize()
 	return s
 }
@@ -155,7 +154,7 @@ type Target struct {
 
 // Factory builds the Target of one execution. Processes are stateful, so
 // every run needs a fresh process set, but a factory may reset one it keeps
-// (a protocol.Systems) instead of allocating one: RunSeed never touches a
+// (a protocol.Systems) instead of allocating one: a Runner never touches a
 // target's processes after building the next. Such a factory belongs to one
 // worker and is never called concurrently; a parallel campaign gives each
 // worker its own.
@@ -176,7 +175,8 @@ type Options struct {
 	MaxShrinkRuns int
 }
 
-// Outcome is the result of fuzzing one seed.
+// Outcome is the result of fuzzing one seed. Runner.Run reports its
+// scripts and verdicts as views of the runner's storage (see Run).
 type Outcome struct {
 	// Seed is the generator seed of the run.
 	Seed int64
@@ -204,52 +204,72 @@ type Outcome struct {
 // deterministic, a fatal property violation of the whole approach.
 var ErrReplayDiverged = errors.New("fuzz: recorded script did not reproduce the generated run")
 
-// RunSeed fuzzes one seed: it generates a random schedule while executing it,
-// validates the run with the oracle, and — on violation — replay-verifies the
-// recorded script and shrinks it. The returned error is fatal (engine
-// construction failure or replay divergence); oracle violations are reported
-// in the Outcome.
+// Runner fuzzes seeds one after another on storage it keeps across them:
+// the recorder, one replayer, the shrinker's two script buffers and the
+// results its verdicts read. A warmed runner runs a passing seed, and
+// replays a script, without allocating. The zero value is ready to use. A
+// runner is not safe for concurrent use: a parallel campaign gives each
+// worker its own.
+type Runner struct {
+	rec    recorder
+	rep    replayer
+	cur    scriptBuf  // the shrinker's current script
+	spare  scriptBuf  // the shrinker's candidate, a mutated copy of cur
+	keys   []evKey    // the shrinker's event identities of one pass
+	errRes sim.Result // the result the generating run's verdict reads
+	curRes sim.Result // the result the shrunk script's verdict reads
+
+	// The seed being run, which every replay of it uses.
+	eng     harness.Engine
+	factory Factory
+	oracle  Oracle
+	seed    int64
+	execs   int
+}
+
+// RunSeed fuzzes one seed on a Runner of its own, so the Outcome it returns
+// is owned by the caller. See Runner.Run.
 func RunSeed(eng harness.Engine, factory Factory, oracle Oracle, seed int64, opts Options) (Outcome, error) {
-	out := Outcome{Seed: seed}
+	return new(Runner).Run(eng, factory, oracle, seed, opts)
+}
+
+// Run fuzzes one seed: it generates a random schedule while executing it,
+// validates the run with the oracle, and — on violation — replay-verifies
+// the recorded script and shrinks it. The returned error is fatal (engine
+// construction failure or replay divergence); oracle violations are
+// reported in the Outcome.
+//
+// The Outcome's Script, Shrunk, Err and ShrunkErr are views of the runner's
+// storage, valid until its next Run: a caller that keeps them longer keeps
+// Script.String of the scripts and check.Detach of the verdicts.
+func (r *Runner) Run(eng harness.Engine, factory Factory, oracle Oracle, seed int64, opts Options) (out Outcome, fatal error) {
+	r.eng, r.factory, r.oracle, r.seed, r.execs = eng, factory, oracle, seed, 0
+	defer func() { out.Executions = r.execs }()
+	out.Seed = seed
 	tgt := factory()
-	rec := newRecorder(seed, opts.Gen, len(tgt.Procs))
+	r.rec.reset(seed, opts.Gen, len(tgt.Procs))
 	res, runErr := eng.Run(harness.Job{
-		Model: tgt.Model, Horizon: tgt.Horizon, Procs: tgt.Procs, Adv: rec.adversary(opts.Gen.omitting()), Latency: tgt.Latency,
+		Model: tgt.Model, Horizon: tgt.Horizon, Procs: tgt.Procs, Adv: r.rec.adversary(opts.Gen.omitting()), Latency: tgt.Latency,
 	})
-	// Replay and shrinking run on the script alone: the generator goes back
-	// to the pool as soon as the walk is recorded.
-	script := rec.script()
-	recorders.Put(rec)
 	if res == nil {
 		return out, fmt.Errorf("fuzz: seed %d: %w", seed, runErr)
 	}
-	out.Executions++
-	out.Script = script
+	r.execs++
+	out.Script = r.rec.script()
 	out.Rounds = res.Rounds
 	out.MaxDecideRound = res.MaxDecideRound()
 	out.Faults = res.Faults()
 	out.Omissive = res.OmissionFaulty()
 	// The replays below rewrite the engine's result, which a lazily
-	// rendered verdict still reads: the kept one is detached from it.
-	out.Err = check.Detach(oracle(tgt.Proposals, res, runErr))
+	// rendered verdict still reads: the kept one reads a copy.
+	out.Err = check.DetachInto(oracle(tgt.Proposals, res, runErr), &r.errRes)
 	if out.Err == nil {
 		return out, nil
 	}
 
 	// The violation must reproduce from the recorded script alone before it
 	// is worth reporting (or shrinking): replay and compare the verdicts.
-	replay := func(s Script) (error, error) {
-		t := factory()
-		r, rerr := eng.Run(harness.Job{
-			Model: t.Model, Horizon: t.Horizon, Procs: t.Procs, Adv: s.Adversary(), Latency: t.Latency,
-		})
-		if r == nil {
-			return nil, fmt.Errorf("fuzz: replaying seed %d: %w", seed, rerr)
-		}
-		out.Executions++
-		return oracle(t.Proposals, r, rerr), nil
-	}
-	verr, fatal := replay(out.Script)
+	verr, fatal := r.replay(out.Script)
 	if fatal != nil {
 		return out, fatal
 	}
@@ -264,11 +284,21 @@ func RunSeed(eng harness.Engine, factory Factory, oracle Oracle, seed int64, opt
 	if budget <= 0 {
 		budget = 512
 	}
-	maxRound := int(tgt.Horizon)
-	shrunk, shrunkErr, fatal := Shrink(out.Script, verr, maxRound, budget, replay)
-	if fatal != nil {
-		return out, fatal
+	out.Shrunk, out.ShrunkErr, fatal = r.shrink(out.Script, verr, int(tgt.Horizon), budget)
+	return out, fatal
+}
+
+// replay runs the script on the seed's engine through the runner's one
+// replayer and returns the oracle's verdict on it, or a fatal error when
+// the engine could not run it.
+func (r *Runner) replay(s Script) (error, error) {
+	t := r.factory()
+	res, err := r.eng.Run(harness.Job{
+		Model: t.Model, Horizon: t.Horizon, Procs: t.Procs, Adv: r.rep.adversary(s), Latency: t.Latency,
+	})
+	if res == nil {
+		return nil, fmt.Errorf("fuzz: replaying seed %d: %w", r.seed, err)
 	}
-	out.Shrunk, out.ShrunkErr = &shrunk, shrunkErr
-	return out, nil
+	r.execs++
+	return r.oracle(t.Proposals, res, err), nil
 }

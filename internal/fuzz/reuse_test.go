@@ -55,9 +55,10 @@ func walk(t *testing.T, eng harness.Engine, factory Factory, oracle Oracle, rec 
 
 // TestRecycledRecorderMatchesFresh runs every seed on a recorder another seed
 // has just used — once through an explicitly reused recorder, once through
-// RunSeed's pool, sequentially and from four goroutines sharing the pool —
-// and requires the outcome a fresh recorder reset for the seed gives. The omission generator populates the omissive set under a small
-// budget, so a reset that forgot it would change the walk.
+// a Runner's, sequentially and on four goroutines with a runner each — and
+// requires the outcome a fresh recorder reset for the seed gives. The
+// omission generator populates the omissive set under a small budget, so a
+// reset that forgot it would change the walk.
 func TestRecycledRecorderMatchesFresh(t *testing.T) {
 	const n, seeds = 8, 200
 	factory := crwFactory(n, core.Options{})
@@ -87,29 +88,30 @@ func TestRecycledRecorderMatchesFresh(t *testing.T) {
 				}
 			}
 
-			// pooled runs the seed between two others, so its recorder was
-			// just used by another seed and is reused before its outcome is
-			// read: an outcome still aliasing the recorder would change.
-			pooled := func(eng harness.Engine, seed int) (walkSummary, error) {
-				if _, err := RunSeed(eng, factory, oracle, int64(seeds+seed), Options{Gen: tc.gen}); err != nil {
+			// recycled runs the seed on r between two others, so the
+			// recorder was just used by another seed and is reused before
+			// the outcome is read: an outcome still aliasing the previous
+			// seed's storage would change.
+			recycled := func(r *Runner, eng harness.Engine, seed int) (walkSummary, error) {
+				if _, err := r.Run(eng, factory, oracle, int64(seeds+seed), Options{Gen: tc.gen}); err != nil {
 					return walkSummary{}, err
 				}
-				out, err := RunSeed(eng, factory, oracle, int64(seed), Options{Gen: tc.gen})
+				out, err := r.Run(eng, factory, oracle, int64(seed), Options{Gen: tc.gen})
 				if err != nil {
 					return walkSummary{}, err
 				}
-				if _, err := RunSeed(eng, factory, oracle, int64(2*seeds+seed), Options{Gen: tc.gen}); err != nil {
-					return walkSummary{}, err
-				}
-				return summarize(out), nil
+				got := summarize(out)
+				_, err = r.Run(eng, factory, oracle, int64(2*seeds+seed), Options{Gen: tc.gen})
+				return got, err
 			}
+			var r Runner
 			for seed := range want {
-				got, err := pooled(eng, seed)
+				got, err := recycled(&r, eng, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got != want[seed] {
-					t.Fatalf("seed %d through the pool: %+v, fresh %+v", seed, got, want[seed])
+					t.Fatalf("seed %d on a reused runner: %+v, fresh %+v", seed, got, want[seed])
 				}
 			}
 
@@ -123,9 +125,10 @@ func TestRecycledRecorderMatchesFresh(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
+					var r Runner
 					for seed := w; seed < seeds; seed += workers {
-						if got, err := pooled(engs[w], seed); err != nil || got != want[seed] {
-							t.Errorf("worker %d, seed %d through the shared pool: %+v (%v), fresh %+v", w, seed, got, err, want[seed])
+						if got, err := recycled(&r, engs[w], seed); err != nil || got != want[seed] {
+							t.Errorf("worker %d, seed %d on its runner: %+v (%v), fresh %+v", w, seed, got, err, want[seed])
 							return
 						}
 					}
@@ -253,7 +256,7 @@ func randomScript(rng *rand.Rand, n, rounds int) Script {
 // — or, beyond what the shrinker does, duplicated under its own key with a
 // flipped bit, which only the last-match-wins rule keeps equivalent.
 func mutate(rng *rand.Rand, s Script) Script {
-	c := s.Clone()
+	c := s.clone()
 	if len(c.Events) == 0 {
 		return c
 	}

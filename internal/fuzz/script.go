@@ -24,6 +24,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/adversary"
 	"repro/internal/sim"
 )
 
@@ -92,21 +93,57 @@ type Event struct {
 //	recv-omit  p<proc>@r<round>:ro:<sender mask>            e.g. "p3@r1:ro:011"
 func (e Event) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "p%d@r%d:", e.Proc, e.Round)
+	b.Grow(e.textLen())
+	e.write(&b)
+	return b.String()
+}
+
+// textLen returns the length of the event's text.
+func (e *Event) textLen() int {
+	n := len("p@r:") + intLen(e.Proc) + intLen(e.Round)
+	switch e.Kind {
+	case EventSendOmit:
+		return n + len("so:/") + len(e.Data) + len(e.CtrlMask)
+	case EventRecvOmit:
+		return n + len("ro:") + len(e.From)
+	default:
+		return n + len(e.Data) + len("/") + intLen(e.Ctrl)
+	}
+}
+
+// write renders the event's text into b.
+func (e *Event) write(b *strings.Builder) {
+	b.WriteByte('p')
+	writeInt(b, e.Proc)
+	b.WriteString("@r")
+	writeInt(b, e.Round)
+	b.WriteByte(':')
 	switch e.Kind {
 	case EventSendOmit:
 		b.WriteString("so:")
-		writeMask(&b, e.Data)
+		writeMask(b, e.Data)
 		b.WriteByte('/')
-		writeMask(&b, e.CtrlMask)
+		writeMask(b, e.CtrlMask)
 	case EventRecvOmit:
 		b.WriteString("ro:")
-		writeMask(&b, e.From)
+		writeMask(b, e.From)
 	default:
-		writeMask(&b, e.Data)
-		fmt.Fprintf(&b, "/%d", e.Ctrl)
+		writeMask(b, e.Data)
+		b.WriteByte('/')
+		writeInt(b, e.Ctrl)
 	}
-	return b.String()
+}
+
+// writeInt renders v in decimal.
+func writeInt(b *strings.Builder, v int) {
+	var num [20]byte
+	b.Write(strconv.AppendInt(num[:0], int64(v), 10))
+}
+
+// intLen returns the length of v in decimal.
+func intLen(v int) int {
+	var num [20]byte
+	return len(strconv.AppendInt(num[:0], int64(v), 10))
 }
 
 // writeMask renders a boolean mask as '1'/'0' per position.
@@ -131,14 +168,6 @@ func (e Event) escapes() int {
 	return n
 }
 
-// clone returns a deep copy of the event.
-func (e Event) clone() Event {
-	e.Data = append([]bool(nil), e.Data...)
-	e.CtrlMask = append([]bool(nil), e.CtrlMask...)
-	e.From = append([]bool(nil), e.From...)
-	return e
-}
-
 // Script is a replayable fault schedule: crash and omission events in
 // canonical (round, process, kind) order — at most one crash per process,
 // at most one event per (kind, process, round). The empty script is the
@@ -155,11 +184,19 @@ type Script struct {
 // String renders the script as ';'-joined events ("" for the empty script),
 // the format accepted by Parse, agree.ReplayFaults and agreefuzz -replay.
 func (s Script) String() string {
-	parts := make([]string, len(s.Events))
-	for i, e := range s.Events {
-		parts[i] = e.String()
+	n := max(len(s.Events)-1, 0) // the separators
+	for i := range s.Events {
+		n += s.Events[i].textLen()
 	}
-	return strings.Join(parts, ";")
+	var b strings.Builder
+	b.Grow(n)
+	for i := range s.Events {
+		if i > 0 {
+			b.WriteByte(';')
+		}
+		s.Events[i].write(&b)
+	}
+	return b.String()
 }
 
 // Crashes returns the number of crash events.
@@ -186,15 +223,6 @@ func (s Script) OmissiveProcs() int {
 		}
 	}
 	return len(procs)
-}
-
-// Clone returns a deep copy, safe to mutate independently.
-func (s Script) Clone() Script {
-	out := Script{Events: make([]Event, len(s.Events))}
-	for i, e := range s.Events {
-		out.Events[i] = e.clone()
-	}
-	return out
 }
 
 // normalize sorts events into canonical (round, process, kind) order. A
@@ -396,42 +424,69 @@ func parseMask(text string) ([]bool, error) {
 	return mask, nil
 }
 
-// replayer replays a Script as a sim.Adversary with omission support. It is
-// a pure read-only function of (process, round, plan) — safe for the
-// lockstep runtime's concurrent (mutex-serialized, but scheduling-ordered)
-// consultation — and total over mutated scripts: crash masks are matched
-// positionally against the concrete plan (missing positions drop, extras are
-// ignored) with the control prefix clamped and forced to zero under partial
-// data; omission masks are matched positionally with missing positions
-// DELIVERED, so a mutated omission can only shrink toward the fault-free
-// schedule.
+// replayer replays a Script as a sim.Adversary with omission support. Its
+// answers are a pure function of (process, round, plan) — so the lockstep
+// runtime's concurrent (mutex-serialized, but scheduling-ordered)
+// consultation replays identically — and total over mutated scripts: crash
+// masks are matched positionally against the concrete plan (missing
+// positions drop, extras are ignored) with the control prefix clamped and
+// forced to zero under partial data; omission masks are matched positionally
+// with missing positions DELIVERED, so a mutated omission can only shrink
+// toward the fault-free schedule.
+//
+// A mask that covers the plan is handed to the engine as a capped view of
+// the event's own; only a shorter one is padded, into a region of the
+// replayer's arena that no other fault of the run shares.
 //
 // Lookups scan the script's events from the end, so when a script carries
 // two events for one key (only an unvalidated one can) the last one wins.
 type replayer struct {
 	events []Event
+	masks  adversary.Masks // padded masks of the current run
 }
 
 // isOmission reports whether an event kind is an omission; every other kind
 // replays as a crash.
 func isOmission(k EventKind) bool { return k == EventSendOmit || k == EventRecvOmit }
 
-// Adversary returns a replaying sim.Adversary for the script. Crash-only
-// scripts get a non-Omitter adversary, so their replay rides the engines'
-// crash-model path (no omission scratch, no per-(process, round) Omits
-// consults) exactly like the pre-omission code; scripts with omission
+// Adversary returns a replaying sim.Adversary for one run of the script.
+// Crash-only scripts get a non-Omitter adversary, so their replay rides the
+// engines' crash-model path (no omission scratch, no per-(process, round)
+// Omits consults) exactly like the pre-omission code; scripts with omission
 // events get the omitting variant.
 //
 // The adversary reads the script's events in place rather than copying
 // them, so the script must not be mutated while a run consults it.
-func (s Script) Adversary() sim.Adversary {
-	r := &replayer{events: s.Events}
+func (s Script) Adversary() sim.Adversary { return new(replayer).adversary(s) }
+
+// adversary readies the replayer for one run of s and returns its face for
+// the script.
+func (r *replayer) adversary(s Script) sim.Adversary {
+	r.events = s.Events
+	r.masks.Reset()
 	for _, e := range s.Events {
 		if isOmission(e.Kind) {
 			return omittingReplayer{r}
 		}
 	}
 	return r
+}
+
+// fit returns mask fitted to k positions: a capped view when it covers
+// them, otherwise a padded copy in the arena whose missing positions read
+// pad. The result is never nil.
+func (r *replayer) fit(mask []bool, k int, pad bool) []bool {
+	if len(mask) >= k {
+		if mask == nil {
+			return []bool{}
+		}
+		return mask[:k:k]
+	}
+	out := r.masks.Carve(k)
+	for i := copy(out, mask); i < k; i++ {
+		out[i] = pad
+	}
+	return out
 }
 
 // crashOf returns p's crash event, nil when the script does not crash p.
@@ -461,20 +516,9 @@ func (r *replayer) Crashes(p sim.ProcID, rd sim.Round, plan sim.SendPlan) (bool,
 	if e == nil || e.Round != int(rd) {
 		return false, sim.CrashOutcome{}
 	}
-	mask := make([]bool, len(plan.Data))
-	full := true
-	for i := range mask {
-		if i < len(e.Data) && e.Data[i] {
-			mask[i] = true
-		} else {
-			full = false
-		}
-	}
-	ctrl := e.Ctrl
-	if ctrl > len(plan.Control) {
-		ctrl = len(plan.Control)
-	}
-	if !full {
+	mask := r.fit(e.Data, len(plan.Data), false)
+	ctrl := min(e.Ctrl, len(plan.Control))
+	if dropsAny(mask) {
 		ctrl = 0
 	}
 	return true, sim.CrashOutcome{DataDelivered: mask, CtrlPrefix: ctrl}
@@ -488,11 +532,11 @@ type omittingReplayer struct{ *replayer }
 func (r omittingReplayer) Omits(p sim.ProcID, rd sim.Round, plan sim.SendPlan) sim.Omission {
 	var om sim.Omission
 	if e := r.omissionOf(EventSendOmit, int(p), int(rd)); e != nil {
-		om.Data = sim.DeliveredMask(e.Data, len(plan.Data))
-		om.Ctrl = sim.DeliveredMask(e.CtrlMask, len(plan.Control))
+		om.Data = r.fit(e.Data, len(plan.Data), true)
+		om.Ctrl = r.fit(e.CtrlMask, len(plan.Control), true)
 	}
-	if e := r.omissionOf(EventRecvOmit, int(p), int(rd)); e != nil {
-		om.Recv = append([]bool(nil), e.From...)
+	if e := r.omissionOf(EventRecvOmit, int(p), int(rd)); e != nil && len(e.From) > 0 {
+		om.Recv = e.From[:len(e.From):len(e.From)]
 	}
 	return om
 }

@@ -27,8 +27,8 @@ func (l *answerLog) Choose(d adversary.Decision, n int) int {
 // tree: the answers the seeded chooser gives during a fuzz execution,
 // replayed by the explorer's check.Replayer through a recorder with the
 // same budgets and crash horizon, give an equal result and record the same
-// script. The generators run in parallel on pooled recorders, so under
-// -race the pool crosses goroutines.
+// script. Each subtest resets the same two recorders for every seed, as a
+// Runner does.
 func TestOneTreeSeededAnswersReplay(t *testing.T) {
 	const n, seeds = 8, 100
 	for _, tc := range []struct {
@@ -50,21 +50,20 @@ func TestOneTreeSeededAnswersReplay(t *testing.T) {
 				if res == nil {
 					t.Fatal(runErr)
 				}
-				script := rec.script().String()
-				recorders.Put(rec)
-				return res.Clone(), script // the engine reruns for the next call
+				return res.Clone(), rec.script().String() // the engine reruns for the next call
 			}
+			var rec, replay recorder
 			faults := 0
 			for seed := int64(0); seed < seeds; seed++ {
-				rec := newRecorder(seed, tc.gen, n)
+				rec.reset(seed, tc.gen, n)
 				log := &answerLog{c: rec.tree.C}
 				rec.tree.C = log
-				want, wantScript := run(rec)
+				want, wantScript := run(&rec)
 
 				// Another seed's stream: only the replayed answers may matter.
-				replay := newRecorder(seed+seeds, tc.gen, n)
+				replay.reset(seed+seeds, tc.gen, n)
 				replay.tree.C = &check.Replayer{Values: log.answers}
-				got, gotScript := run(replay)
+				got, gotScript := run(&replay)
 				if gotScript != wantScript {
 					t.Fatalf("seed %d: replayed answers record %q, the seeded walk %q", seed, gotScript, wantScript)
 				}

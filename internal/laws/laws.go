@@ -38,7 +38,6 @@
 package laws
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/sim"
@@ -77,11 +76,26 @@ type Violation struct {
 func (v *Violation) Error() string { return "laws: " + v.Law + ": " + v.Detail }
 
 // Of classifies an error: it returns the name of the violated law if err is
-// (or wraps) a *Violation, and "" otherwise.
+// (or wraps) a *Violation, and "" otherwise. It walks the tree errors.As
+// walks, in the same depth-first order, by type assertion: errors.As would
+// move its target to the heap on every call.
 func Of(err error) string {
-	var v *Violation
-	if errors.As(err, &v) {
-		return v.Law
+	for err != nil {
+		switch e := err.(type) {
+		case *Violation:
+			return e.Law
+		case interface{ Unwrap() error }:
+			err = e.Unwrap()
+		case interface{ Unwrap() []error }:
+			for _, inner := range e.Unwrap() {
+				if law := Of(inner); law != "" {
+					return law
+				}
+			}
+			return ""
+		default:
+			return ""
+		}
 	}
 	return ""
 }

@@ -116,11 +116,30 @@ func TestOfClassifiesWrappedViolations(t *testing.T) {
 	if got := laws.Of(wrapped); got != laws.LawConservationData {
 		t.Errorf("Of(wrapped) = %q", got)
 	}
+	joined := errors.Join(errors.New("first"), fmt.Errorf("second: %w", wrapped))
+	if got := laws.Of(joined); got != laws.LawConservationData {
+		t.Errorf("Of(joined) = %q", got)
+	}
+	// The first violation in errors.As's depth-first order wins.
+	budget := &laws.Violation{Law: laws.LawCrashBudget}
+	if got := laws.Of(errors.Join(fmt.Errorf("a: %w", budget), v)); got != laws.LawCrashBudget {
+		t.Errorf("Of(joined pair) = %q, want %q", got, laws.LawCrashBudget)
+	}
+	if got := laws.Of(errors.Join(errors.New("a"), errors.New("b"))); got != "" {
+		t.Errorf("Of(joined plain) = %q, want \"\"", got)
+	}
 	if got := laws.Of(errors.New("plain error")); got != "" {
 		t.Errorf("Of(plain) = %q, want \"\"", got)
 	}
 	if got := laws.Of(nil); got != "" {
 		t.Errorf("Of(nil) = %q, want \"\"", got)
+	}
+
+	// Classifying allocates nothing: a campaign classifies every finding.
+	for _, err := range []error{v, wrapped, joined, errors.New("plain"), nil} {
+		if allocs := testing.AllocsPerRun(100, func() { laws.Of(err) }); allocs != 0 {
+			t.Errorf("Of(%v) allocates %.1f, want 0", err, allocs)
+		}
 	}
 }
 

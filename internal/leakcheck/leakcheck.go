@@ -7,6 +7,7 @@
 package leakcheck
 
 import (
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -34,10 +35,14 @@ func Settle(base int, timeout time.Duration) int {
 // Main runs the tests of m and exits with their code, except that it fails a
 // passing binary whose goroutine count has not returned to its starting
 // value within Timeout: it then prints every goroutine's stack to stderr and
-// exits 1.
+// exits 1. A native fuzzing run (-test.fuzz) is not gated: its coordinator
+// installs a signal handler whose goroutine lives as long as the process.
 func Main(m *testing.M) {
 	base := runtime.NumGoroutine()
 	code := m.Run()
+	if f := flag.Lookup("test.fuzz"); f != nil && f.Value.String() != "" {
+		os.Exit(code)
+	}
 	if got := Settle(base, Timeout); got > base && code == 0 {
 		buf := make([]byte, 1<<20)
 		buf = buf[:runtime.Stack(buf, true)]

@@ -317,7 +317,13 @@ func (k *Kernel) applyRecvOmission(a *Acc, in []Message, mask []bool, r Round) [
 		if i := int(m.From) - 1; i < len(mask) && !mask[i] {
 			a.ctr.OmittedRecv++
 			a.led.RecvOmitted(m.Kind == Control)
-			k.traceDrop(r, m.From, m.To, m.Kind.String()+" (receive omission)")
+			// A constant detail: a concatenation would allocate per
+			// omitted message, traced or not.
+			detail := "data (receive omission)"
+			if m.Kind == Control {
+				detail = "control (receive omission)"
+			}
+			k.traceDrop(r, m.From, m.To, detail)
 			continue
 		}
 		in[w] = m

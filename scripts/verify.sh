@@ -109,11 +109,12 @@ go test -shuffle=on -count=2 -timeout 300s ./...
 echo "== go test -race (parallel explorer + sweep/cross-check + fuzz-campaign + omission + timed differential + pooled-DES differential + law-audit + telemetry + plan-lifetime tests)"
 go test -race -timeout 300s -run 'ExploreParallel|Sweep|CrossCheck|Fuzz|Omission|Timed|Law|Planted|Conservation|Audit|Determinism|Pooled|Handle|Telemetry|Chrome|PlanLifetime' ./internal/check/ ./agree/ ./internal/lockstep/ ./internal/harness/ ./internal/fuzz/ ./internal/sim/ ./internal/timed/ ./internal/des/ ./internal/laws/ ./internal/smr/ ./internal/telemetry/
 
-# The fuzz recorder is pooled and crosses campaign worker goroutines; the
-# one-tree test replays its chooser's answers on pooled recorders from
+# Every campaign worker recycles one fuzz.Runner — recorder, replayer, mask
+# arenas, shrink buffers — across its seeds, on its own goroutine; the
+# one-tree test replays its chooser's answers on recycled recorders from
 # parallel subtests.
-echo "== go test -race -count=5 (recycled fuzz recorder + slice replayer differentials + one fault-choice tree)"
-go test -race -count=5 -timeout 300s -run 'RecycledRecorder|ReplayerMatches|OneTree' ./internal/fuzz/
+echo "== go test -race -count=5 (recycled fuzz recorder + runner reuse across sizes, generators and findings + slice replayer differentials + one fault-choice tree)"
+go test -race -count=5 -timeout 300s -run 'RecycledRecorder|RunnerReuse|ReplayerMatches|OneTree' ./internal/fuzz/
 
 # The control and crash-mask tables are shared by every system, one
 # system's plan buffer and payload slot cross the lockstep workers, and one
@@ -121,7 +122,7 @@ go test -race -count=5 -timeout 300s -run 'RecycledRecorder|ReplayerMatches|OneT
 echo "== go test -race -count=5 (round-scoped plan and payload lifetime + shared control and crash-mask tables + sim engine reuse across shapes + consensus System reset + protocol.Systems reuse)"
 go test -race -count=5 -timeout 300s -run 'PlanLifetime|PayloadLifetime|OutcomeMasks|SimAdapterReuses|ControlTables|SystemReset|SpecBuildReuse' ./internal/harness/ ./internal/adversary/ ./internal/core/ ./internal/consensus/... ./internal/protocol/
 
-echo "== go test -race -count=10 (lockstep runtime reuse across sizes + Close lifetime, also after every phase-barrier abort path + shard count at GOMAXPROCS 2 + engine differential at GOMAXPROCS = n + lockstep memory linear in n + every engine against the reference model + every engine's recycled result across sizes, aborts and clock violations)"
+echo "== go test -race -count=10 (lockstep runtime reuse across sizes + Close lifetime, also after every phase-barrier abort path + shard count at GOMAXPROCS 2 + chooser-tree mask regions read across shards + engine differential at GOMAXPROCS = n + lockstep memory linear in n + every engine against the reference model + every engine's recycled result across sizes, aborts and clock violations)"
 go test -race -count=10 -timeout 300s -run 'RuntimeReuse|RuntimeClose|RuntimeShard|DifferentialEnginesUnderRandomScripts|MemoryLinearInN|EnginesMatchReference|ResultLifetime' ./internal/lockstep/ ./internal/harness/ ./internal/timed/
 
 echo "== scenario catalog (all engines)"
