@@ -94,7 +94,7 @@ func TestExploreKeptVerdictsRenderTheirOwnRun(t *testing.T) {
 		t.Fatalf("%d counterexamples on the commit-as-data ablation, want at least 3", len(rep.Counterexamples))
 	}
 	spec := protocol.Spec{N: 4, T: 3, CommitAsData: true}
-	factory, validate := spec.Explorer(spec.T, 0), protocol.Validator(spec.Bound())
+	factory, validate := spec.Explorer(spec.T, 0)(), protocol.Validator(spec.Bound())
 	distinct := map[string]bool{}
 	for i, ce := range rep.Counterexamples {
 		ex := factory(&check.Replayer{Values: ce.Script})

@@ -114,11 +114,11 @@ type scenarioJob struct {
 // thin wrappers around it.
 //
 // Execution fans (scenario, engine) pairs across a worker pool with
-// per-worker engine and system reuse (one cache and one protocol.Systems per
-// worker, exactly like Sweep and Fuzz); results come back in deterministic
-// catalog order regardless of the worker count. Every run is audited by the
-// standing laws with the fault script's own budget, so a scenario expecting
-// "pass" also pins the law-audit result.
+// per-worker engine and system reuse (one cache and one sweep worker — its
+// systems and proposal vector — per pool worker, exactly like Sweep); results
+// come back in deterministic catalog order regardless of the worker count.
+// Every run is audited by the standing laws with the fault script's own
+// budget, so a scenario expecting "pass" also pins the law-audit result.
 func RunScenarios(opts ScenarioOptions) (*ScenarioReport, error) {
 	entries, err := loadScenarioSet(opts)
 	if err != nil {
@@ -130,7 +130,7 @@ func RunScenarios(opts ScenarioOptions) (*ScenarioReport, error) {
 	}
 
 	results := make([]ScenarioResult, len(jobs))
-	harness.ForEach(len(jobs), opts.Workers, func(cache *harness.Cache, sys *protocol.Systems, i int) {
+	harness.ForEach(len(jobs), opts.Workers, func(cache *harness.Cache, w *worker, i int) {
 		job := jobs[i]
 		res := &results[i]
 		res.Name = job.entry.Scenario.Name
@@ -141,7 +141,7 @@ func RunScenarios(opts ScenarioOptions) (*ScenarioReport, error) {
 			return
 		}
 		job.telemetry = opts.Telemetry
-		runScenarioJob(cache, sys, job, res)
+		runScenarioJob(cache, w, job, res)
 	})
 
 	rep := &ScenarioReport{Scenarios: len(entries), Results: results}
@@ -276,30 +276,30 @@ func scenarioLatencySpec(l scenario.Latency) LatencySpec {
 }
 
 // scenarioTarget materializes the run of a scenario under its fault script,
-// building its processes in sys: the job, the proposals, and the decision
-// round bound — nil when the scenario is judged on the consensus properties
-// alone (omission scripts and timing-fault latency models; the round bounds
-// are crash-model theorems).
-func scenarioTarget(sc *scenario.Scenario, sys *protocol.Systems, script fuzz.Script) (harness.Job, []sim.Value, func(f int) sim.Round, error) {
+// building its processes and proposals in w: the job, the proposals, and the
+// decision round bound — nil when the scenario is judged on the consensus
+// properties alone (omission scripts and timing-fault latency models; the
+// round bounds are crash-model theorems).
+func scenarioTarget(sc *scenario.Scenario, w *worker, script fuzz.Script) (harness.Job, []sim.Value, func(f int) sim.Round, error) {
 	spec, err := resolve(protocol.Spec{Protocol: sc.Protocol, N: sc.N, T: sc.T,
 		OrderAscending: sc.OrderAscending, CommitAsData: sc.CommitAsData})
 	if err != nil {
 		return harness.Job{}, nil, nil, err
 	}
-	props := proposalVector(nil, sc.N, sc.Proposals)
-	procs, model, horizon := spec.Build(sys, props)
+	w.props = proposalVector(w.props, sc.N, sc.Proposals)
+	procs, model, horizon := spec.Build(&w.sys, w.props)
 	var bound func(f int) sim.Round
 	if !sc.ConsensusOnly() {
 		bound = spec.Bound()
 	}
 	return harness.Job{Model: model, Horizon: horizon, Procs: procs, Adv: script.Adversary(),
-		Latency: scenarioLatencySpec(sc.Latency).model(0)}, props, bound, nil
+		Latency: scenarioLatencySpec(sc.Latency).model(0)}, w.props, bound, nil
 }
 
 // runScenarioJob executes one (scenario, engine) pair and fills the result:
 // run through the harness, judge with the consensus-and-laws oracle, classify
 // the verdict, and check it against the scenario's expectation.
-func runScenarioJob(cache *harness.Cache, sys *protocol.Systems, job scenarioJob, res *ScenarioResult) {
+func runScenarioJob(cache *harness.Cache, w *worker, job scenarioJob, res *ScenarioResult) {
 	sc := job.entry.Scenario
 	fail := func(err error) {
 		res.Verdict = scenario.VerdictError
@@ -311,7 +311,7 @@ func runScenarioJob(cache *harness.Cache, sys *protocol.Systems, job scenarioJob
 		return
 	}
 	script := sc.Script()
-	target, props, bound, err := scenarioTarget(sc, sys, script)
+	target, props, bound, err := scenarioTarget(sc, w, script)
 	if err != nil {
 		fail(err)
 		return

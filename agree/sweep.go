@@ -142,9 +142,9 @@ func Sweep(configs []Config, opts SweepOptions) *SweepReport {
 	return sr
 }
 
-// worker is what a sweep worker keeps across its configurations: the systems
-// their processes are built in and the proposal vector they run, both
-// rewritten by each configuration. Nothing keeps the vector past its run:
+// worker is what a sweep or scenario-catalog worker keeps across its jobs:
+// the systems their processes are built in and the proposal vector they run,
+// both rewritten by each job. Nothing keeps the vector past its run:
 // every system copies the values into its processes, and check.Consensus
 // renders them into its error at once.
 type worker struct {

@@ -55,23 +55,23 @@ func command(stdout, stderr io.Writer) *cli.Cmd {
 		// -t is the explorer's crash budget, so -t 0 explores crash-free
 		// schedules; CRW's construction and bound do not depend on t.
 		spec := protocol.Spec{N: *n, OrderAscending: asc, CommitAsData: *commitAsData}
-		factory := spec.Explorer(*tt, *omitBudget)
+		newFactory := spec.Explorer(*tt, *omitBudget)
 		if *replay != "" {
 			script, err := check.ParseScript(*replay)
 			if err != nil {
 				return c.Fail(err)
 			}
-			return replayScript(c, factory, spec.Bound(), script)
+			return replayScript(c, newFactory(), spec.Bound(), script)
 		}
 		if *worst {
-			w, err := check.FindWorstSchedule(factory, check.ExploreOpts{Budget: *budget})
+			w, err := check.FindWorstSchedule(newFactory, check.ExploreOpts{Budget: *budget})
 			if err != nil {
 				return c.Fail(err)
 			}
 			fmt.Fprintf(stdout, "worst execution over %d explored: decides at round %d with %d fault(s)\n",
 				w.Executions, w.DecideRound, w.Faults)
 			fmt.Fprintf(stdout, "script %v — replaying with trace:\n\n", w.Script)
-			return replayScript(c, factory, spec.Bound(), w.Script)
+			return replayScript(c, newFactory(), spec.Bound(), w.Script)
 		}
 
 		eopts := check.ExploreOpts{Budget: *budget, MaxCounterexamples: *maxCE, Workers: *workers}

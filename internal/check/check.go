@@ -13,6 +13,14 @@
 // the system sizes used in experiment E5 (n <= 5, t <= 2) this enumerates
 // every execution of the model, which is exactly the quantification the
 // paper's proofs (and its lower bound, Theorem 4) range over.
+//
+// Explore, ExploreParallel, FindWorstSchedule and ValencySet each visit the
+// executions of one enumeration loop. They take a constructor of execution
+// factories, not a factory: each sequential walk, each parallel worker and
+// the shard-probe phase makes one factory and is its only caller, so a
+// factory may build every execution in storage it owns. protocol.Spec's
+// explorer factories reuse one system, proposal vector and adversary, so an
+// exploration allocates per run, not per execution.
 package check
 
 import (

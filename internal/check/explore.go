@@ -131,14 +131,11 @@ type Execution struct {
 	Proposals []sim.Value
 }
 
-// RunFactory builds a fresh execution whose nondeterminism is resolved by
-// the given chooser. It is invoked once per explored execution.
-//
-// The explorer reuses one engine across the executions of a factory (via
-// sim.Engine.Reset) whenever consecutive executions share a Config, so a
-// factory should return the same Model/Horizon/Trace every call — which every
-// fixed-scenario factory naturally does. Factories passed to ExploreParallel
-// must additionally be safe for concurrent calls.
+// RunFactory builds an execution whose nondeterminism is resolved by the
+// given chooser. Each explorer walk, parallel worker and shard-probe phase
+// makes its own factory and calls it from one goroutine only, so a factory
+// may build every execution in storage it owns: the execution it returned
+// last has finished running when it is called again.
 type RunFactory func(ch adversary.Chooser) Execution
 
 // Validator inspects a finished run; returning an error flags a violation.
@@ -219,62 +216,68 @@ type ExploreOpts struct {
 	Workers int
 }
 
-// engineRunner runs a sequence of executions, reusing one engine whenever the
-// configs are compatible (same model/horizon/trace).
-type engineRunner struct {
-	eng *sim.Engine
-	cfg sim.Config
-}
+// errDone ends an enumeration early and without an error: a visitor returns
+// it once it has seen enough, a parallel admission check once the pool stops.
+var errDone = errors.New("check: enumeration done")
 
-// run executes ex, returning the result and the engine's run error; the
-// third return is a construction error (bad processes/adversary), which is
-// fatal to an exploration.
-func (er *engineRunner) run(ex Execution) (*sim.Result, error, error) {
-	if er.eng != nil &&
-		ex.Cfg.Model == er.cfg.Model && ex.Cfg.Horizon == er.cfg.Horizon &&
-		ex.Cfg.Trace == er.cfg.Trace {
-		if err := er.eng.Reset(ex.Procs, ex.Adv); err != nil {
-			return nil, nil, err
+// enumerate is the explorers' one enumeration loop. For each execution bt
+// enumerates, it asks admit, builds the execution with factory, rearms eng
+// for it, runs it and hands it to visit, with bt still on it so that
+// bt.Script() names it; then it advances bt. It stops at the first error
+// admit or visit returns (errDone stops it with a nil error), at an
+// execution the engine rejects, or when bt is exhausted. A zero eng is ready
+// to use.
+func enumerate(eng *sim.Engine, factory RunFactory, bt *Backtracker, admit func() error,
+	visit func(ex Execution, res *sim.Result, runErr error) error) error {
+	for {
+		err := admit()
+		if err == nil {
+			ex := factory(bt)
+			if err := eng.ResetConfig(ex.Cfg, ex.Procs, ex.Adv); err != nil {
+				return fmt.Errorf("check: building engine: %w", err)
+			}
+			res, runErr := eng.Run()
+			err = visit(ex, res, runErr)
 		}
-	} else {
-		eng, err := sim.NewEngine(ex.Cfg, ex.Procs, ex.Adv)
-		if err != nil {
-			return nil, nil, err
+		if err == errDone {
+			return nil
 		}
-		er.eng, er.cfg = eng, ex.Cfg
+		if err != nil || !bt.Next() {
+			return err
+		}
 	}
-	res, runErr := er.eng.Run()
-	return res, runErr, nil
 }
 
-// Explore enumerates every execution generated by the factory under a
-// backtracking chooser, validating each. It returns aggregate statistics and
-// any counterexamples found.
-func Explore(factory RunFactory, validate Validator, opts ExploreOpts) (Stats, error) {
+// within is the sequential walks' admission check: it refuses every
+// execution after the first budget (0 = unlimited), counted by *executions.
+func within(budget int, executions *int) func() error {
+	return func() error {
+		if budget > 0 && *executions >= budget {
+			return fmt.Errorf("%w (after %d executions)", ErrBudget, *executions)
+		}
+		return nil
+	}
+}
+
+// Explore enumerates every execution generated by a factory from newFactory
+// under a backtracking chooser, validating each. It returns aggregate
+// statistics and any counterexamples found.
+func Explore(newFactory func() RunFactory, validate Validator, opts ExploreOpts) (Stats, error) {
 	if opts.MaxCounterexamples <= 0 {
 		opts.MaxCounterexamples = 1
 	}
 	bt := NewBacktracker()
-	var er engineRunner
 	var stats Stats
-	for {
-		if opts.Budget > 0 && stats.Executions >= opts.Budget {
-			return stats, fmt.Errorf("%w (after %d executions)", ErrBudget, stats.Executions)
-		}
-		ex := factory(bt)
-		res, runErr, err := er.run(ex)
-		if err != nil {
-			return stats, fmt.Errorf("check: building engine: %w", err)
-		}
-		stats.observe(res)
-		if verr := validate(ex, res, runErr); verr != nil {
-			stats.Counterexamples = append(stats.Counterexamples, keep(bt.Script(), verr, res))
-			if len(stats.Counterexamples) >= opts.MaxCounterexamples {
-				return stats, nil
+	err := enumerate(new(sim.Engine), newFactory(), bt, within(opts.Budget, &stats.Executions),
+		func(ex Execution, res *sim.Result, runErr error) error {
+			stats.observe(res)
+			if verr := validate(ex, res, runErr); verr != nil {
+				stats.Counterexamples = append(stats.Counterexamples, keep(bt.Script(), verr, res))
+				if len(stats.Counterexamples) >= opts.MaxCounterexamples {
+					return errDone
+				}
 			}
-		}
-		if !bt.Next() {
-			return stats, nil
-		}
-	}
+			return nil
+		})
+	return stats, err
 }

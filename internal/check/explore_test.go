@@ -84,25 +84,9 @@ func TestReplayerReproducesScript(t *testing.T) {
 	}
 }
 
-// crwFactory builds executions of the paper's algorithm with n processes and
-// crash budget t, every nondeterministic choice resolved by the chooser.
-func crwFactory(n, t int, opts core.Options) check.RunFactory {
-	return func(ch adversary.Chooser) check.Execution {
-		props := make([]sim.Value, n)
-		for i := range props {
-			props[i] = sim.Value(10 + i)
-		}
-		model := sim.ModelExtended
-		if opts.CommitAsData {
-			model = sim.ModelClassic
-		}
-		return check.Execution{
-			Procs:     core.NewSystem(props, opts),
-			Adv:       adversary.NewFromChooser(ch, t, sim.Round(n)),
-			Cfg:       sim.Config{Model: model, Horizon: sim.Round(n + 2)},
-			Proposals: props,
-		}
-	}
+// crwFactory gives each explorer walk or worker its own CRWFactory.
+func crwFactory(n, t int, opts core.Options) func() check.RunFactory {
+	return func() check.RunFactory { return check.CRWFactory(n, t, opts) }
 }
 
 // fullValidator checks the uniform consensus spec plus the f+1 bound and
@@ -236,6 +220,30 @@ func TestExhaustiveCommitAsDataViolatesAgreement(t *testing.T) {
 	}
 }
 
+// classicFactory gives each explorer walk or worker one system of a classic
+// baseline with n processes, resilience and crash budget t and 8-bit
+// proposals, rebuilt by reset for every execution.
+func classicFactory[S any](n, t int, reset func(*S, []sim.Value, int, int) []sim.Process) func() check.RunFactory {
+	return func() check.RunFactory {
+		sys := new(S)
+		props := make([]sim.Value, n)
+		for i := range props {
+			props[i] = sim.Value(10 + i)
+		}
+		adv := adversary.NewFromChooser(nil, t, sim.Round(t+1))
+		return func(ch adversary.Chooser) check.Execution {
+			adv.C = ch
+			adv.Reset()
+			return check.Execution{
+				Procs:     reset(sys, props, t, 8),
+				Adv:       adv,
+				Cfg:       sim.Config{Model: sim.ModelClassic, Horizon: sim.Round(t + 2)},
+				Proposals: props,
+			}
+		}
+	}
+}
+
 func TestExhaustiveEarlyStop(t *testing.T) {
 	// The classic early-stopping baseline satisfies uniform consensus and the
 	// min(f+2, t+1) bound on every execution of small systems.
@@ -243,18 +251,7 @@ func TestExhaustiveEarlyStop(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(fmt.Sprintf("n=%d,t=%d", tc.n, tc.t), func(t *testing.T) {
-			factory := func(ch adversary.Chooser) check.Execution {
-				props := make([]sim.Value, tc.n)
-				for i := range props {
-					props[i] = sim.Value(10 + i)
-				}
-				return check.Execution{
-					Procs:     earlystop.NewSystem(props, tc.t, 8),
-					Adv:       adversary.NewFromChooser(ch, tc.t, sim.Round(tc.t+1)),
-					Cfg:       sim.Config{Model: sim.ModelClassic, Horizon: sim.Round(tc.t + 2)},
-					Proposals: props,
-				}
-			}
+			factory := classicFactory(tc.n, tc.t, (*earlystop.System).Reset)
 			stats, err := check.Explore(factory, fullValidator(check.BoundClassic(tc.t)),
 				check.ExploreOpts{Budget: 20_000_000})
 			if err != nil {
@@ -278,18 +275,7 @@ func TestExhaustiveFloodSet(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(fmt.Sprintf("n=%d,t=%d", tc.n, tc.t), func(t *testing.T) {
-			factory := func(ch adversary.Chooser) check.Execution {
-				props := make([]sim.Value, tc.n)
-				for i := range props {
-					props[i] = sim.Value(10 + i)
-				}
-				return check.Execution{
-					Procs:     floodset.NewSystem(props, tc.t, 8),
-					Adv:       adversary.NewFromChooser(ch, tc.t, sim.Round(tc.t+1)),
-					Cfg:       sim.Config{Model: sim.ModelClassic, Horizon: sim.Round(tc.t + 2)},
-					Proposals: props,
-				}
-			}
+			factory := classicFactory(tc.n, tc.t, (*floodset.System).Reset)
 			validator := func(ex check.Execution, res *sim.Result, engineErr error) error {
 				if engineErr != nil {
 					return engineErr
@@ -352,10 +338,17 @@ func TestExploreOmissionBudgetTwoSendAndRecvInOneRound(t *testing.T) {
 		budget, wantExecs int
 		wantBoth          bool
 	}{{1, 25, false}, {2, 0, true}} {
-		factory := func(ch adversary.Chooser) check.Execution {
+		factory := func() check.RunFactory {
+			var sys protocol.Systems
 			props := []sim.Value{10, 11, 12}
-			adv := sendAndRecv{adversary.NewFromChooserWithOmissions(ch, 0, n, tc.budget, n), new(int)}
-			return protocol.Spec{N: n}.Execution(props, adv)
+			adv := sendAndRecv{adversary.NewFromChooserWithOmissions(nil, 0, n, tc.budget, n), new(int)}
+			return func(ch adversary.Chooser) check.Execution {
+				adv.C = ch
+				adv.Reset()
+				*adv.hits = 0
+				procs, model, horizon := protocol.Spec{N: n}.Build(&sys, props)
+				return check.Execution{Procs: procs, Adv: adv, Cfg: sim.Config{Model: model, Horizon: horizon}, Proposals: props}
+			}
 		}
 		both := 0
 		count := func(ex check.Execution, _ *sim.Result, _ error) error {
@@ -380,8 +373,12 @@ func TestExploreOmissionBudgetTwoSendAndRecvInOneRound(t *testing.T) {
 
 // TestExploreE5Allocs pins the exact allocation count of the E5 exhaustive
 // exploration (n=4, t=2, 151 executions validated for consensus and the f+1
-// bound). Any increase fails; when a change lowers the count, ratchet the pin
-// down to the new figure in the same change.
+// bound). The explorer's factory builds every execution in its one system,
+// proposal vector and adversary, so the count is a per-run constant — the
+// factory, the engine, the backtracker and the mask arena growing to the
+// deepest execution — and no execution allocates. Any increase fails; when a
+// change lowers the count, ratchet the pin down to the new figure in the same
+// change.
 func TestExploreE5Allocs(t *testing.T) {
 	factory := crwFactory(4, 2, core.Options{})
 	validate := fullValidator(check.BoundFPlus1)
@@ -395,7 +392,7 @@ func TestExploreE5Allocs(t *testing.T) {
 				stats.Executions, len(stats.Counterexamples))
 		}
 	})
-	const pin = 1061
+	const pin = 20
 	if allocs > pin {
 		t.Errorf("E5 exploration allocates %v allocs/run, pinned at %d; ratchet the pin down when the count falls",
 			allocs, pin)
@@ -407,24 +404,24 @@ func TestExploreE5Allocs(t *testing.T) {
 // a verdict of its own. Every one, sequential or parallel, equals a fresh
 // engine's replay of its script.
 func TestCounterexamplesKeepTheirOwnRun(t *testing.T) {
-	factory := crwFactory(4, 3, core.Options{CommitAsData: true})
+	newFactory := crwFactory(4, 3, core.Options{CommitAsData: true})
 	validate := fullValidator(nil)
 	for _, tc := range []struct {
 		name    string
-		explore func(check.RunFactory, check.Validator, check.ExploreOpts) (check.Stats, error)
+		explore func(func() check.RunFactory, check.Validator, check.ExploreOpts) (check.Stats, error)
 	}{
 		{"sequential", check.Explore},
 		{"parallel", check.ExploreParallel},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			stats, err := tc.explore(factory, validate, check.ExploreOpts{MaxCounterexamples: 6, Workers: 2})
+			stats, err := tc.explore(newFactory, validate, check.ExploreOpts{MaxCounterexamples: 6, Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(stats.Counterexamples) < 3 {
 				t.Fatalf("%d counterexamples, want at least 3", len(stats.Counterexamples))
 			}
-			distinct := map[string]bool{}
+			distinct, factory := map[string]bool{}, newFactory()
 			for i, ce := range stats.Counterexamples {
 				ex := factory(&check.Replayer{Values: ce.Script})
 				eng, err := sim.NewEngine(ex.Cfg, ex.Procs, ex.Adv)

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/sim"
 )
 
 // fatalErr wraps a construction error so the atomic.Value always stores one
@@ -42,8 +44,8 @@ const maxShardProbes = 1024
 // a worker pool. The choice space is sharded by choice-script prefix: probe
 // runs discover the domain of the first few choice points, the resulting
 // subtrees become work units (in lexicographic order), and opts.Workers
-// goroutines (default GOMAXPROCS) drain them, each with its own Backtracker
-// frozen at the unit's prefix and its own reusable engine.
+// goroutines (default GOMAXPROCS) drain them, each with its own factory and
+// engine and a Backtracker frozen at each unit's prefix.
 //
 // Determinism guarantee: an exploration that runs to completion — neither
 // Budget exhausted nor MaxCounterexamples reached — produces exactly the
@@ -61,24 +63,26 @@ const maxShardProbes = 1024
 // at Budget/8 when a budget is set; budgets too small to amortize that
 // overhead are served by the sequential explorer directly.)
 //
-// The factory and validator are called concurrently and must be safe for
-// concurrent use (every factory that builds a fresh process set per call is).
-func ExploreParallel(factory RunFactory, validate Validator, opts ExploreOpts) (Stats, error) {
+// newFactory is called once by the shard-probe phase and once by each
+// worker goroutine, concurrently, and each factory it returns is called by
+// that one goroutine only. The validator is called concurrently and must be
+// safe for concurrent use.
+func ExploreParallel(newFactory func() RunFactory, validate Validator, opts ExploreOpts) (Stats, error) {
 	if opts.MaxCounterexamples <= 0 {
 		opts.MaxCounterexamples = 1
 	}
 	workers := EffectiveWorkers(opts)
 	if workers == 1 {
-		return Explore(factory, validate, opts)
+		return Explore(newFactory, validate, opts)
 	}
 
-	units, err := shardPrefixes(factory, workers, opts.Budget)
+	units, err := shardPrefixes(newFactory(), workers, opts.Budget)
 	if err != nil {
 		return Stats{}, err
 	}
 	if len(units) == 1 {
 		// No choice points worth splitting (or a single-execution space).
-		return Explore(factory, validate, opts)
+		return Explore(newFactory, validate, opts)
 	}
 
 	var (
@@ -91,36 +95,33 @@ func ExploreParallel(factory RunFactory, validate Validator, opts ExploreOpts) (
 	)
 	results := make([]Stats, len(units))
 
-	runUnit := func(prefix []choice, out *Stats) {
+	admit := func() error {
+		if stop.Load() {
+			return errDone
+		}
+		if opts.Budget > 0 && tickets.Add(1) > int64(opts.Budget) {
+			budgetHit.Store(true)
+			stop.Store(true)
+			return errDone
+		}
+		return nil
+	}
+	runUnit := func(eng *sim.Engine, factory RunFactory, prefix []choice, out *Stats) {
 		bt := newBacktrackerFrozen(prefix)
-		var er engineRunner
-		for {
-			if stop.Load() {
-				return
-			}
-			if opts.Budget > 0 && tickets.Add(1) > int64(opts.Budget) {
-				budgetHit.Store(true)
-				stop.Store(true)
-				return
-			}
-			ex := factory(bt)
-			res, runErr, err := er.run(ex)
-			if err != nil {
-				fatal.Store(fatalErr{fmt.Errorf("check: building engine: %w", err)})
-				stop.Store(true)
-				return
-			}
+		err := enumerate(eng, factory, bt, admit, func(ex Execution, res *sim.Result, runErr error) error {
 			out.observe(res)
 			if verr := validate(ex, res, runErr); verr != nil {
 				out.Counterexamples = append(out.Counterexamples, keep(bt.Script(), verr, res))
 				if ceCount.Add(1) >= int64(opts.MaxCounterexamples) {
 					stop.Store(true)
-					return
+					return errDone
 				}
 			}
-			if !bt.Next() {
-				return
-			}
+			return nil
+		})
+		if err != nil {
+			fatal.Store(fatalErr{err})
+			stop.Store(true)
 		}
 	}
 
@@ -129,12 +130,13 @@ func ExploreParallel(factory RunFactory, validate Validator, opts ExploreOpts) (
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			eng, factory := new(sim.Engine), newFactory()
 			for {
 				i := int(nextUnit.Add(1)) - 1
 				if i >= len(units) || stop.Load() {
 					return
 				}
-				runUnit(units[i], &results[i])
+				runUnit(eng, factory, units[i], &results[i])
 			}
 		}()
 	}
@@ -183,17 +185,19 @@ func shardPrefixes(factory RunFactory, workers, budget int) ([][]choice, error) 
 	units := [][]choice{nil} // the root: the whole space
 	leaf := []bool{false}
 	probes := 0
-	var er engineRunner // one engine, reused across all probes
+	var eng sim.Engine // one engine, rearmed for every probe
 	for len(units) < want && probes < probeCap {
 		expanded := false
 		for i := 0; i < len(units) && len(units) < want && probes < probeCap; i++ {
 			if leaf[i] {
 				continue
 			}
+			// The probe runs the first execution under the prefix.
 			bt := newBacktrackerFrozen(units[i])
-			ex := factory(bt)
-			if _, _, err := er.run(ex); err != nil {
-				return nil, fmt.Errorf("check: building engine: %w", err)
+			err := enumerate(&eng, factory, bt, func() error { return nil },
+				func(Execution, *sim.Result, error) error { return errDone })
+			if err != nil {
+				return nil, err
 			}
 			probes++
 			script := bt.choices()

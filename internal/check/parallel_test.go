@@ -13,25 +13,30 @@ import (
 
 // e5Factory is the E5 workload: the faithful algorithm at n=4, t=2 (151
 // executions, zero violations).
-func e5Factory(ch adversary.Chooser) Execution {
-	props := []sim.Value{10, 11, 12, 13}
-	return Execution{
-		Procs:     core.NewSystem(props, core.Options{}),
-		Adv:       adversary.NewFromChooser(ch, 2, 4),
-		Cfg:       sim.Config{Model: sim.ModelExtended, Horizon: 6},
-		Proposals: props,
-	}
-}
+func e5Factory() RunFactory { return CRWFactory(4, 2, core.Options{}) }
 
 // e10Factory is the E10 workload: the commit-as-data ablation at n=3, t=1,
 // whose space contains uniform-agreement violations.
-func e10Factory(ch adversary.Chooser) Execution {
-	props := []sim.Value{10, 11, 12}
-	return Execution{
-		Procs:     core.NewSystem(props, core.Options{CommitAsData: true}),
-		Adv:       adversary.NewFromChooser(ch, 1, 3),
-		Cfg:       sim.Config{Model: sim.ModelClassic, Horizon: 5},
-		Proposals: props,
+func e10Factory() RunFactory { return CRWFactory(3, 1, core.Options{CommitAsData: true}) }
+
+// CRWFactory builds the paper's algorithm with n processes and crash budget t
+// for one explorer worker: every execution reuses its system, proposals and
+// adversary. It is exported to the package's external tests.
+func CRWFactory(n, t int, opts core.Options) RunFactory {
+	var sys core.System
+	props := make([]sim.Value, n)
+	for i := range props {
+		props[i] = sim.Value(10 + i)
+	}
+	adv := adversary.NewFromChooser(nil, t, sim.Round(n))
+	cfg := sim.Config{Model: sim.ModelExtended, Horizon: sim.Round(n + 2)}
+	if opts.CommitAsData {
+		cfg.Model = sim.ModelClassic
+	}
+	return func(ch adversary.Chooser) Execution {
+		adv.C = ch
+		adv.Reset()
+		return Execution{Procs: sys.Reset(props, opts), Adv: adv, Cfg: cfg, Proposals: props}
 	}
 }
 
@@ -188,7 +193,7 @@ func TestExploreParallelCounterexampleLimit(t *testing.T) {
 	}
 	// The reported script must reproduce a genuine violation.
 	ce := par.Counterexamples[0]
-	ex := e10Factory(&Replayer{Values: ce.Script})
+	ex := e10Factory()(&Replayer{Values: ce.Script})
 	eng, err := sim.NewEngine(ex.Cfg, ex.Procs, ex.Adv)
 	if err != nil {
 		t.Fatal(err)

@@ -34,43 +34,33 @@ func (v Valency) String() string {
 	return "undecided"
 }
 
-// ValencySet explores every execution generated by the factory and returns
-// the union of decided values. Runs that fail (engine error, no decision)
-// are reported as errors: valency is only meaningful over a protocol whose
-// every execution terminates.
-func ValencySet(factory RunFactory, opts ExploreOpts) (Valency, error) {
+// ValencySet explores every execution generated by a factory from newFactory
+// and returns the union of decided values. Runs that fail (engine error, no
+// decision) are reported as errors: valency is only meaningful over a protocol
+// whose every execution terminates.
+func ValencySet(newFactory func() RunFactory, opts ExploreOpts) (Valency, error) {
 	bt := NewBacktracker()
-	var er engineRunner
 	var v Valency
-	for {
-		if opts.Budget > 0 && v.Executions >= opts.Budget {
-			return v, fmt.Errorf("%w (after %d executions)", ErrBudget, v.Executions)
-		}
-		ex := factory(bt)
-		res, runErr, err := er.run(ex)
-		if err != nil {
-			return v, fmt.Errorf("check: building engine: %w", err)
-		}
-		v.Executions++
-		if runErr != nil {
-			return v, fmt.Errorf("check: execution %v failed: %w", bt.Script(), runErr)
-		}
-		decided := false
-		for _, o := range res.Procs {
-			if o.DecideRound == 0 {
-				continue
+	err := enumerate(new(sim.Engine), newFactory(), bt, within(opts.Budget, &v.Executions),
+		func(_ Execution, res *sim.Result, runErr error) error {
+			v.Executions++
+			if runErr != nil {
+				return fmt.Errorf("check: execution %v failed: %w", bt.Script(), runErr)
 			}
-			decided = true
-			if i, found := slices.BinarySearch(v.Values, o.Value); !found {
-				v.Values = slices.Insert(v.Values, i, o.Value)
+			decided := false
+			for _, o := range res.Procs {
+				if o.DecideRound == 0 {
+					continue
+				}
+				decided = true
+				if i, found := slices.BinarySearch(v.Values, o.Value); !found {
+					v.Values = slices.Insert(v.Values, i, o.Value)
+				}
 			}
-		}
-		if !decided {
-			return v, fmt.Errorf("check: execution %v decided nothing", bt.Script())
-		}
-		if !bt.Next() {
-			break
-		}
-	}
-	return v, nil
+			if !decided {
+				return fmt.Errorf("check: execution %v decided nothing", bt.Script())
+			}
+			return nil
+		})
+	return v, err
 }

@@ -10,21 +10,27 @@ import (
 )
 
 // valencyFactory builds CRW executions over explicit proposals, optionally
-// forcing the first `cleanRounds` rounds crash-free before the chooser takes
-// over (the Staged adversary's job).
-func valencyFactory(proposals []sim.Value, t int, cleanRounds sim.Round) check.RunFactory {
+// handing the first `until` rounds to the adversary first before the chooser
+// takes over with crash budget t (the Staged adversary's job). Each factory
+// reuses one system and one adversary.
+func valencyFactory(proposals []sim.Value, t int, until sim.Round, first sim.Adversary) func() check.RunFactory {
 	n := len(proposals)
-	return func(ch adversary.Chooser) check.Execution {
-		props := append([]sim.Value(nil), proposals...)
-		var adv sim.Adversary = adversary.NewFromChooser(ch, t, sim.Round(n))
-		if cleanRounds > 0 {
-			adv = adversary.Staged{Until: cleanRounds, First: adversary.None{}, Rest: adv}
+	return func() check.RunFactory {
+		var sys core.System
+		tree := adversary.NewFromChooser(nil, t, sim.Round(n))
+		var adv sim.Adversary = tree
+		if until > 0 {
+			adv = adversary.Staged{Until: until, First: first, Rest: tree}
 		}
-		return check.Execution{
-			Procs:     core.NewSystem(props, core.Options{}),
-			Adv:       adv,
-			Cfg:       sim.Config{Model: sim.ModelExtended, Horizon: sim.Round(n + 2)},
-			Proposals: props,
+		return func(ch adversary.Chooser) check.Execution {
+			tree.C = ch
+			tree.Reset()
+			return check.Execution{
+				Procs:     sys.Reset(proposals, core.Options{}),
+				Adv:       adv,
+				Cfg:       sim.Config{Model: sim.ModelExtended, Horizon: sim.Round(n + 2)},
+				Proposals: proposals,
+			}
 		}
 	}
 }
@@ -33,7 +39,7 @@ func TestMixedProposalsAreBivalent(t *testing.T) {
 	// The seed of the paper's lower bound (Theorem 3, via [2]): with mixed
 	// proposals the initial configuration is bivalent — the adversary can
 	// steer the run to either value.
-	v, err := check.ValencySet(valencyFactory([]sim.Value{0, 1, 1}, 2, 0),
+	v, err := check.ValencySet(valencyFactory([]sim.Value{0, 1, 1}, 2, 0, nil),
 		check.ExploreOpts{Budget: 10_000_000})
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +54,7 @@ func TestMixedProposalsAreBivalent(t *testing.T) {
 
 func TestUniformProposalsAreUnivalent(t *testing.T) {
 	// Validity makes all-same-proposal configurations trivially univalent.
-	v, err := check.ValencySet(valencyFactory([]sim.Value{7, 7, 7}, 2, 0),
+	v, err := check.ValencySet(valencyFactory([]sim.Value{7, 7, 7}, 2, 0, nil),
 		check.ExploreOpts{Budget: 10_000_000})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +70,7 @@ func TestCleanRoundForcesUnivalence(t *testing.T) {
 	// — every continuation, however adversarial, decides p1's value. In
 	// valency terms: one clean round collapses the bivalent initial
 	// configuration to a univalent one.
-	v, err := check.ValencySet(valencyFactory([]sim.Value{0, 1, 1}, 2, 1),
+	v, err := check.ValencySet(valencyFactory([]sim.Value{0, 1, 1}, 2, 1, adversary.None{}),
 		check.ExploreOpts{Budget: 10_000_000})
 	if err != nil {
 		t.Fatal(err)
@@ -91,21 +97,7 @@ func TestBivalenceMaintainedByCrashingCoordinators(t *testing.T) {
 	const tt = 3
 	for k := 1; k <= 2; k++ {
 		k := k
-		factory := func(ch adversary.Chooser) check.Execution {
-			props := append([]sim.Value(nil), proposals...)
-			rest := adversary.NewFromChooser(ch, tt-k, 4)
-			adv := adversary.Staged{
-				Until: sim.Round(k),
-				First: adversary.CoordinatorKiller{F: k},
-				Rest:  rest,
-			}
-			return check.Execution{
-				Procs:     core.NewSystem(props, core.Options{}),
-				Adv:       adv,
-				Cfg:       sim.Config{Model: sim.ModelExtended, Horizon: 6},
-				Proposals: props,
-			}
-		}
+		factory := valencyFactory(proposals, tt-k, sim.Round(k), adversary.CoordinatorKiller{F: k})
 		v, err := check.ValencySet(factory, check.ExploreOpts{Budget: 10_000_000})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)

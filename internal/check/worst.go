@@ -22,40 +22,31 @@ type Worst struct {
 	Executions  int
 }
 
-// FindWorstSchedule enumerates all executions produced by the factory and
-// returns the one whose latest decision happens latest (ties broken by fewer
-// faults, making the witness as economical as possible). Runs that violate
-// the consensus spec or fail to finish are reported as errors: a worst-case
-// search over a broken protocol is meaningless.
-func FindWorstSchedule(factory RunFactory, opts ExploreOpts) (*Worst, error) {
+// FindWorstSchedule enumerates all executions produced by a factory from
+// newFactory and returns the one whose latest decision happens latest (ties
+// broken by fewer faults, making the witness as economical as possible). Runs
+// that violate the consensus spec or fail to finish are reported as errors: a
+// worst-case search over a broken protocol is meaningless.
+func FindWorstSchedule(newFactory func() RunFactory, opts ExploreOpts) (*Worst, error) {
 	bt := NewBacktracker()
-	var er engineRunner
 	worst := &Worst{}
-	for {
-		if opts.Budget > 0 && worst.Executions >= opts.Budget {
-			return worst, fmt.Errorf("%w (after %d executions)", ErrBudget, worst.Executions)
-		}
-		ex := factory(bt)
-		res, runErr, err := er.run(ex)
-		if err != nil {
-			return worst, fmt.Errorf("check: building engine: %w", err)
-		}
-		worst.Executions++
-		if runErr != nil {
-			return worst, fmt.Errorf("check: execution %v failed: %w", bt.Script(), runErr)
-		}
-		if err := Consensus(ex.Proposals, res); err != nil {
-			return worst, fmt.Errorf("check: execution %v violates consensus: %w", bt.Script(), err)
-		}
-		d := res.MaxDecideRound()
-		if d > worst.DecideRound || (d == worst.DecideRound && len(worst.Script) == 0) {
-			worst.Script = bt.Script() // already a fresh copy
-			worst.DecideRound = d
-			worst.Faults = res.Faults()
-			worst.Rounds = res.Rounds
-		}
-		if !bt.Next() {
-			return worst, nil
-		}
-	}
+	err := enumerate(new(sim.Engine), newFactory(), bt, within(opts.Budget, &worst.Executions),
+		func(ex Execution, res *sim.Result, runErr error) error {
+			worst.Executions++
+			if runErr != nil {
+				return fmt.Errorf("check: execution %v failed: %w", bt.Script(), runErr)
+			}
+			if err := Consensus(ex.Proposals, res); err != nil {
+				return fmt.Errorf("check: execution %v violates consensus: %w", bt.Script(), err)
+			}
+			d := res.MaxDecideRound()
+			if d > worst.DecideRound || (d == worst.DecideRound && len(worst.Script) == 0) {
+				worst.Script = bt.Script() // already a fresh copy
+				worst.DecideRound = d
+				worst.Faults = res.Faults()
+				worst.Rounds = res.Rounds
+			}
+			return nil
+		})
+	return worst, err
 }

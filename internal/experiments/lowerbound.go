@@ -49,19 +49,25 @@ func e13Valency() *Table {
 	for _, c := range cases {
 		c := c
 		n := len(c.proposals)
-		factory := func(ch adversary.Chooser) check.Execution {
-			props := append([]sim.Value(nil), c.proposals...)
+		newFactory := func() check.RunFactory {
+			var sys protocol.Systems
 			budget := c.t - int(c.prefix.until)
 			if c.prefix.adv == nil || c.prefix.until == 0 {
 				budget = c.t
 			}
-			var adv sim.Adversary = adversary.NewFromChooser(ch, budget, sim.Round(n))
+			tree := adversary.NewFromChooser(nil, budget, sim.Round(n))
+			var adv sim.Adversary = tree
 			if c.prefix.adv != nil && c.prefix.until > 0 {
-				adv = adversary.Staged{Until: c.prefix.until, First: c.prefix.adv, Rest: adv}
+				adv = adversary.Staged{Until: c.prefix.until, First: c.prefix.adv, Rest: tree}
 			}
-			return protocol.Spec{N: n}.Execution(props, adv)
+			return func(ch adversary.Chooser) check.Execution {
+				tree.C = ch
+				tree.Reset()
+				procs, model, horizon := protocol.Spec{N: n}.Build(&sys, c.proposals)
+				return check.Execution{Procs: procs, Adv: adv, Cfg: sim.Config{Model: model, Horizon: horizon}, Proposals: c.proposals}
+			}
 		}
-		v, err := check.ValencySet(factory, check.ExploreOpts{Budget: 20_000_000})
+		v, err := check.ValencySet(newFactory, check.ExploreOpts{Budget: 20_000_000})
 		if err != nil {
 			ok = false
 			t.AddRow(c.name, c.prefix.name, "error: "+err.Error(), "-")

@@ -278,7 +278,8 @@ func TestReferenceMatchesExplorer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		factory := spec.Explorer(c.crashes, c.omissions)
+		newFactory := spec.Explorer(c.crashes, c.omissions)
+		factory, replay := newFactory(), newFactory()
 		bt := check.NewBacktracker()
 		executions := 0
 		for more := true; more; more = bt.Next() {
@@ -288,7 +289,7 @@ func TestReferenceMatchesExplorer(t *testing.T) {
 				t.Fatalf("n=%d: %v", c.n, gotErr)
 			}
 			script := bt.Script()
-			ref := factory(&check.Replayer{Values: script})
+			ref := replay(&check.Replayer{Values: script})
 			want, wantErr := refRun(ref.Cfg.Model, ref.Cfg.Horizon, ref.Procs, ref.Adv)
 			if d := refDiff(got, gotErr, want, wantErr); d != "" {
 				t.Errorf("n=%d crashes=%d omissions=%d script %v: %s", c.n, c.crashes, c.omissions, script, d)

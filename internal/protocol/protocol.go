@@ -142,35 +142,33 @@ func (s Spec) Bound() func(f int) sim.Round {
 	return check.BoundFPlus1
 }
 
-// Execution assembles one explorer execution of the spec from its proposals
-// and adversary, on a system of its own: the parallel explorer builds
-// executions concurrently.
-func (s Spec) Execution(proposals []sim.Value, adv sim.Adversary) check.Execution {
-	var sys Systems
-	procs, model, horizon := s.Build(&sys, proposals)
-	return check.Execution{
-		Procs:     procs,
-		Adv:       adv,
-		Cfg:       sim.Config{Model: model, Horizon: horizon},
-		Proposals: proposals,
-	}
-}
-
-// Explorer returns the exhaustive explorer's execution factory for the spec:
-// p_{i+1} proposes 10+i, and the explorer's chooser drives an adversary that
-// may crash up to crashes processes and, when omissions > 0, inject up to
-// that many omission events.
-func (s Spec) Explorer(crashes, omissions int) check.RunFactory {
-	return func(ch adversary.Chooser) check.Execution {
+// Explorer returns the constructor of the exhaustive explorer's execution
+// factories for the spec: p_{i+1} proposes 10+i, and the explorer's chooser
+// drives an adversary that may crash up to crashes processes and, when
+// omissions > 0, inject up to that many omission events. Each factory owns
+// one Systems, one proposal vector and one chooser adversary, and builds
+// every execution in them: it re-points the adversary at the execution's
+// chooser and resets it, then builds the processes.
+func (s Spec) Explorer(crashes, omissions int) func() check.RunFactory {
+	return func() check.RunFactory {
+		var sys Systems
 		props := make([]sim.Value, s.N)
 		for i := range props {
 			props[i] = sim.Value(10 + i)
 		}
-		var adv sim.Adversary = adversary.NewFromChooser(ch, crashes, sim.Round(s.N))
+		// Crash-only exploration keeps a non-Omitter adversary: the engine
+		// then skips the omission machinery.
+		tree := adversary.NewFromChooserWithOmissions(nil, crashes, sim.Round(s.N), omissions, s.N)
+		var adv sim.Adversary = &tree.FromChooser
 		if omissions > 0 {
-			adv = adversary.NewFromChooserWithOmissions(ch, crashes, sim.Round(s.N), omissions, s.N)
+			adv = tree
 		}
-		return s.Execution(props, adv)
+		return func(ch adversary.Chooser) check.Execution {
+			tree.C = ch
+			tree.Reset()
+			procs, model, horizon := s.Build(&sys, props)
+			return check.Execution{Procs: procs, Adv: adv, Cfg: sim.Config{Model: model, Horizon: horizon}, Proposals: props}
+		}
 	}
 }
 

@@ -115,29 +115,103 @@ func TestBuildAndBound(t *testing.T) {
 	}
 }
 
-// TestExplore checks the explorer against the E5 figures: n=4, t=2 has 151
-// executions, all within f+1, on the sequential and the parallel explorer;
-// the ascending ablation breaks the bound.
+// TestExplore holds the explorer's per-worker factories to a reference that
+// builds a fresh system, proposal vector and adversary for every execution:
+// on the E5 cells with n ≤ 5, the classic baselines, both CRW ablations and
+// an omission cell, the sequential and the 2-worker parallel Spec.Explore
+// give the reference's statistics, counterexample scripts and verdicts.
 func TestExplore(t *testing.T) {
-	spec := protocol.Spec{N: 4}
-	for _, parallel := range []bool{false, true} {
-		stats, err := spec.Explore(2, 0, parallel, check.ExploreOpts{Budget: 1_000_000, Workers: 2})
+	for _, c := range []struct {
+		spec                           protocol.Spec
+		crashes, omissions, executions int
+		violation                      string // named by the first verdict; "" = none
+	}{
+		{protocol.Spec{N: 3}, 1, 0, 10, ""},
+		{protocol.Spec{N: 3}, 2, 0, 54, ""},
+		{protocol.Spec{N: 4}, 1, 0, 16, ""},
+		{protocol.Spec{N: 4}, 2, 0, 151, ""},
+		{protocol.Spec{N: 4}, 3, 0, 856, ""},
+		{protocol.Spec{N: 5}, 1, 0, 26, ""},
+		{protocol.Spec{N: 5}, 2, 0, 410, ""},
+		{protocol.Spec{N: 5}, 3, 0, 4086, ""},
+		{protocol.Spec{N: 5}, 4, 0, 24959, ""},
+		{protocol.Spec{Protocol: protocol.EarlyStop, N: 4, T: 2}, 2, 0, 0, ""},
+		{protocol.Spec{Protocol: protocol.FloodSet, N: 3, T: 2}, 2, 0, 0, ""},
+		{protocol.Spec{N: 4, OrderAscending: true}, 1, 0, 0, "round bound violated"},
+		{protocol.Spec{N: 4, CommitAsData: true}, 3, 0, 0, "agreement violated"},
+		{protocol.Spec{N: 3}, 1, 1, 0, "agreement violated"},
+	} {
+		spec, err := c.spec.Resolve()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.Executions != 151 || len(stats.Counterexamples) != 0 || stats.MaxDecideRound != 3 {
-			t.Errorf("parallel=%t: %d executions, %d counterexamples, max decide %d; want 151, 0, 3",
-				parallel, stats.Executions, len(stats.Counterexamples), stats.MaxDecideRound)
+		bound := spec.Bound()
+		if c.omissions > 0 {
+			bound = nil
+		}
+		opts := check.ExploreOpts{Budget: 1_000_000, MaxCounterexamples: 1 << 20, Workers: 2}
+		want, err := check.Explore(freshExplorer(spec, c.crashes, c.omissions), protocol.Validator(bound), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.executions > 0 && want.Executions != c.executions {
+			t.Errorf("%+v crashes=%d: %d executions, want %d", c.spec, c.crashes, want.Executions, c.executions)
+		}
+		first := ""
+		if len(want.Counterexamples) > 0 {
+			first = want.Counterexamples[0].Err.Error()
+		}
+		if (first == "") != (c.violation == "") || !strings.Contains(first, c.violation) {
+			t.Errorf("%+v crashes=%d omissions=%d: first verdict %q, want one naming %q",
+				c.spec, c.crashes, c.omissions, first, c.violation)
+		}
+		for _, parallel := range []bool{false, true} {
+			got, err := spec.Explore(c.crashes, c.omissions, parallel, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := statsDiff(got, want); d != "" {
+				t.Errorf("%+v crashes=%d omissions=%d parallel=%t: %s", c.spec, c.crashes, c.omissions, parallel, d)
+			}
 		}
 	}
-	asc := protocol.Spec{N: 4, OrderAscending: true}
-	stats, err := asc.Explore(1, 0, false, check.ExploreOpts{Budget: 1_000_000, MaxCounterexamples: 1})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// freshExplorer is the reference for Spec.Explorer: every execution is built
+// in a new Systems, proposal vector and adversary.
+func freshExplorer(spec protocol.Spec, crashes, omissions int) func() check.RunFactory {
+	return func() check.RunFactory {
+		return func(ch adversary.Chooser) check.Execution {
+			var sys protocol.Systems
+			props := make([]sim.Value, spec.N)
+			for i := range props {
+				props[i] = sim.Value(10 + i)
+			}
+			var adv sim.Adversary = adversary.NewFromChooser(ch, crashes, sim.Round(spec.N))
+			if omissions > 0 {
+				adv = adversary.NewFromChooserWithOmissions(ch, crashes, sim.Round(spec.N), omissions, spec.N)
+			}
+			procs, model, horizon := spec.Build(&sys, props)
+			return check.Execution{Procs: procs, Adv: adv, Cfg: sim.Config{Model: model, Horizon: horizon}, Proposals: props}
+		}
 	}
-	if len(stats.Counterexamples) == 0 || !strings.Contains(stats.Counterexamples[0].Err.Error(), "round bound") {
-		t.Errorf("ascending ablation: counterexamples %v, want a round-bound violation", stats.Counterexamples)
+}
+
+// statsDiff names the first difference between two explorations' statistics,
+// counterexample scripts and verdicts, or returns "".
+func statsDiff(got, want check.Stats) string {
+	if got.Executions != want.Executions || got.MaxRounds != want.MaxRounds ||
+		got.MaxDecideRound != want.MaxDecideRound || got.MaxFaults != want.MaxFaults ||
+		len(got.Counterexamples) != len(want.Counterexamples) {
+		return fmt.Sprintf("stats %+v, want %+v", got, want)
 	}
+	for i, ce := range got.Counterexamples {
+		w := want.Counterexamples[i]
+		if !reflect.DeepEqual(ce.Script, w.Script) || ce.Err.Error() != w.Err.Error() {
+			return fmt.Sprintf("counterexample %d: %v %q, want %v %q", i, ce.Script, ce.Err, w.Script, w.Err)
+		}
+	}
+	return ""
 }
 
 // TestSpecBuildReuseMatchesFresh walks one Systems through n = 8, 64, 8, 32,

@@ -136,14 +136,19 @@ func TestExhaustiveSimulatedCRW(t *testing.T) {
 	// of the simulated protocol satisfies uniform consensus, and decisions
 	// happen within f+1 macro rounds.
 	const n, budget = 3, 20_000_000
-	factory := func(ch adversary.Chooser) check.Execution {
+	factory := func() check.RunFactory {
+		var sys core.System
 		pr := props(n)
-		procs := simulate.OnClassic(core.NewSystem(pr, core.Options{}))
-		return check.Execution{
-			Procs:     procs,
-			Adv:       adversary.NewFromChooser(ch, n-1, simulate.MicroRounds(sim.Round(n), n)),
-			Cfg:       sim.Config{Model: sim.ModelClassic, Horizon: simulate.MicroRounds(sim.Round(n+2), n)},
-			Proposals: pr,
+		adv := adversary.NewFromChooser(nil, n-1, simulate.MicroRounds(sim.Round(n), n))
+		return func(ch adversary.Chooser) check.Execution {
+			adv.C = ch
+			adv.Reset()
+			return check.Execution{
+				Procs:     simulate.OnClassic(sys.Reset(pr, core.Options{})),
+				Adv:       adv,
+				Cfg:       sim.Config{Model: sim.ModelClassic, Horizon: simulate.MicroRounds(sim.Round(n+2), n)},
+				Proposals: pr,
+			}
 		}
 	}
 	validator := func(ex check.Execution, res *sim.Result, engineErr error) error {

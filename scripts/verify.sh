@@ -106,8 +106,8 @@ go test -timeout 300s ./...
 echo "== go test -shuffle=on -count=2 ./..."
 go test -shuffle=on -count=2 -timeout 300s ./...
 
-echo "== go test -race (parallel explorer + sweep/cross-check + fuzz-campaign + omission + timed differential + pooled-DES differential + law-audit + telemetry + plan-lifetime tests)"
-go test -race -timeout 300s -run 'ExploreParallel|Sweep|CrossCheck|Fuzz|Omission|Timed|Law|Planted|Conservation|Audit|Determinism|Pooled|Handle|Telemetry|Chrome|PlanLifetime' ./internal/check/ ./agree/ ./internal/lockstep/ ./internal/harness/ ./internal/fuzz/ ./internal/sim/ ./internal/timed/ ./internal/des/ ./internal/laws/ ./internal/smr/ ./internal/telemetry/
+echo "== go test -race (parallel explorer + per-worker explorer factories + sweep/cross-check + fuzz-campaign + omission + timed differential + pooled-DES differential + law-audit + telemetry + plan-lifetime tests + agree.Run allocation pins at their race figures)"
+go test -race -timeout 300s -run 'ExploreParallel|^TestExplore$|Sweep|CrossCheck|Fuzz|Omission|Timed|Law|Planted|Conservation|Audit|Determinism|Pooled|Handle|Telemetry|Chrome|PlanLifetime|RunAllocs' ./internal/check/ ./internal/protocol/ ./agree/ ./internal/lockstep/ ./internal/harness/ ./internal/fuzz/ ./internal/sim/ ./internal/timed/ ./internal/des/ ./internal/laws/ ./internal/smr/ ./internal/telemetry/
 
 # Every campaign worker recycles one fuzz.Runner — recorder, replayer, mask
 # arenas, shrink buffers — across its seeds, on its own goroutine; the
