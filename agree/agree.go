@@ -28,6 +28,7 @@ import (
 	"repro/internal/laws"
 	"repro/internal/metrics"
 	"repro/internal/protocol"
+	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -220,25 +221,41 @@ func convertOmissionPlans(plans map[int][]OmissionPlan) map[sim.ProcID][]adversa
 	return out
 }
 
-// build materializes the adversary for an n-process system.
-func (f FaultSpec) build(n int) sim.Adversary {
+// adversary materializes the spec's adversary for an n-process job in the
+// worker's storage, rewriting the one of its kind in place: it stays valid
+// until the worker's next job. The failure-free spec needs no storage.
+func (w *worker) adversary(f FaultSpec, n int) sim.Adversary {
+	if f.kind == "" || f.kind == "none" {
+		return adversary.None{}
+	}
+	m := w.store()
 	switch f.kind {
 	case "coordkiller":
-		return adversary.CoordinatorKiller{F: f.f, DeliverAllData: f.deliver, CtrlPrefix: f.ctrlPrefix}
+		m.coord = adversary.CoordinatorKiller{F: f.f, DeliverAllData: f.deliver, CtrlPrefix: f.ctrlPrefix}
+		return &m.coord
 	case "random":
-		return adversary.NewRandom(f.seed, f.prob, f.max)
+		// adversary.NewRandom's tree, rewound: the crash budget of the
+		// worker's previous job must not carry over.
+		m.seeded = adversary.Seeded{Stream: rng.New(f.seed), CrashProb: f.prob}
+		m.random.C, m.random.T = &m.seeded, f.max
+		m.random.Reset()
+		return &m.random
 	case "script":
-		return adversary.NewScript(f.script)
+		m.script.Plans = f.script
+		return &m.script
 	case "randomomit":
-		return adversary.NewRandomOmission(f.seed, f.prob, f.recvProb, f.max, n)
+		m.romit.Reset(f.seed, f.prob, f.recvProb, f.max, n)
+		return &m.romit
 	case "omitscript":
-		return adversary.NewOmissionScript(n, f.oscript)
+		m.oscript = adversary.OmissionScript{N: n, Plans: f.oscript}
+		return &m.oscript
 	case "mixed":
-		return adversary.Combine(adversary.NewScript(f.script), adversary.NewOmissionScript(n, f.oscript))
-	case "fuzzscript":
-		return f.fscript.Adversary()
-	default:
-		return adversary.None{}
+		m.script.Plans = f.script
+		m.oscript = adversary.OmissionScript{N: n, Plans: f.oscript}
+		m.mixed = adversary.Combined{Crash: &m.script, Omit: &m.oscript}
+		return &m.mixed
+	default: // "fuzzscript"
+		return m.replay.Adversary(f.fscript)
 	}
 }
 

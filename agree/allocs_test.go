@@ -28,14 +28,14 @@ func TestRunAllocs(t *testing.T) {
 		{"E1FailureFree", agree.Config{N: 64}, 21, 22},
 		{"E1RoundsVsFaults", agree.Config{N: 32, Faults: agree.CoordinatorCrashes(8)}, 23, 24},
 		{"E4EarlyStop", agree.Config{N: 32, T: 31, Protocol: agree.ProtocolEarlyStop,
-			Faults: agree.CoordinatorCrashes(2)}, 115, 116},
-		{"E4FloodSet", agree.Config{N: 32, T: 8, Protocol: agree.ProtocolFloodSet}, 117, 118},
+			Faults: agree.CoordinatorCrashes(2)}, 25, 26},
+		{"E4FloodSet", agree.Config{N: 32, T: 8, Protocol: agree.ProtocolFloodSet}, 24, 25},
 		{"DeterministicEngine", agree.Config{N: 32, Faults: agree.CoordinatorCrashes(4)}, 23, 24},
-		{"TimedEngine", timed, 40, 41},
+		{"TimedEngine", timed, 39, 40},
 		{"LockstepEngine", agree.Config{N: 32, Engine: agree.EngineLockstep,
 			Faults: agree.CoordinatorCrashes(4)}, 30, 31},
 		{"E1FailureFreeTelemetry", agree.Config{N: 64, Telemetry: true}, 32, 33},
-		{"TimedEngineTelemetry", timedTelemetry, 80, 81},
+		{"TimedEngineTelemetry", timedTelemetry, 79, 80},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

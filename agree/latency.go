@@ -123,9 +123,34 @@ func (l LatencySpec) withinBound() bool {
 	return true
 }
 
-// model materializes the spec for the timed engine; bits is the proposal
-// width used by profile-derived serialization (0 defaults to 64). The zero
-// spec returns nil, selecting the engine's default model.
+// latency materializes the spec's model for the timed engine in the
+// worker's storage, rewriting the one of its kind in place: it stays valid
+// until the worker's next job. bits is the proposal width used by
+// profile-derived serialization (0 defaults to 64). The zero spec returns
+// nil, selecting the engine's default model, and needs no storage.
+func (w *worker) latency(l LatencySpec, bits int) timed.LatencyModel {
+	switch l.kind {
+	case "fixed":
+		m := w.store()
+		m.fixed = timed.Fixed{D: des.Time(l.d), Delta: des.Time(l.delta)}
+		return &m.fixed
+	case "profile":
+		m := w.store()
+		m.profile = timed.Profile{P: lanProfiles[strings.ToLower(l.profile)], Bits: bits}
+		return &m.profile
+	case "jitter":
+		m := w.store()
+		m.jitter = timed.Jitter{D: des.Time(l.d), Delta: des.Time(l.delta),
+			Floor: des.Time(l.floor), Spread: des.Time(l.spread), Seed: l.seed}
+		return &m.jitter
+	default:
+		return nil
+	}
+}
+
+// model materializes the spec as a value, for a caller that keeps one model
+// across its runs instead of one per job: a Serve session, whose per-slot
+// reseeding rewrites a Jitter value, and a fuzz campaign's factory.
 func (l LatencySpec) model(bits int) timed.LatencyModel {
 	switch l.kind {
 	case "fixed":

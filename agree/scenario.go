@@ -115,7 +115,8 @@ type scenarioJob struct {
 //
 // Execution fans (scenario, engine) pairs across a worker pool with
 // per-worker engine and system reuse (one cache and one sweep worker — its
-// systems and proposal vector — per pool worker, exactly like Sweep); results
+// systems, proposal vector, replayer and latency models — per pool worker,
+// exactly like Sweep); results
 // come back in deterministic catalog order regardless of the worker count.
 // Every run is audited by the standing laws with the fault script's own
 // budget, so a scenario expecting "pass" also pins the law-audit result.
@@ -276,10 +277,10 @@ func scenarioLatencySpec(l scenario.Latency) LatencySpec {
 }
 
 // scenarioTarget materializes the run of a scenario under its fault script,
-// building its processes and proposals in w: the job, the proposals, and the
-// decision round bound — nil when the scenario is judged on the consensus
-// properties alone (omission scripts and timing-fault latency models; the
-// round bounds are crash-model theorems).
+// building its processes, proposals, adversary and latency model in w: the
+// job, the proposals, and the decision round bound — nil when the scenario
+// is judged on the consensus properties alone (omission scripts and
+// timing-fault latency models; the round bounds are crash-model theorems).
 func scenarioTarget(sc *scenario.Scenario, w *worker, script fuzz.Script) (harness.Job, []sim.Value, func(f int) sim.Round, error) {
 	spec, err := resolve(protocol.Spec{Protocol: sc.Protocol, N: sc.N, T: sc.T,
 		OrderAscending: sc.OrderAscending, CommitAsData: sc.CommitAsData})
@@ -292,8 +293,8 @@ func scenarioTarget(sc *scenario.Scenario, w *worker, script fuzz.Script) (harne
 	if !sc.ConsensusOnly() {
 		bound = spec.Bound()
 	}
-	return harness.Job{Model: model, Horizon: horizon, Procs: procs, Adv: script.Adversary(),
-		Latency: scenarioLatencySpec(sc.Latency).model(0)}, w.props, bound, nil
+	return harness.Job{Model: model, Horizon: horizon, Procs: procs, Adv: w.store().replay.Adversary(script),
+		Latency: w.latency(scenarioLatencySpec(sc.Latency), 0)}, w.props, bound, nil
 }
 
 // runScenarioJob executes one (scenario, engine) pair and fills the result:

@@ -1,11 +1,15 @@
 package agree
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/check"
 	"repro/internal/diagram"
+	"repro/internal/fuzz"
 	"repro/internal/harness"
 	"repro/internal/laws"
 	"repro/internal/metrics"
@@ -13,6 +17,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/simulate"
 	"repro/internal/telemetry"
+	"repro/internal/timed"
 	"repro/internal/trace"
 )
 
@@ -93,13 +98,18 @@ type SweepReport struct {
 // owns one engine per engine kind and one system per protocol, and rewinds
 // both between configurations (sim.Engine.Reset, protocol.Systems), so a
 // sweep of a thousand scenarios constructs a handful of engines and systems.
-// Items are returned in input order, bit-identical for every worker count;
-// per-configuration failures are reported in the item, never by panicking or
-// aborting the rest of the batch.
+// Jobs are dispatched largest N first, so each worker's engines and systems
+// grow once, to the batch's largest shape, and a pool of several workers
+// starts its longest jobs first. Items are returned in input order,
+// bit-identical for every worker count; per-configuration failures are
+// reported in the item, never by panicking or aborting the rest of the
+// batch.
 func Sweep(configs []Config, opts SweepOptions) *SweepReport {
 	sr := &SweepReport{Items: make([]SweepItem, len(configs))}
 	prof := opts.Profile
-	stats := harness.ForEachProf(len(configs), opts.Workers, prof, func(cache *harness.Cache, w *worker, i int) {
+	order := largestFirst(configs)
+	stats := harness.ForEachProf(len(configs), opts.Workers, prof, func(cache *harness.Cache, w *worker, j int) {
+		i := order[j]
 		item := &sr.Items[i]
 		item.Config = configs[i]
 		var res *sim.Result
@@ -142,14 +152,54 @@ func Sweep(configs []Config, opts SweepOptions) *SweepReport {
 	return sr
 }
 
+// largestFirst returns the indices of configs in dispatch order: by
+// decreasing N, equal sizes in input order.
+func largestFirst(configs []Config) []int {
+	order := make([]int, len(configs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(configs[b].N, configs[a].N) })
+	return order
+}
+
 // worker is what a sweep or scenario-catalog worker keeps across its jobs:
-// the systems their processes are built in and the proposal vector they run,
-// both rewritten by each job. Nothing keeps the vector past its run:
-// every system copies the values into its processes, and check.Consensus
-// renders them into its error at once.
+// the systems their processes are built in, the proposal vector they run and
+// the storage of their adversary and latency model, all rewritten by each
+// job. Nothing keeps the vector past its run: every system copies the values
+// into its processes, and check.Consensus renders them into its error at
+// once.
 type worker struct {
 	sys   protocol.Systems
 	props []sim.Value
+	m     *models // allocated by the first job whose faults or latency need storage
+}
+
+// models holds one adversary and one latency model of each kind, the job's
+// own rewritten in place (worker.adversary, worker.latency), so a job boxes
+// neither. It lives apart from the worker: agree.Run's worker stays on the
+// stack only while nothing the engine keeps points into it.
+type models struct {
+	coord   adversary.CoordinatorKiller
+	seeded  adversary.Seeded
+	random  adversary.FromChooser
+	script  adversary.Script
+	romit   adversary.RandomOmission
+	oscript adversary.OmissionScript
+	mixed   adversary.Combined
+	replay  fuzz.Replayer
+
+	fixed   timed.Fixed
+	profile timed.Profile
+	jitter  timed.Jitter
+}
+
+// store returns the worker's model storage, allocating it on first use.
+func (w *worker) store() *models {
+	if w.m == nil {
+		w.m = new(models)
+	}
+	return w.m
 }
 
 // runConfig executes one configuration on an engine drawn from the worker's
@@ -202,9 +252,9 @@ func runConfig(cfg Config, cache *harness.Cache, w *worker, prof *telemetry.Prof
 		Model:     model,
 		Horizon:   horizon,
 		Procs:     procs,
-		Adv:       cfg.Faults.build(cfg.N),
+		Adv:       w.adversary(cfg.Faults, cfg.N),
 		Trace:     log,
-		Latency:   cfg.Latency.model(cfg.Bits),
+		Latency:   w.latency(cfg.Latency, cfg.Bits),
 		Telemetry: rec,
 	})
 	if prof.Enabled() {
@@ -309,12 +359,12 @@ func crossCheckConfig(cfg Config, primary *sim.Result, cache *harness.Cache, w *
 	checked, _, err := crossCheck(cache, harness.Kind(cfg.Engine), primary, nil, "crosscheck", nil,
 		func(kind harness.Kind) harness.Job {
 			procs, model, horizon := spec.Build(&w.sys, w.props)
-			job := harness.Job{Model: model, Horizon: horizon, Procs: procs, Adv: cfg.Faults.build(cfg.N)}
+			job := harness.Job{Model: model, Horizon: horizon, Procs: procs, Adv: w.adversary(cfg.Faults, cfg.N)}
 			if caps, _ := harness.Lookup(kind); caps.Timed {
 				// A within-bound latency spec is semantically neutral — it
 				// only prices the execution — so the round engines run the
 				// same configuration without it.
-				job.Latency = cfg.Latency.model(cfg.Bits)
+				job.Latency = w.latency(cfg.Latency, cfg.Bits)
 			}
 			return job
 		})

@@ -1,6 +1,7 @@
 package agree
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -131,5 +132,56 @@ func TestCrossCheckPlantedDivergenceFuzz(t *testing.T) {
 	}
 	if len(checked) != 0 || runs != 1 {
 		t.Errorf("planted divergence: engines %v agreed in %d runs, want none in 1", checked, runs)
+	}
+}
+
+// reportSink keeps the Report a pin measures on the heap, as runConfig's is.
+var reportSink *Report
+
+// TestSweptConfigAllocatesOnlyItsReport pins a swept config's floor exactly:
+// on a warmed worker (engine, systems, proposal vector and model storage
+// grown), runConfig for a coordinator-crash, a scripted and a timed jitter
+// config allocates what its public report is made of, the Report and the
+// maps outcomeMaps builds, and nothing else: not its adversary, not its
+// latency model, not its engine run.
+func TestSweptConfigAllocatesOnlyItsReport(t *testing.T) {
+	cache := harness.NewCache()
+	defer cache.Close()
+	var w worker
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"coordinator", Config{N: 32, Faults: CoordinatorCrashes(4)}},
+		{"scripted", Config{N: 32, Faults: ScriptedFaults(map[int]CrashPlan{
+			1: {Round: 1},
+			2: {Round: 2, DeliverAllData: true, CtrlPrefix: 3},
+			3: {Round: 3, DataMask: slices.Repeat([]bool{true, false}, 16)},
+		})}},
+		{"jitter", Config{N: 32, Engine: EngineTimed, Latency: JitterLatency(7, 1, 0.1, 0.1, 0.85),
+			Faults: CoordinatorCrashes(4)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, res, err := runConfig(tc.cfg, cache, &w, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			report := testing.AllocsPerRun(50, func() {
+				reportSink = &Report{}
+				reportSink.Decisions, reportSink.DecideRound, reportSink.Crashed, reportSink.Omissive = outcomeMaps(res, 1)
+			})
+			got := testing.AllocsPerRun(50, func() {
+				rep, _, err := runConfig(tc.cfg, cache, &w, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.ConsensusErr != nil {
+					t.Fatal(rep.ConsensusErr)
+				}
+			})
+			if got != report {
+				t.Errorf("runConfig allocates %v times on a warmed worker, want exactly the report's %v", got, report)
+			}
+		})
 	}
 }

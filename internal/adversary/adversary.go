@@ -183,7 +183,7 @@ type Staged struct {
 // Staged is deliberately NOT a sim.Omitter: its only users compose
 // crash-only adversaries (the valency analysis), and implementing Omits
 // would route those exhaustive searches through the engines' omission
-// machinery for nothing. Compose omission stages with Combine instead.
+// machinery for nothing. Compose omission stages with Combined instead.
 func (s Staged) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (bool, sim.CrashOutcome) {
 	if r <= s.Until {
 		return s.First.Crashes(p, r, plan)

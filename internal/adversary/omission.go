@@ -12,7 +12,7 @@ package adversary
 // Three flavours are provided: scripted (OmissionScript), the lossy channel
 // (RandomOmission) and chooser-driven (OmittingFromChooser, the omission
 // tree the exhaustive explorer enumerates and the fuzzer samples).
-// Combine composes any crash adversary with any omitter into a mixed
+// Combined composes any crash adversary with any omitter into a mixed
 // crash+omission scenario.
 
 import (
@@ -137,10 +137,19 @@ type RandomOmission struct {
 // faulty, each dropping sent messages with probability sendProb and inbound
 // senders with probability recvProb.
 func NewRandomOmission(seed int64, sendProb, recvProb float64, maxFaulty, n int) *RandomOmission {
-	return &RandomOmission{
-		rng: rng.New(seed), SendProb: sendProb, RecvProb: recvProb,
-		MaxFaulty: maxFaulty, N: n, faulty: make(map[sim.ProcID]bool),
+	a := new(RandomOmission)
+	a.Reset(seed, sendProb, recvProb, maxFaulty, n)
+	return a
+}
+
+// Reset rearms the adversary as NewRandomOmission would build it, keeping
+// the storage of its faulty set.
+func (a *RandomOmission) Reset(seed int64, sendProb, recvProb float64, maxFaulty, n int) {
+	a.rng, a.SendProb, a.RecvProb, a.MaxFaulty, a.N = rng.New(seed), sendProb, recvProb, maxFaulty, n
+	if a.faulty == nil {
+		a.faulty = make(map[sim.ProcID]bool)
 	}
+	clear(a.faulty)
 }
 
 // Crashes implements sim.Adversary: a pure omission adversary crashes nobody.
@@ -206,27 +215,20 @@ func allTrue(k int) []bool {
 	return out
 }
 
-// combined composes a crash adversary with an omitter into one mixed
-// crash+omission adversary. The engines guarantee the omitter is only
-// consulted for processes the crash adversary spared this round.
-type combined struct {
-	crash sim.Adversary
-	omit  sim.Omitter
-}
-
-// Combine returns an adversary that crashes per crash and omits per omit —
-// the mixed fault scenario. It is order-insensitive exactly when both parts
-// are.
-func Combine(crash sim.Adversary, omit sim.Omitter) sim.Adversary {
-	return combined{crash: crash, omit: omit}
+// Combined is the mixed crash+omission adversary: it crashes per Crash and
+// omits per Omit. The engines consult Omit only for processes Crash spared
+// that round. It is order-insensitive exactly when both parts are.
+type Combined struct {
+	Crash sim.Adversary
+	Omit  sim.Omitter
 }
 
 // Crashes implements sim.Adversary.
-func (c combined) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (bool, sim.CrashOutcome) {
-	return c.crash.Crashes(p, r, plan)
+func (c *Combined) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (bool, sim.CrashOutcome) {
+	return c.Crash.Crashes(p, r, plan)
 }
 
 // Omits implements sim.Omitter.
-func (c combined) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim.Omission {
-	return c.omit.Omits(p, r, plan)
+func (c *Combined) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim.Omission {
+	return c.Omit.Omits(p, r, plan)
 }

@@ -93,7 +93,7 @@ func TestRandomOmissionDeterministicAndBounded(t *testing.T) {
 // TestStagedStaysCrashOnly pins the cost contract: Staged composes
 // crash-only stages (the valency analysis) and must not be an Omitter —
 // otherwise every staged exhaustive search would pay the engines' omission
-// machinery for nothing. Mixed scenarios compose omissions via Combine.
+// machinery for nothing. Mixed scenarios compose omissions via Combined.
 func TestStagedStaysCrashOnly(t *testing.T) {
 	var st sim.Adversary = Staged{Until: 1, First: None{}, Rest: None{}}
 	if _, ok := st.(sim.Omitter); ok {

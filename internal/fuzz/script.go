@@ -457,7 +457,17 @@ func isOmission(k EventKind) bool { return k == EventSendOmit || k == EventRecvO
 //
 // The adversary reads the script's events in place rather than copying
 // them, so the script must not be mutated while a run consults it.
-func (s Script) Adversary() sim.Adversary { return new(replayer).adversary(s) }
+func (s Script) Adversary() sim.Adversary { return new(Replayer).Adversary(s) }
+
+// Replayer is the storage of a script replay that a caller keeps across
+// runs, so a replay allocates nothing of its own: the replaying adversary
+// and the arena of its padded masks. The zero value is ready to use.
+type Replayer struct{ r replayer }
+
+// Adversary rearms the replayer for one run of s and returns it as the
+// run's adversary, as Script.Adversary builds it. The adversary of the
+// replayer's previous run is no longer valid.
+func (p *Replayer) Adversary(s Script) sim.Adversary { return p.r.adversary(s) }
 
 // adversary readies the replayer for one run of s and returns its face for
 // the script.

@@ -164,7 +164,7 @@ func refInputs(t *testing.T) []refInput {
 				func() sim.Adversary { return adversary.NewScript(crashes) }})
 			if !spec.OrderAscending && !spec.CommitAsData {
 				ins = append(ins, refInput{"omissions " + name, spec, func() sim.Adversary {
-					return adversary.Combine(adversary.NewScript(crashes), adversary.NewOmissionScript(n, omissions))
+					return &adversary.Combined{Crash: adversary.NewScript(crashes), Omit: adversary.NewOmissionScript(n, omissions)}
 				}})
 			}
 		}

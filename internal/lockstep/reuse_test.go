@@ -158,26 +158,40 @@ func TestRuntimeCloseReleasesGoroutines(t *testing.T) {
 	}
 }
 
-// settledGoroutines returns the goroutine count once the goroutines that
-// earlier tests released, and that have not been freed yet, are gone.
-func settledGoroutines() int {
-	n := runtime.NumGoroutine()
-	for {
-		m := leakcheck.Settle(n-1, 10*time.Millisecond)
-		if m >= n {
-			return n
+// shardGoroutines returns how many goroutines run a lockstep shard loop, read
+// from every goroutine's stack, once that number has come down to want or
+// leakcheck.Timeout has passed: a shard of a runtime an earlier test closed
+// counts until it has returned. Goroutines other than shards never count, so
+// the figure does not depend on what else the test binary runs or frees.
+func shardGoroutines(want int) int {
+	buf := make([]byte, 64<<10)
+	count := func() int {
+		for {
+			n := runtime.Stack(buf, true)
+			if n < len(buf) {
+				return strings.Count(string(buf[:n]), "lockstep.(*shard).loop(")
+			}
+			buf = make([]byte, 2*len(buf))
 		}
-		n = m
 	}
+	got := count()
+	for deadline := time.Now().Add(leakcheck.Timeout); got > want && time.Now().Before(deadline); got = count() {
+		runtime.Gosched()
+	}
+	return got
 }
 
 // TestRuntimeShardGoroutines pins the shard count: at GOMAXPROCS 2 an n=64
-// job runs on exactly two goroutines, a later n=8 job reuses them and spawns
-// none, and Close releases both.
+// job runs on exactly two shard goroutines, a later n=8 job reuses them and
+// spawns none, and Close releases both. The shards are counted by their
+// stack frames, not as a goroutine-count delta, which a goroutine of an
+// earlier test exiting in between would shift.
 // scripts/verify.sh runs this under -race -count=10.
 func TestRuntimeShardGoroutines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	base := settledGoroutines()
+	if got := shardGoroutines(0); got != 0 {
+		t.Fatalf("%d shard goroutines before the runtime is built, want 0", got)
+	}
 	cfg := lockstep.Config{Model: sim.ModelExtended}
 	rt, err := lockstep.New(cfg, core.NewSystem(props(64), core.Options{}), adversary.CoordinatorKiller{F: 8})
 	if err != nil {
@@ -189,8 +203,8 @@ func TestRuntimeShardGoroutines(t *testing.T) {
 		if _, err := rt.Run(); err != nil {
 			t.Fatalf("%s job: %v", job, err)
 		}
-		if got := runtime.NumGoroutine() - base; got != 2 {
-			t.Errorf("after the %s job: %d goroutines spawned, want 2 shards", job, got)
+		if got := shardGoroutines(2); got != 2 {
+			t.Errorf("after the %s job: %d shard goroutines, want 2", job, got)
 		}
 	}
 	run("n=64")
@@ -199,8 +213,8 @@ func TestRuntimeShardGoroutines(t *testing.T) {
 	}
 	run("later n=8")
 	rt.Close()
-	if got := leakcheck.Settle(base, leakcheck.Timeout); got > base {
-		t.Errorf("%d goroutines after Close, want the baseline %d", got, base)
+	if got := shardGoroutines(0); got != 0 {
+		t.Errorf("%d shard goroutines after Close, want 0", got)
 	}
 }
 

@@ -341,7 +341,7 @@ func (d *deliverer) Transmit(m Message) {
 		k.Accept(m)
 		return
 	}
-	p.inbox = append(p.inbox, m)
+	k.push(p, m)
 	if k.cfg.Trace.Enabled() {
 		k.cfg.Trace.Add(trace.Event{Round: int(m.Round), Kind: trace.KindDeliver,
 			From: int(m.From), To: int(m.To), Detail: m.Kind.String()})

@@ -98,8 +98,8 @@ type Acc struct {
 
 // inboxSeedCap is the per-process inbox capacity carved out of the flat
 // buffer a fresh kernel allocates: enough for the faithful protocols (at most
-// one data and one control message per round) plus slack; flooding protocols
-// grow past it once and then reuse the grown buffers.
+// one data and one control message per round) plus slack. Flooding protocols
+// outgrow it; push then re-carves every inbox from one larger slab.
 const inboxSeedCap = 4
 
 // Arm installs a job validated by ValidateJob (cfg.Horizon already set),
@@ -114,12 +114,8 @@ func (k *Kernel) Arm(cfg Config, procs []Process, adv Adversary, tx Transmitter,
 		k.ps = make([]procState, n)
 		k.out = make([]Outcome, n)
 		// Seed every inbox from one flat backing array: a fresh kernel pays
-		// one allocation instead of one per first delivery per process. An
-		// inbox that outgrows its seed capacity reallocates privately.
-		flat := make([]Message, n*inboxSeedCap)
-		for i := range k.ps {
-			k.ps[i].inbox = flat[i*inboxSeedCap : i*inboxSeedCap : (i+1)*inboxSeedCap]
-		}
+		// one allocation instead of one per first delivery per process.
+		k.carveInboxes(inboxSeedCap)
 	}
 	k.ps, k.out = k.ps[:n], k.out[:n]
 	for i := range k.ps {
@@ -251,10 +247,35 @@ func (k *Kernel) Accept(m Message) bool {
 	case p.halted:
 		k.acc.led.HaltedDest(m.Kind == Control)
 	default:
-		p.inbox = append(p.inbox, m)
+		k.push(p, m)
 		return true
 	}
 	return false
+}
+
+// push appends m to the inbox of its destination p. A full inbox does not
+// reallocate alone: every inbox is re-carved, its queued mail with it, from
+// one slab of twice the largest capacity, so a flooding run's growth costs
+// one allocation per doubling instead of one per process.
+func (k *Kernel) push(p *procState, m Message) {
+	if len(p.inbox) == cap(p.inbox) {
+		c := 0
+		for i := range k.ps {
+			c = max(c, cap(k.ps[i].inbox))
+		}
+		k.carveInboxes(2 * c)
+	}
+	p.inbox = append(p.inbox, m)
+}
+
+// carveInboxes gives every process an inbox of capacity c in one new slab,
+// each holding the mail its old one queued.
+func (k *Kernel) carveInboxes(c int) {
+	slab := make([]Message, len(k.ps)*c)
+	for i := range k.ps {
+		in := k.ps[i].inbox
+		k.ps[i].inbox = slab[i*c : i*c+copy(slab[i*c:], in) : (i+1)*c]
+	}
 }
 
 // SetInbox hands the active process p_{i+1} its mail of the current round in

@@ -169,10 +169,10 @@ func TestCrashSubsumesOmission(t *testing.T) {
 	procs := echoSystem(3, false, 1)
 	crash := adversary.NewScript(map[sim.ProcID]adversary.CrashPlan{1: {Round: 1}})
 	consulted := map[sim.ProcID]bool{}
-	adv := adversary.Combine(crash, omitFunc(func(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim.Omission {
+	adv := &adversary.Combined{Crash: crash, Omit: omitFunc(func(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim.Omission {
 		consulted[p] = true
 		return sim.Omission{}
-	}))
+	})}
 	e := mustEngine(t, sim.Config{Model: sim.ModelClassic}, procs, adv)
 	if _, err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

@@ -175,3 +175,48 @@ func TestEngineHappyPathAllocs(t *testing.T) {
 		t.Errorf("engine happy path allocates %.1f allocs/run, want <= %d", allocs, maxAllocs)
 	}
 }
+
+// TestInboxGrowthOneSlabPerDoubling pins the kernel's inbox growth: when
+// every process sends data and control to every other one, each inbox must
+// hold 2(n−1) messages, and a fresh engine grows all n inboxes together,
+// one slab per doubling of the seed capacity 4 — twice at n=8 (to 16), five
+// times at n=64 (to 128) — rather than each inbox on its own. The
+// difference of the two runs' counts cancels the engine's construction,
+// which does not depend on n. Every message must reach its inbox through
+// the re-carves.
+func TestInboxGrowthOneSlabPerDoubling(t *testing.T) {
+	allocs := func(n int) float64 {
+		procs := make([]sim.Process, n)
+		bps := make([]*benchProc, n)
+		for i := range procs {
+			bp := &benchProc{id: sim.ProcID(i + 1)}
+			for j := 1; j <= n; j++ {
+				if j != i+1 {
+					bp.plan.Data = append(bp.plan.Data, sim.Outgoing{To: sim.ProcID(j), Payload: &sim.Est{V: 7, B: 64}})
+					bp.plan.Control = append(bp.plan.Control, sim.ProcID(j))
+				}
+			}
+			bps[i], procs[i] = bp, bp
+		}
+		return testing.AllocsPerRun(20, func() {
+			for _, bp := range bps {
+				bp.decided = false
+			}
+			eng, err := sim.NewEngine(sim.Config{Model: sim.ModelExtended, Horizon: 4}, procs, adversary.None{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := n * (n - 1); res.Ledger.DeliveredData != want || res.Ledger.DeliveredCtrl != want {
+				t.Fatalf("n=%d: delivered %d data and %d control messages, want %d of each",
+					n, res.Ledger.DeliveredData, res.Ledger.DeliveredCtrl, want)
+			}
+		})
+	}
+	if got := allocs(64) - allocs(8); got != 3 {
+		t.Errorf("a fresh engine's run at n=64 allocates %v more times than at n=8, want 3 (one slab per doubling)", got)
+	}
+}

@@ -74,7 +74,7 @@ func randomMixedSpec(rng *rand.Rand, n int) sim.Adversary {
 		}
 		return adversary.NewScript(crashes)
 	}
-	return adversary.Combine(adversary.NewScript(crashes), adversary.NewOmissionScript(n, omissions))
+	return &adversary.Combined{Crash: adversary.NewScript(crashes), Omit: adversary.NewOmissionScript(n, omissions)}
 }
 
 // diffResults compares every semantic field of two engine results except
