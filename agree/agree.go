@@ -244,15 +244,16 @@ func (w *worker) adversary(f FaultSpec, n int) sim.Adversary {
 		m.script.Plans = f.script
 		return &m.script
 	case "randomomit":
+		if m.romit == nil {
+			m.romit = new(adversary.RandomOmission)
+		}
 		m.romit.Reset(f.seed, f.prob, f.recvProb, f.max, n)
-		return &m.romit
+		return m.romit
 	case "omitscript":
-		m.oscript = adversary.OmissionScript{N: n, Plans: f.oscript}
-		return &m.oscript
+		return m.omissions(n, f.oscript)
 	case "mixed":
 		m.script.Plans = f.script
-		m.oscript = adversary.OmissionScript{N: n, Plans: f.oscript}
-		m.mixed = adversary.Combined{Crash: &m.script, Omit: &m.oscript}
+		m.mixed = adversary.Combined{Crash: &m.script, Omit: m.omissions(n, f.oscript)}
 		return &m.mixed
 	default: // "fuzzscript"
 		return m.replay.Adversary(f.fscript)

@@ -1,10 +1,13 @@
 package agree
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 
 	"repro/internal/check"
@@ -47,7 +50,8 @@ type FuzzConfig struct {
 	// consensus properties alone and skip cross-engine checking (the round
 	// engines cannot reproduce timing faults).
 	Latency LatencySpec
-	// Seeds is the number of seeds to fuzz (default 64); seed i is Seed+i.
+	// Seeds is the number of seeds to fuzz (default 64); seed i is Seed+i,
+	// and the last seed must not overflow int64.
 	Seeds int
 	// Seed is the base seed (default 1).
 	Seed int64
@@ -157,27 +161,15 @@ type FuzzReport struct {
 	RoundHistogram map[int]int
 }
 
-// fuzzOutcome carries one seed's result through the worker pool. It holds
-// no view of the worker's fuzz.Runner, which the worker's next seed
-// rewrites: a finding is made of owned values before then.
-type fuzzOutcome struct {
-	executions        int
-	rounds, maxDecide sim.Round
-	faults, omissive  int
-	finding           *FuzzFinding // nil for a passing seed
-	fatal             error
-}
-
-// keep records the outcome of one seed, making what a finding keeps of it —
-// its scripts' text, its verdicts detached from the runner's results, its
-// law class and counts — its own.
-func (o *fuzzOutcome) keep(out *fuzz.Outcome) {
-	o.executions, o.rounds, o.maxDecide = out.Executions, out.Rounds, out.MaxDecideRound
-	o.faults, o.omissive = out.Faults, out.Omissive
-	if out.Err == nil {
-		return
-	}
-	f := &FuzzFinding{Seed: out.Seed, Err: check.Detach(out.Err), Law: laws.Of(out.Err), Script: out.Script.String()}
+// keep records one finding of a worker's seed, making what the report keeps
+// of the runner's outcome — its scripts' text, its verdicts detached from the
+// runner's results, its law class and counts — its own: the worker's next
+// seed rewrites the runner. It returns the finding, in place in the worker's
+// list.
+func (w *fuzzWorker) keep(out *fuzz.Outcome) *FuzzFinding {
+	w.found = append(w.found, FuzzFinding{})
+	f := &w.found[len(w.found)-1]
+	f.Seed, f.Err, f.Law, f.Script = out.Seed, check.Detach(out.Err), laws.Of(out.Err), out.Script.String()
 	if out.Shrunk != nil {
 		f.Shrunk = out.Shrunk.String()
 		f.ShrunkErr = check.Detach(out.ShrunkErr)
@@ -185,7 +177,7 @@ func (o *fuzzOutcome) keep(out *fuzz.Outcome) {
 		f.ShrunkCrashes = out.Shrunk.Crashes()
 		f.ShrunkOmissions = out.Shrunk.Omissions()
 	}
-	o.finding = f
+	return f
 }
 
 // normalizeFuzz validates a campaign config, fills in the defaults, and
@@ -217,6 +209,9 @@ func normalizeFuzz(cfg FuzzConfig) (FuzzConfig, protocol.Spec, error) {
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
+	}
+	if cfg.Seed > 0 && int64(cfg.Seeds-1) > math.MaxInt64-cfg.Seed {
+		return cfg, spec, fmt.Errorf("agree: seed range %d+[0, %d) overflows int64", cfg.Seed, cfg.Seeds)
 	}
 	if !(cfg.CrashProb >= 0 && cfg.CrashProb <= 1) {
 		return cfg, spec, fmt.Errorf("agree: crash probability %g out of [0, 1]", cfg.CrashProb)
@@ -262,12 +257,81 @@ func fuzzFactory(spec protocol.Spec, sys *protocol.Systems, latency LatencySpec)
 // fuzzWorker is what a campaign worker keeps across its seeds: the systems
 // its executions are built in, the factory building them there, made at the
 // worker's first seed, and the runner whose storage every seed reuses, with
-// the last seed's outcome, a view of it.
+// the last seed's outcome, a view of it. Beside them it accumulates its
+// share of the report, which mergeFuzz folds once the pool has drained: the
+// campaign keeps nothing per seed.
 type fuzzWorker struct {
 	sys     protocol.Systems
 	factory fuzz.Factory
 	run     fuzz.Runner
 	out     fuzz.Outcome
+
+	executions        int
+	rounds, maxDecide sim.Round
+	faults, omissive  int
+	hist              []int // passing seeds by their latest decide round
+	found             []FuzzFinding
+	fatal             error // the first, so the lowest-index, fatal error of the worker
+	fatalAt           int
+}
+
+// tally adds a seed's outcome to the worker's summary; a passing seed is
+// counted in the round histogram.
+func (w *fuzzWorker) tally(out *fuzz.Outcome) {
+	w.executions += out.Executions
+	w.rounds, w.maxDecide = max(w.rounds, out.Rounds), max(w.maxDecide, out.MaxDecideRound)
+	w.faults, w.omissive = max(w.faults, out.Faults), max(w.omissive, out.Omissive)
+	if out.Err != nil {
+		return
+	}
+	if d := int(out.MaxDecideRound); d >= len(w.hist) {
+		w.hist = append(w.hist, make([]int, d+1-len(w.hist))...)
+	}
+	w.hist[out.MaxDecideRound]++
+}
+
+// mergeFuzz folds the workers' accumulations into the campaign report: the
+// lowest-index fatal error wins, the findings are sorted into campaign-index
+// order, and the histogram map is built once. The report is the same
+// whichever worker ran which seed.
+func mergeFuzz(seeds int, ws []fuzzWorker) (*FuzzReport, error) {
+	var fatal error
+	fatalAt, findings := 0, 0
+	for i := range ws {
+		w := &ws[i]
+		if w.fatal != nil && (fatal == nil || w.fatalAt < fatalAt) {
+			fatal, fatalAt = w.fatal, w.fatalAt
+		}
+		findings += len(w.found)
+	}
+	if fatal != nil {
+		return nil, fatal
+	}
+	rep := &FuzzReport{Seeds: seeds, RoundHistogram: make(map[int]int)}
+	for i := range ws {
+		w := &ws[i]
+		rep.Executions += w.executions
+		rep.MaxRounds = max(rep.MaxRounds, int(w.rounds))
+		rep.MaxDecideRound = max(rep.MaxDecideRound, int(w.maxDecide))
+		rep.MaxFaults = max(rep.MaxFaults, w.faults)
+		rep.MaxOmissionFaulty = max(rep.MaxOmissionFaulty, w.omissive)
+		for r, k := range w.hist {
+			if k > 0 {
+				rep.RoundHistogram[r] += k
+			}
+		}
+	}
+	if findings == 0 {
+		return rep, nil
+	}
+	rep.Findings = make([]FuzzFinding, 0, findings)
+	for i := range ws {
+		rep.Findings = append(rep.Findings, ws[i].found...)
+	}
+	// Seed i is Seed+i and normalizeFuzz rejects a range whose last seed
+	// overflows, so seed order is campaign-index order.
+	slices.SortFunc(rep.Findings, func(a, b FuzzFinding) int { return cmp.Compare(a.Seed, b.Seed) })
+	return rep, nil
 }
 
 // fuzzOracle returns the consensus oracle with the protocol's round bound.
@@ -288,8 +352,10 @@ func fuzzOracle(cfg FuzzConfig, spec protocol.Spec) fuzz.Oracle {
 // Each worker draws its deterministic engine from a private cache
 // (sim.Engine.Reset reuse, exactly like Sweep) and builds every execution in
 // its own protocol.Systems; seeds are fanned out through the same
-// work-stealing cursor, and outcomes are merged in seed order — the report
-// is bit-identical for every worker count.
+// work-stealing cursor. Each worker sums its seeds' outcomes and keeps its
+// findings, and the workers' shares are merged in seed order once the pool
+// has drained — the report is bit-identical for every worker count. A
+// campaign's memory is O(workers + findings), whatever its seed count.
 func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 	cfg, spec, err := normalizeFuzz(cfg)
 	if err != nil {
@@ -319,15 +385,19 @@ func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 		MaxShrinkRuns: cfg.MaxShrinkRuns,
 	}
 
-	outcomes := make([]fuzzOutcome, cfg.Seeds)
-	harness.ForEach(cfg.Seeds, cfg.Workers, func(cache *harness.Cache, w *fuzzWorker, i int) {
-		slot := &outcomes[i]
+	_, workers := harness.ForEach(cfg.Seeds, cfg.Workers, func(cache *harness.Cache, w *fuzzWorker, i int) {
+		if w.fatal != nil {
+			// The worker's later seeds cannot hold the campaign's first fatal.
+			return
+		}
 		if w.factory == nil {
 			w.factory = fuzzFactory(spec, &w.sys, cfg.Latency)
+			// A run within the crash model decides by round t+1.
+			w.hist = make([]int, 0, spec.T+2)
 		}
 		eng, err := cache.Get(harness.Kind(cfg.Engine))
 		if err != nil {
-			slot.fatal = err
+			w.fatal, w.fatalAt = err, i
 			return
 		}
 		seed := cfg.Seed + int64(i)
@@ -338,13 +408,18 @@ func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 		pprof.Do(context.Background(),
 			pprof.Labels("engine", string(cfg.Engine), "seed", strconv.FormatInt(seed, 10)),
 			func(context.Context) {
-				w.out, slot.fatal = w.run.Run(eng, w.factory, oracle, seed, opts)
+				w.out, w.fatal = w.run.Run(eng, w.factory, oracle, seed, opts)
 			})
-		if slot.fatal != nil {
+		if w.fatal != nil {
+			w.fatalAt = i
 			return
 		}
-		slot.keep(&w.out)
-		if slot.finding == nil || !cfg.CrossCheck || !cfg.Latency.withinBound() {
+		w.tally(&w.out)
+		if w.out.Err == nil {
+			return
+		}
+		f := w.keep(&w.out)
+		if !cfg.CrossCheck || !cfg.Latency.withinBound() {
 			return
 		}
 		script := w.out.Script
@@ -352,28 +427,10 @@ func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 			script = *w.out.Shrunk
 		}
 		var runs int
-		slot.finding.CrossChecked, runs, slot.finding.CrossCheckErr = crossCheckScript(cache, w.factory, script)
-		slot.executions += runs
+		f.CrossChecked, runs, f.CrossCheckErr = crossCheckScript(cache, w.factory, script)
+		w.executions += runs
 	})
-
-	rep := &FuzzReport{Seeds: cfg.Seeds, RoundHistogram: make(map[int]int)}
-	for i := range outcomes {
-		slot := &outcomes[i]
-		if slot.fatal != nil {
-			return nil, slot.fatal
-		}
-		rep.Executions += slot.executions
-		rep.MaxRounds = max(rep.MaxRounds, int(slot.rounds))
-		rep.MaxDecideRound = max(rep.MaxDecideRound, int(slot.maxDecide))
-		rep.MaxFaults = max(rep.MaxFaults, slot.faults)
-		rep.MaxOmissionFaulty = max(rep.MaxOmissionFaulty, slot.omissive)
-		if slot.finding == nil {
-			rep.RoundHistogram[int(slot.maxDecide)]++
-			continue
-		}
-		rep.Findings = append(rep.Findings, *slot.finding)
-	}
-	return rep, nil
+	return mergeFuzz(cfg.Seeds, workers)
 }
 
 // FuzzReplayReport is the outcome of replaying one script via

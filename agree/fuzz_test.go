@@ -2,7 +2,9 @@ package agree_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -225,6 +227,30 @@ func TestFuzzConfigValidation(t *testing.T) {
 	if _, err := agree.FuzzReplayScript(agree.FuzzConfig{N: 4, Protocol: "bogus"}, "", false); err == nil {
 		t.Error("replay accepted an unknown protocol")
 	}
+	// Seed i is Seed+i: a range past math.MaxInt64 is an error, not a panic
+	// or seeds wrapped negative.
+	for _, cfg := range []agree.FuzzConfig{
+		{N: 4, Seed: 2, Seeds: math.MaxInt},
+		{N: 4, Seed: math.MaxInt64 - 2, Seeds: 40},
+	} {
+		if _, err := agree.Fuzz(cfg); err == nil {
+			t.Errorf("accepted seeds %d+[0, %d), past math.MaxInt64", cfg.Seed, cfg.Seeds)
+		}
+	}
+	// A range may end at math.MaxInt64 itself.
+	last := agree.FuzzConfig{N: 4, Seed: math.MaxInt64 - 39, Seeds: 40, CommitAsData: true, CrashProb: 0.35}
+	rep, err := agree.Fuzz(last)
+	if err != nil {
+		t.Fatalf("seeds ending at math.MaxInt64: %v", err)
+	}
+	if len(rep.Findings) == 0 {
+		t.Fatal("no findings on the commit-as-data ablation; the seed check is vacuous")
+	}
+	for _, f := range rep.Findings {
+		if f.Seed < last.Seed {
+			t.Errorf("finding at seed %d, outside %d+[0, %d)", f.Seed, last.Seed, last.Seeds)
+		}
+	}
 }
 
 // TestReplayFaultsValidation covers script-level rejection at Run time.
@@ -309,8 +335,8 @@ func TestFuzzAllocsPerExec(t *testing.T) {
 			}
 		}
 	}) / float64(execs)
-	// Measured 1.72 (1.73 under -race).
-	const maxPerExec = 1.85
+	// Measured 1.69 (1.70 under -race).
+	const maxPerExec = 1.82
 	if perExec > maxPerExec {
 		t.Errorf("fuzz campaigns allocate %.2f allocs/exec over %d executions, want <= %.2f", perExec, execs, maxPerExec)
 	}
@@ -367,5 +393,60 @@ func TestFuzzKeptVerdictsRenderTheirOwnRun(t *testing.T) {
 	}
 	if len(distinct) < 2 {
 		t.Errorf("every finding renders %v: a stale verdict would go unnoticed", distinct)
+	}
+}
+
+// campaignCost returns the heap allocations and bytes one campaign makes,
+// read from the runtime's cumulative counters around the call.
+func campaignCost(t *testing.T, cfg agree.FuzzConfig) (allocs, bytes uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep, err := agree.Fuzz(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Findings) != 0 {
+		t.Fatalf("%d findings on a faithful campaign", len(rep.Findings))
+	}
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestFuzzCampaignMemoryFlatInSeeds pins what a campaign's memory grows by
+// with its seed count: a passing seed allocates its profiling labels (4
+// allocations, 140 B; 152 B under -race) and nothing else, so ten thousand
+// more seeds of a faithful n=16 campaign cost at most 4 allocations and
+// 144 B each (156 under -race), on one worker and on two. The seeds start
+// at 1000, so every seed's label renders its decimal text. What a campaign
+// pays whatever its length (each worker's runner, systems and engine
+// growing, the pool, the report) is pinned too: 34 allocations on one
+// worker (38 under -race) and at most 64 on two (72), as which worker's
+// runner grows to which seed's size depends on scheduling.
+func TestFuzzCampaignMemoryFlatInSeeds(t *testing.T) {
+	const short, long = 1000, 11000
+	for _, tc := range []struct{ workers, maxFixed, raceFixed int }{{1, 34, 38}, {2, 64, 72}} {
+		cfg := agree.FuzzConfig{N: 16, T: 5, CrashProb: 0.25, Laws: true, Seed: 1000, Workers: tc.workers}
+		cfg.Seeds = short
+		campaignCost(t, cfg) // warm the process-wide tables
+		shortAllocs, shortBytes := campaignCost(t, cfg)
+		cfg.Seeds = long
+		longAllocs, longBytes := campaignCost(t, cfg)
+		perSeedBytes := float64(longBytes-shortBytes) / (long - short)
+		perSeedAllocs := float64(longAllocs-shortAllocs) / (long - short)
+		fixed := int(shortAllocs) - 4*short
+		maxBytes, maxFixed := 144.0, tc.maxFixed
+		if raceEnabled {
+			maxBytes, maxFixed = 156, tc.raceFixed
+		}
+		if perSeedBytes > maxBytes {
+			t.Errorf("workers=%d: %.1f B per extra passing seed, want <= %g (the labels)", tc.workers, perSeedBytes, maxBytes)
+		}
+		if perSeedAllocs > 4.005 {
+			t.Errorf("workers=%d: %.3f allocs per extra passing seed, want 4 (the labels)", tc.workers, perSeedAllocs)
+		}
+		if fixed > maxFixed {
+			t.Errorf("workers=%d: %d allocations per campaign beyond its seeds' labels, want <= %d", tc.workers, fixed, maxFixed)
+		}
 	}
 }

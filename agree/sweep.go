@@ -108,7 +108,7 @@ func Sweep(configs []Config, opts SweepOptions) *SweepReport {
 	sr := &SweepReport{Items: make([]SweepItem, len(configs))}
 	prof := opts.Profile
 	order := largestFirst(configs)
-	stats := harness.ForEachProf(len(configs), opts.Workers, prof, func(cache *harness.Cache, w *worker, j int) {
+	stats, _ := harness.ForEachProf(len(configs), opts.Workers, prof, func(cache *harness.Cache, w *worker, j int) {
 		i := order[j]
 		item := &sr.Items[i]
 		item.Config = configs[i]
@@ -180,18 +180,31 @@ type worker struct {
 // neither. It lives apart from the worker: agree.Run's worker stays on the
 // stack only while nothing the engine keeps points into it.
 type models struct {
-	coord   adversary.CoordinatorKiller
-	seeded  adversary.Seeded
-	random  adversary.FromChooser
-	script  adversary.Script
-	romit   adversary.RandomOmission
-	oscript adversary.OmissionScript
+	coord  adversary.CoordinatorKiller
+	seeded adversary.Seeded
+	random adversary.FromChooser
+	script adversary.Script
+	// The omission models are allocated by the first job needing each, so
+	// their mask arenas stay off the workers of crash-only sweeps.
+	romit   *adversary.RandomOmission
+	oscript *adversary.OmissionScript
 	mixed   adversary.Combined
 	replay  fuzz.Replayer
 
 	fixed   timed.Fixed
 	profile timed.Profile
 	jitter  timed.Jitter
+}
+
+// omissions rearms the worker's omission script for an n-process job,
+// allocating it on first use.
+func (m *models) omissions(n int, plans map[sim.ProcID][]adversary.OmissionPlan) *adversary.OmissionScript {
+	if m.oscript == nil {
+		m.oscript = new(adversary.OmissionScript)
+	}
+	m.oscript.N, m.oscript.Plans = n, plans
+	m.oscript.Reset()
+	return m.oscript
 }
 
 // store returns the worker's model storage, allocating it on first use.

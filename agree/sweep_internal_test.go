@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/check"
 	"repro/internal/fuzz"
 	"repro/internal/harness"
 	"repro/internal/metrics"
@@ -140,34 +141,46 @@ var reportSink *Report
 
 // TestSweptConfigAllocatesOnlyItsReport pins a swept config's floor exactly:
 // on a warmed worker (engine, systems, proposal vector and model storage
-// grown), runConfig for a coordinator-crash, a scripted and a timed jitter
-// config allocates what its public report is made of, the Report and the
-// maps outcomeMaps builds, and nothing else: not its adversary, not its
-// latency model, not its engine run.
+// grown), runConfig for a coordinator-crash, a scripted crash, a timed
+// jitter, a random omission and a scripted omission config allocates what
+// its public report is made of, the Report and the maps outcomeMaps builds,
+// and nothing else: not its adversary or the delivery masks it hands out,
+// not its latency model, not its engine run.
 func TestSweptConfigAllocatesOnlyItsReport(t *testing.T) {
 	cache := harness.NewCache()
 	defer cache.Close()
 	var w worker
 	for _, tc := range []struct {
-		name string
-		cfg  Config
+		name     string
+		cfg      Config
+		violates bool // the report keeps a detached agreement violation
 	}{
-		{"coordinator", Config{N: 32, Faults: CoordinatorCrashes(4)}},
+		{"coordinator", Config{N: 32, Faults: CoordinatorCrashes(4)}, false},
 		{"scripted", Config{N: 32, Faults: ScriptedFaults(map[int]CrashPlan{
 			1: {Round: 1},
 			2: {Round: 2, DeliverAllData: true, CtrlPrefix: 3},
 			3: {Round: 3, DataMask: slices.Repeat([]bool{true, false}, 16)},
-		})}},
+		})}, false},
 		{"jitter", Config{N: 32, Engine: EngineTimed, Latency: JitterLatency(7, 1, 0.1, 0.1, 0.85),
-			Faults: CoordinatorCrashes(4)}},
+			Faults: CoordinatorCrashes(4)}, false},
+		// Omissions break the reliable channels the paper assumes, and with
+		// them agreement.
+		{"random-omission", Config{N: 16, Faults: OmissionFaults(3, 0.3, 0.2, 4)}, true},
+		{"scripted-omission", Config{N: 16, Faults: ScriptedOmissions(map[int][]OmissionPlan{
+			1: {{Round: 1, SendData: []bool{true, false, true}}},
+			2: {{Round: 1, DropAllRecv: true}, {Round: 2, Recv: slices.Repeat([]bool{false, true}, 8)}},
+		})}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, res, err := runConfig(tc.cfg, cache, &w, nil)
+			rep, res, err := runConfig(tc.cfg, cache, &w, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if (rep.ConsensusErr != nil) != tc.violates {
+				t.Fatalf("consensus verdict %v, want a violation: %v", rep.ConsensusErr, tc.violates)
+			}
 			report := testing.AllocsPerRun(50, func() {
-				reportSink = &Report{}
+				reportSink = &Report{ConsensusErr: check.Detach(check.Consensus(w.props, res))}
 				reportSink.Decisions, reportSink.DecideRound, reportSink.Crashed, reportSink.Omissive = outcomeMaps(res, 1)
 			})
 			got := testing.AllocsPerRun(50, func() {
@@ -175,8 +188,8 @@ func TestSweptConfigAllocatesOnlyItsReport(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if rep.ConsensusErr != nil {
-					t.Fatal(rep.ConsensusErr)
+				if (rep.ConsensusErr != nil) != tc.violates {
+					t.Fatalf("consensus verdict %v on a rerun, want a violation: %v", rep.ConsensusErr, tc.violates)
 				}
 			})
 			if got != report {

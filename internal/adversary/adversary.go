@@ -422,12 +422,12 @@ func (a *OmittingFromChooser) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan
 	var om sim.Omission
 	if k := len(plan.Data) + len(plan.Control); k > 0 && a.eventLeft() && a.C.Choose(SendOmitGate, 2) == 1 {
 		a.omitted++
-		send := a.dropSubset(a.allTrue(k), -1)
+		send := a.dropSubset(allTrue(&a.masks, k), -1)
 		om.Data, om.Ctrl = send[:len(plan.Data):len(plan.Data)], send[len(plan.Data):]
 	}
 	if a.Procs > 1 && a.eventLeft() && a.C.Choose(RecvOmitGate, 2) == 1 {
 		a.omitted++
-		om.Recv = a.dropSubset(a.allTrue(a.Procs), int(p)-1)
+		om.Recv = a.dropSubset(allTrue(&a.masks, a.Procs), int(p)-1)
 	}
 	if om.IsZero() {
 		return om
@@ -439,16 +439,6 @@ func (a *OmittingFromChooser) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan
 		a.Observe.ObserveOmission(p, r, om)
 	}
 	return om
-}
-
-// allTrue carves a delivered-mask of k entries, every message delivered,
-// from the run's arena.
-func (a *OmittingFromChooser) allTrue(k int) []bool {
-	mask := a.masks.Carve(k)
-	for i := range mask {
-		mask[i] = true
-	}
-	return mask
 }
 
 // eventLeft reports whether OmissionBudget allows another omission event.

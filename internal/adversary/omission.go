@@ -46,39 +46,64 @@ type OmissionPlan struct {
 }
 
 // omission materializes the plan against a concrete send plan, for a system
-// of n processes.
-func (op OmissionPlan) omission(plan sim.SendPlan, n int) sim.Omission {
+// of n processes, carving its masks from the run's arena.
+func (op OmissionPlan) omission(plan sim.SendPlan, n int, masks *Masks) sim.Omission {
 	var om sim.Omission
 	if op.DropAllSend {
-		om.Data = make([]bool, len(plan.Data))
-		om.Ctrl = make([]bool, len(plan.Control))
+		om.Data = carveMask(masks, len(plan.Data))
+		om.Ctrl = carveMask(masks, len(plan.Control))
 	} else {
 		if op.SendData != nil {
-			om.Data = sim.DeliveredMask(op.SendData, len(plan.Data))
+			om.Data = delivered(masks, op.SendData, len(plan.Data))
 		}
 		if op.SendCtrl != nil {
-			om.Ctrl = sim.DeliveredMask(op.SendCtrl, len(plan.Control))
+			om.Ctrl = delivered(masks, op.SendCtrl, len(plan.Control))
 		}
 	}
 	switch {
 	case op.DropAllRecv:
-		om.Recv = make([]bool, n)
-	case op.Recv != nil:
-		om.Recv = append([]bool(nil), op.Recv...)
+		om.Recv = carveMask(masks, n)
+	case len(op.Recv) > 0:
+		om.Recv = masks.Carve(len(op.Recv))
+		copy(om.Recv, op.Recv)
 	}
 	return om
+}
+
+// carveMask carves a zeroed mask of k entries, every message dropped. It is
+// never nil, even for k = 0: a nil mask would mean "nothing omitted".
+func carveMask(masks *Masks, k int) []bool {
+	if mask := masks.Carve(k); mask != nil {
+		return mask
+	}
+	return []bool{}
+}
+
+// delivered carves a delivered-mask of k entries from a positional one, the
+// positions it misses delivered: the padding rule fuzz-script replay applies
+// too.
+func delivered(masks *Masks, mask []bool, k int) []bool {
+	out := carveMask(masks, k)
+	for i := range out {
+		out[i] = i >= len(mask) || mask[i]
+	}
+	return out
 }
 
 // OmissionScript injects omission faults according to explicit per-process
 // plans; it never crashes anybody. A process may have plans in several rounds
 // (omissions, unlike crashes, are repeatable); the first plan matching the
 // round applies. As a pure function of (process, round, plan) it is
-// order-insensitive and replays identically on every engine.
+// order-insensitive and replays identically on every engine. Its masks are
+// regions of an arena of its own: Reset rewinds it before the script
+// serves another run.
 type OmissionScript struct {
 	// N is the number of processes (needed to materialize DropAllRecv).
 	N int
 	// Plans maps each omission-faulty process to its per-round plans.
 	Plans map[sim.ProcID][]OmissionPlan
+
+	masks Masks
 }
 
 // NewOmissionScript builds a scripted omission adversary for an n-process
@@ -86,6 +111,10 @@ type OmissionScript struct {
 func NewOmissionScript(n int, plans map[sim.ProcID][]OmissionPlan) *OmissionScript {
 	return &OmissionScript{N: n, Plans: plans}
 }
+
+// Reset readies the script for another run: it rewinds the mask arena,
+// keeping its storage.
+func (s *OmissionScript) Reset() { s.masks.Reset() }
 
 // Crashes implements sim.Adversary: a pure omission script crashes nobody.
 func (s *OmissionScript) Crashes(sim.ProcID, sim.Round, sim.SendPlan) (bool, sim.CrashOutcome) {
@@ -96,7 +125,7 @@ func (s *OmissionScript) Crashes(sim.ProcID, sim.Round, sim.SendPlan) (bool, sim
 func (s *OmissionScript) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim.Omission {
 	for _, op := range s.Plans[p] {
 		if op.Round == r {
-			return op.omission(plan, s.N)
+			return op.omission(plan, s.N, &s.masks)
 		}
 	}
 	return sim.Omission{}
@@ -130,6 +159,7 @@ type RandomOmission struct {
 	N         int
 
 	faulty map[sim.ProcID]bool
+	masks  Masks // the run's delivery masks, rewound by Reset
 }
 
 // NewRandomOmission builds a seeded random omission adversary for an
@@ -143,13 +173,14 @@ func NewRandomOmission(seed int64, sendProb, recvProb float64, maxFaulty, n int)
 }
 
 // Reset rearms the adversary as NewRandomOmission would build it, keeping
-// the storage of its faulty set.
+// the storage of its faulty set and its mask arena.
 func (a *RandomOmission) Reset(seed int64, sendProb, recvProb float64, maxFaulty, n int) {
 	a.rng, a.SendProb, a.RecvProb, a.MaxFaulty, a.N = rng.New(seed), sendProb, recvProb, maxFaulty, n
 	if a.faulty == nil {
 		a.faulty = make(map[sim.ProcID]bool)
 	}
 	clear(a.faulty)
+	a.masks.Reset()
 }
 
 // Crashes implements sim.Adversary: a pure omission adversary crashes nobody.
@@ -167,7 +198,7 @@ func (a *RandomOmission) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim
 	for i := range plan.Data {
 		if a.rng.Float64() < a.SendProb {
 			if om.Data == nil {
-				om.Data = allTrue(len(plan.Data))
+				om.Data = allTrue(&a.masks, len(plan.Data))
 			}
 			om.Data[i] = false
 			dropped = true
@@ -176,7 +207,7 @@ func (a *RandomOmission) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim
 	for i := range plan.Control {
 		if a.rng.Float64() < a.SendProb {
 			if om.Ctrl == nil {
-				om.Ctrl = allTrue(len(plan.Control))
+				om.Ctrl = allTrue(&a.masks, len(plan.Control))
 			}
 			om.Ctrl[i] = false
 			dropped = true
@@ -189,7 +220,7 @@ func (a *RandomOmission) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim
 			}
 			if a.rng.Float64() < a.RecvProb {
 				if om.Recv == nil {
-					om.Recv = allTrue(a.N)
+					om.Recv = allTrue(&a.masks, a.N)
 				}
 				om.Recv[q-1] = false
 				dropped = true
@@ -206,9 +237,9 @@ func (a *RandomOmission) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim
 // Faulty returns how many distinct processes have committed omission faults.
 func (a *RandomOmission) Faulty() int { return len(a.faulty) }
 
-// allTrue returns a delivered-mask of length k with every message delivered.
-func allTrue(k int) []bool {
-	out := make([]bool, k)
+// allTrue carves a delivered-mask of k entries, every message delivered.
+func allTrue(masks *Masks, k int) []bool {
+	out := masks.Carve(k)
 	for i := range out {
 		out[i] = true
 	}

@@ -198,13 +198,23 @@ type omittingMapReplayer struct{ *mapReplayer }
 func (r omittingMapReplayer) Omits(p sim.ProcID, rd sim.Round, plan sim.SendPlan) sim.Omission {
 	var om sim.Omission
 	if e, ok := r.sendOmit[[2]int{int(p), int(rd)}]; ok {
-		om.Data = sim.DeliveredMask(e.Data, len(plan.Data))
-		om.Ctrl = sim.DeliveredMask(e.CtrlMask, len(plan.Control))
+		om.Data = deliveredMask(e.Data, len(plan.Data))
+		om.Ctrl = deliveredMask(e.CtrlMask, len(plan.Control))
 	}
 	if e, ok := r.recvOmit[[2]int{int(p), int(rd)}]; ok {
 		om.Recv = append([]bool(nil), e.From...)
 	}
 	return om
+}
+
+// deliveredMask pads a positional delivered-mask to length k, its missing
+// positions delivered: the rule every omission spec layer shares.
+func deliveredMask(mask []bool, k int) []bool {
+	out := make([]bool, k)
+	for i := range out {
+		out[i] = i >= len(mask) || mask[i]
+	}
+	return out
 }
 
 // randomMask returns a mask of length k with each position true with

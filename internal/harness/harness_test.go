@@ -2,6 +2,7 @@ package harness_test
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -259,24 +260,31 @@ func TestLockstepAdapterRejectsTrace(t *testing.T) {
 }
 
 // TestForEachCoversAllIndicesDeterministically checks every index is
-// visited exactly once for any worker count, and that each worker owns a
-// private cache and a private state that persists across its jobs.
+// visited exactly once for any worker count, that each worker owns a
+// private cache and a private state that persists across its jobs and sees
+// its indices in ascending order, and that ForEach hands those states back,
+// one per worker.
 func TestForEachCoversAllIndicesDeterministically(t *testing.T) {
 	const n = 100
+	type state struct{ jobs, last int }
 	for _, workers := range []int{0, 1, 2, 4, 8, 200} {
 		visits := make([]int, n)
 		var mu sync.Mutex
 		caches := map[*harness.Cache]bool{}
-		owner := map[*int]*harness.Cache{} // worker state -> its worker's cache
-		harness.ForEach(n, workers, func(c *harness.Cache, jobs *int, i int) {
-			*jobs++ // unsynchronized: the state belongs to this worker alone
+		owner := map[*state]*harness.Cache{} // worker state -> its worker's cache
+		_, states := harness.ForEach(n, workers, func(c *harness.Cache, w *state, i int) {
+			// Unsynchronized: the state belongs to this worker alone.
+			if w.jobs > 0 && i <= w.last {
+				t.Errorf("workers=%d: index %d after %d on one worker", workers, i, w.last)
+			}
+			w.jobs, w.last = w.jobs+1, i
 			mu.Lock()
 			visits[i]++
 			caches[c] = true
-			if prev, ok := owner[jobs]; ok && prev != c {
+			if prev, ok := owner[w]; ok && prev != c {
 				t.Errorf("workers=%d: one worker state seen with two caches", workers)
 			}
-			owner[jobs] = c
+			owner[w] = c
 			mu.Unlock()
 		})
 		for i, v := range visits {
@@ -288,16 +296,35 @@ func TestForEachCoversAllIndicesDeterministically(t *testing.T) {
 			t.Errorf("workers=%d: %d caches for %d jobs", workers, len(caches), n)
 		}
 		total := 0
-		for jobs := range owner {
-			total += *jobs
+		for w := range owner {
+			total += w.jobs
 		}
 		if total != n || len(owner) != len(caches) {
 			t.Errorf("workers=%d: %d worker states counted %d jobs over %d caches, want one state per cache and %d jobs",
 				workers, len(owner), total, len(caches), n)
 		}
+		want := workers
+		if want <= 0 {
+			want = runtime.GOMAXPROCS(0)
+		}
+		if len(states) != min(want, n) {
+			t.Errorf("workers=%d: %d states handed back, want %d", workers, len(states), min(want, n))
+		}
+		returned := 0
+		for k := range states {
+			if _, ok := owner[&states[k]]; !ok && states[k].jobs > 0 {
+				t.Errorf("workers=%d: state %d handed back is not a worker's", workers, k)
+			}
+			returned += states[k].jobs
+		}
+		if returned != n {
+			t.Errorf("workers=%d: the states handed back counted %d jobs, want %d", workers, returned, n)
+		}
 	}
 	// n = 0 must be a no-op, not a hang.
-	harness.ForEach(0, 4, func(*harness.Cache, *struct{}, int) { t.Error("fn called for empty batch") })
+	if _, states := harness.ForEach(0, 4, func(*harness.Cache, *struct{}, int) { t.Error("fn called for empty batch") }); states != nil {
+		t.Errorf("empty batch handed back %d states", len(states))
+	}
 }
 
 // TestCacheReturnsSameEngine checks Get memoizes per kind.

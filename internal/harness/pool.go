@@ -75,15 +75,20 @@ func (c *Cache) Close() {
 // kept across its jobs: what a caller reuses between jobs, such as the
 // systems under test, lives there.
 // Indices are handed out through an atomic cursor, so scheduling is
-// work-stealing; callers that write result slots by index get output in
-// deterministic input order regardless of the worker count. workers <= 0
-// means GOMAXPROCS; a pool of one (or a batch of one) runs inline on the
-// calling goroutine with no synchronization.
+// work-stealing, but each worker takes its indices in ascending order.
+// Callers that write result slots by index get output in deterministic
+// input order regardless of the worker count. workers <= 0 means
+// GOMAXPROCS; a pool of one (or a batch of one) runs inline on the calling
+// goroutine with no synchronization.
 //
-// The returned PoolStats aggregate engine construction and reuse over all
-// workers. They are the only worker-count-dependent output: a pool of w
-// workers builds up to w engines per kind touched.
-func ForEach[W any](n, workers int, fn func(c *Cache, w *W, i int)) PoolStats {
+// ForEach returns once every worker has drained and closed its cache. The
+// returned PoolStats aggregate engine construction and reuse over all
+// workers; the returned states are the workers' own, one per worker, as
+// their last jobs left them, so a caller may accumulate per worker and
+// merge once instead of keeping a slot per index. Both depend on the worker
+// count: a pool of w workers builds up to w engines per kind touched, and
+// which indices a state saw depends on scheduling.
+func ForEach[W any](n, workers int, fn func(c *Cache, w *W, i int)) (PoolStats, []W) {
 	return ForEachProf(n, workers, nil, fn)
 }
 
@@ -94,9 +99,9 @@ func ForEach[W any](n, workers int, fn func(c *Cache, w *W, i int)) PoolStats {
 // (run, audit, cross-check) are charged by the callback itself; see
 // agree.SweepOptions.Profile. A nil prof takes the exact ForEach path with no
 // clock reads.
-func ForEachProf[W any](n, workers int, prof *telemetry.Profile, fn func(c *Cache, w *W, i int)) PoolStats {
+func ForEachProf[W any](n, workers int, prof *telemetry.Profile, fn func(c *Cache, w *W, i int)) (PoolStats, []W) {
 	if n <= 0 {
-		return PoolStats{}
+		return PoolStats{}, nil
 	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -104,19 +109,11 @@ func ForEachProf[W any](n, workers int, prof *telemetry.Profile, fn func(c *Cach
 	if workers > n {
 		workers = n
 	}
-	body := fn
-	if prof.Enabled() {
-		body = func(c *Cache, w *W, i int) {
-			t0 := time.Now()
-			fn(c, w, i)
-			// Negative queue-wait is impossible: fn time is subtracted from
-			// the worker's wall time measured around the whole drain loop.
-			prof.Add(telemetry.PhaseQueueWait, -time.Since(t0))
-		}
-	}
+	body := chargeQueueWait(prof, fn)
+	states := make([]W, workers)
 	if workers == 1 {
 		start := time.Now()
-		c, w := NewCache(), new(W)
+		c, w := NewCache(), &states[0]
 		defer c.Close()
 		for i := 0; i < n; i++ {
 			body(c, w, i)
@@ -124,31 +121,32 @@ func ForEachProf[W any](n, workers int, prof *telemetry.Profile, fn func(c *Cach
 		if prof.Enabled() {
 			prof.Add(telemetry.PhaseQueueWait, time.Since(start))
 		}
-		return c.Stats()
+		return c.Stats(), states
 	}
-	var (
+	// One shared record, so the workers' closures capture one pointer.
+	var pool struct {
 		next  atomic.Int64
 		wg    sync.WaitGroup
 		mu    sync.Mutex
 		total PoolStats
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	}
+	for k := range states {
+		pool.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer pool.wg.Done()
 			start := time.Now()
-			c, w := NewCache(), new(W)
+			c, w := NewCache(), &states[k]
 			defer func() {
 				if prof.Enabled() {
 					prof.Add(telemetry.PhaseQueueWait, time.Since(start))
 				}
-				mu.Lock()
-				total.add(c.Stats())
-				mu.Unlock()
+				pool.mu.Lock()
+				pool.total.add(c.Stats())
+				pool.mu.Unlock()
 				c.Close()
 			}()
 			for {
-				i := int(next.Add(1)) - 1
+				i := int(pool.next.Add(1)) - 1
 				if i >= n {
 					return
 				}
@@ -156,6 +154,21 @@ func ForEachProf[W any](n, workers int, prof *telemetry.Profile, fn func(c *Cach
 			}
 		}()
 	}
-	wg.Wait()
-	return total
+	pool.wg.Wait()
+	return pool.total, states
+}
+
+// chargeQueueWait returns fn, wrapped to take the time inside each job back
+// off the worker's queue-wait when prof is enabled.
+func chargeQueueWait[W any](prof *telemetry.Profile, fn func(c *Cache, w *W, i int)) func(c *Cache, w *W, i int) {
+	if !prof.Enabled() {
+		return fn
+	}
+	return func(c *Cache, w *W, i int) {
+		t0 := time.Now()
+		fn(c, w, i)
+		// Negative queue-wait is impossible: fn time is subtracted from
+		// the worker's wall time measured around the whole drain loop.
+		prof.Add(telemetry.PhaseQueueWait, -time.Since(t0))
+	}
 }

@@ -289,18 +289,6 @@ func (o Omission) ValidFor(plan SendPlan) bool {
 	return true
 }
 
-// DeliveredMask materializes a positional delivered-mask to length k with
-// missing positions delivered — the padding rule every omission spec layer
-// (scripted adversaries, fuzz-script replay) shares, load-bearing for
-// cross-layer replay fidelity.
-func DeliveredMask(mask []bool, k int) []bool {
-	out := make([]bool, k)
-	for i := range out {
-		out[i] = i >= len(mask) || mask[i]
-	}
-	return out
-}
-
 // Omitter is an optional extension of Adversary for send/receive-omission
 // faults. Engines consult it once per alive, unhalted process per round,
 // immediately after Crashes returned false (a crashing process's truncation
