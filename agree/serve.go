@@ -25,8 +25,9 @@ import (
 // specs (fixed, Poisson, bursty) model an external arrival stream that does
 // not react to service latency; the closed spec models a finite client
 // population where each client waits for its previous command to commit,
-// thinks, and submits the next. All sampling is deterministic per seed
-// (SplitMix64), so a service run replays bit-identically.
+// thinks, and submits the next. Rates must be positive and finite. All
+// sampling is deterministic per seed (SplitMix64), so a service run
+// replays bit-identically.
 type WorkloadSpec struct {
 	kind      string
 	rate      float64
@@ -107,7 +108,10 @@ type ServeOmissions struct {
 	Seed int64
 }
 
-// ServeConfig configures a replicated-log service run.
+// ServeConfig configures a replicated-log service run. A run's memory is
+// O(committed commands) whatever the arrival rate: commands wait in their
+// arrival stream until a slot's batch takes them. Only an unbounded batch
+// (BatchLimit 0) under overload makes the backlog a slot's footprint.
 type ServeConfig struct {
 	// N is the number of replicas (required).
 	N int
@@ -138,7 +142,8 @@ type ServeConfig struct {
 	Duration float64
 	// MaxSlots bounds the number of slots.
 	MaxSlots int
-	// BatchLimit caps the commands committed per slot (0 = unbounded).
+	// BatchLimit caps the commands committed per slot (0 = unbounded, so a
+	// slot takes every command that has arrived by its launch).
 	BatchLimit int
 	// NoPipeline launches each slot only after the previous one committed;
 	// the default overlaps instances one round duration apart.

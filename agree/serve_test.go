@@ -169,6 +169,10 @@ func TestServeConfigValidation(t *testing.T) {
 			Workload: agree.FixedArrivals(1, 0), MaxCommands: 1}, "not"},
 		{"no workload", agree.ServeConfig{N: 4, MaxCommands: 1}, "workload"},
 		{"bad rate", agree.ServeConfig{N: 4, Workload: agree.FixedArrivals(0, 0), MaxCommands: 1}, "rate"},
+		{"infinite poisson rate", agree.ServeConfig{N: 4, Workload: agree.PoissonArrivals(math.Inf(1), 0),
+			BatchLimit: 32, MaxCommands: 10}, "poisson arrival rate +Inf must be finite"},
+		{"infinite burst rate", agree.ServeConfig{N: 4, Workload: agree.BurstyArrivals(1, math.Inf(1), 1, 1, 0),
+			MaxCommands: 10}, "phase 1 rate +Inf must be finite"},
 		{"no stop", agree.ServeConfig{N: 4, Workload: agree.FixedArrivals(1, 0)}, "stop condition"},
 		{"bad latency", agree.ServeConfig{N: 4, Workload: agree.FixedArrivals(1, 0), MaxCommands: 1,
 			Latency: agree.FixedLatency(-1, 0)}, "positive"},

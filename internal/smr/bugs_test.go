@@ -60,28 +60,41 @@ func TestCommandRangeChecks(t *testing.T) {
 
 // TestServeAllocsPerSlot gates the reuse path in allocation terms: every
 // slot of a service runs on the one engine its cache built and resets the
-// session's one consensus instance, and the engine recycles its result, so a
-// slot itself allocates nothing: the 0.86 per slot at n=8 on the round engine
-// for CRW (0.98 for earlystop) is the session's set-up spread over its
-// slots, against the ~170 of constructing an n=8 engine per slot or the 9.8
-// of rebuilding the instance.
+// session's one consensus instance, the engine recycles its result, and a
+// batch pops straight into the latency buffer, so a slot itself allocates
+// nothing: the 0.72 per slot at n=8 on the round engine (either protocol,
+// closed loop) and the 0.64 of an open-loop Poisson session are the
+// session's set-up spread over its slots, against the ~170 of constructing
+// an n=8 engine per slot or the 9.8 of rebuilding the instance.
 func TestServeAllocsPerSlot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
 	}
 	const slots = 50
 	for _, c := range []struct {
+		name  string
 		proto smr.Protocol
+		open  bool
 		pin   float64
-	}{{smr.ProtocolCRW, 0.86}, {smr.ProtocolEarlyStop, 0.98}} {
-		t.Run(string(c.proto), func(t *testing.T) {
+	}{
+		{"crw", smr.ProtocolCRW, false, 0.72},
+		{"earlystop", smr.ProtocolEarlyStop, false, 0.72},
+		{"open-loop", smr.ProtocolCRW, true, 0.64},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			avg := testing.AllocsPerRun(10, func() {
-				clients, err := workload.NewClosed(8, 0, false, 0)
+				opts := smr.ServeOptions{N: 8, Protocol: c.proto, Engine: harness.KindDeterministic, MaxSlots: slots}
+				var err error
+				if c.open {
+					opts.Arrivals, err = workload.NewOpen(workload.Poisson{Rate: 40}, 0)
+					opts.BatchLimit = 32
+				} else {
+					opts.Clients, err = workload.NewClosed(8, 0, false, 0)
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := smr.Serve(smr.ServeOptions{N: 8, Protocol: c.proto, Engine: harness.KindDeterministic,
-					Clients: clients, MaxSlots: slots}); err != nil {
+				if _, err := smr.Serve(opts); err != nil {
 					t.Fatal(err)
 				}
 			})

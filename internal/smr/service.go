@@ -18,9 +18,10 @@ package smr
 // nothing, indistinguishable within an instance from having died earlier).
 //
 // A session costs only its simulation: it resets one consensus instance per
-// slot instead of building one, refills one permutation buffer, keeps one
-// adversary, and finds its latency percentiles by in-place selection over
-// one buffer (stats.Percentiles) instead of sorting copies.
+// slot, refills one permutation buffer, keeps one adversary, and holds one
+// float64 per committed command — a batch pops arrival times from the
+// pending queue into it, rewrites them as latencies at commit, and
+// stats.Percentiles selects in place — so its memory is O(committed).
 //
 // Client-observed commit latency is commit(slot) - arrival(command), and
 // leader recovery is the service's headline fault metric: the simulated time
@@ -66,7 +67,8 @@ type OmitOptions struct {
 	Seed int64
 }
 
-// ServeOptions configures a replicated-log service run.
+// ServeOptions configures a replicated-log service run. A session's memory
+// is O(committed commands) at any arrival rate when BatchLimit is set.
 type ServeOptions struct {
 	// N is the number of replicas.
 	N int
@@ -106,7 +108,8 @@ type ServeOptions struct {
 	Duration float64
 	// MaxSlots bounds the number of slots.
 	MaxSlots int
-	// BatchLimit caps the commands committed per slot (0 = unbounded).
+	// BatchLimit caps the commands committed per slot (0 = unbounded, so a
+	// slot takes every command that has arrived by its launch).
 	BatchLimit int
 	// NoPipeline launches each slot only after the previous one committed,
 	// for methodology comparisons; the default overlaps instances one round
@@ -265,56 +268,82 @@ func (a *svcAdversary) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim.O
 	return a.om.Omits(p, r, plan)
 }
 
-// arrival is one pending command.
+// pendingQueue holds the commands waiting for a slot, in batching order;
+// Peek is +Inf when none will come. An open-loop source (*workload.Open),
+// whose arrivals come in time order, is its own queue.
+type pendingQueue interface {
+	Peek() float64
+	Pop() float64
+}
+
+// arrival is one waiting client command.
 type arrival struct {
 	t  float64
 	id int
 }
 
-// arrivalHeap is a min-heap of pending commands ordered by time (ties by
-// command id, so the batch order is deterministic).
-type arrivalHeap []arrival
+// clientQueue is the closed-loop pendingQueue: a (time, client id) min-heap
+// of waiting clients, and the clients in flight, which requeue re-submits
+// after their think time in pop order.
+type clientQueue struct {
+	heap     []arrival
+	inFlight []int
+	clients  *workload.Closed
+}
 
-func (h arrivalHeap) less(i, j int) bool {
+// newClientQueue queues every client at time zero, in id order: a heap.
+func newClientQueue(c *workload.Closed) *clientQueue {
+	q := &clientQueue{heap: make([]arrival, c.Clients), inFlight: make([]int, 0, c.Clients), clients: c}
+	for id := range q.heap {
+		q.heap[id].id = id
+	}
+	return q
+}
+
+func (q *clientQueue) less(i, j int) bool {
+	h := q.heap
 	return h[i].t < h[j].t || (h[i].t == h[j].t && h[i].id < h[j].id)
 }
 
-func (h *arrivalHeap) push(a arrival) {
-	*h = append(*h, a)
-	i := len(*h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
+// Peek implements pendingQueue.
+func (q *clientQueue) Peek() float64 {
+	if len(q.heap) == 0 {
+		return math.Inf(1)
+	}
+	return q.heap[0].t
+}
+
+// Pop implements pendingQueue: the client goes in flight.
+func (q *clientQueue) Pop() float64 {
+	top := q.heap[0]
+	n := len(q.heap) - 1
+	q.heap[0] = q.heap[n]
+	q.heap = q.heap[:n]
+	q.inFlight = append(q.inFlight, top.id)
+	for i := 0; ; {
+		small := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < n && q.less(c, small) {
+				small = c
+			}
 		}
-		(*h)[i], (*h)[parent] = (*h)[parent], (*h)[i]
-		i = parent
+		if small == i {
+			return top.t
+		}
+		q.heap[i], q.heap[small] = q.heap[small], q.heap[i]
+		i = small
 	}
 }
 
-func (h *arrivalHeap) pop() arrival {
-	top := (*h)[0]
-	n := len(*h) - 1
-	(*h)[0] = (*h)[n]
-	*h = (*h)[:n]
-	hh := *h
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && hh.less(l, small) {
-			small = l
+// requeue re-submits the in-flight clients, whose slot committed at commit.
+func (q *clientQueue) requeue(commit float64) {
+	for _, id := range q.inFlight {
+		q.heap = append(q.heap, arrival{t: commit + q.clients.ThinkGap(), id: id})
+		for i := len(q.heap) - 1; i > 0 && q.less(i, (i-1)/2); i = (i - 1) / 2 {
+			q.heap[i], q.heap[(i-1)/2] = q.heap[(i-1)/2], q.heap[i]
 		}
-		if r < n && hh.less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		hh[i], hh[small] = hh[small], hh[i]
-		i = small
 	}
-	return top
+	q.inFlight = q.inFlight[:0]
 }
 
 // validate rejects unusable service configurations.
@@ -429,37 +458,12 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 		}
 	}
 
-	// Pending commands: open-loop sources are drained lazily, closed-loop
-	// clients all become ready at time zero.
-	var heap arrivalHeap
-	nextID := 0
+	// The pending queue: the open-loop source itself, or the clients.
+	var queue pendingQueue = opts.Arrivals
+	var clients *clientQueue
 	if opts.Clients != nil {
-		for c := 0; c < opts.Clients.Clients; c++ {
-			heap.push(arrival{t: 0, id: nextID})
-			nextID++
-		}
-	}
-	nextArrival := func() float64 {
-		if len(heap) > 0 {
-			if opts.Arrivals != nil && opts.Arrivals.Peek() < heap[0].t {
-				return opts.Arrivals.Peek()
-			}
-			return heap[0].t
-		}
-		if opts.Arrivals != nil {
-			return opts.Arrivals.Peek()
-		}
-		return math.Inf(1)
-	}
-	// fill moves open-loop arrivals due by t into the heap.
-	fill := func(t float64) {
-		if opts.Arrivals == nil {
-			return
-		}
-		for opts.Arrivals.Peek() <= t {
-			heap.push(arrival{t: opts.Arrivals.Pop(), id: nextID})
-			nextID++
-		}
+		clients = newClientQueue(opts.Clients)
+		queue = clients
 	}
 
 	res := &ServeResult{
@@ -467,8 +471,9 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 		Crashed:    map[sim.ProcID]float64{},
 		CrashSlot:  map[sim.ProcID]int{},
 	}
-	// One commit latency per committed command: MaxCommands, plus the final
-	// batch's overshoot. A session past the cap grows the buffer as it goes.
+	// One entry per committed command, popped as its arrival time and
+	// rewritten as its commit latency: MaxCommands, plus the final batch's
+	// overshoot. A session past the cap grows the buffer as it goes.
 	lat := make([]float64, 0, min(opts.MaxCommands, maxLatencyPrealloc)+min(opts.BatchLimit, maxLatencyPrealloc))
 	var latMax, latSum float64
 
@@ -521,7 +526,6 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 	committed := 0
 	slot := 0
 	proposals := make([]sim.Value, opts.N)
-	var batch []arrival
 	for {
 		if opts.MaxCommands > 0 && committed >= opts.MaxCommands {
 			break
@@ -529,7 +533,7 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 		if opts.MaxSlots > 0 && slot >= opts.MaxSlots {
 			break
 		}
-		na := nextArrival()
+		na := queue.Peek()
 		if math.IsInf(na, 1) {
 			break
 		}
@@ -557,15 +561,13 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 			return res, fmt.Errorf("smr: all replicas dead at slot %d (t=%g)", slot, start)
 		}
 
-		// Batch: every pending command that arrived by the launch time.
-		fill(start)
-		batch = batch[:0]
-		for len(heap) > 0 && heap[0].t <= start {
-			if opts.BatchLimit > 0 && len(batch) >= opts.BatchLimit {
-				break
-			}
-			batch = append(batch, heap.pop())
+		// Batch: the pending commands that arrived by the launch time, at
+		// most BatchLimit of them, their arrival times popped into lat.
+		first := len(lat)
+		for (opts.BatchLimit == 0 || len(lat)-first < opts.BatchLimit) && queue.Peek() <= start {
+			lat = append(lat, queue.Pop())
 		}
+		batch := lat[first:]
 
 		fillPermutation(perm, dead, opts.RotateLeader)
 		for i := range proposals {
@@ -618,9 +620,9 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 			res.Omissive[perm[i]] += o.OmissiveRounds
 		}
 
-		for _, a := range batch {
-			l := commit - a.t
-			lat = append(lat, l)
+		for i, a := range batch {
+			l := commit - a
+			batch[i] = l
 			latSum += l
 			if l > latMax {
 				latMax = l
@@ -637,10 +639,8 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 				opts.Telemetry.Sample(telemetry.SeriesThroughput, commit, float64(committed)/commit)
 			}
 		}
-		if opts.Clients != nil {
-			for _, a := range batch {
-				heap.push(arrival{t: commit + opts.Clients.ThinkGap(), id: a.id})
-			}
+		if clients != nil {
+			clients.requeue(commit)
 		}
 		for i := range pending {
 			if pending[i].t <= start && commit < pending[i].best {

@@ -3,7 +3,7 @@
 // commands slot by slot, each slot decided by an independent
 // uniform-consensus instance; crashes persist across slots (a replica that
 // dies before slot s is dead for every later slot). Serve runs the log as a
-// pipelined service fed by a workload generator.
+// pipelined service fed by a workload generator, in O(committed) memory.
 //
 // Running the log over the paper's extended-model algorithm commits a slot
 // per synchronous round in the common failure-free case; over the classic

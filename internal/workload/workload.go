@@ -48,10 +48,23 @@ func (s Fixed) Gap(float64, *rng.Stream) float64 { return 1 / s.Rate }
 
 // Validate implements Schedule.
 func (s Fixed) Validate() error {
-	if !(s.Rate > 0) {
-		return fmt.Errorf("workload: fixed arrival rate %g must be positive", s.Rate)
+	if f := rateFault(s.Rate); f != "" {
+		return fmt.Errorf("workload: fixed arrival rate %g %s", s.Rate, f)
 	}
 	return nil
+}
+
+// rateFault says what is wrong with an arrival rate, or "" if nothing: NaN,
+// zero and negative rates generate nothing, and +Inf is an endless burst at
+// one instant.
+func rateFault(rate float64) string {
+	if !(rate > 0) {
+		return "must be positive"
+	}
+	if math.IsInf(rate, 1) {
+		return "must be finite"
+	}
+	return ""
 }
 
 // String implements Schedule.
@@ -69,8 +82,8 @@ func (s Poisson) Gap(_ float64, src *rng.Stream) float64 { return src.Exp(1 / s.
 
 // Validate implements Schedule.
 func (s Poisson) Validate() error {
-	if !(s.Rate > 0) {
-		return fmt.Errorf("workload: poisson arrival rate %g must be positive", s.Rate)
+	if f := rateFault(s.Rate); f != "" {
+		return fmt.Errorf("workload: poisson arrival rate %g %s", s.Rate, f)
 	}
 	return nil
 }
@@ -141,8 +154,8 @@ func (s Cycle) Validate() error {
 		if !(p.Dur > 0) {
 			return fmt.Errorf("workload: phase %d duration %g must be positive", i, p.Dur)
 		}
-		if !(p.Rate > 0) {
-			return fmt.Errorf("workload: phase %d rate %g must be positive", i, p.Rate)
+		if f := rateFault(p.Rate); f != "" {
+			return fmt.Errorf("workload: phase %d rate %g %s", i, p.Rate, f)
 		}
 	}
 	return nil

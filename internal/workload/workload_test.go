@@ -1,7 +1,9 @@
 package workload_test
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/workload"
@@ -120,6 +122,29 @@ func TestScheduleValidation(t *testing.T) {
 	for _, s := range bad {
 		if _, err := workload.NewOpen(s, 0); err == nil {
 			t.Errorf("NewOpen accepted invalid schedule %v", s)
+		}
+	}
+}
+
+// TestScheduleRejectsNonFiniteRates: a +Inf rate makes every gap zero, an
+// endless burst at one instant, and NaN generates nothing; each is a config
+// error that names the rate.
+func TestScheduleRejectsNonFiniteRates(t *testing.T) {
+	for _, rate := range []float64{math.Inf(1), math.NaN(), math.Inf(-1)} {
+		for _, s := range []workload.Schedule{
+			workload.Fixed{Rate: rate},
+			workload.Poisson{Rate: rate},
+			workload.Bursty(1, rate, 1, 1),
+			workload.Cycle{Phases: []workload.Phase{{Dur: 1, Rate: rate}}},
+		} {
+			_, err := workload.NewOpen(s, 0)
+			if err == nil {
+				t.Errorf("NewOpen accepted %v", s)
+				continue
+			}
+			if want := fmt.Sprintf("rate %g must be", rate); !strings.Contains(err.Error(), want) {
+				t.Errorf("%v: error %q does not name the rate (%q)", s, err, want)
+			}
 		}
 	}
 }
