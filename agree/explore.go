@@ -1,11 +1,12 @@
 package agree
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/check"
+	"repro/internal/fuzz"
 	"repro/internal/protocol"
+	"repro/internal/sim"
 )
 
 // ExploreConfig configures an exhaustive exploration of the paper's
@@ -34,9 +35,9 @@ type ExploreConfig struct {
 	OmissionBudget int
 	// OmissionOnly zeroes the crash budget (T defaults to N-1 otherwise —
 	// there is no way to express "no crashes" through T itself), so the
-	// search enumerates pure omission schedules; it requires a non-zero
-	// OmissionBudget. Every counterexample then contains zero crashes by
-	// construction.
+	// search enumerates pure omission schedules, and with a zero
+	// OmissionBudget the one failure-free execution. Every counterexample
+	// then contains zero crashes by construction.
 	OmissionOnly bool
 	// Budget caps the number of executions (0 = the default, 50,000,000).
 	// Explore rejects a negative Budget or OmissionBudget.
@@ -52,13 +53,31 @@ type ExploreConfig struct {
 	Workers int
 }
 
-// ExploreCounterexample is one violating execution, identified by its choice
-// script (replayable via cmd/agreexplore -replay).
+// ExploreCounterexample is one violating execution, identified by its fault
+// script.
 type ExploreCounterexample struct {
-	// Script is the choice script reproducing the execution.
-	Script []int
+	// Script is the execution's fault script, the ReplayFaults format:
+	// FuzzReplayScript, agreefuzz -replay and agreexplore -replay reproduce
+	// the execution from it.
+	Script string
 	// Err describes the violated property.
 	Err error
+	// Rounds is the number of rounds executed; Decisions and Crashed mirror
+	// Report's fields.
+	Rounds    int
+	Decisions map[int]int64
+	Crashed   map[int]int
+}
+
+// ExploreWorst is the slowest execution explored: the first, in enumeration
+// order, whose latest decision is the exploration's MaxDecideRound.
+type ExploreWorst struct {
+	// Script is the execution's fault script (see
+	// ExploreCounterexample.Script).
+	Script string
+	// DecideRound is its latest decision round, Faults its crash count.
+	DecideRound int
+	Faults      int
 }
 
 // ExploreReport aggregates an exploration.
@@ -74,6 +93,11 @@ type ExploreReport struct {
 	// Counterexamples are the violations found (empty for the faithful
 	// algorithm).
 	Counterexamples []ExploreCounterexample
+	// Worst is the slowest execution explored.
+	Worst ExploreWorst
+	// Workers is the number of workers the exploration ran on: 1 when it
+	// ran sequentially, Parallel unset or not paying for itself.
+	Workers int
 }
 
 // Explore exhaustively model-checks the configured system. It is the public
@@ -92,9 +116,6 @@ func Explore(cfg ExploreConfig) (*ExploreReport, error) {
 	}
 	crashes := spec.T
 	if cfg.OmissionOnly {
-		if cfg.OmissionBudget <= 0 {
-			return nil, errors.New("agree: OmissionOnly requires a non-zero OmissionBudget")
-		}
 		crashes = 0
 	}
 	if cfg.Budget == 0 {
@@ -113,12 +134,46 @@ func Explore(cfg ExploreConfig) (*ExploreReport, error) {
 		MaxRounds:      int(stats.MaxRounds),
 		MaxDecideRound: int(stats.MaxDecideRound),
 		MaxFaults:      stats.MaxFaults,
+		Workers:        stats.Workers,
 	}
+	faultScript := faultScripts(spec, crashes, cfg.OmissionBudget)
 	for _, ce := range stats.Counterexamples {
+		script, err := faultScript(ce.Script)
+		if err != nil {
+			return nil, err
+		}
+		decisions, _, crashed, _ := outcomeMaps(ce.Result, 1)
 		rep.Counterexamples = append(rep.Counterexamples, ExploreCounterexample{
-			Script: ce.Script,
-			Err:    ce.Err,
+			Script: script.String(), Err: ce.Err, Rounds: int(ce.Result.Rounds), Decisions: decisions, Crashed: crashed,
 		})
 	}
+	worst, err := faultScript(stats.Worst)
+	if err != nil {
+		return nil, err
+	}
+	rep.Worst = ExploreWorst{Script: worst.String(), DecideRound: rep.MaxDecideRound, Faults: worst.Crashes()}
 	return rep, nil
+}
+
+// faultScripts returns the converter from the choice script of an execution
+// spec's explorer enumerates to the execution's fault script, a view valid
+// until the converter's next call. It replays the execution once on one
+// engine, a fuzz.Recording observing the explorer's adversary, so only the
+// executions a report names pay for it.
+func faultScripts(spec protocol.Spec, crashes, omissions int) func(choices []int) (fuzz.Script, error) {
+	var (
+		rec fuzz.Recording
+		eng sim.Engine
+	)
+	factory := spec.Explorer(crashes, omissions, &rec)()
+	return func(choices []int) (fuzz.Script, error) {
+		rec.Reset()
+		ex := factory(&check.Replayer{Values: choices})
+		if err := eng.ResetConfig(ex.Cfg, ex.Procs, ex.Adv); err != nil {
+			return fuzz.Script{}, fmt.Errorf("agree: explore: replaying %v: %w", choices, err)
+		}
+		// The run's own error is a verdict the exploration already gave.
+		_, _ = eng.Run()
+		return rec.Script(), nil
+	}
 }

@@ -6,9 +6,6 @@ import (
 	"testing"
 
 	"repro/agree"
-	"repro/internal/check"
-	"repro/internal/protocol"
-	"repro/internal/sim"
 )
 
 // TestExploreFaithful checks the public explorer on the faithful algorithm:
@@ -48,6 +45,10 @@ func TestExploreParallelKnob(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if seq.Workers != 1 || got.Workers != par.Workers {
+			t.Errorf("%+v: ran on %d and %d workers, want 1 and %d", cfg, seq.Workers, got.Workers, par.Workers)
+		}
+		got.Workers = seq.Workers
 		if !reflect.DeepEqual(seq, got) {
 			t.Errorf("parallel report differs for %+v:\nsequential %+v\nparallel   %+v", cfg, seq, got)
 		}
@@ -82,34 +83,58 @@ func TestExploreRejectsNegativeBudgets(t *testing.T) {
 	}
 }
 
-// TestExploreKeptVerdictsRenderTheirOwnRun: the explorer's engine reruns for
-// every later execution, so each counterexample's verdict must keep the run
-// it judged, rendering exactly as a fresh replay of its script.
+// TestExploreKeptVerdictsRenderTheirOwnRun replays every counterexample of
+// the ablation and omission cells, and each cell's worst execution, from its
+// fault script through FuzzReplayScript. The explorer's engine reruns for
+// every later execution, so each counterexample must keep the run it judged:
+// its replay gives the explorer's verdict, rounds, crashes and decisions.
+// The worst execution replays to its decision round and crash count.
 func TestExploreKeptVerdictsRenderTheirOwnRun(t *testing.T) {
-	rep, err := agree.Explore(agree.ExploreConfig{N: 4, CommitAsData: true, MaxCounterexamples: 6})
-	if err != nil {
-		t.Fatal(err)
+	cells := []agree.ExploreConfig{
+		{N: 3, T: 1, CommitAsData: true},
+		{N: 4, T: 3, CommitAsData: true},
+		{N: 4, T: 1, OrderAscending: true},
+		{N: 5, T: 2, OrderAscending: true},
+		{N: 3, OmissionOnly: true, OmissionBudget: 1},
+		{N: 4, T: 1, OmissionBudget: 1},
 	}
-	if len(rep.Counterexamples) < 3 {
-		t.Fatalf("%d counterexamples on the commit-as-data ablation, want at least 3", len(rep.Counterexamples))
-	}
-	spec := protocol.Spec{N: 4, T: 3, CommitAsData: true}
-	factory, validate := spec.Explorer(spec.T, 0)(), protocol.Validator(spec.Bound())
-	distinct := map[string]bool{}
-	for i, ce := range rep.Counterexamples {
-		ex := factory(&check.Replayer{Values: ce.Script})
-		eng, err := sim.NewEngine(ex.Cfg, ex.Procs, ex.Adv)
+	verdicts := map[string]bool{}
+	for _, cfg := range cells {
+		cfg.MaxCounterexamples = 1 << 20
+		rep, err := agree.Explore(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, runErr := eng.Run()
-		want := fmt.Sprint(validate(ex, res, runErr))
-		if got := fmt.Sprint(ce.Err); got != want {
-			t.Errorf("counterexample %d %v: kept verdict %q, replay %q", i, ce.Script, got, want)
+		if len(rep.Counterexamples) == 0 {
+			t.Errorf("%+v: no counterexamples", cfg)
 		}
-		distinct[want] = true
+		fcfg := agree.FuzzConfig{N: cfg.N, T: cfg.T, OrderAscending: cfg.OrderAscending, CommitAsData: cfg.CommitAsData}
+		for _, ce := range rep.Counterexamples {
+			replay, err := agree.FuzzReplayScript(fcfg, ce.Script, false)
+			if err != nil {
+				t.Fatalf("%+v: %q: %v", cfg, ce.Script, err)
+			}
+			got := fmt.Sprintf("%v rounds %d crashed %v decisions %v", replay.Err, replay.Rounds, replay.Crashed, replay.Decisions)
+			want := fmt.Sprintf("%v rounds %d crashed %v decisions %v", ce.Err, ce.Rounds, ce.Crashed, ce.Decisions)
+			if got != want {
+				t.Errorf("%+v: %q replays to\n%s\nwant\n%s", cfg, ce.Script, got, want)
+			}
+			verdicts[fmt.Sprint(ce.Err)] = true
+		}
+		replay, err := agree.FuzzReplayScript(fcfg, rep.Worst.Script, false)
+		if err != nil {
+			t.Fatalf("%+v: worst %q: %v", cfg, rep.Worst.Script, err)
+		}
+		decide := 0
+		for _, r := range replay.DecideRound {
+			decide = max(decide, r)
+		}
+		if decide != rep.Worst.DecideRound || len(replay.Crashed) != rep.Worst.Faults || decide != rep.MaxDecideRound {
+			t.Errorf("%+v: worst %q replays to decide round %d with %d crashes, want %d with %d",
+				cfg, rep.Worst.Script, decide, len(replay.Crashed), rep.Worst.DecideRound, rep.Worst.Faults)
+		}
 	}
-	if len(distinct) < 2 {
-		t.Errorf("every counterexample renders %v: a stale verdict would go unnoticed", distinct)
+	if len(verdicts) < 2 {
+		t.Errorf("every counterexample renders %v: a stale verdict would go unnoticed", verdicts)
 	}
 }

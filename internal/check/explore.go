@@ -41,8 +41,9 @@ type Backtracker struct {
 	frozen int
 }
 
-// NewBacktracker returns a chooser positioned at the all-zeros script.
-func NewBacktracker() *Backtracker { return &Backtracker{} }
+// NewBacktracker returns a chooser positioned at the all-zeros script, with
+// room for the 64 choices that bound the proof-sized systems' scripts.
+func NewBacktracker() *Backtracker { return &Backtracker{script: make([]choice, 0, 64)} }
 
 // newBacktrackerFrozen returns a chooser whose first len(prefix) choices are
 // pinned: it starts at the lexicographically-first script extending the
@@ -87,12 +88,20 @@ func (b *Backtracker) Next() bool {
 // Script returns the current choice script (picked values only), which
 // reproduces the execution when fed to a replaying chooser. The returned
 // slice is a fresh exact-size copy, safe to retain.
-func (b *Backtracker) Script() []int {
-	out := make([]int, len(b.script))
-	for i, c := range b.script {
-		out[i] = c.picked
+func (b *Backtracker) Script() []int { return b.appendScript(make([]int, 0, len(b.script))) }
+
+// appendScript overwrites dst with the current choice script. A dst too
+// short is replaced by one of the backtracker's capacity, so a buffer kept
+// across executions grows no more often than the backtracker does.
+func (b *Backtracker) appendScript(dst []int) []int {
+	if cap(dst) < len(b.script) {
+		dst = make([]int, 0, cap(b.script))
 	}
-	return out
+	dst = dst[:0]
+	for _, c := range b.script {
+		dst = append(dst, c.picked)
+	}
+	return dst
 }
 
 // choices returns a copy of the raw script with domain sizes, used by the
@@ -171,17 +180,27 @@ type Stats struct {
 	MaxFaults int
 	// Counterexamples are the violations found (up to the configured limit).
 	Counterexamples []Counterexample
+	// Worst is the choice script of the slowest execution explored: the
+	// first, in enumeration order, whose latest decision is MaxDecideRound.
+	// A later execution deciding as late does not replace it, whatever its
+	// faults. For the faithful algorithm it is the coordinator-killer
+	// schedule that makes Theorem 4's f+1 bound tight.
+	Worst []int
+	// Workers is the number of workers the exploration ran on, 1 for the
+	// sequential explorer.
+	Workers int
 }
 
-// merge folds another Stats (a disjoint shard of the same space) into s,
-// concatenating counterexamples in the order given.
+// merge folds another Stats (a disjoint shard of the same space, later in
+// enumeration order) into s, concatenating counterexamples in the order
+// given; o's worst execution replaces s's only when it decides later.
 func (s *Stats) merge(o Stats) {
 	s.Executions += o.Executions
 	if o.MaxRounds > s.MaxRounds {
 		s.MaxRounds = o.MaxRounds
 	}
-	if o.MaxDecideRound > s.MaxDecideRound {
-		s.MaxDecideRound = o.MaxDecideRound
+	if o.Worst != nil && (s.Worst == nil || o.MaxDecideRound > s.MaxDecideRound) {
+		s.MaxDecideRound, s.Worst = o.MaxDecideRound, o.Worst
 	}
 	if o.MaxFaults > s.MaxFaults {
 		s.MaxFaults = o.MaxFaults
@@ -189,14 +208,15 @@ func (s *Stats) merge(o Stats) {
 	s.Counterexamples = append(s.Counterexamples, o.Counterexamples...)
 }
 
-// observe folds one execution's result into the aggregate.
-func (s *Stats) observe(res *sim.Result) {
+// observe folds one execution's result, bt on its script, into the
+// aggregate.
+func (s *Stats) observe(res *sim.Result, bt *Backtracker) {
 	s.Executions++
 	if res.Rounds > s.MaxRounds {
 		s.MaxRounds = res.Rounds
 	}
-	if m := res.MaxDecideRound(); m > s.MaxDecideRound {
-		s.MaxDecideRound = m
+	if m := res.MaxDecideRound(); m > s.MaxDecideRound || s.Worst == nil {
+		s.MaxDecideRound, s.Worst = m, bt.appendScript(s.Worst)
 	}
 	if f := res.Faults(); f > s.MaxFaults {
 		s.MaxFaults = f
@@ -267,10 +287,10 @@ func Explore(newFactory func() RunFactory, validate Validator, opts ExploreOpts)
 		opts.MaxCounterexamples = 1
 	}
 	bt := NewBacktracker()
-	var stats Stats
+	stats := Stats{Workers: 1}
 	err := enumerate(new(sim.Engine), newFactory(), bt, within(opts.Budget, &stats.Executions),
 		func(ex Execution, res *sim.Result, runErr error) error {
-			stats.observe(res)
+			stats.observe(res, bt)
 			if verr := validate(ex, res, runErr); verr != nil {
 				stats.Counterexamples = append(stats.Counterexamples, keep(bt.Script(), verr, res))
 				if len(stats.Counterexamples) >= opts.MaxCounterexamples {

@@ -50,26 +50,13 @@ func FuzzConsensusValidators(f *testing.F) {
 		}
 		res, runErr := eng.Run()
 		if runErr != nil {
-			t.Fatalf("n=%d t=%d script %s: engine: %v", n, tt, check.ScriptString(script), runErr)
+			t.Fatalf("n=%d t=%d script %v: engine: %v", n, tt, script, runErr)
 		}
 		if err := check.Consensus(props, res); err != nil {
-			t.Fatalf("n=%d t=%d script %s: %v", n, tt, check.ScriptString(script), err)
+			t.Fatalf("n=%d t=%d script %v: %v", n, tt, script, err)
 		}
 		if err := check.RoundBound(res, check.BoundFPlus1); err != nil {
-			t.Fatalf("n=%d t=%d script %s: %v", n, tt, check.ScriptString(script), err)
+			t.Fatalf("n=%d t=%d script %v: %v", n, tt, script, err)
 		}
 	})
-}
-
-func TestParseScriptRoundTrip(t *testing.T) {
-	script, err := check.ParseScript("1, 0,2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := check.ScriptString(script); got != "1,0,2" {
-		t.Errorf("round trip: %q", got)
-	}
-	if _, err := check.ParseScript("1,x"); err == nil {
-		t.Error("accepted a malformed script")
-	}
 }

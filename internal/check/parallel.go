@@ -13,15 +13,14 @@ import (
 // concrete type.
 type fatalErr struct{ err error }
 
-// EffectiveWorkers returns the worker count ExploreParallel will actually
+// effectiveWorkers returns the worker count ExploreParallel will actually
 // use for these options: the requested Workers (default GOMAXPROCS), or 1 —
 // meaning the sequential explorer runs — when parallelism cannot pay for
 // itself. Probe executions are warm-up work outside the budget ticket, so
 // for small budgets that overhead would dominate (and sequential semantics —
 // the lexicographically first Budget executions — are strictly more useful
-// there); such budgets are served sequentially. Callers that report the
-// search methodology (e.g. cmd/agreexplore) use this to print what ran.
-func EffectiveWorkers(opts ExploreOpts) int {
+// there); such budgets are served sequentially.
+func effectiveWorkers(opts ExploreOpts) int {
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -49,8 +48,8 @@ const maxShardProbes = 1024
 //
 // Determinism guarantee: an exploration that runs to completion — neither
 // Budget exhausted nor MaxCounterexamples reached — produces exactly the
-// sequential Explore result: identical Executions, MaxRounds, MaxDecideRound
-// and MaxFaults, and an identical counterexample list in the same
+// sequential Explore result: identical Executions, MaxRounds, MaxDecideRound,
+// Worst and MaxFaults, and an identical counterexample list in the same
 // (lexicographic script) order, because the units partition the space and are
 // merged in order. When the search stops early at MaxCounterexamples, the
 // reported counterexamples are all genuine and truncated to the limit, but —
@@ -71,7 +70,7 @@ func ExploreParallel(newFactory func() RunFactory, validate Validator, opts Expl
 	if opts.MaxCounterexamples <= 0 {
 		opts.MaxCounterexamples = 1
 	}
-	workers := EffectiveWorkers(opts)
+	workers := effectiveWorkers(opts)
 	if workers == 1 {
 		return Explore(newFactory, validate, opts)
 	}
@@ -109,7 +108,7 @@ func ExploreParallel(newFactory func() RunFactory, validate Validator, opts Expl
 	runUnit := func(eng *sim.Engine, factory RunFactory, prefix []choice, out *Stats) {
 		bt := newBacktrackerFrozen(prefix)
 		err := enumerate(eng, factory, bt, admit, func(ex Execution, res *sim.Result, runErr error) error {
-			out.observe(res)
+			out.observe(res, bt)
 			if verr := validate(ex, res, runErr); verr != nil {
 				out.Counterexamples = append(out.Counterexamples, keep(bt.Script(), verr, res))
 				if ceCount.Add(1) >= int64(opts.MaxCounterexamples) {
@@ -142,7 +141,7 @@ func ExploreParallel(newFactory func() RunFactory, validate Validator, opts Expl
 	}
 	wg.Wait()
 
-	var stats Stats
+	stats := Stats{Workers: workers}
 	for _, r := range results {
 		stats.merge(r)
 	}

@@ -84,6 +84,9 @@ func assertSameExploration(t *testing.T, seq, par Stats) {
 	if par.MaxFaults != seq.MaxFaults {
 		t.Errorf("max faults: parallel %d, sequential %d", par.MaxFaults, seq.MaxFaults)
 	}
+	if !reflect.DeepEqual(par.Worst, seq.Worst) {
+		t.Errorf("worst execution: parallel %v, sequential %v", par.Worst, seq.Worst)
+	}
 	if !reflect.DeepEqual(scriptsOf(par.Counterexamples), scriptsOf(seq.Counterexamples)) {
 		t.Errorf("counterexample scripts differ:\nparallel   %v\nsequential %v",
 			scriptsOf(par.Counterexamples), scriptsOf(seq.Counterexamples))
@@ -112,6 +115,9 @@ func TestExploreParallelMatchesSequentialE5(t *testing.T) {
 				t.Fatalf("parallel: %v", err)
 			}
 			assertSameExploration(t, seq, par)
+			if seq.Workers != 1 || par.Workers != workers {
+				t.Errorf("workers: sequential %d, parallel %d; want 1, %d", seq.Workers, par.Workers, workers)
+			}
 		})
 	}
 }
@@ -151,8 +157,8 @@ func TestExploreParallelBudget(t *testing.T) {
 	// Budget 40 with 4 workers is below the workers*16 threshold: the
 	// documented sequential fallback, with sequential budget semantics.
 	opts := ExploreOpts{Budget: 40, MaxCounterexamples: 1 << 20, Workers: 4}
-	if got := EffectiveWorkers(opts); got != 1 {
-		t.Fatalf("EffectiveWorkers = %d, want 1 (sequential fallback)", got)
+	if got := effectiveWorkers(opts); got != 1 {
+		t.Fatalf("effectiveWorkers = %d, want 1 (sequential fallback)", got)
 	}
 	par, err := ExploreParallel(e5Factory, fullValidator, opts)
 	if !errors.Is(err, ErrBudget) {
@@ -165,8 +171,8 @@ func TestExploreParallelBudget(t *testing.T) {
 	// 151-execution space: the shared atomic ticket must stop the pool at
 	// exactly 100 counted executions.
 	opts = ExploreOpts{Budget: 100, MaxCounterexamples: 1 << 20, Workers: 4}
-	if got := EffectiveWorkers(opts); got != 4 {
-		t.Fatalf("EffectiveWorkers = %d, want 4 (parallel path)", got)
+	if got := effectiveWorkers(opts); got != 4 {
+		t.Fatalf("effectiveWorkers = %d, want 4 (parallel path)", got)
 	}
 	for i := 0; i < 10; i++ {
 		par, err = ExploreParallel(e5Factory, fullValidator, opts)
@@ -229,8 +235,8 @@ func TestExploreParallelLimitBeatsBudget(t *testing.T) {
 	// execution, so workers race the counterexample limit against ticket
 	// exhaustion.
 	popts := ExploreOpts{Budget: 100, MaxCounterexamples: 1, Workers: 4}
-	if got := EffectiveWorkers(popts); got != 4 {
-		t.Fatalf("EffectiveWorkers = %d, want 4 (parallel path)", got)
+	if got := effectiveWorkers(popts); got != 4 {
+		t.Fatalf("effectiveWorkers = %d, want 4 (parallel path)", got)
 	}
 	faultFlagger := func(ex Execution, res *sim.Result, engineErr error) error {
 		if engineErr != nil {

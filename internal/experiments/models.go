@@ -198,7 +198,7 @@ func exploreCRW(spec protocol.Spec) (check.Stats, error) {
 		// commit-as-data ablation targets uniform agreement instead.
 		bound = nil
 	}
-	return check.Explore(spec.Explorer(spec.T, 0), protocol.Validator(bound),
+	return check.Explore(spec.Explorer(spec.T, 0, nil), protocol.Validator(bound),
 		check.ExploreOpts{Budget: 50_000_000, MaxCounterexamples: 4})
 }
 

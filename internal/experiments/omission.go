@@ -5,6 +5,7 @@ import (
 
 	"repro/agree"
 	"repro/internal/check"
+	"repro/internal/fuzz"
 )
 
 // e15Omission maps the boundary of the paper's fault model with the
@@ -35,8 +36,8 @@ func e15Omission() *Table {
 	// Exhaustive omission search: at most one omission event, zero crashes
 	// (OmissionOnly zeroes the crash budget; MaxFaults re-checks that no
 	// enumerated execution crashed anybody), every schedule enumerated — the
-	// violation is unavoidable, not a sampling artifact, and each
-	// counterexample is a single omission event by construction.
+	// violation is unavoidable, not a sampling artifact. Min events counts
+	// the faults of the smallest counterexample's fault script.
 	rep, err = agree.Explore(agree.ExploreConfig{
 		N: 3, OmissionBudget: 1, OmissionOnly: true, MaxCounterexamples: 1_000_000,
 	})
@@ -44,14 +45,18 @@ func e15Omission() *Table {
 		ok = false
 		t.AddRow("exhaustive", 3, "omission only (budget 1)", "error: "+err.Error(), "-", "-")
 	} else {
-		agreementViolations := 0
+		agreementViolations, minEvents := 0, -1
 		for _, ce := range rep.Counterexamples {
 			if errors.Is(ce.Err, check.ErrAgreement) {
 				agreementViolations++
 			}
+			s, err := fuzz.Parse(ce.Script)
+			if ev := s.Crashes() + s.Omissions(); err == nil && (minEvents < 0 || ev < minEvents) {
+				minEvents = ev
+			}
 		}
-		ok = ok && agreementViolations > 0 && rep.MaxFaults == 0
-		t.AddRow("exhaustive", 3, "omission only (budget 1)", rep.Executions, agreementViolations, 1)
+		ok = ok && agreementViolations > 0 && rep.MaxFaults == 0 && minEvents == 1
+		t.AddRow("exhaustive", 3, "omission only (budget 1)", rep.Executions, agreementViolations, minEvents)
 	}
 
 	// Randomized omission campaign at production size: findings expected,

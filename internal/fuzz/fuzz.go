@@ -52,14 +52,21 @@ func (g Gen) crashProb() float64 {
 // recorder generates a seed's schedule: adversary.FromChooser, the model's
 // one fault-choice tree (crash point, escaped subset or prefix and, when the
 // generator enables them, send/receive-omission subsets), walked by a
-// Seeded chooser whose gates carry the generator's probabilities. The
-// recorder observes the tree and keeps every fault it injects as a
-// replayable Event, its masks copied into the recorder's own arena. On the
-// deterministic engine — which consults the adversary in a fixed (round,
-// process) order — the walk is a pure function of the seed.
+// Seeded chooser whose gates carry the generator's probabilities. Its
+// Recording observes the tree. On the deterministic engine — which consults
+// the adversary in a fixed (round, process) order — the walk is a pure
+// function of the seed.
 type recorder struct {
-	src    adversary.Seeded
-	tree   adversary.OmittingFromChooser
+	src  adversary.Seeded
+	tree adversary.OmittingFromChooser
+	Recording
+}
+
+// Recording is an adversary.Observer that keeps every fault an adversary
+// tree injects as a replayable Event, its masks copied into the recording's
+// own arena: attached to a tree walked by any chooser, it turns the walk
+// into a Script. The zero value is ready to use.
+type Recording struct {
 	events []Event
 	masks  adversary.Masks // the recorded events' masks
 }
@@ -77,7 +84,7 @@ func keep(m *adversary.Masks, mask []bool) []bool {
 
 // ObserveCrash implements adversary.Observer: it keeps the crash as an
 // Event.
-func (rec *recorder) ObserveCrash(p sim.ProcID, r sim.Round, out sim.CrashOutcome) {
+func (rec *Recording) ObserveCrash(p sim.ProcID, r sim.Round, out sim.CrashOutcome) {
 	rec.events = append(rec.events, Event{
 		Proc: int(p), Round: int(r), Data: keep(&rec.masks, out.DataDelivered), Ctrl: out.CtrlPrefix,
 	})
@@ -85,7 +92,7 @@ func (rec *recorder) ObserveCrash(p sim.ProcID, r sim.Round, out sim.CrashOutcom
 
 // ObserveOmission implements adversary.Observer: it keeps the send and the
 // receive omission, each one present, as an Event.
-func (rec *recorder) ObserveOmission(p sim.ProcID, r sim.Round, om sim.Omission) {
+func (rec *Recording) ObserveOmission(p sim.ProcID, r sim.Round, om sim.Omission) {
 	if om.Data != nil {
 		rec.events = append(rec.events, Event{
 			Kind: EventSendOmit, Proc: int(p), Round: int(r),
@@ -99,6 +106,25 @@ func (rec *recorder) ObserveOmission(p sim.ProcID, r sim.Round, om sim.Omission)
 	}
 }
 
+// Reset forgets the recorded faults, keeping the events' and the masks'
+// storage.
+func (rec *Recording) Reset() {
+	rec.events = rec.events[:0]
+	rec.masks.Reset()
+}
+
+// Script returns the recorded schedule in canonical order (nil events when
+// nothing was recorded): a view of the recording's storage, valid until its
+// next Reset.
+func (rec *Recording) Script() Script {
+	if len(rec.events) == 0 {
+		return Script{}
+	}
+	s := Script{Events: rec.events[:len(rec.events):len(rec.events)]}
+	s.normalize()
+	return s
+}
+
 // adversary returns the observed tree. Only an omitting generator gets the
 // sim.Omitter face: crash-only campaigns keep a non-Omitter adversary and
 // ride the engines' crash-model path untouched.
@@ -110,33 +136,20 @@ func (rec *recorder) adversary(omitting bool) sim.Adversary {
 }
 
 // reset re-seeds the generator and forgets the previous walk, keeping the
-// tree's, the events' and the masks' storage. An n-process walk crashes at
-// most gen.T processes, injects faults only up to gen.MaxCrashRound and
-// turns at most gen.MaxOmissive processes omission-faulty, with no cap on
-// their events.
+// tree's and the recording's storage. An n-process walk crashes at most
+// gen.T processes, injects faults only up to gen.MaxCrashRound and turns at
+// most gen.MaxOmissive processes omission-faulty, with no cap on their
+// events.
 func (rec *recorder) reset(seed int64, gen Gen, n int) {
 	rec.src = adversary.Seeded{
 		Stream: rng.New(seed), CrashProb: gen.crashProb(),
 		SendOmitProb: gen.SendOmitProb, RecvOmitProb: gen.RecvOmitProb,
 	}
 	tree := &rec.tree
-	tree.C, tree.T, tree.MaxCrashRound, tree.Observe = &rec.src, gen.T, sim.Round(gen.MaxCrashRound), rec
+	tree.C, tree.T, tree.MaxCrashRound, tree.Observe = &rec.src, gen.T, sim.Round(gen.MaxCrashRound), &rec.Recording
 	tree.MaxOmissive, tree.Procs = gen.MaxOmissive, n
 	tree.Reset()
-	rec.events = rec.events[:0]
-	rec.masks.Reset()
-}
-
-// script returns the recorded schedule in canonical order (nil events when
-// nothing was recorded): a view of the recorder's storage, valid until its
-// next reset.
-func (rec *recorder) script() Script {
-	if len(rec.events) == 0 {
-		return Script{}
-	}
-	s := Script{Events: rec.events[:len(rec.events):len(rec.events)]}
-	s.normalize()
-	return s
+	rec.Recording.Reset()
 }
 
 // Target is one system under test: the engine inputs plus the proposals the
@@ -255,7 +268,7 @@ func (r *Runner) Run(eng harness.Engine, factory Factory, oracle Oracle, seed in
 		return out, fmt.Errorf("fuzz: seed %d: %w", seed, runErr)
 	}
 	r.execs++
-	out.Script = r.rec.script()
+	out.Script = r.rec.Script()
 	out.Rounds = res.Rounds
 	out.MaxDecideRound = res.MaxDecideRound()
 	out.Faults = res.Faults()

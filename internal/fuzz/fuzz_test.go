@@ -102,7 +102,7 @@ func TestRecordedScriptReplaysIdentically(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, runErr)
 		}
 		want = want.Clone() // the replay below reruns the engine
-		script := rec.script()
+		script := rec.Script()
 
 		tgt2 := factory()
 		got, runErr := eng.Run(harness.Job{

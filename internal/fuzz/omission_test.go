@@ -91,7 +91,7 @@ func TestRecordedOmissionScriptReplaysIdentically(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, wantErr)
 		}
 		want = want.Clone() // the replay below reruns the engine
-		script := rec.script()
+		script := rec.Script()
 		if err := script.validate(); err != nil {
 			t.Fatalf("seed %d: recorded script %q invalid: %v", seed, script.String(), err)
 		}

@@ -49,7 +49,7 @@ func walk(t *testing.T, eng harness.Engine, factory Factory, oracle Oracle, rec 
 	if res == nil {
 		t.Fatal(runErr)
 	}
-	return walkSummary{rec.script().String(), res.Rounds, res.Faults(), res.OmissionFaulty(),
+	return walkSummary{rec.Script().String(), res.Rounds, res.Faults(), res.OmissionFaulty(),
 		errText(oracle(tgt.Proposals, res, runErr))}
 }
 

@@ -50,7 +50,7 @@ func TestOneTreeSeededAnswersReplay(t *testing.T) {
 				if res == nil {
 					t.Fatal(runErr)
 				}
-				return res.Clone(), rec.script().String() // the engine reruns for the next call
+				return res.Clone(), rec.Script().String() // the engine reruns for the next call
 			}
 			var rec, replay recorder
 			faults := 0

@@ -278,7 +278,7 @@ func TestReferenceMatchesExplorer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		newFactory := spec.Explorer(c.crashes, c.omissions)
+		newFactory := spec.Explorer(c.crashes, c.omissions, nil)
 		factory, replay := newFactory(), newFactory()
 		bt := check.NewBacktracker()
 		executions := 0

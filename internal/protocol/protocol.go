@@ -1,10 +1,10 @@
 // Package protocol is the one place that maps a protocol choice onto the
 // system under test: which processes run, in which model, up to which
 // horizon, under which resilience t, and which decision-round bound a run is
-// judged against. agree.Run and Sweep, Fuzz, RunScenarios and Explore,
-// cmd/agreexplore and the E-series explorer all build their systems here, so
-// a scenario, a fuzz campaign and a sweep of the same protocol cannot
-// disagree on what they run or how it is judged.
+// judged against. agree.Run, Sweep, Fuzz, RunScenarios and Explore and the
+// E-series explorer all build their systems here, so a scenario, a fuzz
+// campaign and a sweep of the same protocol cannot disagree on what they run
+// or how it is judged.
 package protocol
 
 import (
@@ -143,22 +143,24 @@ func (s Spec) Bound() func(f int) sim.Round {
 }
 
 // Explorer returns the constructor of the exhaustive explorer's execution
-// factories for the spec: p_{i+1} proposes 10+i, and the explorer's chooser
+// factories for the spec: p_{i+1} proposes 100+i, and the explorer's chooser
 // drives an adversary that may crash up to crashes processes and, when
-// omissions > 0, inject up to that many omission events. Each factory owns
-// one Systems, one proposal vector and one chooser adversary, and builds
-// every execution in them: it re-points the adversary at the execution's
-// chooser and resets it, then builds the processes.
-func (s Spec) Explorer(crashes, omissions int) func() check.RunFactory {
+// omissions > 0, inject up to that many omission events; obs, when
+// non-nil, is told of every fault it injects. Each factory owns one Systems,
+// one proposal vector and one chooser adversary, and builds every execution
+// in them: it re-points the adversary at the execution's chooser and resets
+// it, then builds the processes.
+func (s Spec) Explorer(crashes, omissions int, obs adversary.Observer) func() check.RunFactory {
 	return func() check.RunFactory {
 		var sys Systems
 		props := make([]sim.Value, s.N)
 		for i := range props {
-			props[i] = sim.Value(10 + i)
+			props[i] = sim.Value(100 + i)
 		}
 		// Crash-only exploration keeps a non-Omitter adversary: the engine
 		// then skips the omission machinery.
 		tree := adversary.NewFromChooserWithOmissions(nil, crashes, sim.Round(s.N), omissions, s.N)
+		tree.Observe = obs
 		var adv sim.Adversary = &tree.FromChooser
 		if omissions > 0 {
 			adv = tree
@@ -185,7 +187,7 @@ func (s Spec) Explore(crashes, omissions int, parallel bool, opts check.ExploreO
 	if parallel {
 		explore = check.ExploreParallel
 	}
-	return explore(s.Explorer(crashes, omissions), Validator(bound), opts)
+	return explore(s.Explorer(crashes, omissions, nil), Validator(bound), opts)
 }
 
 // Validator is the explorer's verdict on one execution: the engine's own

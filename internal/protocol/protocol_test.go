@@ -185,7 +185,7 @@ func freshExplorer(spec protocol.Spec, crashes, omissions int) func() check.RunF
 			var sys protocol.Systems
 			props := make([]sim.Value, spec.N)
 			for i := range props {
-				props[i] = sim.Value(10 + i)
+				props[i] = sim.Value(100 + i)
 			}
 			var adv sim.Adversary = adversary.NewFromChooser(ch, crashes, sim.Round(spec.N))
 			if omissions > 0 {
@@ -198,11 +198,11 @@ func freshExplorer(spec protocol.Spec, crashes, omissions int) func() check.RunF
 }
 
 // statsDiff names the first difference between two explorations' statistics,
-// counterexample scripts and verdicts, or returns "".
+// worst executions, counterexample scripts and verdicts, or returns "".
 func statsDiff(got, want check.Stats) string {
 	if got.Executions != want.Executions || got.MaxRounds != want.MaxRounds ||
 		got.MaxDecideRound != want.MaxDecideRound || got.MaxFaults != want.MaxFaults ||
-		len(got.Counterexamples) != len(want.Counterexamples) {
+		!reflect.DeepEqual(got.Worst, want.Worst) || len(got.Counterexamples) != len(want.Counterexamples) {
 		return fmt.Sprintf("stats %+v, want %+v", got, want)
 	}
 	for i, ce := range got.Counterexamples {
