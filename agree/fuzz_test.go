@@ -422,7 +422,10 @@ func campaignCost(t *testing.T, cfg agree.FuzzConfig) (allocs, bytes uint64) {
 // pays whatever its length (each worker's runner, systems and engine
 // growing, the pool, the report) is pinned too: 34 allocations on one
 // worker (38 under -race) and at most 64 on two (72), as which worker's
-// runner grows to which seed's size depends on scheduling.
+// runner grows to which seed's size depends on scheduling. The runtime
+// counts the whole process, so an allocation of the runtime's own can land
+// in any one campaign; the short campaign's cost is the least of three, as a
+// regression of the campaign's own shows in every one.
 func TestFuzzCampaignMemoryFlatInSeeds(t *testing.T) {
 	const short, long = 1000, 11000
 	for _, tc := range []struct{ workers, maxFixed, raceFixed int }{{1, 34, 38}, {2, 64, 72}} {
@@ -430,6 +433,10 @@ func TestFuzzCampaignMemoryFlatInSeeds(t *testing.T) {
 		cfg.Seeds = short
 		campaignCost(t, cfg) // warm the process-wide tables
 		shortAllocs, shortBytes := campaignCost(t, cfg)
+		for range 2 {
+			allocs, bytes := campaignCost(t, cfg)
+			shortAllocs, shortBytes = min(shortAllocs, allocs), min(shortBytes, bytes)
+		}
 		cfg.Seeds = long
 		longAllocs, longBytes := campaignCost(t, cfg)
 		perSeedBytes := float64(longBytes-shortBytes) / (long - short)

@@ -360,7 +360,6 @@ func (a *FromChooser) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (boo
 }
 
 // Crashed returns how many processes have been crashed so far.
-func (a *FromChooser) Crashed() int { return a.crashes }
 
 // OmittingFromChooser extends FromChooser with the omission tree. It is a
 // separate type — not a flag on FromChooser — so crash-only exploration

@@ -116,9 +116,6 @@ func TestRandomRespectsBudgetAndValidity(t *testing.T) {
 		if crashes > 3 {
 			t.Errorf("seed %d: %d crashes exceed budget 3", seed, crashes)
 		}
-		if a.Crashed() != crashes {
-			t.Errorf("seed %d: Crashed() = %d, want %d", seed, a.Crashed(), crashes)
-		}
 	}
 }
 
@@ -177,9 +174,6 @@ func TestFromChooserRespectsBudgetAndHorizon(t *testing.T) {
 	}
 	if crash, _ := a.Crashes(1, 1, plan(0, 0)); !crash {
 		t.Error("first crash did not fire")
-	}
-	if a.Crashed() != 1 {
-		t.Errorf("Crashed() = %d, want 1", a.Crashed())
 	}
 	if crash, _ := a.Crashes(2, 1, plan(0, 0)); crash {
 		t.Error("crashed beyond budget")

@@ -235,7 +235,6 @@ func (a *RandomOmission) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim
 }
 
 // Faulty returns how many distinct processes have committed omission faults.
-func (a *RandomOmission) Faulty() int { return len(a.faulty) }
 
 // allTrue carves a delivered-mask of k entries, every message delivered.
 func allTrue(masks *Masks, k int) []bool {

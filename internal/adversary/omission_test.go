@@ -63,8 +63,8 @@ func TestRandomOmissionDeterministicAndBounded(t *testing.T) {
 				out = append(out, a.Omits(p, r, omitPlan))
 			}
 		}
-		if a.Faulty() > 2 {
-			t.Fatalf("faulty = %d, want <= 2 (MaxFaulty)", a.Faulty())
+		if len(a.faulty) > 2 {
+			t.Fatalf("faulty = %d, want <= 2 (MaxFaulty)", len(a.faulty))
 		}
 		return out
 	}

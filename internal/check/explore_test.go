@@ -259,8 +259,8 @@ func TestExhaustiveEarlyStop(t *testing.T) {
 			}
 			if len(stats.Counterexamples) != 0 {
 				ce := stats.Counterexamples[0]
-				t.Fatalf("violation: %v (script %v, decisions %s, crashed %s)",
-					ce.Err, ce.Script, ce.Result.DecisionsString(), ce.Result.CrashedString())
+				t.Fatalf("violation: %v (script %v, decisions %s)",
+					ce.Err, ce.Script, ce.Result.DecisionsString())
 			}
 			t.Logf("n=%d t=%d: %d executions, max decide round %d",
 				tc.n, tc.t, stats.Executions, stats.MaxDecideRound)

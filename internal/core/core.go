@@ -172,9 +172,6 @@ func (s *System) Reset(proposals []sim.Value, opts Options) []sim.Process {
 // ID implements sim.Process.
 func (p *Protocol) ID() sim.ProcID { return p.id }
 
-// Estimate returns the current estimate (exposed for tests and traces).
-func (p *Protocol) Estimate() sim.Value { return p.est }
-
 // Violated reports whether the "cannot happen" branch (line 9) was reached —
 // no execution of the faithful algorithm may set this.
 func (p *Protocol) Violated() bool { return p.violated }

@@ -1,21 +1,18 @@
 // Package des is a minimal deterministic discrete-event simulator used by
 // the continuous-time substrates of this repository (the fast failure
-// detector model of experiment E7, the timed consensus engine of
-// internal/timed and the Chandy–Lamport snapshot of internal/snapshot).
+// detector model of experiment E7 and the timed consensus engine of
+// internal/timed).
 //
 // Events are callbacks scheduled at absolute times and executed in
 // nondecreasing time order; ties are broken by scheduling order (FIFO), which
-// keeps runs fully deterministic. Scheduling returns a Handle that can cancel
-// the event before it fires (timers that are superseded), implemented by lazy
-// deletion so cancellation is O(1).
+// keeps runs fully deterministic. A scheduled event always runs: nothing
+// cancels one.
 //
 // The core is built for reuse on hot paths: event records come from a
-// block-allocated free list and are recycled the moment they execute (or
-// their lazy tombstone surfaces), the priority queue is a hand-rolled 4-ary
-// heap (no interface boxing, shallower than a binary heap), and Reset rewinds
-// a simulation for the next run while keeping every buffer. Handles are
-// generation-counted so a handle retained past execution, cancellation, or
-// Reset can never cancel the recycled event that now occupies its slot.
+// block-allocated free list and are recycled the moment they execute, the
+// priority queue is a hand-rolled 4-ary heap (no interface boxing, shallower
+// than a binary heap), and Reset rewinds a simulation for the next run while
+// keeping every buffer.
 package des
 
 import (
@@ -39,10 +36,9 @@ type Action interface {
 	Act()
 }
 
-// event is one scheduled callback slot. Slots are pooled: executed and
-// lazily-discarded events return to the simulation's free list and are
-// reused by later Schedule calls, with gen incremented on every recycle so
-// stale Handles cannot touch the new tenant.
+// event is one scheduled callback slot. Slots are pooled: executed events
+// return to the simulation's free list and are reused by later schedule
+// calls.
 //
 // seq is the heap tie-break key; ord is the ground-truth scheduling order.
 // They are normally identical, but the order audit must not trust the key the
@@ -54,14 +50,9 @@ type event struct {
 	at  Time
 	seq uint64
 	ord uint64
-	gen uint32
 	fn  func()
 	act Action
 }
-
-// live reports whether the event still holds a callback (not executed, not
-// cancelled).
-func (e *event) live() bool { return e.fn != nil || e.act != nil }
 
 // eventBlock is the free-list growth quantum: events are allocated in slabs
 // so a cold simulation pays O(peak/blockSize) allocations, not O(events).
@@ -69,18 +60,16 @@ const blockSize = 64
 
 // Sim is a discrete-event simulation. The zero value is ready to use.
 type Sim struct {
-	heap      []*event // 4-ary min-heap on (at, seq)
-	free      []*event // recycled event slots
-	now       Time
-	seq       uint64
-	stopped   bool
-	steps     int
-	cancelled int // cancelled events still sitting in the heap
+	heap    []*event // 4-ary min-heap on (at, seq)
+	free    []*event // recycled event slots
+	now     Time
+	seq     uint64
+	stopped bool
+	steps   int
 
 	// Audit bookkeeping (see Audit): every event ever scheduled must be
-	// accounted for as executed, still pending, or cancelled.
-	scheduled     int
-	cancelledEver int
+	// accounted for as executed or still pending.
+	scheduled int
 	// Order audit: the (time, scheduling order) of the last executed event,
 	// and the first recorded violation of the execution contract.
 	lastAt         Time
@@ -114,38 +103,8 @@ type Sim struct {
 	batchOrd   int32
 }
 
-// Handle refers to a scheduled event and can cancel it before it fires. The
-// zero Handle is valid and cancels nothing. A Handle pins the identity of
-// one scheduling act, not a memory slot: once its event has executed, been
-// cancelled, or been swept away by Reset, the handle is spent forever —
-// even after the pooled slot is recycled for a fresh event.
-type Handle struct {
-	s   *Sim
-	e   *event
-	gen uint32
-}
-
-// Cancel removes the event from the schedule if it has not executed yet. It
-// reports whether the event was actually cancelled (false when it already
-// ran, was already cancelled, the simulation was Reset, or the handle is
-// zero). The removal is lazy: the slot stays in the heap and is skipped —
-// without executing or advancing the clock — when it surfaces.
-func (h Handle) Cancel() bool {
-	if h.e == nil || h.e.gen != h.gen || !h.e.live() {
-		return false
-	}
-	h.e.fn, h.e.act = nil, nil
-	h.s.cancelled++
-	h.s.cancelledEver++
-	return true
-}
-
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
-
-// Steps returns the number of events executed so far (cancelled events are
-// never executed and never counted).
-func (s *Sim) Steps() int { return s.steps }
 
 // alloc takes an event slot from the free list, growing it by one slab when
 // empty.
@@ -165,16 +124,14 @@ func (s *Sim) alloc() *event {
 	return e
 }
 
-// release recycles a spent event slot: the generation bump invalidates every
-// outstanding Handle to it before the slot can be handed to a new tenant.
+// release recycles a spent event slot, dropping its callback.
 func (s *Sim) release(e *event) {
-	e.gen++
 	e.fn, e.act = nil, nil
 	s.free = append(s.free, e)
 }
 
 // schedule is the common body of At/AtAct.
-func (s *Sim) schedule(t Time, fn func(), act Action) Handle {
+func (s *Sim) schedule(t Time, fn func(), act Action) {
 	if t < s.now {
 		t = s.now
 	}
@@ -187,23 +144,22 @@ func (s *Sim) schedule(t Time, fn func(), act Action) Handle {
 	e.at, e.seq, e.ord, e.fn, e.act = t, key, s.seq, fn, act
 	s.push(e)
 	s.scheduled++
-	return Handle{s: s, e: e, gen: e.gen}
 }
 
 // At schedules fn at absolute time t. Scheduling in the past (t < Now) runs
 // the event at the current time instead — events never rewind the clock.
-func (s *Sim) At(t Time, fn func()) Handle { return s.schedule(t, fn, nil) }
+func (s *Sim) At(t Time, fn func()) { s.schedule(t, fn, nil) }
 
 // After schedules fn at Now()+d.
-func (s *Sim) After(d Time, fn func()) Handle { return s.At(s.now+d, fn) }
+func (s *Sim) After(d Time, fn func()) { s.At(s.now+d, fn) }
 
 // AtAct schedules a pooled Action at absolute time t. It is the
 // allocation-free twin of At: the caller owns the record, so nothing is
 // captured and nothing escapes per event.
-func (s *Sim) AtAct(t Time, act Action) Handle { return s.schedule(t, nil, act) }
+func (s *Sim) AtAct(t Time, act Action) { s.schedule(t, nil, act) }
 
 // AfterAct schedules a pooled Action at Now()+d.
-func (s *Sim) AfterAct(d Time, act Action) Handle { return s.AtAct(s.now+d, act) }
+func (s *Sim) AfterAct(d Time, act Action) { s.AtAct(s.now+d, act) }
 
 // Stop ends the run after the current event returns.
 func (s *Sim) Stop() { s.stopped = true }
@@ -216,14 +172,6 @@ func (s *Sim) Run(until Time) Time {
 	recording := s.Telemetry.Enabled()
 	for len(s.heap) > 0 && !s.stopped {
 		next := s.heap[0]
-		if !next.live() {
-			// Lazily deleted by Cancel: discard without running it or
-			// advancing the clock, and recycle the slot.
-			s.pop()
-			s.cancelled--
-			s.release(next)
-			continue
-		}
 		if next.at > until {
 			break
 		}
@@ -259,10 +207,8 @@ func (s *Sim) Run(until Time) Time {
 		s.now = next.at
 		s.steps++
 		fn, act := next.fn, next.act
-		// Recycle the slot before running: a Handle retained past execution
-		// must see the event as spent (Cancel returns false) rather than
-		// "cancel" it and corrupt the pending count. The generation bump in
-		// release guarantees that even after the slot is re-let.
+		// Recycle the slot before running, so an event the callback
+		// schedules can reuse it.
 		s.release(next)
 		if act != nil {
 			act.Act()
@@ -293,15 +239,14 @@ func (s *Sim) closeBatch(end Time) {
 	s.batchCount = 0
 }
 
-// Pending returns the number of events still scheduled to run (cancelled
-// events awaiting lazy removal are excluded).
-func (s *Sim) Pending() int { return len(s.heap) - s.cancelled }
+// Pending returns the number of events still scheduled to run.
+func (s *Sim) Pending() int { return len(s.heap) }
 
 // Reset rewinds the simulation to its initial state for the next run while
 // keeping every allocation: the heap slice, the free list, and every pooled
 // event slot survive, so a reused Sim schedules without allocating. Pending
-// events are discarded (their Handles become permanently spent), the clock
-// returns to zero, and the audit books open fresh.
+// events are discarded, the clock returns to zero, and the audit books open
+// fresh.
 func (s *Sim) Reset() {
 	for _, e := range s.heap {
 		s.release(e)
@@ -311,9 +256,7 @@ func (s *Sim) Reset() {
 	s.seq = 0
 	s.stopped = false
 	s.steps = 0
-	s.cancelled = 0
 	s.scheduled = 0
-	s.cancelledEver = 0
 	s.lastAt = 0
 	s.lastOrd = 0
 	s.orderViolation = ""
@@ -332,7 +275,7 @@ func (s *Sim) Reset() {
 //     in scheduling (FIFO) order, judged against the ground-truth scheduling
 //     sequence, not the heap's tie-break key;
 //   - every event ever scheduled is accounted for exactly once:
-//     scheduled == executed + pending + cancelled.
+//     scheduled == executed + pending.
 //
 // It returns nil on a clean run (no allocation) and a descriptive error for
 // the first violation observed.
@@ -340,9 +283,9 @@ func (s *Sim) Audit() error {
 	if s.orderViolation != "" {
 		return fmt.Errorf("%s", s.orderViolation)
 	}
-	if s.scheduled != s.steps+s.Pending()+s.cancelledEver {
-		return fmt.Errorf("des: event bookkeeping leak: scheduled %d != executed %d + pending %d + cancelled %d",
-			s.scheduled, s.steps, s.Pending(), s.cancelledEver)
+	if s.scheduled != s.steps+s.Pending() {
+		return fmt.Errorf("des: event bookkeeping leak: scheduled %d != executed %d + pending %d",
+			s.scheduled, s.steps, s.Pending())
 	}
 	return nil
 }

@@ -25,9 +25,6 @@ func TestEventsRunInTimeOrder(t *testing.T) {
 	if s.Now() != 3 {
 		t.Errorf("Now = %v, want 3", s.Now())
 	}
-	if s.Steps() != 3 {
-		t.Errorf("Steps = %d, want 3", s.Steps())
-	}
 }
 
 func TestTiesBreakFIFO(t *testing.T) {
@@ -120,10 +117,10 @@ func TestEventsCanCascade(t *testing.T) {
 
 // TestExecutionOrderProperty is the satellite testing/quick property for the
 // event core: under arbitrary random interleavings of scheduling (from
-// outside and from inside running events, including past times) and
-// cancellation, the executed events form a sequence that is nondecreasing in
-// time with FIFO tie-breaking by scheduling order, cancelled events never
-// run, and Steps/Pending stay consistent.
+// outside and from inside running events, including past times), the
+// executed events form a sequence that is nondecreasing in time with FIFO
+// tie-breaking by scheduling order, every event runs exactly once, and the
+// audit books balance.
 func TestExecutionOrderProperty(t *testing.T) {
 	type executed struct {
 		at  des.Time
@@ -133,9 +130,6 @@ func TestExecutionOrderProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		var s des.Sim
 		var got []executed
-		var handles []des.Handle
-		cancelled := map[int]bool{}
-		ran := map[int]bool{}
 		seq := 0
 
 		// schedule registers one event at time at, recording its identity.
@@ -143,34 +137,19 @@ func TestExecutionOrderProperty(t *testing.T) {
 		schedule = func(at des.Time) {
 			id := seq
 			seq++
-			h := s.At(at, func() {
-				ran[id] = true
+			s.At(at, func() {
 				got = append(got, executed{at: maxTime(at, s.Now()), seq: id})
-				// Events may themselves schedule (possibly in the past,
-				// which clamps to Now) and cancel pending events.
+				// Events may themselves schedule, possibly in the past,
+				// which clamps to Now.
 				if rng.Intn(3) == 0 && seq < int(nOps)+64 {
 					schedule(s.Now() + des.Time(rng.Float64()*4-1))
 				}
-				if rng.Intn(4) == 0 && len(handles) > 0 {
-					victim := rng.Intn(len(handles))
-					if handles[victim].Cancel() {
-						cancelled[victim] = true
-					}
-				}
 			})
-			handles = append(handles, h)
 		}
 
 		n := int(nOps%64) + 1
 		for i := 0; i < n; i++ {
 			schedule(des.Time(rng.Float64() * 10))
-			// Cancel a random earlier handle now and then, before running.
-			if rng.Intn(4) == 0 {
-				victim := rng.Intn(len(handles))
-				if handles[victim].Cancel() {
-					cancelled[victim] = true
-				}
-			}
 		}
 		s.Run(des.Infinity)
 
@@ -186,20 +165,17 @@ func TestExecutionOrderProperty(t *testing.T) {
 				return false
 			}
 		}
-		// Cancelled events never ran; everything else ran exactly once.
-		for id := range cancelled {
-			if ran[id] {
-				t.Logf("seed %d: cancelled event %d executed", seed, id)
+		// Every event ran exactly once.
+		seen := make([]bool, seq)
+		for _, e := range got {
+			if seen[e.seq] {
+				t.Logf("seed %d: event %d executed twice", seed, e.seq)
 				return false
 			}
+			seen[e.seq] = true
 		}
-		if len(got)+len(cancelled) != seq {
-			t.Logf("seed %d: %d executed + %d cancelled != %d scheduled",
-				seed, len(got), len(cancelled), seq)
-			return false
-		}
-		if s.Steps() != len(got) {
-			t.Logf("seed %d: Steps %d != executed %d", seed, s.Steps(), len(got))
+		if len(got) != seq {
+			t.Logf("seed %d: %d executed != %d scheduled", seed, len(got), seq)
 			return false
 		}
 		if s.Pending() != 0 {
@@ -225,15 +201,13 @@ func maxTime(a, b des.Time) des.Time {
 }
 
 // TestAuditCleanRuns pins the checked invariant on well-behaved schedules:
-// after any mix of execution, cancellation and an early horizon, Audit
-// reports clean books.
+// after any mix of execution and an early horizon, Audit reports clean
+// books.
 func TestAuditCleanRuns(t *testing.T) {
 	var s des.Sim
 	s.At(1, func() {})
 	s.At(2, func() { s.After(1, func() {}) })
-	h := s.At(4, func() {})
 	s.At(5, func() {})
-	h.Cancel()
 	s.Run(3) // t=5 event still pending
 	if err := s.Audit(); err != nil {
 		t.Fatalf("Audit mid-run: %v", err)
@@ -285,37 +259,5 @@ func TestAuditCatchesLIFOTiesUnderProperty(t *testing.T) {
 	s.Run(des.Infinity)
 	if err := s.Audit(); err == nil {
 		t.Fatal("Audit passed despite mangled tie keys")
-	}
-}
-
-// TestCancelSemantics pins the Handle contract directly: double cancel,
-// cancel after execution, and the zero handle.
-func TestCancelSemantics(t *testing.T) {
-	var s des.Sim
-	fired := 0
-	h1 := s.At(1, func() { fired++ })
-	h2 := s.At(2, func() { fired++ })
-	if !h2.Cancel() {
-		t.Error("first Cancel returned false")
-	}
-	if h2.Cancel() {
-		t.Error("second Cancel returned true")
-	}
-	if s.Pending() != 1 {
-		t.Errorf("Pending = %d with one live and one cancelled event, want 1", s.Pending())
-	}
-	s.Run(des.Infinity)
-	if fired != 1 {
-		t.Errorf("fired %d events, want 1", fired)
-	}
-	if h1.Cancel() {
-		t.Error("Cancel after execution returned true")
-	}
-	var zero des.Handle
-	if zero.Cancel() {
-		t.Error("zero Handle cancelled something")
-	}
-	if s.Now() != 1 {
-		t.Errorf("Now = %v; a cancelled later event advanced the clock", s.Now())
 	}
 }

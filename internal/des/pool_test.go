@@ -9,84 +9,17 @@ import (
 	"repro/internal/des"
 )
 
-// TestHandleSpentAfterRecycling pins the Handle lifetime contract under
-// event pooling: a handle retained past its event's execution must stay
-// spent even after the pooled slot has been re-let to a new event. Before
-// generation counting, a raw-pointer handle would have silently cancelled
-// the slot's new tenant.
-func TestHandleSpentAfterRecycling(t *testing.T) {
-	var s des.Sim
-	h1 := s.At(1, func() {})
-	s.Run(des.Infinity) // h1's event executes and its slot is recycled
-	if h1.Cancel() {
-		t.Fatal("Cancel returned true for an executed event")
-	}
-	// The pool hands h1's slot to the next scheduled event.
-	fired := false
-	h2 := s.At(2, func() { fired = true })
-	if h1.Cancel() {
-		t.Fatal("stale handle cancelled the slot's new tenant")
-	}
-	s.Run(des.Infinity)
-	if !fired {
-		t.Fatal("recycled-slot event did not fire (stale handle corrupted it)")
-	}
-	if h2.Cancel() {
-		t.Fatal("Cancel returned true after the recycled-slot event executed")
-	}
-	if err := s.Audit(); err != nil {
-		t.Fatalf("Audit: %v", err)
-	}
-}
-
-// TestHandleSpentAfterReset pins the other half of the lifetime contract: a
-// handle retained across Sim.Reset reports Cancel() == false, and cannot
-// touch events of the next run even when they reuse its old slot.
-func TestHandleSpentAfterReset(t *testing.T) {
-	var s des.Sim
-	stale := make([]des.Handle, 0, 8)
-	for i := 0; i < 8; i++ {
-		stale = append(stale, s.At(des.Time(i), func() {}))
-	}
-	s.Run(3) // some executed, some still pending
-	s.Reset()
-	for i, h := range stale {
-		if h.Cancel() {
-			t.Fatalf("handle %d survived Reset", i)
-		}
-	}
-	// The next run reuses the recycled slots; stale handles must stay inert.
-	fired := 0
-	for i := 0; i < 8; i++ {
-		s.At(des.Time(i), func() { fired++ })
-	}
-	for _, h := range stale {
-		if h.Cancel() {
-			t.Fatal("stale handle cancelled an event of the next run")
-		}
-	}
-	s.Run(des.Infinity)
-	if fired != 8 {
-		t.Fatalf("next run fired %d events, want 8 (stale handles interfered)", fired)
-	}
-	if err := s.Audit(); err != nil {
-		t.Fatalf("Audit after Reset: %v", err)
-	}
-}
-
-// TestResetRewindsEverything pins Reset semantics: clock, step count,
-// pending events and audit books all return to the zero state, and the next
-// run is indistinguishable from a run on a fresh Sim.
+// TestResetRewindsEverything pins Reset semantics: clock, pending events
+// and audit books all return to the zero state, and the next run is
+// indistinguishable from a run on a fresh Sim.
 func TestResetRewindsEverything(t *testing.T) {
 	var s des.Sim
 	s.At(5, func() {})
-	h := s.At(7, func() {})
-	h.Cancel()
 	s.At(9, func() {})
-	s.Run(6) // one executed, one tombstone, one pending
+	s.Run(6) // one executed, one pending
 	s.Reset()
-	if s.Now() != 0 || s.Steps() != 0 || s.Pending() != 0 {
-		t.Fatalf("after Reset: Now=%v Steps=%d Pending=%d, want all zero", s.Now(), s.Steps(), s.Pending())
+	if s.Now() != 0 || s.Pending() != 0 {
+		t.Fatalf("after Reset: Now=%v Pending=%d, want both zero", s.Now(), s.Pending())
 	}
 	if err := s.Audit(); err != nil {
 		t.Fatalf("Audit after Reset: %v", err)
@@ -100,8 +33,8 @@ func TestResetRewindsEverything(t *testing.T) {
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("post-Reset run order = %v, want [1 2 3]", order)
 	}
-	if s.Steps() != 3 {
-		t.Errorf("post-Reset Steps = %d, want 3", s.Steps())
+	if err := s.Audit(); err != nil {
+		t.Fatalf("Audit after the post-Reset run: %v", err)
 	}
 }
 
@@ -133,9 +66,7 @@ type refSim struct {
 	now       des.Time
 	seq       uint64
 	steps     int
-	cancelled int
 	scheduled int
-	cancEver  int
 }
 
 type refEvent struct {
@@ -164,22 +95,7 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-type refHandle struct {
-	s *refSim
-	e *refEvent
-}
-
-func (h refHandle) cancel() bool {
-	if h.e == nil || h.e.fn == nil {
-		return false
-	}
-	h.e.fn = nil
-	h.s.cancelled++
-	h.s.cancEver++
-	return true
-}
-
-func (s *refSim) at(t des.Time, fn func()) refHandle {
+func (s *refSim) at(t des.Time, fn func()) {
 	if t < s.now {
 		t = s.now
 	}
@@ -187,35 +103,25 @@ func (s *refSim) at(t des.Time, fn func()) refHandle {
 	e := &refEvent{at: t, seq: s.seq, fn: fn}
 	heap.Push(&s.queue, e)
 	s.scheduled++
-	return refHandle{s: s, e: e}
 }
 
 func (s *refSim) run(until des.Time) {
 	for len(s.queue) > 0 {
 		next := s.queue[0]
-		if next.fn == nil {
-			heap.Pop(&s.queue)
-			s.cancelled--
-			continue
-		}
 		if next.at > until {
 			break
 		}
 		heap.Pop(&s.queue)
 		s.now = next.at
 		s.steps++
-		fn := next.fn
-		next.fn = nil
-		fn()
+		next.fn()
 	}
 }
 
 func (s *refSim) reset() { *s = refSim{} }
 
-func (s *refSim) pending() int { return len(s.queue) - s.cancelled }
-
 func (s *refSim) booksBalance() bool {
-	return s.scheduled == s.steps+s.pending()+s.cancEver
+	return s.scheduled == s.steps+len(s.queue)
 }
 
 // execRecord is one executed event as observed by the differential: the
@@ -229,10 +135,9 @@ type execRecord struct {
 // simOp is one differential script step, interpreted identically by both
 // simulators.
 type simOp struct {
-	kind   int      // 0 schedule, 1 cancel, 2 run-until, 3 reset
-	at     des.Time // schedule target / run horizon
-	victim int      // cancel: index into the handle log (mod its length)
-	child  bool     // schedule: the event itself schedules a child at now+0.5
+	kind  int      // 0 schedule, 1 run-until, 2 reset
+	at    des.Time // schedule target / run horizon
+	child bool     // schedule: the event itself schedules a child at now+0.5
 }
 
 // TestPooledSimDifferentialProperty is the satellite testing/quick property:
@@ -240,7 +145,7 @@ type simOp struct {
 // execution sequence — and the same clean Audit verdict — as the retained
 // reference implementation (refSim: the pre-pooling container/heap core),
 // over random interleavings of scheduling (from outside and from inside
-// events), cancellation, Run horizons, and Reset. The op script is generated
+// events), Run horizons, and Reset. The op script is generated
 // once and replayed against both simulators, so any divergence is a
 // pooling/heap/Reset bug, not test noise.
 func TestPooledSimDifferentialProperty(t *testing.T) {
@@ -249,13 +154,13 @@ func TestPooledSimDifferentialProperty(t *testing.T) {
 		nOps := int(nOpsRaw%48) + 8
 		ops := make([]simOp, nOps)
 		for i := range ops {
-			o := simOp{kind: rng.Intn(4), at: des.Time(rng.Intn(12)), victim: rng.Int() >> 1, child: rng.Intn(3) == 0}
-			if o.kind == 3 && rng.Intn(3) != 0 {
+			o := simOp{kind: rng.Intn(3), at: des.Time(rng.Intn(12)), child: rng.Intn(3) == 0}
+			if o.kind == 2 && rng.Intn(3) != 0 {
 				o.kind = 0 // keep Reset rare enough that runs have depth
 			}
 			ops[i] = o
 		}
-		ops = append(ops, simOp{kind: 2, at: des.Infinity}) // final drain
+		ops = append(ops, simOp{kind: 1, at: des.Infinity}) // final drain
 
 		var got, want []execRecord
 		var s des.Sim
@@ -277,9 +182,9 @@ func TestPooledSimDifferentialProperty(t *testing.T) {
 				return false
 			}
 		}
-		if s.Now() != r.now || s.Steps() != r.steps || s.Pending() != r.pending() {
-			t.Logf("seed %d: state Now/Steps/Pending %v/%d/%d vs %v/%d/%d",
-				seed, s.Now(), s.Steps(), s.Pending(), r.now, r.steps, r.pending())
+		if s.Now() != r.now || s.Pending() != len(r.queue) {
+			t.Logf("seed %d: state Now/Pending %v/%d vs %v/%d",
+				seed, s.Now(), s.Pending(), r.now, len(r.queue))
 			return false
 		}
 		return true
@@ -291,41 +196,32 @@ func TestPooledSimDifferentialProperty(t *testing.T) {
 
 // drivePooled replays an op script on the pooled des.Sim, appending executed
 // (time, per-run ord) records, and reports whether every Audit along the way
-// was clean. Reset clears the handle log: the Handle-across-Reset contract
-// (spent forever) is pinned by its own regression test, while the reference
-// core predates that contract.
+// was clean.
 func drivePooled(s *des.Sim, ops []simOp, got *[]execRecord) bool {
 	clean := true
-	var handles []des.Handle
 	ord := 0
 	var schedule func(at des.Time, child bool)
 	schedule = func(at des.Time, child bool) {
 		id := ord
 		ord++
-		h := s.At(at, func() {
+		s.At(at, func() {
 			*got = append(*got, execRecord{at: s.Now(), ord: id})
 			if child {
 				schedule(s.Now()+0.5, false)
 			}
 		})
-		handles = append(handles, h)
 	}
 	for _, o := range ops {
 		switch o.kind {
 		case 0:
 			schedule(o.at, o.child)
 		case 1:
-			if len(handles) > 0 {
-				handles[o.victim%len(handles)].Cancel()
-			}
-		case 2:
 			s.Run(o.at)
 			if s.Audit() != nil {
 				clean = false
 			}
-		case 3:
+		case 2:
 			s.Reset()
-			handles = handles[:0]
 			ord = 0
 		}
 	}
@@ -340,36 +236,29 @@ func drivePooled(s *des.Sim, ops []simOp, got *[]execRecord) bool {
 // differs.
 func driveRef(r *refSim, ops []simOp, want *[]execRecord) bool {
 	clean := true
-	var handles []refHandle
 	ord := 0
 	var schedule func(at des.Time, child bool)
 	schedule = func(at des.Time, child bool) {
 		id := ord
 		ord++
-		h := r.at(at, func() {
+		r.at(at, func() {
 			*want = append(*want, execRecord{at: r.now, ord: id})
 			if child {
 				schedule(r.now+0.5, false)
 			}
 		})
-		handles = append(handles, h)
 	}
 	for _, o := range ops {
 		switch o.kind {
 		case 0:
 			schedule(o.at, o.child)
 		case 1:
-			if len(handles) > 0 {
-				handles[o.victim%len(handles)].cancel()
-			}
-		case 2:
 			r.run(o.at)
 			if !r.booksBalance() {
 				clean = false
 			}
-		case 3:
+		case 2:
 			r.reset()
-			handles = handles[:0]
 			ord = 0
 		}
 	}

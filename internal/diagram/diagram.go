@@ -7,7 +7,6 @@ package diagram
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/trace"
@@ -105,55 +104,4 @@ func arrow(e trace.Event, n int) string {
 		return fmt.Sprintf("%s%s%s%s p%d%s p%d", pad(lo), "+", line, head, from, head, to)
 	}
 	return fmt.Sprintf("%s<%s%s p%d%s p%d", pad(lo), line, "+", from, head, to)
-}
-
-// Summary renders a one-line-per-round digest: who sent, who crashed, who
-// decided.
-func Summary(log *trace.Log) string {
-	if log == nil {
-		return ""
-	}
-	type roundInfo struct {
-		senders map[int]bool
-		crashes []int
-		decides []int
-	}
-	rounds := map[int]*roundInfo{}
-	get := func(r int) *roundInfo {
-		if rounds[r] == nil {
-			rounds[r] = &roundInfo{senders: map[int]bool{}}
-		}
-		return rounds[r]
-	}
-	maxRound := 0
-	for _, e := range log.Events() {
-		if e.Round > maxRound {
-			maxRound = e.Round
-		}
-		switch e.Kind {
-		case trace.KindSend:
-			get(e.Round).senders[e.From] = true
-		case trace.KindCrash:
-			get(e.Round).crashes = append(get(e.Round).crashes, e.From)
-		case trace.KindDecide:
-			get(e.Round).decides = append(get(e.Round).decides, e.From)
-		}
-	}
-	var b strings.Builder
-	for r := 1; r <= maxRound; r++ {
-		ri := rounds[r]
-		if ri == nil {
-			continue
-		}
-		senders := make([]int, 0, len(ri.senders))
-		for s := range ri.senders {
-			senders = append(senders, s)
-		}
-		sort.Ints(senders)
-		sort.Ints(ri.crashes)
-		sort.Ints(ri.decides)
-		fmt.Fprintf(&b, "round %d: senders %v, crashes %v, decisions %v\n",
-			r, senders, ri.crashes, ri.decides)
-	}
-	return b.String()
 }

@@ -63,27 +63,3 @@ func TestRenderEmpty(t *testing.T) {
 		t.Errorf("empty log rendering = %q", out)
 	}
 }
-
-func TestSummary(t *testing.T) {
-	log := traced(t, 4, adversary.CoordinatorKiller{F: 1})
-	s := diagram.Summary(log)
-	// p1 crashed delivering nothing, so round 1 has no completed sends.
-	if !strings.Contains(s, "round 1: senders [], crashes [1], decisions []") {
-		t.Errorf("summary round 1 wrong:\n%s", s)
-	}
-	if !strings.Contains(s, "round 2: senders [2], crashes [], decisions [2 3 4]") {
-		t.Errorf("summary round 2 wrong:\n%s", s)
-	}
-	if diagram.Summary(nil) != "" {
-		t.Error("nil summary not empty")
-	}
-}
-
-func TestSummarySkipsQuietRounds(t *testing.T) {
-	log := trace.New()
-	log.Add(trace.Event{Round: 3, Kind: trace.KindSend, From: 1, To: 2})
-	s := diagram.Summary(log)
-	if strings.Contains(s, "round 1") || strings.Contains(s, "round 2") {
-		t.Errorf("summary includes quiet rounds:\n%s", s)
-	}
-}

@@ -32,7 +32,6 @@ package ffd
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/des"
 	"repro/internal/sim"
@@ -66,12 +65,6 @@ func (c Config) Validate() error {
 type Schedule interface {
 	Crash(p sim.ProcID, t des.Time, dests []sim.ProcID) (bool, []bool)
 }
-
-// NoCrash is the failure-free schedule.
-type NoCrash struct{}
-
-// Crash implements Schedule.
-func (NoCrash) Crash(sim.ProcID, des.Time, []sim.ProcID) (bool, []bool) { return false, nil }
 
 // KillFirstF crashes the first F coordinators at their takeover broadcast.
 // DeliverTo optionally selects destinations that still receive the dying
@@ -117,9 +110,6 @@ func (r *Result) MaxDecideTime() des.Time {
 	}
 	return max
 }
-
-// Faults returns the number of crashes.
-func (r *Result) Faults() int { return len(r.Crashed) }
 
 // proc is the per-process state.
 type proc struct {
@@ -260,15 +250,4 @@ func receive(s *des.Sim, cfg Config, res *Result, q *proc, from sim.ProcID, est 
 // WorstCaseDecideTime returns the model's worst-case decision time D + f·d.
 func WorstCaseDecideTime(cfg Config, f int) des.Time {
 	return cfg.D + des.Time(f)*cfg.Dd
-}
-
-// SortedDecideTimes returns the decision times in increasing order (for
-// table output).
-func (r *Result) SortedDecideTimes() []des.Time {
-	out := make([]des.Time, 0, len(r.DecideTime))
-	for _, t := range r.DecideTime {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -21,12 +21,12 @@ func approx(a, b des.Time) bool { return math.Abs(float64(a-b)) < 1e-9 }
 
 func TestFailureFreeDecidesAtD(t *testing.T) {
 	cfg := ffd.Config{N: 5, D: 1.0, Dd: 0.05}
-	res, err := ffd.Run(cfg, props(5), ffd.NoCrash{})
+	res, err := ffd.Run(cfg, props(5), ffd.KillFirstF{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Faults() != 0 {
-		t.Fatalf("faults = %d", res.Faults())
+	if len(res.Crashed) != 0 {
+		t.Fatalf("faults = %d", len(res.Crashed))
 	}
 	// p1 decides at its broadcast (time 0); everyone else at D.
 	if !approx(res.DecideTime[1], 0) {
@@ -55,8 +55,8 @@ func TestWorstCaseDecideTimeDPlusFd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("f=%d: %v", f, err)
 		}
-		if res.Faults() != f {
-			t.Fatalf("f=%d: faults = %d", f, res.Faults())
+		if len(res.Crashed) != f {
+			t.Fatalf("f=%d: faults = %d", f, len(res.Crashed))
 		}
 		want := ffd.WorstCaseDecideTime(cfg, f)
 		if got := res.MaxDecideTime(); !approx(got, want) {
@@ -141,7 +141,7 @@ func TestConfigValidation(t *testing.T) {
 	if err := (ffd.Config{N: 0, D: 1, Dd: 0.1}).Validate(); err == nil {
 		t.Error("accepted n == 0")
 	}
-	if _, err := ffd.Run(ffd.Config{N: 3, D: 1, Dd: 0.1}, props(2), ffd.NoCrash{}); err == nil {
+	if _, err := ffd.Run(ffd.Config{N: 3, D: 1, Dd: 0.1}, props(2), ffd.KillFirstF{}); err == nil {
 		t.Error("accepted proposal/process count mismatch")
 	}
 }
@@ -225,7 +225,7 @@ func TestExhaustiveDeliverySubsets(t *testing.T) {
 
 func TestBroadcastAndMessageCounts(t *testing.T) {
 	cfg := ffd.Config{N: 5, D: 1.0, Dd: 0.05}
-	res, err := ffd.Run(cfg, props(5), ffd.NoCrash{})
+	res, err := ffd.Run(cfg, props(5), ffd.KillFirstF{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,8 +235,7 @@ func TestBroadcastAndMessageCounts(t *testing.T) {
 	if res.Messages != 4 {
 		t.Errorf("messages = %d, want 4", res.Messages)
 	}
-	times := res.SortedDecideTimes()
-	if len(times) != 5 || times[0] != 0 {
-		t.Errorf("sorted decide times = %v", times)
+	if len(res.DecideTime) != 5 {
+		t.Errorf("decide times = %v, want all 5 processes", res.DecideTime)
 	}
 }

@@ -3,6 +3,7 @@ package fuzz
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/check"
@@ -331,8 +332,8 @@ func TestShrinkPrefersLaterAndSmaller(t *testing.T) {
 		t.Fatalf("shrunk to %d events (%q), want 1", s.Crashes(), s.String())
 	}
 	ev := s.Events[0]
-	if ev.escapes() != 0 {
-		t.Errorf("shrunk event %s still lets %d messages escape, want 0", ev, ev.escapes())
+	if ev.Ctrl != 0 || slices.Contains(ev.Data, true) {
+		t.Errorf("shrunk event %s still lets messages escape, want none", ev)
 	}
 	// The crash round was pushed as late as the run still crashes: for a
 	// system that decides in round <= horizon, any round up to the last round

@@ -157,17 +157,6 @@ func writeMask(b *strings.Builder, mask []bool) {
 	}
 }
 
-// escapes returns how many messages of the event escape (shrink ordering).
-func (e Event) escapes() int {
-	n := e.Ctrl
-	for _, d := range e.Data {
-		if d {
-			n++
-		}
-	}
-	return n
-}
-
 // Script is a replayable fault schedule: crash and omission events in
 // canonical (round, process, kind) order — at most one crash per process,
 // at most one event per (kind, process, round). The empty script is the

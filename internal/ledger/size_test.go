@@ -1,6 +1,8 @@
 // Package ledger holds the size and surface ledger: a test that recounts
 // every package of the module and pins the counts in docs/size.md, so a
-// change's effect on the code's size shows as a diff of that file.
+// change's effect on the code's size shows as a diff of that file. Beside
+// it, the dead-code census (TestEveryFunctionIsLinked) fails on a non-test
+// function that no program of the module links.
 //
 // Regenerate the ledger after a deliberate change with
 //
@@ -59,10 +61,26 @@ func TestSizeLedger(t *testing.T) {
 	}
 }
 
-// measure counts every package directory under root: a directory holding
-// .go files, outside testdata and hidden directories.
+// measure counts every package of the module under root.
 func measure(root string) ([]pkgSize, error) {
-	var pkgs []pkgSize
+	dirs, err := packageDirs(root)
+	if err != nil {
+		return nil, err
+	}
+	pkgs := make([]pkgSize, len(dirs))
+	for i, dir := range dirs {
+		if pkgs[i], err = measurePkg(root, dir); err != nil {
+			return nil, err
+		}
+	}
+	return pkgs, nil
+}
+
+// packageDirs returns, sorted and slash-separated relative to root, every
+// directory under root that holds .go files, outside testdata and hidden
+// directories.
+func packageDirs(root string) ([]string, error) {
+	var dirs []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
@@ -71,33 +89,30 @@ func measure(root string) ([]pkgSize, error) {
 		if path != root && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
 			return filepath.SkipDir
 		}
-		p, ok, err := measurePkg(root, path)
-		if ok {
-			pkgs = append(pkgs, p)
+		files, err := filepath.Glob(filepath.Join(path, "*.go"))
+		if err != nil || len(files) == 0 {
+			return err
 		}
+		rel, err := filepath.Rel(root, path)
+		dirs = append(dirs, filepath.ToSlash(rel))
 		return err
 	})
-	slices.SortFunc(pkgs, func(a, b pkgSize) int { return strings.Compare(a.dir, b.dir) })
-	return pkgs, err
+	slices.Sort(dirs)
+	return dirs, err
 }
 
-// measurePkg counts the package in dir; ok is false when dir holds no Go
-// file.
-func measurePkg(root, dir string) (p pkgSize, ok bool, err error) {
-	rel, err := filepath.Rel(root, dir)
+// measurePkg counts the package in dir, relative to root.
+func measurePkg(root, dir string) (pkgSize, error) {
+	p := pkgSize{dir: dir, flags: -1}
+	files, err := filepath.Glob(filepath.Join(root, dir, "*.go"))
 	if err != nil {
-		return p, false, err
-	}
-	p.dir, p.flags = filepath.ToSlash(rel), -1
-	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
-	if err != nil || len(files) == 0 {
-		return p, false, err
+		return p, err
 	}
 	fset := token.NewFileSet()
 	for _, file := range files {
 		src, err := os.ReadFile(file)
 		if err != nil {
-			return p, true, err
+			return p, err
 		}
 		if strings.HasSuffix(file, "_test.go") {
 			p.test += bytes.Count(src, []byte("\n"))
@@ -106,21 +121,21 @@ func measurePkg(root, dir string) (p pkgSize, ok bool, err error) {
 		p.code += bytes.Count(src, []byte("\n"))
 		f, err := parser.ParseFile(fset, file, src, parser.SkipObjectResolution)
 		if err != nil {
-			return p, true, err
+			return p, err
 		}
 		p.exported += exported(f)
 	}
-	if p.testdata, err = linesUnder(filepath.Join(dir, "testdata")); err != nil {
-		return p, true, err
+	if p.testdata, err = linesUnder(filepath.Join(root, dir, "testdata")); err != nil {
+		return p, err
 	}
 	if strings.HasPrefix(p.dir, "cmd/") {
-		flags, err := os.ReadFile(filepath.Join(dir, "testdata", "flags.txt"))
+		flags, err := os.ReadFile(filepath.Join(root, dir, "testdata", "flags.txt"))
 		if err != nil {
-			return p, true, err
+			return p, err
 		}
 		p.flags = bytes.Count(flags, []byte("\n"))
 	}
-	return p, true, nil
+	return p, nil
 }
 
 // exported counts the file's exported surface: its exported top-level

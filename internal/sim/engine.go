@@ -177,29 +177,12 @@ func (r *Result) DistinctDecisions() []Value {
 // map[ProcID]Value ("map[1:100 3:100]"), the form violation texts and the
 // CLIs print.
 func (r *Result) DecisionsString() string {
-	return r.mapString(func(o Outcome) (int64, bool) { return int64(o.Value), o.DecideRound != 0 })
-}
-
-// DecideRoundsString renders the decision rounds as fmt renders a
-// map[ProcID]Round.
-func (r *Result) DecideRoundsString() string {
-	return r.mapString(func(o Outcome) (int64, bool) { return int64(o.DecideRound), o.DecideRound != 0 })
-}
-
-// CrashedString renders the crash rounds as fmt renders a map[ProcID]Round.
-func (r *Result) CrashedString() string {
-	return r.mapString(func(o Outcome) (int64, bool) { return int64(o.CrashRound), o.CrashRound != 0 })
-}
-
-// mapString renders the selected per-process field in fmt's map format:
-// ascending keys, "key:value" pairs separated by spaces.
-func (r *Result) mapString(field func(Outcome) (int64, bool)) string {
 	var b strings.Builder
 	b.WriteString("map[")
 	sep := ""
 	for i, o := range r.Procs {
-		if v, ok := field(o); ok {
-			fmt.Fprintf(&b, "%s%d:%d", sep, i+1, v)
+		if o.DecideRound != 0 {
+			fmt.Fprintf(&b, "%s%d:%d", sep, i+1, o.Value)
 			sep = " "
 		}
 	}
@@ -259,9 +242,6 @@ func (e *Engine) ResetConfig(cfg Config, procs []Process, adv Adversary) error {
 	e.k.Arm(cfg, procs, adv, (*deliverer)(e), nil)
 	return nil
 }
-
-// N returns the number of processes.
-func (e *Engine) N() int { return e.k.N() }
 
 // Run executes rounds until every alive process has halted, the horizon is
 // reached, or a model violation occurs. It returns the result in all cases;

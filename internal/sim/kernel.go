@@ -288,7 +288,6 @@ func (k *Kernel) SetInbox(i int, mail []Message) { k.ps[i].inbox = mail }
 // Late accounts a transmitted message that missed its round: a timing fault,
 // which its destination sees as a receive omission.
 func (k *Kernel) Late(m Message) {
-	k.acc.ctr.Late++
 	k.acc.led.Late(m.Kind == Control)
 }
 
@@ -336,7 +335,6 @@ func (k *Kernel) applyRecvOmission(a *Acc, in []Message, mask []bool, r Round) [
 	w := 0
 	for _, m := range in {
 		if i := int(m.From) - 1; i < len(mask) && !mask[i] {
-			a.ctr.OmittedRecv++
 			a.led.RecvOmitted(m.Kind == Control)
 			// A constant detail: a concatenation would allocate per
 			// omitted message, traced or not.
@@ -367,6 +365,11 @@ func (k *Kernel) RecordRound(r Round, t0, t1 float64) {
 func (k *Kernel) Finish(r Round, t float64, clean bool) *Result {
 	k.res = Result{Rounds: r, Procs: k.out, Counters: k.acc.ctr, Ledger: k.acc.led}
 	k.res.Counters.Rounds = int(r)
+	// The ledger books each receive omission and late message by kind; the
+	// aggregate counters are its sums.
+	led := &k.acc.led
+	k.res.Counters.OmittedRecv = led.RecvOmitData + led.RecvOmitCtrl
+	k.res.Counters.Late = led.LateData + led.LateCtrl
 	if clean {
 		recordRun(k.cfg.Telemetry, r, t)
 	}
@@ -411,8 +414,8 @@ func (s *roundTelemetry) record(rec *telemetry.Recorder, r Round, t0, t1 float64
 	rec.Sample(telemetry.SeriesCtrlMsgs, t1, float64(dc.CtrlMsgs))
 	rec.Sample(telemetry.SeriesDelivered, t1, float64(dl.DeliveredData+dl.DeliveredCtrl))
 	rec.Sample(telemetry.SeriesDropped, t1, float64(dc.DroppedData+dc.DroppedCtrl))
-	rec.Sample(telemetry.SeriesOmitted, t1, float64(dc.OmittedData+dc.OmittedCtrl+dc.OmittedRecv))
-	rec.Sample(telemetry.SeriesLate, t1, float64(dc.Late))
+	rec.Sample(telemetry.SeriesOmitted, t1, float64(dc.OmittedData+dc.OmittedCtrl+dl.RecvOmitData+dl.RecvOmitCtrl))
+	rec.Sample(telemetry.SeriesLate, t1, float64(dl.LateData+dl.LateCtrl))
 	s.ctr, s.led = ctr, led
 }
 

@@ -27,12 +27,22 @@ func mkPlan(n int, dataRaw, ctrlRaw []uint8) sim.SendPlan {
 	return plan
 }
 
+// fullDelivery returns the outcome of a crash that happens after the entire
+// send phase completed (everything escaped).
+func fullDelivery(plan sim.SendPlan) sim.CrashOutcome {
+	d := make([]bool, len(plan.Data))
+	for i := range d {
+		d[i] = true
+	}
+	return sim.CrashOutcome{DataDelivered: d, CtrlPrefix: len(plan.Control)}
+}
+
 func TestPropertyFullAndNoDeliveryAlwaysValid(t *testing.T) {
-	// FullDelivery and NoDelivery produce valid outcomes for every plan.
+	// fullDelivery and NoDelivery produce valid outcomes for every plan.
 	prop := func(nRaw uint8, dataRaw, ctrlRaw []uint8) bool {
 		n := int(nRaw%8) + 2
 		plan := mkPlan(n, dataRaw, ctrlRaw)
-		return sim.FullDelivery(plan).ValidFor(plan) && sim.NoDelivery(plan).ValidFor(plan)
+		return fullDelivery(plan).ValidFor(plan) && sim.NoDelivery(plan).ValidFor(plan)
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Error(err)
@@ -48,7 +58,7 @@ func TestPropertyPartialDataWithControlInvalid(t *testing.T) {
 		if len(plan.Data) == 0 || len(plan.Control) == 0 {
 			return true
 		}
-		out := sim.FullDelivery(plan)
+		out := fullDelivery(plan)
 		out.DataDelivered[int(drop)%len(plan.Data)] = false
 		out.CtrlPrefix = 1
 		return !out.ValidFor(plan)
@@ -62,7 +72,7 @@ func TestPropertyOutOfRangePrefixInvalid(t *testing.T) {
 	prop := func(nRaw uint8, ctrlRaw []uint8) bool {
 		n := int(nRaw%8) + 2
 		plan := mkPlan(n, nil, ctrlRaw)
-		out := sim.FullDelivery(plan)
+		out := fullDelivery(plan)
 		out.CtrlPrefix = len(plan.Control) + 1
 		if out.ValidFor(plan) {
 			return false

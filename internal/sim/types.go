@@ -372,16 +372,6 @@ func (v *PlanValidator) Validate(from ProcID, n int, plan SendPlan) error {
 	return nil
 }
 
-// FullDelivery returns the outcome of a crash that happens after the entire
-// send phase completed (everything escaped).
-func FullDelivery(plan SendPlan) CrashOutcome {
-	d := make([]bool, len(plan.Data))
-	for i := range d {
-		d[i] = true
-	}
-	return CrashOutcome{DataDelivered: d, CtrlPrefix: len(plan.Control)}
-}
-
 // NoDelivery returns the outcome of a crash before anything was sent.
 func NoDelivery(plan SendPlan) CrashOutcome {
 	return CrashOutcome{DataDelivered: make([]bool, len(plan.Data)), CtrlPrefix: 0}

@@ -52,7 +52,7 @@ func ExampleServe() {
 				panic(err)
 			}
 			fmt.Printf("%-16s %-22s %-7d %-13.2f %d\n",
-				v.label, sc.name, res.TotalRounds, res.RoundsPerCommit(), res.Counters.TotalMsgs())
+				v.label, sc.name, res.TotalRounds, float64(res.TotalRounds)/float64(res.Slots), res.Counters.TotalMsgs())
 		}
 		fmt.Println()
 	}

@@ -142,9 +142,6 @@ type Recovery struct {
 	Commit float64
 }
 
-// Duration returns the recovery time: Commit - CrashTime.
-func (r Recovery) Duration() float64 { return r.Commit - r.CrashTime }
-
 // LatencyStats summarizes the client-observed commit-latency distribution
 // (nearest-rank percentiles over all committed commands).
 type LatencyStats struct {
@@ -192,14 +189,6 @@ func (r *ServeResult) PerHour() float64 {
 		return 0
 	}
 	return float64(r.Commands) / r.LastCommit * 3600
-}
-
-// RoundsPerCommit returns total rounds over committed slots.
-func (r *ServeResult) RoundsPerCommit() float64 {
-	if r.Slots == 0 {
-		return 0
-	}
-	return float64(r.TotalRounds) / float64(r.Slots)
 }
 
 // svcOmitter implements sim.Omitter over physical replica ids for the

@@ -101,8 +101,8 @@ func TestServePipelineBeatsSequential(t *testing.T) {
 	opts := base()
 	opts.NoPipeline = true
 	seq := mustServe(t, opts)
-	if pip.RoundsPerCommit() != 2 || seq.RoundsPerCommit() != 2 {
-		t.Fatalf("rounds/commit = %g / %g, want 2 (dead static coordinator)", pip.RoundsPerCommit(), seq.RoundsPerCommit())
+	if pip.TotalRounds != 2*pip.Slots || seq.TotalRounds != 2*seq.Slots {
+		t.Fatalf("rounds/commit = %d/%d and %d/%d, want 2 (dead static coordinator)", pip.TotalRounds, pip.Slots, seq.TotalRounds, seq.Slots)
 	}
 	// Pipelined: slots launch every 1.1; sequential: every 2.2.
 	if ratio := seq.LastCommit / pip.LastCommit; ratio < 1.8 {
@@ -148,7 +148,7 @@ func TestServeLeaderRecovery(t *testing.T) {
 			t.Errorf("rotate=%v: recovered from replica %d, want 1", tc.rotate, rec.Replica)
 		}
 		want := tc.want * roundDur
-		if got := rec.Duration(); math.Abs(got-want) > 1e-9 {
+		if got := rec.Commit - rec.CrashTime; math.Abs(got-want) > 1e-9 {
 			t.Errorf("rotate=%v: recovery = %g, want %g (%g round durations)", tc.rotate, got, want, tc.want)
 		}
 		if res.Crashed[1] != 5*roundDur {

@@ -15,11 +15,9 @@ package stats
 
 import (
 	"cmp"
-	"fmt"
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // Sample accumulates observations of one scalar metric.
@@ -43,31 +41,6 @@ func (s *Sample) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(s.values))
-}
-
-// StdDev returns the population standard deviation.
-func (s *Sample) StdDev() float64 {
-	if len(s.values) < 2 {
-		return 0
-	}
-	m := s.Mean()
-	sum := 0.0
-	for _, v := range s.values {
-		d := v - m
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(s.values)))
-}
-
-// Max returns the largest observation (0 for an empty sample).
-func (s *Sample) Max() float64 {
-	max := 0.0
-	for i, v := range s.values {
-		if i == 0 || v > max {
-			max = v
-		}
-	}
-	return max
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using
@@ -185,60 +158,4 @@ func partition(v []float64, lo, hi int, pivot float64) int {
 		v[lo], v[hi] = v[hi], v[lo]
 		lo++
 	}
-}
-
-// String renders mean ± stddev (max).
-func (s *Sample) String() string {
-	return fmt.Sprintf("%.2f±%.2f (max %.0f)", s.Mean(), s.StdDev(), s.Max())
-}
-
-// Histogram counts integer-valued observations.
-type Histogram struct {
-	counts map[int]int
-	total  int
-}
-
-// NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram { return &Histogram{counts: map[int]int{}} }
-
-// Add records one observation.
-func (h *Histogram) Add(v int) {
-	h.counts[v]++
-	h.total++
-}
-
-// Count returns the number of observations equal to v.
-func (h *Histogram) Count(v int) int { return h.counts[v] }
-
-// Total returns the number of observations.
-func (h *Histogram) Total() int { return h.total }
-
-// Fraction returns the share of observations equal to v.
-func (h *Histogram) Fraction(v int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.counts[v]) / float64(h.total)
-}
-
-// Keys returns the observed values in increasing order.
-func (h *Histogram) Keys() []int {
-	keys := make([]int, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-// String renders "v:count" pairs in order.
-func (h *Histogram) String() string {
-	out := ""
-	for i, k := range h.Keys() {
-		if i > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%d:%d", k, h.counts[k])
-	}
-	return out
 }

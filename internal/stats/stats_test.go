@@ -10,7 +10,7 @@ import (
 
 func TestSampleBasics(t *testing.T) {
 	var s stats.Sample
-	if s.N() != 0 || s.Mean() != 0 || s.StdDev() != 0 || s.Max() != 0 {
+	if s.N() != 0 || s.Mean() != 0 {
 		t.Error("empty sample not zeroed")
 	}
 	for _, v := range []float64{1, 2, 3, 4} {
@@ -21,15 +21,6 @@ func TestSampleBasics(t *testing.T) {
 	}
 	if s.Mean() != 2.5 {
 		t.Errorf("Mean = %g, want 2.5", s.Mean())
-	}
-	if s.Max() != 4 {
-		t.Errorf("Max = %g, want 4", s.Max())
-	}
-	if want := math.Sqrt(1.25); math.Abs(s.StdDev()-want) > 1e-12 {
-		t.Errorf("StdDev = %g, want %g", s.StdDev(), want)
-	}
-	if s.String() == "" {
-		t.Error("empty String()")
 	}
 }
 
@@ -89,36 +80,9 @@ func TestMeanWithinMinMax(t *testing.T) {
 				max = fv
 			}
 		}
-		return s.Mean() >= min && s.Mean() <= max && s.Max() == max
+		return s.Mean() >= min && s.Mean() <= max
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := stats.NewHistogram()
-	for _, v := range []int{1, 1, 2, 3, 3, 3} {
-		h.Add(v)
-	}
-	if h.Total() != 6 {
-		t.Errorf("Total = %d, want 6", h.Total())
-	}
-	if h.Count(3) != 3 || h.Count(2) != 1 || h.Count(9) != 0 {
-		t.Errorf("counts wrong: %v", h.String())
-	}
-	if got := h.Fraction(1); math.Abs(got-2.0/6) > 1e-12 {
-		t.Errorf("Fraction(1) = %g", got)
-	}
-	keys := h.Keys()
-	if len(keys) != 3 || keys[0] != 1 || keys[2] != 3 {
-		t.Errorf("Keys = %v", keys)
-	}
-	if h.String() != "1:2 2:1 3:3" {
-		t.Errorf("String = %q", h.String())
-	}
-	empty := stats.NewHistogram()
-	if empty.Fraction(1) != 0 {
-		t.Error("empty fraction not 0")
 	}
 }

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 )
@@ -27,16 +26,6 @@ const (
 	// NumPhases bounds the enum.
 	NumPhases
 )
-
-var phaseNames = [NumPhases]string{"queue-wait", "run", "audit", "cross-check"}
-
-// String returns the phase's name.
-func (p Phase) String() string {
-	if p < NumPhases {
-		return phaseNames[p]
-	}
-	return "phase(?)"
-}
 
 // Profile accumulates wall-clock time per phase. It is safe for concurrent
 // use (workers add from many goroutines); a nil *Profile discards all
@@ -65,19 +54,4 @@ func (p *Profile) Get(phase Phase) time.Duration {
 		return 0
 	}
 	return time.Duration(p.ns[phase].Load())
-}
-
-// String renders all phases on one line.
-func (p *Profile) String() string {
-	if p == nil {
-		return ""
-	}
-	out := ""
-	for ph := Phase(0); ph < NumPhases; ph++ {
-		if ph > 0 {
-			out += " "
-		}
-		out += fmt.Sprintf("%s=%s", ph.String(), p.Get(ph).Round(time.Microsecond))
-	}
-	return out
 }

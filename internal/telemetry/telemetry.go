@@ -267,11 +267,3 @@ func (r *Recorder) Samples(s SeriesID) []Sample {
 	}
 	return r.samples[s]
 }
-
-// HistCount returns the number of histogram observations.
-func (r *Recorder) HistCount() int64 {
-	if r == nil {
-		return 0
-	}
-	return r.histN
-}

@@ -122,12 +122,6 @@ type Jitter struct {
 // Params implements LatencyModel.
 func (m Jitter) Params() (des.Time, des.Time) { return m.D, m.Delta }
 
-// WithinBound reports whether no sampled latency can violate the synchrony
-// bound (the whole jitter range fits under D). Within-bound jitter is
-// semantically invisible — only completion times wiggle — so such models
-// remain eligible for cross-engine checking.
-func (m Jitter) WithinBound() bool { return m.Floor+m.Spread <= m.D }
-
 // Latency implements LatencyModel.
 func (m Jitter) Latency(from, to sim.ProcID, r sim.Round, kind sim.MsgKind) des.Time {
 	l := m.Floor + des.Time(m.u01(from, to, r, kind))*m.Spread

@@ -12,7 +12,6 @@ import (
 	"repro/internal/consensus/earlystop"
 	"repro/internal/consensus/floodset"
 	"repro/internal/core"
-	"repro/internal/des"
 	"repro/internal/lan"
 	"repro/internal/sim"
 	"repro/internal/timed"
@@ -120,7 +119,7 @@ func TestWithinBoundJitterIsSemanticallyInvisible(t *testing.T) {
 	}
 	fixed := mk(timed.Fixed{D: 1, Delta: 0.1})
 	jit := timed.Jitter{D: 1, Delta: 0.1, Floor: 0.2, Spread: 0.7, Seed: 42}
-	if !jit.WithinBound() {
+	if jit.Floor+jit.Spread > jit.D {
 		t.Fatal("test jitter model should be within bound")
 	}
 	jres := mk(jit)
@@ -139,7 +138,7 @@ func TestWithinBoundJitterIsSemanticallyInvisible(t *testing.T) {
 func TestOutOfBoundJitterProducesTimingFaults(t *testing.T) {
 	procs, _ := crwSystem(8)
 	lat := timed.Jitter{D: 1, Delta: 0.1, Floor: 0.5, Spread: 1.5, Seed: 7}
-	if lat.WithinBound() {
+	if lat.Floor+lat.Spread <= lat.D {
 		t.Fatal("test jitter model should exceed the bound")
 	}
 	eng, err := timed.New(timed.Config{Model: sim.ModelExtended, Horizon: 20, Latency: lat},
@@ -327,26 +326,5 @@ func TestJitterLatencyIsPure(t *testing.T) {
 			}
 			_ = lo
 		}
-	}
-}
-
-// TestDESCancelUnusedTimer exercises the des cancellation path from the
-// engine's package (the timed engine's substrate): a superseded timer must
-// neither fire nor linger in Pending.
-func TestDESCancelUnusedTimer(t *testing.T) {
-	var s des.Sim
-	fired := false
-	h := s.At(5, func() { fired = true })
-	s.At(1, func() {
-		if !h.Cancel() {
-			t.Error("cancel of a pending timer reported false")
-		}
-	})
-	s.Run(des.Infinity)
-	if fired {
-		t.Error("cancelled timer fired")
-	}
-	if s.Pending() != 0 {
-		t.Errorf("Pending = %d after run, want 0", s.Pending())
 	}
 }

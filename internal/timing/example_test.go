@@ -44,8 +44,8 @@ func ExampleCost() {
 				winner = "extended"
 			}
 			fmt.Printf("%-4d %-6.2f %-10.2f %-10.2f %-9s %.3f < %.3f = %t\n",
-				f, ratio, extTime, clTime, winner, ratio, timing.CrossoverRatio(f, t),
-				ratio < timing.CrossoverRatio(f, t))
+				f, ratio, extTime, clTime, winner, ratio, timing.CrossoverDelta(1, f, t),
+				ratio < timing.CrossoverDelta(1, f, t))
 		}
 		fmt.Println()
 	}

@@ -19,8 +19,6 @@
 // Experiment E3 sweeps δ/D and f to chart the crossover.
 package timing
 
-import "fmt"
-
 // Cost describes the per-round time parameters.
 type Cost struct {
 	// D is the classic round duration (message delay + processing bound).
@@ -74,10 +72,3 @@ func CrossoverDelta(d float64, f, t int) float64 {
 	re := ExtendedOptimalRounds(f)
 	return d * float64(rc-re) / float64(re)
 }
-
-// CrossoverRatio returns δ*/D for the given fault count (see CrossoverDelta).
-// For f <= t-1 this is 1/(f+1), matching Section 2.2's δ < D/(f+1) rule.
-func CrossoverRatio(f, t int) float64 { return CrossoverDelta(1, f, t) }
-
-// String renders the cost parameters.
-func (c Cost) String() string { return fmt.Sprintf("D=%g δ=%g", c.D, c.Delta) }

@@ -74,9 +74,6 @@ func TestTimesAndString(t *testing.T) {
 	if got := c.ExtendedTime(2); got != 5 {
 		t.Errorf("ExtendedTime(2) = %g, want 5", got)
 	}
-	if c.String() == "" {
-		t.Error("empty String()")
-	}
 }
 
 func TestAdvantagePropertyDeltaZero(t *testing.T) {
