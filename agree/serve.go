@@ -66,9 +66,6 @@ func ClosedClients(clients int, think float64, poissonThink bool, seed int64) Wo
 		poisson: poissonThink, seed: seed}
 }
 
-// IsZero reports whether the spec is unset.
-func (w WorkloadSpec) IsZero() bool { return w.kind == "" }
-
 // materialize builds fresh workload generators for one service run. Fresh
 // per call: the generators are consumed by the run, and re-materializing
 // from the spec is what makes repeated Serve invocations bit-identical.

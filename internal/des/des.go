@@ -18,6 +18,7 @@ package des
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/telemetry"
 )
@@ -54,9 +55,14 @@ type event struct {
 	act Action
 }
 
-// eventBlock is the free-list growth quantum: events are allocated in slabs
-// so a cold simulation pays O(peak/blockSize) allocations, not O(events).
-const blockSize = 64
+// Events are allocated in slabs so a cold simulation pays O(peak/blockSize)
+// allocations, not O(events). The first slab holds only firstBlock events:
+// the timed engine keeps one event outstanding, and its simulation allocates
+// 384 B instead of 3 KiB.
+const (
+	firstBlock = 8
+	blockSize  = 64
+)
 
 // Sim is a discrete-event simulation. The zero value is ready to use.
 type Sim struct {
@@ -95,6 +101,8 @@ type Sim struct {
 	// they ride the zero-alloc hot path unconditionally.
 	allocs   int
 	poolHits int
+	// slabbed records that the first slab has been allocated.
+	slabbed bool
 
 	// Open event-batch state for Telemetry (meaningful only when recording).
 	batchOpen  bool
@@ -114,7 +122,12 @@ func (s *Sim) alloc() *event {
 		s.poolHits++
 	}
 	if len(s.free) == 0 {
-		blk := make([]event, blockSize)
+		n := blockSize
+		if !s.slabbed {
+			n, s.slabbed = firstBlock, true
+		}
+		blk := make([]event, n)
+		s.free = slices.Grow(s.free, n)
 		for i := range blk {
 			s.free = append(s.free, &blk[i])
 		}

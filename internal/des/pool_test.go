@@ -3,6 +3,7 @@ package des_test
 import (
 	"container/heap"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -35,6 +36,37 @@ func TestResetRewindsEverything(t *testing.T) {
 	}
 	if err := s.Audit(); err != nil {
 		t.Fatalf("Audit after the post-Reset run: %v", err)
+	}
+}
+
+// TestColdChainAllocatesOneSmallSlab pins what a cold simulation that keeps
+// one event outstanding, as the timed engine does, pays for its event pool:
+// a slab of 8 events, where a full 64-event slab alone took 3 KiB.
+func TestColdChainAllocatesOneSmallSlab(t *testing.T) {
+	chain := func() {
+		var s des.Sim
+		left := 100
+		var next func()
+		next = func() {
+			if left--; left > 0 {
+				s.After(1, next)
+			}
+		}
+		s.At(0, next)
+		s.Run(des.Infinity)
+	}
+	// Averaged over many chains: the heap counters are the process's, and
+	// a stray allocation elsewhere must not read as the chain's.
+	const chains = 1000
+	chain()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range chains {
+		chain()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / chains; b > 1<<10 {
+		t.Errorf("a cold chain of events allocates %d B, want <= 1 KiB", b)
 	}
 }
 

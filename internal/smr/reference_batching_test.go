@@ -16,11 +16,14 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/harness"
 	"repro/internal/lan"
 	"repro/internal/laws"
+	"repro/internal/leakcheck"
 	"repro/internal/protocol"
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -78,6 +81,29 @@ func (h *refHeap) pop() refArrival {
 		i = small
 	}
 	return top
+}
+
+// leaderOf returns the replica holding the p1 role of the permutation
+// fillPermutation would build, without building it.
+func leaderOf(dead []bool, rotate bool) sim.ProcID {
+	if rotate {
+		for i, d := range dead {
+			if !d {
+				return sim.ProcID(i + 1)
+			}
+		}
+	}
+	return 1
+}
+
+// slotLatency derives the latency model of one slot: stateless models pass
+// through; a Jitter model is re-seeded by hashing the slot index.
+func slotLatency(m timed.LatencyModel, slot int) timed.LatencyModel {
+	if j, ok := m.(timed.Jitter); ok {
+		j.Seed = int64(rng.Mix(uint64(j.Seed) ^ uint64(slot)))
+		return j
+	}
+	return m
 }
 
 // referenceServe is Serve with the heap batching.
@@ -401,14 +427,17 @@ func (w refWorkload) attach(t *testing.T, o *ServeOptions) {
 	}
 }
 
-// refCases are the configurations the pending queue must batch exactly as
-// the heap did: every workload kind, every stop condition, BatchLimit 0, 1
-// and 32, and the fault, launch and engine options that move launch times.
-var refCases = []struct {
+// refCase is one configuration the reference comparison runs.
+type refCase struct {
 	name string
 	wl   refWorkload
 	opts ServeOptions
-}{
+}
+
+// refCases are the configurations the pending queue must batch exactly as
+// the heap did: every workload kind, every stop condition, BatchLimit 0, 1
+// and 32, and the fault, launch and engine options that move launch times.
+var refCases = []refCase{
 	{"poisson/max-commands/batch32", refWorkload{sched: workload.Poisson{Rate: 20}, seed: 1},
 		ServeOptions{N: 6, MaxCommands: 2000, BatchLimit: 32}},
 	{"poisson/overload/batch1", refWorkload{sched: workload.Poisson{Rate: 40}, seed: 2},
@@ -460,6 +489,98 @@ var refCases = []struct {
 	{"1g/over-capacity", refWorkload{sched: workload.Poisson{Rate: 300e3}, seed: 24},
 		ServeOptions{N: 8, MaxCommands: 5000, BatchLimit: 32, RotateLeader: true,
 			Latency: timed.Profile{P: lan.Ethernet1G}, CrashAt: map[sim.ProcID]float64{1: 0.0025}}},
+	// The rows below cross the executor's chunk boundaries. serve_crash's
+	// shape over 13 chunks and a part of one: MaxCommands is no multiple of
+	// chunkSlots·BatchLimit, and the leader dies in the second chunk.
+	{"serve-crash/chunks", refWorkload{sched: workload.Poisson{Rate: 200e3}, seed: 25},
+		ServeOptions{N: 8, MaxCommands: 20_011, BatchLimit: 32, RotateLeader: true,
+			Latency: timed.Profile{P: lan.Ethernet1G}, CrashAt: map[sim.ProcID]float64{1: 0.01}}},
+	// A leader crash after the first chunk's last launch: slot
+	// chunkSlots+1 applies it, and its recovery commits in the second chunk.
+	{"crash/next-chunk", refWorkload{sched: workload.Fixed{Rate: 10}, seed: 26},
+		ServeOptions{N: 5, MaxSlots: 150, BatchLimit: 8, CrashAt: map[sim.ProcID]float64{1: 52.3, 3: 70}}},
+	{"batch0/chunks", refWorkload{sched: workload.Poisson{Rate: 5}, seed: 27},
+		ServeOptions{N: 4, MaxCommands: 1500}},
+}
+
+// TestCrashAcrossChunkBoundary keeps the crash/next-chunk row what its name
+// says: the crash lands on the first slot of the second chunk.
+func TestCrashAcrossChunkBoundary(t *testing.T) {
+	i := slices.IndexFunc(refCases, func(c refCase) bool { return c.name == "crash/next-chunk" })
+	opts := refCases[i].opts
+	refCases[i].wl.attach(t, &opts)
+	res, err := Serve(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.CrashSlot[1]; got != chunkSlots+1 {
+		t.Fatalf("leader crash applied at slot %d, want the second chunk's first slot %d", got, chunkSlots+1)
+	}
+}
+
+// TestServeErrorsMatchReference requires a failing session to end as the
+// reference's does: the same error text and the same partial result, its
+// crash maps included, and no executor goroutine left behind. Replicas 2
+// and 3 omit sends; once replica 1, the leader, is dead, replica 2 holds
+// the p1 role and an instance decides divergently, at slot 90 — in the
+// middle of the second chunk — in the open loop.
+func TestServeErrorsMatchReference(t *testing.T) {
+	omitting := ServeOptions{N: 6, MaxSlots: 300, BatchLimit: 4, RotateLeader: true,
+		Omit:    &OmitOptions{Procs: []sim.ProcID{2, 3}, SendProb: 0.5, Seed: 3},
+		CrashAt: map[sim.ProcID]float64{1: 97, 4: 20}}
+	for _, c := range []struct {
+		name string
+		wl   refWorkload
+		opts ServeOptions
+	}{
+		{"every-replica-dead", refWorkload{sched: workload.Poisson{Rate: 5}, seed: 1},
+			ServeOptions{N: 3, MaxSlots: 10, CrashAt: map[sim.ProcID]float64{1: 1, 2: 2, 3: 3}}},
+		{"instance-error/open-loop", refWorkload{sched: workload.Poisson{Rate: 8}, seed: 3}, omitting},
+		{"instance-error/closed-loop", refWorkload{clients: 6, think: 1, seed: 3}, omitting},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			run := func(serve func(ServeOptions) (*ServeResult, error)) (string, string) {
+				opts := c.opts
+				c.wl.attach(t, &opts)
+				res, err := serve(opts)
+				if err == nil {
+					t.Fatal("the session did not fail")
+				}
+				j, jerr := json.Marshal(res)
+				if jerr != nil {
+					t.Fatal(jerr)
+				}
+				return err.Error(), string(j)
+			}
+			gotErr, got := run(Serve)
+			wantErr, want := run(referenceServe)
+			if gotErr != wantErr {
+				t.Fatalf("error %q, want %q", gotErr, wantErr)
+			}
+			if got != want {
+				t.Fatalf("partial result differs from the reference:\n got %s\nwant %s", got, want)
+			}
+			if n := leakcheck.Settle(base, leakcheck.Timeout); n > base {
+				t.Fatalf("%d goroutines after the session, %d before", n, base)
+			}
+		})
+	}
+	// The open-loop failure is mid-chunk, past the first chunk.
+	opts := omitting
+	refWorkload{sched: workload.Poisson{Rate: 8}, seed: 3}.attach(t, &opts)
+	res, _ := Serve(opts)
+	if failed := res.Slots + 1; failed <= chunkSlots || (failed-1)%chunkSlots == 0 || failed%chunkSlots == 0 {
+		t.Errorf("the instance error is at slot %d, not inside a chunk after the first", failed)
+	}
+}
+
+// TestExecutorRingFitsFourKiB pins the handoff's footprint: the two chunks
+// a session allocates with its executor.
+func TestExecutorRingFitsFourKiB(t *testing.T) {
+	if size := unsafe.Sizeof(executor{}.ring); size > 4<<10 {
+		t.Errorf("the executor's ring is %d B, want at most 4 KiB", size)
+	}
 }
 
 // TestServeMatchesHeapReference requires the pending queue to reproduce the
@@ -501,8 +622,8 @@ func serveJSON(t *testing.T, wl refWorkload, opts ServeOptions,
 }
 
 // overloadSlack is what an overloaded session allocates besides its one
-// float64 per command: the engine, the consensus system, the adversary, the
-// maps and the report (measured 15.5 KB at n=8).
+// float64 per command: the engine, the consensus system, the executor with
+// its ring, the maps and the report (measured 14.0 KB at n=8).
 const overloadSlack = 32 << 10
 
 // TestServeOverloadMemory pins an open-loop session run far past capacity:

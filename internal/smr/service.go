@@ -6,8 +6,7 @@ package smr
 // duration while earlier slots are still completing, which is how a real
 // replicated log overlaps instance k+1's first round with instance k's
 // second — fed by a workload generator (internal/workload), executing each
-// instance on an engine drawn from a per-run harness.Cache (one engine per
-// service lifetime, every slot a reuse).
+// instance on the session's one engine (built once, every slot a reuse).
 //
 // The composition model: each slot's instance is executed atomically on the
 // engine and priced by its measured SimTime (timed engines) or its round
@@ -17,11 +16,19 @@ package smr
 // for every instance launched afterwards (it crashes at round 1 having sent
 // nothing, indistinguishable within an instance from having died earlier).
 //
+// A session runs in two stages. The caller's goroutine launches slots
+// (arrivals, launch times, batches) and folds their outcomes into the report
+// in slot order; an executor goroutine (executor.go) runs the instances
+// beside it, one chunk of slots at a time. A launch that needs the last
+// commit (NoPipeline, closed-loop clients) waits for it, and such a session
+// runs each slot on the caller's goroutine instead.
+//
 // A session costs only its simulation: it resets one consensus instance per
-// slot, refills one permutation buffer, keeps one adversary, and holds one
-// float64 per committed command — a batch pops arrival times from the
-// pending queue into it, rewrites them as latencies at commit, and
-// stats.Percentiles selects in place — so its memory is O(committed).
+// slot, refills one permutation buffer, keeps one adversary and one ring of
+// slot records, and holds one float64 per committed command — a batch pops
+// arrival times from the pending queue into it, rewrites them as latencies
+// at commit, and stats.Percentiles selects in place — so its memory is
+// O(committed).
 //
 // Client-observed commit latency is commit(slot) - arrival(command), and
 // leader recovery is the service's headline fault metric: the simulated time
@@ -40,7 +47,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/laws"
 	"repro/internal/metrics"
-	"repro/internal/protocol"
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -176,7 +182,7 @@ type ServeResult struct {
 	// cross-slot conservation identity is checked before Serve returns.
 	Counters metrics.Counters
 	Ledger   metrics.Ledger
-	// EnginesBuilt / EngineReuses account the per-run engine cache (one
+	// EnginesBuilt / EngineReuses account the session's one engine (one
 	// build, Slots-1 reuses).
 	EnginesBuilt int
 	EngineReuses int
@@ -393,23 +399,32 @@ func (o *ServeOptions) validate() error {
 // does not allocate for commands that never come.
 const maxLatencyPrealloc = 1 << 20
 
-// slotLatency derives the latency model of one slot: stateless models pass
-// through; a Jitter model is re-seeded by hashing the slot index so the
-// per-message jitter pattern varies along the stream while staying a pure
-// function of (seed, slot, message).
-func slotLatency(m timed.LatencyModel, slot int) timed.LatencyModel {
-	if j, ok := m.(timed.Jitter); ok {
-		j.Seed = int64(rng.Mix(uint64(j.Seed) ^ uint64(slot)))
-		return j
+// latencyCap is the latency buffer a session allocates up front: as many
+// commands as its bounds let commit, MaxCommands plus the final batch's
+// overshoot or MaxSlots full batches, each term capped at
+// maxLatencyPrealloc. A session past the cap grows the buffer as it goes.
+func latencyCap(o *ServeOptions) int {
+	c := min(o.MaxCommands, maxLatencyPrealloc) + min(o.BatchLimit, maxLatencyPrealloc)
+	if o.MaxSlots > 0 && o.BatchLimit > 0 {
+		full := min(o.MaxSlots, maxLatencyPrealloc) * min(o.BatchLimit, maxLatencyPrealloc)
+		if o.MaxCommands == 0 || full < c {
+			c = min(full, maxLatencyPrealloc)
+		}
 	}
-	return m
+	return c
+}
+
+// crash is one entry of a session's crash schedule.
+type crash struct {
+	id sim.ProcID
+	t  float64
 }
 
 // Serve runs the replicated-log service to one of its stop conditions and
 // returns the aggregated service report. Every slot's instance is audited
 // against the PR 6 laws (conservation and ledger consistency by the engine
-// adapter, the slot's fault budget here), and the cross-slot aggregate is
-// conservation-checked before returning.
+// adapter, the slot's fault budget by the executor), and the cross-slot
+// aggregate is conservation-checked before returning.
 func Serve(opts ServeOptions) (*ServeResult, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -447,223 +462,65 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 		}
 	}
 
-	// The pending queue: the open-loop source itself, or the clients.
-	var queue pendingQueue = opts.Arrivals
-	var clients *clientQueue
-	if opts.Clients != nil {
-		clients = newClientQueue(opts.Clients)
-		queue = clients
-	}
-
-	res := &ServeResult{
-		RoundsHist: map[int]int{},
-		Crashed:    map[sim.ProcID]float64{},
-		CrashSlot:  map[sim.ProcID]int{},
-	}
-	// One entry per committed command, popped as its arrival time and
-	// rewritten as its commit latency: MaxCommands, plus the final batch's
-	// overshoot. A session past the cap grows the buffer as it goes.
-	lat := make([]float64, 0, min(opts.MaxCommands, maxLatencyPrealloc)+min(opts.BatchLimit, maxLatencyPrealloc))
-	var latMax, latSum float64
-
-	cache := harness.NewCache()
-	defer cache.Close()
-
-	// The crash schedule in (time, id) order, walked by a cursor: the crashes
-	// due at a launch apply chronologically, ties broken by replica id.
-	type crash struct {
-		id sim.ProcID
-		t  float64
-	}
+	// The crash schedule in (time, id) order: the crashes due at a launch
+	// apply chronologically, ties broken by replica id.
 	schedule := make([]crash, 0, len(opts.CrashAt))
 	for id, t := range opts.CrashAt {
 		schedule = append(schedule, crash{id, t})
 	}
 	slices.SortFunc(schedule, func(a, b crash) int { return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.id, b.id)) })
-	nextCrash := 0
 
-	// One system, one permutation and one adversary serve every slot; the
-	// adversary reads dead and perm, which each slot refills in place.
-	spec := protocol.Spec{Protocol: string(opts.Protocol), N: opts.N, T: opts.N - 1, Bits: opts.Bits}
-	var systems protocol.Systems
-	dead := make([]bool, opts.N) // by replica id - 1
-	nDead := 0
-	perm := make([]sim.ProcID, opts.N)
-	crashes := slotAdversary{dead: dead, perm: perm}
-	var adv sim.Adversary = &crashes
-	var om *svcOmitter
-	if opts.Omit != nil {
-		faulty := make([]bool, opts.N)
-		for _, p := range opts.Omit.Procs {
-			faulty[p-1] = true
-		}
-		om = &svcOmitter{opt: opts.Omit, faulty: faulty, perm: perm, n: opts.N}
-		adv = &svcAdversary{slotAdversary: crashes, om: om}
+	s := session{
+		opts:     opts,
+		roundDur: roundDur,
+		schedule: schedule,
+		res: &ServeResult{
+			RoundsHist: map[int]int{},
+			Crashed:    map[sim.ProcID]float64{},
+			CrashSlot:  map[sim.ProcID]int{},
+		},
+		// One entry per committed command, popped as its arrival time and
+		// rewritten as its commit latency.
+		lat: make([]float64, 0, latencyCap(&opts)),
+	}
+	if opts.Clients != nil {
+		s.clients = newClientQueue(opts.Clients)
 	}
 
-	// Pending leader recoveries, in (time, id) order: resolved by the minimum
-	// commit time over all instances launched at or after the crash (a
-	// pipelined successor can commit before a slow multi-round predecessor).
-	type pendingRec struct {
-		replica sim.ProcID
-		t       float64
-		best    float64
+	// A launch waits on the last commit without pipelining (it launches at
+	// that commit) and in a closed loop (the commit requeues its clients):
+	// the ring then carries one slot at a time.
+	depth := 2
+	if opts.NoPipeline || s.clients != nil {
+		depth = 1
 	}
-	var pending []pendingRec
-
-	nextLaunch := 0.0
-	committed := 0
-	slot := 0
-	proposals := make([]sim.Value, opts.N)
-	for {
-		if opts.MaxCommands > 0 && committed >= opts.MaxCommands {
-			break
-		}
-		if opts.MaxSlots > 0 && slot >= opts.MaxSlots {
-			break
-		}
-		na := queue.Peek()
-		if math.IsInf(na, 1) {
-			break
-		}
-		start := math.Max(nextLaunch, na)
-		if opts.Duration > 0 && start > opts.Duration {
-			break
-		}
-		slot++
-
-		// Crash injection: replicas whose crash time has passed are dead
-		// for this and every later instance.
-		leader := leaderOf(dead, opts.RotateLeader)
-		for ; nextCrash < len(schedule) && schedule[nextCrash].t <= start; nextCrash++ {
-			c := schedule[nextCrash]
-			dead[c.id-1] = true
-			nDead++
-			res.Crashed[c.id] = c.t
-			res.CrashSlot[c.id] = slot
-			if c.id == leader {
-				pending = append(pending, pendingRec{replica: c.id, t: c.t, best: math.Inf(1)})
-				leader = leaderOf(dead, opts.RotateLeader)
-			}
-		}
-		if nDead >= opts.N {
-			return res, fmt.Errorf("smr: all replicas dead at slot %d (t=%g)", slot, start)
-		}
-
-		// Batch: the pending commands that arrived by the launch time, at
-		// most BatchLimit of them, their arrival times popped into lat.
-		first := len(lat)
-		for (opts.BatchLimit == 0 || len(lat)-first < opts.BatchLimit) && queue.Peek() <= start {
-			lat = append(lat, queue.Pop())
-		}
-		batch := lat[first:]
-
-		fillPermutation(perm, dead, opts.RotateLeader)
-		for i := range proposals {
-			proposals[i] = Command(slot, perm[i])
-		}
-		procs, model, horizon := spec.Build(&systems, proposals)
-		if om != nil {
-			om.slot = slot
-		}
-		eng, err := cache.Get(kind)
-		if err != nil {
-			return res, fmt.Errorf("smr: slot %d: %w", slot, err)
-		}
-		out, err := eng.Run(harness.Job{Model: model, Horizon: horizon, Procs: procs, Adv: adv,
-			Latency: slotLatency(opts.Latency, slot)})
-		if err != nil {
-			return res, fmt.Errorf("smr: slot %d (t=%g): %w", slot, start, err)
-		}
-		// The adapter audited the budget-free laws; the slot's fault budget
-		// is service knowledge, audited here.
-		budget := laws.Budget{Crashes: nDead}
-		if opts.Omit != nil {
-			budget.Omissive = len(opts.Omit.Procs)
-		}
-		if aerr := laws.AuditBudget(out, budget); aerr != nil {
-			return res, fmt.Errorf("smr: slot %d: %w", slot, aerr)
-		}
-		if _, err := agreedValue(out, proposals); err != nil {
-			return res, fmt.Errorf("smr: slot %d (t=%g): %w", slot, start, err)
-		}
-
-		dur := float64(out.Rounds)
-		if caps.Timed {
-			dur = out.SimTime
-		}
-		commit := start + dur
-		res.Slots++
-		res.TotalRounds += int(out.Rounds)
-		res.RoundsHist[int(out.Rounds)]++
-		res.LastCommit = commit
-		res.Counters.Merge(out.Counters)
-		res.Ledger.Merge(out.Ledger)
-		for i, o := range out.Procs {
-			if o.OmissiveRounds == 0 {
-				continue
-			}
-			if res.Omissive == nil {
-				res.Omissive = map[sim.ProcID]int{}
-			}
-			res.Omissive[perm[i]] += o.OmissiveRounds
-		}
-
-		for i, a := range batch {
-			l := commit - a
-			batch[i] = l
-			latSum += l
-			if l > latMax {
-				latMax = l
-			}
-			opts.Telemetry.Observe(l)
-		}
-		committed += len(batch)
-		if opts.Telemetry.Enabled() {
-			opts.Telemetry.Span(telemetry.SpanSlot, telemetry.TrackService,
-				int32(slot), int32(len(batch)), start, commit)
-			opts.Telemetry.Sample(telemetry.SeriesSlotRounds, commit, float64(out.Rounds))
-			opts.Telemetry.Sample(telemetry.SeriesSlotBatch, commit, float64(len(batch)))
-			if commit > 0 {
-				opts.Telemetry.Sample(telemetry.SeriesThroughput, commit, float64(committed)/commit)
-			}
-		}
-		if clients != nil {
-			clients.requeue(commit)
-		}
-		for i := range pending {
-			if pending[i].t <= start && commit < pending[i].best {
-				pending[i].best = commit
-			}
-		}
-
-		if opts.NoPipeline {
-			nextLaunch = commit
-		} else {
-			nextLaunch = start + roundDur
-		}
+	ex := newExecutor(&opts, kind, caps.Timed, schedule)
+	if depth > 1 {
+		ex.start()
 	}
-
-	if committed == 0 {
-		return res, errors.New("smr: service committed no commands (empty workload before the stop condition)")
+	defer ex.stop()
+	err := s.run(ex, depth)
+	ex.stop()
+	res := s.res
+	res.Counters, res.Ledger, res.Omissive = ex.counters, ex.ledger, ex.omissive
+	if err == nil && s.committed == 0 {
+		err = errors.New("smr: service committed no commands (empty workload before the stop condition)")
 	}
-	res.Commands = committed
+	if err != nil {
+		res.Recoveries = nil // resolved only by a whole session
+		return res, err
+	}
+	res.Commands = s.committed
 	var q [3]float64
-	stats.Percentiles(lat, []float64{99.9, 99, 50}, q[:])
+	stats.Percentiles(s.lat, []float64{99.9, 99, 50}, q[:])
 	res.Latency = LatencyStats{
 		P50:  q[2],
 		P99:  q[1],
 		P999: q[0],
-		Mean: latSum / float64(committed),
-		Max:  latMax,
+		Mean: s.latSum / float64(s.committed),
+		Max:  s.latMax,
 	}
-	for _, p := range pending {
-		if !math.IsInf(p.best, 1) {
-			res.Recoveries = append(res.Recoveries, Recovery{Replica: p.replica, CrashTime: p.t, Commit: p.best})
-		}
-	}
-	stats := cache.Stats()
-	res.EnginesBuilt, res.EngineReuses = stats.Built, stats.ReuseHits
+	res.EnginesBuilt, res.EngineReuses = ex.engines.Built, ex.engines.ReuseHits
 
 	// Cross-slot conservation: the aggregated ledger must still account for
 	// every transmitted message of the whole stream.
@@ -676,4 +533,173 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 			Detail: fmt.Sprintf("service aggregate: %d control messages transmitted, sinks account for %d", want, got)}
 	}
 	return res, nil
+}
+
+// session is the caller's side of a service run: the launch stage, which
+// pops arrivals, cuts batches and places each slot on the service clock, and
+// the accounting stage, which folds each slot's outcome into the report
+// strictly in slot order.
+type session struct {
+	opts     ServeOptions
+	roundDur float64
+	schedule []crash
+	res      *ServeResult
+	clients  *clientQueue // nil for an open-loop source
+
+	// lat holds one float64 per launched command: its arrival time until its
+	// slot folds, its commit latency after. folded is the folded prefix.
+	lat            []float64
+	folded         int
+	latSum, latMax float64
+	committed      int
+
+	slot       int     // slots folded
+	nextCrash  int     // schedule entries booked by the folded slots
+	nextLaunch float64 // the launch rule's earliest next launch
+}
+
+// run launches slots into the executor's ring until a stop condition holds,
+// and folds every slot it launched. depth is how many chunks may be in
+// flight at once: two when no launch waits on a commit; one otherwise, and a
+// chunk then goes out with its one slot.
+func (s *session) run(ex *executor, depth int) error {
+	opts := &s.opts
+	var queue pendingQueue = opts.Arrivals
+	if s.clients != nil {
+		queue = s.clients
+	}
+	launched, folded := 0, 0 // chunks
+	slots, queued := 0, 0    // slots and commands launched
+	c := &ex.ring[0]
+	for {
+		if opts.MaxCommands > 0 && queued >= opts.MaxCommands {
+			break
+		}
+		if opts.MaxSlots > 0 && slots >= opts.MaxSlots {
+			break
+		}
+		na := queue.Peek()
+		if math.IsInf(na, 1) {
+			break
+		}
+		start := math.Max(s.nextLaunch, na)
+		if opts.Duration > 0 && start > opts.Duration {
+			break
+		}
+		slots++
+
+		// Batch: the pending commands that arrived by the launch time, at
+		// most BatchLimit of them, their arrival times popped into lat.
+		first := len(s.lat)
+		for (opts.BatchLimit == 0 || len(s.lat)-first < opts.BatchLimit) && queue.Peek() <= start {
+			s.lat = append(s.lat, queue.Pop())
+		}
+		queued += len(s.lat) - first
+		c.slots[c.n] = slotRun{start: start, batch: len(s.lat) - first}
+		c.n++
+		if !opts.NoPipeline {
+			s.nextLaunch = start + s.roundDur
+		}
+		if depth > 1 && c.n < chunkSlots {
+			continue
+		}
+		ex.submit(c)
+		launched++
+		if launched-folded == depth {
+			if err := s.fold(ex.wait(folded)); err != nil {
+				return err
+			}
+			folded++
+		}
+		c = &ex.ring[launched%len(ex.ring)]
+	}
+	if c.n > 0 {
+		ex.submit(c)
+		launched++
+	}
+	for ; folded < launched; folded++ {
+		if err := s.fold(ex.wait(folded)); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fold accounts the slots of a chunk the executor has run, in slot order. At
+// the slot the executor failed on it books the crashes that slot's launch
+// applied and returns the slot's error.
+func (s *session) fold(c *chunk) error {
+	opts, res := &s.opts, s.res
+	for i := range c.slots[:c.n] {
+		r := &c.slots[i]
+		s.slot++
+		s.bookCrashes(r.start)
+		if i == c.ran {
+			return c.err
+		}
+		commit := r.start + r.dur
+		res.Slots++
+		res.TotalRounds += r.rounds
+		res.RoundsHist[r.rounds]++
+		res.LastCommit = commit
+
+		batch := s.lat[s.folded : s.folded+r.batch]
+		s.folded += r.batch
+		for j, a := range batch {
+			l := commit - a
+			batch[j] = l
+			s.latSum += l
+			if l > s.latMax {
+				s.latMax = l
+			}
+			opts.Telemetry.Observe(l)
+		}
+		s.committed += len(batch)
+		if opts.Telemetry.Enabled() {
+			opts.Telemetry.Span(telemetry.SpanSlot, telemetry.TrackService,
+				int32(s.slot), int32(len(batch)), r.start, commit)
+			opts.Telemetry.Sample(telemetry.SeriesSlotRounds, commit, float64(r.rounds))
+			opts.Telemetry.Sample(telemetry.SeriesSlotBatch, commit, float64(len(batch)))
+			if commit > 0 {
+				opts.Telemetry.Sample(telemetry.SeriesThroughput, commit, float64(s.committed)/commit)
+			}
+		}
+		if s.clients != nil {
+			s.clients.requeue(commit)
+		}
+		// A leader recovery resolves at the minimum commit over the instances
+		// launched at or after the crash: a pipelined successor can commit
+		// before a slow multi-round predecessor.
+		for j := range res.Recoveries {
+			if rec := &res.Recoveries[j]; rec.CrashTime <= r.start && commit < rec.Commit {
+				rec.Commit = commit
+			}
+		}
+		if opts.NoPipeline {
+			s.nextLaunch = commit
+		}
+	}
+	c.n = 0
+	return nil
+}
+
+// bookCrashes books the crashes due at a launch at start, the launch of slot
+// s.slot: each replica is dead from that slot on, and a crash of the replica
+// holding the p1 role opens a leader recovery, which every leader crash's
+// own slot resolves.
+func (s *session) bookCrashes(start float64) {
+	sch, res := s.schedule, s.res
+	if s.nextCrash == len(sch) || sch[s.nextCrash].t > start {
+		return
+	}
+	leader := leaderAfter(sch[:s.nextCrash], s.opts.RotateLeader)
+	for ; s.nextCrash < len(sch) && sch[s.nextCrash].t <= start; s.nextCrash++ {
+		c := sch[s.nextCrash]
+		res.Crashed[c.id] = c.t
+		res.CrashSlot[c.id] = s.slot
+		if c.id == leader {
+			res.Recoveries = append(res.Recoveries, Recovery{Replica: c.id, CrashTime: c.t, Commit: math.Inf(1)})
+			leader = leaderAfter(sch[:s.nextCrash+1], s.opts.RotateLeader)
+		}
+	}
 }

@@ -15,6 +15,7 @@ package smr
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/protocol"
 	"repro/internal/sim"
@@ -97,17 +98,15 @@ func fillPermutation(perm []sim.ProcID, dead []bool, rotate bool) {
 	}
 }
 
-// leaderOf returns the replica holding the p1 role of the permutation
-// fillPermutation would build, without building it.
-func leaderOf(dead []bool, rotate bool) sim.ProcID {
-	if rotate {
-		for i, d := range dead {
-			if !d {
-				return sim.ProcID(i + 1)
-			}
-		}
+// leaderAfter returns the replica holding the p1 role of the permutation
+// fillPermutation builds once the crashed replicas are dead: the lowest live
+// id with leader rotation, replica 1 without.
+func leaderAfter(crashed []crash, rotate bool) sim.ProcID {
+	id := sim.ProcID(1)
+	for rotate && slices.ContainsFunc(crashed, func(c crash) bool { return c.id == id }) {
+		id++
 	}
-	return 1
+	return id
 }
 
 // agreedValue extracts the single agreed decision of one slot's instance, or

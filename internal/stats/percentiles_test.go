@@ -31,6 +31,10 @@ func reference(sorted []float64, p float64) float64 {
 	return sorted[rank]
 }
 
+// same reports whether two values are the same under sort.Float64s's order:
+// equal, or both NaN.
+func same(a, b float64) bool { return a == b || (a != a && b != b) }
+
 // checkPercentiles compares Percentiles on a copy of v against the reference
 // for every p of ps, and checks the copy is still a permutation of v.
 func checkPercentiles(t *testing.T, name string, v, ps []float64) {
@@ -41,12 +45,12 @@ func checkPercentiles(t *testing.T, name string, v, ps []float64) {
 	w := slices.Clone(v)
 	Percentiles(w, ps, got)
 	for i, p := range ps {
-		if want := reference(sorted, p); got[i] != want {
+		if want := reference(sorted, p); !same(got[i], want) {
 			t.Fatalf("%s, n=%d: p%g = %g, want %g", name, len(v), p, got[i], want)
 		}
 	}
 	sort.Float64s(w)
-	if !slices.Equal(w, sorted) {
+	if !slices.EqualFunc(w, sorted, same) {
 		t.Fatalf("%s, n=%d: Percentiles lost or invented values", name, len(v))
 	}
 }
@@ -84,6 +88,18 @@ func shapes(n int, r *rand.Rand) []shape {
 		base -= r.Float64()
 		return base
 	})
+	add("negative", func(int) float64 { return -1000 * r.Float64() })
+	// Signed zeros, infinities and NaN among ordinary values: NaN sorts
+	// below everything and -0 ties with +0.
+	specials := []float64{math.NaN(), math.Inf(-1), math.Inf(1), 0, math.Copysign(0, -1), -1.5, 2.5}
+	add("specials", func(int) float64 { return specials[r.Intn(len(specials))] })
+	// One outlier: every other value falls in one bucket of the radix pass.
+	add("one-outlier", func(i int) float64 {
+		if i == n/3 {
+			return 1e300
+		}
+		return 0.25
+	})
 	return out
 }
 
@@ -108,7 +124,8 @@ func TestPercentilesMatchSortedReference(t *testing.T) {
 }
 
 // TestPercentilesAnyOrder asks for the same percentiles in ascending and in
-// shuffled order, and for repeated ones: the answer must not depend on it.
+// shuffled order, for repeated ones and for more than the radix pass keeps
+// track of: the answer must not depend on it.
 func TestPercentilesAnyOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
 	for _, n := range []int{1, 2, 3, 13, 100, 1000, 4097} {
@@ -118,6 +135,9 @@ func TestPercentilesAnyOrder(t *testing.T) {
 			checkPercentiles(t, s.name+"/ascending", s.v, asc)
 			mixed := []float64{50, 99.9, 0.1, 100, 50, 0, 99, 99.9}
 			checkPercentiles(t, s.name+"/mixed", s.v, mixed)
+			// More percentiles than the radix pass tracks: all of v is searched.
+			many := []float64{10, 20, 30, 40, 50, 60, 70, 80, 90}
+			checkPercentiles(t, s.name+"/many", s.v, many)
 		}
 	}
 }

@@ -10,7 +10,9 @@
 //
 // Percentiles is the one nearest-rank implementation: Sample.Percentile
 // calls it on a copy, and smr.Serve calls it once per session on its
-// commit-latency buffer, which it reorders in place instead of sorting.
+// commit-latency buffer, which it reorders in place instead of sorting: a
+// radix pass over order-preserving float keys puts each requested rank in a
+// small bucket, and a selection inside the bucket finds it.
 package stats
 
 import (
@@ -55,24 +57,33 @@ func (s *Sample) Percentile(p float64) float64 {
 // the value of rank ⌈p·n/100⌉ (1-based) of v sorted ascending, the minimum
 // for p <= 0 and the maximum for p >= 100; 0 for an empty v. Every rank is
 // computed from the full n = len(v). out must be at least as long as ps.
-//
-// v is reordered in place instead of sorted: each rank is found by selection
-// inside the part of v that the ranks already found leave open, so with ps
-// in descending order every search runs in the prefix the last one left.
 // Values are ordered as sort.Float64s orders them (NaN below everything).
+//
+// v is reordered in place instead of sorted, and nothing is allocated. A
+// radix pass narrows the search first: one pass finds the range of v's
+// order-preserving keys, one counts v into radixBuckets buckets of that
+// range, which places every requested rank in a bucket, and one moves the
+// values of those buckets to the front of v, bucket by bucket. Each rank is
+// then selected inside its bucket, and inside the part of the bucket that
+// the ranks already found there leave open. More than maxTargets
+// percentiles, or a v of one key, skip the pass and select in all of v.
 func Percentiles(v, ps, out []float64) {
 	n := len(v)
+	if n == 0 {
+		clear(out[:len(ps)])
+		return
+	}
+	var buf [maxTargets]target
+	ts := buf[:0]
+	if len(ps) <= maxTargets {
+		ts = radixFront(v, ps, ts)
+	}
 	for i, p := range ps {
-		if n == 0 {
-			out[i] = 0
-			continue
-		}
-		k := nearestRank(p, n)
-		// Every rank found so far splits v: nothing before it is larger,
-		// nothing after it smaller. Search between the nearest two.
-		lo, hi := 0, n
+		lo, hi, k := place(ts, n, nearestRank(p, n))
+		// Every rank found so far splits its part of v: nothing before it is
+		// larger, nothing after it smaller. Search between the nearest two.
 		for _, q := range ps[:i] {
-			switch r := nearestRank(q, n); {
+			switch _, _, r := place(ts, n, nearestRank(q, n)); {
 			case r < k:
 				lo = max(lo, r+1)
 			case r > k:
@@ -84,6 +95,111 @@ func Percentiles(v, ps, out []float64) {
 		selectRank(v, lo, hi, k)
 		out[i] = v[k]
 	}
+}
+
+// Radix pass parameters: the buckets of the range, and the most targets the
+// pass keeps track of.
+const (
+	radixBits    = 11
+	radixBuckets = 1 << radixBits
+	maxTargets   = 8
+)
+
+// target is one bucket holding a requested rank: its values have the ranks
+// [rank, rank+size) of v, and the radix pass moves them to v[at:at+size].
+type target struct{ bucket, rank, size, at int }
+
+// place returns the part of v that holds rank k, [lo, hi), and the index in
+// it where k's value belongs: its target's bucket, or all of v.
+func place(ts []target, n, k int) (lo, hi, at int) {
+	for _, t := range ts {
+		if k >= t.rank && k < t.rank+t.size {
+			return t.at, t.at + t.size, t.at + k - t.rank
+		}
+	}
+	return 0, n, k
+}
+
+// key maps a float64 to a uint64 whose unsigned order is the order
+// sort.Float64s gives: every NaN lowest, then -Inf up to +Inf, -0 just
+// below +0.
+func key(x float64) uint64 {
+	if x != x {
+		return 0
+	}
+	b := math.Float64bits(x)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// radixFront finds the bucket of every requested rank, moves those buckets'
+// values to the front of v and returns them, appended to ts in bucket order.
+// It returns ts empty when v holds a single key.
+func radixFront(v, ps []float64, ts []target) []target {
+	n := len(v)
+	kmin, kmax := key(v[0]), key(v[0])
+	for _, x := range v[1:] {
+		k := key(x)
+		kmin, kmax = min(kmin, k), max(kmax, k)
+	}
+	if kmin == kmax {
+		return ts
+	}
+	shift := max(bits.Len64(kmax-kmin)-radixBits, 0)
+	var count [radixBuckets]int
+	for _, x := range v {
+		count[(key(x)-kmin)>>shift]++
+	}
+
+	// Walk the buckets in order with the ranks in ascending order. count
+	// becomes the class table of the move: a target's index plus one, 0 for
+	// every other bucket.
+	var ranks [maxTargets]int
+	for i, p := range ps {
+		ranks[i] = nearestRank(p, n)
+	}
+	rs := ranks[:len(ps)]
+	slices.Sort(rs)
+	below, at := 0, 0
+	for b := range count {
+		size := count[b]
+		count[b] = 0
+		for len(rs) > 0 && rs[0] < below+size {
+			if len(ts) == 0 || ts[len(ts)-1].bucket != b {
+				ts = append(ts, target{bucket: b, rank: below, size: size, at: at})
+				at += size
+				count[b] = len(ts)
+			}
+			rs = rs[1:]
+		}
+		below += size
+	}
+
+	// Move every target's values into v[t.at:t.at+t.size]: fill the targets'
+	// parts in order, swapping in the next value of the target it belongs to
+	// or, for a value of no target, one found beyond the front.
+	var next [maxTargets]int
+	for j, t := range ts {
+		next[j] = t.at
+	}
+	rest := at // the values of no target beyond the front are skipped once
+	for j, t := range ts {
+		for next[j] < t.at+t.size {
+			c := count[(key(v[next[j]])-kmin)>>shift]
+			switch {
+			case c == j+1:
+				next[j]++
+			case c != 0:
+				v[next[j]], v[next[c-1]] = v[next[c-1]], v[next[j]]
+				next[c-1]++
+			default:
+				for count[(key(v[rest])-kmin)>>shift] == 0 {
+					rest++
+				}
+				v[next[j]], v[rest] = v[rest], v[next[j]]
+			}
+		}
+	}
+	return ts
 }
 
 // nearestRank returns the 0-based index of the p-th percentile in a sorted

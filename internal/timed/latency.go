@@ -97,6 +97,37 @@ func (m Profile) Latency(_, _ sim.ProcID, _ sim.Round, kind sim.MsgKind) des.Tim
 	return des.Time(m.P.DataLatency(m.bits()))
 }
 
+// Price evaluates the profile once: its parameters and the latency of a data
+// and of a control message, which depend on the message kind only.
+func (m Profile) Price() Priced {
+	d, delta := m.Params()
+	return Priced{D: d, Delta: delta,
+		Data: m.Latency(0, 0, 0, sim.Data), Ctrl: m.Latency(0, 0, 0, sim.Control)}
+}
+
+// Priced is a latency model whose every data message takes Data and every
+// control message Ctrl: a Profile evaluated once (Profile.Price), for a
+// caller that runs many jobs on one profile and would otherwise redo its
+// frame arithmetic per message. *Priced implements LatencyModel, so a caller
+// that keeps one hands the engine a pointer and boxes nothing.
+type Priced struct {
+	// D and Delta are the synchrony parameters, as in Fixed.
+	D, Delta des.Time
+	// Data and Ctrl are the latencies of a data and of a control message.
+	Data, Ctrl des.Time
+}
+
+// Params implements LatencyModel.
+func (m *Priced) Params() (des.Time, des.Time) { return m.D, m.Delta }
+
+// Latency implements LatencyModel.
+func (m *Priced) Latency(_, _ sim.ProcID, _ sim.Round, kind sim.MsgKind) des.Time {
+	if kind == sim.Control {
+		return m.Ctrl
+	}
+	return m.Data
+}
+
 // Jitter adds seeded random jitter over a latency floor: a data message
 // takes Floor + U[0, Spread), a control message the same draw plus Delta
 // (pipelined behind its data frame). When Floor + Spread exceeds D the tail

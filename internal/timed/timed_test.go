@@ -187,6 +187,30 @@ func TestProfileLatencyWithinBound(t *testing.T) {
 	}
 }
 
+// TestPricedProfileIsTheProfile requires a priced profile to be the profile
+// to the last bit: the same parameters and, for every message, the same
+// latency, on every standard profile and payload width.
+func TestPricedProfileIsTheProfile(t *testing.T) {
+	for _, p := range lan.Profiles() {
+		for _, bits := range []int{0, 1, 64, 1500, 1 << 16} {
+			m := timed.Profile{P: p, Bits: bits}
+			priced := m.Price()
+			var pm timed.LatencyModel = &priced
+			d, delta := m.Params()
+			if pd, pdelta := pm.Params(); pd != d || pdelta != delta {
+				t.Errorf("%s/%d: priced params (%g, %g), want (%g, %g)", p.Name, bits, pd, pdelta, d, delta)
+			}
+			for _, kind := range []sim.MsgKind{sim.Data, sim.Control} {
+				for r := sim.Round(1); r <= 3; r++ {
+					if got, want := pm.Latency(1, 2, r, kind), m.Latency(1, 2, r, kind); got != want {
+						t.Errorf("%s/%d: priced %s latency %g, want %g", p.Name, bits, kind, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestHorizonExhaustion(t *testing.T) {
 	// Two silent coordinator crashes force a round-3 decision; a horizon of
 	// 2 must end with ErrNoProgress and a partial result over exactly the
