@@ -80,7 +80,6 @@ type FaultSpec struct {
 	recvProb   float64
 	max        int
 	script     map[sim.ProcID]adversary.CrashPlan
-	oscript    map[sim.ProcID][]adversary.OmissionPlan
 	fscript    fuzz.Script
 }
 
@@ -122,12 +121,21 @@ func ScriptedFaults(plans map[int]CrashPlan) FaultSpec {
 	return FaultSpec{kind: "script", script: script}
 }
 
-// ReplayFaults replays a crash schedule recorded by the fuzzer (agree.Fuzz,
-// cmd/agreefuzz), given in the script format of its findings:
-// ';'-joined events "p<proc>@r<round>:<data mask>/<ctrl prefix>", the empty
-// string being the failure-free schedule. Replay is a pure function of
-// (process, round), so the spec is order-insensitive and cross-checks
-// cleanly on every engine.
+// ReplayFaults replays a fault script: a schedule of crash and omission
+// faults in the script format of fuzzer findings (agree.Fuzz,
+// cmd/agreefuzz) and explorer counterexamples. It is ';'-joined events of
+// three kinds, the empty string being the failure-free schedule:
+//
+//	crash          p<proc>@r<round>:<data mask>/<ctrl prefix>   p3@r1:101/0
+//	send omission  p<proc>@r<round>:so:<data mask>/<ctrl mask>  p1@r1:so:0/
+//	recv omission  p<proc>@r<round>:ro:<sender mask>            p3@r1:ro:0111
+//
+// A crash mask names the data messages that escape, an omission mask the
+// messages delivered; positions beyond a mask drop for a crash and are
+// delivered for an omission. A process may omit in several rounds, each
+// before its crash round, and every omission must drop something. Replay is
+// a pure function of (process, round), so the spec is order-insensitive and
+// cross-checks cleanly on every engine.
 func ReplayFaults(script string) (FaultSpec, error) {
 	s, err := fuzz.Parse(script)
 	if err != nil {
@@ -149,29 +157,6 @@ type CrashPlan struct {
 // CtrlAll requests full control delivery in a CrashPlan.
 const CtrlAll = adversary.CtrlAll
 
-// OmissionPlan mirrors adversary.OmissionPlan for the public API: the
-// send/receive omissions of one process in one round. The process stays
-// alive — unlike a crash, omissions are repeatable across rounds and the
-// faulty process keeps participating in the protocol.
-type OmissionPlan struct {
-	// Round is the 1-based round the omissions apply to.
-	Round int
-	// SendData selects which data messages of the round's send plan are
-	// transmitted ('true' = transmitted, positional, missing positions
-	// transmitted); nil omits nothing from the data step.
-	SendData []bool
-	// SendCtrl selects which control messages are transmitted — any subset,
-	// not just a prefix (the sender is alive and executes the whole step).
-	SendCtrl []bool
-	// DropAllSend suppresses the entire send plan.
-	DropAllSend bool
-	// Recv selects which senders' messages reach the process this round
-	// (index i = process i+1, 'true' = delivered, missing delivered).
-	Recv []bool
-	// DropAllRecv suppresses every delivery to the process this round.
-	DropAllRecv bool
-}
-
 // OmissionFaults returns a randomized omission scenario: at most maxFaulty
 // distinct processes turn omission faulty, each omitting every message it
 // sends with probability sendProb and blocking each inbound sender with
@@ -182,43 +167,6 @@ type OmissionPlan struct {
 // so it is skipped by cross-engine checking.
 func OmissionFaults(seed int64, sendProb, recvProb float64, maxFaulty int) FaultSpec {
 	return FaultSpec{kind: "randomomit", seed: seed, prob: sendProb, recvProb: recvProb, max: maxFaulty}
-}
-
-// ScriptedOmissions uses explicit per-process omission plans (several rounds
-// per process allowed). The spec is a pure function of (process, round), so
-// it cross-checks cleanly on every engine.
-func ScriptedOmissions(plans map[int][]OmissionPlan) FaultSpec {
-	return FaultSpec{kind: "omitscript", oscript: convertOmissionPlans(plans)}
-}
-
-// CrashesWithOmissions combines scripted crash plans with scripted omission
-// plans into one mixed fault scenario: crashes remove processes for good,
-// omissions degrade the communication of processes that stay alive. A
-// process may appear in both maps as long as its omissions happen strictly
-// before its crash round.
-func CrashesWithOmissions(crashes map[int]CrashPlan, omissions map[int][]OmissionPlan) FaultSpec {
-	spec := ScriptedFaults(crashes)
-	spec.kind = "mixed"
-	spec.oscript = convertOmissionPlans(omissions)
-	return spec
-}
-
-// convertOmissionPlans maps the public plans onto the adversary layer.
-func convertOmissionPlans(plans map[int][]OmissionPlan) map[sim.ProcID][]adversary.OmissionPlan {
-	out := map[sim.ProcID][]adversary.OmissionPlan{}
-	for p, ops := range plans {
-		for _, op := range ops {
-			out[sim.ProcID(p)] = append(out[sim.ProcID(p)], adversary.OmissionPlan{
-				Round:       sim.Round(op.Round),
-				SendData:    op.SendData,
-				SendCtrl:    op.SendCtrl,
-				DropAllSend: op.DropAllSend,
-				Recv:        op.Recv,
-				DropAllRecv: op.DropAllRecv,
-			})
-		}
-	}
-	return out
 }
 
 // adversary materializes the spec's adversary for an n-process job in the
@@ -249,12 +197,6 @@ func (w *worker) adversary(f FaultSpec, n int) sim.Adversary {
 		}
 		m.romit.Reset(f.seed, f.prob, f.recvProb, f.max, n)
 		return m.romit
-	case "omitscript":
-		return m.omissions(n, f.oscript)
-	case "mixed":
-		m.script.Plans = f.script
-		m.mixed = adversary.Combined{Crash: &m.script, Omit: m.omissions(n, f.oscript)}
-		return &m.mixed
 	default: // "fuzzscript"
 		return m.replay.Adversary(f.fscript)
 	}
@@ -304,17 +246,6 @@ func (f FaultSpec) validate(n int) error {
 		if f.max > n {
 			return fmt.Errorf("agree: omission-faulty budget max=%d exceeds the system size n=%d", f.max, n)
 		}
-	case "omitscript":
-		if err := validateOmissionScript(f.oscript, nil, n); err != nil {
-			return err
-		}
-	case "mixed":
-		if err := validateCrashScript(f.script, n); err != nil {
-			return err
-		}
-		if err := validateOmissionScript(f.oscript, f.script, n); err != nil {
-			return err
-		}
 	case "fuzzscript":
 		if err := f.fscript.ValidateFor(n); err != nil {
 			return fmt.Errorf("agree: replay script %w", err)
@@ -348,38 +279,6 @@ func validateCrashScript(script map[sim.ProcID]adversary.CrashPlan, n int) error
 	return nil
 }
 
-// validateOmissionScript applies the scripted-omission rules: processes
-// exist, rounds are 1-based, receive masks name existing processes, no
-// duplicate (process, round) plan, and — given the crash script of a mixed
-// spec — omissions strictly precede the process's crash round (from that
-// round on the process sends and receives nothing, so a later omission could
-// never fire and the configuration is almost certainly a mistake).
-func validateOmissionScript(oscript map[sim.ProcID][]adversary.OmissionPlan,
-	crashes map[sim.ProcID]adversary.CrashPlan, n int) error {
-	for p, ops := range oscript {
-		if p < 1 || int(p) > n {
-			return fmt.Errorf("agree: scripted omission of nonexistent p%d (n=%d)", p, n)
-		}
-		rounds := map[sim.Round]bool{}
-		for _, op := range ops {
-			if op.Round < 1 {
-				return fmt.Errorf("agree: scripted omission of p%d in round %d (rounds are 1-based)", p, op.Round)
-			}
-			if rounds[op.Round] {
-				return fmt.Errorf("agree: p%d has two omission plans for round %d", p, op.Round)
-			}
-			rounds[op.Round] = true
-			if len(op.Recv) > n {
-				return fmt.Errorf("agree: receive-omission mask of p%d names %d senders (n=%d)", p, len(op.Recv), n)
-			}
-			if cp, crashed := crashes[p]; crashed && op.Round >= cp.Round {
-				return fmt.Errorf("agree: omission of p%d in round %d at or after its crash round %d", p, op.Round, cp.Round)
-			}
-		}
-	}
-	return nil
-}
-
 // budget derives the fault budget a spec is allowed to spend on an n-process
 // system — the bound the crash-budget and omission-budget laws audit every
 // run against. A spec that can never crash (or never omit) gets a zero
@@ -394,10 +293,6 @@ func (f FaultSpec) budget(n int) laws.Budget {
 		return laws.Budget{Crashes: len(f.script), Omissive: 0}
 	case "randomomit":
 		return laws.Budget{Crashes: 0, Omissive: f.max}
-	case "omitscript":
-		return laws.Budget{Crashes: 0, Omissive: len(f.oscript)}
-	case "mixed":
-		return laws.Budget{Crashes: len(f.script), Omissive: len(f.oscript)}
 	case "fuzzscript":
 		return laws.Budget{Crashes: f.fscript.Crashes(), Omissive: f.fscript.OmissiveProcs()}
 	default: // "none" and the zero spec fault nobody

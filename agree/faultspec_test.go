@@ -19,43 +19,44 @@ func TestFaultSpecValidation(t *testing.T) {
 	cases := []struct {
 		name    string
 		faults  agree.FaultSpec
+		script  string // replayed in place of faults when set
 		wantErr string // substring of the error; "" = must be accepted
 	}{
-		{"no faults", agree.NoFaults(), ""},
-		{"coordinator f=0", agree.CoordinatorCrashes(0), ""},
-		{"coordinator f=n-1", agree.CoordinatorCrashes(n - 1), ""},
-		{"coordinator f negative", agree.CoordinatorCrashes(-1), "negative"},
-		{"coordinator f=n", agree.CoordinatorCrashes(n), "survivor"},
-		{"coordinator f>n", agree.CoordinatorCrashes(n + 3), "survivor"},
-		{"delivering ctrl=CtrlAll", agree.CoordinatorCrashesDelivering(1, agree.CtrlAll), ""},
-		{"delivering ctrl=n-1", agree.CoordinatorCrashesDelivering(1, n-1), ""},
-		{"delivering ctrl below CtrlAll", agree.CoordinatorCrashesDelivering(1, -2), "control prefix"},
-		{"delivering ctrl=n", agree.CoordinatorCrashesDelivering(1, n), "control prefix"},
-		{"random prob=0", agree.RandomFaults(1, 0, 2), ""},
-		{"random prob=1", agree.RandomFaults(1, 1, 2), ""},
-		{"random prob negative", agree.RandomFaults(1, -0.1, 2), "probability"},
-		{"random prob>1", agree.RandomFaults(1, 1.5, 2), "probability"},
-		{"random max negative", agree.RandomFaults(1, 0.5, -1), "negative"},
-		{"random max=n", agree.RandomFaults(1, 0.5, n), "survivor"},
-		{"script in range", agree.ScriptedFaults(map[int]agree.CrashPlan{2: {Round: 1}}), ""},
-		{"script round 0", agree.ScriptedFaults(map[int]agree.CrashPlan{2: {Round: 0}}), "1-based"},
-		{"script round negative", agree.ScriptedFaults(map[int]agree.CrashPlan{2: {Round: -3}}), "1-based"},
-		{"script nonexistent proc", agree.ScriptedFaults(map[int]agree.CrashPlan{n + 5: {Round: 1}}), "nonexistent"},
-		{"script proc 0", agree.ScriptedFaults(map[int]agree.CrashPlan{0: {Round: 1}}), "nonexistent"},
-		{"script ctrl below CtrlAll", agree.ScriptedFaults(map[int]agree.CrashPlan{2: {Round: 1, CtrlPrefix: -4}}), "control prefix"},
-		{"script ctrl=n", agree.ScriptedFaults(map[int]agree.CrashPlan{2: {Round: 1, DeliverAllData: true, CtrlPrefix: n}}), "control prefix"},
-		{"script ctrl=CtrlAll, all data", agree.ScriptedFaults(map[int]agree.CrashPlan{1: {Round: 1, DeliverAllData: true, CtrlPrefix: agree.CtrlAll}}), ""},
-		{"script ctrl=CtrlAll, no data", agree.ScriptedFaults(map[int]agree.CrashPlan{1: {Round: 1, CtrlPrefix: agree.CtrlAll}}), "p1 lets control messages escape"},
-		{"script ctrl=2, partial mask", agree.ScriptedFaults(map[int]agree.CrashPlan{1: {Round: 1, DataMask: []bool{true, false, true}, CtrlPrefix: 2}}), "p1 lets control messages escape"},
-		{"script ctrl=1, short mask", agree.ScriptedFaults(map[int]agree.CrashPlan{1: {Round: 1, DeliverAllData: true, DataMask: []bool{true}, CtrlPrefix: 1}}), "p1 lets control messages escape"},
-		{"mixed ctrl=CtrlAll, no data", agree.CrashesWithOmissions(map[int]agree.CrashPlan{2: {Round: 2, CtrlPrefix: agree.CtrlAll}}, nil), "p2 lets control messages escape"},
-		{"mixed ctrl=2, partial mask", agree.CrashesWithOmissions(map[int]agree.CrashPlan{1: {Round: 1, DataMask: []bool{false, true, true}, CtrlPrefix: 2}}, nil), "p1 lets control messages escape"},
+		{"no faults", agree.NoFaults(), "", ""},
+		{"coordinator f=0", agree.CoordinatorCrashes(0), "", ""},
+		{"coordinator f=n-1", agree.CoordinatorCrashes(n - 1), "", ""},
+		{"coordinator f negative", agree.CoordinatorCrashes(-1), "", "negative"},
+		{"coordinator f=n", agree.CoordinatorCrashes(n), "", "survivor"},
+		{"coordinator f>n", agree.CoordinatorCrashes(n + 3), "", "survivor"},
+		{"delivering ctrl=CtrlAll", agree.CoordinatorCrashesDelivering(1, agree.CtrlAll), "", ""},
+		{"delivering ctrl=n-1", agree.CoordinatorCrashesDelivering(1, n-1), "", ""},
+		{"delivering ctrl below CtrlAll", agree.CoordinatorCrashesDelivering(1, -2), "", "control prefix"},
+		{"delivering ctrl=n", agree.CoordinatorCrashesDelivering(1, n), "", "control prefix"},
+		{"random prob=0", agree.RandomFaults(1, 0, 2), "", ""},
+		{"random prob=1", agree.RandomFaults(1, 1, 2), "", ""},
+		{"random prob negative", agree.RandomFaults(1, -0.1, 2), "", "probability"},
+		{"random prob>1", agree.RandomFaults(1, 1.5, 2), "", "probability"},
+		{"random max negative", agree.RandomFaults(1, 0.5, -1), "", "negative"},
+		{"random max=n", agree.RandomFaults(1, 0.5, n), "", "survivor"},
+		{"script in range", agree.ScriptedFaults(map[int]agree.CrashPlan{2: {Round: 1}}), "", ""},
+		{"script round 0", agree.ScriptedFaults(map[int]agree.CrashPlan{2: {Round: 0}}), "", "1-based"},
+		{"script round negative", agree.ScriptedFaults(map[int]agree.CrashPlan{2: {Round: -3}}), "", "1-based"},
+		{"script nonexistent proc", agree.ScriptedFaults(map[int]agree.CrashPlan{n + 5: {Round: 1}}), "", "nonexistent"},
+		{"script proc 0", agree.ScriptedFaults(map[int]agree.CrashPlan{0: {Round: 1}}), "", "nonexistent"},
+		{"script ctrl below CtrlAll", agree.ScriptedFaults(map[int]agree.CrashPlan{2: {Round: 1, CtrlPrefix: -4}}), "", "control prefix"},
+		{"script ctrl=n", agree.ScriptedFaults(map[int]agree.CrashPlan{2: {Round: 1, DeliverAllData: true, CtrlPrefix: n}}), "", "control prefix"},
+		{"script ctrl=CtrlAll, all data", agree.ScriptedFaults(map[int]agree.CrashPlan{1: {Round: 1, DeliverAllData: true, CtrlPrefix: agree.CtrlAll}}), "", ""},
+		{"script ctrl=CtrlAll, no data", agree.ScriptedFaults(map[int]agree.CrashPlan{1: {Round: 1, CtrlPrefix: agree.CtrlAll}}), "", "p1 lets control messages escape"},
+		{"script ctrl=2, partial mask", agree.ScriptedFaults(map[int]agree.CrashPlan{1: {Round: 1, DataMask: []bool{true, false, true}, CtrlPrefix: 2}}), "", "p1 lets control messages escape"},
+		{"script ctrl=1, short mask", agree.ScriptedFaults(map[int]agree.CrashPlan{1: {Round: 1, DeliverAllData: true, DataMask: []bool{true}, CtrlPrefix: 1}}), "", "p1 lets control messages escape"},
+		{"mixed ctrl=CtrlAll, no data", agree.FaultSpec{}, "p2@r2:0/3;p1@r1:so:0/", "control prefix with partial data"},
+		{"mixed ctrl=2, partial mask", agree.FaultSpec{}, "p1@r1:011/2;p3@r1:ro:0", "control prefix with partial data"},
 		{"script crashes everyone", agree.ScriptedFaults(map[int]agree.CrashPlan{
-			1: {Round: 1}, 2: {Round: 1}, 3: {Round: 1}, 4: {Round: 1}}), "survivor"},
+			1: {Round: 1}, 2: {Round: 1}, 3: {Round: 1}, 4: {Round: 1}}), "", "survivor"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep, err := agree.Run(agree.Config{N: n, Faults: tc.faults})
+			rep, err := runSpec(n, tc.faults, tc.script)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("rejected: %v", err)
@@ -75,57 +76,56 @@ func TestFaultSpecValidation(t *testing.T) {
 	}
 }
 
-// TestOmissionFaultSpecValidation mirrors TestFaultSpecValidation for the
-// omission-fault constructors: probabilities outside [0, 1], out-of-range
-// processes and rounds, oversized receive masks, duplicate per-round plans
-// and omissions scheduled at or after a crash are configuration errors, not
-// silently inert scenarios.
+// runSpec runs an n-process configuration under faults, or under the
+// replay of script when it is set, and returns the error of either step.
+func runSpec(n int, faults agree.FaultSpec, script string) (*agree.Report, error) {
+	if script != "" {
+		var err error
+		if faults, err = agree.ReplayFaults(script); err != nil {
+			return nil, err
+		}
+	}
+	return agree.Run(agree.Config{N: n, Faults: faults})
+}
+
+// TestOmissionFaultSpecValidation mirrors TestFaultSpecValidation for
+// omission faults, random and scripted: probabilities outside [0, 1],
+// out-of-range processes and rounds, oversized receive masks, duplicate
+// events, omissions that drop nothing and omissions scheduled at or after a
+// crash are configuration errors, not silently inert scenarios.
 func TestOmissionFaultSpecValidation(t *testing.T) {
 	const n = 4
-	plan := func(p int, ops ...agree.OmissionPlan) map[int][]agree.OmissionPlan {
-		return map[int][]agree.OmissionPlan{p: ops}
-	}
 	cases := []struct {
 		name    string
 		faults  agree.FaultSpec
+		script  string // replayed in place of faults when set
 		wantErr string // substring of the error; "" = must be accepted
 	}{
-		{"random ok", agree.OmissionFaults(1, 0.5, 0.5, 2), ""},
-		{"random probs at bounds", agree.OmissionFaults(1, 0, 1, n), ""},
-		{"random send prob negative", agree.OmissionFaults(1, -0.1, 0, 1), "probability"},
-		{"random send prob >1", agree.OmissionFaults(1, 1.5, 0, 1), "probability"},
-		{"random recv prob negative", agree.OmissionFaults(1, 0, -0.5, 1), "probability"},
-		{"random recv prob >1", agree.OmissionFaults(1, 0, 2, 1), "probability"},
-		{"random budget negative", agree.OmissionFaults(1, 0.5, 0, -1), "negative"},
-		{"random budget >n", agree.OmissionFaults(1, 0.5, 0, n+1), "exceeds"},
-		{"scripted ok", agree.ScriptedOmissions(plan(2, agree.OmissionPlan{Round: 1, DropAllSend: true})), ""},
-		{"scripted repeatable rounds", agree.ScriptedOmissions(plan(2,
-			agree.OmissionPlan{Round: 1, DropAllSend: true},
-			agree.OmissionPlan{Round: 2, DropAllRecv: true})), ""},
-		{"scripted nonexistent proc", agree.ScriptedOmissions(plan(n+3, agree.OmissionPlan{Round: 1})), "nonexistent"},
-		{"scripted proc 0", agree.ScriptedOmissions(plan(0, agree.OmissionPlan{Round: 1})), "nonexistent"},
-		{"scripted round 0", agree.ScriptedOmissions(plan(2, agree.OmissionPlan{Round: 0})), "1-based"},
-		{"scripted round negative", agree.ScriptedOmissions(plan(2, agree.OmissionPlan{Round: -2})), "1-based"},
-		{"scripted duplicate round", agree.ScriptedOmissions(plan(2,
-			agree.OmissionPlan{Round: 1, DropAllSend: true},
-			agree.OmissionPlan{Round: 1, DropAllRecv: true})), "two omission plans"},
-		{"scripted recv mask too long", agree.ScriptedOmissions(plan(2,
-			agree.OmissionPlan{Round: 1, Recv: make([]bool, n+1)})), "senders"},
-		{"mixed ok", agree.CrashesWithOmissions(
-			map[int]agree.CrashPlan{3: {Round: 2}},
-			map[int][]agree.OmissionPlan{3: {{Round: 1, DropAllRecv: true}}}), ""},
-		{"mixed omission at crash round", agree.CrashesWithOmissions(
-			map[int]agree.CrashPlan{3: {Round: 1}},
-			map[int][]agree.OmissionPlan{3: {{Round: 1, DropAllSend: true}}}), "at or after its crash round"},
-		{"mixed omission after crash round", agree.CrashesWithOmissions(
-			map[int]agree.CrashPlan{3: {Round: 1}},
-			map[int][]agree.OmissionPlan{3: {{Round: 2, DropAllSend: true}}}), "at or after its crash round"},
-		{"mixed crash rules still apply", agree.CrashesWithOmissions(
-			map[int]agree.CrashPlan{n + 1: {Round: 1}}, nil), "nonexistent"},
+		{"random ok", agree.OmissionFaults(1, 0.5, 0.5, 2), "", ""},
+		{"random probs at bounds", agree.OmissionFaults(1, 0, 1, n), "", ""},
+		{"random send prob negative", agree.OmissionFaults(1, -0.1, 0, 1), "", "probability"},
+		{"random send prob >1", agree.OmissionFaults(1, 1.5, 0, 1), "", "probability"},
+		{"random recv prob negative", agree.OmissionFaults(1, 0, -0.5, 1), "", "probability"},
+		{"random recv prob >1", agree.OmissionFaults(1, 0, 2, 1), "", "probability"},
+		{"random budget negative", agree.OmissionFaults(1, 0.5, 0, -1), "", "negative"},
+		{"random budget >n", agree.OmissionFaults(1, 0.5, 0, n+1), "", "exceeds"},
+		{"scripted ok", agree.FaultSpec{}, "p2@r1:so:0000/0000", ""},
+		{"scripted repeatable rounds", agree.FaultSpec{}, "p2@r1:so:0000/0000;p2@r2:ro:0000", ""},
+		{"scripted nonexistent proc", agree.FaultSpec{}, "p7@r1:so:0/", "nonexistent"},
+		{"scripted proc 0", agree.FaultSpec{}, "p0@r1:so:0/", "process out of range"},
+		{"scripted round 0", agree.FaultSpec{}, "p2@r0:so:0/", "round out of range"},
+		{"scripted round negative", agree.FaultSpec{}, "p2@r-2:so:0/", "round out of range"},
+		{"scripted duplicate round", agree.FaultSpec{}, "p2@r1:so:0000/0000;p2@r1:so:0/", "duplicate so event"},
+		{"scripted recv mask too long", agree.FaultSpec{}, "p2@r1:ro:00000", "senders"},
+		{"scripted drops nothing", agree.FaultSpec{}, "p2@r1:so:11/1", "drops nothing"},
+		{"mixed ok", agree.FaultSpec{}, "p3@r2:/0;p3@r1:ro:0000", ""},
+		{"mixed omission at crash round", agree.FaultSpec{}, "p3@r1:/0;p3@r1:so:0000/0000", "at or after p3's crash round"},
+		{"mixed omission after crash round", agree.FaultSpec{}, "p3@r1:/0;p3@r2:so:0000/0000", "at or after p3's crash round"},
+		{"mixed crash rules still apply", agree.FaultSpec{}, "p5@r1:/0", "nonexistent"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rep, err := agree.Run(agree.Config{N: n, Faults: tc.faults})
+			rep, err := runSpec(n, tc.faults, tc.script)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("rejected: %v", err)
@@ -192,9 +192,11 @@ func TestOmissionBoundaryBehavior(t *testing.T) {
 		t.Errorf("prob 0 spec: %d omissive, consensus %v", rep.OmissionFaulty(), rep.ConsensusErr)
 	}
 
-	rep, err = agree.Run(agree.Config{N: 3, Faults: agree.ScriptedOmissions(map[int][]agree.OmissionPlan{
-		1: {{Round: 1, SendData: []bool{false}}}, // DATA p1->p2 omitted, COMMIT flows
-	})})
+	loss, err := agree.ReplayFaults("p1@r1:so:0/") // DATA p1->p2 omitted, COMMIT flows
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err = agree.Run(agree.Config{N: 3, Faults: loss})
 	if err != nil {
 		t.Fatal(err)
 	}

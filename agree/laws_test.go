@@ -14,7 +14,7 @@ import (
 // adversarial bit-complexity schedule, and the omission experiments' scripted
 // schedules. Every run's report must satisfy the conservation identity —
 // sent == delivered + recv-omitted + late + dead-dest + halted-dest per kind.
-func eSeriesConfigs() []agree.Config {
+func eSeriesConfigs(t *testing.T) []agree.Config {
 	var configs []agree.Config
 	// E1: worst-case coordinator crashes.
 	for _, n := range []int{4, 8, 16} {
@@ -55,11 +55,11 @@ func eSeriesConfigs() []agree.Config {
 			Faults: agree.CoordinatorCrashesDelivering(1, agree.CtrlAll)})
 	}
 	// E15: scripted omissions (deterministic, so all engines agree).
-	configs = append(configs, agree.Config{N: 4, Protocol: agree.ProtocolCRW,
-		Faults: agree.ScriptedOmissions(map[int][]agree.OmissionPlan{
-			2: {{Round: 1, DropAllSend: true}},
-			3: {{Round: 1, Recv: []bool{false, true, true, true}}},
-		})})
+	omissions, err := agree.ReplayFaults("p2@r1:so:0000/0000;p3@r1:ro:0111")
+	if err != nil {
+		t.Fatal(err)
+	}
+	configs = append(configs, agree.Config{N: 4, Protocol: agree.ProtocolCRW, Faults: omissions})
 	return configs
 }
 
@@ -75,7 +75,7 @@ func TestConservationAcrossESeries(t *testing.T) {
 		engine := engine
 		t.Run(string(engine), func(t *testing.T) {
 			t.Parallel()
-			for _, cfg := range eSeriesConfigs() {
+			for _, cfg := range eSeriesConfigs(t) {
 				cfg.Engine = engine
 				rep, err := agree.Run(cfg)
 				if err != nil {

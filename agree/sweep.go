@@ -184,27 +184,14 @@ type models struct {
 	seeded adversary.Seeded
 	random adversary.FromChooser
 	script adversary.Script
-	// The omission models are allocated by the first job needing each, so
-	// their mask arenas stay off the workers of crash-only sweeps.
-	romit   *adversary.RandomOmission
-	oscript *adversary.OmissionScript
-	mixed   adversary.Combined
-	replay  fuzz.Replayer
+	// The random omission model is allocated by the first job needing it,
+	// so its mask arena stays off the workers of crash-only sweeps.
+	romit  *adversary.RandomOmission
+	replay fuzz.Replayer
 
 	fixed   timed.Fixed
 	profile timed.Profile
 	jitter  timed.Jitter
-}
-
-// omissions rearms the worker's omission script for an n-process job,
-// allocating it on first use.
-func (m *models) omissions(n int, plans map[sim.ProcID][]adversary.OmissionPlan) *adversary.OmissionScript {
-	if m.oscript == nil {
-		m.oscript = new(adversary.OmissionScript)
-	}
-	m.oscript.N, m.oscript.Plans = n, plans
-	m.oscript.Reset()
-	return m.oscript
 }
 
 // store returns the worker's model storage, allocating it on first use.

@@ -147,6 +147,10 @@ var reportSink *Report
 // and nothing else: not its adversary or the delivery masks it hands out,
 // not its latency model, not its engine run.
 func TestSweptConfigAllocatesOnlyItsReport(t *testing.T) {
+	omissions, err := ReplayFaults("p1@r1:so:101/;p2@r1:ro:" + strings.Repeat("0", 16) + ";p2@r2:ro:" + strings.Repeat("01", 8))
+	if err != nil {
+		t.Fatal(err)
+	}
 	cache := harness.NewCache()
 	defer cache.Close()
 	var w worker
@@ -166,10 +170,7 @@ func TestSweptConfigAllocatesOnlyItsReport(t *testing.T) {
 		// Omissions break the reliable channels the paper assumes, and with
 		// them agreement.
 		{"random-omission", Config{N: 16, Faults: OmissionFaults(3, 0.3, 0.2, 4)}, true},
-		{"scripted-omission", Config{N: 16, Faults: ScriptedOmissions(map[int][]OmissionPlan{
-			1: {{Round: 1, SendData: []bool{true, false, true}}},
-			2: {{Round: 1, DropAllRecv: true}, {Round: 2, Recv: slices.Repeat([]bool{false, true}, 8)}},
-		})}, true},
+		{"scripted-omission", Config{N: 16, Faults: omissions}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rep, res, err := runConfig(tc.cfg, cache, &w, nil)

@@ -158,11 +158,8 @@ func shuffledModelBatch(t *testing.T) []agree.Config {
 				3: {Round: 2, DeliverAllData: true, CtrlPrefix: 1},
 			}),
 			agree.OmissionFaults(int64(n), 0.3, 0.2, 2),
-			agree.ScriptedOmissions(map[int][]agree.OmissionPlan{
-				1: {{Round: 1, SendData: []bool{false, true}}, {Round: 2, Recv: []bool{true, false}}},
-			}),
-			agree.CrashesWithOmissions(map[int]agree.CrashPlan{3: {Round: 2}},
-				map[int][]agree.OmissionPlan{1: {{Round: 1, DropAllSend: true}}}),
+			replay("p1@r1:so:01/;p1@r2:ro:10"),
+			replay("p1@r1:so:" + strings.Repeat("0", n) + "/" + strings.Repeat("0", n) + ";p3@r2:/0"),
 			replay("p1@r1:10/0"),
 			replay("p2@r1:so:1/0;p3@r2:ro:01"),
 		}

@@ -1,9 +1,12 @@
-// Package adversary provides crash adversaries for the synchronous engines.
+// Package adversary provides the fault adversaries of the synchronous
+// engines.
 //
-// An adversary decides, for every process and round, whether the process
-// crashes during its send phase and — if it does — which of its data messages
-// escape (an arbitrary subset, per the model) and how long a prefix of its
-// ordered control sequence escapes.
+// A crash adversary decides, for every process and round, whether the
+// process crashes during its send phase and — if it does — which of its data
+// messages escape (an arbitrary subset, per the model) and how long a prefix
+// of its ordered control sequence escapes. An omission adversary
+// (sim.Omitter) additionally drops individual messages of processes that
+// stay alive.
 //
 // The package offers:
 //
@@ -13,12 +16,17 @@
 //   - CoordinatorKiller: crashes the coordinator of each of the first F
 //     rounds, the schedule that forces the paper's algorithm to its f+1
 //     round bound.
+//   - Staged: one crash adversary up to a round, another after it.
 //   - FromChooser: the model's fault-choice tree, every decision delegated
 //     to a Chooser. It is the one tree for the exhaustive explorer in
 //     internal/check (a backtracking Chooser enumerates every schedule), the
 //     fuzzer in internal/fuzz and seeded random runs (NewRandom), which
 //     sample it with a Seeded Chooser. OmittingFromChooser adds the
 //     omission tree.
+//   - RandomOmission: the lossy channel, every message lost independently.
+//
+// A scripted schedule of crashes and omissions together is a fault script
+// (fuzz.Script), replayed by fuzz.Replayer.
 package adversary
 
 import (
@@ -183,7 +191,7 @@ type Staged struct {
 // Staged is deliberately NOT a sim.Omitter: its only users compose
 // crash-only adversaries (the valency analysis), and implementing Omits
 // would route those exhaustive searches through the engines' omission
-// machinery for nothing. Compose omission stages with Combined instead.
+// machinery for nothing.
 func (s Staged) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (bool, sim.CrashOutcome) {
 	if r <= s.Until {
 		return s.First.Crashes(p, r, plan)
@@ -358,8 +366,6 @@ func (a *FromChooser) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (boo
 	}
 	return true, out
 }
-
-// Crashed returns how many processes have been crashed so far.
 
 // OmittingFromChooser extends FromChooser with the omission tree. It is a
 // separate type — not a flag on FromChooser — so crash-only exploration

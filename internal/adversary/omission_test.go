@@ -15,45 +15,6 @@ var omitPlan = sim.SendPlan{
 	Control: []sim.ProcID{3, 2},
 }
 
-func TestOmissionPlanMaterialization(t *testing.T) {
-	cases := []struct {
-		name string
-		plan OmissionPlan
-		want sim.Omission
-	}{
-		{"drop all send", OmissionPlan{Round: 1, DropAllSend: true},
-			sim.Omission{Data: []bool{false, false}, Ctrl: []bool{false, false}}},
-		{"positional send masks pad with delivered", OmissionPlan{Round: 1, SendData: []bool{false}, SendCtrl: []bool{true, false}},
-			sim.Omission{Data: []bool{false, true}, Ctrl: []bool{true, false}}},
-		{"oversized masks truncate", OmissionPlan{Round: 1, SendData: []bool{true, false, false, false}},
-			sim.Omission{Data: []bool{true, false}}},
-		{"drop all recv", OmissionPlan{Round: 1, DropAllRecv: true},
-			sim.Omission{Recv: []bool{false, false, false}}},
-		{"recv mask copied", OmissionPlan{Round: 1, Recv: []bool{true, false}},
-			sim.Omission{Recv: []bool{true, false}}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			s := NewOmissionScript(3, map[sim.ProcID][]OmissionPlan{1: {tc.plan}})
-			got := s.Omits(1, 1, omitPlan)
-			if !reflect.DeepEqual(got, tc.want) {
-				t.Errorf("got %+v, want %+v", got, tc.want)
-			}
-			if !got.ValidFor(omitPlan) {
-				t.Errorf("materialized omission %+v invalid for the plan", got)
-			}
-		})
-	}
-	// Wrong round and wrong process omit nothing.
-	s := NewOmissionScript(3, map[sim.ProcID][]OmissionPlan{1: {{Round: 2, DropAllSend: true}}})
-	if !s.Omits(1, 1, omitPlan).IsZero() || !s.Omits(2, 2, omitPlan).IsZero() {
-		t.Error("script omitted outside its (process, round) slots")
-	}
-	if crash, _ := s.Crashes(1, 2, omitPlan); crash {
-		t.Error("omission script crashed a process")
-	}
-}
-
 func TestRandomOmissionDeterministicAndBounded(t *testing.T) {
 	sample := func() []sim.Omission {
 		a := NewRandomOmission(42, 0.5, 0.5, 2, 4)
@@ -93,7 +54,7 @@ func TestRandomOmissionDeterministicAndBounded(t *testing.T) {
 // TestStagedStaysCrashOnly pins the cost contract: Staged composes
 // crash-only stages (the valency analysis) and must not be an Omitter —
 // otherwise every staged exhaustive search would pay the engines' omission
-// machinery for nothing. Mixed scenarios compose omissions via Combined.
+// machinery for nothing.
 func TestStagedStaysCrashOnly(t *testing.T) {
 	var st sim.Adversary = Staged{Until: 1, First: None{}, Rest: None{}}
 	if _, ok := st.(sim.Omitter); ok {

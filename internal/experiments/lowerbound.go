@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/check"
+	"repro/internal/fuzz"
 	"repro/internal/protocol"
 	"repro/internal/sim"
 )
@@ -138,9 +139,10 @@ func e14LossyChannels() *Table {
 	// survives; p2 decides its own proposal while everyone else decides
 	// p1's. (The round-1 coordinator broadcasts data to p2..pn in order, so
 	// the first data position is the p2 message.)
-	res, err = runWith(adversary.NewOmissionScript(n, map[sim.ProcID][]adversary.OmissionPlan{
-		1: {{Round: 1, SendData: []bool{false}}},
-	}))
+	loss, err := fuzz.Parse("p1@r1:so:0/")
+	if err == nil {
+		res, err = runWith(loss.Adversary())
+	}
 	if err != nil {
 		ok = false
 	} else {

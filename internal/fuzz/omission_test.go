@@ -72,11 +72,11 @@ func TestParseRejectsOmission(t *testing.T) {
 	}
 }
 
-// TestRecordedOmissionScriptReplaysIdentically extends the determinism
+// TestRecordedOmissionsReplayIdentically extends the determinism
 // keystone to the omission model: a mixed crash+omission walk must reproduce
 // bit for bit — rounds, decisions, crash set, omissive set and traffic
 // counters — from its recorded script alone.
-func TestRecordedOmissionScriptReplaysIdentically(t *testing.T) {
+func TestRecordedOmissionsReplayIdentically(t *testing.T) {
 	eng := newEngine(t)
 	factory := crwFactory(9, core.Options{})
 	gen := Gen{T: 3, CrashProb: 0.2, SendOmitProb: 0.15, RecvOmitProb: 0.1, MaxOmissive: 4}

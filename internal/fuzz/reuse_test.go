@@ -299,6 +299,37 @@ func mutate(rng *rand.Rand, s Script) Script {
 	return c
 }
 
+// TestReplayerOmissionMaterialization pins how a replayed omission's masks
+// fit a two-data, two-control plan, and that the replay omits nothing outside
+// the event's (process, round).
+func TestReplayerOmissionMaterialization(t *testing.T) {
+	plan := sim.SendPlan{Data: make([]sim.Outgoing, 2), Control: []sim.ProcID{3, 2}}
+	for _, tc := range []struct {
+		name, script string
+		want         sim.Omission
+	}{
+		{"drop all send", "p1@r1:so:000/000", sim.Omission{Data: []bool{false, false}, Ctrl: []bool{false, false}}},
+		{"positional send masks pad with delivered", "p1@r1:so:0/10", sim.Omission{Data: []bool{false, true}, Ctrl: []bool{true, false}}},
+		{"oversized masks truncate", "p1@r1:so:1000/", sim.Omission{Data: []bool{true, false}, Ctrl: []bool{true, true}}},
+		{"drop all recv", "p1@r1:ro:000", sim.Omission{Recv: []bool{false, false, false}}},
+		{"recv mask passed through", "p1@r1:ro:10", sim.Omission{Recv: []bool{true, false}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Parse(tc.script)
+			if err != nil {
+				t.Fatal(err)
+			}
+			om := s.Adversary().(sim.Omitter)
+			if got := om.Omits(1, 1, plan); !reflect.DeepEqual(got, tc.want) || !got.ValidFor(plan) {
+				t.Errorf("got %+v (valid for the plan: %v), want %+v", got, got.ValidFor(plan), tc.want)
+			}
+			if !om.Omits(1, 2, plan).IsZero() || !om.Omits(2, 1, plan).IsZero() {
+				t.Error("replay omitted outside the event's (process, round)")
+			}
+		})
+	}
+}
+
 // TestPropertyReplayerMatchesMapReference replays random valid scripts and
 // shrink-style candidates through the slice replayer and the map-backed
 // reference: for every process (one past n included), round and plan shape

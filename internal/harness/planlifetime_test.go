@@ -164,7 +164,11 @@ func identity(procs []sim.Process) []sim.Process { return procs }
 
 // lifetimeAdversaries are the fault schedules the contract tests run: a
 // crash script with partial deliveries and scripted omissions.
-func lifetimeAdversaries(n int) map[string]func() sim.Adversary {
+func lifetimeAdversaries(t *testing.T) map[string]func() sim.Adversary {
+	omissions, err := fuzz.Parse("p3@r1:so:101/;p3@r1:ro:0110;p6@r2:ro:10")
+	if err != nil {
+		t.Fatal(err)
+	}
 	return map[string]func() sim.Adversary{
 		"crash": func() sim.Adversary {
 			return adversary.NewScript(map[sim.ProcID]adversary.CrashPlan{
@@ -173,12 +177,7 @@ func lifetimeAdversaries(n int) map[string]func() sim.Adversary {
 				5: {Round: 3, DataMask: []bool{false, true}},
 			})
 		},
-		"omission": func() sim.Adversary {
-			return adversary.NewOmissionScript(n, map[sim.ProcID][]adversary.OmissionPlan{
-				3: {{Round: 1, SendData: []bool{true, false, true}, Recv: []bool{false, true, true, false}}},
-				6: {{Round: 2, Recv: []bool{true, false}}},
-			})
-		},
+		"omission": omissions.Adversary,
 	}
 }
 
@@ -190,7 +189,7 @@ func checkPoisonedMatchesBare(t *testing.T, poison wrapFn) {
 	cache := harness.NewCache()
 	defer cache.Close()
 	for _, sys := range lifetimeSystems(n, tol) {
-		for advName, adv := range lifetimeAdversaries(n) {
+		for advName, adv := range lifetimeAdversaries(t) {
 			for _, kind := range harness.Kinds() {
 				eng, err := cache.Get(kind)
 				if err != nil {
@@ -375,7 +374,7 @@ func TestPlanLifetimePayloadRoundScoped(t *testing.T) {
 	cache := harness.NewCache()
 	defer cache.Close()
 	for _, sys := range lifetimeSystems(n, tol) {
-		for advName, adv := range lifetimeAdversaries(n) {
+		for advName, adv := range lifetimeAdversaries(t) {
 			for _, kind := range harness.Kinds() {
 				eng, err := cache.Get(kind)
 				if err != nil {

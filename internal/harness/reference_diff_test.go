@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/adversary"
@@ -114,41 +115,56 @@ func refCrashPlans(rng *rand.Rand, n int) map[sim.ProcID]adversary.CrashPlan {
 	return plans
 }
 
-// refOmissionPlans draws a random omission schedule for n processes: send
-// masks, receive masks, whole-phase drops, one plan per (process, round).
-func refOmissionPlans(rng *rand.Rand, n int) map[sim.ProcID][]adversary.OmissionPlan {
-	plans := map[sim.ProcID][]adversary.OmissionPlan{}
-	mask := func(k int) []bool {
-		m := make([]bool, k)
-		for j := range m {
-			m[j] = rng.Intn(2) == 1
+// refFaultScript draws a random mixed schedule for n processes as a fault
+// script: up to n-1 crashes, each in the data step (an escaped subset) or in
+// the control step (all data and a prefix), and send masks, receive masks
+// and whole-phase drops strictly before the process's crash round, at most
+// one per (process, round), each dropping something.
+func refFaultScript(t *testing.T, rng *rand.Rand, n int) fuzz.Script {
+	var events []string
+	crashRound := map[int]int{}
+	for _, i := range rng.Perm(n)[:rng.Intn(n)] {
+		p, r, k := i+1, rng.Intn(n)+1, rng.Intn(n)
+		data, ctrl := fmt.Sprintf("%0*b", k, rng.Int63n(1<<k)), 0
+		if rng.Intn(2) == 0 {
+			data, ctrl = strings.Repeat("1", n), rng.Intn(n)
 		}
-		return m
+		crashRound[p] = r
+		events = append(events, fmt.Sprintf("p%d@r%d:%s/%d", p, r, data, ctrl))
 	}
+	drop, omits := strings.Repeat("0", n), map[[2]int]bool{}
 	for range 1 + rng.Intn(n) {
-		p, r := sim.ProcID(rng.Intn(n)+1), sim.Round(rng.Intn(n+1)+1)
-		if slices.ContainsFunc(plans[p], func(op adversary.OmissionPlan) bool { return op.Round == r }) {
+		p, r := rng.Intn(n)+1, rng.Intn(n+1)+1
+		if cr := crashRound[p]; omits[[2]int{p, r}] || cr != 0 && r >= cr {
 			continue
 		}
-		op := adversary.OmissionPlan{Round: r}
+		omits[[2]int{p, r}] = true
+		omission := "so:" + drop + "/" + drop
 		switch rng.Intn(4) {
-		case 0:
-			op.DropAllSend = true
 		case 1:
-			op.DropAllRecv = true
+			omission = "ro:" + drop
 		case 2:
-			op.SendData, op.SendCtrl = mask(rng.Intn(n)), mask(rng.Intn(n))
-		default:
-			op.Recv = mask(n)
+			k := rng.Intn(n)
+			omission = "so:" + dropMask(rng, 1+rng.Intn(n)) + "/" + fmt.Sprintf("%0*b", k, rng.Int63n(1<<k))
+		case 3:
+			omission = "ro:" + dropMask(rng, n)
 		}
-		plans[p] = append(plans[p], op)
+		events = append(events, fmt.Sprintf("p%d@r%d:%s", p, r, omission))
 	}
-	return plans
+	s, err := fuzz.Parse(strings.Join(events, ";"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
+// dropMask draws a delivered-mask of k >= 1 positions that drops at least
+// one: a k-bit number below 2^k - 1 has a 0 bit.
+func dropMask(rng *rand.Rand, k int) string { return fmt.Sprintf("%0*b", k, rng.Int63n(1<<k-1)) }
+
 // refInputs returns the inputs of TestEnginesMatchReference: random crash
-// scripts for every protocol and both CRW ablations, random scripted
-// omissions mixed with crashes for every protocol, and fuzz schedules —
+// scripts for every protocol and both CRW ablations, random fault scripts
+// mixing omissions with crashes for every protocol, and fuzz schedules —
 // crash-only and crash+omission — recorded on the deterministic engine and
 // replayed as scripts.
 func refInputs(t *testing.T) []refInput {
@@ -157,15 +173,13 @@ func refInputs(t *testing.T) []refInput {
 		rng := rand.New(rand.NewSource(seed))
 		n := 3 + rng.Intn(8)
 		crashes := refCrashPlans(rng, n)
-		omissions := refOmissionPlans(rng, n)
+		mixed := refFaultScript(t, rng, n)
 		for _, spec := range refSpecs(t, n) {
 			name := fmt.Sprintf("seed %d %s n=%d asc=%v cad=%v", seed, spec.Protocol, n, spec.OrderAscending, spec.CommitAsData)
 			ins = append(ins, refInput{"crashes " + name, spec,
 				func() sim.Adversary { return adversary.NewScript(crashes) }})
 			if !spec.OrderAscending && !spec.CommitAsData {
-				ins = append(ins, refInput{"omissions " + name, spec, func() sim.Adversary {
-					return &adversary.Combined{Crash: adversary.NewScript(crashes), Omit: adversary.NewOmissionScript(n, omissions)}
-				}})
+				ins = append(ins, refInput{"omissions " + name, spec, mixed.Adversary})
 			}
 		}
 	}

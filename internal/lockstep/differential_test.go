@@ -1,6 +1,7 @@
 package lockstep_test
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -326,70 +327,64 @@ func TestCrossCheckDifferentialOmissionSchedules(t *testing.T) {
 }
 
 // randomOmissionSpec builds a random but order-insensitive mixed
-// crash+omission spec at the public API level: a few crash plans plus
-// per-round omission plans (send masks, receive masks, full drops), always
-// legal for FaultSpec validation (omissions strictly before crash rounds).
-func randomOmissionSpec(rng *rand.Rand, n int) agree.FaultSpec {
-	crashes := map[int]agree.CrashPlan{}
-	omissions := map[int][]agree.OmissionPlan{}
+// crash+omission fault script at the public API level: a few crashes that
+// let every data message and a control prefix escape, plus per-round
+// omissions (send masks, receive masks, full drops) strictly before the
+// process's crash round, each dropping something, so ReplayFaults accepts
+// every draw.
+func randomOmissionSpec(t *testing.T, rng *rand.Rand, n int) agree.FaultSpec {
+	var events []string
+	crashRound := map[int]int{}
 	perm := rng.Perm(n)
-	nCrash := rng.Intn(n / 2)
-	for i := 0; i < nCrash; i++ {
-		crashes[perm[i]+1] = agree.CrashPlan{Round: rng.Intn(n) + 2, DeliverAllData: true, CtrlPrefix: rng.Intn(n)}
+	for _, i := range perm[:rng.Intn(n/2)] {
+		crashRound[i+1] = rng.Intn(n) + 2
+		events = append(events, fmt.Sprintf("p%d@r%d:%s/%d", i+1, crashRound[i+1], strings.Repeat("1", n), rng.Intn(n)))
 	}
-	nOmit := 1 + rng.Intn(n-1)
-	for i := 0; i < nOmit; i++ {
+	drop, omits := strings.Repeat("0", n), map[[2]int]bool{}
+	for range 1 + rng.Intn(n-1) {
 		p := perm[rng.Intn(n)] + 1
 		maxRound := n + 1
-		if cp, ok := crashes[p]; ok {
-			maxRound = cp.Round - 1
-		}
-		if maxRound < 1 {
-			continue
-		}
-		rounds := map[int]bool{}
-		for _, op := range omissions[p] {
-			rounds[op.Round] = true
+		if r, ok := crashRound[p]; ok {
+			maxRound = r - 1
 		}
 		round := rng.Intn(maxRound) + 1
-		if rounds[round] {
+		if omits[[2]int{p, round}] {
 			continue
 		}
-		op := agree.OmissionPlan{Round: round}
+		omits[[2]int{p, round}] = true
+		omission := "so:" + drop + "/" + drop
 		switch rng.Intn(4) {
-		case 0:
-			op.DropAllSend = true
 		case 1:
-			op.DropAllRecv = true
+			omission = "ro:" + drop
 		case 2:
-			mask := make([]bool, rng.Intn(n))
-			for j := range mask {
-				mask[j] = rng.Intn(2) == 1
-			}
-			op.SendData = mask
-			op.SendCtrl = mask
-		default:
-			mask := make([]bool, n)
-			for j := range mask {
-				mask[j] = rng.Intn(2) == 1
-			}
-			op.Recv = mask
+			mask := dropMask(rng, 1+rng.Intn(n))
+			omission = "so:" + mask + "/" + mask
+		case 3:
+			omission = "ro:" + dropMask(rng, n)
 		}
-		omissions[p] = append(omissions[p], op)
+		events = append(events, fmt.Sprintf("p%d@r%d:%s", p, round, omission))
 	}
-	return agree.CrashesWithOmissions(crashes, omissions)
+	spec, err := agree.ReplayFaults(strings.Join(events, ";"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
 }
 
-// TestCrossCheckDifferentialScriptedOmissions property-tests the public
-// scripted-omission constructors across both engines and all three
-// protocols: any semantic divergence between the deterministic and lockstep
-// execution of the same mixed crash+omission spec fails the item.
-// scripts/verify.sh runs this under -race.
-func TestCrossCheckDifferentialScriptedOmissions(t *testing.T) {
+// dropMask draws a delivered-mask of k >= 1 positions that drops at least
+// one: a k-bit number below 2^k - 1 has a 0 bit.
+func dropMask(rng *rand.Rand, k int) string { return fmt.Sprintf("%0*b", k, rng.Int63n(1<<k-1)) }
+
+// TestCrossCheckDifferentialFaultScripts property-tests replayed fault
+// scripts across both engines and all three protocols: any semantic
+// divergence between the deterministic and lockstep execution of the same
+// mixed crash+omission script fails the item. scripts/verify.sh runs this
+// under -race.
+func TestCrossCheckDifferentialFaultScripts(t *testing.T) {
 	prop := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw%8) + 3
-		faults := randomOmissionSpec(rng, n)
+		faults := randomOmissionSpec(t, rng, n)
 		configs := []agree.Config{
 			{N: n, Protocol: agree.ProtocolCRW, Faults: faults},
 			{N: n, Protocol: agree.ProtocolEarlyStop, Faults: faults},

@@ -43,9 +43,9 @@
 //
 // Adversary calls are serialized with a mutex, but the order in which
 // concurrent processes consult the adversary is scheduling-dependent: use
-// order-insensitive adversaries (None, Script, CoordinatorKiller — anything
-// that is a pure function of process and round) when comparing against the
-// deterministic engine. The kernel's trace writes are not safe across
+// order-insensitive adversaries (None, Script, CoordinatorKiller, a fault
+// script's fuzz.Replayer — anything that is a pure function of process and
+// round) when comparing against the deterministic engine. The kernel's trace writes are not safe across
 // shards, so the runtime records no transcript.
 package lockstep
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/fuzz"
 	"repro/internal/leakcheck"
 	"repro/internal/lockstep"
 	"repro/internal/sim"
@@ -68,10 +69,11 @@ func TestRuntimeReuseAcrossSizes(t *testing.T) {
 		// arming starts over an outbox the abort left full.
 		{kind: "crw", n: 64, adv: none, overflow: true},
 		{kind: "crw", n: 16, adv: func(n int) sim.Adversary {
-			return adversary.NewOmissionScript(n, map[sim.ProcID][]adversary.OmissionPlan{
-				1: {{Round: 1, SendData: []bool{true, false, true}, SendCtrl: []bool{false, true}}},
-				3: {{Round: 1, DropAllRecv: true}, {Round: 2, Recv: []bool{false, true}}},
-			})
+			s, err := fuzz.Parse("p1@r1:so:101/01;p3@r1:ro:" + strings.Repeat("0", n) + ";p3@r2:ro:01")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s.Adversary()
 		}},
 	}
 	var rt *lockstep.Runtime

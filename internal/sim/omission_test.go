@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
+	"repro/internal/fuzz"
 	"repro/internal/sim"
 )
 
@@ -18,9 +19,7 @@ import (
 
 func TestSendOmissionDropsWholePlan(t *testing.T) {
 	procs := echoSystem(3, false, 1)
-	adv := adversary.NewOmissionScript(3, map[sim.ProcID][]adversary.OmissionPlan{
-		1: {{Round: 1, DropAllSend: true}},
-	})
+	adv := replay(t, "p1@r1:so:000/000")
 	e := mustEngine(t, sim.Config{Model: sim.ModelClassic}, procs, adv)
 	res, err := e.Run()
 	if err != nil {
@@ -57,9 +56,7 @@ func TestSendOmissionBreaksCRWAgreementWithoutCrashes(t *testing.T) {
 	// the p2 message.)
 	props := []sim.Value{10, 11, 12}
 	procs := core.NewSystem(props, core.Options{})
-	adv := adversary.NewOmissionScript(3, map[sim.ProcID][]adversary.OmissionPlan{
-		1: {{Round: 1, SendData: []bool{false}}},
-	})
+	adv := replay(t, "p1@r1:so:0/")
 	eng, err := sim.NewEngine(sim.Config{Model: sim.ModelExtended, Horizon: 5}, procs, adv)
 	if err != nil {
 		t.Fatal(err)
@@ -90,9 +87,7 @@ func TestRecvOmissionSuppressesSelectedSenders(t *testing.T) {
 	// message from p1 (data and control alike) vanishes at p2's interface.
 	props := []sim.Value{10, 11, 12}
 	procs := core.NewSystem(props, core.Options{})
-	adv := adversary.NewOmissionScript(3, map[sim.ProcID][]adversary.OmissionPlan{
-		2: {{Round: 1, Recv: []bool{false, true, true}}},
-	})
+	adv := replay(t, "p2@r1:ro:011")
 	eng, err := sim.NewEngine(sim.Config{Model: sim.ModelExtended, Horizon: 5}, procs, adv)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +119,7 @@ func TestRecvOmissionSuppressesSelectedSenders(t *testing.T) {
 func TestNoOmissionsIsReliable(t *testing.T) {
 	props := []sim.Value{10, 11, 12}
 	procs := core.NewSystem(props, core.Options{})
-	adv := adversary.NewOmissionScript(3, nil) // an omitter that never omits
+	adv := crashOmitter{adversary.None{}, func(sim.ProcID, sim.Round, sim.SendPlan) sim.Omission { return sim.Omission{} }}
 	eng, err := sim.NewEngine(sim.Config{Model: sim.ModelExtended}, procs, adv)
 	if err != nil {
 		t.Fatal(err)
@@ -169,10 +164,10 @@ func TestCrashSubsumesOmission(t *testing.T) {
 	procs := echoSystem(3, false, 1)
 	crash := adversary.NewScript(map[sim.ProcID]adversary.CrashPlan{1: {Round: 1}})
 	consulted := map[sim.ProcID]bool{}
-	adv := &adversary.Combined{Crash: crash, Omit: omitFunc(func(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim.Omission {
+	adv := crashOmitter{crash, func(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim.Omission {
 		consulted[p] = true
 		return sim.Omission{}
-	})}
+	}}
 	e := mustEngine(t, sim.Config{Model: sim.ModelClassic}, procs, adv)
 	if _, err := e.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -190,4 +185,20 @@ type omitFunc func(sim.ProcID, sim.Round, sim.SendPlan) sim.Omission
 
 func (f omitFunc) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim.Omission {
 	return f(p, r, plan)
+}
+
+// crashOmitter crashes per its crash adversary and omits per its omitter.
+type crashOmitter struct {
+	sim.Adversary
+	omitFunc
+}
+
+// replay returns the replaying adversary of a fault script.
+func replay(t *testing.T, script string) sim.Adversary {
+	t.Helper()
+	s, err := fuzz.Parse(script)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.Adversary()
 }

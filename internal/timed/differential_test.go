@@ -4,77 +4,60 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/adversary"
 	"repro/internal/consensus/earlystop"
 	"repro/internal/consensus/floodset"
 	"repro/internal/core"
+	"repro/internal/fuzz"
 	"repro/internal/sim"
 	"repro/internal/timed"
 	"repro/internal/trace"
 )
 
 // randomMixedSpec builds a random but order-insensitive mixed
-// crash+omission adversary: scripted crash plans (legal truncations only)
-// plus scripted omission plans strictly before any crash of the same
-// process. Pure functions of (process, round), so both engines see
-// identical fault behaviour.
-func randomMixedSpec(rng *rand.Rand, n int) sim.Adversary {
-	crashes := map[sim.ProcID]adversary.CrashPlan{}
-	omissions := map[sim.ProcID][]adversary.OmissionPlan{}
-	perm := rng.Perm(n)
-	nCrash := rng.Intn(n) // 0..n-1 crashes: somebody survives
-	for i := 0; i < nCrash; i++ {
-		p := sim.ProcID(perm[i] + 1)
-		cp := adversary.CrashPlan{Round: sim.Round(rng.Intn(n) + 2)}
+// crash+omission adversary: a fault script of crashes (legal truncations
+// only) plus omissions strictly before any crash of the same process, each
+// dropping something. Its replay is a pure function of (process, round), so
+// both engines see identical fault behaviour.
+func randomMixedSpec(t *testing.T, rng *rand.Rand, n int) sim.Adversary {
+	var events []string
+	crashRound := map[int]int{}
+	for _, i := range rng.Perm(n)[:rng.Intn(n)] { // 0..n-1 crashes: somebody survives
+		p, r, k := i+1, rng.Intn(n)+2, rng.Intn(n)
+		data, ctrl := fmt.Sprintf("%0*b", k, rng.Int63n(1<<k)), 0
 		if rng.Intn(2) == 0 {
-			mask := make([]bool, rng.Intn(n))
-			for j := range mask {
-				mask[j] = rng.Intn(2) == 1
-			}
-			cp.DataMask = mask
-		} else {
-			cp.DeliverAllData = true
-			cp.CtrlPrefix = rng.Intn(n)
+			data, ctrl = strings.Repeat("1", n), rng.Intn(n)
 		}
-		crashes[p] = cp
+		crashRound[p] = r
+		events = append(events, fmt.Sprintf("p%d@r%d:%s/%d", p, r, data, ctrl))
 	}
-	for i := 0; i < n; i++ {
+	drop := strings.Repeat("0", n)
+	for p := 1; p <= n; p++ {
 		if rng.Intn(3) != 0 {
 			continue
 		}
-		p := sim.ProcID(i + 1)
 		maxRound := n + 1
-		if cp, ok := crashes[p]; ok {
-			maxRound = int(cp.Round) - 1
+		if r, ok := crashRound[p]; ok {
+			maxRound = r - 1
 		}
-		if maxRound < 1 {
-			continue
-		}
-		op := adversary.OmissionPlan{Round: sim.Round(rng.Intn(maxRound) + 1)}
+		r := rng.Intn(maxRound) + 1
+		omission := "so:" + drop + "/" + drop
 		switch rng.Intn(3) {
-		case 0:
-			op.DropAllSend = true
 		case 1:
-			op.DropAllRecv = true
-		default:
-			mask := make([]bool, n)
-			for j := range mask {
-				mask[j] = rng.Intn(2) == 1
-			}
-			op.Recv = mask
+			omission = "ro:" + drop
+		case 2:
+			omission = "ro:" + fmt.Sprintf("%0*b", n, rng.Int63n(1<<n-1)) // a 0 bit: drops a sender
 		}
-		omissions[p] = append(omissions[p], op)
+		events = append(events, fmt.Sprintf("p%d@r%d:%s", p, r, omission))
 	}
-	if len(omissions) == 0 {
-		if len(crashes) == 0 {
-			return adversary.None{}
-		}
-		return adversary.NewScript(crashes)
+	s, err := fuzz.Parse(strings.Join(events, ";"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return &adversary.Combined{Crash: adversary.NewScript(crashes), Omit: adversary.NewOmissionScript(n, omissions)}
+	return s.Adversary()
 }
 
 // diffResults compares every semantic field of two engine results except
@@ -148,7 +131,7 @@ func TestTimedDifferentialAgainstDeterministic(t *testing.T) {
 		horizon := sim.Round(n + 2)
 
 		mkAdv := func() sim.Adversary {
-			return randomMixedSpec(rand.New(rand.NewSource(seed)), n)
+			return randomMixedSpec(t, rand.New(rand.NewSource(seed)), n)
 		}
 
 		// runTimed runs one timed case untraced and traced and returns the

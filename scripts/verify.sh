@@ -43,6 +43,17 @@ fi
 echo "== go vet ./..."
 go vet ./...
 
+# CI's lint job runs gofmt as well. Only the repository's own Go files are
+# checked, tracked or new, so nothing under .bench_build/ is scanned.
+echo "== gofmt -l"
+go_files=$(git ls-files --cached --others --exclude-standard '*.go')
+unformatted=$(gofmt -l $go_files </dev/null)
+if [ -n "$unformatted" ]; then
+	echo "verify: gofmt needed on:"
+	echo "$unformatted"
+	exit 1
+fi
+
 # The round semantics live once, in sim's round kernel: the timed engine
 # only schedules and prices messages. A non-test file of internal/timed that
 # consults the adversary, runs a receive phase or sorts an inbox has grown a
