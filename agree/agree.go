@@ -21,6 +21,7 @@ package agree
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"repro/internal/adversary"
 	"repro/internal/fuzz"
@@ -137,11 +138,21 @@ func ScriptedFaults(plans map[int]CrashPlan) FaultSpec {
 // a pure function of (process, round), so the spec is order-insensitive and
 // cross-checks cleanly on every engine.
 func ReplayFaults(script string) (FaultSpec, error) {
-	s, err := fuzz.Parse(script)
+	s, err := parseReplay(script)
 	if err != nil {
 		return FaultSpec{}, err
 	}
 	return FaultSpec{kind: "fuzzscript", fscript: s}, nil
+}
+
+// parseReplay parses a fault script. Its errors carry the one prefix the
+// script's validation errors get, "agree: replay script".
+func parseReplay(script string) (fuzz.Script, error) {
+	s, err := fuzz.Parse(script)
+	if err != nil {
+		return s, fmt.Errorf("agree: replay script %s", strings.TrimPrefix(err.Error(), "fuzz: "))
+	}
+	return s, nil
 }
 
 // CrashPlan mirrors adversary.CrashPlan for the public API. A plan with a

@@ -51,6 +51,8 @@ func TestFaultSpecValidation(t *testing.T) {
 		{"script ctrl=1, short mask", agree.ScriptedFaults(map[int]agree.CrashPlan{1: {Round: 1, DeliverAllData: true, DataMask: []bool{true}, CtrlPrefix: 1}}), "", "p1 lets control messages escape"},
 		{"mixed ctrl=CtrlAll, no data", agree.FaultSpec{}, "p2@r2:0/3;p1@r1:so:0/", "control prefix with partial data"},
 		{"mixed ctrl=2, partial mask", agree.FaultSpec{}, "p1@r1:011/2;p3@r1:ro:0", "control prefix with partial data"},
+		{"replay ctrl=3, no data", agree.FaultSpec{}, "p1@r1:/3", "agree: replay script event p1@r1:/3: control prefix lets control messages escape but not every data message"},
+		{"replay proc 0", agree.FaultSpec{}, "p0@r1:so:0/", "agree: replay script event p0@r1:so:0/: process out of range"},
 		{"script crashes everyone", agree.ScriptedFaults(map[int]agree.CrashPlan{
 			1: {Round: 1}, 2: {Round: 1}, 3: {Round: 1}, 4: {Round: 1}}), "", "survivor"},
 	}

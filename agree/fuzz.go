@@ -467,7 +467,7 @@ func FuzzReplayScript(cfg FuzzConfig, script string, withTrace bool) (*FuzzRepla
 	if err != nil {
 		return nil, err
 	}
-	s, err := fuzz.Parse(script)
+	s, err := parseReplay(script)
 	if err != nil {
 		return nil, err
 	}

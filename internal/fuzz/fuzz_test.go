@@ -76,6 +76,7 @@ func TestParseRejects(t *testing.T) {
 		"p1@r0:1/0",           // round out of range
 		"p1@r1:1/-1",          // negative control prefix
 		"p1@r1:10/1",          // control prefix with partial data
+		"p1@r1:/3",            // control prefix with no data
 		"p1@r1:1/0;p1@r2:1/0", // double crash
 		"bogus",
 	}

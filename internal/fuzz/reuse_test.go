@@ -237,7 +237,7 @@ func randomScript(rng *rand.Rand, n, rounds int) Script {
 		if rng.Float64() < 0.3 {
 			crashRound = 1 + rng.Intn(rounds)
 			e := Event{Proc: p, Round: crashRound, Data: randomMask(rng, rng.Intn(n+1))}
-			if !dropsAny(e.Data) {
+			if len(e.Data) > 0 && !dropsAny(e.Data) {
 				e.Ctrl = rng.Intn(n + 1)
 			}
 			s.Events = append(s.Events, e)

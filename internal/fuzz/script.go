@@ -256,6 +256,11 @@ func (s Script) validate() error {
 				return fmt.Errorf("fuzz: event %s: negative control prefix", e)
 			}
 			if e.Ctrl > 0 {
+				// A crash in the control step delivered all data; an empty
+				// mask says no data message escaped.
+				if len(e.Data) == 0 {
+					return fmt.Errorf("fuzz: event %s: control prefix lets control messages escape but not every data message (a crash in the control step delivered all data)", e)
+				}
 				for _, d := range e.Data {
 					if !d {
 						return fmt.Errorf("fuzz: event %s: control prefix with partial data (crash point is unique)", e)

@@ -1,35 +1,15 @@
 package harness_test
 
 import (
-	"errors"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/adversary"
-	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/sim"
-	"repro/internal/timed"
-	"repro/internal/trace"
 )
-
-// job builds a fresh CRW job of n processes under a coordinator killer.
-func job(n, f int) harness.Job {
-	props := make([]sim.Value, n)
-	for i := range props {
-		props[i] = sim.Value(100 + i)
-	}
-	return harness.Job{
-		Model:   sim.ModelExtended,
-		Horizon: sim.Round(n + 2),
-		Procs:   core.NewSystem(props, core.Options{}),
-		Adv:     adversary.CoordinatorKiller{F: f},
-	}
-}
 
 func TestRegistryHasBuiltinEngines(t *testing.T) {
 	kinds := harness.Kinds()
@@ -104,158 +84,6 @@ func TestKindsOrderingDeterministic(t *testing.T) {
 				t.Fatalf("Kinds() order changed at call %d: %v vs %v", i, again, first)
 			}
 		}
-	}
-}
-
-// TestTimedAdapter runs a job through the timed adapter and checks the
-// semantic outcome matches the deterministic engine while SimTime is
-// reported; it also pins the capability guards (sim/lockstep reject latency
-// models, timed accepts traces).
-func TestTimedAdapter(t *testing.T) {
-	det, err := harness.New(harness.KindDeterministic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	td, err := harness.New(harness.KindTimed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := det.Run(job(6, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := job(6, 2)
-	j.Latency = timed.Fixed{D: 1, Delta: 0.25}
-	got, err := td.Run(j)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rounds != want.Rounds || !slices.Equal(got.Procs, want.Procs) ||
-		got.Counters != want.Counters {
-		t.Errorf("timed result %+v differs from deterministic %+v", got, want)
-	}
-	if wantTime := float64(got.Rounds) * 1.25; got.SimTime != wantTime {
-		t.Errorf("SimTime = %g, want %g", got.SimTime, wantTime)
-	}
-	if want.SimTime != 0 {
-		t.Errorf("deterministic engine reported SimTime %g, want 0", want.SimTime)
-	}
-
-	// Traced timed job records a transcript.
-	j = job(3, 0)
-	j.Trace = trace.New()
-	if _, err := td.Run(j); err != nil {
-		t.Fatal(err)
-	}
-	if j.Trace.String() == "" {
-		t.Error("traced timed job produced no transcript")
-	}
-
-	// Engines without the timed capability reject latency models.
-	for _, kind := range []harness.Kind{harness.KindDeterministic, harness.KindLockstep} {
-		eng, err := harness.New(kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		j := job(3, 0)
-		j.Latency = timed.Fixed{D: 1}
-		if _, err := eng.Run(j); err == nil {
-			t.Errorf("engine %q accepted a latency model without the timed capability", kind)
-		}
-	}
-}
-
-// TestAdaptersAgree runs the same workload through both adapters and
-// compares the semantic outcome.
-func TestAdaptersAgree(t *testing.T) {
-	det, err := harness.New(harness.KindDeterministic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ls, err := harness.New(harness.KindLockstep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The adapter's runtime keeps its shard goroutines until closed.
-	t.Cleanup(ls.(interface{ Close() }).Close)
-	want, err := det.Run(job(6, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ls.Run(job(6, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rounds != want.Rounds || !slices.Equal(got.Procs, want.Procs) ||
-		got.Counters != want.Counters {
-		t.Errorf("lockstep result %+v differs from deterministic %+v", got, want)
-	}
-}
-
-// TestSimAdapterReuse drives one deterministic adapter through jobs of
-// changing shapes and checks every run stays correct — the reuse path
-// (same-shape jobs hit sim.Engine.Reset) must be invisible to results.
-func TestSimAdapterReuse(t *testing.T) {
-	eng, err := harness.New(harness.KindDeterministic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shapes := []struct{ n, f int }{{4, 1}, {4, 2}, {4, 2}, {6, 0}, {4, 1}, {6, 5}}
-	for i, s := range shapes {
-		res, err := eng.Run(job(s.n, s.f))
-		if err != nil {
-			t.Fatalf("run %d (n=%d f=%d): %v", i, s.n, s.f, err)
-		}
-		if res.MaxDecideRound() != sim.Round(s.f+1) {
-			t.Errorf("run %d (n=%d f=%d): decide round %d, want %d",
-				i, s.n, s.f, res.MaxDecideRound(), s.f+1)
-		}
-		deciders := 0
-		for range res.Decisions() {
-			deciders++
-		}
-		if deciders != s.n-s.f {
-			t.Errorf("run %d: %d deciders, want %d", i, deciders, s.n-s.f)
-		}
-	}
-}
-
-// TestSimAdapterTrace checks traced jobs record a transcript and do not
-// leak events into later untraced jobs.
-func TestSimAdapterTrace(t *testing.T) {
-	eng, err := harness.New(harness.KindDeterministic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := trace.New()
-	j := job(3, 0)
-	j.Trace = log
-	if _, err := eng.Run(j); err != nil {
-		t.Fatal(err)
-	}
-	if log.String() == "" {
-		t.Error("traced job produced no transcript")
-	}
-	before := len(log.String())
-	if _, err := eng.Run(job(3, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if len(log.String()) != before {
-		t.Error("untraced job appended to the previous job's trace log")
-	}
-}
-
-// TestLockstepAdapterRejectsTrace pins the capability backstop in the
-// adapter itself.
-func TestLockstepAdapterRejectsTrace(t *testing.T) {
-	eng, err := harness.New(harness.KindLockstep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j := job(3, 0)
-	j.Trace = trace.New()
-	if _, err := eng.Run(j); err == nil {
-		t.Error("lockstep adapter accepted a traced job")
 	}
 }
 
@@ -343,73 +171,5 @@ func TestCacheReturnsSameEngine(t *testing.T) {
 	}
 	if _, err := c.Get("bogus"); err == nil {
 		t.Error("cache accepted an unregistered kind")
-	}
-}
-
-// quitter halts after its first round without deciding, which no correct
-// protocol may do.
-type quitter struct {
-	id   sim.ProcID
-	done bool
-}
-
-func (q *quitter) ID() sim.ProcID                   { return q.id }
-func (q *quitter) Send(sim.Round) sim.SendPlan      { return sim.SendPlan{} }
-func (q *quitter) Receive(sim.Round, []sim.Message) { q.done = true }
-func (q *quitter) Decided() (sim.Value, bool)       { return 0, false }
-func (q *quitter) Halted() bool                     { return q.done }
-
-// TestEnginesRejectHaltWithoutDecision runs a system in which p3 halts
-// undecided in round 1 on every registered engine: each must fail the run
-// with sim.ErrHaltedWithoutDecision.
-func TestEnginesRejectHaltWithoutDecision(t *testing.T) {
-	for _, kind := range harness.Kinds() {
-		t.Run(string(kind), func(t *testing.T) {
-			cache := harness.NewCache()
-			defer cache.Close()
-			eng, err := cache.Get(kind)
-			if err != nil {
-				t.Fatal(err)
-			}
-			j := job(4, 0)
-			j.Procs[2] = &quitter{id: 3}
-			if _, err := eng.Run(j); !errors.Is(err, sim.ErrHaltedWithoutDecision) {
-				t.Errorf("err = %v, want %v", err, sim.ErrHaltedWithoutDecision)
-			}
-		})
-	}
-}
-
-// flooder makes its process send three data messages to p2 in round 1, one
-// more than the channel carries in a round.
-type flooder struct{ sim.Process }
-
-func (f flooder) Send(r sim.Round) sim.SendPlan {
-	if r != 1 {
-		return f.Process.Send(r)
-	}
-	est := &sim.Est{V: 1, B: 64}
-	return sim.SendPlan{Data: []sim.Outgoing{{To: 2, Payload: est}, {To: 2, Payload: est}, {To: 2, Payload: est}}}
-}
-
-// TestEnginesEnforceChannelCapacity runs a plan with three data messages
-// from p1 to p2 in round 1 on every registered engine: each must reject it
-// with the same channel-capacity error.
-func TestEnginesEnforceChannelCapacity(t *testing.T) {
-	const want = "p1 sends 3 messages to p2 in one round (channel capacity 2) (round 1)"
-	for _, kind := range harness.Kinds() {
-		t.Run(string(kind), func(t *testing.T) {
-			cache := harness.NewCache()
-			defer cache.Close()
-			eng, err := cache.Get(kind)
-			if err != nil {
-				t.Fatal(err)
-			}
-			j := job(4, 0)
-			j.Procs[0] = flooder{j.Procs[0]}
-			if _, err := eng.Run(j); err == nil || err.Error() != "sim: "+want {
-				t.Errorf("err = %v, want %q", err, "sim: "+want)
-			}
-		})
 	}
 }

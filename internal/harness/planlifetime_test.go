@@ -181,45 +181,51 @@ func lifetimeAdversaries(t *testing.T) map[string]func() sim.Adversary {
 	}
 }
 
-// checkPoisonedMatchesBare runs every protocol on every engine under every
-// lifetime adversary twice — bare and through the poisoning wrapper — and
-// requires identical results.
-func checkPoisonedMatchesBare(t *testing.T, poison wrapFn) {
-	const n, tol = 7, 3
+// checkLifetimes runs the lifetime checks on one engine of the kind. The
+// fuzz recorder draws from one RNG in consultation order and the planted
+// stale reader keeps unsynchronized state, so both need an engine that
+// consults its adversary in one deterministic order.
+func checkLifetimes(t *testing.T, kind harness.Kind, caps harness.Capabilities) {
 	cache := harness.NewCache()
 	defer cache.Close()
+	eng := engine(t, cache, kind)
+	// No engine, adversary or wrapper reads a plan after its process's next
+	// Send.
+	t.Run("plan", func(t *testing.T) { checkPoisonedMatchesBare(t, eng, poisoned) })
+	// Nor after its round, which is what lets the processes of one system
+	// share a plan buffer.
+	t.Run("plan-round-scoped", func(t *testing.T) { checkPoisonedMatchesBare(t, eng, roundPoisoned) })
+	t.Run("payload-round-scoped", func(t *testing.T) { checkPayloadRoundScoped(t, eng) })
+	t.Run("payload-stale-inbox", func(t *testing.T) { checkStaleInboxCaught(t, eng) })
+	t.Run("outcome-masks", func(t *testing.T) { checkOutcomeMasksReadOnly(t, eng) })
+	if caps.Deterministic {
+		t.Run("plan-stale-reader", func(t *testing.T) { checkStaleReaderCaught(t, eng) })
+		t.Run("fuzz-recorder", func(t *testing.T) { checkFuzzRecorderPoisoned(t, eng) })
+	}
+}
+
+// checkPoisonedMatchesBare runs every protocol under every lifetime
+// adversary twice — bare and through the poisoning wrapper — and requires
+// identical results.
+func checkPoisonedMatchesBare(t *testing.T, eng harness.Engine, poison wrapFn) {
+	const n, tol = 7, 3
 	for _, sys := range lifetimeSystems(n, tol) {
 		for advName, adv := range lifetimeAdversaries(t) {
-			for _, kind := range harness.Kinds() {
-				eng, err := cache.Get(kind)
-				if err != nil {
-					t.Fatal(err)
-				}
-				run := func(wrap wrapFn) (*sim.Result, error) {
-					return eng.Run(harness.Job{Model: sys.model, Horizon: sys.horizon,
-						Procs: sys.build(wrap), Adv: adv()})
-				}
-				// The engine rewrites its result on the next run: keep a clone.
-				want, wantErr := run(identity)
-				want = want.Clone()
-				got, gotErr := run(poison)
-				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s/%s: poisoned run differs:\n got %+v (%v)\nwant %+v (%v)",
-						sys.name, advName, kind, got, gotErr, want, wantErr)
-				}
+			run := func(wrap wrapFn) (*sim.Result, error) {
+				return eng.Run(harness.Job{Model: sys.model, Horizon: sys.horizon,
+					Procs: sys.build(wrap), Adv: adv()})
+			}
+			// The engine rewrites its result on the next run: keep a clone.
+			want, wantErr := run(identity)
+			want = want.Clone()
+			got, gotErr := run(poison)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: poisoned run differs:\n got %+v (%v)\nwant %+v (%v)",
+					sys.name, advName, got, gotErr, want, wantErr)
 			}
 		}
 	}
 }
-
-// TestPlanLifetimeContract: no engine, adversary or wrapper reads a plan
-// after its process's next Send.
-func TestPlanLifetimeContract(t *testing.T) { checkPoisonedMatchesBare(t, poisoned) }
-
-// TestPlanLifetimeRoundScoped: no engine, adversary or wrapper reads a plan
-// after its round, which is what lets the processes of one system share a
-// plan buffer.
-func TestPlanLifetimeRoundScoped(t *testing.T) { checkPoisonedMatchesBare(t, roundPoisoned) }
 
 // staleReader is a planted breach of the round-scoped contract: it keeps the
 // last non-empty plan of the previous round and reads it again, crashing the
@@ -243,25 +249,17 @@ func (a *staleReader) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (boo
 	return a.inner.Crashes(p, r, plan)
 }
 
-// TestPlanLifetimeRoundScopedCatchesStaleReader is the round-scoped
-// poisoner's self-check. p1 coordinates round 1 and crashes silently, so it
-// never sends again: the per-process poisoner never poisons its plan and
-// misses an adversary that reads it in round 2, while the round-scoped
-// poisoner poisons it at the first Send of round 2 and the run changes.
-func TestPlanLifetimeRoundScopedCatchesStaleReader(t *testing.T) {
+// checkStaleReaderCaught is the round-scoped poisoner's self-check. p1
+// coordinates round 1 and crashes silently, so it never sends again: the
+// per-process poisoner never poisons its plan and misses an adversary that
+// reads it in round 2, while the round-scoped poisoner poisons it at the
+// first Send of round 2 and the run changes.
+func checkStaleReaderCaught(t *testing.T, eng harness.Engine) {
 	const n = 7
-	props := make([]sim.Value, n)
-	for i := range props {
-		props[i] = sim.Value(100 + i)
-	}
-	eng, err := harness.New(harness.KindDeterministic)
-	if err != nil {
-		t.Fatal(err)
-	}
 	run := func(wrap wrapFn) (*sim.Result, error) {
 		adv := &staleReader{inner: adversary.NewScript(map[sim.ProcID]adversary.CrashPlan{1: {Round: 1}})}
 		return eng.Run(harness.Job{Model: sim.ModelExtended, Horizon: n + 2,
-			Procs: wrap(core.NewSystem(props, core.Options{})), Adv: adv})
+			Procs: wrap(core.NewSystem(refProposals(n), core.Options{})), Adv: adv})
 	}
 	// The engine rewrites its result on the next run: keep a clone.
 	want, wantErr := run(identity)
@@ -364,42 +362,33 @@ func ledgered(all *[]*payloadLedger) wrapFn {
 	}
 }
 
-// TestPlanLifetimePayloadRoundScoped: every engine delivers each payload as
-// its sender handed it out, although CRW's coordinators share one system
-// slot and every earlystop and floodset process rewrites its own slot each
-// round — no payload is rewritten before its round ends, and no engine reads
-// one after.
-func TestPlanLifetimePayloadRoundScoped(t *testing.T) {
+// checkPayloadRoundScoped: the engine delivers each payload as its sender
+// handed it out, although CRW's coordinators share one system slot and
+// every earlystop and floodset process rewrites its own slot each round — no
+// payload is rewritten before its round ends, and no engine reads one after.
+func checkPayloadRoundScoped(t *testing.T, eng harness.Engine) {
 	const n, tol = 7, 3
-	cache := harness.NewCache()
-	defer cache.Close()
 	for _, sys := range lifetimeSystems(n, tol) {
 		for advName, adv := range lifetimeAdversaries(t) {
-			for _, kind := range harness.Kinds() {
-				eng, err := cache.Get(kind)
-				if err != nil {
-					t.Fatal(err)
+			run := func(wrap wrapFn) (*sim.Result, error) {
+				return eng.Run(harness.Job{Model: sys.model, Horizon: sys.horizon,
+					Procs: sys.build(wrap), Adv: adv()})
+			}
+			// The engine rewrites its result on the next run: keep a clone.
+			want, wantErr := run(identity)
+			want = want.Clone()
+			var ledgers []*payloadLedger
+			got, gotErr := run(ledgered(&ledgers))
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+				t.Errorf("%s/%s: ledgered run differs:\n got %+v (%v)\nwant %+v (%v)",
+					sys.name, advName, got, gotErr, want, wantErr)
+			}
+			for _, l := range ledgers {
+				if l.delivered == 0 {
+					t.Errorf("%s/%s: a ledger saw no delivery", sys.name, advName)
 				}
-				run := func(wrap wrapFn) (*sim.Result, error) {
-					return eng.Run(harness.Job{Model: sys.model, Horizon: sys.horizon,
-						Procs: sys.build(wrap), Adv: adv()})
-				}
-				// The engine rewrites its result on the next run: keep a clone.
-				want, wantErr := run(identity)
-				want = want.Clone()
-				var ledgers []*payloadLedger
-				got, gotErr := run(ledgered(&ledgers))
-				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
-					t.Errorf("%s/%s/%s: ledgered run differs:\n got %+v (%v)\nwant %+v (%v)",
-						sys.name, advName, kind, got, gotErr, want, wantErr)
-				}
-				for _, l := range ledgers {
-					if l.delivered == 0 {
-						t.Errorf("%s/%s/%s: a ledger saw no delivery", sys.name, advName, kind)
-					}
-					for _, b := range l.bad {
-						t.Errorf("%s/%s/%s: %s", sys.name, advName, kind, b)
-					}
+				for _, b := range l.bad {
+					t.Errorf("%s/%s: %s", sys.name, advName, b)
 				}
 			}
 		}
@@ -421,48 +410,34 @@ func (p *staleInbox) Receive(r sim.Round, inbox []sim.Message) {
 	p.ledgerProc.Receive(r, inbox)
 }
 
-// TestPlanLifetimePayloadCatchesStaleInbox is the payload ledger's
-// self-check. In a failure-free earlystop run every process hears from all
-// n in round 1, sets its early flag and lowers its estimate, so its round-2
-// Send rewrites the slot its round-1 messages point at: an inbox kept past
-// its round must read changed payloads, while the current inboxes stay
-// clean. This proves the payload storage is really reused and that the
-// ledger can fail.
-func TestPlanLifetimePayloadCatchesStaleInbox(t *testing.T) {
+// checkStaleInboxCaught is the payload ledger's self-check. In a
+// failure-free earlystop run every process hears from all n in round 1, sets
+// its early flag and lowers its estimate, so its round-2 Send rewrites the
+// slot its round-1 messages point at: an inbox kept past its round must read
+// changed payloads, while the current inboxes stay clean. This proves the
+// payload storage is really reused and that the ledger can fail.
+func checkStaleInboxCaught(t *testing.T, eng harness.Engine) {
 	const n, tol = 7, 3
-	props := make([]sim.Value, n)
-	for i := range props {
-		props[i] = sim.Value(100 + i)
+	l := &payloadLedger{sent: map[payloadKey][]string{}}
+	procs := earlystop.NewSystem(refProposals(n), tol, 0)
+	stale := make([]*staleInbox, n)
+	for i, p := range procs {
+		stale[i] = &staleInbox{ledgerProc: ledgerProc{Process: p, l: l}}
+		procs[i] = stale[i]
 	}
-	cache := harness.NewCache()
-	defer cache.Close()
-	for _, kind := range harness.Kinds() {
-		eng, err := cache.Get(kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l := &payloadLedger{sent: map[payloadKey][]string{}}
-		procs := earlystop.NewSystem(props, tol, 0)
-		stale := make([]*staleInbox, n)
-		for i, p := range procs {
-			stale[i] = &staleInbox{ledgerProc: ledgerProc{Process: p, l: l}}
-			procs[i] = stale[i]
-		}
-		res, err := eng.Run(harness.Job{Model: sim.ModelClassic, Horizon: tol + 2, Procs: procs, Adv: adversary.None{}})
-		if err != nil || res.Rounds != 2 {
-			t.Fatalf("%s: %d rounds (%v), want 2", kind, res.Rounds, err)
-		}
-		if len(l.bad) != 0 {
-			t.Fatalf("%s: current inboxes changed: %v", kind, l.bad)
-		}
-		changed := 0
-		for _, p := range stale {
-			changed += len(p.stale)
-		}
-		if changed != n*(n-1) {
-			t.Errorf("%s: %d of the %d kept round-1 messages read changed in round 2, want all",
-				kind, changed, n*(n-1))
-		}
+	res, err := eng.Run(harness.Job{Model: sim.ModelClassic, Horizon: tol + 2, Procs: procs, Adv: adversary.None{}})
+	if err != nil || res.Rounds != 2 {
+		t.Fatalf("%d rounds (%v), want 2", res.Rounds, err)
+	}
+	if len(l.bad) != 0 {
+		t.Fatalf("current inboxes changed: %v", l.bad)
+	}
+	changed := 0
+	for _, p := range stale {
+		changed += len(p.stale)
+	}
+	if changed != n*(n-1) {
+		t.Errorf("%d of the %d kept round-1 messages read changed in round 2, want all", changed, n*(n-1))
 	}
 }
 
@@ -485,12 +460,12 @@ func (a *maskSnapshots) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (b
 	return crash, out
 }
 
-// TestOutcomeMasksReadOnly runs every protocol on every engine under scripts
-// that hit each mask path of adversary.CrashPlan — a full-length DataMask
-// (handed out as a view of itself), a short one (padded copy), all-data and
-// no-data delivery (views of the shared tables) — and the coordinator
-// killer, and requires every mask to equal its snapshot after the run.
-func TestOutcomeMasksReadOnly(t *testing.T) {
+// checkOutcomeMasksReadOnly runs every protocol under scripts that hit each
+// mask path of adversary.CrashPlan — a full-length DataMask (handed out as a
+// view of itself), a short one (padded copy), all-data and no-data delivery
+// (views of the shared tables) — and the coordinator killer, and requires
+// every mask to equal its snapshot after the run.
+func checkOutcomeMasksReadOnly(t *testing.T, eng harness.Engine) {
 	const n, tol = 7, 3
 	advs := []func() sim.Adversary{
 		func() sim.Adversary {
@@ -503,40 +478,30 @@ func TestOutcomeMasksReadOnly(t *testing.T) {
 		},
 		func() sim.Adversary { return adversary.CoordinatorKiller{F: tol, DeliverAllData: true} },
 	}
-	cache := harness.NewCache()
-	defer cache.Close()
 	for _, sys := range lifetimeSystems(n, tol) {
 		for i, adv := range advs {
-			for _, kind := range harness.Kinds() {
-				eng, err := cache.Get(kind)
-				if err != nil {
-					t.Fatal(err)
-				}
-				snap := &maskSnapshots{inner: adv()}
-				if _, err := eng.Run(harness.Job{Model: sys.model, Horizon: sys.horizon,
-					Procs: sys.build(identity), Adv: snap}); err != nil {
-					t.Fatalf("%s/%d/%s: %v", sys.name, i, kind, err)
-				}
-				if len(snap.masks) == 0 {
-					t.Fatalf("%s/%d/%s: no crash outcome was handed out", sys.name, i, kind)
-				}
-				for _, m := range snap.masks {
-					if !slices.Equal(m[0], m[1]) {
-						t.Errorf("%s/%d/%s: an engine wrote into a crash mask: %v, handed out as %v",
-							sys.name, i, kind, m[0], m[1])
-					}
+			snap := &maskSnapshots{inner: adv()}
+			if _, err := eng.Run(harness.Job{Model: sys.model, Horizon: sys.horizon,
+				Procs: sys.build(identity), Adv: snap}); err != nil {
+				t.Fatalf("%s/%d: %v", sys.name, i, err)
+			}
+			if len(snap.masks) == 0 {
+				t.Fatalf("%s/%d: no crash outcome was handed out", sys.name, i)
+			}
+			for _, m := range snap.masks {
+				if !slices.Equal(m[0], m[1]) {
+					t.Errorf("%s/%d: the engine wrote into a crash mask: %v, handed out as %v", sys.name, i, m[0], m[1])
 				}
 			}
 		}
 	}
 }
 
-// TestPlanLifetimeContractFuzzRecorder does the same under the fuzzer's
-// recording adversary (crashes and omissions sampled while the run executes,
-// then replayed and shrunk on a violation) on the deterministic engines: the
-// recorded script, the verdict and the shrunk script must not depend on the
-// poisoner.
-func TestPlanLifetimeContractFuzzRecorder(t *testing.T) {
+// checkFuzzRecorderPoisoned runs the per-process poisoner under the
+// fuzzer's recording adversary (crashes and omissions sampled while the run
+// executes, then replayed and shrunk on a violation): the recorded script,
+// the verdict and the shrunk script must not depend on the poisoner.
+func checkFuzzRecorderPoisoned(t *testing.T, eng harness.Engine) {
 	const n, tol = 6, 3
 	gen := fuzz.Gen{T: tol, SendOmitProb: 0.15, RecvOmitProb: 0.15, MaxOmissive: 2}
 	oracle := fuzz.ConsensusOracle(nil)
@@ -548,32 +513,18 @@ func TestPlanLifetimeContractFuzzRecorder(t *testing.T) {
 		return fmt.Sprintf("script=%q err=%v shrunk=%q shrunkErr=%v execs=%d rounds=%d decide=%d f=%d om=%d fatal=%v",
 			o.Script.String(), o.Err, shrunk, o.ShrunkErr, o.Executions, o.Rounds, o.MaxDecideRound, o.Faults, o.Omissive, err)
 	}
-	cache := harness.NewCache()
-	defer cache.Close()
 	for _, sys := range lifetimeSystems(n, tol) {
-		for _, kind := range harness.Kinds() {
-			eng, err := cache.Get(kind)
-			if err != nil {
-				t.Fatal(err)
+		factory := func(wrap wrapFn) fuzz.Factory {
+			return func() fuzz.Target {
+				return fuzz.Target{Model: sys.model, Horizon: sys.horizon, Procs: sys.build(wrap), Proposals: sys.props}
 			}
-			if !eng.Capabilities().Deterministic {
-				// The recorder draws from one RNG in consultation order, which
-				// on lockstep is goroutine scheduling order: two bare runs
-				// already differ there.
-				continue
-			}
-			factory := func(wrap wrapFn) fuzz.Factory {
-				return func() fuzz.Target {
-					return fuzz.Target{Model: sys.model, Horizon: sys.horizon, Procs: sys.build(wrap), Proposals: sys.props}
-				}
-			}
-			for seed := int64(1); seed <= 40; seed++ {
-				opts := fuzz.Options{Gen: gen, Shrink: true, MaxShrinkRuns: 64}
-				want := summary(fuzz.RunSeed(eng, factory(identity), oracle, seed, opts))
-				got := summary(fuzz.RunSeed(eng, factory(poisoned), oracle, seed, opts))
-				if got != want {
-					t.Fatalf("%s/%s seed %d: poisoned campaign differs:\n got %s\nwant %s", sys.name, kind, seed, got, want)
-				}
+		}
+		for seed := int64(1); seed <= 40; seed++ {
+			opts := fuzz.Options{Gen: gen, Shrink: true, MaxShrinkRuns: 64}
+			want := summary(fuzz.RunSeed(eng, factory(identity), oracle, seed, opts))
+			got := summary(fuzz.RunSeed(eng, factory(poisoned), oracle, seed, opts))
+			if got != want {
+				t.Fatalf("%s seed %d: poisoned campaign differs:\n got %s\nwant %s", sys.name, seed, got, want)
 			}
 		}
 	}

@@ -162,7 +162,7 @@ func refFaultScript(t *testing.T, rng *rand.Rand, n int) fuzz.Script {
 // one: a k-bit number below 2^k - 1 has a 0 bit.
 func dropMask(rng *rand.Rand, k int) string { return fmt.Sprintf("%0*b", k, rng.Int63n(1<<k-1)) }
 
-// refInputs returns the inputs of TestEnginesMatchReference: random crash
+// refInputs returns the inputs of the reference differential: random crash
 // scripts for every protocol and both CRW ablations, random fault scripts
 // mixing omissions with crashes for every protocol, and fuzz schedules —
 // crash-only and crash+omission — recorded on the deterministic engine and
@@ -219,59 +219,61 @@ func (in refInput) job() harness.Job {
 	return harness.Job{Model: model, Horizon: horizon, Procs: procs, Adv: in.adv()}
 }
 
-// TestEnginesMatchReference runs every registered engine against the
-// reference model on random crash scripts, scripted omissions and replayed
-// fuzz schedules: rounds, outcomes, counters and ledger must be identical.
-// One engine of each kind runs every input, so reuse across sizes is part
-// of what is checked. The lockstep subtest at GOMAXPROCS = n gives every
-// process a shard goroutine of its own. scripts/verify.sh runs this under
-// -race -count=10.
-func TestEnginesMatchReference(t *testing.T) {
-	ins := refInputs(t)
+// refSuite is the reference differential of TestConcurrentEngineContract:
+// its inputs with the reference model's outcome of each.
+type refSuite struct {
+	ins      []refInput
+	wants    []*sim.Result
+	wantErrs []error
+}
+
+func newRefSuite(t *testing.T) refSuite {
+	s := refSuite{ins: refInputs(t)}
 	crashed, omissive := 0, 0
-	wants := make([]*sim.Result, len(ins))
-	wantErrs := make([]error, len(ins))
-	for i, in := range ins {
+	for _, in := range s.ins {
 		j := in.job()
-		wants[i], wantErrs[i] = refRun(j.Model, j.Horizon, j.Procs, j.Adv)
-		if wants[i].Faults() > 0 {
+		want, err := refRun(j.Model, j.Horizon, j.Procs, j.Adv)
+		s.wants, s.wantErrs = append(s.wants, want), append(s.wantErrs, err)
+		if want.Faults() > 0 {
 			crashed++
 		}
-		if wants[i].OmissionFaulty() > 0 {
+		if want.OmissionFaulty() > 0 {
 			omissive++
 		}
 	}
-	if crashed < len(ins)/2 || omissive < len(ins)/5 {
-		t.Fatalf("%d of %d inputs crash a process and %d omit; the differential is not exercising the fault models",
-			crashed, len(ins), omissive)
+	if crashed < len(s.ins)/2 || omissive < len(s.ins)/5 {
+		t.Errorf("%d of %d inputs crash a process and %d omit; the differential is not exercising the fault models",
+			crashed, len(s.ins), omissive)
 	}
-	run := func(t *testing.T, kind harness.Kind, perProcess bool) {
-		cache := harness.NewCache()
-		defer cache.Close()
-		eng, err := cache.Get(kind)
-		if err != nil {
-			t.Fatal(err)
-		}
+	return s
+}
+
+// check runs every input on one engine of the kind: rounds, outcomes,
+// counters and ledger must equal the reference's, so reuse across sizes is
+// checked too. With perProcess each input runs at GOMAXPROCS = n.
+func (s refSuite) check(t *testing.T, kind harness.Kind, perProcess bool) {
+	base := runtime.NumGoroutine()
+	cache := harness.NewCache()
+	eng := engine(t, cache, kind)
+	if perProcess {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	}
+	for i, in := range s.ins {
 		if perProcess {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+			runtime.GOMAXPROCS(in.spec.N)
 		}
-		for i, in := range ins {
-			if perProcess {
-				runtime.GOMAXPROCS(in.spec.N)
-			}
-			got, err := eng.Run(in.job())
-			if got == nil {
-				t.Fatalf("%s: %v", in.name, err)
-			}
-			if d := refDiff(got, err, wants[i], wantErrs[i]); d != "" {
-				t.Errorf("%s: %s", in.name, d)
-			}
+		got, err := eng.Run(in.job())
+		if got == nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+		if d := refDiff(got, err, s.wants[i], s.wantErrs[i]); d != "" {
+			t.Errorf("%s: %s", in.name, d)
+		} else if err == nil {
+			clean(t, in.name, got, err)
 		}
 	}
-	for _, kind := range harness.Kinds() {
-		t.Run(string(kind), func(t *testing.T) { run(t, kind, false) })
-	}
-	t.Run("lockstep-GOMAXPROCS=n", func(t *testing.T) { run(t, harness.KindLockstep, true) })
+	cache.Close()
+	released(t, "after Close", base)
 }
 
 // TestReferenceMatchesExplorer makes the reference differential exhaustive

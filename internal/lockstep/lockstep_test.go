@@ -1,7 +1,6 @@
 package lockstep_test
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -137,47 +136,6 @@ func TestLockstepConsensusUnderManyScriptedFaults(t *testing.T) {
 		if got, want := res.MaxDecideRound(), sim.Round(f+1); got != want {
 			t.Errorf("f=%d: max decide round %d, want %d", f, got, want)
 		}
-	}
-}
-
-func TestLockstepRejectsControlUnderClassic(t *testing.T) {
-	pr := props(3)
-	procs := core.NewSystem(pr, core.Options{}) // emits control messages
-	rt, err := lockstep.New(lockstep.Config{Model: sim.ModelClassic}, procs, adversary.None{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	_, err = rt.Run()
-	if !errors.Is(err, sim.ErrControlInClassic) {
-		t.Fatalf("err = %v, want ErrControlInClassic", err)
-	}
-}
-
-func TestLockstepConstructorValidation(t *testing.T) {
-	if _, err := lockstep.New(lockstep.Config{}, nil, adversary.None{}); err == nil {
-		t.Error("accepted zero processes")
-	}
-	pr := props(3)
-	if _, err := lockstep.New(lockstep.Config{}, core.NewSystem(pr, core.Options{}), nil); err == nil {
-		t.Error("accepted nil adversary")
-	}
-}
-
-func TestLockstepHorizonExhaustion(t *testing.T) {
-	// Kill every coordinator: with t = n-1 = f all processes crash... use
-	// n-1 crashes so p_n survives; horizon 1 is then too short for f >= 1.
-	pr := props(4)
-	procs := core.NewSystem(pr, core.Options{})
-	rt, err := lockstep.New(lockstep.Config{Model: sim.ModelExtended, Horizon: 1}, procs,
-		adversary.CoordinatorKiller{F: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(rt.Close)
-	_, err = rt.Run()
-	if !errors.Is(err, sim.ErrNoProgress) {
-		t.Fatalf("err = %v, want ErrNoProgress", err)
 	}
 }
 

@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -96,15 +95,6 @@ func TestEngineFailureFreeBroadcast(t *testing.T) {
 	}
 	if got := res.Counters.DataBits; got != 12*8 {
 		t.Errorf("data bits = %d, want %d", got, 12*8)
-	}
-}
-
-func TestEngineRejectsControlUnderClassic(t *testing.T) {
-	procs := echoSystem(3, true, 1)
-	e := mustEngine(t, sim.Config{Model: sim.ModelClassic}, procs, adversary.None{})
-	_, err := e.Run()
-	if !errors.Is(err, sim.ErrControlInClassic) {
-		t.Fatalf("err = %v, want ErrControlInClassic", err)
 	}
 }
 
@@ -221,43 +211,6 @@ func TestEngineHaltedProcessStopsSending(t *testing.T) {
 	}
 	if res.Counters.DataMsgs != 6 {
 		t.Errorf("data messages = %d, want 6", res.Counters.DataMsgs)
-	}
-}
-
-func TestEngineHorizonExhaustion(t *testing.T) {
-	procs := echoSystem(3, false, 99) // never decides within horizon
-	e := mustEngine(t, sim.Config{Model: sim.ModelClassic, Horizon: 3}, procs, adversary.None{})
-	_, err := e.Run()
-	if !errors.Is(err, sim.ErrNoProgress) {
-		t.Fatalf("err = %v, want ErrNoProgress", err)
-	}
-}
-
-type badAdversary struct{}
-
-func (badAdversary) Crashes(p sim.ProcID, r sim.Round, plan sim.SendPlan) (bool, sim.CrashOutcome) {
-	return true, sim.CrashOutcome{DataDelivered: []bool{true}, CtrlPrefix: 99}
-}
-
-func TestEngineRejectsMalformedOutcome(t *testing.T) {
-	procs := echoSystem(3, false, 1)
-	e := mustEngine(t, sim.Config{Model: sim.ModelClassic}, procs, badAdversary{})
-	_, err := e.Run()
-	if !errors.Is(err, sim.ErrBadOutcome) {
-		t.Fatalf("err = %v, want ErrBadOutcome", err)
-	}
-}
-
-func TestEngineRejectsBadProcessIDs(t *testing.T) {
-	procs := []sim.Process{&echoProc{id: 2, n: 1, val: 1, decideAt: 1}}
-	if _, err := sim.NewEngine(sim.Config{}, procs, adversary.None{}); err == nil {
-		t.Fatal("NewEngine accepted non-contiguous process ids")
-	}
-	if _, err := sim.NewEngine(sim.Config{}, nil, adversary.None{}); err == nil {
-		t.Fatal("NewEngine accepted zero processes")
-	}
-	if _, err := sim.NewEngine(sim.Config{}, echoSystem(2, false, 1), nil); err == nil {
-		t.Fatal("NewEngine accepted nil adversary")
 	}
 }
 

@@ -1,57 +1,11 @@
 package sim_test
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/adversary"
 	"repro/internal/sim"
 )
-
-// TestEngineResetMatchesFreshEngine checks that a reused engine produces
-// bit-identical results to a freshly constructed one, across different
-// scenarios and process counts (including shrinking and growing n, which
-// exercises the buffer-reuse paths).
-func TestEngineResetMatchesFreshEngine(t *testing.T) {
-	scenarios := []struct {
-		n   int
-		adv sim.Adversary
-	}{
-		{4, adversary.None{}},
-		{4, adversary.CoordinatorKiller{F: 2}},
-		{7, adversary.CoordinatorKiller{F: 3, DeliverAllData: true, CtrlPrefix: adversary.CtrlAll}},
-		{2, adversary.None{}},
-		{4, adversary.NewScript(map[sim.ProcID]adversary.CrashPlan{
-			2: {Round: 1, DeliverAllData: true, CtrlPrefix: 1},
-		})},
-	}
-	reused, err := sim.NewEngine(sim.Config{Model: sim.ModelExtended}, echoSystem(3, true, 2), adversary.None{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := reused.Run(); err != nil {
-		t.Fatalf("priming run: %v", err)
-	}
-	for i, sc := range scenarios {
-		if err := reused.Reset(echoSystem(sc.n, true, 2), sc.adv); err != nil {
-			t.Fatalf("scenario %d: Reset: %v", i, err)
-		}
-		got, gotErr := reused.Run()
-
-		fresh, err := sim.NewEngine(sim.Config{Model: sim.ModelExtended}, echoSystem(sc.n, true, 2), sc.adv)
-		if err != nil {
-			t.Fatalf("scenario %d: NewEngine: %v", i, err)
-		}
-		want, wantErr := fresh.Run()
-
-		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("scenario %d: reused err %v, fresh err %v", i, gotErr, wantErr)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("scenario %d: reused result %+v, fresh result %+v", i, got, want)
-		}
-	}
-}
 
 // TestEngineResetRederivesDefaultHorizon checks that an engine built with
 // the zero-value (defaulted) horizon re-derives n+2 when Reset changes n.
@@ -72,33 +26,6 @@ func TestEngineResetRederivesDefaultHorizon(t *testing.T) {
 	if runErr == nil || res.Rounds != 8 {
 		t.Fatalf("n=6 after Reset: rounds %d err %v, want re-derived horizon 8 and ErrNoProgress",
 			res.Rounds, runErr)
-	}
-}
-
-// TestEngineResetValidation checks Reset rejects the same malformed inputs
-// NewEngine does.
-func TestEngineResetValidation(t *testing.T) {
-	eng, err := sim.NewEngine(sim.Config{Model: sim.ModelClassic}, echoSystem(2, false, 1), adversary.None{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Reset(nil, adversary.None{}); err == nil {
-		t.Error("Reset accepted zero processes")
-	}
-	if err := eng.Reset(echoSystem(2, false, 1), nil); err == nil {
-		t.Error("Reset accepted nil adversary")
-	}
-	bad := echoSystem(3, false, 1)
-	bad[1], bad[2] = bad[2], bad[1]
-	if err := eng.Reset(bad, adversary.None{}); err == nil {
-		t.Error("Reset accepted non-contiguous process ids")
-	}
-	// The engine must still be usable after rejected Resets.
-	if err := eng.Reset(echoSystem(2, false, 1), adversary.None{}); err != nil {
-		t.Fatalf("valid Reset after rejections: %v", err)
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatalf("run after recovery: %v", err)
 	}
 }
 

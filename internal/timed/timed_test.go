@@ -1,16 +1,13 @@
 package timed_test
 
 import (
-	"errors"
 	"math"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/adversary"
 	"repro/internal/consensus/earlystop"
-	"repro/internal/consensus/floodset"
 	"repro/internal/core"
 	"repro/internal/lan"
 	"repro/internal/sim"
@@ -211,25 +208,6 @@ func TestPricedProfileIsTheProfile(t *testing.T) {
 	}
 }
 
-func TestHorizonExhaustion(t *testing.T) {
-	// Two silent coordinator crashes force a round-3 decision; a horizon of
-	// 2 must end with ErrNoProgress and a partial result over exactly the
-	// horizon rounds, matching the round engines' contract.
-	procs, _ := crwSystem(5)
-	eng, err := timed.New(timed.Config{Model: sim.ModelExtended, Horizon: 2},
-		procs, adversary.CoordinatorKiller{F: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run()
-	if !errors.Is(err, sim.ErrNoProgress) {
-		t.Fatalf("err = %v, want ErrNoProgress", err)
-	}
-	if res.Rounds != 2 || res.Counters.Rounds != 2 {
-		t.Errorf("partial result rounds = %d/%d, want 2", res.Rounds, res.Counters.Rounds)
-	}
-}
-
 func TestTraceRecordsTimedEvents(t *testing.T) {
 	log := trace.New()
 	procs, _ := crwSystem(3)
@@ -249,14 +227,11 @@ func TestTraceRecordsTimedEvents(t *testing.T) {
 	}
 }
 
+// TestConstructorValidation pins what only the timed engine validates: the
+// latency model's parameters, and one Run per job. The validation every
+// engine shares is TestConcurrentEngineContract's (internal/harness).
 func TestConstructorValidation(t *testing.T) {
 	procs, _ := crwSystem(3)
-	if _, err := timed.New(timed.Config{}, nil, adversary.None{}); err == nil {
-		t.Error("accepted empty process set")
-	}
-	if _, err := timed.New(timed.Config{}, procs, nil); err == nil {
-		t.Error("accepted nil adversary")
-	}
 	if _, err := timed.New(timed.Config{Latency: timed.Fixed{D: 0}}, procs, adversary.None{}); err == nil {
 		t.Error("accepted non-positive D")
 	}
@@ -272,59 +247,6 @@ func TestConstructorValidation(t *testing.T) {
 	}
 	if _, err := eng.Run(); err == nil {
 		t.Error("second Run on a single-use engine did not error")
-	}
-}
-
-// ctrlSender is a process that adds a control message to its plan, which
-// the classic model rejects.
-type ctrlSender struct{ sim.Process }
-
-func (p ctrlSender) Send(r sim.Round) sim.SendPlan {
-	plan := p.Process.Send(r)
-	plan.Control = []sim.ProcID{1}
-	return plan
-}
-
-// TestControlInClassicRejected also cuts a run short after a send phase
-// has transmitted: p1 broadcasts, p2's control message aborts the round.
-// Reset must discard the aborted round's arrivals, so the next job on the
-// engine matches a fresh engine's run.
-func TestControlInClassicRejected(t *testing.T) {
-	procs, props := crwSystem(3) // CRW emits control messages
-	eng, err := timed.New(timed.Config{Model: sim.ModelClassic}, procs, adversary.None{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); !errors.Is(err, sim.ErrControlInClassic) {
-		t.Errorf("err = %v, want ErrControlInClassic", err)
-	}
-
-	flood := floodset.NewSystem(props, 1, 64)
-	if err := eng.Reset(timed.Config{Model: sim.ModelClassic},
-		[]sim.Process{flood[0], ctrlSender{flood[1]}, flood[2]}, adversary.None{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); !errors.Is(err, sim.ErrControlInClassic) {
-		t.Fatalf("err = %v, want ErrControlInClassic", err)
-	}
-	cfg := timed.Config{Model: sim.ModelClassic}
-	if err := eng.Reset(cfg, floodset.NewSystem(props, 1, 64), adversary.None{}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := timed.New(cfg, floodset.NewSystem(props, 1, 64), adversary.None{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("run after an aborted round = %+v, want %+v", *got, *want)
 	}
 }
 

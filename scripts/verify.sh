@@ -132,14 +132,17 @@ go test -race -timeout 300s ./...
 echo "== go test -race -count=5 (recycled fuzz recorder + runner reuse across sizes, generators and findings + slice replayer differentials + one fault-choice tree)"
 go test -race -count=5 -timeout 300s -run 'RecycledRecorder|RunnerReuse|ReplayerMatches|OneTree' ./internal/fuzz/
 
-# The control and crash-mask tables are shared by every system, one
-# system's plan buffer and payload slot cross the lockstep workers, and one
-# protocol.Systems is rebuilt across protocols and sizes.
-echo "== go test -race -count=5 (round-scoped plan and payload lifetime + shared control and crash-mask tables + sim engine reuse across shapes + consensus System reset + protocol.Systems reuse)"
-go test -race -count=5 -timeout 300s -run 'PlanLifetime|PayloadLifetime|OutcomeMasks|SimAdapterReuses|ControlTables|SystemReset|SpecBuildReuse' ./internal/harness/ ./internal/adversary/ ./internal/core/ ./internal/consensus/... ./internal/protocol/
+# The control and crash-mask tables are shared by every system, a received
+# payload is copied out of its sender's slot, and one protocol.Systems is
+# rebuilt across protocols and sizes.
+echo "== go test -race -count=5 (shared control and crash-mask tables + payloads copied out on receive + consensus System reset + protocol.Systems reuse)"
+go test -race -count=5 -timeout 300s -run 'PayloadLifetime|OutcomeMasks|ControlTables|SystemReset|SpecBuildReuse' ./internal/adversary/ ./internal/core/ ./internal/consensus/... ./internal/protocol/
 
-echo "== go test -race -count=10 (lockstep runtime reuse across sizes + Close lifetime, also after every phase-barrier abort path + shard count at GOMAXPROCS 2 + chooser-tree mask regions read across shards + engine differential at GOMAXPROCS = n + lockstep memory linear in n + every engine against the reference model + every engine's recycled result across sizes, aborts and clock violations)"
-go test -race -count=10 -timeout 300s -run 'RuntimeReuse|RuntimeClose|RuntimeShard|DifferentialEnginesUnderRandomScripts|MemoryLinearInN|EnginesMatchReference|ResultLifetime' ./internal/lockstep/ ./internal/harness/ ./internal/timed/
+# The engine contract runs on every registered engine: the reference model
+# (lockstep also at GOMAXPROCS = n), reuse across sizes, plan, payload, mask
+# and result lifetimes, every abort path followed by Close, capabilities.
+echo "== go test -race -count=10 (the engine contract on every engine + lockstep shard count at GOMAXPROCS 2 + chooser-tree mask regions read across shards + lockstep against the deterministic engine at GOMAXPROCS = n + lockstep memory linear in n + the timed engine's recycled result after clock violations)"
+go test -race -count=10 -timeout 300s -run 'TestConcurrentEngineContract|RuntimeShard|DifferentialEnginesUnderRandomScripts|MemoryLinearInN|ResultLifetime' ./internal/lockstep/ ./internal/harness/ ./internal/timed/
 
 echo "== scenario catalog (all engines)"
 go run ./cmd/agreesim -run all -engines all
